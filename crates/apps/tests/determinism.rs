@@ -679,6 +679,79 @@ fn fused_runs_verify_identically_for_every_app() {
     }
 }
 
+/// Features in combination, all through the one pipeline runner: fusion ×
+/// fault injection ([`busy_plan`]: retries plus a device death) × the
+/// adaptive autotuner × two GPUs. For every application whose passes fuse,
+/// the combined run must verify against the pure-Rust reference, leave every
+/// mapped non-scratch host region bit-identical to the plain unfused run on
+/// one GPU, and
+/// its critical-path blame must tile the makespan exactly.
+#[test]
+fn fused_faulted_autotuned_multi_gpu_runs_match_the_clean_unfused_run() {
+    let apps: Vec<Box<dyn BenchApp + Sync>> = vec![
+        Box::new(KMeans::default()),
+        Box::new(FilterCount),
+        Box::new(Affinity::default()),
+    ];
+    for app in apps {
+        let name = app.spec().name;
+        let run = |composed: bool| {
+            let mut cfg = HarnessConfig::test_small();
+            if composed {
+                cfg.fuse = true;
+                cfg.gpus = 2;
+                cfg.bigkernel.faults = Some(busy_plan());
+                cfg.bigkernel.autotune = Some(AutotuneConfig::default());
+            }
+            let mut machine = Machine::test_platform();
+            machine.replicate_gpus(cfg.gpus);
+            let instance = app.instantiate(&mut machine, 96 * 1024, 42);
+            let guard = bk_obs::critpath::capture();
+            let result =
+                run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
+            let waves = guard.finish();
+            if let Err(e) = (instance.verify)(&machine) {
+                panic!("{name} failed verification (composed={composed}): {e}");
+            }
+            // Scratch intermediates are outputs of no one: the IR-fused
+            // FilterCount kernel keeps its intermediate on the device and
+            // never writes the scratch region.
+            let regions: Vec<Vec<u8>> = instance
+                .streams
+                .iter()
+                .filter(|s| !instance.scratch_streams.contains(&s.id))
+                .map(|s| machine.hmem.bytes(s.region).to_vec())
+                .collect();
+            (result, waves, regions)
+        };
+        let (_, _, clean) = run(false);
+        let (composed, waves, regions) = run(true);
+
+        // Every feature really engaged.
+        for key in [
+            "fusion.fused",
+            "fault.injected",
+            "fault.failed_over",
+            "autotune.windows",
+        ] {
+            assert!(composed.metrics.get(key) > 0, "{name}: {key} is zero");
+        }
+        assert_eq!(regions, clean, "{name}: mapped streams diverged");
+
+        let report = bk_obs::analyze(&waves);
+        assert!(
+            report.tiles_exactly(),
+            "{name}: blame sums to {} ns, makespan is {} ns",
+            report.blame_sum_ns(),
+            report.makespan_ns
+        );
+        assert_eq!(
+            report.makespan, composed.total,
+            "{name}: analyzer makespan diverged from the simulated total"
+        );
+    }
+}
+
 /// The streaming contract (DESIGN.md §16): cutting a stream into
 /// record-aligned windows and running each through the batch pipeline as it
 /// arrives is a *scheduling* decision — for every application and every

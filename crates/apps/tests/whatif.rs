@@ -100,6 +100,9 @@ fn identity_replay_and_blame_tiling_hold_for_every_app() {
     }
 }
 
+/// A re-run's `(gpus, data depth, write-back depth)` configuration.
+type RerunConfig = (usize, usize, Option<usize>);
+
 #[test]
 fn structural_predictions_match_actual_reruns_for_every_app() {
     for app in all_apps() {
@@ -109,7 +112,7 @@ fn structural_predictions_match_actual_reruns_for_every_app() {
         // Each structural perturbation paired with its config spelling.
         // Deepening one edge pins the other at the baseline depth (the
         // write-back depth follows the data depth when unset).
-        let cases: Vec<(&str, Perturbation, (usize, usize, Option<usize>))> = vec![
+        let cases: Vec<(&str, Perturbation, RerunConfig)> = vec![
             (
                 "deeper data reuse",
                 Perturbation::SetReuseDepth {

@@ -2,24 +2,38 @@
 //! steady state: `WarpAligner::align`, and the pooled addr-gen → assembly
 //! path (`AddrGenScratch` recording/commit plus `assemble`).
 //!
-//! The counting allocator is process-global, so the tests serialize on a
-//! mutex — a concurrently running test would pollute the count.
+//! The counting allocator counts per thread: each test measures only the
+//! allocations its own thread makes, so the test harness's threads and
+//! concurrently running tests cannot leak into a measured window.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 
 use bk_gpu::trace::{AccessClass, AccessKind, ThreadTrace, WarpAligner};
 use bk_gpu::{DeviceSpec, WARP_SIZE};
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static SERIAL: Mutex<()> = Mutex::new(());
+thread_local! {
+    // `const`-initialized with no destructor, so touching it from inside the
+    // allocator never allocates or registers anything itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation on the calling thread. `try_with` because a thread
+/// may still allocate while its thread-locals are being torn down.
+fn count_alloc() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made so far by the calling thread.
+fn allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -28,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::SeqCst);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -36,9 +50,31 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The per-thread counter is live: it counts each allocation made on this
+/// thread exactly once, and not the allocations of another thread.
+#[test]
+fn counter_sees_only_this_threads_allocations() {
+    let before = allocs();
+    std::thread::spawn(|| {
+        for _ in 0..1000 {
+            drop(std::hint::black_box(vec![0u8; 64]));
+        }
+    })
+    .join()
+    .unwrap();
+    let spawn_cost = allocs() - before;
+    assert!(
+        spawn_cost < 1000,
+        "another thread's allocations were counted here ({spawn_cost})"
+    );
+
+    let before = allocs();
+    drop(std::hint::black_box(vec![0u8; 64]));
+    assert_eq!(allocs() - before, 1, "own allocation not counted once");
+}
+
 #[test]
 fn align_performs_no_heap_allocations_in_steady_state() {
-    let _serial = SERIAL.lock().unwrap();
     let spec = DeviceSpec::test_tiny();
     // A mixed workload touching every scratch path: stream reads/writes,
     // device atomics, multi-segment accesses, and shared-memory conflicts.
@@ -77,12 +113,12 @@ fn align_performs_no_heap_allocations_in_steady_state() {
         let _ = aligner.align(&spec, &lanes);
     }
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..100 {
         let c = aligner.align(&spec, &lanes);
         assert!(c.mem.transactions > 0);
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -160,9 +196,6 @@ mod chunk {
 /// times — every vector cycles through the `StreamPool` freelists.
 #[test]
 fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
-    use std::sync::atomic::Ordering;
-
-    let _serial = SERIAL.lock().unwrap();
     let (machine, streams) = chunk::setup();
     let cfg = bk_runtime::BigKernelConfig::default();
     let mut scratch = bk_runtime::AddrGenScratch::new();
@@ -181,7 +214,7 @@ fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
     assert_eq!(first, chunk::LANES * chunk::LANE_SPAN);
 
     // Second chunk onward: bit-for-bit the same work, zero allocations.
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for _ in 0..10 {
         let g = chunk::run_chunk(
             &mut scratch,
@@ -193,7 +226,7 @@ fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
         );
         assert_eq!(g, first);
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,
@@ -211,7 +244,6 @@ fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
 fn record_schedule_without_tracing_allocates_nothing() {
     use bk_simcore::{pipeline, SimTime, StageDef};
 
-    let _serial = SERIAL.lock().unwrap();
     let spec = pipeline::PipelineSpec::new(vec![
         StageDef {
             name: "transfer",
@@ -231,11 +263,11 @@ fn record_schedule_without_tracing_allocates_nothing() {
     // and initializes the thread-local sink (lazily created on first use).
     bk_obs::record_schedule(&sched, 0, SimTime::ZERO, &mut metrics);
 
-    let before = ALLOCS.load(Ordering::SeqCst);
+    let before = allocs();
     for wave in 1..=100 {
         bk_obs::record_schedule(&sched, wave * 8, SimTime::ZERO, &mut metrics);
     }
-    let after = ALLOCS.load(Ordering::SeqCst);
+    let after = allocs();
     assert_eq!(
         after - before,
         0,

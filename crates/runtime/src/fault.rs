@@ -20,8 +20,8 @@
 //!    current depth: the run drops to the double-buffered graph (reuse
 //!    depth 1) and, if that still cannot complete, to a fully serialized
 //!    graph.
-//!    All three levels keep the 6-stage shape, so per-stage accounting stays
-//!    comparable across the degradation.
+//!    All three levels keep the run's `6 × passes` stage shape, so per-stage
+//!    accounting stays comparable across the degradation.
 //!
 //! **Determinism contract.** Whether a given stage instance faults is a pure
 //! hash of `(plan seed, global chunk id, stage, attempt, degradation
@@ -33,8 +33,8 @@
 //! fault-free run for any plan that completes. See DESIGN.md §11.
 
 use crate::graph::{
-    bigkernel_graph, bigkernel_graph_depths, deal_chunks, fused_graph_depths, fused_serial_graph,
-    schedule_graph, serial_graph, GraphSpec, Shard, ShardPolicy, ShardedSchedule,
+    deal_chunks, pipeline_graph, pipeline_stage_names, schedule_graph, serial_graph, GraphSpec,
+    Shard, ShardPolicy, ShardedSchedule,
 };
 use crate::pipeline::STAGE_NAMES;
 use bk_obs::{stall_counter, MetricsRegistry, SpanRecord, FAULT_MARKER_STAGE};
@@ -328,7 +328,7 @@ struct FaultEvent {
 }
 
 /// Per-run fault state: the plan, which devices are still alive, and the
-/// current degradation level. Built by `run_bigkernel` when
+/// current degradation level. Built by the pipeline runner when
 /// [`crate::BigKernelConfig::faults`] is set; one [`FaultContext::run_wave`]
 /// call replaces `Executor::run` per wave.
 pub(crate) struct FaultContext {
@@ -342,11 +342,17 @@ pub(crate) struct FaultContext {
 }
 
 impl FaultContext {
+    /// A fault context over the `passes`-pass [`pipeline_graph`]. The
+    /// degradation ladder keeps the `6 × passes` stage shape at every rung
+    /// (full depth → depth 1 → serial), so stage indices in the inflated rows
+    /// stay stable; fault sites address stages by their 6-stage *role*
+    /// (`stage % 6`), hitting the same role in every pass.
     pub(crate) fn new(
         plan: FaultPlan,
         num_devices: usize,
         policy: ShardPolicy,
         copy_engines: usize,
+        passes: usize,
         depth: usize,
         wb_depth: usize,
     ) -> FaultContext {
@@ -367,34 +373,11 @@ impl FaultContext {
             alive: vec![true; num_devices],
             level: 0,
             specs: [
-                bigkernel_graph_depths(copy_engines, depth, wb_depth),
-                bigkernel_graph(copy_engines, 1),
-                serial_graph(&STAGE_NAMES),
+                pipeline_graph(copy_engines, passes, depth, wb_depth),
+                pipeline_graph(copy_engines, passes, 1, 1),
+                serial_graph(&pipeline_stage_names(passes)),
             ],
         }
-    }
-
-    /// A fault context over the fused multi-pass graph. The degradation
-    /// ladder keeps the `6 × passes` stage shape at every rung (full-depth
-    /// fused → depth-1 fused → serial), so stage indices in the inflated
-    /// rows stay stable; fault sites address stages by their 6-stage *role*
-    /// (`stage % 6`), hitting the same role in every pass.
-    pub(crate) fn new_fused(
-        plan: FaultPlan,
-        num_devices: usize,
-        policy: ShardPolicy,
-        copy_engines: usize,
-        passes: usize,
-        depth: usize,
-        wb_depth: usize,
-    ) -> FaultContext {
-        let mut ctx = FaultContext::new(plan, num_devices, policy, copy_engines, depth, wb_depth);
-        ctx.specs = [
-            fused_graph_depths(copy_engines, passes, depth, wb_depth),
-            fused_graph_depths(copy_engines, passes, 1, 1),
-            fused_serial_graph(passes),
-        ];
-        ctx
     }
 
     /// Degradation level reached so far (0 = full pipeline). The autotuner
@@ -696,7 +679,7 @@ mod tests {
         // One site failing compute of chunk 2 twice: the inflated row pays
         // two wasted attempts plus backoff 1µs + 2µs.
         let plan = FaultPlan::parse("fail=compute@2x2,backoff_us=1").unwrap();
-        let ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let clean = rows(4);
         let (inflated, events) = ctx.inflate(0, &clean).unwrap();
         assert_eq!(events.len(), 1);
@@ -720,7 +703,7 @@ mod tests {
             max_retries: 0,
             ..FaultPlan::default()
         };
-        let ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         // All-zero rows: rate 1.0 with no retries would exhaust instantly if
         // zero-duration stages drew faults.
         let clean = vec![vec![SimTime::ZERO; 6]; 3];
@@ -734,7 +717,7 @@ mod tests {
         // The site fails 10 times but the budget is 1 retry: level 0 cannot
         // complete. Sites clear at level 1, so the wave runs double-buffered.
         let plan = FaultPlan::parse("fail=compute@0x10,retries=1").unwrap();
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let sharded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(6), &mut metrics);
         assert_eq!(ctx.level(), 1);
@@ -750,11 +733,15 @@ mod tests {
     #[test]
     fn degraded_wave_is_slower_than_clean_pipeline() {
         let plan = FaultPlan::parse("fail=compute@0x10,retries=1").unwrap();
-        let mut ctx = FaultContext::new(plan.clone(), 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan.clone(), 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let degraded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(8), &mut metrics);
-        let clean = crate::graph::Executor::new(bigkernel_graph(1, 3), 1, ShardPolicy::RoundRobin)
-            .run(&rows(8));
+        let clean = crate::graph::Executor::new(
+            crate::graph::bigkernel_graph(1, 3),
+            1,
+            ShardPolicy::RoundRobin,
+        )
+        .run(&rows(8));
         assert!(degraded.makespan() > clean.makespan());
     }
 
@@ -766,7 +753,7 @@ mod tests {
             max_retries: 2,
             ..FaultPlan::default()
         };
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(2), &mut metrics);
     }
@@ -774,7 +761,7 @@ mod tests {
     #[test]
     fn device_death_requeues_onto_survivors_in_order() {
         let plan = FaultPlan::parse("kill=0@1").unwrap();
-        let mut ctx = FaultContext::new(plan, 2, ShardPolicy::RoundRobin, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 2, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         // Wave 0: both devices.
         let w0 = ctx.run_wave(0, 0, SimTime::ZERO, &rows(8), &mut metrics);
@@ -796,7 +783,7 @@ mod tests {
     #[test]
     fn least_loaded_requeue_balances_survivors() {
         let plan = FaultPlan::parse("kill=1@0").unwrap();
-        let mut ctx = FaultContext::new(plan, 3, ShardPolicy::LeastLoaded, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 3, ShardPolicy::LeastLoaded, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let w0 = ctx.run_wave(0, 0, SimTime::ZERO, &rows(9), &mut metrics);
         assert_eq!(w0.shards().len(), 2);
@@ -817,13 +804,13 @@ mod tests {
     #[should_panic(expected = "only device")]
     fn killing_the_only_device_is_rejected_up_front() {
         let plan = FaultPlan::parse("kill=0@0").unwrap();
-        let _ = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let _ = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
     }
 
     #[test]
     fn fault_counters_and_stall_time_are_emitted() {
         let plan = FaultPlan::parse("fail=transfer@1x2,fail=compute@3,backoff_us=1").unwrap();
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(6), &mut metrics);
         assert_eq!(metrics.get("fault.injected"), 2);
@@ -838,7 +825,7 @@ mod tests {
     fn same_plan_same_wave_is_bitwise_reproducible() {
         let plan = FaultPlan::parse("seed=3,rate=0.2,retries=4,kill=1@0").unwrap();
         let run = || {
-            let mut ctx = FaultContext::new(plan.clone(), 2, ShardPolicy::RoundRobin, 1, 3, 3);
+            let mut ctx = FaultContext::new(plan.clone(), 2, ShardPolicy::RoundRobin, 1, 1, 3, 3);
             let mut metrics = MetricsRegistry::new();
             let s = ctx.run_wave(0, 0, SimTime::ZERO, &rows(12), &mut metrics);
             (s.makespan(), format!("{metrics}"))
@@ -849,7 +836,7 @@ mod tests {
     #[test]
     fn fault_markers_appear_in_the_trace() {
         let plan = FaultPlan::parse("fail=compute@2,backoff_us=1").unwrap();
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let guard = bk_obs::trace::start();
         let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(4), &mut metrics);

@@ -8,7 +8,7 @@
 //! per-kernel [`AccessSummary`]s, when pass *b*'s stream reads are fully
 //! covered by pass *a*'s device-buffer writes — in which case the runtime
 //! runs every pass through **one** multi-stage [`GraphSpec`](crate::graph::GraphSpec)
-//! ([`crate::graph::fused_graph_depths`]) and keeps the intermediate
+//! ([`crate::graph::pipeline_graph`]) and keeps the intermediate
 //! device-resident: the covered reads skip their host-to-device transfer and
 //! scratch intermediates skip their device-to-host write-back entirely.
 //!
@@ -502,7 +502,7 @@ mod tests {
     fn single_and_too_many_refuse() {
         let [a, b] = kmeans_like();
         assert_eq!(
-            FusePlan::analyze(&[a.clone()], 1, &[]),
+            FusePlan::analyze(std::slice::from_ref(&a), 1, &[]),
             Err(FuseRefusal::SinglePass)
         );
         let five = vec![a.clone(), b, a.clone(), a.clone(), a];

@@ -30,6 +30,7 @@
 //!   in global chunk order and outputs are bit-identical for any device
 //!   count. See DESIGN.md §10.
 
+use crate::pipeline::STAGE_NAMES;
 use crate::result::{accumulate_stage_stats, StageStat};
 use bk_obs::{device_counter, MetricsRegistry, MAX_DEVICES};
 use bk_simcore::pipeline::Slot;
@@ -305,29 +306,10 @@ impl GraphSpec {
 /// compute → wb-xfer → wb-apply, with the paper's depth-`depth` buffer-reuse
 /// edges `addr-gen(n) ↔ compute(n−depth)` and `compute(n) ↔ wb-apply(n−depth)`.
 /// On GPUs with a second copy engine the write-back transfer gets its own
-/// D2H DMA resource; otherwise it queues on the one engine.
+/// D2H DMA resource; otherwise it queues on the one engine. Shorthand for the
+/// one-pass [`pipeline_graph`] with both reuse edges at `depth`.
 pub fn bigkernel_graph(copy_engines: usize, depth: usize) -> GraphSpec {
-    bigkernel_graph_depths(copy_engines, depth, depth)
-}
-
-/// [`bigkernel_graph`] with the two reuse edges split: `depth` buffer sets on
-/// the prefetch-data edge `addr-gen(n) ↔ compute(n−depth)` and `wb_depth`
-/// sets on the write-back edge `compute(n) ↔ wb-apply(n−wb_depth)`. The
-/// autotuner deepens the two edges independently, because the prefetch and
-/// write-back buffer pools are sized (and stall) independently.
-pub fn bigkernel_graph_depths(copy_engines: usize, depth: usize, wb_depth: usize) -> GraphSpec {
-    use ResourceKind::*;
-    let wb_dma = if copy_engines >= 2 { DmaD2H } else { DmaH2D };
-    GraphSpec::chain(vec![
-        ("addr-gen", ResourceId::new(GpuAddrGen, 0)),
-        ("assemble", ResourceId::new(CpuAssembly, 0)),
-        ("transfer", ResourceId::new(DmaH2D, 0)),
-        ("compute", ResourceId::new(GpuCompute, 0)),
-        ("wb-xfer", ResourceId::new(wb_dma, 0)),
-        ("wb-apply", ResourceId::new(CpuWriteback, 0)),
-    ])
-    .with_reuse(0, 3, depth)
-    .with_reuse(3, 5, wb_depth)
+    pipeline_graph(copy_engines, 1, depth, depth)
 }
 
 /// The double-buffered baseline graph: stage-pin → transfer → compute →
@@ -358,9 +340,10 @@ pub fn serial_graph(names: &[&'static str]) -> GraphSpec {
     )
 }
 
-/// Stage names of the fused multi-pass graph: pass `p`'s six pipeline
+/// Stage names of a multi-pass program's graph: pass `p`'s six pipeline
 /// stages, prefixed `p<p>.` so observability can both distinguish passes
-/// and strip back to the role name for aggregation.
+/// and strip back to the role name for aggregation. A one-pass program keeps
+/// the plain [`STAGE_NAMES`].
 pub const FUSED_STAGE_NAMES: [[&str; 6]; 4] = [
     [
         "p0.addr-gen",
@@ -396,71 +379,68 @@ pub const FUSED_STAGE_NAMES: [[&str; 6]; 4] = [
     ],
 ];
 
-/// Flat stage-name list of the `passes`-pass fused graph, for the serial
-/// degradation rung of the fault ladder.
-pub fn fused_stage_names(passes: usize) -> Vec<&'static str> {
+/// Per-pass stage names of a `passes`-pass program: [`STAGE_NAMES`] alone
+/// for one pass, the `p<i>.`-prefixed rows of [`FUSED_STAGE_NAMES`] for
+/// more. Borrowed from the static tables, so building a graph allocates no
+/// name list.
+fn pass_stage_names(passes: usize) -> &'static [[&'static str; 6]] {
     assert!(
         (1..=FUSED_STAGE_NAMES.len()).contains(&passes),
-        "fused graph supports 1..=4 passes"
+        "pipeline graph supports 1..=4 passes"
     );
-    FUSED_STAGE_NAMES[..passes]
-        .iter()
-        .flatten()
-        .copied()
-        .collect()
+    if passes == 1 {
+        std::slice::from_ref(&STAGE_NAMES)
+    } else {
+        &FUSED_STAGE_NAMES[..passes]
+    }
 }
 
-/// [`serial_graph`] over the fused stage names: the fully-serialized
-/// degradation rung for fused multi-pass runs, keeping the `6 × passes`
-/// stage shape.
-pub fn fused_serial_graph(passes: usize) -> GraphSpec {
-    GraphSpec::chain(
-        fused_stage_names(passes)
-            .into_iter()
-            .map(|n| (n, ResourceId::new(ResourceKind::Serial, 0)))
-            .collect(),
-    )
+/// Flat stage-name list of the `passes`-pass [`pipeline_graph`], in stage
+/// order — e.g. for the fault ladder's [`serial_graph`] rung, which keeps
+/// the `6 × passes` stage shape.
+pub fn pipeline_stage_names(passes: usize) -> Vec<&'static str> {
+    pass_stage_names(passes).iter().flatten().copied().collect()
 }
 
-/// The fused multi-pass BigKernel graph: `passes` copies of the 6-stage
-/// pipeline chained end-to-end per chunk (pass `p`'s addr-gen depends on
-/// pass `p−1`'s wb-apply of the *same* chunk — the device-resident
-/// intermediate), sharing the one set of hardware resources, with each
-/// pass's own §IV.C buffer-reuse edges. One graph, one DAG run: the
-/// per-pass restart loop disappears and a later pass's stages overlap an
-/// earlier pass's tail chunks wherever the resources allow.
-pub fn fused_graph_depths(
+/// The BigKernel graph of a `passes`-pass program: `passes` copies of the
+/// 6-stage pipeline chained end-to-end per chunk (pass `p`'s addr-gen
+/// depends on pass `p−1`'s wb-apply of the *same* chunk — the
+/// device-resident intermediate), sharing the one set of hardware resources,
+/// with each pass's own §IV.C buffer-reuse edges: `depth` buffer sets on the
+/// prefetch-data edge `addr-gen(n) ↔ compute(n−depth)` and `wb_depth` sets on
+/// the write-back edge `compute(n) ↔ wb-apply(n−wb_depth)`. The autotuner
+/// deepens the two edges independently, because the prefetch and write-back
+/// buffer pools are sized (and stall) independently. On GPUs with a second
+/// copy engine the write-back transfer gets its own D2H DMA resource;
+/// otherwise it queues on the one engine.
+///
+/// One pass is the paper's plain 6-stage chain under [`STAGE_NAMES`]; more
+/// passes form one fused DAG, so a later pass's stages overlap an earlier
+/// pass's tail chunks wherever the resources allow.
+pub fn pipeline_graph(
     copy_engines: usize,
     passes: usize,
     depth: usize,
     wb_depth: usize,
 ) -> GraphSpec {
     use ResourceKind::*;
-    assert!(
-        (1..=FUSED_STAGE_NAMES.len()).contains(&passes),
-        "fused graph supports 1..=4 passes"
-    );
     let wb_dma = if copy_engines >= 2 { DmaD2H } else { DmaH2D };
-    let resources = [
-        ResourceId::new(GpuAddrGen, 0),
-        ResourceId::new(CpuAssembly, 0),
-        ResourceId::new(DmaH2D, 0),
-        ResourceId::new(GpuCompute, 0),
-        ResourceId::new(wb_dma, 0),
-        ResourceId::new(CpuWriteback, 0),
+    let roles = [
+        GpuAddrGen,
+        CpuAssembly,
+        DmaH2D,
+        GpuCompute,
+        wb_dma,
+        CpuWriteback,
     ];
-    let mut stages = Vec::with_capacity(passes * 6);
-    for (p, names) in FUSED_STAGE_NAMES.iter().enumerate().take(passes) {
-        for (j, &resource) in resources.iter().enumerate() {
-            let idx = p * 6 + j;
-            stages.push(GraphStage {
-                name: names[j],
-                resource,
-                deps: if idx > 0 { vec![idx - 1] } else { Vec::new() },
-            });
+    let per_pass = pass_stage_names(passes);
+    let mut chain = Vec::with_capacity(per_pass.len() * 6);
+    for names in per_pass {
+        for (&name, &kind) in names.iter().zip(&roles) {
+            chain.push((name, ResourceId::new(kind, 0)));
         }
     }
-    let mut spec = GraphSpec::new(stages);
+    let mut spec = GraphSpec::chain(chain);
     for p in 0..passes {
         spec = spec
             .with_reuse(p * 6, p * 6 + 3, depth)
@@ -1166,7 +1146,7 @@ mod tests {
 
     #[test]
     fn reuse_depth_reports_both_bigkernel_edges() {
-        let spec = bigkernel_graph_depths(1, 4, 7);
+        let spec = pipeline_graph(1, 1, 4, 7);
         assert_eq!(spec.reuse_depth(0, 3), Some(4));
         assert_eq!(spec.reuse_depth(3, 5), Some(7));
         assert_eq!(spec.reuse_depth(1, 2), None);
@@ -1175,18 +1155,105 @@ mod tests {
         assert_eq!(legacy.reuse_depth(0, 3), legacy.reuse_depth(3, 5));
     }
 
+    /// Everything scheduling reads from a spec: stage names, resources,
+    /// deps, reuse edges.
+    type Shape = (
+        Vec<(&'static str, &'static str, Vec<usize>)>,
+        Vec<(usize, usize, usize)>,
+    );
+
+    fn shape(spec: &GraphSpec) -> Shape {
+        (
+            spec.stages
+                .iter()
+                .map(|s| (s.name, s.resource.as_str(), s.deps.clone()))
+                .collect(),
+            spec.reuse
+                .iter()
+                .map(|e| (e.producer, e.consumer, e.depth))
+                .collect(),
+        )
+    }
+
+    /// A one-pass program is the paper's plain 6-stage chain: the
+    /// `STAGE_NAMES` stages on their own resources, write-back DMA on the
+    /// second copy engine when there is one, and the two §IV.C reuse edges.
     #[test]
-    fn bigkernel_graph_depths_matches_single_depth_factory_when_equal() {
-        let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 10];
-        let a = schedule_graph(&bigkernel_graph(2, 3), &rows);
-        let b = schedule_graph(&bigkernel_graph_depths(2, 3, 3), &rows);
-        assert_eq!(a.makespan(), b.makespan());
-        for c in 0..rows.len() {
-            for s in 0..6 {
-                assert_eq!(a.slot(c, s), b.slot(c, s));
-                assert_eq!(a.slot_meta(c, s), b.slot_meta(c, s));
+    fn one_pass_pipeline_graph_is_the_plain_six_stage_chain() {
+        use ResourceKind::*;
+        for (copy_engines, wb_dma) in [(1, DmaH2D), (2, DmaD2H)] {
+            for (depth, wb_depth) in [(1, 1), (3, 3), (4, 7)] {
+                let resources = [
+                    GpuAddrGen,
+                    CpuAssembly,
+                    DmaH2D,
+                    GpuCompute,
+                    wb_dma,
+                    CpuWriteback,
+                ];
+                let expected = GraphSpec::chain(
+                    STAGE_NAMES
+                        .iter()
+                        .zip(resources)
+                        .map(|(&n, k)| (n, ResourceId::new(k, 0)))
+                        .collect(),
+                )
+                .with_reuse(0, 3, depth)
+                .with_reuse(3, 5, wb_depth);
+                let spec = pipeline_graph(copy_engines, 1, depth, wb_depth);
+                assert_eq!(shape(&spec), shape(&expected));
+                let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 10];
+                let (a, b) = (
+                    schedule_graph(&spec, &rows),
+                    schedule_graph(&expected, &rows),
+                );
+                for c in 0..rows.len() {
+                    for s in 0..6 {
+                        assert_eq!(a.slot(c, s), b.slot(c, s));
+                        assert_eq!(a.slot_meta(c, s), b.slot_meta(c, s));
+                    }
+                }
             }
         }
+        // The fault ladder's serial rung over one pass is the plain one.
+        assert_eq!(
+            shape(&serial_graph(&pipeline_stage_names(1))),
+            shape(&serial_graph(&STAGE_NAMES))
+        );
+    }
+
+    /// Two to four passes chain `p<i>.`-named copies of the six stages on
+    /// the shared resources, each pass with its own reuse edges.
+    #[test]
+    fn multi_pass_pipeline_graph_keeps_pass_names_and_per_pass_reuse() {
+        for passes in 2..=4 {
+            let spec = pipeline_graph(2, passes, 3, 5);
+            let single = pipeline_graph(2, 1, 3, 5);
+            assert_eq!(spec.num_stages(), 6 * passes);
+            for (i, st) in spec.stages.iter().enumerate() {
+                let (p, role) = (i / 6, i % 6);
+                assert_eq!(st.name, format!("p{p}.{}", STAGE_NAMES[role]));
+                assert_eq!(st.resource, single.stages[role].resource);
+                assert_eq!(st.deps, if i > 0 { vec![i - 1] } else { Vec::new() });
+            }
+            let expected: Vec<(usize, usize, usize)> = (0..passes)
+                .flat_map(|p| [(p * 6, p * 6 + 3, 3), (p * 6 + 3, p * 6 + 5, 5)])
+                .collect();
+            assert_eq!(shape(&spec).1, expected);
+            let serial = serial_graph(&pipeline_stage_names(passes));
+            assert_eq!(serial.num_stages(), 6 * passes);
+            assert!(serial
+                .stages
+                .iter()
+                .zip(&spec.stages)
+                .all(|(a, b)| a.name == b.name && a.resource.kind == ResourceKind::Serial));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=4 passes")]
+    fn pipeline_graph_rejects_five_passes() {
+        let _ = pipeline_graph(1, 5, 3, 3);
     }
 
     #[test]
@@ -1408,7 +1475,7 @@ mod proptests {
             wb_depth in 1usize..8,
             copy_engines in 1usize..=2,
         ) {
-            let spec = bigkernel_graph_depths(copy_engines, depth, wb_depth);
+            let spec = pipeline_graph(copy_engines, 1, depth, wb_depth);
             let s = schedule_graph(&spec, &d);
             for e in &spec.reuse {
                 for c in e.depth..s.num_chunks() {

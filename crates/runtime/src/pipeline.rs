@@ -25,9 +25,20 @@
 //! delegated to the declarative stage graph in [`crate::graph`] — the stages
 //! above, their hardware resources, the dependency edges and the §IV.C
 //! `addr-gen(n) waits for compute(n − depth)` buffer-reuse rule are expressed
-//! as data ([`crate::graph::bigkernel_graph`]), and the graph executor shards
-//! chunks across however many simulated GPUs the [`Machine`] carries. The
-//! schedule's makespan is the run's simulated time.
+//! as data ([`pipeline_graph`]), and the graph executor shards chunks across
+//! however many simulated GPUs the [`Machine`] carries. The schedule's
+//! makespan is the run's simulated time.
+//!
+//! ## One runner for every program
+//!
+//! There is a single runner body, over an ordered list of passes. A plain
+//! run ([`run_bigkernel`], [`run_bigkernel_window`]) is the one-pass program
+//! on the six-stage graph above. A fused multi-pass program
+//! ([`run_bigkernel_fused`], DESIGN.md §15) is the same loop over `passes`
+//! kernels on a `6 × passes`-stage graph, plus a [`FusePlan`] whose per-pass
+//! [`PassIo`] elides the device-resident bytes. Occupancy, partitioning,
+//! chunk sizing, fault injection, autotuning and the wave loop are therefore
+//! shared: every feature that works on a plain run works on a fused one.
 //!
 //! ## Two-phase block simulation
 //!
@@ -67,7 +78,7 @@ use crate::exec::{
 };
 use crate::fault::FaultContext;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
-use crate::graph::{bigkernel_graph_depths, fused_graph_depths, Executor};
+use crate::graph::{pipeline_graph, Executor};
 use crate::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig, StreamKernel};
 use crate::machine::Machine;
 use crate::result::{finalize_stage_stats, RunResult};
@@ -192,12 +203,11 @@ impl StagedAux {
 
 /// Simulate one chunk of one pass: run every active block's functional
 /// simulation, fold the per-block costs into the six per-stage durations and
-/// emit the bound counters and transfer histograms. Shared between the
-/// single-pass pipeline ([`run_bigkernel`]) and the fused multi-pass runner
-/// ([`run_bigkernel_fused`]), which places the returned stage times at its
-/// pass's offset in a `6 × passes`-wide duration row. `io` carries the
-/// fusion byte-cost elision for this pass (`None` outside fused runs); it
-/// changes cost accounting only — the functional simulation is identical.
+/// emit the bound counters and transfer histograms. The runner places the
+/// returned stage times at the pass's offset in a `6 × passes`-wide duration
+/// row. `io` carries the fusion byte-cost elision for this pass (`None`
+/// outside fused runs); it changes cost accounting only — the functional
+/// simulation is identical.
 #[allow(clippy::too_many_arguments)]
 fn simulate_chunk(
     machine: &mut Machine,
@@ -423,13 +433,100 @@ pub fn run_bigkernel_window(
     cfg: &BigKernelConfig,
     window: Range<u64>,
 ) -> RunResult {
+    run_program(machine, &[kernel], None, streams, launch, cfg, window)
+        .expect("a single-pass program never refuses")
+}
+
+/// Run a fused multi-pass program — `kernels[p]` is pass `p` — as **one**
+/// pipeline over a single `6 × passes`-stage graph ([`pipeline_graph`]),
+/// instead of `passes` sequential [`run_bigkernel`] invocations with a full
+/// pipeline drain between them.
+///
+/// `plan` must come from [`FusePlan::analyze`] over the kernels' access
+/// summaries: it proves which of a later pass's stream reads are covered by
+/// an earlier pass's writes. Covered streams stay device-resident between
+/// passes — their gather bytes never cross PCIe again — and scratch streams
+/// consumed only inside the fusion skip their write-back entirely. The
+/// elision is *cost-only*: every pass still executes functionally in strict
+/// program order against host memory, so outputs are bit-identical to the
+/// unfused run by construction.
+///
+/// The §IV.D occupancy check charges the resident intermediate footprint
+/// against the buffer-set budget via [`occupancy::max_buffer_sets_resident`]
+/// and refuses ([`FuseRefusal::ResidentFootprint`]) when even depth 1 does
+/// not fit — callers fall back to the unfused per-pass loop on any refusal.
+///
+/// Passes declaring a [`barrier
+/// dependence`](crate::kernel::StreamKernel::barrier_dependence) (they read
+/// device state an earlier pass accumulates, e.g. a hash-table join) fuse
+/// only when the launch is a single co-resident wave: the per-wave
+/// pass-major functional order then acts as the global pass barrier.
+/// Multi-wave launches refuse ([`FuseRefusal::BarrierNotCoResident`]).
+pub fn run_bigkernel_fused(
+    machine: &mut Machine,
+    kernels: &[&dyn StreamKernel],
+    streams: &[StreamArray],
+    launch: LaunchConfig,
+    cfg: &BigKernelConfig,
+    plan: &FusePlan,
+) -> Result<RunResult, FuseRefusal> {
+    assert!(
+        !cfg.transfer_all,
+        "fused execution requires the assembled pipeline; \
+         transfer_all is the overlap-only baseline"
+    );
+    assert_eq!(
+        kernels.len(),
+        plan.passes,
+        "fuse plan covers {} passes but {} kernels were supplied",
+        plan.passes,
+        kernels.len()
+    );
+    let whole = 0..streams.first().map_or(0, |s| s.len());
+    run_program(machine, kernels, Some(plan), streams, launch, cfg, whole)
+}
+
+/// The one pipeline runner: a program of `kernels.len()` passes over one
+/// `window` of the primary stream, scheduled on the [`pipeline_graph`] of
+/// that many passes. A plain run is the one-pass program with no `plan`; a
+/// fused run carries the [`FusePlan`] whose per-pass [`PassIo`] elides the
+/// device-resident bytes.
+///
+/// Per wave, the runner builds `passes × num_chunks` duration rows in
+/// pass-major order, each `6 × passes` wide with pass `p`'s stage times at
+/// columns `p*6 ..= p*6+5`, and submits them to **one** executor run. The
+/// graph chains pass `p`'s addr-gen after pass `p−1`'s wb-apply per chunk
+/// while the shared hardware resources (GPU pools, assembly threads, DMA
+/// engines) pipeline across passes; zero-duration stages occupy nothing.
+/// Functionally each wave runs pass 0 to completion before pass 1 reads its
+/// output (covered reads are lane-local, so waves never race ahead of their
+/// inputs).
+///
+/// Fusion refusals ([`FuseRefusal`]) apply to planned programs only; a
+/// program without a plan always runs.
+fn run_program(
+    machine: &mut Machine,
+    kernels: &[&dyn StreamKernel],
+    plan: Option<&FusePlan>,
+    streams: &[StreamArray],
+    launch: LaunchConfig,
+    cfg: &BigKernelConfig,
+    window: Range<u64>,
+) -> Result<RunResult, FuseRefusal> {
     cfg.validate();
     assert!(!streams.is_empty(), "need at least one mapped stream");
     for (i, s) in streams.iter().enumerate() {
         assert_eq!(s.id.0 as usize, i, "streams must be indexed by id");
     }
+    let passes = kernels.len();
 
-    let rec = kernel.record_size();
+    // Identical record sizes ⇒ identical lane partitions in every pass, the
+    // property the coverage proof (and cross-wave ordering) relies on.
+    let rec = kernels[0].record_size();
+    if kernels.iter().any(|k| k.record_size() != rec) {
+        return Err(FuseRefusal::MismatchedRecordSize);
+    }
+
     let primary = &streams[0];
     let tpb = launch.threads_per_block;
 
@@ -447,19 +544,65 @@ pub fn run_bigkernel_window(
         );
     }
 
-    // §IV.D: occupancy with the doubled thread count (addr-gen + compute).
-    let base_res = kernel.resources();
-    let doubled = BlockResources {
-        threads_per_block: if cfg.transfer_all {
-            base_res.threads_per_block.max(tpb)
-        } else {
-            (base_res.threads_per_block.max(tpb)) * 2
-        },
-        ..base_res
-    };
-    let occ = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
-    let occ_factor = occ.thread_occupancy(machine.gpu(), &doubled).max(0.125);
+    // §IV.D: occupancy with the doubled thread count (addr-gen + compute;
+    // the overlap-only variant launches no addr-gen warps). Every pass runs
+    // on the same active-block front, so take the most constrained pass
+    // (fewest active blocks, lowest thread occupancy) — conservative for the
+    // schedule and exact for the memory footprint of the blocks in flight.
+    let mut occ: Option<occupancy::Occupancy> = None;
+    let mut occ_factor = f64::INFINITY;
+    for k in kernels {
+        let base_res = k.resources();
+        let threads = base_res.threads_per_block.max(tpb);
+        let doubled = BlockResources {
+            threads_per_block: if cfg.transfer_all {
+                threads
+            } else {
+                threads * 2
+            },
+            ..base_res
+        };
+        let o = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
+        occ_factor = occ_factor.min(o.thread_occupancy(machine.gpu(), &doubled));
+        if occ
+            .as_ref()
+            .is_none_or(|prev| o.active_blocks < prev.active_blocks)
+        {
+            occ = Some(o);
+        }
+    }
+    let occ = occ.expect("at least one pass");
+    let occ_factor = occ_factor.max(0.125);
     let active_blocks = occ.active_blocks.max(1);
+    let waves = launch.num_blocks.div_ceil(active_blocks);
+
+    // Resident intermediates charge against the buffer-set budget (zero
+    // outside fused programs). The result also caps the autotuner.
+    let set_bytes = cfg.chunk_input_bytes.max(1);
+    let resident_bytes = plan.map_or(0, |p| p.resident_bytes_per_chunk(cfg.chunk_input_bytes));
+    let feasible_sets =
+        occupancy::max_buffer_sets_resident(machine.gpu(), &occ, set_bytes, resident_bytes);
+    if plan.is_some() {
+        // If not even one set fits alongside the intermediates, fusion is
+        // infeasible on this device.
+        if feasible_sets == 0 {
+            return Err(FuseRefusal::ResidentFootprint {
+                needed: u64::from(active_blocks) * (set_bytes + resident_bytes),
+                budget: machine.gpu().mem_capacity / 2,
+            });
+        }
+        // Passes that read device state accumulated by an earlier pass need
+        // a global pass barrier. The pass-major functional order provides
+        // one per wave — all of pass p's chunks run before pass p+1's — but a
+        // second wave would count against state its own pass-0 front has not
+        // produced yet. Fusing such programs is therefore only legal when the
+        // launch is a single co-resident wave (persistent blocks).
+        if waves > 1 {
+            if let Some(pass) = kernels.iter().position(|k| k.barrier_dependence()) {
+                return Err(FuseRefusal::BarrierNotCoResident { pass, waves });
+            }
+        }
+    }
 
     // GPU pools: addr-gen and compute each get half the issue throughput
     // (the overlap-only variant launches no addr-gen warps). Devices are
@@ -469,9 +612,10 @@ pub fn run_bigkernel_window(
     let ag_pool = GpuPool::new(machine.gpu().clone(), pool_fraction, occ_factor);
     let comp_pool = GpuPool::new(machine.gpu().clone(), pool_fraction, occ_factor);
 
-    // Work partition over the window (the whole stream in batch mode),
-    // offset back to absolute stream positions: kernels, chunk slicing and
-    // the FIFO cross-check all speak absolute offsets into `streams[0]`.
+    // One work partition over the window (the whole stream in batch mode),
+    // shared by every pass and offset back to absolute stream positions:
+    // kernels, chunk slicing and the FIFO cross-check all speak absolute
+    // offsets into `streams[0]`.
     let ranges: Vec<Range<u64>> =
         partition_ranges(window.end - window.start, launch.total_threads(), rec)
             .into_iter()
@@ -496,16 +640,26 @@ pub fn run_bigkernel_window(
     metrics.add("launch.threads", launch.total_threads() as u64);
     metrics.add("run.chunks_per_block", num_chunks as u64);
     metrics.add("run.devices", machine.num_gpus() as u64);
+    if let Some(plan) = plan {
+        metrics.add("fusion.passes", passes as u64);
+        metrics.add("fusion.resident_bytes_per_chunk", resident_bytes);
+        metrics.add("fusion.scratch_bytes", plan.scratch_stream_bytes(streams));
+    }
 
     // The schedule is a stage-graph configuration: stages, resources, edges
-    // and the §IV.C reuse rule are data (see [`bigkernel_graph_depths`]),
-    // and the executor deals chunks across the machine's simulated GPUs.
-    // Each device owns its buffer pool, so the reuse depth applies within a
-    // device's local chunk sequence. The executor is rebuilt whenever the
-    // autotuner re-plans the reuse depths between scheduling windows.
+    // and the §IV.C reuse rule are data (see [`pipeline_graph`]), and the
+    // executor deals chunks across the machine's simulated GPUs. Each device
+    // owns its buffer pool, so the reuse depth applies within a device's
+    // local chunk sequence. The executor is rebuilt whenever the autotuner
+    // re-plans the reuse depths between scheduling windows.
     let copy_engines = machine.gpu().copy_engines as usize;
-    let spec = bigkernel_graph_depths(copy_engines, cfg.buffer_depth, cfg.wb_depth());
-    let mut executor = Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
+    let graph =
+        |depth: usize, wb_depth: usize| pipeline_graph(copy_engines, passes, depth, wb_depth);
+    let mut executor = Executor::new(
+        graph(cfg.buffer_depth, cfg.wb_depth()),
+        machine.num_gpus(),
+        cfg.shard_policy,
+    );
 
     // Fault injection (see [`crate::fault`]): when a plan is configured the
     // fault context replaces `executor.run` per wave — inflating durations
@@ -513,12 +667,13 @@ pub fn run_bigkernel_window(
     // graph when a stage exhausts its budget. `None` takes the executor
     // path untouched. Either way the functional simulation below is
     // identical: faults perturb timing and placement only.
-    let mut fault_ctx = cfg.faults.clone().map(|plan| {
+    let mut fault_ctx = cfg.faults.clone().map(|fplan| {
         FaultContext::new(
-            plan,
+            fplan,
             machine.num_gpus(),
             cfg.shard_policy,
             copy_engines,
+            passes,
             cfg.buffer_depth,
             cfg.wb_depth(),
         )
@@ -526,9 +681,9 @@ pub fn run_bigkernel_window(
 
     // Adaptive occupancy autotuning (see [`crate::autotune`]): the §IV.D
     // occupancy model bounds how many buffer sets per active block the
-    // device can hold, and the controller re-plans reuse depths / chunk
-    // size within that cap from recorded schedule state only. `None` takes
-    // the exact static scheduling path below.
+    // device can hold (resident intermediates included), and the controller
+    // re-plans reuse depths / chunk size within that cap from recorded
+    // schedule state only. `None` schedules each wave in one piece.
     // Blame-ranked feedback walks the window's critical path; raw-stall
     // feedback (the default) only sums per-slot stall counters.
     let blame_rank = cfg
@@ -536,8 +691,6 @@ pub fn run_bigkernel_window(
         .as_ref()
         .is_some_and(|t| t.rank_by == RankBy::CritBlame);
     let mut tuner = cfg.autotune.clone().map(|tcfg| {
-        let feasible =
-            occupancy::max_buffer_sets(machine.gpu(), &occ, cfg.chunk_input_bytes.max(1));
         Autotuner::new(
             tcfg,
             TunePlan {
@@ -545,17 +698,10 @@ pub fn run_bigkernel_window(
                 wb_depth: cfg.wb_depth(),
                 chunk_bytes: cfg.chunk_input_bytes,
             },
-            feasible,
+            feasible_sets.max(1),
         )
     });
 
-    // Capability gate: only log-replayable kernels run the two-phase
-    // algorithm. `parallel_blocks` then merely toggles the thread pool — the
-    // algorithm (and thus every observable result) is the same either way.
-    let logged = kernel.device_effects() == DeviceEffects::Replayable;
-    let parallel = logged && cfg.parallel_blocks;
-
-    let waves = launch.num_blocks.div_ceil(active_blocks);
     let mut total = SimTime::ZERO;
     let mut stage_stats = Vec::new();
     let mut total_chunks = 0usize;
@@ -587,114 +733,116 @@ pub fn run_bigkernel_window(
         // record is still processed exactly once, so outputs are unchanged.
         if wave > 0 {
             if let Some(tuner) = tuner.as_mut() {
-                if let Some(plan) = tuner.plan_wave(num_chunks) {
-                    per_lane_slice = lane_slice(plan.chunk_bytes);
+                if let Some(p) = tuner.plan_wave(num_chunks) {
+                    per_lane_slice = lane_slice(p.chunk_bytes);
                     num_chunks = chunks_for(per_lane_slice);
-                    note_retune(&mut metrics, plan, total_chunks, total, SimTime::ZERO);
+                    note_retune(&mut metrics, p, total_chunks, total, SimTime::ZERO);
                 }
             }
         }
         let blocks: Vec<u32> =
             (wave * active_blocks..((wave + 1) * active_blocks).min(launch.num_blocks)).collect();
-        let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(num_chunks);
 
-        for chunk in 0..num_chunks {
-            let row = simulate_chunk(
-                machine,
-                kernel,
-                streams,
-                &ranges,
-                &blocks,
-                &mut slots,
-                chunk,
-                num_chunks,
-                launch,
-                cfg,
-                None,
-                &mut aux,
-                logged,
-                parallel,
-                &ag_pool,
-                &comp_pool,
-                &sync_costs,
-                &mut metrics,
-            );
-            durations.push(row.to_vec());
+        // Pass-major rows: all of pass 0's chunks, then pass 1's, … Each row
+        // is `6 × passes` wide with only its own pass's stages non-zero; the
+        // in-order resource queues plus the per-chunk stage chain give every
+        // pass-p chunk its cross-pass ordering, while zero stages cost
+        // nothing.
+        let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(passes * num_chunks);
+        for (p, kernel) in kernels.iter().enumerate() {
+            // Capability gate: only log-replayable kernels run the two-phase
+            // algorithm. `parallel_blocks` then merely toggles the thread
+            // pool — the algorithm (and thus every observable result) is the
+            // same either way.
+            let logged = kernel.device_effects() == DeviceEffects::Replayable;
+            let parallel = logged && cfg.parallel_blocks;
+            let io = plan.map(|plan| &plan.io[p]);
+            for chunk in 0..num_chunks {
+                let stages = simulate_chunk(
+                    machine,
+                    *kernel,
+                    streams,
+                    &ranges,
+                    &blocks,
+                    &mut slots,
+                    chunk,
+                    num_chunks,
+                    launch,
+                    cfg,
+                    io,
+                    &mut aux,
+                    logged,
+                    parallel,
+                    &ag_pool,
+                    &comp_pool,
+                    &sync_costs,
+                    &mut metrics,
+                );
+                let mut row = vec![SimTime::ZERO; 6 * passes];
+                row[p * 6..p * 6 + 6].copy_from_slice(&stages);
+                durations.push(row);
+            }
         }
 
-        match tuner.as_mut() {
-            // Static path: schedule the whole wave in one piece — the exact
-            // legacy code path, bit-identical to pre-autotuner runs.
-            None => {
-                let sharded = match fault_ctx.as_mut() {
-                    Some(fc) => {
-                        fc.run_wave(wave as usize, total_chunks, total, &durations, &mut metrics)
+        // Untuned runs schedule the whole wave in one piece. Tuned runs
+        // schedule it in windows: each window drains the pipeline
+        // (re-planning swaps buffer allocations, so it needs a quiesce point
+        // — the honest cost of adapting), gets measured, and may trigger a
+        // re-plan that takes effect from the next window. Once the
+        // controller converges the window widens to the rest of the wave and
+        // the drain overhead stops.
+        let mut idx = 0usize;
+        while idx < durations.len() {
+            let win = tuner
+                .as_ref()
+                .map_or(durations.len(), |t| t.window_len())
+                .min(durations.len() - idx);
+            let rows = &durations[idx..idx + win];
+            let sharded = match fault_ctx.as_mut() {
+                Some(fc) => fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics),
+                None => executor.run(rows),
+            };
+            // Observability: spans (when a trace guard is live), per-stage
+            // span histograms, stall.<stage>.<cause> totals and device.<d>.*
+            // counters, offset into run-global chunk indices / simulated
+            // time. Windows run back to back, so the running `total` is this
+            // window's time base.
+            sharded.record(total_chunks, total, &mut metrics);
+            total += sharded.makespan();
+            sharded.accumulate(&mut stage_stats);
+            total_chunks += win;
+            idx += win;
+
+            let Some(tuner) = tuner.as_mut() else {
+                continue;
+            };
+            let fb = if blame_rank {
+                WindowFeedback::from_sharded_with_blame(&sharded)
+            } else {
+                WindowFeedback::from_sharded(&sharded)
+            };
+            metrics.incr("autotune.windows");
+            let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
+            // Degradation first: if the fault ladder swapped the graph during
+            // this window, the controller adopts the degraded depths and
+            // keeps tuning *that* graph.
+            if let Some(fc) = fault_ctx.as_mut() {
+                if fc.level() > seen_fault_level {
+                    seen_fault_level = fc.level();
+                    if let Some(p) = tuner.on_degraded(seen_fault_level) {
+                        note_retune(&mut metrics, p, total_chunks, total, window_stall);
                     }
-                    None => executor.run(&durations),
-                };
-                // Observability: spans (when a trace guard is live),
-                // per-stage span histograms, stall.<stage>.<cause> totals
-                // and device.<d>.* counters, offset into run-global chunk
-                // indices / simulated time. Waves run back to back, so the
-                // running `total` is this wave's time base.
-                sharded.record(total_chunks, total, &mut metrics);
-                total += sharded.makespan();
-                sharded.accumulate(&mut stage_stats);
-                total_chunks += durations.len();
+                }
             }
-            // Tuned path: the wave is scheduled in windows. Each window
-            // drains the pipeline (re-planning swaps buffer allocations, so
-            // it needs a quiesce point — the honest cost of adapting), gets
-            // measured, and may trigger a re-plan that takes effect from the
-            // next window. Once the controller converges the window widens
-            // to the rest of the wave and the drain overhead stops.
-            Some(tuner) => {
-                let mut idx = 0usize;
-                while idx < durations.len() {
-                    let win = tuner.window_len().min(durations.len() - idx);
-                    let rows = &durations[idx..idx + win];
-                    let sharded = match fault_ctx.as_mut() {
-                        Some(fc) => {
-                            fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics)
-                        }
-                        None => executor.run(rows),
-                    };
-                    sharded.record(total_chunks, total, &mut metrics);
-                    let fb = if blame_rank {
-                        WindowFeedback::from_sharded_with_blame(&sharded)
-                    } else {
-                        WindowFeedback::from_sharded(&sharded)
-                    };
-                    total += sharded.makespan();
-                    sharded.accumulate(&mut stage_stats);
-                    total_chunks += win;
-                    idx += win;
-                    metrics.incr("autotune.windows");
-                    let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
-                    // Degradation first: if the fault ladder swapped the
-                    // graph during this window, the controller adopts the
-                    // degraded depths and keeps tuning *that* graph.
-                    if let Some(fc) = fault_ctx.as_mut() {
-                        if fc.level() > seen_fault_level {
-                            seen_fault_level = fc.level();
-                            if let Some(plan) = tuner.on_degraded(seen_fault_level) {
-                                note_retune(&mut metrics, plan, total_chunks, total, window_stall);
-                            }
-                        }
+            if let Some(p) = tuner.observe(&fb) {
+                note_retune(&mut metrics, p, total_chunks, total, window_stall);
+                let spec = graph(p.data_depth, p.wb_depth);
+                match fault_ctx.as_mut() {
+                    Some(fc) => {
+                        fc.retune_current(spec);
                     }
-                    if let Some(plan) = tuner.observe(&fb) {
-                        note_retune(&mut metrics, plan, total_chunks, total, window_stall);
-                        let spec =
-                            bigkernel_graph_depths(copy_engines, plan.data_depth, plan.wb_depth);
-                        match fault_ctx.as_mut() {
-                            Some(fc) => {
-                                fc.retune_current(spec);
-                            }
-                            None => {
-                                executor =
-                                    Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
-                            }
-                        }
+                    None => {
+                        executor = Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
                     }
                 }
             }
@@ -722,329 +870,6 @@ pub fn run_bigkernel_window(
     finalize_stage_stats(&mut stage_stats, total_chunks);
     metrics.add("run.waves", waves as u64);
     if let Some(tuner) = tuner.as_ref() {
-        let plan = tuner.plan();
-        metrics.add("autotune.depth", plan.data_depth as u64);
-        metrics.add("autotune.buffers", plan.wb_depth as u64);
-        metrics.add("autotune.chunk_bytes", plan.chunk_bytes);
-    }
-
-    RunResult {
-        implementation: if cfg.transfer_all {
-            "bigkernel-overlap-only"
-        } else if cfg.layout == crate::config::AssemblyLayout::PerLane {
-            "bigkernel-volume-reduction"
-        } else {
-            "bigkernel"
-        },
-        total,
-        stages: stage_stats,
-        metrics,
-        chunks: total_chunks,
-    }
-}
-
-/// Run a fused multi-pass program — `kernels[p]` is pass `p` — as **one**
-/// pipeline over a single `6 × passes`-stage graph ([`fused_graph_depths`]),
-/// instead of `passes` sequential [`run_bigkernel`] invocations with a full
-/// pipeline drain between them.
-///
-/// `plan` must come from [`FusePlan::analyze`] over the kernels' access
-/// summaries: it proves which of a later pass's stream reads are covered by
-/// an earlier pass's writes. Covered streams stay device-resident between
-/// passes — their gather bytes never cross PCIe again — and scratch streams
-/// consumed only inside the fusion skip their write-back entirely. The
-/// elision is *cost-only*: every pass still executes functionally in strict
-/// program order against host memory, so outputs are bit-identical to the
-/// unfused run by construction.
-///
-/// Per wave, the runner builds `passes × num_chunks` duration rows in
-/// pass-major order, each `6 × passes` wide with pass `p`'s stage times at
-/// columns `p*6 ..= p*6+5`, and submits them to **one** executor run. The
-/// graph chains pass `p`'s addr-gen after pass `p−1`'s wb-apply per chunk
-/// while the shared hardware resources (GPU pools, assembly threads, DMA
-/// engines) pipeline across passes; zero-duration stages occupy nothing.
-/// The §IV.C reuse edges apply per pass. The §IV.D occupancy check charges
-/// the resident intermediate footprint against the buffer-set budget via
-/// [`occupancy::max_buffer_sets_resident`] and refuses
-/// ([`FuseRefusal::ResidentFootprint`]) when even depth 1 does not fit —
-/// callers fall back to the unfused per-pass loop on any refusal.
-///
-/// Passes declaring a [`barrier
-/// dependence`](crate::kernel::StreamKernel::barrier_dependence) (they read
-/// device state an earlier pass accumulates, e.g. a hash-table join) fuse
-/// only when the launch is a single co-resident wave: the per-wave
-/// pass-major functional order then acts as the global pass barrier.
-/// Multi-wave launches refuse ([`FuseRefusal::BarrierNotCoResident`]).
-pub fn run_bigkernel_fused(
-    machine: &mut Machine,
-    kernels: &[&dyn StreamKernel],
-    streams: &[StreamArray],
-    launch: LaunchConfig,
-    cfg: &BigKernelConfig,
-    plan: &FusePlan,
-) -> Result<RunResult, FuseRefusal> {
-    cfg.validate();
-    assert!(
-        !cfg.transfer_all,
-        "fused execution requires the assembled pipeline; \
-         transfer_all is the overlap-only baseline"
-    );
-    assert!(!streams.is_empty(), "need at least one mapped stream");
-    for (i, s) in streams.iter().enumerate() {
-        assert_eq!(s.id.0 as usize, i, "streams must be indexed by id");
-    }
-    let passes = kernels.len();
-    assert_eq!(
-        passes, plan.passes,
-        "fuse plan covers {} passes but {} kernels were supplied",
-        plan.passes, passes
-    );
-
-    // Identical record sizes ⇒ identical lane partitions in every pass, the
-    // property the coverage proof (and cross-wave ordering) relies on.
-    let rec = kernels[0].record_size();
-    if kernels.iter().any(|k| k.record_size() != rec) {
-        return Err(FuseRefusal::MismatchedRecordSize);
-    }
-
-    let primary = &streams[0];
-    let tpb = launch.threads_per_block;
-
-    // §IV.D occupancy: every pass runs on the same active-block front, so
-    // take the most constrained pass (fewest active blocks, lowest thread
-    // occupancy) — conservative for the schedule and exact for the memory
-    // footprint of the blocks actually in flight.
-    let mut occ = None;
-    let mut occ_factor = f64::INFINITY;
-    for k in kernels {
-        let base_res = k.resources();
-        let doubled = BlockResources {
-            threads_per_block: (base_res.threads_per_block.max(tpb)) * 2,
-            ..base_res
-        };
-        let o = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
-        occ_factor = occ_factor.min(o.thread_occupancy(machine.gpu(), &doubled));
-        if occ
-            .as_ref()
-            .is_none_or(|prev: &bk_gpu::occupancy::Occupancy| o.active_blocks < prev.active_blocks)
-        {
-            occ = Some(o);
-        }
-    }
-    let occ = occ.expect("at least one pass");
-    let occ_factor = occ_factor.max(0.125);
-    let active_blocks = occ.active_blocks.max(1);
-
-    // Resident intermediates charge against the buffer-set budget: if not
-    // even one set fits alongside them, fusion is infeasible on this device.
-    let set_bytes = cfg.chunk_input_bytes.max(1);
-    let resident_bytes = plan.resident_bytes_per_chunk(cfg.chunk_input_bytes);
-    let feasible_sets =
-        occupancy::max_buffer_sets_resident(machine.gpu(), &occ, set_bytes, resident_bytes);
-    if feasible_sets == 0 {
-        return Err(FuseRefusal::ResidentFootprint {
-            needed: u64::from(active_blocks) * (set_bytes + resident_bytes),
-            budget: machine.gpu().mem_capacity / 2,
-        });
-    }
-
-    let ag_pool = GpuPool::new(machine.gpu().clone(), 0.5, occ_factor);
-    let comp_pool = GpuPool::new(machine.gpu().clone(), 0.5, occ_factor);
-
-    // One work partition shared by every pass.
-    let ranges = partition_ranges(primary.len(), launch.total_threads(), rec);
-    let unit = rec.unwrap_or(1);
-    let max_range = ranges.iter().map(|r| r.end - r.start).max().unwrap_or(0);
-    let lane_slice = |chunk_bytes: u64| ((chunk_bytes / tpb as u64) / unit).max(1) * unit;
-    let chunks_for = |slice: u64| (max_range.div_ceil(slice)).max(1) as usize;
-    let mut per_lane_slice = lane_slice(cfg.chunk_input_bytes);
-    let mut num_chunks = chunks_for(per_lane_slice);
-
-    let sync_costs = sync::per_chunk(machine, cfg.sync);
-    let mut metrics = MetricsRegistry::new();
-    metrics.add("launch.blocks", launch.num_blocks as u64);
-    metrics.add("launch.active_blocks", active_blocks as u64);
-    metrics.add("launch.threads", launch.total_threads() as u64);
-    metrics.add("run.chunks_per_block", num_chunks as u64);
-    metrics.add("run.devices", machine.num_gpus() as u64);
-    metrics.add("fusion.passes", passes as u64);
-    metrics.add("fusion.resident_bytes_per_chunk", resident_bytes);
-    metrics.add("fusion.scratch_bytes", plan.scratch_stream_bytes(streams));
-
-    let copy_engines = machine.gpu().copy_engines as usize;
-    let spec = fused_graph_depths(copy_engines, passes, cfg.buffer_depth, cfg.wb_depth());
-    let mut executor = Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
-
-    let mut fault_ctx = cfg.faults.clone().map(|fplan| {
-        FaultContext::new_fused(
-            fplan,
-            machine.num_gpus(),
-            cfg.shard_policy,
-            copy_engines,
-            passes,
-            cfg.buffer_depth,
-            cfg.wb_depth(),
-        )
-    });
-
-    // The autotuner composes unchanged: its feasibility cap already accounts
-    // for the resident intermediates, and re-plans rebuild the *fused* graph.
-    let blame_rank = cfg
-        .autotune
-        .as_ref()
-        .is_some_and(|t| t.rank_by == RankBy::CritBlame);
-    let mut tuner = cfg.autotune.clone().map(|tcfg| {
-        Autotuner::new(
-            tcfg,
-            TunePlan {
-                data_depth: cfg.buffer_depth,
-                wb_depth: cfg.wb_depth(),
-                chunk_bytes: cfg.chunk_input_bytes,
-            },
-            feasible_sets,
-        )
-    });
-
-    let waves = launch.num_blocks.div_ceil(active_blocks);
-    // Passes that read device state accumulated by an earlier pass need a
-    // global pass barrier. The pass-major functional order below provides
-    // one per wave — all of pass p's chunks run before pass p+1's — but a
-    // second wave would count against state its own pass-0 front has not
-    // produced yet. Fusing such programs is therefore only legal when the
-    // launch is a single co-resident wave (persistent blocks).
-    if waves > 1 {
-        if let Some(pass) = kernels.iter().position(|k| k.barrier_dependence()) {
-            return Err(FuseRefusal::BarrierNotCoResident { pass, waves });
-        }
-    }
-    let mut total = SimTime::ZERO;
-    let mut stage_stats = Vec::new();
-    let mut total_chunks = 0usize;
-    let mut slots: Vec<BlockSlot> = (0..active_blocks.min(launch.num_blocks).max(1))
-        .map(|_| BlockSlot::new())
-        .collect();
-
-    let mut seen_fault_level = 0usize;
-    for wave in 0..waves {
-        if wave > 0 {
-            if let Some(tuner) = tuner.as_mut() {
-                if let Some(p) = tuner.plan_wave(num_chunks) {
-                    per_lane_slice = lane_slice(p.chunk_bytes);
-                    num_chunks = chunks_for(per_lane_slice);
-                    note_retune(&mut metrics, p, total_chunks, total, SimTime::ZERO);
-                }
-            }
-        }
-        let blocks: Vec<u32> =
-            (wave * active_blocks..((wave + 1) * active_blocks).min(launch.num_blocks)).collect();
-
-        // Pass-major rows: all of pass 0's chunks, then pass 1's, … Each row
-        // is `6 × passes` wide with only its own pass's stages non-zero; the
-        // in-order resource queues plus the per-chunk stage chain give every
-        // pass-p chunk its cross-pass ordering, while zero stages cost
-        // nothing. Functionally this wave runs pass 0 to completion before
-        // pass 1 reads its output (covered reads are lane-local, so waves
-        // never race ahead of their inputs).
-        let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(passes * num_chunks);
-        for (p, kernel) in kernels.iter().enumerate() {
-            let logged = kernel.device_effects() == DeviceEffects::Replayable;
-            let parallel = logged && cfg.parallel_blocks;
-            for chunk in 0..num_chunks {
-                // Fused execution is assembled-only (asserted above), so no
-                // aux staging table exists.
-                let mut no_aux = StagedAux::empty();
-                let stages = simulate_chunk(
-                    machine,
-                    *kernel,
-                    streams,
-                    &ranges,
-                    &blocks,
-                    &mut slots,
-                    chunk,
-                    num_chunks,
-                    launch,
-                    cfg,
-                    Some(&plan.io[p]),
-                    &mut no_aux,
-                    logged,
-                    parallel,
-                    &ag_pool,
-                    &comp_pool,
-                    &sync_costs,
-                    &mut metrics,
-                );
-                let mut row = vec![SimTime::ZERO; 6 * passes];
-                row[p * 6..p * 6 + 6].copy_from_slice(&stages);
-                durations.push(row);
-            }
-        }
-
-        match tuner.as_mut() {
-            None => {
-                let sharded = match fault_ctx.as_mut() {
-                    Some(fc) => {
-                        fc.run_wave(wave as usize, total_chunks, total, &durations, &mut metrics)
-                    }
-                    None => executor.run(&durations),
-                };
-                sharded.record(total_chunks, total, &mut metrics);
-                total += sharded.makespan();
-                sharded.accumulate(&mut stage_stats);
-                total_chunks += durations.len();
-            }
-            Some(tuner) => {
-                let mut idx = 0usize;
-                while idx < durations.len() {
-                    let win = tuner.window_len().min(durations.len() - idx);
-                    let rows = &durations[idx..idx + win];
-                    let sharded = match fault_ctx.as_mut() {
-                        Some(fc) => {
-                            fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics)
-                        }
-                        None => executor.run(rows),
-                    };
-                    sharded.record(total_chunks, total, &mut metrics);
-                    let fb = if blame_rank {
-                        WindowFeedback::from_sharded_with_blame(&sharded)
-                    } else {
-                        WindowFeedback::from_sharded(&sharded)
-                    };
-                    total += sharded.makespan();
-                    sharded.accumulate(&mut stage_stats);
-                    total_chunks += win;
-                    idx += win;
-                    metrics.incr("autotune.windows");
-                    let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
-                    if let Some(fc) = fault_ctx.as_mut() {
-                        if fc.level() > seen_fault_level {
-                            seen_fault_level = fc.level();
-                            if let Some(p) = tuner.on_degraded(seen_fault_level) {
-                                note_retune(&mut metrics, p, total_chunks, total, window_stall);
-                            }
-                        }
-                    }
-                    if let Some(p) = tuner.observe(&fb) {
-                        note_retune(&mut metrics, p, total_chunks, total, window_stall);
-                        let spec =
-                            fused_graph_depths(copy_engines, passes, p.data_depth, p.wb_depth);
-                        match fault_ctx.as_mut() {
-                            Some(fc) => {
-                                fc.retune_current(spec);
-                            }
-                            None => {
-                                executor =
-                                    Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    finalize_stage_stats(&mut stage_stats, total_chunks);
-    metrics.add("run.waves", waves as u64);
-    if let Some(tuner) = tuner.as_ref() {
         let p = tuner.plan();
         metrics.add("autotune.depth", p.data_depth as u64);
         metrics.add("autotune.buffers", p.wb_depth as u64);
@@ -1052,7 +877,15 @@ pub fn run_bigkernel_fused(
     }
 
     Ok(RunResult {
-        implementation: "bigkernel-fused",
+        implementation: if plan.is_some() {
+            "bigkernel-fused"
+        } else if cfg.transfer_all {
+            "bigkernel-overlap-only"
+        } else if cfg.layout == crate::config::AssemblyLayout::PerLane {
+            "bigkernel-volume-reduction"
+        } else {
+            "bigkernel"
+        },
         total,
         stages: stage_stats,
         metrics,

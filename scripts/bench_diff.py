@@ -1,185 +1,135 @@
 #!/usr/bin/env python3
-"""Noise-aware comparison of two BENCH_pipeline.json snapshots, stdlib only.
+"""Compare two BENCH_*.json snapshots, stdlib only: a hard gate on every
+simulated field, a soft warning on wall clock.
 
-Usage: bench_diff.py BASELINE.json CURRENT.json [--wall-tol F] [--sim-tol F]
+Usage: bench_diff.py BASELINE.json CURRENT.json [--wall-tol F]
 
+Works on any pair of BENCH_pipeline.json or BENCH_streaming.json files.
 Fields are judged by how they were produced:
 
-* **wall-clock fields** (`wall_secs`, `blocks_per_sec`) move with host load,
-  so they get a loose relative threshold (`--wall-tol`, default 0.25) and
-  only a *worsening* beyond it counts — faster is never a regression.
-* **simulated-time fields** (`critical_path.makespan_ns`, scaling
-  `sim_secs`) are deterministic given the code, so any change is signal: a
-  worsening beyond `--sim-tol` (default 0.01) is a regression, and any
-  drift at all is reported.
-* **structural fields** (`chunks`, `num_blocks`, `gpus`) must match
-  exactly.
-* **fusion rows** are functional/simulated end to end (which apps fused,
-  the PCIe byte counts moved, the simulated times), so every field must
-  match exactly; any difference is a regression.
-* **streaming runs** (two BENCH_streaming.json files, recognized by the
-  `source_rate_factor` key) are keyed by (app, window, queue_bound):
-  simulated timing fields (`sim_secs`, `sustained_bytes_per_sec`,
-  `p99_latency_us`, `backpressure_ns`) get the sim tolerance in their
-  worsening direction; counts (`windows`, `max_depth`, `redetects`,
-  `retunes`) and `verified` must match exactly.
+* **wall-clock fields** (`wall_secs`, `blocks_per_sec`) move with host
+  load. A worsening beyond `--wall-tol` (relative, default 0.25) prints a
+  warning; it never fails the comparison, and faster is never reported.
+* **`provenance`** describes how a file was produced; differences are
+  printed as notes.
+* **every other leaf** is simulated, structural, fusion or streaming data:
+  deterministic given the code and the flags. Any drift in either
+  direction, and any field, list entry or app present on one side only,
+  is a failure.
 
-Only apps present in both files are compared (the intersection); apps
-appearing on one side only are reported informationally, as are
-`provenance` differences. Exits 0 when everything is within thresholds,
-1 on any regression, 2 on usage errors — CI wires this as a soft gate
-against the committed baseline.
+Exits 0 when every non-wall-clock field matches exactly, 1 on any drift,
+2 on usage errors. CI runs it against the committed baselines as a hard
+gate.
 """
 
 import json
 import sys
 
+# Wall-clock fields and the direction that counts as a worsening
+# (+1: larger is worse, -1: smaller is worse).
+WALL = {"wall_secs": +1, "blocks_per_sec": -1}
+
+# Keys that identify an entry of a list of objects, used to label paths.
+ID_KEYS = ("app", "gpus", "window", "queue_bound", "scenario", "stage", "device")
+
+
+def label(entry, index):
+    if isinstance(entry, dict):
+        ids = [str(entry[k]) for k in ID_KEYS if k in entry]
+        if ids:
+            return ",".join(ids)
+    return str(index)
+
 
 def rel(cur, base):
-    return (cur - base) / abs(base) if base else (0.0 if cur == base else float("inf"))
+    if base:
+        return (cur - base) / abs(base)
+    return 0.0 if cur == base else float("inf")
 
 
-def fmt_delta(cur, base):
-    return f"{base:g} -> {cur:g} ({rel(cur, base):+.1%})"
+def compare(base, cur, path, drift, warnings, wall_tol):
+    if isinstance(base, dict) and isinstance(cur, dict):
+        for key in sorted(set(base) | set(cur), key=str):
+            sub = f"{path}.{key}" if path else str(key)
+            if key not in cur or key not in base:
+                side = "baseline" if key in base else "current"
+                drift.append(f"{sub}: only in {side}")
+            elif key in WALL:
+                b, c = base[key], cur[key]
+                if rel(c, b) * WALL[key] > wall_tol:
+                    warnings.append(
+                        f"{sub}: {b:g} -> {c:g} ({rel(c, b):+.1%}) [wall clock, tol {wall_tol:.0%}]"
+                    )
+            else:
+                compare(base[key], cur[key], sub, drift, warnings, wall_tol)
+    elif isinstance(base, list) and isinstance(cur, list):
+        if len(base) != len(cur):
+            drift.append(f"{path}: {len(base)} entries -> {len(cur)}")
+            return
+        for i, (b, c) in enumerate(zip(base, cur)):
+            lb, lc = label(b, i), label(c, i)
+            if lb != lc:
+                drift.append(f"{path}[{i}]: entry {lb!r} -> {lc!r}")
+                continue
+            compare(b, c, f"{path}[{lb}]", drift, warnings, wall_tol)
+    elif base != cur or type(base) is not type(cur):
+        drift.append(f"{path}: {base!r} -> {cur!r}")
+
+
+def usage(msg):
+    print(f"bench_diff: {msg}\n\n{__doc__.strip()}", file=sys.stderr)
+    return 2
 
 
 def main(argv):
-    wall_tol, sim_tol = 0.25, 0.01
+    wall_tol = 0.25
     args = []
     i = 0
     while i < len(argv):
         a = argv[i]
-        if a in ("--wall-tol", "--sim-tol"):
+        if a == "--wall-tol":
             if i + 1 >= len(argv):
-                raise SystemExit(f"{a} needs a value")
+                return usage("--wall-tol needs a value")
             try:
-                v = float(argv[i + 1])
+                wall_tol = float(argv[i + 1])
             except ValueError:
-                raise SystemExit(f"{a} needs a number, got {argv[i + 1]!r}")
-            if a == "--wall-tol":
-                wall_tol = v
-            else:
-                sim_tol = v
+                return usage(f"--wall-tol needs a number, got {argv[i + 1]!r}")
             i += 2
         elif a.startswith("--"):
-            raise SystemExit(f"unknown option {a!r}\n\n{__doc__.strip()}")
+            return usage(f"unknown option {a!r}")
         else:
             args.append(a)
             i += 1
     if len(args) != 2:
-        raise SystemExit(__doc__.strip().splitlines()[2])
+        return usage("expected BASELINE.json and CURRENT.json")
 
-    with open(args[0]) as f:
-        base = json.load(f)
-    with open(args[1]) as f:
-        cur = json.load(f)
+    try:
+        with open(args[0]) as f:
+            base = json.load(f)
+        with open(args[1]) as f:
+            cur = json.load(f)
+    except (OSError, ValueError) as e:
+        return usage(str(e))
 
-    regressions = []
     notes = []
-
-    bp, cp = base.get("provenance", {}), cur.get("provenance", {})
+    bp, cp = base.pop("provenance", {}), cur.pop("provenance", {})
     for key in sorted(set(bp) | set(cp)):
         if bp.get(key) != cp.get(key):
             notes.append(f"provenance.{key}: {bp.get(key)!r} -> {cp.get(key)!r}")
 
-    base_apps = {a["app"]: a for a in base.get("apps", [])}
-    cur_apps = {a["app"]: a for a in cur.get("apps", [])}
-    for name in sorted(set(base_apps) ^ set(cur_apps)):
-        side = "baseline" if name in base_apps else "current"
-        notes.append(f"app {name!r} only in {side}; skipped")
-
-    for name in sorted(set(base_apps) & set(cur_apps)):
-        b, c = base_apps[name], cur_apps[name]
-
-        for key in ("chunks", "num_blocks", "gpus"):
-            if b.get(key) != c.get(key):
-                regressions.append(
-                    f"{name}.{key}: structural mismatch {b.get(key)} -> {c.get(key)}"
-                )
-
-        d = rel(c["blocks_per_sec"], b["blocks_per_sec"])
-        line = f"{name}.blocks_per_sec: {fmt_delta(c['blocks_per_sec'], b['blocks_per_sec'])}"
-        if d < -wall_tol:
-            regressions.append(f"{line}  [wall, tol {wall_tol:.0%}]")
-        else:
-            notes.append(line)
-
-        bc, cc = b.get("critical_path"), c.get("critical_path")
-        if bc and cc:
-            d = rel(cc["makespan_ns"], bc["makespan_ns"])
-            line = f"{name}.critical_path.makespan_ns: {fmt_delta(cc['makespan_ns'], bc['makespan_ns'])}"
-            if d > sim_tol:
-                regressions.append(f"{line}  [simulated, tol {sim_tol:.0%}]")
-            elif d != 0:
-                notes.append(line)
-
-    base_scaling = {(s["app"], s["gpus"]): s for s in base.get("scaling", [])}
-    cur_scaling = {(s["app"], s["gpus"]): s for s in cur.get("scaling", [])}
-    for key in sorted(set(base_scaling) & set(cur_scaling)):
-        bs, cs = base_scaling[key], cur_scaling[key]
-        d = rel(cs["sim_secs"], bs["sim_secs"])
-        line = f"scaling[{key[0]},{key[1]}gpu].sim_secs: {fmt_delta(cs['sim_secs'], bs['sim_secs'])}"
-        if d > sim_tol:
-            regressions.append(f"{line}  [simulated, tol {sim_tol:.0%}]")
-        elif d != 0:
-            notes.append(line)
-
-    base_fusion = {f["app"]: f for f in base.get("fusion", [])}
-    cur_fusion = {f["app"]: f for f in cur.get("fusion", [])}
-    for name in sorted(set(base_fusion) ^ set(cur_fusion)):
-        side = "baseline" if name in base_fusion else "current"
-        notes.append(f"fusion row {name!r} only in {side}; skipped")
-    for name in sorted(set(base_fusion) & set(cur_fusion)):
-        bf, cf = base_fusion[name], cur_fusion[name]
-        for key in sorted(set(bf) | set(cf)):
-            if key == "app":
-                continue
-            if bf.get(key) != cf.get(key):
-                regressions.append(
-                    f"fusion[{name}].{key}: exact mismatch "
-                    f"{bf.get(key)} -> {cf.get(key)}"
-                )
-
-    def stream_runs(doc):
-        if "source_rate_factor" not in doc:
-            return {}
-        return {(r["app"], r["window"], r["queue_bound"]): r for r in doc.get("runs", [])}
-
-    base_stream, cur_stream = stream_runs(base), stream_runs(cur)
-    for key in sorted(set(base_stream) ^ set(cur_stream)):
-        side = "baseline" if key in base_stream else "current"
-        notes.append(f"streaming run {key!r} only in {side}; skipped")
-    # (field, +1 when an increase is a worsening / -1 when a decrease is)
-    STREAM_SIM = [
-        ("sim_secs", +1),
-        ("sustained_bytes_per_sec", -1),
-        ("p99_latency_us", +1),
-        ("backpressure_ns", +1),
-    ]
-    STREAM_EXACT = ["windows", "max_depth", "redetects", "retunes", "verified"]
-    for key in sorted(set(base_stream) & set(cur_stream)):
-        bs, cs = base_stream[key], cur_stream[key]
-        label = f"streaming[{key[0]},{key[1]},bound={key[2]}]"
-        for field in STREAM_EXACT:
-            if bs.get(field) != cs.get(field):
-                regressions.append(
-                    f"{label}.{field}: exact mismatch {bs.get(field)} -> {cs.get(field)}"
-                )
-        for field, worse_sign in STREAM_SIM:
-            d = rel(cs[field], bs[field])
-            line = f"{label}.{field}: {fmt_delta(cs[field], bs[field])}"
-            if d * worse_sign > sim_tol:
-                regressions.append(f"{line}  [simulated, tol {sim_tol:.0%}]")
-            elif d != 0:
-                notes.append(line)
+    drift, warnings = [], []
+    compare(base, cur, "", drift, warnings, wall_tol)
 
     for line in notes:
         print(f"  note: {line}")
-    if regressions:
-        for line in regressions:
-            print(f"REGRESSION: {line}")
+    for line in warnings:
+        print(f"WARNING: {line}")
+    if drift:
+        for line in drift:
+            print(f"DRIFT: {line}")
+        print(f"bench_diff: {len(drift)} simulated field(s) drifted ({args[0]} vs {args[1]})")
         return 1
-    print(f"bench_diff: no regressions ({args[0]} vs {args[1]})")
+    print(f"bench_diff: every simulated field matches ({args[0]} vs {args[1]})")
     return 0
 
 
