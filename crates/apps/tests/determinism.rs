@@ -18,6 +18,7 @@ use bk_apps::wordcount::WordCount;
 use bk_apps::{
     run_implementation, run_streamed, run_streamed_at_rate, BenchApp, HarnessConfig, Implementation,
 };
+use bk_baselines::BigKernelVariant;
 use bk_runtime::stream::{HiccupSource, ReplaySource};
 use bk_runtime::{
     AutotuneConfig, DeviceFailure, FaultPlan, FaultSite, FaultStage, LaunchConfig, Machine,
@@ -147,6 +148,107 @@ fn baselines_parallel_is_bit_identical_for_every_app() {
                 imp.label()
             );
         }
+    }
+}
+
+/// One golden row: app, implementation, total simulated seconds, per-stage
+/// busy seconds (pipeline order), `pcie.h2d_bytes`, `pcie.d2h_bytes`,
+/// `parallel.replay_conflicts`. The f64 literals are shortest round-trip
+/// forms, so comparing their bits is exact.
+type GoldenRow = (
+    &'static str,
+    &'static str,
+    f64,
+    &'static [f64],
+    u64,
+    u64,
+    u64,
+);
+
+/// Golden results of the staged and per-lane paths under
+/// [`HarnessConfig::test_small`] (128 KiB per app, seed 42). The committed
+/// benchmark snapshots only pin full BigKernel, so these rows are what holds
+/// the buffered baselines and the overlap-only / volume-reduction variants
+/// to their exact simulated times and transfer volumes.
+#[rustfmt::skip]
+const GOLDEN_STAGED_AND_PER_LANE: &[GoldenRow] = &[
+    ("K-means", "gpu-single-buffer", 0.00020599712820512818, &[1.4003418803418795e-5, 6.184533333333334e-5, 9.222399999999999e-5, 3.0922666666666675e-5, 7.001709401709403e-6], 262144, 131072, 0),
+    ("K-means", "gpu-double-buffer", 0.00018003323076923078, &[1.40034188034188e-5, 6.184533333333334e-5, 9.222399999999999e-5, 3.0922666666666675e-5, 7.001709401709403e-6], 262144, 131072, 0),
+    ("K-means", "overlap-only", 0.000285035282051282, &[0.0, 3.0003418803418795e-5, 0.0001818453333333333, 8.153599999999997e-5, 5.092266666666665e-5, 7.001709401709416e-6], 262144, 131072, 0),
+    ("K-means", "volume-reduction", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888, 0),
+    ("Word Count", "gpu-single-buffer", 0.0006908531282051281, &[7.005128205128222e-6, 3.092800000000002e-5, 0.0006529199999999999, 0.0, 0.0], 131136, 0, 2),
+    ("Word Count", "gpu-double-buffer", 0.0006718909401709401, &[7.005128205128203e-6, 3.0928e-5, 0.00065292, 0.0, 0.0], 131136, 0, 2),
+    ("Word Count", "overlap-only", 0.0006737412307692308, &[0.0, 1.5873504273504283e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 0, 4),
+    ("Word Count", "volume-reduction", 0.000680984, &[2.7631999999999992e-5, 1.6246153846153834e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 7168, 4),
+    ("Netflix", "gpu-single-buffer", 8.668e-5, &[6.999999999999996e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0, 0),
+    ("Netflix", "gpu-double-buffer", 6.772000000000001e-5, &[6.999999999999998e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0, 0),
+    ("Netflix", "overlap-only", 0.00012344991452991453, &[0.0, 1.6999999999999993e-5, 0.00011092, 4.576000000000001e-5, 0.0, 0.0], 131040, 0, 0),
+    ("Netflix", "volume-reduction", 0.00011869999999999998, &[1.3030666666666664e-5, 1.8188e-5, 0.00010327599999999999, 4.576000000000001e-5, 0.0, 0.0], 39312, 8960, 0),
+    ("Opinion Finder", "gpu-single-buffer", 6.926933606837607e-5, &[7.001709401709398e-6, 3.092266666666667e-5, 3.134496e-5, 0.0, 0.0], 131072, 0, 0),
+    ("Opinion Finder", "gpu-double-buffer", 5.030714803418803e-5, &[7.0017094017094e-6, 3.092266666666667e-5, 3.134495999999999e-5, 0.0, 0.0], 131072, 0, 0),
+    ("Opinion Finder", "overlap-only", 0.000101112134017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 2.578416e-5, 0.0, 0.0], 131072, 0, 0),
+    ("Opinion Finder", "volume-reduction", 0.00010672466666666664, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.797866666666664e-5, 3.779e-5, 0.0, 0.0], 95744, 22528, 0),
+    ("DNA Assembly", "gpu-single-buffer", 9.540437606837606e-5, &[7.001709401709398e-6, 3.092266666666667e-5, 5.748e-5, 0.0, 0.0], 131072, 0, 2),
+    ("DNA Assembly", "gpu-double-buffer", 7.644218803418804e-5, &[7.0017094017094e-6, 3.092266666666667e-5, 5.748000000000001e-5, 0.0, 0.0], 131072, 0, 2),
+    ("DNA Assembly", "overlap-only", 0.000107773094017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 5.205999999999999e-5, 0.0, 0.0], 131072, 0, 4),
+    ("DNA Assembly", "volume-reduction", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 4),
+    ("MasterCard Affinity", "gpu-single-buffer", 0.0001725709305982906, &[1.4013675213675205e-5, 8.732533333333334e-5, 5.674864000000002e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784, 2),
+    ("MasterCard Affinity", "gpu-double-buffer", 0.00014030788786324784, &[1.401367521367521e-5, 8.732533333333334e-5, 5.674864e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784, 2),
+    ("MasterCard Affinity", "overlap-only", 0.00024579708034188036, &[0.0, 3.2618803418803415e-5, 0.0002113893333333333, 4.644735999999998e-5, 0.0, 0.0], 376672, 32784, 1),
+    ("MasterCard Affinity", "volume-reduction", 0.0002837913333333333, &[4.264266666666667e-5, 2.7272888888888892e-5, 0.00017773466666666667, 5.346399999999999e-5, 4.273200000000002e-5, 5.794210526315774e-6], 212816, 54288, 1),
+    ("MasterCard Affinity (indexed)", "gpu-single-buffer", 0.0001134262564102564, &[1.4010256410256403e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0, 2),
+    ("MasterCard Affinity (indexed)", "gpu-double-buffer", 8.714454700854701e-5, &[1.4010256410256407e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0, 2),
+    ("MasterCard Affinity (indexed)", "overlap-only", 0.00019930379487179486, &[0.0, 3.174700854700854e-5, 0.00018456533333333333, 2.6400639999999992e-5, 0.0, 0.0], 294784, 0, 1),
+    ("MasterCard Affinity (indexed)", "volume-reduction", 0.000187616, &[2.947199999999999e-5, 3.1608e-5, 0.00016553599999999998, 2.6359999999999985e-5, 0.0, 0.0], 66432, 66432, 1),
+];
+
+#[test]
+fn baselines_and_variants_match_golden_results() {
+    let imps = [
+        Implementation::GpuSingleBuffer,
+        Implementation::GpuDoubleBuffer,
+        Implementation::Variant(BigKernelVariant::OverlapOnly),
+        Implementation::Variant(BigKernelVariant::VolumeReduction),
+    ];
+    let mut actual = Vec::new();
+    for app in all_apps() {
+        for imp in imps {
+            let cfg = HarnessConfig::test_small();
+            let mut machine = Machine::test_platform();
+            let instance = app.instantiate(&mut machine, 128 * 1024, 42);
+            let r = run_implementation(&mut machine, &instance, imp, &cfg);
+            if let Err(e) = (instance.verify)(&machine) {
+                panic!(
+                    "{} failed verification under {}: {e}",
+                    app.spec().name,
+                    imp.label()
+                );
+            }
+            actual.push((
+                app.spec().name,
+                imp.label(),
+                r.total.secs(),
+                r.stages.iter().map(|s| s.busy.secs()).collect::<Vec<f64>>(),
+                r.metrics.get("pcie.h2d_bytes"),
+                r.metrics.get("pcie.d2h_bytes"),
+                r.metrics.get("parallel.replay_conflicts"),
+            ));
+        }
+    }
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let matches = actual.len() == GOLDEN_STAGED_AND_PER_LANE.len()
+        && actual.iter().zip(GOLDEN_STAGED_AND_PER_LANE).all(|(a, g)| {
+            (a.0, a.1, a.2.to_bits(), bits(&a.3), a.4, a.5, a.6)
+                == (g.0, g.1, g.2.to_bits(), bits(g.3), g.4, g.5, g.6)
+        });
+    if !matches {
+        let mut table = String::new();
+        for (app, imp, total, stages, h2d, d2h, conflicts) in &actual {
+            table += &format!(
+                "    (\"{app}\", \"{imp}\", {total:?}, &{stages:?}, {h2d}, {d2h}, {conflicts}),\n"
+            );
+        }
+        panic!("golden results diverged; actual table:\n{table}");
     }
 }
 

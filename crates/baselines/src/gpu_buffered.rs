@@ -21,28 +21,32 @@
 //! ## Parallel granule simulation
 //!
 //! Like the BigKernel pipeline, the simulation of one window is split into
-//! per-block granules of `threads_per_block` lanes. For kernels whose device
-//! effects are log-replayable ([`DeviceEffects::Replayable`]) each granule
-//! runs against a write log over a read snapshot of device memory; the logs
-//! replay in granule order, so results are bit-identical whether the
-//! granules were simulated concurrently (`parallel_blocks`) or one by one.
-//! A replay conflict (another granule changed a value this one read)
-//! re-executes that granule live, in order. `DeviceEffects::Sequential`
-//! kernels always run granules live in order.
+//! per-block granules of `threads_per_block` lanes, and each granule runs
+//! BigKernel's own staged lane loop ([`bk_runtime::compute_staged`]). For
+//! kernels whose device effects are log-replayable
+//! ([`DeviceEffects::Replayable`]) each granule runs against a write log
+//! over a read snapshot of device memory; the logs replay in granule order,
+//! so results are bit-identical whether the granules were simulated
+//! concurrently (`parallel_blocks`) or one by one. A replay conflict (another
+//! granule changed a value this one read) re-executes that granule live, in
+//! order. `DeviceEffects::Sequential` kernels skip the logged phase and run
+//! every granule live in order. The window loop itself stays here: whole
+//! windows are staged at once with no address generation, so BigKernel's
+//! per-block chunk runner has nothing to offer it (DESIGN.md §6).
 
 use bk_gpu::occupancy::{self, BlockResources};
 use bk_gpu::{BlockLog, BlockSim, GpuPool, KernelCost, ReplayOutcome};
 use bk_host::{cpu, CpuCost, DmaDirection};
-use bk_runtime::ctx::{ComputeCtx, LoggedMem};
+use bk_runtime::ctx::{LiveMem, LoggedMem};
 use bk_runtime::graph::{buffered_graph, serial_graph, Executor, ShardPolicy};
 use bk_runtime::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig};
 use bk_runtime::layout::ChunkLayout;
 use bk_runtime::result::finalize_stage_stats;
 use bk_runtime::MetricsRegistry;
+use bk_runtime::{compute_staged, BlockComputed};
 use bk_runtime::{Machine, RunResult, StreamArray, StreamKernel};
 use bk_simcore::SimTime;
 use rayon::prelude::*;
-use std::ops::Range;
 
 /// Configuration of the buffered baselines.
 #[derive(Clone, Debug)]
@@ -109,143 +113,14 @@ pub fn run_gpu_double_buffer(
     )
 }
 
-/// Result of simulating one granule's compute.
-struct GranuleComputed {
-    cost: KernelCost,
-    bytes_read: u64,
-    bytes_written: u64,
-    any_writes: bool,
-    aux_dirty: u64,
-    effects: Option<bk_gpu::BlockEffects>,
-}
-
 /// Per-granule work cell: owns the mutable slot state for one granule of
 /// the current window so rayon can hand each cell to a different thread.
+/// Granule `g` runs the window's lanes `g × tpb ..`; a lane's window-wide
+/// index is both its layout lane and its thread id.
 struct GranuleCell<'s> {
-    granule: usize,
+    first_lane: usize,
     sim: &'s mut BlockSim,
-    computed: Option<GranuleComputed>,
-}
-
-/// Shared inputs of one window's compute phase.
-struct WindowCtx<'a> {
-    kernel: &'a dyn StreamKernel,
-    layout: &'a ChunkLayout,
-    ranges: &'a [Range<u64>],
-    window: Range<u64>,
-    data_buf: bk_gpu::BufferId,
-    aux: &'a [(bk_runtime::StreamId, bk_gpu::BufferId)],
-    tpb: u32,
-    total_threads: u32,
-}
-
-/// One granule against a write log over a read snapshot of device memory.
-/// The window's staging buffer is shared between granules, so it is *not*
-/// registered private: lane stores hit the log's overlay (read-your-writes)
-/// and replay as blind writes — granules write disjoint lane slices, so
-/// granule-order replay reproduces the sequential schedule exactly.
-fn granule_logged(
-    machine: &Machine,
-    w: &WindowCtx<'_>,
-    granule: usize,
-    sim: &mut BlockSim,
-) -> GranuleComputed {
-    let mut cost = KernelCost::new();
-    let mut log = BlockLog::new(&machine.gmem);
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut any_writes = false;
-    let mut aux_dirty = 0u64;
-    {
-        let log = &mut log;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(machine.gpu(), sim, w.tpb, &mut cost, |lane, trace| {
-            let g_lane = granule * w.tpb as usize + lane;
-            let r = &w.ranges[g_lane];
-            let range = w.window.start + r.start..w.window.start + r.end;
-            let mut ctx = ComputeCtx::staged_on(
-                LoggedMem(&mut *log),
-                w.data_buf,
-                w.layout,
-                g_lane,
-                g_lane as u32,
-                w.total_threads,
-                trace,
-            )
-            .set_aux(w.aux);
-            w.kernel.process(&mut ctx, range);
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    GranuleComputed {
-        cost,
-        bytes_read,
-        bytes_written,
-        any_writes,
-        aux_dirty,
-        effects: Some(log.finish()),
-    }
-}
-
-/// One granule directly against live device memory (sequential-capability
-/// kernels and conflict re-execution).
-fn granule_live(
-    machine: &mut Machine,
-    w: &WindowCtx<'_>,
-    granule: usize,
-    sim: &mut BlockSim,
-) -> GranuleComputed {
-    let mut cost = KernelCost::new();
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut any_writes = false;
-    let mut aux_dirty = 0u64;
-    {
-        let Machine {
-            ref devices,
-            ref mut gmem,
-            ..
-        } = *machine;
-        let gpu = &devices[0];
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(gpu, sim, w.tpb, &mut cost, |lane, trace| {
-            let g_lane = granule * w.tpb as usize + lane;
-            let r = &w.ranges[g_lane];
-            let range = w.window.start + r.start..w.window.start + r.end;
-            let mut ctx = ComputeCtx::staged(
-                &mut *gmem,
-                w.data_buf,
-                w.layout,
-                g_lane,
-                g_lane as u32,
-                w.total_threads,
-                trace,
-            )
-            .set_aux(w.aux);
-            w.kernel.process(&mut ctx, range);
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    GranuleComputed {
-        cost,
-        bytes_read,
-        bytes_written,
-        any_writes,
-        aux_dirty,
-        effects: None,
-    }
+    computed: Option<BlockComputed>,
 }
 
 fn run_buffered(
@@ -339,53 +214,80 @@ fn run_buffered(
 
         // Stage 3: kernel over the window (original layout), one granule of
         // tpb lanes per launched block.
-        let ranges = partition_ranges(window.end - window.start, total_threads, rec);
-        let wctx = WindowCtx {
-            kernel,
-            layout: &layout,
-            ranges: &ranges,
-            window: window.clone(),
-            data_buf,
-            aux: &aux,
-            tpb,
-            total_threads,
-        };
+        let mut ranges = partition_ranges(window.end - window.start, total_threads, rec);
+        for r in &mut ranges {
+            *r = window.start + r.start..window.start + r.end;
+        }
         let mut cells: Vec<GranuleCell<'_>> = sims
             .iter_mut()
             .enumerate()
             .map(|(granule, sim)| GranuleCell {
-                granule,
+                first_lane: granule * tpb as usize,
                 sim,
                 computed: None,
             })
             .collect();
+        let lanes = |first: usize| &ranges[first..first + tpb as usize];
 
         if logged {
-            // Pure phase: simulate every granule against the snapshot.
+            // Pure phase: simulate every granule against a write log over
+            // the snapshot. The window's staging buffer is shared between
+            // granules, so it is *not* registered private: lane stores hit
+            // the log's overlay (read-your-writes) and replay as blind
+            // writes — granules write disjoint lane slices, so granule-order
+            // replay reproduces the sequential schedule exactly.
             let shared: &Machine = machine;
             let run = |cell: &mut GranuleCell<'_>| {
-                cell.computed = Some(granule_logged(shared, &wctx, cell.granule, cell.sim));
+                let mut log = BlockLog::new(&shared.gmem);
+                let mut done = compute_staged(
+                    shared.gpu(),
+                    cell.sim,
+                    LoggedMem(&mut log),
+                    kernel,
+                    &layout,
+                    data_buf,
+                    &aux,
+                    lanes(cell.first_lane),
+                    cell.first_lane,
+                    cell.first_lane as u32,
+                    total_threads,
+                );
+                done.effects = Some(log.finish());
+                cell.computed = Some(done);
             };
             if parallel && cells.len() > 1 {
                 cells.par_iter_mut().for_each(run);
             } else {
                 cells.iter_mut().for_each(run);
             }
-            // Ordered phase: replay device effects in granule order.
-            for cell in cells.iter_mut() {
-                let conflict = {
-                    let computed = cell.computed.as_mut().expect("granule computed");
-                    let effects = computed.effects.take().expect("logged granule has effects");
+        }
+        // Ordered phase: replay device effects in granule order; a
+        // conflicting (or unlogged) granule runs live at its turn.
+        for cell in cells.iter_mut() {
+            let conflict = cell
+                .computed
+                .as_mut()
+                .and_then(|c| c.effects.take())
+                .is_some_and(|effects| {
                     effects.replay(&mut machine.gmem) == ReplayOutcome::Conflict
-                };
-                if conflict {
-                    metrics.incr("parallel.replay_conflicts");
-                    cell.computed = Some(granule_live(machine, &wctx, cell.granule, cell.sim));
-                }
+                });
+            if conflict {
+                metrics.incr("parallel.replay_conflicts");
             }
-        } else {
-            for cell in cells.iter_mut() {
-                cell.computed = Some(granule_live(machine, &wctx, cell.granule, cell.sim));
+            if conflict || !logged {
+                cell.computed = Some(compute_staged(
+                    &machine.devices[0],
+                    cell.sim,
+                    LiveMem(&mut machine.gmem),
+                    kernel,
+                    &layout,
+                    data_buf,
+                    &aux,
+                    lanes(cell.first_lane),
+                    cell.first_lane,
+                    cell.first_lane as u32,
+                    total_threads,
+                ));
             }
         }
 
@@ -393,7 +295,7 @@ fn run_buffered(
         let mut any_writes = false;
         for cell in cells.iter() {
             let computed = cell.computed.as_ref().expect("granule computed");
-            comp_cost.merge(&computed.cost);
+            comp_cost.merge(&computed.comp_cost);
             metrics.add("stream.bytes_read", computed.bytes_read);
             metrics.add("stream.bytes_written", computed.bytes_written);
             any_writes |= computed.any_writes;
@@ -580,6 +482,38 @@ mod tests {
                 ctx.stream_write(StreamId(1), off, 8, a.wrapping_add(b));
                 off += 8;
             }
+        }
+    }
+
+    /// Hands out sequence slots by consuming `atomic_add` return values, so
+    /// it declares `DeviceEffects::Sequential`: granules must run live, in
+    /// order, under either `parallel_blocks` setting.
+    struct TicketKernel {
+        table: bk_gpu::BufferId,
+    }
+
+    impl StreamKernel for TicketKernel {
+        fn name(&self) -> &'static str {
+            "ticket"
+        }
+        fn record_size(&self) -> Option<u64> {
+            Some(8)
+        }
+        fn device_effects(&self) -> DeviceEffects {
+            DeviceEffects::Sequential
+        }
+        fn addresses(&self, _ctx: &mut AddrGenCtx<'_>, _range: Range<u64>) {}
+        fn process(&self, ctx: &mut dyn KernelCtx, range: Range<u64>) {
+            if range.is_empty() {
+                return;
+            }
+            let slot = ctx.dev_atomic_add_u32(self.table, 0, 1);
+            ctx.dev_write(
+                self.table,
+                8 + 4 * slot as u64,
+                4,
+                (ctx.thread_id() + 1) as u64,
+            );
         }
     }
 
@@ -798,5 +732,47 @@ mod tests {
         let (r_seq, h_seq) = run(false);
         assert_eq!(h_par, h_seq);
         assert_eq!(r_par, r_seq);
+    }
+
+    #[test]
+    fn sequential_kernels_issue_tickets_in_granule_then_lane_order() {
+        // 128 one-record lanes' worth of data in two 512 B windows, each run
+        // by 2 granules of 32 lanes.
+        let run = |parallel: bool, buffers: usize| {
+            let mut m = Machine::test_platform();
+            let region = m.hmem.alloc(128 * 8);
+            let s = vec![StreamArray::map(&m, StreamId(0), region)];
+            let table = m.gmem.alloc(8 + 4 * 128);
+            let cfg = BaselineConfig {
+                window_bytes: 512,
+                parallel_blocks: parallel,
+                ..BaselineConfig::default()
+            };
+            let kernel = TicketKernel { table };
+            let launch = LaunchConfig::new(2, 32);
+            let r = if buffers == 1 {
+                run_gpu_single_buffer(&mut m, &kernel, &s, launch, &cfg)
+            } else {
+                run_gpu_double_buffer(&mut m, &kernel, &s, launch, &cfg)
+            };
+            let slots: Vec<u32> = (0..128)
+                .map(|i| m.gmem.read_u32(table, 8 + 4 * i))
+                .collect();
+            (r, m.gmem.read_u32(table, 0), slots)
+        };
+        for buffers in [1, 2] {
+            let (r_par, count, slots) = run(true, buffers);
+            let (r_seq, count2, slots2) = run(false, buffers);
+            assert_eq!(r_par.metrics.get("run.windows"), 2);
+            assert_eq!(count, 128);
+            // Window by window, tickets go to granule 0's lanes, then
+            // granule 1's: thread ids 1..=64 in order, twice.
+            for (i, v) in slots.iter().enumerate() {
+                assert_eq!(*v, (i % 64) as u32 + 1, "{buffers}-buffer slot {i}");
+            }
+            assert_eq!((count, &slots), (count2, &slots2));
+            assert_eq!(r_par, r_seq, "{buffers}-buffer RunResult diverged");
+            assert_eq!(r_par.metrics.get("parallel.replay_conflicts"), 0);
+        }
     }
 }

@@ -263,8 +263,45 @@ pub trait DevMemory {
     fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64;
 }
 
-/// Direct execution against live global memory (sequential path, baselines,
-/// and conflict re-execution).
+/// A borrowed backend is a backend, so one lane loop can hand each lane's
+/// [`ComputeCtx`] a reborrow of the same [`LiveMem`] or [`LoggedMem`].
+impl<M: DevMemory> DevMemory for &mut M {
+    #[inline]
+    fn vaddr(&self, b: DevBufId, offset: u64) -> u64 {
+        (**self).vaddr(b, offset)
+    }
+    #[inline]
+    fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
+        (**self).stream_load(b, offset, width)
+    }
+    #[inline]
+    fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
+        (**self).stream_store(b, offset, width, value)
+    }
+    #[inline]
+    fn dev_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
+        (**self).dev_load(b, offset, width)
+    }
+    #[inline]
+    fn dev_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
+        (**self).dev_store(b, offset, width, value)
+    }
+    #[inline]
+    fn atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32 {
+        (**self).atomic_add_u32(b, offset, v)
+    }
+    #[inline]
+    fn atomic_add_u64(&mut self, b: DevBufId, offset: u64, v: u64) -> u64 {
+        (**self).atomic_add_u64(b, offset, v)
+    }
+    #[inline]
+    fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64 {
+        (**self).atomic_cas_u64(b, offset, expected, new)
+    }
+}
+
+/// Direct execution against live global memory (in-order execution:
+/// sequential-capability kernels and conflict re-execution).
 pub struct LiveMem<'a>(pub &'a mut GpuMemory);
 
 impl DevMemory for LiveMem<'_> {
@@ -363,7 +400,7 @@ enum StreamMode<'a> {
 
 /// Context for the computation half on the GPU (pipeline stage 4, and the
 /// kernel of the single/double-buffer baselines).
-pub struct ComputeCtx<'a, M: DevMemory = LiveMem<'a>> {
+pub struct ComputeCtx<'a, M: DevMemory> {
     mem: M,
     data_buf: DevBufId,
     /// GPU-side write-value buffer (BigKernel write path); `None` when the
@@ -398,65 +435,9 @@ pub struct ComputeCtx<'a, M: DevMemory = LiveMem<'a>> {
     pub aux_written_mask: u64,
 }
 
-impl<'a> ComputeCtx<'a, LiveMem<'a>> {
-    /// Context for BigKernel's compute stage against live memory: reads
-    /// resolve through `layout`, writes through `write_layout` into
-    /// `write_buf`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn assembled(
-        gmem: &'a mut GpuMemory,
-        data_buf: DevBufId,
-        write_buf: Option<DevBufId>,
-        layout: &'a ChunkLayout,
-        write_layout: Option<&'a ChunkLayout>,
-        lane_addrs: &'a LaneAddrs,
-        verify: bool,
-        lane: usize,
-        thread_id: u32,
-        num_threads: u32,
-        trace: &'a mut ThreadTrace,
-    ) -> Self {
-        Self::assembled_on(
-            LiveMem(gmem),
-            data_buf,
-            write_buf,
-            layout,
-            write_layout,
-            lane_addrs,
-            verify,
-            lane,
-            thread_id,
-            num_threads,
-            trace,
-        )
-    }
-
-    /// Context for staged-chunk execution against live memory (baselines and
-    /// the overlap-only variant).
-    pub fn staged(
-        gmem: &'a mut GpuMemory,
-        data_buf: DevBufId,
-        layout: &'a ChunkLayout,
-        lane: usize,
-        thread_id: u32,
-        num_threads: u32,
-        trace: &'a mut ThreadTrace,
-    ) -> Self {
-        Self::staged_on(
-            LiveMem(gmem),
-            data_buf,
-            layout,
-            lane,
-            thread_id,
-            num_threads,
-            trace,
-        )
-    }
-}
-
 impl<'a, M: DevMemory> ComputeCtx<'a, M> {
-    /// Generic form of [`ComputeCtx::assembled`] over any [`DevMemory`]
-    /// backend (the parallel pipeline passes a [`LoggedMem`]).
+    /// Context for BigKernel's compute stage against `mem`: reads resolve
+    /// through `layout`, writes through `write_layout` into `write_buf`.
     #[allow(clippy::too_many_arguments)]
     pub fn assembled_on(
         mem: M,
@@ -499,9 +480,10 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
         }
     }
 
-    /// Generic form of [`ComputeCtx::staged`] over any [`DevMemory`]
-    /// backend: stream accesses resolve by offset inside the staged window;
-    /// writes modify the staged chunk in place.
+    /// Context for staged-chunk execution against `mem` (the buffered
+    /// baselines and the overlap-only variant): stream accesses resolve by
+    /// offset inside the staged window; writes modify the staged chunk in
+    /// place.
     pub fn staged_on(
         mem: M,
         data_buf: DevBufId,
@@ -918,8 +900,8 @@ mod tests {
         let (buf, layout, lane) =
             interleaved_single_lane_setup(&mut m, &[(100, 11), (108, 22), (200, 33)]);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             buf,
             None,
             &layout,
@@ -944,8 +926,8 @@ mod tests {
         let mut m = Machine::test_platform();
         let (buf, layout, lane) = interleaved_single_lane_setup(&mut m, &[(100, 11)]);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             buf,
             None,
             &layout,
@@ -967,7 +949,8 @@ mod tests {
         let buf = m.gmem.alloc(layout.total_len());
         m.gmem.write_u64(buf, 8, 777); // stream offset 1008
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged(&mut m.gmem, buf, &layout, 1, 5, 8, &mut trace);
+        let mut ctx =
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), buf, &layout, 1, 5, 8, &mut trace);
         assert_eq!(ctx.stream_read(StreamId(0), 1008, 8), 777);
         ctx.stream_write(StreamId(0), 1016, 4, 42);
         assert_eq!(ctx.thread_id(), 5);
@@ -987,7 +970,8 @@ mod tests {
         let aux = [(StreamId(1), aux_buf)];
         let mut trace = ThreadTrace::default();
         let mut ctx =
-            ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace).set_aux(&aux);
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace)
+                .set_aux(&aux);
         assert_eq!(ctx.stream_read(StreamId(1), 40, 8), 99);
         ctx.stream_write(StreamId(1), 48, 8, 7);
         ctx.stream_write(StreamId(0), 8, 4, 1);
@@ -1005,7 +989,8 @@ mod tests {
         let layout = ChunkLayout::build_staged_window(0..64, 0, 64, 1);
         let data = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx =
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
         let _ = ctx.stream_read(StreamId(3), 0, 8);
     }
 
@@ -1016,7 +1001,8 @@ mod tests {
         let data = m.gmem.alloc(64);
         let table = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx =
+            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
         ctx.dev_write(table, 0, 8, 5);
         assert_eq!(ctx.dev_read(table, 0, 8), 5);
         assert_eq!(ctx.dev_atomic_add_u32(table, 8, 3), 0);
@@ -1045,8 +1031,8 @@ mod tests {
         let rl = ChunkLayout::build_interleaved(&[&reads]);
         let lane = LaneAddrs { reads, writes };
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             data,
             Some(wbuf),
             &rl,
@@ -1073,8 +1059,8 @@ mod tests {
         let mut m = Machine::test_platform();
         let (buf, layout, lane) = interleaved_single_lane_setup(&mut m, &[(0, 1)]);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::assembled(
-            &mut m.gmem,
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
             buf,
             None,
             &layout,
@@ -1121,7 +1107,8 @@ mod tests {
                     bk_gpu::ReplayOutcome::Committed
                 );
             } else {
-                let mut ctx = ComputeCtx::staged(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+                let mut ctx =
+                    ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
                 body(&mut ctx);
             }
             (

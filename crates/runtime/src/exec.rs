@@ -9,6 +9,15 @@
 //! results bit-identical to the sequential block schedule). Scheduling the
 //! resulting stage durations is the stage graph's job ([`crate::graph`]).
 //!
+//! There is one chunk runner per layout — [`run_chunk_assembled`] (full
+//! BigKernel, volume reduction) and [`run_chunk_staged`] (overlap only) —
+//! and one kernel lane loop per layout: `compute_assembled` and
+//! [`compute_staged`], generic over the [`DevMemory`] backend. Logged
+//! (parallel replay) and live (in-order) execution differ only in the
+//! backend the caller passes; `DeviceEffects::Sequential` kernels run the
+//! same runner one block at a time with logging off. The buffered
+//! baselines call [`compute_staged`] too.
+//!
 //! Functional execution always uses the primary device's memory image
 //! (`machine.gmem` is one unified image shared by all simulated devices)
 //! and runs in global chunk order — multi-GPU sharding is a timing-level
@@ -17,14 +26,14 @@
 use crate::addr::LaneAddrs;
 use crate::assembly::{assemble, AssemblyOutput, GatherConfig};
 use crate::config::BigKernelConfig;
-use crate::ctx::{AddrGenCtx, ComputeCtx, LoggedMem};
+use crate::ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem, LoggedMem};
 use crate::fusion::PassIo;
 use crate::kernel::{LaunchConfig, StreamKernel};
 use crate::layout::ChunkLayout;
 use crate::machine::Machine;
 use crate::pool::{AddrGenScratch, Compression};
 use crate::stream::{StreamArray, StreamId};
-use bk_gpu::{BlockLog, BlockSim, KernelCost, ReplayOutcome, WARP_SIZE};
+use bk_gpu::{BlockLog, BlockSim, DeviceSpec, GpuMemory, KernelCost, ReplayOutcome, WARP_SIZE};
 use bk_host::{ArenaRef, CacheSim, CpuCost, DmaDirection, PinnedArena};
 use bk_obs::MetricsRegistry;
 use bk_simcore::SimTime;
@@ -89,22 +98,28 @@ pub(crate) struct StagedPure {
     bytes: ArenaRef,
 }
 
-/// Per-block output of the compute stage.
-pub(crate) struct BlockComputed {
-    comp_cost: KernelCost,
-    bytes_read: u64,
-    bytes_written: u64,
-    /// Per-lane count of stream writes performed (assembled mode).
-    writes_performed: Vec<usize>,
-    /// Any in-place staged-chunk modification of the *primary* stream
-    /// (overlap-only mode).
-    any_writes: bool,
-    /// Bitmask of aux-staged secondary streams written (overlap-only mode;
-    /// bit = table index, see [`ComputeCtx::set_aux`]).
-    aux_dirty: u64,
+/// What one block's compute-stage lanes did: their traced cost and
+/// counters, plus the block's device effects when it ran against a write
+/// log.
+pub struct BlockComputed {
+    /// Traced issue, memory and atomic cost of the block's lanes.
+    pub comp_cost: KernelCost,
+    /// Mapped-stream bytes the lanes read.
+    pub bytes_read: u64,
+    /// Mapped-stream bytes the lanes wrote.
+    pub bytes_written: u64,
+    /// Per-lane count of stream writes performed (assembled chunks; empty
+    /// for staged ones).
+    pub writes_performed: Vec<usize>,
+    /// Whether any lane modified the *primary* stream's staged chunk in
+    /// place (staged chunks).
+    pub any_writes: bool,
+    /// Bitmask of aux-staged secondary streams written (staged chunks; bit
+    /// = table index, see [`ComputeCtx::set_aux`]).
+    pub aux_dirty: u64,
     /// The block's logged device effects, pending ordered replay. `None`
-    /// after replay, or when the block executed live.
-    effects: Option<bk_gpu::BlockEffects>,
+    /// after replay, or when the block ran against live memory.
+    pub effects: Option<bk_gpu::BlockEffects>,
 }
 
 /// One active block's work for the current chunk.
@@ -328,9 +343,10 @@ fn stage_transfer(
 }
 
 /// Fold one block's compute results into chunk costs and metrics (block
-/// order).
+/// order), charging the block's two compute-stage barriers (§IV.C).
 fn fold_computed(computed: &BlockComputed, costs: &mut ChunkCosts, metrics: &mut MetricsRegistry) {
     costs.comp.merge(&computed.comp_cost);
+    costs.comp.add_barrier(2);
     costs.aux_dirty |= computed.aux_dirty;
     metrics.add("stream.bytes_read", computed.bytes_read);
     metrics.add("stream.bytes_written", computed.bytes_written);
@@ -404,132 +420,47 @@ fn writeback_assembled(
     }
 }
 
-/// Compute stage against a per-block write log (pure phase; shared state is
-/// only read).
+/// The compute stage's lane loop over an assembled chunk: run the kernel
+/// body for each of the block's lanes against `mem` — a [`LoggedMem`] over
+/// the block's write log, or [`LiveMem`] in block order.
 #[allow(clippy::too_many_arguments)]
-fn compute_assembled_logged(
-    machine: &Machine,
+fn compute_assembled<M: DevMemory>(
+    gpu: &DeviceSpec,
+    sim: &mut BlockSim,
+    mut mem: M,
     kernel: &dyn StreamKernel,
     slices: &[Range<u64>],
     pure: &BlockPure,
     data_buf: bk_gpu::BufferId,
     write_buf: Option<bk_gpu::BufferId>,
     block: u32,
-    tpb: u32,
     launch: LaunchConfig,
     verify: bool,
-    sim: &mut BlockSim,
-    log_scratch: &mut bk_gpu::LogScratch,
 ) -> BlockComputed {
+    let tpb = slices.len() as u32;
     let mut comp_cost = KernelCost::new();
-    let mut log = BlockLog::with_scratch(&machine.gmem, log_scratch);
-    // The write buffer is block-private: mirror it so writes commit
-    // wholesale on replay. The data buffer is also block-private but only
-    // read, so snapshot reads need no mirror.
-    if let Some(wb) = write_buf {
-        // Freshly allocated by the transfer stage and untouched since, so
-        // the mirror can skip the snapshot read.
-        log.register_private_zeroed(wb);
-    }
-    let mut writes_performed: Vec<usize> = vec![0; tpb as usize];
+    let mut writes_performed: Vec<usize> = vec![0; slices.len()];
     let mut bytes_read = 0u64;
     let mut bytes_written = 0u64;
-    {
-        let log = &mut log;
-        let writes_performed = &mut writes_performed;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let lane_addrs = &pure.lane_addrs;
-        let layout = &pure.out.layout;
-        let write_layout = pure.out.write_layout.as_ref();
-        bk_gpu::run_block_lanes(machine.gpu(), sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::assembled_on(
-                LoggedMem(&mut *log),
-                data_buf,
-                write_buf,
-                layout,
-                write_layout,
-                &lane_addrs[lane],
-                verify,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            );
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            writes_performed[lane] = ctx.write_count();
-        });
-    }
-    comp_cost.add_barrier(2);
-    BlockComputed {
-        comp_cost,
-        bytes_read,
-        bytes_written,
-        writes_performed,
-        any_writes: false,
-        aux_dirty: 0,
-        effects: Some(log.finish_into(log_scratch)),
-    }
-}
-
-/// Compute stage against live memory (sequential-capability kernels and
-/// conflict re-execution at the block's in-order turn).
-#[allow(clippy::too_many_arguments)]
-fn compute_assembled_live(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    slices: &[Range<u64>],
-    pure: &BlockPure,
-    data_buf: bk_gpu::BufferId,
-    write_buf: Option<bk_gpu::BufferId>,
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    verify: bool,
-    sim: &mut BlockSim,
-) -> BlockComputed {
-    let mut comp_cost = KernelCost::new();
-    let mut writes_performed: Vec<usize> = vec![0; tpb as usize];
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    {
-        let Machine {
-            ref devices,
-            ref mut gmem,
-            ..
-        } = *machine;
-        let gpu = &devices[0];
-        let writes_performed = &mut writes_performed;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let lane_addrs = &pure.lane_addrs;
-        let layout = &pure.out.layout;
-        let write_layout = pure.out.write_layout.as_ref();
-        bk_gpu::run_block_lanes(gpu, sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::assembled(
-                &mut *gmem,
-                data_buf,
-                write_buf,
-                layout,
-                write_layout,
-                &lane_addrs[lane],
-                verify,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            );
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            writes_performed[lane] = ctx.write_count();
-        });
-    }
-    comp_cost.add_barrier(2);
+    bk_gpu::run_block_lanes(gpu, sim, tpb, &mut comp_cost, |lane, trace| {
+        let mut ctx = ComputeCtx::assembled_on(
+            &mut mem,
+            data_buf,
+            write_buf,
+            &pure.out.layout,
+            pure.out.write_layout.as_ref(),
+            &pure.lane_addrs[lane],
+            verify,
+            lane,
+            block * tpb + lane as u32,
+            launch.total_threads(),
+            trace,
+        );
+        kernel.process(&mut ctx, slices[lane].clone());
+        bytes_read += ctx.stream_bytes_read;
+        bytes_written += ctx.stream_bytes_written;
+        writes_performed[lane] = ctx.write_count();
+    });
     BlockComputed {
         comp_cost,
         bytes_read,
@@ -541,21 +472,31 @@ fn compute_assembled_live(
     }
 }
 
-/// One chunk of the full BigKernel path under the two-phase algorithm.
+/// One chunk of the assembled path (full BigKernel and the
+/// volume-reduction variant) for `cells`, in four phases.
+///
+/// A and C are pure and may run on the rayon pool; B and D are ordered.
+/// `logged` selects how phase C runs the kernel body: against each block's
+/// write log over the chunk-start snapshot (replayed in block order in
+/// phase D, where a conflicting block re-executes live at its turn), or not
+/// at all, so every block runs live in phase D. Sequential-capability
+/// kernels pass one cell at a time with `logged` off, which keeps their
+/// stages strictly A→B→C→D per block.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_assembled_logged(
+pub(crate) fn run_chunk_assembled(
     machine: &mut Machine,
     kernel: &dyn StreamKernel,
     streams: &[StreamArray],
     cells: &mut [WaveCell<'_>],
+    logged: bool,
     parallel: bool,
-    tpb: u32,
     launch: LaunchConfig,
     cfg: &BigKernelConfig,
     io: Option<&PassIo>,
     costs: &mut ChunkCosts,
     metrics: &mut MetricsRegistry,
 ) {
+    let tpb = launch.threads_per_block;
     // Phase A (pure, concurrent): stages 1–2 per block.
     {
         let shared: &Machine = machine;
@@ -589,9 +530,8 @@ pub(crate) fn run_chunk_assembled_logged(
 
     // Phase C (pure, concurrent): kernel body against each block's write
     // log over the chunk-start snapshot.
-    {
+    if logged {
         let shared: &Machine = machine;
-        let verify = cfg.verify_reads;
         for_each_cell(parallel, cells, |cell| {
             let WaveCell {
                 block,
@@ -603,26 +543,36 @@ pub(crate) fn run_chunk_assembled_logged(
                 computed,
                 ..
             } = cell;
-            let pure = pure.as_ref().unwrap();
-            *computed = Some(compute_assembled_logged(
-                shared,
+            let mut log = BlockLog::with_scratch(&shared.gmem, &mut slot.log);
+            // The write buffer is block-private: mirror it so writes commit
+            // wholesale on replay. Freshly allocated by the transfer stage
+            // and untouched since, so the mirror can skip the snapshot read.
+            // The data buffer is also block-private but only read, so
+            // snapshot reads need no mirror.
+            if let Some(wb) = *write_buf {
+                log.register_private_zeroed(wb);
+            }
+            let mut done = compute_assembled(
+                shared.gpu(),
+                &mut slot.sim,
+                LoggedMem(&mut log),
                 kernel,
                 slices,
-                pure,
+                pure.as_ref().unwrap(),
                 data_buf.unwrap(),
                 *write_buf,
                 *block,
-                tpb,
                 launch,
-                verify,
-                &mut slot.sim,
-                &mut slot.log,
-            ));
+                cfg.verify_reads,
+            );
+            done.effects = Some(log.finish_into(&mut slot.log));
+            *computed = Some(done);
         });
     }
 
-    // Phase D (ordered): replay effects in block order; a conflicting block
-    // re-executes live at its turn. Then host write-back + frees.
+    // Phase D (ordered): replay effects in block order; a conflicting (or
+    // unlogged) block executes live at its turn. Then host write-back +
+    // frees.
     for cell in cells.iter_mut() {
         let WaveCell {
             block,
@@ -635,23 +585,19 @@ pub(crate) fn run_chunk_assembled_logged(
             ..
         } = cell;
         let p = pure.as_ref().unwrap();
-        let effects = computed.as_mut().unwrap().effects.take().unwrap();
-        let outcome = effects.replay(&mut machine.gmem);
-        effects.reclaim(&mut slot.log);
-        if outcome == ReplayOutcome::Conflict {
-            metrics.incr("parallel.replay_conflicts");
-            *computed = Some(compute_assembled_live(
-                machine,
+        if !replay_effects(&mut machine.gmem, computed, &mut slot.log, metrics) {
+            *computed = Some(compute_assembled(
+                &machine.devices[0],
+                &mut slot.sim,
+                LiveMem(&mut machine.gmem),
                 kernel,
                 slices,
                 p,
                 data_buf.unwrap(),
                 *write_buf,
                 *block,
-                tpb,
                 launch,
                 cfg.verify_reads,
-                &mut slot.sim,
             ));
         }
         let done = computed.as_ref().unwrap();
@@ -679,57 +625,26 @@ pub(crate) fn run_chunk_assembled_logged(
     }
 }
 
-/// Legacy fused per-block path (sequential-capability kernels): stages run
-/// live, eagerly, strictly in block order.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block_sequential(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    slices: &[Range<u64>],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    cfg: &BigKernelConfig,
-    io: Option<&PassIo>,
-    slot: &mut BlockSlot,
-    costs: &mut ChunkCosts,
+/// Phase D's replay step: replay a logged block's effects onto live memory
+/// in block order. Returns whether the block's result stands; `false` means
+/// it must execute live at its turn — it ran unlogged, or its replay hit a
+/// conflict (counted under `parallel.replay_conflicts`).
+fn replay_effects(
+    gmem: &mut GpuMemory,
+    computed: &mut Option<BlockComputed>,
+    log_scratch: &mut bk_gpu::LogScratch,
     metrics: &mut MetricsRegistry,
-) {
-    let pure = block_pure_bigkernel(machine, kernel, streams, slices, tpb, cfg, slot);
-    fold_pure(&pure, costs, metrics);
-    let (data_buf, write_buf) =
-        stage_transfer(machine, &pure, &slot.scratch.pool.arena, io, costs, metrics);
-    let computed = compute_assembled_live(
-        machine,
-        kernel,
-        slices,
-        &pure,
-        data_buf,
-        write_buf,
-        block,
-        tpb,
-        launch,
-        cfg.verify_reads,
-        &mut slot.sim,
-    );
-    fold_computed(&computed, costs, metrics);
-    writeback_assembled(
-        machine,
-        streams,
-        &pure,
-        write_buf,
-        &computed,
-        io,
-        &mut slot.llc,
-        costs,
-        metrics,
-    );
-    machine.gmem.free(data_buf);
-    if let Some(wb) = write_buf {
-        machine.gmem.free(wb);
+) -> bool {
+    let Some(effects) = computed.as_mut().and_then(|c| c.effects.take()) else {
+        return false;
+    };
+    let outcome = effects.replay(gmem);
+    effects.reclaim(log_scratch);
+    if outcome == ReplayOutcome::Conflict {
+        metrics.incr("parallel.replay_conflicts");
+        return false;
     }
-    slot.recycle(pure);
+    true
 }
 
 /// Scatter the chunk's write-buffer values into the mapped host arrays
@@ -847,117 +762,53 @@ fn stage_transfer_staged(
     data_buf
 }
 
-/// Staged compute against a write log (the staged chunk itself is a private
-/// mirror: in-place modifications commit wholesale on replay).
+/// The compute stage's lane loop over a staged chunk (the overlap-only
+/// variant's stage 4, and the kernel of the buffered baselines): run the
+/// kernel body for each lane of one block against `mem` — a [`LoggedMem`]
+/// over the block's write log, or [`LiveMem`] in order.
+///
+/// Lane `l` processes `slices[l]` (absolute stream ranges) as layout lane
+/// `first_lane + l` and thread `first_thread + l` of `num_threads`. Only
+/// the lane loop is shared: each caller keeps what its cost model differs
+/// in — building and finishing the write log, which buffers it registers
+/// as block-private, and any barrier cost.
 #[allow(clippy::too_many_arguments)]
-fn compute_staged_logged(
-    machine: &Machine,
+pub fn compute_staged<M: DevMemory>(
+    gpu: &DeviceSpec,
+    sim: &mut BlockSim,
+    mut mem: M,
     kernel: &dyn StreamKernel,
-    slices: &[Range<u64>],
     layout: &ChunkLayout,
     data_buf: bk_gpu::BufferId,
     aux: &[(StreamId, bk_gpu::BufferId)],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    sim: &mut BlockSim,
-    log_scratch: &mut bk_gpu::LogScratch,
-) -> BlockComputed {
-    let mut comp_cost = KernelCost::new();
-    let mut log = BlockLog::with_scratch(&machine.gmem, log_scratch);
-    log.register_private(data_buf);
-    let mut bytes_read = 0u64;
-    let mut bytes_written = 0u64;
-    let mut any_writes = false;
-    let mut aux_dirty = 0u64;
-    {
-        let log = &mut log;
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(machine.gpu(), sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::staged_on(
-                LoggedMem(&mut *log),
-                data_buf,
-                layout,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            )
-            .set_aux(aux);
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    comp_cost.add_barrier(2);
-    BlockComputed {
-        comp_cost,
-        bytes_read,
-        bytes_written,
-        writes_performed: Vec::new(),
-        any_writes,
-        aux_dirty,
-        effects: Some(log.finish_into(log_scratch)),
-    }
-}
-
-/// Staged compute against live memory (sequential-capability kernels and
-/// conflict re-execution).
-#[allow(clippy::too_many_arguments)]
-fn compute_staged_live(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
     slices: &[Range<u64>],
-    layout: &ChunkLayout,
-    data_buf: bk_gpu::BufferId,
-    aux: &[(StreamId, bk_gpu::BufferId)],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    sim: &mut BlockSim,
+    first_lane: usize,
+    first_thread: u32,
+    num_threads: u32,
 ) -> BlockComputed {
     let mut comp_cost = KernelCost::new();
     let mut bytes_read = 0u64;
     let mut bytes_written = 0u64;
     let mut any_writes = false;
     let mut aux_dirty = 0u64;
-    {
-        let Machine {
-            ref devices,
-            ref mut gmem,
-            ..
-        } = *machine;
-        let gpu = &devices[0];
-        let bytes_read = &mut bytes_read;
-        let bytes_written = &mut bytes_written;
-        let any_writes = &mut any_writes;
-        let aux_dirty = &mut aux_dirty;
-        bk_gpu::run_block_lanes(gpu, sim, tpb, &mut comp_cost, |lane, trace| {
-            let tid = block * tpb + lane as u32;
-            let mut ctx = ComputeCtx::staged(
-                &mut *gmem,
-                data_buf,
-                layout,
-                lane,
-                tid,
-                launch.total_threads(),
-                trace,
-            )
-            .set_aux(aux);
-            kernel.process(&mut ctx, slices[lane].clone());
-            *bytes_read += ctx.stream_bytes_read;
-            *bytes_written += ctx.stream_bytes_written;
-            *any_writes |= ctx.primary_bytes_written > 0;
-            *aux_dirty |= ctx.aux_written_mask;
-        });
-    }
-    comp_cost.add_barrier(2);
+    let num_lanes = slices.len() as u32;
+    bk_gpu::run_block_lanes(gpu, sim, num_lanes, &mut comp_cost, |lane, trace| {
+        let mut ctx = ComputeCtx::staged_on(
+            &mut mem,
+            data_buf,
+            layout,
+            first_lane + lane,
+            first_thread + lane as u32,
+            num_threads,
+            trace,
+        )
+        .set_aux(aux);
+        kernel.process(&mut ctx, slices[lane].clone());
+        bytes_read += ctx.stream_bytes_read;
+        bytes_written += ctx.stream_bytes_written;
+        any_writes |= ctx.primary_bytes_written > 0;
+        aux_dirty |= ctx.aux_written_mask;
+    });
     BlockComputed {
         comp_cost,
         bytes_read,
@@ -1005,20 +856,23 @@ fn writeback_staged(
     }
 }
 
-/// One chunk of the overlap-only variant under the two-phase algorithm.
+/// One chunk of the overlap-only variant for `cells`: the same four phases
+/// and the same `logged` switch as [`run_chunk_assembled`], over staged
+/// windows.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_staged_logged(
+pub(crate) fn run_chunk_staged(
     machine: &mut Machine,
     kernel: &dyn StreamKernel,
     streams: &[StreamArray],
     aux: &[(StreamId, bk_gpu::BufferId)],
     cells: &mut [WaveCell<'_>],
+    logged: bool,
     parallel: bool,
-    tpb: u32,
     launch: LaunchConfig,
     costs: &mut ChunkCosts,
     metrics: &mut MetricsRegistry,
 ) {
+    let tpb = launch.threads_per_block;
     // Phase A (pure, concurrent): staging layout + host-side gather into the
     // slot's pinned arena.
     {
@@ -1058,8 +912,10 @@ pub(crate) fn run_chunk_staged_logged(
         ));
     }
 
-    // Phase C (pure, concurrent): kernel body against per-block logs.
-    {
+    // Phase C (pure, concurrent): kernel body against per-block logs. The
+    // staged chunk itself is a private mirror: in-place modifications
+    // commit wholesale on replay.
+    if logged {
         let shared: &Machine = machine;
         for_each_cell(parallel, cells, |cell| {
             let WaveCell {
@@ -1071,24 +927,28 @@ pub(crate) fn run_chunk_staged_logged(
                 computed,
                 ..
             } = cell;
-            let staged = staged.as_ref().unwrap();
-            *computed = Some(compute_staged_logged(
-                shared,
+            let mut log = BlockLog::with_scratch(&shared.gmem, &mut slot.log);
+            log.register_private(data_buf.unwrap());
+            let mut done = compute_staged(
+                shared.gpu(),
+                &mut slot.sim,
+                LoggedMem(&mut log),
                 kernel,
-                slices,
-                &staged.layout,
+                &staged.as_ref().unwrap().layout,
                 data_buf.unwrap(),
                 aux,
-                *block,
-                tpb,
-                launch,
-                &mut slot.sim,
-                &mut slot.log,
-            ));
+                slices,
+                0,
+                *block * tpb,
+                launch.total_threads(),
+            );
+            done.effects = Some(log.finish_into(&mut slot.log));
+            *computed = Some(done);
         });
     }
 
-    // Phase D (ordered): replay, conflict re-execution, write-back, frees.
+    // Phase D (ordered): replay, live execution of conflicting or unlogged
+    // blocks, write-back, frees.
     for cell in cells.iter_mut() {
         let WaveCell {
             block,
@@ -1100,22 +960,19 @@ pub(crate) fn run_chunk_staged_logged(
             ..
         } = cell;
         let st = staged.as_ref().unwrap();
-        let effects = computed.as_mut().unwrap().effects.take().unwrap();
-        let outcome = effects.replay(&mut machine.gmem);
-        effects.reclaim(&mut slot.log);
-        if outcome == ReplayOutcome::Conflict {
-            metrics.incr("parallel.replay_conflicts");
-            *computed = Some(compute_staged_live(
-                machine,
+        if !replay_effects(&mut machine.gmem, computed, &mut slot.log, metrics) {
+            *computed = Some(compute_staged(
+                &machine.devices[0],
+                &mut slot.sim,
+                LiveMem(&mut machine.gmem),
                 kernel,
-                slices,
                 &st.layout,
                 data_buf.unwrap(),
                 aux,
-                *block,
-                tpb,
-                launch,
-                &mut slot.sim,
+                slices,
+                0,
+                *block * tpb,
+                launch.total_threads(),
             ));
         }
         let done = computed.as_ref().unwrap();
@@ -1135,55 +992,4 @@ pub(crate) fn run_chunk_staged_logged(
         *staged = None;
         slot.scratch.pool.arena.reset();
     }
-}
-
-/// Legacy fused per-block path of the overlap-only variant.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_block_sequential_staged(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    aux: &[(StreamId, bk_gpu::BufferId)],
-    slices: &[Range<u64>],
-    block: u32,
-    tpb: u32,
-    launch: LaunchConfig,
-    slot: &mut BlockSlot,
-    costs: &mut ChunkCosts,
-    metrics: &mut MetricsRegistry,
-) {
-    let staged = block_pure_staged(
-        machine,
-        kernel,
-        streams,
-        slices,
-        &mut slot.scratch.pool.arena,
-    );
-    let data_buf =
-        stage_transfer_staged(machine, &staged, &slot.scratch.pool.arena, costs, metrics);
-    let computed = compute_staged_live(
-        machine,
-        kernel,
-        slices,
-        &staged.layout,
-        data_buf,
-        aux,
-        block,
-        tpb,
-        launch,
-        &mut slot.sim,
-    );
-    fold_computed(&computed, costs, metrics);
-    writeback_staged(
-        machine,
-        streams,
-        &staged.layout,
-        data_buf,
-        slices,
-        computed.any_writes,
-        costs,
-        metrics,
-    );
-    machine.gmem.free(data_buf);
-    slot.scratch.pool.arena.reset();
 }

@@ -82,6 +82,7 @@ pub use autotune::{AutotuneConfig, Autotuner, RankBy, TunePlan, TunerState, Wind
 pub use bk_obs::{Histogram, MetricsRegistry};
 pub use config::{AssemblyLayout, AssemblyOrder, BigKernelConfig, SyncMode};
 pub use ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem, LoggedMem};
+pub use exec::{compute_staged, BlockComputed};
 pub use fault::{DeviceFailure, FaultPlan, FaultSite, FaultStage};
 pub use fusion::{AccessSummary, FieldSpan, FusePlan, FuseRefusal, PassIo, StreamAccess};
 pub use graph::{Executor, GraphSpec, ResourceId, ResourceKind, ShardPolicy};

@@ -64,7 +64,9 @@
 //! identical logged algorithm, so metrics, times and outputs match bit for
 //! bit. Kernels whose device ops are *not* log-replayable (e.g. consuming
 //! `atomic_add` return values across blocks) declare
-//! [`DeviceEffects::Sequential`] and run the legacy fused per-block loop.
+//! [`DeviceEffects::Sequential`]: the same chunk runner takes their blocks
+//! one at a time with logging off, so each block runs live and finishes all
+//! its stages before the next block starts: the sequential schedule itself.
 //!
 //! Thread blocks beyond the §IV.D active-block count run as successive
 //! waves, reusing the active blocks' buffers (and their per-slot simulation
@@ -72,10 +74,7 @@
 
 use crate::autotune::{Autotuner, RankBy, TunePlan, WindowFeedback};
 use crate::config::BigKernelConfig;
-use crate::exec::{
-    run_block_sequential, run_block_sequential_staged, run_chunk_assembled_logged,
-    run_chunk_staged_logged, BlockSlot, ChunkCosts, WaveCell,
-};
+use crate::exec::{run_chunk_assembled, run_chunk_staged, BlockSlot, ChunkCosts, WaveCell};
 use crate::fault::FaultContext;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
 use crate::graph::{pipeline_graph, Executor};
@@ -265,51 +264,21 @@ fn simulate_chunk(
         return row;
     }
 
-    if !logged {
-        // Sequential-capability kernels: legacy fused per-block loop
-        // in block order (both parallel_blocks settings).
-        for cell in cells.iter_mut() {
-            if cfg.transfer_all {
-                run_block_sequential_staged(
-                    machine,
-                    kernel,
-                    streams,
-                    &aux.table,
-                    &cell.slices,
-                    cell.block,
-                    tpb,
-                    launch,
-                    cell.slot,
-                    &mut costs,
-                    metrics,
-                );
-            } else {
-                run_block_sequential(
-                    machine,
-                    kernel,
-                    streams,
-                    &cell.slices,
-                    cell.block,
-                    tpb,
-                    launch,
-                    cfg,
-                    io,
-                    cell.slot,
-                    &mut costs,
-                    metrics,
-                );
-            }
+    // Sequential-capability kernels run the chunk one block at a time, so
+    // each block's stages complete before the next block's begin.
+    let group_len = if logged { cells.len() } else { 1 };
+    for group in cells.chunks_mut(group_len) {
+        if cfg.transfer_all {
+            run_chunk_staged(
+                machine, kernel, streams, &aux.table, group, logged, parallel, launch, &mut costs,
+                metrics,
+            );
+        } else {
+            run_chunk_assembled(
+                machine, kernel, streams, group, logged, parallel, launch, cfg, io, &mut costs,
+                metrics,
+            );
         }
-    } else if cfg.transfer_all {
-        run_chunk_staged_logged(
-            machine, kernel, streams, &aux.table, &mut cells, parallel, tpb, launch, &mut costs,
-            metrics,
-        );
-    } else {
-        run_chunk_assembled_logged(
-            machine, kernel, streams, &mut cells, parallel, tpb, launch, cfg, io, &mut costs,
-            metrics,
-        );
     }
 
     // Stage 1: addr-gen pool roofline + zero-copy address stores.
@@ -1609,7 +1578,7 @@ mod parallel_tests {
 
     /// Hands out sequence slots by consuming `atomic_add` return values —
     /// not log-replayable, so the kernel declares `DeviceEffects::Sequential`
-    /// and must run the legacy in-order path under either setting.
+    /// and its blocks must run live, in order, under either setting.
     struct TicketKernel {
         table: bk_gpu::BufferId,
     }
@@ -1641,34 +1610,43 @@ mod parallel_tests {
 
     #[test]
     fn sequential_capability_kernels_keep_block_order() {
-        let run = |parallel: bool| {
-            let mut m = Machine::test_platform();
-            let region = m.hmem.alloc(64 * 8);
-            let s = StreamArray::map(&m, StreamId(0), region);
-            let table = m.gmem.alloc(8 + 4 * 64);
-            let r = run_bigkernel(
-                &mut m,
-                &TicketKernel { table },
-                &[s],
-                LaunchConfig::new(2, 32),
-                &BigKernelConfig {
-                    parallel_blocks: parallel,
-                    ..BigKernelConfig::default()
-                },
-            );
-            let slots: Vec<u32> = (0..64).map(|i| m.gmem.read_u32(table, 8 + 4 * i)).collect();
-            (r, m.gmem.read_u32(table, 0), slots)
-        };
-        let (r_par, count, slots) = run(true);
-        let (r_seq, count2, slots2) = run(false);
-        assert_eq!(count, 64);
-        // Tickets issue strictly in block-then-lane order.
-        for (i, v) in slots.iter().enumerate() {
-            assert_eq!(*v, i as u32 + 1, "slot {i}");
+        // The full pipeline runs the assembled chunk layout; overlap-only
+        // runs the staged one.
+        for base in [BigKernelConfig::default(), BigKernelConfig::overlap_only()] {
+            let run = |parallel: bool| {
+                let mut m = Machine::test_platform();
+                let region = m.hmem.alloc(64 * 8);
+                let s = StreamArray::map(&m, StreamId(0), region);
+                let table = m.gmem.alloc(8 + 4 * 64);
+                let r = run_bigkernel(
+                    &mut m,
+                    &TicketKernel { table },
+                    &[s],
+                    LaunchConfig::new(2, 32),
+                    &BigKernelConfig {
+                        parallel_blocks: parallel,
+                        ..base.clone()
+                    },
+                );
+                let slots: Vec<u32> = (0..64).map(|i| m.gmem.read_u32(table, 8 + 4 * i)).collect();
+                (r, m.gmem.read_u32(table, 0), slots)
+            };
+            let (r_par, count, slots) = run(true);
+            let (r_seq, count2, slots2) = run(false);
+            assert_eq!(count, 64);
+            // Tickets issue strictly in block-then-lane order.
+            for (i, v) in slots.iter().enumerate() {
+                assert_eq!(
+                    *v,
+                    i as u32 + 1,
+                    "slot {i} (transfer_all={})",
+                    base.transfer_all
+                );
+            }
+            assert_eq!((count, &slots), (count2, &slots2));
+            assert_eq!(r_par, r_seq);
+            assert_eq!(r_par.metrics.get("parallel.replay_conflicts"), 0);
         }
-        assert_eq!((count, &slots), (count2, &slots2));
-        assert_eq!(r_par, r_seq);
-        assert_eq!(r_par.metrics.get("parallel.replay_conflicts"), 0);
     }
 }
 
