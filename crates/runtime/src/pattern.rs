@@ -89,15 +89,6 @@ impl Pattern {
         }
     }
 
-    /// Non-panicking check that access `k` equals `e`.
-    #[inline]
-    pub(crate) fn entry_matches(&self, k: usize, e: &AddrEntry) -> bool {
-        let j = k % self.period();
-        self.streams[j] == e.stream
-            && self.widths[j] == e.width
-            && self.offset_at(k) == e.offset as i64
-    }
-
     /// Bytes the encoded pattern occupies in the address buffer:
     /// count+period header (8) plus 20 per *run-length group* of the cycle.
     /// Consecutive cycle positions that continue a contiguous equal-width
@@ -120,13 +111,16 @@ impl Pattern {
         full * cycle + rem
     }
 
-    /// Whether the pattern reproduces `entries` exactly.
+    /// Whether the pattern reproduces `entries` exactly (non-panicking: a
+    /// walk below zero reads as a mismatch).
     pub fn matches(&self, entries: &[AddrEntry]) -> bool {
+        let p = self.period();
         self.count == entries.len()
-            && entries
-                .iter()
-                .enumerate()
-                .all(|(k, e)| self.entry_matches(k, e))
+            && entries.iter().enumerate().all(|(k, e)| {
+                self.streams[k % p] == e.stream
+                    && self.widths[k % p] == e.width
+                    && self.offset_at(k) == e.offset as i64
+            })
     }
 }
 
@@ -235,7 +229,7 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
         if entries.len() < 3 * p {
             continue;
         }
-        // Cheap pre-check before allocating the candidate: widths/streams
+        // Cheap pre-check before the full verification: widths/streams
         // must repeat at lag p and the first three cycles must agree on the
         // stride. Rejects wrong periods in O(1) on typical streams.
         let quick_ok = (0..p).all(|j| {
@@ -249,27 +243,29 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
         if !quick_ok {
             continue;
         }
-        let mut streams = Vec::with_capacity(p);
-        let mut bases = Vec::with_capacity(p);
-        let mut strides = Vec::with_capacity(p);
-        let mut widths = Vec::with_capacity(p);
-        for j in 0..p {
-            streams.push(entries[j].stream);
-            bases.push(entries[j].offset);
-            widths.push(entries[j].width);
-            strides.push(entries[j + p].offset as i64 - entries[j].offset as i64);
+        // Verify every entry (window and beyond) in place: the candidate
+        // built from the first two cycles reproduces `entries` exactly iff
+        // each entry repeats the stream and width of the entry one cycle
+        // back and advances by its cycle position's first-cycle stride
+        // (induction on the cycle number). The pre-check covered the first
+        // three cycles; a rolling cycle position keeps the rest free of
+        // allocation and division.
+        let mut j = 0;
+        for k in 3 * p..entries.len() {
+            let (prev, e) = (&entries[k - p], &entries[k]);
+            if e.stream != prev.stream
+                || e.width != prev.width
+                || e.offset as i64 - prev.offset as i64
+                    != entries[j + p].offset as i64 - entries[j].offset as i64
+            {
+                continue 'period;
+            }
+            j += 1;
+            if j == p {
+                j = 0;
+            }
         }
-        let cand = Pattern {
-            streams,
-            bases,
-            strides,
-            widths,
-            count: entries.len(),
-        };
-        // Verify every entry (window and beyond).
-        if !cand.matches(entries) {
-            continue 'period;
-        }
+        let cand = candidate(entries, p);
         // Profitability: never ship a descriptor bigger than the raw
         // addresses it replaces (larger periods only get bigger — stop).
         if cand.encoded_bytes() >= entries.len() as u64 * ADDR_ENTRY_BYTES {
@@ -278,6 +274,21 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
         return Some(cand);
     }
     None
+}
+
+/// The period-`p` candidate covering all of `entries`: the first cycle's
+/// streams, offsets and widths, strides from the first two cycles.
+fn candidate(entries: &[AddrEntry], p: usize) -> Pattern {
+    let first = &entries[..p];
+    Pattern {
+        streams: first.iter().map(|e| e.stream).collect(),
+        bases: first.iter().map(|e| e.offset).collect(),
+        strides: (0..p)
+            .map(|j| entries[j + p].offset as i64 - entries[j].offset as i64)
+            .collect(),
+        widths: first.iter().map(|e| e.width).collect(),
+        count: entries.len(),
+    }
 }
 
 /// Online promotion work budget. After a candidate dies the detector
@@ -387,7 +398,6 @@ impl OnlineDetect {
         self.budget = ONLINE_BUDGET;
     }
 
-    /// Entries seen so far.
     /// Entries fed so far.
     pub fn len(&self) -> usize {
         self.n
@@ -1024,6 +1034,116 @@ mod proptests {
 
     fn arb_mixed() -> impl Strategy<Value = Vec<AddrEntry>> {
         proptest::collection::vec(arb_segment(), 1..4).prop_map(|segs| segs.concat())
+    }
+
+    /// Fixed-size record walks with long cycles: every record is the same
+    /// one to three runs (a timestamp then a text scan, say; each run
+    /// contiguous or gapped), records 64 KiB apart, and at most one access
+    /// knocked off the walk (its offset, width or stream changed).
+    fn arb_record_walk() -> impl Strategy<Value = Vec<AddrEntry>> {
+        (
+            proptest::collection::vec(
+                (
+                    0u64..4096,
+                    proptest::sample::select(vec![1u32, 2, 4, 8]),
+                    1u64..3,
+                    1u64..100,
+                ),
+                1..4,
+            ),
+            2u64..8,
+            0usize..125,
+            0u8..3,
+        )
+            .prop_map(|(runs, records, victim_pct, how)| {
+                let mut out = Vec::new();
+                for r in 0..records {
+                    for &(base, width, gap, len) in &runs {
+                        out.extend((0..len).map(|t| AddrEntry {
+                            stream: crate::stream::StreamId(0),
+                            offset: (r << 16) + base + t * gap * width as u64,
+                            width,
+                        }));
+                    }
+                }
+                let victim = out.len() * victim_pct / 100;
+                if let Some(e) = out.get_mut(victim) {
+                    match how {
+                        0 => e.offset += 1,
+                        1 => e.width = if e.width == 1 { 2 } else { e.width / 2 },
+                        _ => e.stream = crate::stream::StreamId(1),
+                    }
+                }
+                out
+            })
+    }
+
+    fn arb_stream() -> impl Strategy<Value = Vec<AddrEntry>> {
+        prop_oneof![arb_mixed(), arb_record_walk()]
+    }
+
+    /// [`detect_from`] by its contract, one candidate at a time: the
+    /// smallest period `p >= lo` that fits two cycles in the detection
+    /// window and three in the stream, and whose candidate `matches` every
+    /// entry and encodes smaller than the raw stream.
+    fn detect_from_reference(
+        entries: &[AddrEntry],
+        lo: usize,
+        max_period: usize,
+    ) -> Option<Pattern> {
+        let window = entries.len().min(DETECT_WINDOW);
+        (lo..=max_period)
+            .filter(|&p| 2 * p <= window && 3 * p <= entries.len())
+            .map(|p| candidate(entries, p))
+            .find(|c| {
+                c.matches(entries) && c.encoded_bytes() < entries.len() as u64 * ADDR_ENTRY_BYTES
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// The in-place lag-p verification accepts exactly the candidates
+        /// `Pattern::matches` accepts, and the scan returns the smallest
+        /// profitable one.
+        #[test]
+        fn detect_from_matches_its_reference(
+            entries in arb_stream(),
+            lo in 1usize..6,
+            max_period in proptest::sample::select(vec![8usize, 64, MAX_PERIOD]),
+        ) {
+            prop_assert_eq!(
+                detect_from(&entries, lo, max_period),
+                detect_from_reference(&entries, lo, max_period)
+            );
+        }
+
+        /// The bounded segmented walk returns exactly the unbounded result
+        /// filtered by the bound, at the bound's edges and away from them;
+        /// the unbounded result reproduces the stream.
+        #[test]
+        fn segmented_below_is_filtered_segmented(
+            entries in arb_stream(),
+            max_period in proptest::sample::select(vec![1usize, 8, MAX_PERIOD]),
+            frac in 0u64..=100,
+        ) {
+            use crate::segmented::{detect_segmented, detect_segmented_below};
+            let full = detect_segmented(&entries, max_period);
+            if let Some(s) = &full {
+                prop_assert!(s.iter().eq(entries.iter().copied()));
+            }
+            let bytes = full.as_ref().map_or(0, |s| s.encoded_bytes());
+            let raw = entries.len() as u64 * ADDR_ENTRY_BYTES;
+            let bounds = [0, bytes.saturating_sub(1), bytes, bytes + 1, raw * frac / 100, u64::MAX];
+            for bound in bounds {
+                let want = full.clone().filter(|s| s.encoded_bytes() < bound);
+                prop_assert_eq!(
+                    detect_segmented_below(&entries, max_period, bound),
+                    want,
+                    "bound {}", bound
+                );
+            }
+        }
     }
 
     proptest! {

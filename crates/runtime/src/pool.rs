@@ -23,7 +23,7 @@ use crate::config::BigKernelConfig;
 use crate::ctx::AddrRecorder;
 use crate::layout::{ChunkLayout, WarpRegion, REGION_ALIGN};
 use crate::pattern::{Pattern, MAX_PERIOD};
-use crate::segmented::detect_segmented;
+use crate::segmented::{detect_segmented, detect_segmented_below};
 use crate::stream::StreamId;
 use bk_gpu::WARP_SIZE;
 use bk_host::PinnedArena;
@@ -344,7 +344,7 @@ impl Default for AddrGenScratch {
 /// * whole-stream pattern (now confirmed online, or by the detector's
 ///   offline fallback rescan — same result, see `pattern::OnlineDetect`);
 /// * for long cycles (period > 16), piecewise compression if it encodes
-///   smaller;
+///   smaller (the segmented walk stops once it cannot);
 /// * piecewise compression alone when no whole-stream pattern exists;
 /// * raw fallback, with the buffer swapped against a pooled vector.
 fn commit_side(
@@ -367,14 +367,14 @@ fn commit_side(
         };
         if let Some(p) = found {
             // Long cycles (e.g. a phase super-pattern) can encode worse than
-            // piecewise compression; pick the smaller.
+            // piecewise compression; pick the smaller. The walk is bounded by
+            // the pattern's size: it gives up as soon as it cannot encode
+            // smaller, which only skips results this comparison would reject.
             if cfg.segmented_patterns && p.period() > 16 {
                 det.materialize(buf);
-                if let Some(seg) = detect_segmented(buf, MAX_PERIOD) {
-                    if seg.encoded_bytes() < p.encoded_bytes() {
-                        pool.give_pattern(p);
-                        return (AddrStream::Segmented(seg), Compression::Segmented);
-                    }
+                if let Some(seg) = detect_segmented_below(buf, MAX_PERIOD, p.encoded_bytes()) {
+                    pool.give_pattern(p);
+                    return (AddrStream::Segmented(seg), Compression::Segmented);
                 }
             }
             return (AddrStream::Pattern(p), Compression::Pattern);
@@ -432,6 +432,54 @@ mod tests {
         match &s {
             AddrStream::Pattern(p) => assert_eq!(*p, offline),
             other => panic!("expected pattern, got {other:?}"),
+        }
+
+        // Opinion-shaped lane: 5 records of a 4 B timestamp and a 183-byte
+        // text scan, 256 B apart. The period-184 pattern encodes in two
+        // groups (48 B); the per-record segmented split (5 × (12 + 32) =
+        // 220 B) cannot beat it, so the bounded walk gives up and the
+        // pattern commits.
+        let opinion: Vec<AddrEntry> = (0..5u64)
+            .flat_map(|r| {
+                std::iter::once(e(r * 256, 4)).chain((0..183).map(move |t| e(r * 256 + 4 + t, 1)))
+            })
+            .collect();
+        assert_eq!(
+            detect_segmented(&opinion, MAX_PERIOD).map(|s| s.encoded_bytes()),
+            Some(220)
+        );
+        record_lane(&mut scratch, cfg.pattern_recognition, &opinion);
+        let (s, c) = scratch.commit_reads(&cfg);
+        assert_eq!(c, Compression::Pattern);
+        match &s {
+            AddrStream::Pattern(p) => {
+                assert_eq!((p.period(), p.encoded_bytes()), (184, 48));
+                assert_eq!(*p, crate::pattern::detect(&opinion, MAX_PERIOD).unwrap());
+            }
+            other => panic!("expected pattern, got {other:?}"),
+        }
+
+        // Long-period phase change where segmented wins: 3 records of 100
+        // gapped 8 B reads then 100 gapped 4 B reads elsewhere. The
+        // whole-stream period-200 pattern has a group per position (4008 B);
+        // six period-1 pieces cost 192 B.
+        let phased: Vec<AddrEntry> = (0..3u64)
+            .flat_map(|r| {
+                let a = (0..100).map(move |j| e(r * 4096 + j * 16, 8));
+                a.chain((0..100).map(move |j| e((1 << 20) + r * 4096 + j * 12, 4)))
+            })
+            .collect();
+        let whole = crate::pattern::detect(&phased, MAX_PERIOD).unwrap();
+        assert_eq!((whole.period(), whole.encoded_bytes()), (200, 4008));
+        record_lane(&mut scratch, cfg.pattern_recognition, &phased);
+        let (s, c) = scratch.commit_reads(&cfg);
+        assert_eq!(c, Compression::Segmented);
+        match &s {
+            AddrStream::Segmented(seg) => {
+                assert_eq!(seg.encoded_bytes(), 192);
+                assert_eq!(seg.iter().collect::<Vec<_>>(), phased);
+            }
+            other => panic!("expected segmented, got {other:?}"),
         }
 
         // Irregular short stream → raw miss, buffer contents preserved.

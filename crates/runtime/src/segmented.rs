@@ -22,7 +22,7 @@ pub const MIN_SEGMENT: usize = 48;
 pub const PIECE_HEADER_BYTES: u64 = 4;
 
 /// One piece of a segmented stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Piece {
     /// A compressed run described by a [`Pattern`].
     Pattern(Pattern),
@@ -68,7 +68,7 @@ impl Piece {
 }
 
 /// A piecewise-compressed address stream.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentedStream {
     /// `(first ordinal, piece)`, ordinals strictly increasing.
     pieces: Vec<(usize, Piece)>,
@@ -194,12 +194,42 @@ impl ExactSizeIterator for SegmentedIter<'_> {}
 /// or ends up as a single raw piece (callers keep the plain raw vector in
 /// that case — no reason to pay the segmented indirection).
 pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<SegmentedStream> {
+    detect_segmented_below(entries, max_period, u64::MAX)
+}
+
+/// [`detect_segmented`], keeping only a result that encodes in fewer than
+/// `bound` bytes: exactly
+/// `detect_segmented(entries, max_period).filter(|s| s.encoded_bytes() < bound)`.
+///
+/// The walk carries a lower bound on the final encoding — the committed
+/// pieces, the pending raw run (it can only grow before it is flushed),
+/// and, with entries left and nothing pending, the cheapest piece that
+/// must still cover them (a header plus one raw entry). That bound never
+/// decreases, so the walk stops as soon as it reaches `bound`: the
+/// remaining pattern searches cannot produce a result that survives the
+/// filter.
+pub fn detect_segmented_below(
+    entries: &[AddrEntry],
+    max_period: usize,
+    bound: u64,
+) -> Option<SegmentedStream> {
     if entries.len() < MIN_SEGMENT {
         return None;
     }
     let mut pieces: Vec<(usize, Piece)> = Vec::new();
+    let mut committed = 0u64; // encoded bytes of `pieces`
     let mut raw_start = 0usize; // start of the pending raw run
     let mut i = 0usize;
+    let lower_bound = |committed: u64, raw_start: usize, i: usize| {
+        committed
+            + if raw_start < i {
+                PIECE_HEADER_BYTES + (i - raw_start) as u64 * ADDR_ENTRY_BYTES
+            } else if i < entries.len() {
+                PIECE_HEADER_BYTES + ADDR_ENTRY_BYTES
+            } else {
+                0
+            }
+    };
 
     // Try windows from large to small: a large window rejects a pattern
     // whose phase changes inside it, so shrinking windows let detection
@@ -207,6 +237,9 @@ pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<Segm
     let windows = [DETECT_WINDOW, DETECT_WINDOW / 4, MIN_SEGMENT];
 
     'outer: while i < entries.len() {
+        if lower_bound(committed, raw_start, i) >= bound {
+            return None;
+        }
         for w in windows {
             let window_end = (i + w).min(entries.len());
             if window_end - i < MIN_SEGMENT.min(w) {
@@ -217,19 +250,17 @@ pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<Segm
                 // ...extended for as long as subsequent accesses keep
                 // matching (the paper's generate-and-verify loop, restarted
                 // per piece).
-                let mut count = window_end - i;
-                p.count = entries.len() - i; // upper bound for entry() checks
-                while i + count < entries.len()
-                    && pattern_matches_at(&p, count, &entries[i + count])
-                {
-                    count += 1;
-                }
+                let count = window_end - i + extend_len(&p, &entries[window_end..]);
                 if count >= MIN_SEGMENT {
                     if raw_start < i {
-                        pieces.push((raw_start, Piece::Raw(entries[raw_start..i].to_vec())));
+                        let raw = Piece::Raw(entries[raw_start..i].to_vec());
+                        committed += raw.encoded_bytes();
+                        pieces.push((raw_start, raw));
                     }
                     p.count = count;
-                    pieces.push((i, Piece::Pattern(p)));
+                    let piece = Piece::Pattern(p);
+                    committed += piece.encoded_bytes();
+                    pieces.push((i, piece));
                     i += count;
                     raw_start = i;
                     continue 'outer;
@@ -237,6 +268,10 @@ pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<Segm
             }
         }
         i += 1;
+    }
+    // At the end of the stream the lower bound is the exact encoding.
+    if lower_bound(committed, raw_start, i) >= bound {
+        return None;
     }
     if raw_start < entries.len() {
         pieces.push((raw_start, Piece::Raw(entries[raw_start..].to_vec())));
@@ -252,10 +287,27 @@ pub fn detect_segmented(entries: &[AddrEntry], max_period: usize) -> Option<Segm
     })
 }
 
-fn pattern_matches_at(p: &Pattern, k: usize, e: &AddrEntry) -> bool {
-    // Non-panicking: a decreasing candidate probed past its valid run may
-    // walk below offset zero, which must read as "no match", not an assert.
-    p.entry_matches(k, e)
+/// How many of `rest` continue `p` past its `p.count` detected accesses,
+/// stopping at the first mismatch. A rolling cycle position replaces the
+/// per-entry division; offsets are compared signed, so a decreasing
+/// pattern probed past its valid run reads as "no match", not a panic.
+fn extend_len(p: &Pattern, rest: &[AddrEntry]) -> usize {
+    let period = p.period();
+    let (mut j, mut m) = (p.count % period, (p.count / period) as i64);
+    for (n, e) in rest.iter().enumerate() {
+        if p.streams[j] != e.stream
+            || p.widths[j] != e.width
+            || p.bases[j] as i64 + m * p.strides[j] != e.offset as i64
+        {
+            return n;
+        }
+        j += 1;
+        if j == period {
+            j = 0;
+            m += 1;
+        }
+    }
+    rest.len()
 }
 
 #[cfg(test)]
