@@ -1,5 +1,5 @@
 //! Microbenchmarks of the simulator's hot components: pattern detection,
-//! warp-trace alignment/coalescing, the pipeline scheduler and the LLC
+//! warp-trace alignment/coalescing, the stage-graph scheduler and the LLC
 //! cache simulator. These dominate the reproduction's own wall-clock, so
 //! they get dedicated regression coverage.
 
@@ -7,9 +7,10 @@ use bk_gpu::trace::AccessClass;
 use bk_gpu::{AccessKind, DeviceSpec, ThreadTrace, WarpAligner};
 use bk_host::CacheSim;
 use bk_runtime::addr::AddrEntry;
+use bk_runtime::graph::{bigkernel_graph, schedule_graph};
 use bk_runtime::pattern;
 use bk_runtime::StreamId;
-use bk_simcore::{pipeline, SimTime, StageDef};
+use bk_simcore::{ScheduleView, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_pattern_detect(c: &mut Criterion) {
@@ -122,34 +123,16 @@ fn bench_sim_throughput(c: &mut Criterion) {
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    let spec = pipeline::PipelineSpec::new(vec![
-        StageDef {
-            name: "ag",
-            resource: "gpu-ag",
-        },
-        StageDef {
-            name: "asm",
-            resource: "cpu",
-        },
-        StageDef {
-            name: "xfer",
-            resource: "dma",
-        },
-        StageDef {
-            name: "comp",
-            resource: "gpu",
-        },
-    ])
-    .with_reuse(0, 3, 3);
+    let spec = bigkernel_graph(1, 3);
     let durations: Vec<Vec<SimTime>> = (0..1000)
         .map(|i| {
-            (0..4)
+            (0..6)
                 .map(|s| SimTime::from_micros(((i * 7 + s * 13) % 50 + 1) as f64))
                 .collect()
         })
         .collect();
-    c.bench_function("simcore/schedule-1000-chunks", |b| {
-        b.iter(|| std::hint::black_box(pipeline::schedule(&spec, &durations).makespan()))
+    c.bench_function("graph/schedule-1000-chunks", |b| {
+        b.iter(|| std::hint::black_box(schedule_graph(&spec, &durations).makespan()))
     });
 }
 

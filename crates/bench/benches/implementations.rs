@@ -1,6 +1,6 @@
 //! Criterion bench over the Fig. 4(a) implementation matrix: wall-clock
 //! cost of simulating each implementation on representative applications.
-//! (The *simulated* times are what `--bin fig4a` prints; this measures the
+//! (The *simulated* times are what `report fig4a` prints; this measures the
 //! simulator itself so regressions in the reproduction's own performance
 //! are caught.)
 

@@ -13,7 +13,8 @@
 //!
 //! Besides the per-app wall-clock rows, the snapshot records a simulated
 //! multi-GPU scaling section (the three streaming apps on 1/2/4 replicated
-//! devices; see the `scaling` binary for the live table), a simulated
+//! devices, verified at every count; `report scaling` prints the same
+//! sweep as a table), a simulated
 //! `fusion` sweep (the multi-pass apps unfused vs fused, DESIGN.md §15 —
 //! the binary exits non-zero unless every fused run verifies and moves
 //! strictly fewer PCIe bytes), a per-app `critical_path` blame block plus
@@ -21,8 +22,8 @@
 //! `provenance` block recording how the file was produced.
 
 use bk_apps::{run_implementation, HarnessConfig, Implementation};
+use bk_bench::report::{scaling_sweep, ScalingRow};
 use bk_bench::{all_apps, args::ExpArgs, short_name};
-use bk_simcore::SimTime;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -75,14 +76,6 @@ fn device_rows(r: &bk_runtime::RunResult, gpus: usize) -> Vec<DeviceRow> {
             stall_ns: r.metrics.get(&format!("device.{d}.stall_ns")),
         })
         .collect()
-}
-
-/// One point of the simulated multi-GPU scaling sweep.
-struct ScalingRow {
-    app: &'static str,
-    gpus: usize,
-    sim_secs: f64,
-    speedup: f64,
 }
 
 /// One row of the mega-kernel fusion sweep (EXPERIMENTS.md "Fusion
@@ -427,35 +420,6 @@ fn fusion_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<FusionRow> {
             unfused_sim_secs: un.total.secs(),
             fused_sim_secs: fu.total.secs(),
         });
-    }
-    out
-}
-
-/// Simulated 1/2/4-GPU sweep over the streaming apps (EXPERIMENTS.md "GPU
-/// scaling"). Simulated time only — wall clock is irrelevant here.
-fn scaling_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<ScalingRow> {
-    const SCALING_APPS: [&str; 3] = ["Word Count", "DNA Assembly", "Netflix"];
-    let mut out = Vec::new();
-    for app in all_apps() {
-        let name = app.spec().name;
-        if !SCALING_APPS.contains(&name) {
-            continue;
-        }
-        let mut base: Option<SimTime> = None;
-        for gpus in [1usize, 2, 4] {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
-            let instance = app.instantiate(&mut machine, args.bytes, args.seed);
-            let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, cfg);
-            let b = *base.get_or_insert(r.total);
-            out.push(ScalingRow {
-                app: short_name(name),
-                gpus,
-                sim_secs: r.total.secs(),
-                speedup: b.ratio(r.total),
-            });
-        }
     }
     out
 }

@@ -1,311 +1,40 @@
-//! One-command reproduction: runs every table and figure and writes a
-//! single markdown report (default `results/REPORT.md`), with the paper's
-//! reported values inline for comparison. The heavy lifting reuses the same
-//! runners as the per-experiment binaries.
+//! One-command reproduction of the paper's evaluation and the extension
+//! experiments (see [`bk_bench::report`]).
+//!
+//! `report [FLAGS]` runs the paper set and writes `results/REPORT.md` and
+//! `results/report.json`; `report [FLAGS] NAME...` prints the named
+//! sections to stdout instead. Section names are positional; the flags are
+//! the common experiment flags (`--mib N`, `--app SUBSTR`, ...).
 
-use bk_apps::{run_all, HarnessConfig, Implementation};
-use bk_baselines::BigKernelVariant;
-use bk_bench::{all_apps, args::ExpArgs, expectations, render, short_name};
-use std::fmt::Write as _;
+use bk_bench::args::ExpArgs;
+use bk_bench::report::{select, split_names, Report};
 use std::path::Path;
 
-/// Machine-readable record of one app's Fig. 4(a) row (speedups over the
-/// serial CPU implementation, plus the Table I proportions measured from
-/// the same runs) — written to `results/report.json` for downstream
-/// analysis/plotting.
-struct AppRecord {
-    app: String,
-    cpu_multithreaded: f64,
-    gpu_single_buffer: f64,
-    gpu_double_buffer: f64,
-    bigkernel: f64,
-    serial_seconds: f64,
-    read_pct: f64,
-    modified_pct: f64,
-}
-
-struct JsonReport {
-    bytes_per_app: u64,
-    seed: u64,
-    geomean_bk_vs_double: f64,
-    geomean_bk_vs_single: f64,
-    geomean_bk_vs_cpu_mt: f64,
-    apps: Vec<AppRecord>,
-}
-
-/// Render the report as JSON by hand — the records are flat and the
-/// workspace builds without a serde dependency.
-fn to_json(r: &JsonReport) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"bytes_per_app\": {},", r.bytes_per_app);
-    let _ = writeln!(out, "  \"seed\": {},", r.seed);
-    let _ = writeln!(
-        out,
-        "  \"geomean_bk_vs_double\": {:.6},",
-        r.geomean_bk_vs_double
-    );
-    let _ = writeln!(
-        out,
-        "  \"geomean_bk_vs_single\": {:.6},",
-        r.geomean_bk_vs_single
-    );
-    let _ = writeln!(
-        out,
-        "  \"geomean_bk_vs_cpu_mt\": {:.6},",
-        r.geomean_bk_vs_cpu_mt
-    );
-    let _ = writeln!(out, "  \"apps\": [");
-    for (i, a) in r.apps.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"app\": \"{}\",", esc(&a.app));
-        let _ = writeln!(
-            out,
-            "      \"cpu_multithreaded\": {:.6},",
-            a.cpu_multithreaded
-        );
-        let _ = writeln!(
-            out,
-            "      \"gpu_single_buffer\": {:.6},",
-            a.gpu_single_buffer
-        );
-        let _ = writeln!(
-            out,
-            "      \"gpu_double_buffer\": {:.6},",
-            a.gpu_double_buffer
-        );
-        let _ = writeln!(out, "      \"bigkernel\": {:.6},", a.bigkernel);
-        let _ = writeln!(out, "      \"serial_seconds\": {:.6},", a.serial_seconds);
-        let _ = writeln!(out, "      \"read_pct\": {:.6},", a.read_pct);
-        let _ = writeln!(out, "      \"modified_pct\": {:.6}", a.modified_pct);
-        let _ = writeln!(out, "    }}{}", if i + 1 < r.apps.len() { "," } else { "" });
-    }
-    let _ = writeln!(out, "  ]");
-    out.push('}');
-    out
-}
-
 fn main() {
-    let args = ExpArgs::from_env();
-    let mut cfg = HarnessConfig::paper_scaled(args.bytes);
-    args.apply(&mut cfg);
-    let mut md = String::new();
-    let _ = writeln!(md, "# BigKernel reproduction report\n");
-    let _ = writeln!(
-        md,
-        "Scale: {} MiB per application, seed {}. Times are simulated; see\nEXPERIMENTS.md for interpretation.\n",
-        args.bytes >> 20,
-        args.seed
-    );
-
-    // ---- Table I + Fig 4(a) + Fig 4(b) + Fig 6 from one run set ---------
-    let _ = writeln!(md, "## Fig. 4(a) — speedup over serial CPU\n");
-    let _ = writeln!(md, "| app | cpu-mt | gpu-1buf | gpu-2buf | bigkernel |");
-    let _ = writeln!(md, "|---|---|---|---|---|");
-    let mut bk_vs = (Vec::new(), Vec::new(), Vec::new());
-    let mut fig6_rows = String::new();
-    let mut fig4b_rows = String::new();
-    let mut table1_rows = String::new();
-    let mut json_apps: Vec<AppRecord> = Vec::new();
-
-    for app in all_apps() {
-        let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
+    let (names, flags) = split_names(std::env::args().skip(1));
+    let fail = |e: String| -> ! {
+        eprintln!("{e}");
+        std::process::exit(2);
+    };
+    let sections = select(&names).unwrap_or_else(|e| fail(format!("report: {e}")));
+    let args = ExpArgs::parse_named("report", flags.into_iter()).unwrap_or_else(|e| fail(e));
+    let report = Report::new(args);
+    if !names.is_empty() {
+        for (i, s) in sections.iter().enumerate() {
+            if i > 0 {
+                println!();
+            }
+            print!("{}", s.render(&report));
         }
-        let results = run_all(
-            app.as_ref(),
-            args.bytes,
-            args.seed,
-            &cfg,
-            &Implementation::FIG4A,
-        );
-        let serial = results[0].1.total;
-        let s = |i: usize| serial.ratio(results[i].1.total);
-        let _ = writeln!(
-            md,
-            "| {} | {:.2}x | {:.2}x | {:.2}x | **{:.2}x** |",
-            short_name(name),
-            s(1),
-            s(2),
-            s(3),
-            s(4)
-        );
-        bk_vs.0.push(results[3].1.total.ratio(results[4].1.total));
-        bk_vs.1.push(results[2].1.total.ratio(results[4].1.total));
-        bk_vs.2.push(results[1].1.total.ratio(results[4].1.total));
-
-        // Fig 4(b) from the single-buffer run.
-        let sb = &results[2].1;
-        let comp = sb.stage_busy("compute");
-        let comm = sb.stage_busy("stage-pin")
-            + sb.stage_busy("transfer")
-            + sb.stage_busy("wb-xfer")
-            + sb.stage_busy("wb-apply");
-        let total = comp + comm;
-        let frac = if total.is_zero() {
-            0.0
-        } else {
-            comp.ratio(total)
-        };
-        let _ = writeln!(
-            fig4b_rows,
-            "| {} | {:.0}% | {:.0}% |",
-            short_name(name),
-            frac * 100.0,
-            (1.0 - frac) * 100.0
-        );
-
-        // Fig 6 + Table I from the BigKernel run.
-        let bk = &results[4].1;
-        let rel = bk.relative_stage_times();
-        let pct = |stage: &str| {
-            rel.iter()
-                .find(|(n, _)| *n == stage)
-                .map(|(_, f)| f * 100.0)
-                .unwrap_or(0.0)
-        };
-        let _ = writeln!(
-            fig6_rows,
-            "| {} | {:.0}% | {:.0}% | {:.0}% | {:.0}% |",
-            short_name(name),
-            pct("addr-gen"),
-            pct("assemble"),
-            pct("transfer"),
-            pct("compute"),
-        );
-        let passes = if name.starts_with("MasterCard") { 2 } else { 1 };
-        let read_pct =
-            100.0 * bk.metrics.get("stream.bytes_read") as f64 / (args.bytes * passes) as f64;
-        let mod_pct = 100.0 * bk.metrics.get("stream.bytes_written") as f64 / args.bytes as f64;
-        json_apps.push(AppRecord {
-            app: name.to_string(),
-            cpu_multithreaded: s(1),
-            gpu_single_buffer: s(2),
-            gpu_double_buffer: s(3),
-            bigkernel: s(4),
-            serial_seconds: serial.secs(),
-            read_pct,
-            modified_pct: mod_pct,
-        });
-        let spec = app.spec();
-        let _ = writeln!(
-            table1_rows,
-            "| {} | {} | {}% / {:.1}% | {}% / {:.1}% |",
-            name, spec.record_type, spec.paper_read_pct, read_pct, spec.paper_modified_pct, mod_pct,
-        );
+        return;
     }
-    let _ = writeln!(
-        md,
-        "\nGeomeans: BK/double {:.2}x (paper 1.7x), BK/single {:.2}x (paper 2.6x), \
-         BK/cpu-mt {:.2}x (paper 3.0x)\n",
-        render::geomean(&bk_vs.0),
-        render::geomean(&bk_vs.1),
-        render::geomean(&bk_vs.2)
-    );
-
-    let _ = writeln!(md, "## Table I — mapped data (paper / measured)\n");
-    let _ = writeln!(md, "| app | record type | read | modified |");
-    let _ = writeln!(md, "|---|---|---|---|");
-    md.push_str(&table1_rows);
-
-    let _ = writeln!(md, "\n## Fig. 4(b) — single-buffer comp/comm\n");
-    let _ = writeln!(md, "| app | computation | communication |");
-    let _ = writeln!(md, "|---|---|---|");
-    md.push_str(&fig4b_rows);
-
-    let _ = writeln!(md, "\n## Fig. 6 — relative stage times (BigKernel)\n");
-    let _ = writeln!(md, "| app | addr-gen | assemble | transfer | compute |");
-    let _ = writeln!(md, "|---|---|---|---|---|");
-    md.push_str(&fig6_rows);
-
-    // ---- Fig. 5 -----------------------------------------------------------
-    let _ = writeln!(
-        md,
-        "\n## Fig. 5 — incremental feature benefit (vs single buffer)\n"
-    );
-    let _ = writeln!(md, "| app | +overlap | +volume | +coalesce |");
-    let _ = writeln!(md, "|---|---|---|---|");
-    let imps = [
-        Implementation::GpuSingleBuffer,
-        Implementation::Variant(BigKernelVariant::OverlapOnly),
-        Implementation::Variant(BigKernelVariant::VolumeReduction),
-        Implementation::Variant(BigKernelVariant::Full),
-    ];
-    for app in all_apps() {
-        let name = app.spec().name;
-        if !args.selected(name) {
-            continue;
-        }
-        let r = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &imps);
-        let base = r[0].1.total;
-        let _ = writeln!(
-            md,
-            "| {} | {:.2}x | {:.2}x | {:.2}x |",
-            short_name(name),
-            base.ratio(r[1].1.total),
-            base.ratio(r[2].1.total),
-            base.ratio(r[3].1.total)
-        );
-    }
-
-    // ---- Table II ---------------------------------------------------------
-    let _ = writeln!(md, "\n## Table II — pattern recognition improvement\n");
-    let _ = writeln!(md, "| app | paper | measured |");
-    let _ = writeln!(md, "|---|---|---|");
-    let mut cfg_off = cfg.clone();
-    cfg_off.bigkernel.pattern_recognition = false;
-    for app in all_apps() {
-        let spec = app.spec();
-        if !args.selected(spec.name) {
-            continue;
-        }
-        let on = run_all(
-            app.as_ref(),
-            args.bytes,
-            args.seed,
-            &cfg,
-            &[Implementation::BigKernel],
-        );
-        let off = run_all(
-            app.as_ref(),
-            args.bytes,
-            args.seed,
-            &cfg_off,
-            &[Implementation::BigKernel],
-        );
-        let paper = expectations::table2_pct(spec.name)
-            .map(|p| format!("{p}%"))
-            .unwrap_or_else(|| "NA".into());
-        let ours = if spec.pattern_applicable {
-            format!(
-                "{:.0}%",
-                (off[0].1.total.ratio(on[0].1.total) - 1.0) * 100.0
-            )
-        } else {
-            "NA".into()
-        };
-        let _ = writeln!(md, "| {} | {} | {} |", spec.name, paper, ours);
-    }
-
     let out_dir = Path::new("results");
     std::fs::create_dir_all(out_dir).expect("create results dir");
+    let md = report.markdown(&sections);
     let path = out_dir.join("REPORT.md");
     std::fs::write(&path, &md).expect("write report");
     println!("wrote {} ({} bytes)", path.display(), md.len());
-
-    let json = JsonReport {
-        bytes_per_app: args.bytes,
-        seed: args.seed,
-        geomean_bk_vs_double: render::geomean(&bk_vs.0),
-        geomean_bk_vs_single: render::geomean(&bk_vs.1),
-        geomean_bk_vs_cpu_mt: render::geomean(&bk_vs.2),
-        apps: json_apps,
-    };
     let jpath = out_dir.join("report.json");
-    std::fs::write(&jpath, to_json(&json)).expect("write json");
+    std::fs::write(&jpath, report.json()).expect("write json");
     println!("wrote {}", jpath.display());
 }

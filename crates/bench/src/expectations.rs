@@ -1,25 +1,6 @@
 //! The paper's reported numbers, for side-by-side comparison in the
 //! experiment output (BigKernel, IPDPS 2014).
 
-/// Table I rows: (app, data size, record type, % read, % modified).
-pub fn table1_rows() -> Vec<(&'static str, &'static str, &'static str, u32, u32)> {
-    vec![
-        ("K-means", "6.0GB", "Fixed-length", 50, 12),
-        ("Word Count", "4.5GB", "Variable-length", 100, 0),
-        ("Netflix", "6.0GB", "Fixed-length", 30, 0),
-        ("Opinion Finder", "6.2GB", "Fixed-length", 73, 0),
-        ("DNA Assembly", "4.5GB", "Fixed-length", 36, 0),
-        ("MasterCard Affinity", "6.4GB", "Variable-length", 100, 0),
-        (
-            "MasterCard Affinity (indexed)",
-            "6.4GB",
-            "Variable-length (indexed)",
-            25,
-            0,
-        ),
-    ]
-}
-
 /// Table II: performance improvement due to pattern recognition
 /// (`None` = "NA", the indexed variant's data-dependent addresses).
 pub fn table2_pct(app: &str) -> Option<u32> {
@@ -77,17 +58,25 @@ mod tests {
 
     #[test]
     fn table1_has_seven_rows() {
-        assert_eq!(table1_rows().len(), 7);
+        // Table I's rows are the apps' specs; each also needs a Table II
+        // policy ("NA" exactly where patterns cannot apply) and a §VI note.
+        let apps = crate::all_apps();
+        assert_eq!(apps.len(), 7);
+        for app in apps {
+            let spec = app.spec();
+            assert_eq!(
+                table2_pct(spec.name).is_some(),
+                spec.pattern_applicable,
+                "{}",
+                spec.name
+            );
+            assert!(!discussion_note(spec.name).is_empty(), "{}", spec.name);
+        }
     }
 
     #[test]
     fn table2_matches_paper() {
         assert_eq!(table2_pct("Word Count"), Some(66));
         assert_eq!(table2_pct("MasterCard Affinity (indexed)"), None);
-        // Every Table I app has a Table II entry policy.
-        for (name, ..) in table1_rows() {
-            let _ = table2_pct(name);
-            assert!(!discussion_note(name).is_empty());
-        }
     }
 }

@@ -1,21 +1,32 @@
 //! # bk-bench — experiment harness regenerating the paper's tables & figures
 //!
-//! One binary per table/figure (see DESIGN.md §5):
+//! Seven binaries (see DESIGN.md §5):
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `table1` | Table I — application mapped-data characteristics |
-//! | `fig4a` | Fig. 4(a) — speedup over the serial CPU implementation |
-//! | `fig4b` | Fig. 4(b) — comp/comm ratio of the single-buffer implementation |
-//! | `fig5` | Fig. 5 — incremental benefit of overlap / volume reduction / coalescing |
-//! | `fig6` | Fig. 6 — relative completion time of each BigKernel stage |
-//! | `table2` | Table II — improvement from pattern recognition |
-//! | `ablation` | §IV design-choice ablations (buffer depth, sync mode, locality, chunk size) |
-//! | `scaling` | GPU scaling — chunks sharded across 1/2/4 replicated devices |
+//! | `report` | the paper's evaluation and the extension experiments, one named markdown section each ([`report::SECTIONS`]) |
+//! | `perf_snapshot` | host wall-clock per app + simulated scaling/fusion/critical-path sections → `BENCH_pipeline.json` |
 //! | `chaos` | fault-rate sweep + device-kill failover → `BENCH_chaos.json` |
 //! | `autotune` | static reuse-depth sweep vs the adaptive occupancy autotuner → `BENCH_autotune.json` |
 //! | `bottleneck` | critical-path blame report + what-if predictions validated against re-runs |
 //! | `streaming` | continuous-ingestion window/queue sweep over the drifting apps → `BENCH_streaming.json` |
+//! | `trace_export` | one span-traced run → Perfetto JSON plus a utilization/stall report |
+//!
+//! `report`'s sections:
+//!
+//! | section | regenerates |
+//! |---|---|
+//! | `fig4a` | Fig. 4(a) — speedup over the serial CPU implementation |
+//! | `table1` | Table I — application mapped-data characteristics |
+//! | `fig4b` | Fig. 4(b) — comp/comm ratio of the single-buffer implementation |
+//! | `fig6` | Fig. 6 — relative completion time of each BigKernel stage |
+//! | `fig5` | Fig. 5 — incremental benefit of overlap / volume reduction / coalescing |
+//! | `table2` | Table II — improvement from pattern recognition |
+//! | `ablation` | §IV design-choice ablations (buffer depth, sync mode, locality, chunk size, copy engines, blocks) |
+//! | `sensitivity` | BigKernel over double buffering from PCIe Gen1 to an NVLink-class link |
+//! | `scaling` | GPU scaling — chunks sharded across 1/2/4 replicated devices |
+//! | `stages` | absolute per-stage busy times and GPU counters of every implementation |
+//! | `timeline` | Fig. 2 — Gantt charts of the single-buffer, double-buffer and BigKernel stage graphs |
 //!
 //! All binaries accept `--bytes N` / `--mib N` (per-app input size, default
 //! 32 MiB), `--seed S`, `--app SUBSTR`, `--threads N`, `--machine NAME`
@@ -39,6 +50,7 @@ use bk_apps::{
 pub mod args;
 pub mod expectations;
 pub mod render;
+pub mod report;
 
 /// The paper's seven application configurations, in Table I order.
 pub fn all_apps() -> Vec<Box<dyn BenchApp + Sync>> {

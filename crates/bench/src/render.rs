@@ -1,15 +1,7 @@
-//! Plain-text rendering helpers for the experiment binaries.
+//! Plain-text rendering helpers for the experiment report.
 
-/// A horizontal ASCII bar of `frac` (clamped to [0, 1]) over `width` cells.
-pub fn bar(frac: f64, width: usize) -> String {
-    let frac = frac.clamp(0.0, 1.0);
-    let filled = (frac * width as f64).round() as usize;
-    let mut s = String::with_capacity(width);
-    for i in 0..width {
-        s.push(if i < filled { '#' } else { '.' });
-    }
-    s
-}
+use bk_simcore::ScheduleView;
+use std::fmt::Write as _;
 
 /// Format a speedup like the paper's log axis labels ("2.4x").
 pub fn speedup(x: f64) -> String {
@@ -25,24 +17,72 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Print a section header.
-pub fn header(title: &str) {
-    println!();
-    println!("== {title} ==");
-    println!("{}", "-".repeat(title.len() + 6));
+/// A markdown table: the `" | "`-separated `header`, the separator line,
+/// then one line per row (each row's cells already joined by `" | "`).
+pub(crate) fn table(header: &str, rows: impl IntoIterator<Item = String>) -> String {
+    let columns = header.split(" | ").count();
+    let mut md = format!("| {header} |\n|{}\n", "---|".repeat(columns));
+    for row in rows {
+        let _ = writeln!(md, "| {row} |");
+    }
+    md
+}
+
+/// An ASCII Gantt chart of a schedule: one row per stage, time across
+/// `width` cells, a digit marking which chunk (mod 10) occupies each cell,
+/// and an axis line ending at the makespan — the textual form of the
+/// paper's Fig. 2 pipeline diagram. Empty for an empty schedule.
+pub fn gantt(schedule: &impl ScheduleView, width: usize) -> String {
+    let mut out = String::new();
+    let makespan = schedule.makespan();
+    if makespan.is_zero() || width == 0 {
+        return out;
+    }
+    let cell = makespan.secs() / width as f64;
+    let name_w = (0..schedule.num_stages())
+        .map(|s| schedule.stage_name(s).len())
+        .max()
+        .unwrap_or(0);
+    for stage in 0..schedule.num_stages() {
+        let mut row = vec![b'.'; width];
+        for chunk in 0..schedule.num_chunks() {
+            let slot = schedule.slot(chunk, stage);
+            if slot.duration().is_zero() {
+                continue;
+            }
+            let a = (slot.start.secs() / cell).floor() as usize;
+            let b = ((slot.finish.secs() / cell).ceil() as usize).min(width);
+            let digit = b'0' + (chunk % 10) as u8;
+            for c in row.iter_mut().take(b).skip(a.min(width)) {
+                *c = digit;
+            }
+        }
+        let _ = writeln!(
+            out,
+            "{:>name_w$} |{}|",
+            schedule.stage_name(stage),
+            String::from_utf8(row).expect("ascii"),
+        );
+    }
+    let _ = writeln!(out, "{:>name_w$}  0{:>width$}", "", makespan.to_string());
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bk_runtime::graph::{schedule_graph, GraphSpec, ResourceId, ResourceKind};
+    use bk_simcore::SimTime;
 
-    #[test]
-    fn bar_fills_proportionally() {
-        assert_eq!(bar(0.0, 4), "....");
-        assert_eq!(bar(0.5, 4), "##..");
-        assert_eq!(bar(1.0, 4), "####");
-        assert_eq!(bar(2.0, 4), "####"); // clamped
-        assert_eq!(bar(-1.0, 4), "....");
+    fn t(s: f64) -> SimTime {
+        SimTime::from_secs(s)
+    }
+
+    fn xfer_comp() -> GraphSpec {
+        GraphSpec::chain(vec![
+            ("xfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
+            ("comp", ResourceId::new(ResourceKind::GpuCompute, 0)),
+        ])
     }
 
     #[test]
@@ -55,5 +95,32 @@ mod tests {
     #[test]
     fn speedup_format() {
         assert_eq!(speedup(2.0), "2.00x");
+    }
+
+    #[test]
+    fn table_has_header_separator_and_rows() {
+        let md = table("a | b", ["1 | 2".to_string(), "3 | 4".to_string()]);
+        assert_eq!(md, "| a | b |\n|---|---|\n| 1 | 2 |\n| 3 | 4 |\n");
+    }
+
+    #[test]
+    fn gantt_shows_overlap() {
+        let s = schedule_graph(&xfer_comp(), &vec![vec![t(1.0), t(1.0)]; 3]);
+        let g = gantt(&s, 40);
+        assert_eq!(g.lines().count(), 3); // two stages + axis
+        assert!(g.contains("xfer |"));
+        assert!(g.contains('0') && g.contains('1') && g.contains('2'));
+        // Steady-state overlap: the comp row starts after the xfer row.
+        let xfer_row = g.lines().next().unwrap();
+        let comp_row = g.lines().nth(1).unwrap();
+        let first_busy = |row: &str| row.find(|c: char| c.is_ascii_digit()).unwrap();
+        assert!(first_busy(comp_row) > first_busy(xfer_row));
+        assert!(g.lines().nth(2).unwrap().ends_with("4.000s"), "{g}");
+    }
+
+    #[test]
+    fn empty_schedule_renders_empty() {
+        let s = schedule_graph(&xfer_comp(), &[]);
+        assert!(gantt(&s, 20).is_empty());
     }
 }

@@ -7,10 +7,12 @@
 //!   ([`Bandwidth`], [`Frequency`]).
 //! * [`roofline`] — throughput-model primitives: a stage's duration is the
 //!   max over its compute-bound, memory-bound and fixed-latency terms.
-//! * [`pipeline`] — a generic in-order pipeline scheduler with shared
-//!   resources and buffer-reuse dependency edges; this is what turns
-//!   per-chunk stage costs into overlapped (or serialized) schedules for
-//!   BigKernel, double buffering and single buffering.
+//! * [`pipeline`] — the schedule types every scheduler shares
+//!   ([`pipeline::Slot`], [`SlotMeta`], [`StallKind`], the
+//!   [`ScheduleView`] trait) and a linear in-order pipeline scheduler with
+//!   shared resources and buffer-reuse edges. Runs schedule with
+//!   `bk_runtime`'s stage-graph executor; [`pipeline::schedule`] is the
+//!   test oracle it must match bit for bit on linear chains.
 //! * [`stats`] — cheap named counters for bytes moved, transactions issued,
 //!   cache hits, etc.
 //! * [`rng`] — deterministic RNG (SplitMix64) and a Zipf sampler used by the

@@ -20,6 +20,11 @@
 //!
 //! The schedule is computed by forward list scheduling in (chunk, stage)
 //! order, which is exact for in-order pipelines of this shape.
+//!
+//! Runs schedule with `bk_runtime::graph::schedule_graph`, which generalizes
+//! this scheduler to DAG dependencies, multi-unit resources and multi-GPU
+//! sharding. [`schedule`] stays as its test oracle: on a linear chain the
+//! two must produce bit-identical schedules.
 
 use crate::time::SimTime;
 use std::collections::HashMap;
@@ -370,21 +375,6 @@ pub fn schedule(spec: &PipelineSpec, durations: &[Vec<SimTime>]) -> Schedule {
     }
 }
 
-/// Convenience: a fully serialized "pipeline" — every stage of every chunk on
-/// one shared resource in order (this models the single-buffer baseline).
-pub fn serialize_all(names: &[&'static str], durations: &[Vec<SimTime>]) -> Schedule {
-    let spec = PipelineSpec::new(
-        names
-            .iter()
-            .map(|&n| StageDef {
-                name: n,
-                resource: "serial",
-            })
-            .collect(),
-    );
-    schedule(&spec, durations)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,7 +423,12 @@ mod tests {
     #[test]
     fn serialized_schedule_is_sum() {
         let d = vec![vec![t(1.0), t(2.0)]; 4];
-        let s = serialize_all(&["xfer", "comp"], &d);
+        // Every stage on one shared resource: no overlap at all.
+        let serial = |name| StageDef {
+            name,
+            resource: "serial",
+        };
+        let s = schedule(&PipelineSpec::new(vec![serial("xfer"), serial("comp")]), &d);
         assert!((s.makespan().secs() - 12.0).abs() < 1e-12);
     }
 
@@ -755,92 +750,5 @@ mod proptests {
                 prop_assert!(w[1].0 >= w[0].1, "overlap: {:?} then {:?}", w[0], w[1]);
             }
         }
-    }
-}
-
-impl Schedule {
-    /// Render an ASCII Gantt chart of the schedule: one row per stage, time
-    /// across, a digit marking which chunk (mod 10) occupies each cell —
-    /// the textual form of the paper's Fig. 2 pipeline diagram.
-    pub fn gantt(&self, width: usize) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        if self.makespan.is_zero() || width == 0 {
-            return out;
-        }
-        let cell = self.makespan.secs() / width as f64;
-        let name_w = self.stage_names.iter().map(|n| n.len()).max().unwrap_or(0);
-        for stage in 0..self.num_stages() {
-            let mut row = vec![b'.'; width];
-            for chunk in 0..self.num_chunks() {
-                let slot = self.slot(chunk, stage);
-                if slot.duration().is_zero() {
-                    continue;
-                }
-                let a = (slot.start.secs() / cell).floor() as usize;
-                let b = ((slot.finish.secs() / cell).ceil() as usize).min(width);
-                let digit = b'0' + (chunk % 10) as u8;
-                for c in row.iter_mut().take(b).skip(a.min(width)) {
-                    *c = digit;
-                }
-            }
-            let _ = writeln!(
-                out,
-                "{:>name_w$} |{}|",
-                self.stage_names[stage],
-                String::from_utf8(row).expect("ascii"),
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{:>name_w$}  0{:>w$}",
-            "",
-            format!("{}", self.makespan),
-            w = width
-        );
-        out
-    }
-}
-
-#[cfg(test)]
-mod gantt_tests {
-    use super::*;
-
-    fn t(s: f64) -> SimTime {
-        SimTime::from_secs(s)
-    }
-
-    #[test]
-    fn gantt_shows_overlap() {
-        let spec = PipelineSpec::new(vec![
-            StageDef {
-                name: "xfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "comp",
-                resource: "gpu",
-            },
-        ]);
-        let s = schedule(&spec, &vec![vec![t(1.0), t(1.0)]; 3]);
-        let g = s.gantt(40);
-        assert_eq!(g.lines().count(), 3); // two stages + axis
-        assert!(g.contains("xfer |"));
-        assert!(g.contains('0') && g.contains('1') && g.contains('2'));
-        // Steady-state overlap: the comp row starts after the xfer row.
-        let xfer_row = g.lines().next().unwrap();
-        let comp_row = g.lines().nth(1).unwrap();
-        let first_busy = |row: &str| row.find(|c: char| c.is_ascii_digit()).unwrap();
-        assert!(first_busy(comp_row) > first_busy(xfer_row));
-    }
-
-    #[test]
-    fn empty_schedule_renders_empty() {
-        let spec = PipelineSpec::new(vec![StageDef {
-            name: "a",
-            resource: "r",
-        }]);
-        let s = schedule(&spec, &[]);
-        assert!(s.gantt(20).is_empty());
     }
 }
