@@ -13,6 +13,11 @@
 //! line), so the lookup is branch-light: line/set/tag come from shifts and
 //! masks, and each set's LRU order lives in a flat `ways`-wide row moved
 //! with `copy_within` rather than a per-set `Vec`.
+//!
+//! A model that outlives one run (the streaming runner keeps each block's
+//! cache for the whole stream) is reset with [`CacheSim::clear`], which
+//! zeroes only the sets touched since the last clear instead of the whole
+//! tag array.
 
 /// Outcome of one access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,6 +52,11 @@ pub struct CacheSim {
     /// store `tag + 1` so `0` means "empty way" (tags are bounded well
     /// below `u64::MAX` because they are `addr >> line_shift / num_sets`).
     tags: Vec<u64>,
+    /// Sets that went from empty to occupied since the last
+    /// [`CacheSim::clear`], each listed once: a set is recorded on the miss
+    /// that installs into its still-empty MRU way, and its MRU way stays
+    /// non-zero until the next clear.
+    touched: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -66,6 +76,10 @@ impl CacheSim {
             num_sets > 0 && num_sets.is_power_of_two(),
             "set count must be a power of two"
         );
+        assert!(
+            num_sets <= 1 << 32,
+            "set count must fit the touched-set list"
+        );
         CacheSim {
             line_bytes,
             line_shift: line_bytes.trailing_zeros(),
@@ -74,6 +88,7 @@ impl CacheSim {
             set_shift: num_sets.trailing_zeros(),
             ways,
             tags: vec![0; (num_sets as usize) * ways],
+            touched: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -116,7 +131,11 @@ impl CacheSim {
             Access::Hit
         } else {
             // Shift everything down one way (the LRU falls off) and
-            // install at MRU.
+            // install at MRU. An empty MRU way means the set is empty: this
+            // is its first install since the last clear.
+            if row[0] == 0 {
+                self.touched.push(set_idx as u32);
+            }
             row.copy_within(0..self.ways - 1, 1);
             row[0] = tag;
             self.misses += 1;
@@ -171,6 +190,20 @@ impl CacheSim {
     pub fn reset_stats(&mut self) {
         self.hits = 0;
         self.misses = 0;
+    }
+
+    /// Empty the cache and zero its statistics. Afterwards the cache is
+    /// indistinguishable from a new one of the same geometry, but only the
+    /// sets touched since the last clear are zeroed, so clearing a cache
+    /// that saw a small working set costs that working set, not the
+    /// capacity.
+    pub fn clear(&mut self) {
+        for &set in &self.touched {
+            let at = set as usize * self.ways;
+            self.tags[at..at + self.ways].fill(0);
+        }
+        self.touched.clear();
+        self.reset_stats();
     }
 }
 
@@ -296,5 +329,74 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_pow2_sets_rejected() {
         let _ = CacheSim::new(3 * 64 * 2, 64, 2);
+    }
+
+    mod props {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// A small geometry (`line_bytes`, `ways`, `num_sets`) plus two
+        /// address sequences over a few times its capacity, so sets fill,
+        /// evict and overlap between the sequences.
+        fn geometry_and_streams() -> impl Strategy<Value = (u64, usize, u64, Vec<u64>, Vec<u64>)> {
+            (0u32..=6, 1usize..=4, 0u32..=4).prop_flat_map(|(line_log, ways, sets_log)| {
+                let (line, sets) = (1u64 << line_log, 1u64 << sets_log);
+                let span = 4 * line * ways as u64 * sets;
+                (
+                    Just(line),
+                    Just(ways),
+                    Just(sets),
+                    vec(0..span, 0..200usize),
+                    vec(0..span, 0..200usize),
+                )
+            })
+        }
+
+        fn feed(c: &mut CacheSim, addrs: &[u64]) -> Vec<Access> {
+            addrs.iter().map(|&a| c.access(a)).collect()
+        }
+
+        /// Every set index recorded at most once, and never more than the
+        /// cache has sets.
+        fn touched_is_a_set_list(c: &CacheSim) -> bool {
+            let mut seen = c.touched.clone();
+            seen.sort_unstable();
+            seen.dedup();
+            seen.len() == c.touched.len() && c.touched.len() as u64 <= c.num_sets
+        }
+
+        proptest! {
+            /// `clear()` is exact: after feeding A and clearing, the cache
+            /// answers B access for access like a new cache, ends with the
+            /// same statistics and the same tag array, and clearing a new
+            /// cache changes nothing.
+            #[test]
+            fn clear_equals_a_fresh_cache((line, ways, sets, a, b) in geometry_and_streams()) {
+                let capacity = line * ways as u64 * sets;
+                let mut fresh = CacheSim::new(capacity, line, ways);
+                fresh.clear();
+                prop_assert!(fresh.tags.iter().all(|&t| t == 0));
+                prop_assert_eq!((fresh.hits(), fresh.misses()), (0, 0));
+                prop_assert!(fresh.touched.is_empty());
+
+                let mut reused = CacheSim::new(capacity, line, ways);
+                feed(&mut reused, &a);
+                prop_assert!(touched_is_a_set_list(&reused));
+                reused.clear();
+                prop_assert!(reused.touched.is_empty());
+                prop_assert!(reused.tags == fresh.tags);
+
+                let want = feed(&mut fresh, &b);
+                let got = feed(&mut reused, &b);
+                prop_assert_eq!(got, want);
+                prop_assert_eq!(
+                    (reused.hits(), reused.misses()),
+                    (fresh.hits(), fresh.misses())
+                );
+                prop_assert!(reused.tags == fresh.tags);
+                prop_assert!(touched_is_a_set_list(&reused));
+            }
+        }
     }
 }

@@ -44,6 +44,12 @@ use std::ops::Range;
 /// the warp aligner (with its reusable trace arena), this block slot's LLC
 /// model (one assembly thread per block, so one cache each), and the pooled
 /// addr-gen/assembly scratch whose vectors cycle chunk to chunk.
+///
+/// Slots are owned by the caller of the runner, not by one run: a batch run
+/// passes a fresh pool, and the streaming runner keeps one pool for the
+/// whole stream so its windows stop rebuilding them. Every run starts by
+/// clearing each slot's LLC ([`prepare_slots`]); everything else in a slot
+/// is scratch whose contents never reach a result.
 pub(crate) struct BlockSlot {
     pub(crate) sim: BlockSim,
     pub(crate) llc: CacheSim,
@@ -70,6 +76,19 @@ impl BlockSlot {
         self.scratch.pool.give_lanes(pure.lane_addrs);
         self.scratch.pool.give_output(pure.out);
         self.scratch.pool.arena.reset();
+    }
+}
+
+/// Ready a caller-owned slot pool for one run with `active` working blocks:
+/// clear every slot's LLC model, so the run starts as cold as on new slots,
+/// then grow the pool to `active` slots. A pool that is already larger keeps
+/// its extra slots for a later run that needs them.
+pub(crate) fn prepare_slots(pool: &mut Vec<BlockSlot>, active: usize) {
+    for slot in pool.iter_mut() {
+        slot.llc.clear();
+    }
+    if pool.len() < active {
+        pool.resize_with(active, BlockSlot::new);
     }
 }
 

@@ -71,10 +71,24 @@
 //! Thread blocks beyond the §IV.D active-block count run as successive
 //! waves, reusing the active blocks' buffers (and their per-slot simulation
 //! state: warp aligner + LLC model).
+//!
+//! ## Block slots belong to the caller
+//!
+//! That per-slot state is borrowed, not built, by the runner. The public
+//! entry points ([`run_bigkernel`], [`run_bigkernel_window`],
+//! [`run_bigkernel_fused`]) pass a fresh, empty pool; the streaming runner
+//! passes one pool for the whole stream, so its windows stop allocating a
+//! 1 MiB LLC tag array per block per window. On entry the runner clears
+//! every pooled slot's LLC ([`bk_host::CacheSim::clear`], exact and
+//! proportional to the sets touched since the last clear) and grows the
+//! pool to the run's active-block count, so a run on reused slots is
+//! bit-identical to one on fresh slots.
 
 use crate::autotune::{Autotuner, RankBy, TunePlan, WindowFeedback};
 use crate::config::BigKernelConfig;
-use crate::exec::{run_chunk_assembled, run_chunk_staged, BlockSlot, ChunkCosts, WaveCell};
+use crate::exec::{
+    prepare_slots, run_chunk_assembled, run_chunk_staged, BlockSlot, ChunkCosts, WaveCell,
+};
 use crate::fault::FaultContext;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
 use crate::graph::{pipeline_graph, Executor};
@@ -387,11 +401,14 @@ pub fn run_bigkernel(
 ///
 /// This is the batch building block of the streaming runner
 /// ([`crate::stream::run_bigkernel_streamed`]): a stream of windows is a
-/// sequence of these calls, and because every record of `streams[0]` is
+/// sequence of these runs, and because every record of `streams[0]` is
 /// processed exactly once by whichever window covers it, the concatenation
 /// is functionally identical to one whole-stream run (the determinism suite
-/// pins this per app). `window` must lie inside the primary stream and, for
-/// fixed-record kernels, start on a record boundary. Kernels that scan past
+/// pins this per app). The streaming runner calls the same body on one
+/// block-slot pool it keeps for the whole stream; this entry point runs on
+/// fresh slots, and the results are bit-identical. `window` must lie inside
+/// the primary stream and, for fixed-record kernels, start on a record
+/// boundary. Kernels that scan past
 /// their range end ([`StreamKernel::halo_bytes`]) keep doing so across the
 /// window end — halos are bounded by the *stream* length, never the window.
 pub fn run_bigkernel_window(
@@ -402,8 +419,41 @@ pub fn run_bigkernel_window(
     cfg: &BigKernelConfig,
     window: Range<u64>,
 ) -> RunResult {
-    run_program(machine, &[kernel], None, streams, launch, cfg, window)
-        .expect("a single-pass program never refuses")
+    run_window_in(
+        &mut Vec::new(),
+        machine,
+        kernel,
+        streams,
+        launch,
+        cfg,
+        window,
+    )
+}
+
+/// [`run_bigkernel_window`] on caller-owned block slots: the streaming
+/// runner passes one pool for the whole stream, so consecutive windows reuse
+/// their per-block simulation state instead of rebuilding it. The result is
+/// bit-identical to a run on fresh slots (see [`prepare_slots`]).
+pub(crate) fn run_window_in(
+    slots: &mut Vec<BlockSlot>,
+    machine: &mut Machine,
+    kernel: &dyn StreamKernel,
+    streams: &[StreamArray],
+    launch: LaunchConfig,
+    cfg: &BigKernelConfig,
+    window: Range<u64>,
+) -> RunResult {
+    run_program(
+        slots,
+        machine,
+        &[kernel],
+        None,
+        streams,
+        launch,
+        cfg,
+        window,
+    )
+    .expect("a single-pass program never refuses")
 }
 
 /// Run a fused multi-pass program — `kernels[p]` is pass `p` — as **one**
@@ -452,7 +502,16 @@ pub fn run_bigkernel_fused(
         kernels.len()
     );
     let whole = 0..streams.first().map_or(0, |s| s.len());
-    run_program(machine, kernels, Some(plan), streams, launch, cfg, whole)
+    run_program(
+        &mut Vec::new(),
+        machine,
+        kernels,
+        Some(plan),
+        streams,
+        launch,
+        cfg,
+        whole,
+    )
 }
 
 /// The one pipeline runner: a program of `kernels.len()` passes over one
@@ -471,9 +530,14 @@ pub fn run_bigkernel_fused(
 /// output (covered reads are lane-local, so waves never race ahead of their
 /// inputs).
 ///
+/// `slots` is the caller's block-slot pool ([`prepare_slots`]): fresh for a
+/// batch run, one per stream for the streaming runner.
+///
 /// Fusion refusals ([`FuseRefusal`]) apply to planned programs only; a
 /// program without a plan always runs.
+#[allow(clippy::too_many_arguments)]
 fn run_program(
+    slots: &mut Vec<BlockSlot>,
     machine: &mut Machine,
     kernels: &[&dyn StreamKernel],
     plan: Option<&FusePlan>,
@@ -674,9 +738,7 @@ fn run_program(
     let mut total = SimTime::ZERO;
     let mut stage_stats = Vec::new();
     let mut total_chunks = 0usize;
-    let mut slots: Vec<BlockSlot> = (0..active_blocks.min(launch.num_blocks).max(1))
-        .map(|_| BlockSlot::new())
-        .collect();
+    prepare_slots(slots, active_blocks.min(launch.num_blocks).max(1) as usize);
 
     // Overlap-only with secondary streams: stage each whole aux stream to a
     // device buffer up front (see [`StagedAux`]).
@@ -733,7 +795,7 @@ fn run_program(
                     streams,
                     &ranges,
                     &blocks,
-                    &mut slots,
+                    slots,
                     chunk,
                     num_chunks,
                     launch,
@@ -1357,6 +1419,133 @@ mod tests {
             r1.total
         );
         assert!(r2.metrics.get("device.1.chunks") > 0, "device 1 got work");
+    }
+
+    /// A test kernel with its own §IV.D block resources, so consecutive runs
+    /// on one launch get different active-block counts.
+    struct Shaped<K> {
+        inner: K,
+        res: BlockResources,
+    }
+
+    impl<K: StreamKernel> StreamKernel for Shaped<K> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn record_size(&self) -> Option<u64> {
+            self.inner.record_size()
+        }
+        fn addresses(&self, ctx: &mut AddrGenCtx<'_>, range: Range<u64>) {
+            self.inner.addresses(ctx, range)
+        }
+        fn process(&self, ctx: &mut dyn KernelCtx, range: Range<u64>) {
+            self.inner.process(ctx, range)
+        }
+        fn resources(&self) -> BlockResources {
+            self.res
+        }
+    }
+
+    /// One block-slot pool shared by a sequence of windows gives the same
+    /// results as fresh slots per window: the LLC reset is exact and nothing
+    /// else a slot keeps reaches a result. The sequence revisits each window
+    /// with several kernels (as window-major multi-pass streaming does), so
+    /// a slot whose cache were not cleared would hit on the previous
+    /// kernel's lines. It covers empty lanes (a 20-record window on 256
+    /// lanes), write-back through the LLC, a pool that grows from 1 to 8
+    /// slots and is then used below its size, and both `parallel_blocks`
+    /// settings.
+    #[test]
+    fn shared_slot_pool_matches_fresh_slots() {
+        let n = 4096u64;
+        let launch = LaunchConfig::new(8, 32);
+        // On `test_tiny`, 1, 2 and 8 active blocks respectively.
+        let heavy = BlockResources {
+            smem_per_block: 48 * 1024,
+            ..BlockResources::streaming_default()
+        };
+        let light = BlockResources {
+            threads_per_block: 32,
+            regs_per_thread: 16,
+            smem_per_block: 0,
+        };
+        let default = BlockResources::streaming_default();
+        let windows = [0..20 * 8, 20 * 8..1500 * 8, 1500 * 8..n * 8];
+        for parallel_blocks in [false, true] {
+            let cfg = BigKernelConfig {
+                parallel_blocks,
+                ..small_cfg()
+            };
+            let mut shared = Machine::test_platform();
+            let mut fresh = Machine::test_platform();
+            let setup = |m: &mut Machine| {
+                let (stream, _) = fill_u64s(m, n);
+                let acc = m.gmem.alloc(8);
+                (stream, acc)
+            };
+            let (stream, acc) = setup(&mut shared);
+            let (stream_f, acc_f) = setup(&mut fresh);
+            assert_eq!(stream.region, stream_f.region);
+            assert_eq!(acc, acc_f);
+            let kernels: [Box<dyn StreamKernel>; 4] = [
+                Box::new(Shaped {
+                    inner: SumKernel { acc },
+                    res: heavy,
+                }),
+                Box::new(Shaped {
+                    inner: ScaleKernel,
+                    res: light,
+                }),
+                Box::new(Shaped {
+                    inner: SumBKernel { acc },
+                    res: default,
+                }),
+                Box::new(Shaped {
+                    inner: ScaleKernel,
+                    res: heavy,
+                }),
+            ];
+            let streams = [stream];
+            let mut pool = Vec::new();
+            let mut pool_sizes = Vec::new();
+            for win in &windows {
+                for k in &kernels {
+                    let a = run_window_in(
+                        &mut pool,
+                        &mut shared,
+                        k.as_ref(),
+                        &streams,
+                        launch,
+                        &cfg,
+                        win.clone(),
+                    );
+                    let b = run_bigkernel_window(
+                        &mut fresh,
+                        k.as_ref(),
+                        &streams,
+                        launch,
+                        &cfg,
+                        win.clone(),
+                    );
+                    let at = format!("{} on {win:?}, parallel {parallel_blocks}", k.name());
+                    assert_eq!(a.total.secs().to_bits(), b.total.secs().to_bits(), "{at}");
+                    assert_eq!(a.stages, b.stages, "{at}");
+                    assert_eq!(a.metrics, b.metrics, "{at}");
+                    assert_eq!(a, b, "{at}");
+                    pool_sizes.push(pool.len());
+                }
+            }
+            assert_eq!(&pool_sizes[..4], &[1, 8, 8, 8], "the pool grows once");
+            assert!(
+                windows[0].end / 8 < launch.total_threads() as u64,
+                "the first window leaves lanes empty"
+            );
+            assert_eq!(
+                shared.hmem.bytes(streams[0].region),
+                fresh.hmem.bytes(streams[0].region)
+            );
+            assert_eq!(shared.gmem.read_u64(acc, 0), fresh.gmem.read_u64(acc, 0));
+        }
     }
 }
 

@@ -4,11 +4,22 @@
 //! [`run_bigkernel_streamed`] generalizes [`run_bigkernel`] to input that
 //! *arrives over simulated time*: a [`Source`] describes the arrival curve,
 //! a [`WindowPolicy`] cuts the live stream into record-aligned windows, and
-//! each window runs through the full §III pipeline via
+//! each window runs through the full §III pipeline: the body of
 //! [`run_bigkernel_window`]. Between ingestion and the pipeline sits the
 //! [`BoundedQueue`]: at most `queue_bound` windows may be in flight, and
 //! when the bound is hit, admission stalls — attributed as
 //! `stall.ingest.backpressure` and drawn on the `ingest` trace lane.
+//!
+//! ## Per-block state lives for the stream
+//!
+//! The runner owns one pool of per-block simulation slots (warp aligner,
+//! LLC model, addr-gen scratch) for the whole stream, window-major loop and
+//! pass-major tail alike, and drops it when the stream ends. Each window
+//! starts by clearing every slot's LLC model
+//! ([`CacheSim::clear`](bk_host::CacheSim::clear)), which zeroes only the
+//! sets the previous window touched and leaves the cache exactly as cold as
+//! a new one, so a window costs no 1 MiB tag-array allocation per block and
+//! its results equal those of [`run_bigkernel_window`] on fresh slots.
 //!
 //! ## Pass ordering
 //!
@@ -46,6 +57,7 @@
 //! policy.
 //!
 //! [`run_bigkernel`]: crate::pipeline::run_bigkernel
+//! [`run_bigkernel_window`]: crate::pipeline::run_bigkernel_window
 //! [`StreamKernel::barrier_dependence`]: crate::kernel::StreamKernel::barrier_dependence
 //! [`REDETECT_MARKER_STAGE`]: bk_obs::REDETECT_MARKER_STAGE
 
@@ -56,7 +68,7 @@ use crate::autotune::{AutotuneConfig, Autotuner, TunePlan, WindowFeedback};
 use crate::config::BigKernelConfig;
 use crate::kernel::{LaunchConfig, StreamKernel};
 use crate::machine::Machine;
-use crate::pipeline::run_bigkernel_window;
+use crate::pipeline::run_window_in;
 use crate::stream::StreamArray;
 use bk_gpu::occupancy::{self, BlockResources};
 use bk_obs::{MetricsRegistry, SpanRecord, StallCause, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE};
@@ -328,6 +340,8 @@ pub fn run_bigkernel_streamed(
 
     let mut queue = BoundedQueue::new(scfg.queue_bound);
     let mut prev_fp: Option<[f64; 4]> = None;
+    // One block-slot pool for every window and pass (see the module docs).
+    let mut slots = Vec::new();
 
     for (w, win) in windows.iter().enumerate() {
         let ready = source.arrival((win.end + halo).min(len));
@@ -354,7 +368,15 @@ pub fn run_bigkernel_streamed(
         for (p, kernel) in queued_passes.iter().enumerate() {
             bk_obs::critpath::set_pass(p);
             bk_obs::trace::set_time_offset(start_hint + makespan);
-            let r = run_bigkernel_window(machine, *kernel, streams, launch, &wcfg, win.clone());
+            let r = run_window_in(
+                &mut slots,
+                machine,
+                *kernel,
+                streams,
+                launch,
+                &wcfg,
+                win.clone(),
+            );
             makespan += r.total;
             window_chunks += r.chunks;
             wm.merge(&r.metrics);
@@ -450,7 +472,15 @@ pub fn run_bigkernel_streamed(
             let wcfg = window_cfg(cfg, plan);
             for (w, win) in windows.iter().enumerate() {
                 bk_obs::trace::set_time_offset(t);
-                let r = run_bigkernel_window(machine, *kernel, streams, launch, &wcfg, win.clone());
+                let r = run_window_in(
+                    &mut slots,
+                    machine,
+                    *kernel,
+                    streams,
+                    launch,
+                    &wcfg,
+                    win.clone(),
+                );
                 t += r.total;
                 total_chunks += r.chunks;
                 reports[w].makespan += r.total;
