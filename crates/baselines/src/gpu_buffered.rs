@@ -22,15 +22,18 @@
 //!
 //! Like the BigKernel pipeline, the simulation of one window is split into
 //! per-block granules of `threads_per_block` lanes, and each granule runs
-//! BigKernel's own staged lane loop ([`bk_runtime::compute_staged`]). For
+//! BigKernel's own staged lane loop ([`bk_runtime::compute_staged`]).
+//! `parallel_blocks` selects the host algorithm. With it on, granules of
 //! kernels whose device effects are log-replayable
-//! ([`DeviceEffects::Replayable`]) each granule runs against a write log
-//! over a read snapshot of device memory; the logs replay in granule order,
-//! so results are bit-identical whether the granules were simulated
-//! concurrently (`parallel_blocks`) or one by one. A replay conflict (another
-//! granule changed a value this one read) re-executes that granule live, in
-//! order. `DeviceEffects::Sequential` kernels skip the logged phase and run
-//! every granule live in order. The window loop itself stays here: whole
+//! ([`DeviceEffects::Replayable`]) run concurrently against write logs over
+//! a read snapshot of device memory, and the logs replay in granule order.
+//! A replay conflict (another granule changed a value this one read)
+//! re-executes that granule live, in order, and counts under
+//! `parallel.replay_conflicts`. With it off — and always for
+//! `DeviceEffects::Sequential` kernels — every granule runs live in granule
+//! order with no log. Both produce the sequential schedule's result, so the
+//! model is bit-identical; only the conflict counter differs (0 when
+//! live). The window loop itself stays here: whole
 //! windows are staged at once with no address generation, so BigKernel's
 //! per-block chunk runner has nothing to offer it (DESIGN.md §6).
 
@@ -55,9 +58,11 @@ pub struct BaselineConfig {
     pub window_bytes: u64,
     /// Cost of one kernel invocation (driver + launch + context setup).
     pub kernel_launch_overhead: SimTime,
-    /// Simulate the per-block granules of each window on multiple host
-    /// threads. Bit-identical to the sequential schedule (device effects
-    /// replay in granule order); purely a simulator-throughput knob.
+    /// Select the host algorithm for a window's granules. On: granules run
+    /// concurrently against write logs that replay in granule order. Off:
+    /// every granule runs live in granule order, with no write log. The
+    /// model is identical either way, except `parallel.replay_conflicts`,
+    /// which counts wasted logged attempts and so is 0 when off.
     pub parallel_blocks: bool,
 }
 
@@ -138,8 +143,8 @@ fn run_buffered(
     let halo = kernel.halo_bytes();
     let total_threads = launch.total_threads();
     let tpb = launch.threads_per_block;
-    let logged = kernel.device_effects() == DeviceEffects::Replayable;
-    let parallel = logged && cfg.parallel_blocks;
+    // The logged algorithm only pays off on concurrent granules.
+    let logged = kernel.device_effects() == DeviceEffects::Replayable && cfg.parallel_blocks;
 
     let res = kernel.resources();
     let block_res = BlockResources {
@@ -255,7 +260,7 @@ fn run_buffered(
                 done.effects = Some(log.finish());
                 cell.computed = Some(done);
             };
-            if parallel && cells.len() > 1 {
+            if cells.len() > 1 {
                 cells.par_iter_mut().for_each(run);
             } else {
                 cells.iter_mut().for_each(run);

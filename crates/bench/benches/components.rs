@@ -64,8 +64,10 @@ fn bench_warp_align(c: &mut Criterion) {
 
 /// Blocks/sec of the full BigKernel pipeline simulation, per app, at
 /// 1 thread (the shape the addr-gen/assembly fast path is tuned against),
-/// plus a KMeans all-cores tier for the `parallel_blocks` payoff (results
-/// are bit-identical either way; see the determinism suite).
+/// plus a KMeans all-cores tier for the `parallel_blocks` payoff. Each tier
+/// sets `parallel_blocks` as `--threads` does: off (live, in block order) at
+/// 1 thread, on (logged, replayed) above. Simulated results are
+/// bit-identical either way; see the determinism suite.
 fn bench_sim_throughput(c: &mut Criterion) {
     use bk_apps::{run_implementation, HarnessConfig, Implementation};
     use bk_bench::{all_apps, short_name};
@@ -95,7 +97,9 @@ fn bench_sim_throughput(c: &mut Criterion) {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let cfg = cfg.clone();
+            let mut cfg = cfg.clone();
+            cfg.bigkernel.parallel_blocks = threads > 1;
+            cfg.baseline.parallel_blocks = threads > 1;
             let app = &app;
             group.bench_function(format!("{name}-2mib-8blocks/threads-{threads}"), |b| {
                 b.iter_batched(

@@ -10,7 +10,8 @@ pub struct ExpArgs {
     /// Only run apps whose name contains this substring.
     pub filter: Option<String>,
     /// Host threads for the block-wave simulation (`None` = rayon default,
-    /// one per core). `1` forces the sequential path — results are
+    /// one per core). `1` also selects the live, in-order block algorithm
+    /// (see [`ExpArgs::apply_threads`]) — simulated results are
     /// bit-identical either way.
     pub threads: Option<usize>,
     /// Platform preset name (`--machine`); `None` keeps each binary's
@@ -332,8 +333,11 @@ impl ExpArgs {
     }
 
     /// Cap the global rayon pool at `--threads` (call once, before the
-    /// first parallel region). `--threads 1` also forces the sequential
-    /// block-simulation path in `cfg` — bit-identical, just single-threaded.
+    /// first parallel region). `--threads 1` also turns `parallel_blocks`
+    /// off in `cfg`, which selects the live, in-order block algorithm
+    /// instead of the logged one. The model is identical either way; only
+    /// `parallel.replay_conflicts` differs, counting logged runs' wasted
+    /// attempts (0 when live).
     pub fn apply_threads(&self, cfg: &mut bk_apps::HarnessConfig) {
         if let Some(t) = self.threads {
             // Ignore the error: the pool can only be built once per

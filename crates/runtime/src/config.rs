@@ -89,11 +89,14 @@ pub struct BigKernelConfig {
     /// Verify at every compute-stage access that the address stream entry
     /// matches (the compiler-correctness cross-check). Cheap; on by default.
     pub verify_reads: bool,
-    /// Simulate the blocks of each wave on multiple host threads. Results
-    /// are bit-identical to the sequential schedule (the pure costing phase
-    /// runs concurrently; device effects replay in block order), so this is
-    /// purely a simulator-throughput knob. Kernels declaring
-    /// `DeviceEffects::Sequential` ignore it.
+    /// Select the host algorithm for a chunk's blocks. On: the logged
+    /// algorithm — the pure phases run on the host thread pool and device
+    /// effects replay from per-block write logs in block order. Off: every
+    /// block runs live in block order, with no write log. The model is
+    /// identical either way (outputs, simulated times, every metric), except
+    /// `parallel.replay_conflicts`, which counts wasted logged attempts and
+    /// so is 0 when off. Kernels declaring `DeviceEffects::Sequential`
+    /// always run live.
     pub parallel_blocks: bool,
     /// How chunks are dealt out across the machine's simulated GPUs (only
     /// meaningful when `Machine::num_gpus() > 1`). A timing-level decision:

@@ -13,10 +13,10 @@
 //! BigKernel, volume reduction) and [`run_chunk_staged`] (overlap only) —
 //! and one kernel lane loop per layout: `compute_assembled` and
 //! [`compute_staged`], generic over the [`DevMemory`] backend. Logged
-//! (parallel replay) and live (in-order) execution differ only in the
-//! backend the caller passes; `DeviceEffects::Sequential` kernels run the
-//! same runner one block at a time with logging off. The buffered
-//! baselines call [`compute_staged`] too.
+//! (parallel replay, under `parallel_blocks`) and live (in-order) execution
+//! differ only in the backend the caller passes; `DeviceEffects::Sequential`
+//! kernels run the same runner one block at a time with logging off. The
+//! buffered baselines call [`compute_staged`] too.
 //!
 //! Functional execution always uses the primary device's memory image
 //! (`machine.gmem` is one unified image shared by all simulated devices)
@@ -494,13 +494,15 @@ fn compute_assembled<M: DevMemory>(
 /// One chunk of the assembled path (full BigKernel and the
 /// volume-reduction variant) for `cells`, in four phases.
 ///
-/// A and C are pure and may run on the rayon pool; B and D are ordered.
-/// `logged` selects how phase C runs the kernel body: against each block's
-/// write log over the chunk-start snapshot (replayed in block order in
-/// phase D, where a conflicting block re-executes live at its turn), or not
-/// at all, so every block runs live in phase D. Sequential-capability
-/// kernels pass one cell at a time with `logged` off, which keeps their
-/// stages strictly A→B→C→D per block.
+/// A and C are pure; B and D are ordered. `logged` selects the algorithm.
+/// Logged, phases A and C run on the rayon pool and C runs the kernel body
+/// against each block's write log over the chunk-start snapshot (replayed
+/// in block order in phase D, where a conflicting block re-executes live at
+/// its turn). Live, A runs block by block, C is skipped and every block
+/// runs the kernel body live in phase D, in block order. Both produce the
+/// sequential schedule's result. Sequential-capability kernels pass one
+/// cell at a time with `logged` off, which keeps their stages strictly
+/// A→B→D per block.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chunk_assembled(
     machine: &mut Machine,
@@ -508,7 +510,6 @@ pub(crate) fn run_chunk_assembled(
     streams: &[StreamArray],
     cells: &mut [WaveCell<'_>],
     logged: bool,
-    parallel: bool,
     launch: LaunchConfig,
     cfg: &BigKernelConfig,
     io: Option<&PassIo>,
@@ -516,10 +517,10 @@ pub(crate) fn run_chunk_assembled(
     metrics: &mut MetricsRegistry,
 ) {
     let tpb = launch.threads_per_block;
-    // Phase A (pure, concurrent): stages 1–2 per block.
+    // Phase A (pure; concurrent when logged): stages 1–2 per block.
     {
         let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
+        for_each_cell(logged, cells, |cell| {
             let WaveCell {
                 slices, slot, pure, ..
             } = cell;
@@ -547,11 +548,11 @@ pub(crate) fn run_chunk_assembled(
         *write_buf = wb;
     }
 
-    // Phase C (pure, concurrent): kernel body against each block's write
-    // log over the chunk-start snapshot.
+    // Phase C (pure, concurrent; logged only): kernel body against each
+    // block's write log over the chunk-start snapshot.
     if logged {
         let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
+        for_each_cell(logged, cells, |cell| {
             let WaveCell {
                 block,
                 slices,
@@ -886,17 +887,16 @@ pub(crate) fn run_chunk_staged(
     aux: &[(StreamId, bk_gpu::BufferId)],
     cells: &mut [WaveCell<'_>],
     logged: bool,
-    parallel: bool,
     launch: LaunchConfig,
     costs: &mut ChunkCosts,
     metrics: &mut MetricsRegistry,
 ) {
     let tpb = launch.threads_per_block;
-    // Phase A (pure, concurrent): staging layout + host-side gather into the
-    // slot's pinned arena.
+    // Phase A (pure; concurrent when logged): staging layout + host-side
+    // gather into the slot's pinned arena.
     {
         let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
+        for_each_cell(logged, cells, |cell| {
             let WaveCell {
                 slices,
                 slot,
@@ -931,12 +931,12 @@ pub(crate) fn run_chunk_staged(
         ));
     }
 
-    // Phase C (pure, concurrent): kernel body against per-block logs. The
-    // staged chunk itself is a private mirror: in-place modifications
-    // commit wholesale on replay.
+    // Phase C (pure, concurrent; logged only): kernel body against
+    // per-block logs. The staged chunk itself is a private mirror: in-place
+    // modifications commit wholesale on replay.
     if logged {
         let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
+        for_each_cell(logged, cells, |cell| {
             let WaveCell {
                 block,
                 slices,

@@ -43,14 +43,15 @@
 //! ## Two-phase block simulation
 //!
 //! Simulating one chunk means simulating every active block's stage work.
-//! For kernels whose device effects are log-replayable (the default, see
-//! [`DeviceEffects`]) each block's work is split into
+//! `cfg.parallel_blocks` selects the host algorithm; the model is the same
+//! either way. With it on, kernels whose device effects are log-replayable
+//! (the default, see [`DeviceEffects`]) split each block's work into
 //!
 //! * a **pure costing phase** — address-slice execution, §IV.A pattern
 //!   recognition, assembly + LLC simulation, warp-trace alignment and the
 //!   kernel body run against a per-block write log ([`bk_gpu::BlockLog`])
 //!   over a read snapshot of device memory — which touches no shared
-//!   simulator state and therefore may run on multiple host threads, and
+//!   simulator state and therefore runs on the rayon pool, and
 //! * an **ordered effects phase** — device-buffer writes and atomics
 //!   replayed from each block's log *in block order*, followed by host
 //!   write-back — which is serial and makes the result bit-identical to the
@@ -59,14 +60,21 @@
 //! If a logged observation (a device load or CAS result consumed by the
 //! kernel) no longer holds at replay time, the replay rolls back and the
 //! block re-executes against live memory at its in-order turn — exactly what
-//! the sequential schedule would have computed. `cfg.parallel_blocks` only
-//! toggles whether the pure phases use the rayon pool: both settings run the
-//! identical logged algorithm, so metrics, times and outputs match bit for
-//! bit. Kernels whose device ops are *not* log-replayable (e.g. consuming
+//! the sequential schedule would have computed. Each such wasted attempt
+//! counts under `parallel.replay_conflicts`.
+//!
+//! With `parallel_blocks` off there is no concurrency for a write log to buy,
+//! so the runner skips it: every block's pure phase runs in block order, then
+//! every block's kernel body runs live, in block order — the sequential
+//! schedule itself. Metrics, simulated times and outputs are bit-identical
+//! to the logged run; only `parallel.replay_conflicts` differs, and it is
+//! always 0 on the live path, which logs nothing.
+//!
+//! Kernels whose device ops are *not* log-replayable (e.g. consuming
 //! `atomic_add` return values across blocks) declare
 //! [`DeviceEffects::Sequential`]: the same chunk runner takes their blocks
-//! one at a time with logging off, so each block runs live and finishes all
-//! its stages before the next block starts: the sequential schedule itself.
+//! one at a time with logging off under either setting, so each block runs
+//! live and finishes all its stages before the next block starts.
 //!
 //! Thread blocks beyond the §IV.D active-block count run as successive
 //! waves, reusing the active blocks' buffers (and their per-slot simulation
@@ -236,7 +244,6 @@ fn simulate_chunk(
     io: Option<&PassIo>,
     aux: &mut StagedAux,
     logged: bool,
-    parallel: bool,
     ag_pool: &GpuPool,
     comp_pool: &GpuPool,
     sync_costs: &sync::SyncCosts,
@@ -279,18 +286,21 @@ fn simulate_chunk(
     }
 
     // Sequential-capability kernels run the chunk one block at a time, so
-    // each block's stages complete before the next block's begin.
-    let group_len = if logged { cells.len() } else { 1 };
+    // each block's stages complete before the next block's begin. Replayable
+    // kernels keep the whole chunk as one group, logged or live: phase A for
+    // every block, then phase B for every block, then phase D in block order.
+    let group_len = match kernel.device_effects() {
+        DeviceEffects::Replayable => cells.len(),
+        DeviceEffects::Sequential => 1,
+    };
     for group in cells.chunks_mut(group_len) {
         if cfg.transfer_all {
             run_chunk_staged(
-                machine, kernel, streams, &aux.table, group, logged, parallel, launch, &mut costs,
-                metrics,
+                machine, kernel, streams, &aux.table, group, logged, launch, &mut costs, metrics,
             );
         } else {
             run_chunk_assembled(
-                machine, kernel, streams, group, logged, parallel, launch, cfg, io, &mut costs,
-                metrics,
+                machine, kernel, streams, group, logged, launch, cfg, io, &mut costs, metrics,
             );
         }
     }
@@ -781,12 +791,13 @@ fn run_program(
         // nothing.
         let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(passes * num_chunks);
         for (p, kernel) in kernels.iter().enumerate() {
-            // Capability gate: only log-replayable kernels run the two-phase
-            // algorithm. `parallel_blocks` then merely toggles the thread
-            // pool — the algorithm (and thus every observable result) is the
-            // same either way.
-            let logged = kernel.device_effects() == DeviceEffects::Replayable;
-            let parallel = logged && cfg.parallel_blocks;
+            // Only log-replayable kernels may run the logged algorithm, and
+            // only `parallel_blocks` asks for it: on one host thread the
+            // write log buys no concurrency, so blocks run live in block
+            // order instead. Either way the result is the sequential
+            // schedule's; only `parallel.replay_conflicts` tells them apart.
+            let logged =
+                kernel.device_effects() == DeviceEffects::Replayable && cfg.parallel_blocks;
             let io = plan.map(|plan| &plan.io[p]);
             for chunk in 0..num_chunks {
                 let stages = simulate_chunk(
@@ -803,7 +814,6 @@ fn run_program(
                     io,
                     &mut aux,
                     logged,
-                    parallel,
                     &ag_pool,
                     &comp_pool,
                     &sync_costs,
@@ -1755,10 +1765,13 @@ mod parallel_tests {
         // counter — the sequential schedule's exact outcome.
         assert_eq!((t0, t8), (1, 127));
         assert_eq!((s0, s8), (1, 127));
-        assert_eq!(r_par, r_seq);
+        // The sequential run takes the live path: it logs nothing, so it
+        // reports no conflicts, and everything else matches.
+        r_par.assert_same_model(&r_seq, "race");
         // In the first wave every concurrently simulated block except the
         // first observes stale state and must re-execute in order.
         let first_wave_blocks = r_par.metrics.get("launch.active_blocks").min(4);
+        assert!(first_wave_blocks > 1, "the race needs concurrent blocks");
         assert_eq!(
             r_par.metrics.get("parallel.replay_conflicts"),
             first_wave_blocks - 1
