@@ -19,13 +19,14 @@ use bk_apps::netflix::Netflix;
 use bk_apps::opinion::OpinionFinder;
 use bk_apps::wordcount::WordCount;
 use bk_apps::{
-    run_implementation, run_streamed, run_streamed_at_rate, BenchApp, HarnessConfig, Implementation,
+    drifting_apps, run_implementation, run_streamed, run_streamed_at_rate, BenchApp, HarnessConfig,
+    Implementation,
 };
 use bk_baselines::BigKernelVariant;
 use bk_runtime::stream::{HiccupSource, ReplaySource};
 use bk_runtime::{
     AutotuneConfig, DeviceFailure, FaultPlan, FaultSite, FaultStage, LaunchConfig, Machine,
-    RunResult, StreamConfig, WindowPolicy,
+    RunResult, StreamConfig, StreamResult, WindowPolicy,
 };
 use bk_simcore::SimTime;
 use proptest::prelude::*;
@@ -478,185 +479,6 @@ fn tracing_on_or_off_is_bit_identical_for_every_app() {
     }
 }
 
-/// [`run_faulted`] with the adaptive occupancy autotuner enabled at the
-/// given starting reuse depth; panics if the tuned run fails verification.
-#[allow(clippy::too_many_arguments)]
-fn run_tuned(
-    app: &dyn BenchApp,
-    launch: LaunchConfig,
-    chunk_bytes: u64,
-    bytes: u64,
-    parallel: bool,
-    depth: usize,
-    tune: AutotuneConfig,
-    faults: Option<FaultPlan>,
-) -> RunResult {
-    let mut cfg = HarnessConfig::test_small();
-    cfg.launch = launch;
-    cfg.bigkernel.chunk_input_bytes = chunk_bytes;
-    cfg.bigkernel.parallel_blocks = parallel;
-    cfg.bigkernel.buffer_depth = depth;
-    cfg.bigkernel.autotune = Some(tune);
-    cfg.bigkernel.faults = faults;
-    let mut machine = Machine::test_platform();
-    let instance = app.instantiate(&mut machine, bytes, 42);
-    let result = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-    if let Err(e) = (instance.verify)(&machine) {
-        panic!(
-            "{} failed verification with autotune (parallel={parallel}): {e}",
-            app.spec().name
-        );
-    }
-    result
-}
-
-/// The autotuner's determinism contract, half one: tuning re-plans the
-/// schedule, never the computation. For every application an autotuned run
-/// verifies against the pure-Rust reference (bit-identical outputs — the
-/// verify closure compares machine state) and its functional stream byte
-/// counters match the untuned run exactly.
-#[test]
-fn autotuned_outputs_identical_to_untuned_for_every_app() {
-    let launch = LaunchConfig::new(4, 32);
-    // Freeze the chunk knob (min == max == the configured chunk size): a
-    // wave-boundary re-chunk moves chunk *boundaries*, which legitimately
-    // shifts per-chunk edge-read accounting while leaving the outputs
-    // untouched (verification still passes either way — `run_tuned` panics
-    // otherwise). Pinning it lets this test demand exact counter equality
-    // for the depth/buffer re-plans, which never touch execution at all.
-    let tune = AutotuneConfig {
-        min_chunk_bytes: 16 * 1024,
-        max_chunk_bytes: 16 * 1024,
-        ..AutotuneConfig::default()
-    };
-    for app in all_apps() {
-        let name = app.spec().name;
-        let plain = run_once(
-            app.as_ref(),
-            Implementation::BigKernel,
-            launch,
-            16 * 1024,
-            192 * 1024,
-            true,
-        );
-        let tuned = run_tuned(
-            app.as_ref(),
-            launch,
-            16 * 1024,
-            192 * 1024,
-            true,
-            3,
-            tune.clone(),
-            None,
-        );
-        for key in ["stream.bytes_read", "stream.bytes_written"] {
-            assert_eq!(
-                plain.metrics.get(key),
-                tuned.metrics.get(key),
-                "{name}: {key} changed with autotune enabled"
-            );
-        }
-        assert!(
-            tuned.metrics.get("autotune.windows") > 0,
-            "{name}: tuner never observed a window"
-        );
-    }
-}
-
-/// Determinism contract, half two: re-plan decisions are pure functions of
-/// the recorded schedule, so the same seed reproduces the same re-plan
-/// sequence regardless of host threading. The full [`RunResult`] — including
-/// `autotune.retune` and the `hist.autotune.depth` decision trace — is
-/// bit-identical between parallel and sequential block simulation.
-#[test]
-fn autotune_replan_sequence_identical_across_thread_counts() {
-    let launch = LaunchConfig::new(4, 32);
-    // Start shallow with a hair-trigger threshold so the controller really
-    // acts (stall fractions at test scale are small but nonzero).
-    let tune = AutotuneConfig {
-        interval: 2,
-        stall_threshold: 0.01,
-        ..AutotuneConfig::default()
-    };
-    let mut total_retunes = 0u64;
-    for app in all_apps() {
-        let par = run_tuned(
-            app.as_ref(),
-            launch,
-            16 * 1024,
-            192 * 1024,
-            true,
-            1,
-            tune.clone(),
-            None,
-        );
-        let seq = run_tuned(
-            app.as_ref(),
-            launch,
-            16 * 1024,
-            192 * 1024,
-            false,
-            1,
-            tune.clone(),
-            None,
-        );
-        par.assert_same_model(&seq, &format!("{} autotuned", app.spec().name));
-        total_retunes += par.metrics.get("autotune.retune");
-    }
-    assert!(
-        total_retunes > 0,
-        "no app ever re-planned; the sequence being pinned is empty"
-    );
-}
-
-/// Fault interplay: when the recovery ladder degrades the stage graph
-/// mid-run, the controller adopts the degraded depths and keeps tuning from
-/// there ("retuned, not reset") — the run verifies, records both the
-/// degradation and the adoption re-plan, and stays bit-reproducible.
-#[test]
-fn degraded_graph_is_retuned_not_reset() {
-    let launch = LaunchConfig::new(4, 32);
-    // times > max_retries (3) forces a degradation at chunk 1.
-    let plan = FaultPlan {
-        seed: 7,
-        rate: 0.0,
-        sites: vec![FaultSite {
-            stage: FaultStage::Compute,
-            chunk: 1,
-            times: 5,
-        }],
-        device_failure: None,
-        ..FaultPlan::default()
-    };
-    let app = KMeans::default();
-    let run = |parallel| {
-        run_tuned(
-            &app,
-            launch,
-            16 * 1024,
-            192 * 1024,
-            parallel,
-            3,
-            AutotuneConfig::default(),
-            Some(plan.clone()),
-        )
-    };
-    let r = run(true);
-    assert!(
-        r.metrics.get("fault.degraded") > 0,
-        "the fault site never degraded the graph"
-    );
-    assert!(
-        r.metrics.get("autotune.retune") >= 1,
-        "tuner did not adopt the degraded graph as a re-plan"
-    );
-    assert_eq!(
-        r,
-        run(false),
-        "degraded+tuned run diverged across threading"
-    );
-}
-
 /// The raw-speed assembly knobs (DESIGN.md §13) never change what a run
 /// computes: every (simd, order) combination must verify against the
 /// pure-Rust reference, and the SIMD dispatch specifically must be
@@ -773,14 +595,13 @@ fn fused_runs_verify_identically_for_every_app() {
 }
 
 /// Features in combination, all through the one pipeline runner: fusion ×
-/// fault injection ([`busy_plan`]: retries plus a device death) × the
-/// adaptive autotuner × two GPUs. For every application whose passes fuse,
-/// the combined run must verify against the pure-Rust reference, leave every
-/// mapped non-scratch host region bit-identical to the plain unfused run on
-/// one GPU, and
-/// its critical-path blame must tile the makespan exactly.
+/// fault injection ([`busy_plan`]: retries plus a device death) × two GPUs.
+/// For every application whose passes fuse, the combined run must verify
+/// against the pure-Rust reference, leave every mapped non-scratch host
+/// region bit-identical to the plain unfused run on one GPU, and its
+/// critical-path blame must tile the makespan exactly.
 #[test]
-fn fused_faulted_autotuned_multi_gpu_runs_match_the_clean_unfused_run() {
+fn fused_faulted_multi_gpu_runs_match_the_clean_unfused_run() {
     let apps: Vec<Box<dyn BenchApp + Sync>> = vec![
         Box::new(KMeans::default()),
         Box::new(FilterCount),
@@ -794,7 +615,6 @@ fn fused_faulted_autotuned_multi_gpu_runs_match_the_clean_unfused_run() {
                 cfg.fuse = true;
                 cfg.gpus = 2;
                 cfg.bigkernel.faults = Some(busy_plan());
-                cfg.bigkernel.autotune = Some(AutotuneConfig::default());
             }
             let mut machine = Machine::test_platform();
             machine.replicate_gpus(cfg.gpus);
@@ -821,12 +641,7 @@ fn fused_faulted_autotuned_multi_gpu_runs_match_the_clean_unfused_run() {
         let (composed, waves, regions) = run(true);
 
         // Every feature really engaged.
-        for key in [
-            "fusion.fused",
-            "fault.injected",
-            "fault.failed_over",
-            "autotune.windows",
-        ] {
+        for key in ["fusion.fused", "fault.injected", "fault.failed_over"] {
             assert!(composed.metrics.get(key) > 0, "{name}: {key} is zero");
         }
         assert_eq!(regions, clean, "{name}: mapped streams diverged");
@@ -901,6 +716,124 @@ fn streamed_matches_batch_bit_identical_for_every_app() {
             }
         }
     }
+}
+
+/// Bytes streamed by every tuned-stream run.
+const TUNED_STREAM_BYTES: u64 = 96 * 1024;
+
+/// One drifting app streamed through 32 KiB windows of 2 KiB chunks (eight
+/// per block, enough for buffer-reuse stall at depth 3), with or without
+/// the between-window tuner (DESIGN.md §12) at a hair-trigger stall
+/// threshold, so the controller really re-plans depths and chunk size at
+/// window boundaries. Every run must verify (`run_streamed` panics
+/// otherwise).
+fn tuned_stream(
+    app: &dyn BenchApp,
+    autotune: Option<AutotuneConfig>,
+    parallel: bool,
+) -> (StreamResult, Machine) {
+    let mut cfg = HarnessConfig::test_small();
+    cfg.bigkernel.parallel_blocks = parallel;
+    cfg.bigkernel.chunk_input_bytes = 2 * 1024;
+    let scfg = StreamConfig {
+        policy: WindowPolicy::ByBytes(32 * 1024),
+        redetect_threshold: 0.4,
+        autotune,
+        ..StreamConfig::default()
+    };
+    run_streamed_at_rate(app, TUNED_STREAM_BYTES, 42, &cfg, &scfg, 1e9)
+}
+
+fn hair_trigger_tuner() -> AutotuneConfig {
+    AutotuneConfig {
+        stall_threshold: 0.01,
+        ..AutotuneConfig::default()
+    }
+}
+
+/// The between-window tuner end to end: on every drifting app, the tuned
+/// streamed run leaves every mapped non-scratch host region bit-identical
+/// to the untuned streamed run, and the tuner is really exercised (some
+/// app re-plans, and some app deepens a reuse edge).
+#[test]
+fn autotuned_outputs_identical_to_untuned_for_every_app() {
+    let mut total_retunes = 0u64;
+    let mut deepened = false;
+    for app in drifting_apps() {
+        let name = app.spec().name;
+        // Instantiation is deterministic on identical fresh machines, so
+        // this instance's region ids address every run's mapped arrays.
+        let instance = app.instantiate(
+            &mut (HarnessConfig::test_small().machine)(),
+            TUNED_STREAM_BYTES,
+            42,
+        );
+        let regions = |m: &Machine| -> Vec<Vec<u8>> {
+            instance
+                .streams
+                .iter()
+                .filter(|s| !instance.scratch_streams.contains(&s.id))
+                .map(|s| m.hmem.bytes(s.region).to_vec())
+                .collect()
+        };
+        let (_, plain) = tuned_stream(app.as_ref(), None, true);
+        let (result, tuned) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), true);
+        assert_eq!(
+            regions(&tuned),
+            regions(&plain),
+            "{name}: tuned streamed run changed the mapped streams"
+        );
+        total_retunes += result.retunes;
+        deepened |= result.metrics.get("autotune.depth") > 3;
+    }
+    assert!(
+        total_retunes > 0,
+        "no drifting app ever re-planned; the tuner was never exercised"
+    );
+    assert!(deepened, "no drifting app ever deepened a reuse edge");
+}
+
+/// Re-plans are pure functions of the recorded schedule, so the tuned
+/// stream's re-plan sequence does not depend on host threading:
+/// `parallel_blocks` on and off must give the same [`StreamResult`] —
+/// windows, `total` to the bit, chunks, retunes, and every metric once
+/// `parallel.replay_conflicts` is removed, as
+/// [`RunResult::assert_same_model`] does.
+#[test]
+fn autotune_replan_sequence_identical_across_thread_counts() {
+    const CONFLICTS: &str = "parallel.replay_conflicts";
+    let mut total_retunes = 0u64;
+    for app in drifting_apps() {
+        let name = app.spec().name;
+        let (par, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), true);
+        let (seq, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), false);
+        assert_eq!(
+            seq.metrics.get(CONFLICTS),
+            0,
+            "{name}: sequential run logged blocks"
+        );
+        let model = |r: &StreamResult| {
+            let mut m = r.metrics.clone();
+            m.remove(CONFLICTS);
+            (
+                r.windows.clone(),
+                r.total.secs().to_bits(),
+                r.chunks,
+                r.retunes,
+                m,
+            )
+        };
+        assert_eq!(
+            model(&par),
+            model(&seq),
+            "{name}: tuned stream diverged between parallel and sequential blocks"
+        );
+        total_retunes += par.retunes;
+    }
+    assert!(
+        total_retunes > 0,
+        "no drifting app ever re-planned; the comparison never saw a re-plan"
+    );
 }
 
 proptest! {

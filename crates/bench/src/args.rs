@@ -28,13 +28,10 @@ pub struct ExpArgs {
     /// Write-back buffer count (`--buffers N`); `None` follows the
     /// prefetch-data depth, as in the paper.
     pub buffers: Option<usize>,
-    /// Adaptive occupancy autotuning (`--autotune on|off`); `None` keeps
-    /// the config default (off).
+    /// Streaming between-window tuner (`--autotune on|off`, DESIGN.md §12);
+    /// `None` keeps the streaming default (off). Only the streaming binary
+    /// consults it.
     pub autotune: Option<bool>,
-    /// Autotuner reuse-edge ranking signal (`--autotune-rank
-    /// stall|critpath`); `None` keeps the controller default (raw stall
-    /// fractions). Only meaningful when the autotuner is enabled.
-    pub autotune_rank: Option<bk_runtime::RankBy>,
     /// Assembly gather ordering (`--assembly-order natural|cache-blocked|auto`);
     /// `None` keeps the config default (auto).
     pub assembly_order: Option<bk_runtime::AssemblyOrder>,
@@ -67,7 +64,6 @@ impl Default for ExpArgs {
             reuse_depth: None,
             buffers: None,
             autotune: None,
-            autotune_rank: None,
             assembly_order: None,
             simd: None,
             fuse: None,
@@ -121,7 +117,6 @@ impl ExpArgs {
     /// Parse `--bytes N`, `--mib N`, `--seed S`, `--app SUBSTR`,
     /// `--threads N`, `--machine NAME`, `--gpus N`, `--faults SPEC`,
     /// `--reuse-depth N`, `--buffers N`, `--autotune on|off`,
-    /// `--autotune-rank stall|critpath`,
     /// `--assembly-order natural|cache-blocked|auto`, `--simd on|off`,
     /// `--fuse[=on|off]`, `--window bytes=N|records=N|interval-us=F`,
     /// `--queue-bound N` from an iterator of arguments (pass
@@ -217,17 +212,6 @@ impl ExpArgs {
                         other => return Err(format!("--autotune: expected on|off, got {other:?}")),
                     };
                 }
-                "--autotune-rank" => {
-                    out.autotune_rank = match value("--autotune-rank")?.as_str() {
-                        "stall" => Some(bk_runtime::RankBy::StallFraction),
-                        "critpath" => Some(bk_runtime::RankBy::CritBlame),
-                        other => {
-                            return Err(format!(
-                                "--autotune-rank: expected stall|critpath, got {other:?}"
-                            ))
-                        }
-                    };
-                }
                 "--assembly-order" => {
                     out.assembly_order = match value("--assembly-order")?.as_str() {
                         "natural" => Some(bk_runtime::AssemblyOrder::Natural),
@@ -275,7 +259,6 @@ impl ExpArgs {
                         "usage: [--bytes N | --mib N] [--seed S] [--app SUBSTR] [--threads N] \
                          [--machine gtx680|tesla-like|test-tiny] [--gpus N] [--faults SPEC] \
                          [--reuse-depth N] [--buffers N] [--autotune on|off] \
-                         [--autotune-rank stall|critpath] \
                          [--assembly-order natural|cache-blocked|auto] [--simd on|off] \
                          [--fuse[=on|off]] [--window bytes=N|records=N|interval-us=F] \
                          [--queue-bound N]\n\
@@ -369,23 +352,12 @@ impl ExpArgs {
         if let Some(plan) = &self.faults {
             cfg.bigkernel.faults = Some(plan.clone());
         }
-        // Buffer knobs and the autotuner also target the bigkernel pipeline
-        // only (the baselines keep their own double-buffer semantics).
+        // Buffer knobs also target the bigkernel pipeline only (the baselines keep their own double-buffer semantics).
         if let Some(d) = self.reuse_depth {
             cfg.bigkernel.buffer_depth = d;
         }
         if let Some(b) = self.buffers {
             cfg.bigkernel.wb_buffer_depth = Some(b);
-        }
-        if let Some(on) = self.autotune {
-            cfg.bigkernel.autotune = on.then(bk_runtime::AutotuneConfig::default);
-        }
-        // The ranking signal rides on an enabled tuner (from `--autotune on`
-        // or a config that defaults it on); on its own it is a no-op.
-        if let Some(rank) = self.autotune_rank {
-            if let Some(tune) = &mut cfg.bigkernel.autotune {
-                tune.rank_by = rank;
-            }
         }
         // Assembly knobs change wall-clock behaviour only — simulated
         // results stay bit-identical — so they too apply to the bigkernel
@@ -447,15 +419,6 @@ impl ExpArgs {
         }
         if let Some(on) = self.autotune {
             parts.push(format!("--autotune {}", if on { "on" } else { "off" }));
-        }
-        if let Some(rank) = self.autotune_rank {
-            parts.push(format!(
-                "--autotune-rank {}",
-                match rank {
-                    bk_runtime::RankBy::StallFraction => "stall",
-                    bk_runtime::RankBy::CritBlame => "critpath",
-                }
-            ));
         }
         if let Some(order) = self.assembly_order {
             parts.push(format!(
@@ -640,44 +603,10 @@ mod tests {
 
     #[test]
     fn autotune_flag() {
-        let a = parse(&["--autotune", "on"]).unwrap();
-        assert_eq!(a.autotune, Some(true));
-        let mut cfg = bk_apps::HarnessConfig::test_small();
-        assert!(cfg.bigkernel.autotune.is_none());
-        a.apply_platform(&mut cfg);
-        assert_eq!(
-            cfg.bigkernel.autotune,
-            Some(bk_runtime::AutotuneConfig::default())
-        );
-        // `off` explicitly clears a config that defaulted to on.
-        cfg.bigkernel.autotune = Some(bk_runtime::AutotuneConfig::default());
-        parse(&["--autotune", "off"])
-            .unwrap()
-            .apply_platform(&mut cfg);
-        assert!(cfg.bigkernel.autotune.is_none());
+        assert_eq!(parse(&["--autotune", "on"]).unwrap().autotune, Some(true));
+        assert_eq!(parse(&["--autotune", "off"]).unwrap().autotune, Some(false));
         assert!(parse(&["--autotune", "maybe"]).is_err());
         assert!(parse(&["--autotune"]).is_err());
-    }
-
-    #[test]
-    fn autotune_rank_flag() {
-        use bk_runtime::RankBy;
-        let a = parse(&["--autotune", "on", "--autotune-rank", "critpath"]).unwrap();
-        assert_eq!(a.autotune_rank, Some(RankBy::CritBlame));
-        let mut cfg = bk_apps::HarnessConfig::test_small();
-        a.apply_platform(&mut cfg);
-        assert_eq!(
-            cfg.bigkernel.autotune.as_ref().unwrap().rank_by,
-            RankBy::CritBlame
-        );
-        // Without an enabled tuner the ranking flag is a no-op.
-        let b = parse(&["--autotune-rank", "stall"]).unwrap();
-        assert_eq!(b.autotune_rank, Some(RankBy::StallFraction));
-        let mut cfg2 = bk_apps::HarnessConfig::test_small();
-        b.apply_platform(&mut cfg2);
-        assert!(cfg2.bigkernel.autotune.is_none());
-        assert!(parse(&["--autotune-rank", "vibes"]).is_err());
-        assert!(parse(&["--autotune-rank"]).is_err());
     }
 
     #[test]
@@ -692,16 +621,13 @@ mod tests {
             "2",
             "--autotune",
             "on",
-            "--autotune-rank",
-            "critpath",
             "--simd",
             "off",
         ])
         .unwrap();
         assert_eq!(
             a.flags_string(),
-            "--bytes 4194304 --seed 7 --gpus 2 --autotune on \
-             --autotune-rank critpath --simd off"
+            "--bytes 4194304 --seed 7 --gpus 2 --autotune on --simd off"
         );
     }
 

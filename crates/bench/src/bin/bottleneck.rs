@@ -98,10 +98,10 @@ fn main() {
     let mut cfg = HarnessConfig::paper_scaled(args.bytes);
     args.apply(&mut cfg);
     // The makespan identity and the structural re-runs both assume the
-    // captured schedule is the pure depth/device configuration; the tuner
-    // re-plans mid-run and fault plans perturb durations, so those modes
-    // only get the (always-checked) tiling identity.
-    let pure = cfg.bigkernel.autotune.is_none() && cfg.bigkernel.faults.is_none();
+    // captured schedule is the pure depth/device configuration; fault plans
+    // perturb durations, so a faulted run only gets the (always-checked)
+    // tiling identity.
+    let pure = cfg.bigkernel.faults.is_none();
 
     let mut failures = 0usize;
     let mut ran = 0usize;

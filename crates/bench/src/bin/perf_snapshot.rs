@@ -38,7 +38,8 @@ struct Row {
     stage_shares: Vec<(&'static str, f64)>,
     /// Simulated per-stage utilization (stage busy time / total run time).
     stage_utilization: Vec<(&'static str, f64)>,
-    /// Top `stall.<stage>.<cause>` counters, simulated nanoseconds stalled.
+    /// Top critical-path waits by `stall.<stage>.<cause>` counter,
+    /// simulated nanoseconds (see [`top_stalls`]).
     top_stalls: Vec<(&'static str, u64)>,
     /// Per-stage buffer-reuse wait-time distribution summaries, from the
     /// `hist.reuse-wait.<stage>` log₂ histograms (simulated ns per wait).
@@ -139,13 +140,29 @@ fn reuse_waits(r: &bk_runtime::RunResult) -> Vec<ReuseWaitRow> {
     v
 }
 
-/// Largest `stall.*` counters (stalled simulated ns), descending.
-fn top_stalls(r: &bk_runtime::RunResult) -> Vec<(&'static str, u64)> {
-    let mut v: Vec<(&'static str, u64)> = r
-        .metrics
-        .iter()
-        .filter(|(name, ns)| name.starts_with("stall.") && *ns > 0)
-        .collect();
+/// Largest stalls *on the critical path* (simulated ns), descending, keyed
+/// by their `stall.<stage>.<cause>` counter. Only waits that bound the
+/// makespan count: each path segment entered through a reuse or resource
+/// wait is charged to its stage and cause, so the headline agrees with the
+/// critical-path blame rather than with raw stall totals that may sit
+/// entirely off the path. A slot's wait can span earlier path segments, so
+/// the sums rank causes; they need not add up to the makespan.
+fn top_stalls(crit: &bk_obs::CritReport) -> Vec<(&'static str, u64)> {
+    use bk_obs::critpath::EdgeKind;
+    use bk_simcore::StallKind;
+    let mut sums: std::collections::BTreeMap<&'static str, u64> = Default::default();
+    for seg in crit.segments.iter().filter(|s| !s.wait.is_zero()) {
+        let kind = match seg.entered {
+            EdgeKind::Reuse { consumer } => StallKind::Reuse { consumer },
+            EdgeKind::Resource => StallKind::Resource(seg.resource),
+            EdgeKind::Start | EdgeKind::Dataflow => continue,
+        };
+        let cause = bk_obs::StallCause::from_kind(kind).label();
+        if let Some(name) = bk_obs::stall_counter(bk_obs::stage_role(seg.stage), cause) {
+            *sums.entry(name).or_default() += seg.wait.nanos() as u64;
+        }
+    }
+    let mut v: Vec<(&'static str, u64)> = sums.into_iter().collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
     v.truncate(5);
     v
@@ -492,7 +509,7 @@ fn main() {
                     )
                 })
                 .collect(),
-            top_stalls: top_stalls(&r),
+            top_stalls: top_stalls(&crit),
             reuse_waits: reuse_waits(&r),
             gpus: cfg.gpus,
             devices: device_rows(&r, cfg.gpus),
@@ -524,7 +541,7 @@ fn main() {
         }
         match r.top_stalls.first() {
             Some((name, ns)) => println!("  top-stall {}={:.2}ms", name, *ns as f64 / 1e6),
-            None => println!("  no stalls"),
+            None => println!("  no stalls on the critical path"),
         }
         for w in &r.reuse_waits {
             println!(

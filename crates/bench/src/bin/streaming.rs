@@ -9,8 +9,8 @@
 //!
 //! Per grid point it reports window count, simulated completion time,
 //! sustained throughput, p99 end-to-end window latency, total backpressure,
-//! the deepest queue occupancy, §IV.A re-detections and stream-level
-//! autotuner re-plans, plus exact-output verification. Writes
+//! the deepest queue occupancy, §IV.A re-detections and between-window
+//! tuner re-plans, plus exact-output verification. Writes
 //! `BENCH_streaming.json`.
 //!
 //! Usage mirrors the other experiment binaries; `--window
@@ -151,9 +151,8 @@ fn main() {
     let args = ExpArgs::from_env();
     let mut cfg = HarnessConfig::paper_scaled(args.bytes);
     args.apply(&mut cfg);
-    // The stream-level persistent tuner takes the batch config's controller
-    // settings (`--autotune on`); windows themselves never tune internally.
-    let tune = cfg.bigkernel.autotune.take();
+    // `--autotune on` attaches the between-window tuner to every stream.
+    let tune = (args.autotune == Some(true)).then(bk_runtime::AutotuneConfig::default);
 
     let mut rows: Vec<Row> = Vec::new();
     for app in drifting_apps() {

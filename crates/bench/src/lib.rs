@@ -1,13 +1,12 @@
 //! # bk-bench — experiment harness regenerating the paper's tables & figures
 //!
-//! Seven binaries (see DESIGN.md §5):
+//! Six binaries (see DESIGN.md §5):
 //!
 //! | binary | regenerates |
 //! |---|---|
 //! | `report` | the paper's evaluation and the extension experiments, one named markdown section each ([`report::SECTIONS`]) |
 //! | `perf_snapshot` | host wall-clock per app + simulated scaling/fusion/critical-path sections → `BENCH_pipeline.json` |
 //! | `chaos` | fault-rate sweep + device-kill failover → `BENCH_chaos.json` |
-//! | `autotune` | static reuse-depth sweep vs the adaptive occupancy autotuner → `BENCH_autotune.json` |
 //! | `bottleneck` | critical-path blame report + what-if predictions validated against re-runs |
 //! | `streaming` | continuous-ingestion window/queue sweep over the drifting apps → `BENCH_streaming.json` |
 //! | `trace_export` | one span-traced run → Perfetto JSON plus a utilization/stall report |

@@ -478,8 +478,7 @@ pub struct CritReport {
     /// Critical-path nanoseconds per device, descending.
     pub device_blame: Vec<(usize, u64)>,
     /// Time the path spent waiting on each reuse edge, keyed by the edge's
-    /// consumer stage index, descending. This is the autotuner's
-    /// blame-ranked feedback signal — distinct from (and usually much
+    /// consumer stage index, descending. Distinct from (and usually much
     /// smaller than) the raw reuse-stall totals, because only waits that
     /// bound the makespan count.
     pub reuse_blame: Vec<(usize, u64)>,

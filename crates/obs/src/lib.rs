@@ -42,6 +42,6 @@ pub use device::{device_counter, MAX_DEVICES};
 pub use export::{text_report, to_chrome_json};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use stall::{
-    record_schedule, record_schedule_mapped, reuse_wait_hist, stall_counter, StallCause,
+    record_schedule, record_schedule_mapped, reuse_wait_hist, stage_role, stall_counter, StallCause,
 };
 pub use trace::{SpanRecord, FAULT_MARKER_STAGE, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE};

@@ -150,8 +150,8 @@ fn span_hist(stage: &str) -> Option<&'static str> {
 
 /// Interned `hist.reuse-wait.<stage>` histogram name: how long each
 /// buffer-reuse wait lasted, in simulated nanoseconds, log₂-bucketed by the
-/// registry's [`crate::Histogram`]. The autotuner's main input, and the
-/// wait-depth distribution `perf_snapshot` summarizes.
+/// registry's [`crate::Histogram`]: the wait-depth distribution
+/// `perf_snapshot` summarizes.
 pub fn reuse_wait_hist(stage: &str) -> Option<&'static str> {
     macro_rules! table {
         ($( $stage:literal ),* $(,)?) => {
@@ -220,7 +220,7 @@ pub fn record_schedule_mapped<S: ScheduleView>(
 /// of a role feeds the same span histogram and stall buckets, exactly like
 /// the `dev<i>.` resource qualifier. Names without the qualifier pass
 /// through unchanged.
-fn stage_role(name: &str) -> &str {
+pub fn stage_role(name: &str) -> &str {
     if let Some(rest) = name.strip_prefix('p') {
         if let Some((idx, role)) = rest.split_once('.') {
             if !idx.is_empty() && idx.bytes().all(|b| b.is_ascii_digit()) {

@@ -38,9 +38,10 @@ pub const FAULT_MARKER_STAGE: &str = "fault";
 /// events on the `"ingest"` track.
 pub const REDETECT_MARKER_STAGE: &str = "redetect";
 
-/// Stage label marking a span as an autotuner re-plan point: `dur` is zero,
-/// `start` is the simulated time the new plan took effect (a window
-/// boundary), `chunk` is the first chunk scheduled under the new plan, and
+/// Stage label marking a span as a streaming tuner re-plan point
+/// (`bk_runtime::stream`): `dur` is zero, `start` is the simulated time the
+/// new plan took effect (a window boundary), `chunk` is the index of the
+/// first window run under the new plan, and
 /// `stall` carries `("buffer-reuse", reuse stall of the window that
 /// triggered the decision)`. Rendered as Perfetto instant events on the
 /// `"autotune"` track.

@@ -1,6 +1,5 @@
 //! BigKernel runtime configuration.
 
-use crate::autotune::AutotuneConfig;
 use crate::fault::FaultPlan;
 use crate::graph::ShardPolicy;
 
@@ -59,8 +58,8 @@ pub struct BigKernelConfig {
     /// Write-back buffer multiplicity: compute of chunk `n` waits for
     /// write-back apply of chunk `n - depth`. `None` (the default) follows
     /// [`buffer_depth`](Self::buffer_depth), which is the paper's single
-    /// shared depth; the autotuner (and `--buffers N`) sets the two edges
-    /// independently.
+    /// shared depth; `--buffers N` and the streaming runner's between-window
+    /// tuner set the two edges independently.
     pub wb_buffer_depth: Option<usize>,
     /// §IV.A stride-pattern recognition.
     pub pattern_recognition: bool,
@@ -108,12 +107,6 @@ pub struct BigKernelConfig {
     /// faults perturb only durations and chunk placement — outputs stay
     /// bit-identical to the fault-free run for any plan that completes.
     pub faults: Option<FaultPlan>,
-    /// Adaptive occupancy autotuning (see [`crate::autotune`]). `None` (the
-    /// default) takes the exact static code path. Tuning re-plans buffer
-    /// depths and chunk size from recorded schedule state only, so outputs
-    /// stay bit-identical to the untuned run and decisions replay
-    /// deterministically for a given seed.
-    pub autotune: Option<AutotuneConfig>,
 }
 
 impl Default for BigKernelConfig {
@@ -134,7 +127,6 @@ impl Default for BigKernelConfig {
             parallel_blocks: true,
             shard_policy: ShardPolicy::RoundRobin,
             faults: None,
-            autotune: None,
         }
     }
 }
@@ -165,15 +157,11 @@ impl BigKernelConfig {
     }
 
     /// Panic on configurations that cannot be run (zero chunk size, zero
-    /// buffer depth, contradictory variants, invalid fault plan or tuner
-    /// knobs).
+    /// buffer depth, contradictory variants, invalid fault plan).
     pub fn validate(&self) {
         assert!(self.chunk_input_bytes > 0, "chunk size must be positive");
         assert!(self.buffer_depth >= 1, "need at least one buffer");
         assert!(self.wb_depth() >= 1, "need at least one write-back buffer");
-        if let Some(tune) = &self.autotune {
-            tune.validate();
-        }
         if self.transfer_all {
             assert!(
                 !self.pattern_recognition,
@@ -252,19 +240,6 @@ mod tests {
     fn zero_wb_depth_rejected() {
         let c = BigKernelConfig {
             wb_buffer_depth: Some(0),
-            ..BigKernelConfig::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be >= 1")]
-    fn invalid_autotune_knobs_rejected() {
-        let c = BigKernelConfig {
-            autotune: Some(crate::autotune::AutotuneConfig {
-                interval: 0,
-                ..Default::default()
-            }),
             ..BigKernelConfig::default()
         };
         c.validate();

@@ -380,26 +380,6 @@ impl FaultContext {
         }
     }
 
-    /// Degradation level reached so far (0 = full pipeline). The autotuner
-    /// reads this after every window to adopt degraded depths.
-    pub(crate) fn level(&self) -> usize {
-        self.level
-    }
-
-    /// Replace the graph at the *current* degradation level with a retuned
-    /// spec — the autotuner deepening (or shallowing) reuse edges between
-    /// windows. The serial fallback (level 2) has no reuse edges to tune and
-    /// is never replaced; returns whether the retune was applied. Degrading
-    /// still swaps to the untouched next-level spec, and a degraded level is
-    /// itself retunable — "retuned, not reset".
-    pub(crate) fn retune_current(&mut self, spec: GraphSpec) -> bool {
-        if self.level >= 2 {
-            return false;
-        }
-        self.specs[self.level] = spec;
-        true
-    }
-
     /// Inflate the wave's clean durations with injected faults at the
     /// current degradation level. `Err((chunk, stage))` means that instance
     /// exhausted its retry budget (global chunk id reported).
@@ -720,7 +700,7 @@ mod tests {
         let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let sharded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(6), &mut metrics);
-        assert_eq!(ctx.level(), 1);
+        assert_eq!(ctx.level, 1);
         assert_eq!(metrics.get("fault.degraded"), 1);
         assert_eq!(sharded.num_chunks(), 6);
         // The degraded graph still has the 6-stage shape.

@@ -246,9 +246,8 @@ impl GraphSpec {
         self
     }
 
-    /// Depth of the reuse edge from `producer` to `consumer`, if one exists.
-    /// The autotuner's re-planning hook: it reads the current depth of the
-    /// §IV.C edges here before deciding whether (and how far) to deepen them.
+    /// Depth of the reuse edge from `producer` to `consumer`, if one exists:
+    /// how many buffer sets the §IV.C rule on that edge allows in flight.
     pub fn reuse_depth(&self, producer: usize, consumer: usize) -> Option<usize> {
         self.reuse
             .iter()
@@ -408,9 +407,9 @@ pub fn pipeline_stage_names(passes: usize) -> Vec<&'static str> {
 /// device-resident intermediate), sharing the one set of hardware resources,
 /// with each pass's own §IV.C buffer-reuse edges: `depth` buffer sets on the
 /// prefetch-data edge `addr-gen(n) ↔ compute(n−depth)` and `wb_depth` sets on
-/// the write-back edge `compute(n) ↔ wb-apply(n−wb_depth)`. The autotuner
-/// deepens the two edges independently, because the prefetch and write-back
-/// buffer pools are sized (and stall) independently. On GPUs with a second
+/// the write-back edge `compute(n) ↔ wb-apply(n−wb_depth)`. The two depths
+/// are separate because the prefetch and write-back buffer pools are sized
+/// (and stall) independently. On GPUs with a second
 /// copy engine the write-back transfer gets its own D2H DMA resource;
 /// otherwise it queues on the one engine.
 ///
@@ -1467,7 +1466,7 @@ mod proptests {
         /// BigKernel edges and any durations (zero-duration slots included),
         /// `producer(c)` never starts before `consumer(c − depth)` finishes.
         /// Generalizes the random-DAG capacity proptest to the §IV.C rule
-        /// the autotuner re-plans.
+        /// at every depth a run can configure.
         #[test]
         fn schedule_never_violates_reuse_edges(
             d in arb_durations(30, 6),

@@ -42,9 +42,9 @@
 //!   are covered by an earlier pass's device-buffer writes, producing a
 //!   [`FusePlan`] that runs all passes through one multi-stage graph with
 //!   device-resident intermediates (conservative refusal otherwise).
-//! * [`autotune`] — the adaptive occupancy autotuner: a deterministic
-//!   feedback controller that consumes per-slot stall attribution and
-//!   re-plans reuse depths and chunk size between scheduling windows,
+//! * [`autotune`] — the streaming runner's between-window tuner: a
+//!   deterministic feedback controller that reads each window's reuse-stall
+//!   totals and re-plans reuse depths and chunk size for the next window,
 //!   bounded by the §IV.D occupancy model ([`Autotuner`]).
 //! * [`pipeline`] — the 4-stage (plus 2 write-back stage) pipeline runner
 //!   producing a [`RunResult`] with simulated time, per-stage breakdown and
@@ -78,7 +78,7 @@ pub mod sync;
 pub mod whatif;
 
 pub use assembly::GatherConfig;
-pub use autotune::{AutotuneConfig, Autotuner, RankBy, TunePlan, TunerState, WindowFeedback};
+pub use autotune::{AutotuneConfig, Autotuner, TunePlan, TunerState, WindowFeedback};
 pub use bk_obs::{Histogram, MetricsRegistry};
 pub use config::{AssemblyLayout, AssemblyOrder, BigKernelConfig, SyncMode};
 pub use ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem, LoggedMem};

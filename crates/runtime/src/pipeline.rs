@@ -37,8 +37,11 @@
 //! ([`run_bigkernel_fused`], DESIGN.md §15) is the same loop over `passes`
 //! kernels on a `6 × passes`-stage graph, plus a [`FusePlan`] whose per-pass
 //! [`PassIo`] elides the device-resident bytes. Occupancy, partitioning,
-//! chunk sizing, fault injection, autotuning and the wave loop are therefore
-//! shared: every feature that works on a plain run works on a fused one.
+//! chunk sizing, fault injection and the wave loop are therefore shared:
+//! every feature that works on a plain run works on a fused one. Each wave
+//! is scheduled in one piece; the only controller that re-plans buffer
+//! depths is the streaming runner's, between windows
+//! ([`crate::stream::run_bigkernel_streamed`]).
 //!
 //! ## Two-phase block simulation
 //!
@@ -92,7 +95,6 @@
 //! pool to the run's active-block count, so a run on reused slots is
 //! bit-identical to one on fresh slots.
 
-use crate::autotune::{Autotuner, RankBy, TunePlan, WindowFeedback};
 use crate::config::BigKernelConfig;
 use crate::exec::{
     prepare_slots, run_chunk_assembled, run_chunk_staged, BlockSlot, ChunkCosts, WaveCell,
@@ -108,7 +110,7 @@ use crate::sync;
 use bk_gpu::occupancy::{self, BlockResources};
 use bk_gpu::GpuPool;
 use bk_host::{cpu, CpuCost, DmaDirection};
-use bk_obs::{MetricsRegistry, SpanRecord, RETUNE_MARKER_STAGE};
+use bk_obs::MetricsRegistry;
 use bk_simcore::SimTime;
 use std::ops::Range;
 
@@ -167,31 +169,6 @@ fn bound_counter(stage: &str, bound: &str) -> &'static str {
             "bound.other"
         }
     }
-}
-
-/// Log one autotuner re-plan: the decision counters that pin the re-plan
-/// sequence in the determinism suite, plus a Perfetto instant marker on the
-/// `"autotune"` track placed at the simulated time the new plan takes
-/// effect. `reuse_stall` is the triggering window's reuse stall (zero for
-/// wave-boundary chunk re-plans, which act on chunk counts, not stall).
-fn note_retune(
-    metrics: &mut MetricsRegistry,
-    plan: TunePlan,
-    next_chunk: usize,
-    now: SimTime,
-    reuse_stall: SimTime,
-) {
-    metrics.incr("autotune.retune");
-    metrics.observe("hist.autotune.depth", plan.data_depth as u64);
-    metrics.observe("hist.autotune.buffers", plan.wb_depth as u64);
-    bk_obs::trace::record(&SpanRecord {
-        track: "autotune",
-        stage: RETUNE_MARKER_STAGE,
-        chunk: next_chunk,
-        start: now,
-        dur: SimTime::ZERO,
-        stall: Some(("buffer-reuse", reuse_stall)),
-    });
 }
 
 /// Aux-staged secondary streams for the overlap-only path (`transfer_all`):
@@ -406,8 +383,8 @@ pub fn run_bigkernel(
 /// [`run_bigkernel`] restricted to one *window* of the primary stream: the
 /// absolute byte range `window` of `streams[0]` is partitioned across the
 /// launch's lanes exactly as a whole-stream run partitions `0..len`, and
-/// everything downstream (chunking, scheduling, §IV.A recognition, fault and
-/// autotune handling) operates on those absolute ranges unchanged.
+/// everything downstream (chunking, scheduling, §IV.A recognition, fault
+/// handling) operates on those absolute ranges unchanged.
 ///
 /// This is the batch building block of the streaming runner
 /// ([`crate::stream::run_bigkernel_streamed`]): a stream of windows is a
@@ -620,15 +597,15 @@ fn run_program(
     let waves = launch.num_blocks.div_ceil(active_blocks);
 
     // Resident intermediates charge against the buffer-set budget (zero
-    // outside fused programs). The result also caps the autotuner.
+    // outside fused programs).
     let set_bytes = cfg.chunk_input_bytes.max(1);
     let resident_bytes = plan.map_or(0, |p| p.resident_bytes_per_chunk(cfg.chunk_input_bytes));
-    let feasible_sets =
-        occupancy::max_buffer_sets_resident(machine.gpu(), &occ, set_bytes, resident_bytes);
     if plan.is_some() {
         // If not even one set fits alongside the intermediates, fusion is
         // infeasible on this device.
-        if feasible_sets == 0 {
+        let sets =
+            occupancy::max_buffer_sets_resident(machine.gpu(), &occ, set_bytes, resident_bytes);
+        if sets == 0 {
             return Err(FuseRefusal::ResidentFootprint {
                 needed: u64::from(active_blocks) * (set_bytes + resident_bytes),
                 budget: machine.gpu().mem_capacity / 2,
@@ -666,15 +643,10 @@ fn run_program(
             .collect();
 
     // Chunking: each block consumes ~chunk_input_bytes of input per chunk.
-    // Mutable because the autotuner may re-plan the chunk size at a wave
-    // boundary (never mid-wave — a wave boundary is the only point with no
-    // chunk in flight).
     let unit = rec.unwrap_or(1);
     let max_range = ranges.iter().map(|r| r.end - r.start).max().unwrap_or(0);
-    let lane_slice = |chunk_bytes: u64| ((chunk_bytes / tpb as u64) / unit).max(1) * unit;
-    let chunks_for = |slice: u64| (max_range.div_ceil(slice)).max(1) as usize;
-    let mut per_lane_slice = lane_slice(cfg.chunk_input_bytes);
-    let mut num_chunks = chunks_for(per_lane_slice);
+    let per_lane_slice = ((cfg.chunk_input_bytes / tpb as u64) / unit).max(1) * unit;
+    let num_chunks = (max_range.div_ceil(per_lane_slice)).max(1) as usize;
 
     let sync_costs = sync::per_chunk(machine, cfg.sync);
     let mut metrics = MetricsRegistry::new();
@@ -693,13 +665,10 @@ fn run_program(
     // and the §IV.C reuse rule are data (see [`pipeline_graph`]), and the
     // executor deals chunks across the machine's simulated GPUs. Each device
     // owns its buffer pool, so the reuse depth applies within a device's
-    // local chunk sequence. The executor is rebuilt whenever the autotuner
-    // re-plans the reuse depths between scheduling windows.
+    // local chunk sequence.
     let copy_engines = machine.gpu().copy_engines as usize;
-    let graph =
-        |depth: usize, wb_depth: usize| pipeline_graph(copy_engines, passes, depth, wb_depth);
-    let mut executor = Executor::new(
-        graph(cfg.buffer_depth, cfg.wb_depth()),
+    let executor = Executor::new(
+        pipeline_graph(copy_engines, passes, cfg.buffer_depth, cfg.wb_depth()),
         machine.num_gpus(),
         cfg.shard_policy,
     );
@@ -719,29 +688,6 @@ fn run_program(
             passes,
             cfg.buffer_depth,
             cfg.wb_depth(),
-        )
-    });
-
-    // Adaptive occupancy autotuning (see [`crate::autotune`]): the §IV.D
-    // occupancy model bounds how many buffer sets per active block the
-    // device can hold (resident intermediates included), and the controller
-    // re-plans reuse depths / chunk size within that cap from recorded
-    // schedule state only. `None` schedules each wave in one piece.
-    // Blame-ranked feedback walks the window's critical path; raw-stall
-    // feedback (the default) only sums per-slot stall counters.
-    let blame_rank = cfg
-        .autotune
-        .as_ref()
-        .is_some_and(|t| t.rank_by == RankBy::CritBlame);
-    let mut tuner = cfg.autotune.clone().map(|tcfg| {
-        Autotuner::new(
-            tcfg,
-            TunePlan {
-                data_depth: cfg.buffer_depth,
-                wb_depth: cfg.wb_depth(),
-                chunk_bytes: cfg.chunk_input_bytes,
-            },
-            feasible_sets.max(1),
         )
     });
 
@@ -766,21 +712,7 @@ fn run_program(
         }
     }
 
-    let mut seen_fault_level = 0usize;
     for wave in 0..waves {
-        // Wave-boundary chunk-size re-plan: buffers swap between windows,
-        // but the chunk granularity only changes where nothing is in
-        // flight. Purely a re-chunking of each block's lane ranges — every
-        // record is still processed exactly once, so outputs are unchanged.
-        if wave > 0 {
-            if let Some(tuner) = tuner.as_mut() {
-                if let Some(p) = tuner.plan_wave(num_chunks) {
-                    per_lane_slice = lane_slice(p.chunk_bytes);
-                    num_chunks = chunks_for(per_lane_slice);
-                    note_retune(&mut metrics, p, total_chunks, total, SimTime::ZERO);
-                }
-            }
-        }
         let blocks: Vec<u32> =
             (wave * active_blocks..((wave + 1) * active_blocks).min(launch.num_blocks)).collect();
 
@@ -825,69 +757,18 @@ fn run_program(
             }
         }
 
-        // Untuned runs schedule the whole wave in one piece. Tuned runs
-        // schedule it in windows: each window drains the pipeline
-        // (re-planning swaps buffer allocations, so it needs a quiesce point
-        // — the honest cost of adapting), gets measured, and may trigger a
-        // re-plan that takes effect from the next window. Once the
-        // controller converges the window widens to the rest of the wave and
-        // the drain overhead stops.
-        let mut idx = 0usize;
-        while idx < durations.len() {
-            let win = tuner
-                .as_ref()
-                .map_or(durations.len(), |t| t.window_len())
-                .min(durations.len() - idx);
-            let rows = &durations[idx..idx + win];
-            let sharded = match fault_ctx.as_mut() {
-                Some(fc) => fc.run_wave(wave as usize, total_chunks, total, rows, &mut metrics),
-                None => executor.run(rows),
-            };
-            // Observability: spans (when a trace guard is live), per-stage
-            // span histograms, stall.<stage>.<cause> totals and device.<d>.*
-            // counters, offset into run-global chunk indices / simulated
-            // time. Windows run back to back, so the running `total` is this
-            // window's time base.
-            sharded.record(total_chunks, total, &mut metrics);
-            total += sharded.makespan();
-            sharded.accumulate(&mut stage_stats);
-            total_chunks += win;
-            idx += win;
-
-            let Some(tuner) = tuner.as_mut() else {
-                continue;
-            };
-            let fb = if blame_rank {
-                WindowFeedback::from_sharded_with_blame(&sharded)
-            } else {
-                WindowFeedback::from_sharded(&sharded)
-            };
-            metrics.incr("autotune.windows");
-            let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
-            // Degradation first: if the fault ladder swapped the graph during
-            // this window, the controller adopts the degraded depths and
-            // keeps tuning *that* graph.
-            if let Some(fc) = fault_ctx.as_mut() {
-                if fc.level() > seen_fault_level {
-                    seen_fault_level = fc.level();
-                    if let Some(p) = tuner.on_degraded(seen_fault_level) {
-                        note_retune(&mut metrics, p, total_chunks, total, window_stall);
-                    }
-                }
-            }
-            if let Some(p) = tuner.observe(&fb) {
-                note_retune(&mut metrics, p, total_chunks, total, window_stall);
-                let spec = graph(p.data_depth, p.wb_depth);
-                match fault_ctx.as_mut() {
-                    Some(fc) => {
-                        fc.retune_current(spec);
-                    }
-                    None => {
-                        executor = Executor::new(spec, machine.num_gpus(), cfg.shard_policy);
-                    }
-                }
-            }
-        }
+        let sharded = match fault_ctx.as_mut() {
+            Some(fc) => fc.run_wave(wave as usize, total_chunks, total, &durations, &mut metrics),
+            None => executor.run(&durations),
+        };
+        // Observability: spans (when a trace guard is live), per-stage span
+        // histograms, stall.<stage>.<cause> totals and device.<d>.* counters,
+        // offset into run-global chunk indices / simulated time. Waves run
+        // back to back, so the running `total` is this wave's time base.
+        sharded.record(total_chunks, total, &mut metrics);
+        total += sharded.makespan();
+        sharded.accumulate(&mut stage_stats);
+        total_chunks += durations.len();
     }
 
     // Flush dirty aux streams back to host and free the staged buffers. The
@@ -910,12 +791,6 @@ fn run_program(
 
     finalize_stage_stats(&mut stage_stats, total_chunks);
     metrics.add("run.waves", waves as u64);
-    if let Some(tuner) = tuner.as_ref() {
-        let p = tuner.plan();
-        metrics.add("autotune.depth", p.data_depth as u64);
-        metrics.add("autotune.buffers", p.wb_depth as u64);
-        metrics.add("autotune.chunk_bytes", p.chunk_bytes);
-    }
 
     Ok(RunResult {
         implementation: if plan.is_some() {

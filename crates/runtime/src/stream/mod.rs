@@ -15,8 +15,8 @@
 //!   backpressure from assembly back to ingestion (attributed as
 //!   `stall.ingest.backpressure`), per-window §IV.A fingerprints drive
 //!   incremental re-detection when the distribution drifts, and a
-//!   persistent [`Autotuner`](crate::autotune::Autotuner) re-plans reuse
-//!   depths and chunk size *across* windows.
+//!   persistent [`Autotuner`](crate::autotune::Autotuner), when configured,
+//!   re-plans reuse depths and chunk size *across* windows.
 //!
 //! ## Determinism
 //!

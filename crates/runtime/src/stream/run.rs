@@ -43,9 +43,11 @@
 //! than [`StreamConfig::redetect_threshold`] in any component, the window is
 //! flagged as a distribution drift: `stream.redetect` increments, a
 //! [`REDETECT_MARKER_STAGE`] instant lands on the `ingest` lane, and the
-//! persistent [`Autotuner`] — which observes every window's reuse-stall
-//! feedback and re-plans depths/chunk size *across* windows — re-opens a
-//! converged search ([`Autotuner::on_drift`]).
+//! persistent [`Autotuner`] (when [`StreamConfig::autotune`] is set) —
+//! which observes every window's reuse-stall feedback and re-plans
+//! depths/chunk size *across* windows — re-opens a converged search
+//! ([`Autotuner::on_drift`]). Window boundaries are free quiesce points:
+//! nothing is in flight between two windows, so a new plan costs no drain.
 //!
 //! ## Determinism
 //!
@@ -88,10 +90,9 @@ pub struct StreamConfig {
     /// above which the stream is flagged as a distribution drift. Must be
     /// positive and finite; large values effectively disable re-detection.
     pub redetect_threshold: f64,
-    /// Stream-level autotuner knobs. `None` falls back to the batch config's
-    /// `autotune` field; if both are `None`, depths stay fixed. Either way
-    /// the *windows themselves* never tune internally — one persistent
-    /// controller spans the whole stream.
+    /// Between-window tuner knobs. `None` keeps the batch config's depths
+    /// and chunk size fixed for the whole stream; `Some` runs one persistent
+    /// controller that re-plans them at window boundaries.
     pub autotune: Option<AutotuneConfig>,
 }
 
@@ -192,14 +193,12 @@ fn record_unit(kernels: &[&dyn StreamKernel]) -> Option<u64> {
 }
 
 /// The batch config one window runs under: the persistent tuner's current
-/// plan, with window-internal tuning disabled (the stream-level controller
-/// is the only one acting).
+/// plan.
 fn window_cfg(cfg: &BigKernelConfig, plan: TunePlan) -> BigKernelConfig {
     BigKernelConfig {
         buffer_depth: plan.data_depth,
         wb_buffer_depth: Some(plan.wb_depth),
         chunk_input_bytes: plan.chunk_bytes,
-        autotune: None,
         ..cfg.clone()
     }
 }
@@ -209,10 +208,9 @@ fn window_cfg(cfg: &BigKernelConfig, plan: TunePlan) -> BigKernelConfig {
 /// [`bk_obs::record_schedule`]): the consumers of the prefetch-data edge
 /// stall on `addr-gen`/`assemble`/`transfer`, the write-back edge on
 /// `compute`/`wb-xfer`/`wb-apply`.
-fn reuse_feedback(wm: &MetricsRegistry, chunks: usize, makespan: SimTime) -> WindowFeedback {
+fn reuse_feedback(wm: &MetricsRegistry, makespan: SimTime) -> WindowFeedback {
     let ns = |n: &str| SimTime::from_nanos(wm.get(n) as f64);
     WindowFeedback {
-        chunks,
         makespan,
         data_reuse_stall: ns("stall.addr-gen.buffer-reuse")
             + ns("stall.assemble.buffer-reuse")
@@ -220,7 +218,6 @@ fn reuse_feedback(wm: &MetricsRegistry, chunks: usize, makespan: SimTime) -> Win
         wb_reuse_stall: ns("stall.compute.buffer-reuse")
             + ns("stall.wb-xfer.buffer-reuse")
             + ns("stall.wb-apply.buffer-reuse"),
-        ..WindowFeedback::default()
     }
 }
 
@@ -248,9 +245,9 @@ fn drift_exceeds(prev: &[f64; 4], cur: &[f64; 4], threshold: f64) -> bool {
     })
 }
 
-/// Log one stream-level re-plan (mirrors the batch runner's bookkeeping):
-/// decision counters plus a [`RETUNE_MARKER_STAGE`] instant at the window
-/// boundary the new plan takes effect.
+/// Log one stream-level re-plan: decision counters plus a
+/// [`RETUNE_MARKER_STAGE`] instant at the window boundary the new plan takes
+/// effect.
 fn note_stream_retune(
     metrics: &mut MetricsRegistry,
     plan: TunePlan,
@@ -274,12 +271,11 @@ fn note_stream_retune(
 /// Run a (possibly multi-pass) program over `streams` as a continuous
 /// stream: `source` delivers the primary stream's bytes over simulated time,
 /// `scfg.policy` windows them, and each window runs the batch pipeline under
-/// `cfg` (as adjusted by the persistent autotuner). See the module docs for
-/// pass ordering, backpressure and drift semantics.
+/// `cfg` (as adjusted by the persistent tuner when `scfg.autotune` is set).
+/// See the module docs for pass ordering, backpressure and drift semantics.
 ///
 /// `kernels[p]` is pass `p`; `source.len()` must equal the primary stream's
-/// length. Window-internal autotuning is always disabled — the stream-level
-/// controller owns the plan. A configured fault plan re-arms per window.
+/// length. A configured fault plan re-arms per window.
 pub fn run_bigkernel_streamed(
     machine: &mut Machine,
     kernels: &[&dyn StreamKernel],
@@ -309,29 +305,24 @@ pub fn run_bigkernel_streamed(
     let mut total_chunks = 0usize;
     let mut redetects = 0u64;
 
-    // Persistent cross-window controller: stream-level knobs win, else the
-    // batch config's; feasibility-capped by the §IV.D occupancy model
-    // exactly as the batch runner caps its own tuner.
+    // Persistent cross-window controller, feasibility-capped by the §IV.D
+    // occupancy model.
     let mut plan = TunePlan {
         data_depth: cfg.buffer_depth,
         wb_depth: cfg.wb_depth(),
         chunk_bytes: cfg.chunk_input_bytes,
     };
-    let mut tuner = scfg
-        .autotune
-        .clone()
-        .or_else(|| cfg.autotune.clone())
-        .map(|tcfg| {
-            let base_res = kernels[0].resources();
-            let doubled = BlockResources {
-                threads_per_block: (base_res.threads_per_block.max(launch.threads_per_block)) * 2,
-                ..base_res
-            };
-            let occ = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
-            let feasible =
-                occupancy::max_buffer_sets(machine.gpu(), &occ, cfg.chunk_input_bytes.max(1));
-            Autotuner::new(tcfg, plan, feasible)
-        });
+    let mut tuner = scfg.autotune.clone().map(|tcfg| {
+        let base_res = kernels[0].resources();
+        let doubled = BlockResources {
+            threads_per_block: (base_res.threads_per_block.max(launch.threads_per_block)) * 2,
+            ..base_res
+        };
+        let occ = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
+        let feasible =
+            occupancy::max_buffer_sets(machine.gpu(), &occ, cfg.chunk_input_bytes.max(1));
+        Autotuner::new(tcfg, plan, feasible)
+    });
 
     // Pass-major fallback: a later pass reading globally-accumulated device
     // state must see every window of its predecessor first.
@@ -433,7 +424,7 @@ pub fn run_bigkernel_streamed(
             if drifted {
                 t.on_drift();
             }
-            let fb = reuse_feedback(&wm, window_chunks, makespan);
+            let fb = reuse_feedback(&wm, makespan);
             let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
             if let Some(p) = t.observe(&fb) {
                 plan = p;
@@ -745,5 +736,18 @@ mod tests {
             &StreamConfig::default(),
             &src,
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "stall threshold")]
+    fn invalid_tuner_knobs_rejected() {
+        StreamConfig {
+            autotune: Some(AutotuneConfig {
+                stall_threshold: 1.0,
+                ..AutotuneConfig::default()
+            }),
+            ..StreamConfig::default()
+        }
+        .validate();
     }
 }
