@@ -195,22 +195,32 @@ const GOLDEN_STAGED_AND_PER_LANE: &[GoldenRow] = &[
     ("MasterCard Affinity (indexed)", "volume-reduction", 0.000187616, &[2.947199999999999e-5, 3.1608e-5, 0.00016553599999999998, 2.6359999999999985e-5, 0.0, 0.0], 66432, 66432, 1),
 ];
 
-/// Both host algorithms must land on the golden rows: `parallel_blocks` on
-/// (logged, replayed) and off (live, in block order). The model is the same
-/// either way; only the conflicts column differs, and it is 0 on the live
-/// path, which logs nothing.
-#[test]
-fn baselines_and_variants_match_golden_results() {
-    let imps = [
-        Implementation::GpuSingleBuffer,
-        Implementation::GpuDoubleBuffer,
-        Implementation::Variant(BigKernelVariant::OverlapOnly),
-        Implementation::Variant(BigKernelVariant::VolumeReduction),
-    ];
+/// Golden results of full BigKernel under [`HarnessConfig::test_small`]
+/// (128 KiB per app, seed 42). The benchmark snapshots pin BigKernel at
+/// benchmark scale only; these rows hold its compute-stage busy time (and
+/// every other stage) bit for bit at test scale, so a host-side refactor of
+/// the address or compute half cannot move the model unnoticed.
+#[rustfmt::skip]
+const GOLDEN_BIGKERNEL: &[GoldenRow] = &[
+    ("K-means", "bigkernel", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888, 0),
+    ("Word Count", "bigkernel", 0.000680984, &[2.7631999999999992e-5, 1.6247863247863236e-5, 9.228799999999998e-5, 0.0006467, 0.0, 0.0], 147456, 7168, 4),
+    ("Netflix", "bigkernel", 0.00011875199999999999, &[1.3030666666666664e-5, 1.8188e-5, 0.000103328, 4.576000000000001e-5, 0.0, 0.0], 39936, 8960, 0),
+    ("Opinion Finder", "bigkernel", 0.00010676733333333332, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.802133333333332e-5, 3.7789999999999996e-5, 0.0, 0.0], 96256, 22528, 0),
+    ("DNA Assembly", "bigkernel", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 4),
+    ("MasterCard Affinity", "bigkernel", 0.00028388999999999997, &[4.2642666666666664e-5, 2.7278017094017098e-5, 0.00017779199999999997, 5.3464e-5, 4.2773333333333346e-5, 5.794210526315774e-6], 213504, 54784, 1),
+    ("MasterCard Affinity (indexed)", "bigkernel", 0.000188352, &[2.947199999999999e-5, 3.1608e-5, 0.000166272, 2.636e-5, 0.0, 0.0], 75264, 66432, 1),
+];
+
+/// Run every app under each of `imps` with `parallel_blocks` on (logged,
+/// replayed) and off (live, in block order) and compare against `golden`.
+/// The model is the same either way; only the conflicts column differs, and
+/// it is 0 on the live path, which logs nothing. On a mismatch the panic
+/// prints the actual table in the same Rust syntax.
+fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
     for parallel in [true, false] {
         let mut actual = Vec::new();
         for app in all_apps() {
-            for imp in imps {
+            for &imp in imps {
                 let mut cfg = HarnessConfig::test_small();
                 cfg.bigkernel.parallel_blocks = parallel;
                 cfg.baseline.parallel_blocks = parallel;
@@ -236,8 +246,8 @@ fn baselines_and_variants_match_golden_results() {
             }
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
-        let matches = actual.len() == GOLDEN_STAGED_AND_PER_LANE.len()
-            && actual.iter().zip(GOLDEN_STAGED_AND_PER_LANE).all(|(a, g)| {
+        let matches = actual.len() == golden.len()
+            && actual.iter().zip(golden).all(|(a, g)| {
                 let conflicts = if parallel { g.6 } else { 0 };
                 (a.0, a.1, a.2.to_bits(), bits(&a.3), a.4, a.5, a.6)
                     == (g.0, g.1, g.2.to_bits(), bits(g.3), g.4, g.5, conflicts)
@@ -252,6 +262,27 @@ fn baselines_and_variants_match_golden_results() {
             panic!("golden results diverged (parallel_blocks {parallel}); actual table:\n{table}");
         }
     }
+}
+
+/// The buffered baselines and the Fig. 5 variants land on their golden rows
+/// under both host algorithms.
+#[test]
+fn baselines_and_variants_match_golden_results() {
+    assert_golden(
+        &[
+            Implementation::GpuSingleBuffer,
+            Implementation::GpuDoubleBuffer,
+            Implementation::Variant(BigKernelVariant::OverlapOnly),
+            Implementation::Variant(BigKernelVariant::VolumeReduction),
+        ],
+        GOLDEN_STAGED_AND_PER_LANE,
+    );
+}
+
+/// Full BigKernel lands on its golden rows under both host algorithms.
+#[test]
+fn bigkernel_matches_golden_results() {
+    assert_golden(&[Implementation::BigKernel], GOLDEN_BIGKERNEL);
 }
 
 /// Chunk sharding is a timing-level decision: with the machine replicated
