@@ -214,7 +214,10 @@ impl Autotuner {
     /// Chunk-size re-plan for the next window. `prev_window_chunks` is how
     /// many chunks the finished window produced; too few chunks to fill the
     /// reuse pipeline halve the chunk size, an excessive chunk count doubles
-    /// it. Returns the new plan if the chunk size changed.
+    /// it. The clamps only ever stop a move: a chunk already at or below
+    /// `min_chunk_bytes` is never grown by a shrink (nor one at or above
+    /// `max_chunk_bytes` shrunk by a grow). Returns the new plan if the
+    /// chunk size changed.
     pub fn plan_wave(&mut self, prev_window_chunks: usize) -> Option<TunePlan> {
         if self.state == TunerState::Warmup {
             return None;
@@ -222,9 +225,9 @@ impl Autotuner {
         let depth = self.plan.data_depth.max(self.plan.wb_depth);
         let bytes = self.plan.chunk_bytes;
         let next = if prev_window_chunks < 2 * depth + 2 {
-            (bytes / 2).max(self.cfg.min_chunk_bytes)
+            (bytes / 2).max(self.cfg.min_chunk_bytes).min(bytes)
         } else if prev_window_chunks > 64 * depth {
-            (bytes * 2).min(self.cfg.max_chunk_bytes)
+            (bytes * 2).min(self.cfg.max_chunk_bytes).max(bytes)
         } else {
             bytes
         };
@@ -337,6 +340,27 @@ mod tests {
         a.plan_wave(1);
         assert_eq!(a.plan_wave(1).map(|p| p.chunk_bytes), None);
         assert_eq!(a.plan().chunk_bytes, 64 * 1024);
+    }
+
+    #[test]
+    fn wave_replanning_never_grows_a_chunk_below_the_floor() {
+        // 16 KiB and 2 KiB chunks sit below the 64 KiB default floor: a
+        // too-few-chunks wave must leave them alone and count no retune.
+        for chunk_bytes in [16 * 1024, 2 * 1024] {
+            let mut a = Autotuner::new(
+                AutotuneConfig::default(),
+                TunePlan {
+                    data_depth: 3,
+                    wb_depth: 3,
+                    chunk_bytes,
+                },
+                32,
+            );
+            a.observe(&stalled(0.9, 0.0)); // leave warmup
+            assert_eq!(a.plan_wave(1), None, "{chunk_bytes} B chunk must stay put");
+            assert_eq!(a.plan().chunk_bytes, chunk_bytes);
+            assert_eq!(a.retunes(), 0);
+        }
     }
 
     #[test]
