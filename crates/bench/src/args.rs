@@ -258,10 +258,11 @@ impl ExpArgs {
                     return Err(
                         "usage: [--bytes N | --mib N] [--seed S] [--app SUBSTR] [--threads N] \
                          [--machine gtx680|tesla-like|test-tiny] [--gpus N] [--faults SPEC] \
-                         [--reuse-depth N] [--buffers N] [--autotune on|off] \
+                         [--reuse-depth N] [--buffers N] \
                          [--assembly-order natural|cache-blocked|auto] [--simd on|off] \
-                         [--fuse[=on|off]] [--window bytes=N|records=N|interval-us=F] \
-                         [--queue-bound N]\n\
+                         [--fuse[=on|off]]\n\
+                         streaming only: [--autotune on|off] \
+                         [--window bytes=N|records=N|interval-us=F] [--queue-bound N]\n\
                          fault SPEC: comma-separated seed=N,rate=F,retries=N,backoff_us=F,\
                          fail=STAGE@CHUNK[xN],kill=DEV@WAVE"
                             .to_string(),
@@ -272,6 +273,22 @@ impl ExpArgs {
         }
         if out.bytes == 0 {
             return Err("--bytes must be positive".into());
+        }
+        // The streaming-only flags would be silently ignored anywhere else;
+        // a named binary other than `streaming` refuses them instead. The
+        // generic `parse` entry ("bench") does not know its binary and
+        // accepts every flag.
+        if binary != "streaming" && binary != "bench" {
+            let streaming_only = [
+                ("--autotune", out.autotune.is_some()),
+                ("--window", out.window.is_some()),
+                ("--queue-bound", out.queue_bound.is_some()),
+            ];
+            if let Some((flag, _)) = streaming_only.iter().find(|(_, set)| *set) {
+                return Err(format!(
+                    "{binary}: {flag} is read by `streaming` only; run `streaming` to use it"
+                ));
+            }
         }
         Ok(out)
     }
@@ -755,6 +772,52 @@ mod tests {
         // The generic entry point attributes to "bench".
         let err = parse(&["--whatever"]).unwrap_err();
         assert!(err.starts_with("bench: unknown argument"), "{err}");
+    }
+
+    /// `binary` refuses each streaming-only flag with a usage error that
+    /// names it; `streaming` accepts all three.
+    fn assert_rejects_streaming_flags(binary: &str) {
+        for flag in [
+            &["--autotune", "on"][..],
+            &["--window", "bytes=65536"],
+            &["--queue-bound", "4"],
+        ] {
+            let args = || flag.iter().map(|s| s.to_string());
+            let err = ExpArgs::parse_named(binary, args()).unwrap_err();
+            assert!(
+                err.starts_with(&format!(
+                    "{binary}: {} is read by `streaming` only",
+                    flag[0]
+                )),
+                "{err}"
+            );
+            assert!(ExpArgs::parse_named("streaming", args()).is_ok());
+        }
+    }
+
+    #[test]
+    fn report_rejects_streaming_only_flags() {
+        assert_rejects_streaming_flags("report");
+    }
+
+    #[test]
+    fn perf_snapshot_rejects_streaming_only_flags() {
+        assert_rejects_streaming_flags("perf_snapshot");
+    }
+
+    #[test]
+    fn chaos_rejects_streaming_only_flags() {
+        assert_rejects_streaming_flags("chaos");
+    }
+
+    #[test]
+    fn bottleneck_rejects_streaming_only_flags() {
+        assert_rejects_streaming_flags("bottleneck");
+    }
+
+    #[test]
+    fn trace_export_rejects_streaming_only_flags() {
+        assert_rejects_streaming_flags("trace_export");
     }
 
     #[test]

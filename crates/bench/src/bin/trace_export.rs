@@ -31,7 +31,7 @@ fn main() {
         out_path = raw.remove(i + 1);
         raw.remove(i);
     }
-    let args = match ExpArgs::parse(raw.into_iter()) {
+    let args = match ExpArgs::parse_named("trace_export", raw.into_iter()) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e} [--out PATH]");
