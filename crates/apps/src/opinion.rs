@@ -101,9 +101,7 @@ impl bk_runtime::StreamKernel for OpinionKernel {
         let mut off = range.start;
         while off < range.end {
             ctx.emit_read(StreamId(0), off, 4); // timestamp
-            for i in 0..TEXT_LEN {
-                ctx.emit_read(StreamId(0), off + TEXT_OFF + i, 1);
-            }
+            ctx.emit_read_run(StreamId(0), off + TEXT_OFF, 1, TEXT_LEN); // text
             ctx.alu(2);
             off += RECORD;
         }
@@ -114,12 +112,12 @@ impl bk_runtime::StreamKernel for OpinionKernel {
         let mut off = range.start;
         while off < range.end {
             let _ts = ctx.stream_read_u32(StreamId(0), off);
-            // Read the fixed text area byte by byte (same order as emitted).
+            // Read the fixed text area as one byte run (same order as
+            // emitted); the tokenizer state machine and hashing cost three
+            // instructions per character.
             let mut text = [b' '; TEXT_LEN as usize];
-            for (i, t) in text.iter_mut().enumerate() {
-                *t = ctx.stream_read_u8(StreamId(0), off + TEXT_OFF + i as u64);
-                ctx.alu(3); // tokenizer state machine + hashing
-            }
+            ctx.stream_read_bytes(StreamId(0), off + TEXT_OFF, &mut text);
+            ctx.alu(3 * TEXT_LEN);
             let dicts = self.dicts;
             total += score_text(&text, |k| {
                 (

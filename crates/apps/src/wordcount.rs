@@ -18,7 +18,7 @@
 use crate::harness::{AppSpec, BenchApp, Instance};
 use crate::util::{fnv1a, fnv1a_step, DevHashTable, FNV_OFFSET};
 use bk_runtime::ctx::AddrGenCtx;
-use bk_runtime::{KernelCtx, Machine, StreamArray, StreamId, ValueExt};
+use bk_runtime::{KernelCtx, Machine, StreamArray, StreamId};
 use bk_simcore::{SplitMix64, Zipf};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -69,11 +69,7 @@ impl bk_runtime::StreamKernel for WordCountKernel {
             return;
         }
         let end = (range.end + HALO).min(self.text_len);
-        let mut p = range.start;
-        while p < end {
-            ctx.emit_read(StreamId(0), p, 1);
-            p += 1;
-        }
+        ctx.emit_read_run(StreamId(0), range.start, 1, end - range.start);
     }
 
     fn process(&self, ctx: &mut dyn KernelCtx, range: Range<u64>) {
@@ -82,54 +78,106 @@ impl bk_runtime::StreamKernel for WordCountKernel {
         }
         let len = self.text_len;
         let mut p = range.start;
+        let mut buf = [0u8; RUN];
 
         // Skip the word in progress at `s` — it started in (or before) the
-        // previous thread's range.
+        // previous thread's range. The delimiter ending it is consumed.
         if p > 0 {
             while p < len {
-                let c = ctx.stream_read_u8(StreamId(0), p);
-                ctx.alu(1);
-                p += 1;
-                if is_delim(c) {
+                let mut at_delim = false;
+                let n = ((len - p) as usize).min(RUN);
+                let got = ctx.stream_read_run(StreamId(0), p, 1, &mut buf[..n], &mut |c| {
+                    at_delim = is_delim(c as u8);
+                    !at_delim
+                });
+                ctx.alu(got as u64);
+                p += got as u64;
+                if at_delim {
                     break;
                 }
             }
         }
 
-        'outer: loop {
-            // Find the next word start; words starting past `e` belong to
-            // the next thread.
-            let mut c;
-            loop {
-                if p >= len || p > range.end {
-                    break 'outer;
+        // Count every word starting at a position `<= e`. Each run scans
+        // from the next unread byte through the delimiters before a word,
+        // the word, and the delimiter ending it, and consumes no further: a
+        // single forward pass, so no byte is ever read twice (the FIFO
+        // verification depends on that).
+        let mut word = WordScan::new(range.end);
+        loop {
+            // Looking for a word start: words starting past `e` belong to
+            // the next thread. Inside a word: the text's end completes it.
+            if p >= len || (!word.in_word && p > range.end) {
+                if word.in_word {
+                    self.table.add(ctx, word_key(word.h), 1);
                 }
-                c = ctx.stream_read_u8(StreamId(0), p);
-                ctx.alu(1);
-                if !is_delim(c) {
-                    break;
-                }
-                p += 1;
+                break;
             }
-            // Hash the word (single forward pass; the terminating delimiter
-            // is consumed here so no byte is ever read twice — the FIFO
-            // verification depends on that).
-            let mut h = FNV_OFFSET;
-            loop {
-                h = fnv1a_step(h, c);
-                ctx.alu(2);
-                p += 1;
-                if p >= len {
-                    break;
-                }
-                c = ctx.stream_read_u8(StreamId(0), p);
-                if is_delim(c) {
-                    p += 1;
-                    break;
-                }
+            let n = ((len - p) as usize).min(RUN);
+            word.pos = p;
+            let got = ctx.stream_read_run(StreamId(0), p, 1, &mut buf[..n], &mut |c| {
+                word.step(c as u8)
+            });
+            p += got as u64;
+            ctx.alu(std::mem::take(&mut word.alu));
+            if word.ended {
+                self.table.add(ctx, word_key(word.h), 1);
+                word = WordScan::new(range.end);
             }
-            self.table.add(ctx, word_key(h), 1);
         }
+    }
+}
+
+/// Bytes one kernel run read asks for: enough for the delimiters before a
+/// word, the longest word and its delimiter in most cases.
+const RUN: usize = 16;
+
+/// The kernel's scanner state across run reads: whether a word is open,
+/// its hash so far, and the instructions the consumed bytes cost (one per
+/// byte while looking for a word start, two per word character).
+struct WordScan {
+    /// Last position a word may start at (the thread range's end).
+    last_start: u64,
+    /// Stream position of the next byte the scanner sees.
+    pos: u64,
+    in_word: bool,
+    h: u64,
+    alu: u64,
+    /// The delimiter ending the open word was consumed.
+    ended: bool,
+}
+
+impl WordScan {
+    fn new(last_start: u64) -> Self {
+        WordScan {
+            last_start,
+            pos: 0,
+            in_word: false,
+            h: FNV_OFFSET,
+            alu: 0,
+            ended: false,
+        }
+    }
+
+    /// Consume byte `c`; returns whether the next byte is read.
+    fn step(&mut self, c: u8) -> bool {
+        self.pos += 1;
+        if self.in_word {
+            if is_delim(c) {
+                self.ended = true;
+                return false;
+            }
+        } else {
+            self.alu += 1;
+            if is_delim(c) {
+                // The next byte would start a word past the range's end.
+                return self.pos <= self.last_start;
+            }
+            self.in_word = true;
+        }
+        self.h = fnv1a_step(self.h, c);
+        self.alu += 2;
+        true
     }
 }
 

@@ -125,6 +125,25 @@ impl GpuMemory {
         &b.data[offset as usize..offset as usize + len]
     }
 
+    /// Copy `out.len() / width` elements of `width` bytes at `offset`,
+    /// `offset + stride`, ... into `out`, packed (one strided gather).
+    #[inline]
+    pub fn read_strided(
+        &self,
+        id: BufferId,
+        offset: u64,
+        stride: u64,
+        width: usize,
+        out: &mut [u8],
+    ) {
+        copy_strided(
+            &self.buffers[id.0].data[offset as usize..],
+            stride,
+            width,
+            out,
+        );
+    }
+
     /// Overwrite bytes starting at `offset`.
     #[inline]
     pub fn write(&mut self, id: BufferId, offset: u64, bytes: &[u8]) {
@@ -227,6 +246,26 @@ impl GpuMemory {
     /// Copy raw bytes out of the buffer (DMA to host).
     pub fn dma_out(&self, id: BufferId, offset: u64, len: usize) -> Vec<u8> {
         self.read(id, offset, len).to_vec()
+    }
+}
+
+/// Copy `out.len() / width` elements of `width` bytes from `src` at byte 0,
+/// `stride`, `2 * stride`, ... into `out`, packed.
+#[inline]
+pub fn copy_strided(src: &[u8], stride: u64, width: usize, out: &mut [u8]) {
+    if stride == width as u64 {
+        out.copy_from_slice(&src[..out.len()]);
+        return;
+    }
+    let stride = stride as usize;
+    if width == 1 {
+        for (e, dst) in out.iter_mut().enumerate() {
+            *dst = src[e * stride];
+        }
+        return;
+    }
+    for (e, dst) in out.chunks_exact_mut(width).enumerate() {
+        dst.copy_from_slice(&src[e * stride..e * stride + width]);
     }
 }
 

@@ -11,6 +11,14 @@
 //! This trace-then-align approach is exact for the streaming kernels the
 //! paper targets (no data-dependent reconvergence games) and keeps memory
 //! bounded: traces are reused per warp, never stored for the whole kernel.
+//!
+//! A contiguous run read is recorded as one strided [`TraceRec`] standing
+//! for `count` accesses (and `count` issue slots), never expanded into the
+//! trace. The aligner expands runs lazily, one step at a time, and charges
+//! whole step ranges in closed form when every active lane sits inside a
+//! run of the same width and a stride that is a multiple of the segment
+//! size (see [`WarpAligner::align`]); either way the cost equals that of
+//! the per-access expansion exactly.
 
 use crate::coalesce::StepCost;
 use crate::spec::{DeviceSpec, WARP_SIZE};
@@ -65,6 +73,34 @@ impl AccessClass {
     }
 }
 
+/// One recorded global-memory access record: `count` accesses of `width`
+/// bytes at `addr`, `addr + stride`, `addr + 2 * stride`, ... issued one per
+/// lock-step, in that order. A single access is a record with `count == 1`
+/// (its `stride` is unused); a run read records its contiguous run as one
+/// record, so tracing it costs one push instead of one per element.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TraceRec {
+    /// Device address of the first access.
+    pub addr: u64,
+    /// Accesses the record stands for (at least 1).
+    pub count: u32,
+    /// Address advance between consecutive accesses of the record.
+    pub stride: u16,
+    /// Width of every access in bytes.
+    pub width: u8,
+    /// Whether the access is an atomic read-modify-write (single records
+    /// only; runs are plain loads or stores).
+    pub atomic: bool,
+}
+
+impl TraceRec {
+    /// Address of the record's `e`-th access.
+    #[inline]
+    pub fn addr_at(&self, e: u32) -> u64 {
+        self.addr + e as u64 * self.stride as u64
+    }
+}
+
 /// One recorded shared-memory access (cost-only; shared memory holds
 /// transient per-block state that the kernels keep in locals functionally).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,11 +119,14 @@ pub const SHARED_BANK_BYTES: u32 = 4;
 /// Trace of one thread's execution within a chunk.
 #[derive(Clone, Debug, Default)]
 pub struct ThreadTrace {
-    /// Global-memory accesses grouped by alignment class (program order
-    /// within each class) as `(addr, width, is_atomic)`. Grouping at record
-    /// time lets [`WarpAligner::align`] address "lane's k-th class-c access"
-    /// directly instead of rebuilding a per-class view for every warp.
-    pub classed: [Vec<(u64, u32, bool)>; 3],
+    /// Global-memory access records grouped by alignment class (program
+    /// order within each class). Grouping at record time lets
+    /// [`WarpAligner::align`] address "lane's k-th class-c access" directly
+    /// instead of rebuilding a per-class view for every warp.
+    pub classed: [Vec<TraceRec>; 3],
+    /// Per class: whether any record stands for more than one access. A
+    /// class without runs keeps the aligner's direct-index path.
+    pub has_runs: [bool; 3],
     /// Addressed shared-memory accesses, aligned per ordinal for the bank
     /// conflict model.
     pub shared: Vec<SharedAccess>,
@@ -104,6 +143,7 @@ impl ThreadTrace {
         for c in &mut self.classed {
             c.clear();
         }
+        self.has_runs = [false; 3];
         self.shared.clear();
         self.instructions = 0;
         self.shared_accesses = 0;
@@ -127,16 +167,79 @@ impl ThreadTrace {
         self.instructions += n as u64;
     }
 
-    /// Total global-memory accesses recorded across all classes.
+    /// Total global-memory accesses recorded across all classes (a run
+    /// record counts each of its accesses).
     pub fn access_count(&self) -> usize {
-        self.classed.iter().map(Vec::len).sum()
+        self.classed
+            .iter()
+            .flatten()
+            .map(|r| r.count as usize)
+            .sum()
     }
 
     /// Record one global-memory access (one issue slot).
     #[inline]
     pub fn record(&mut self, addr: u64, width: u32, kind: AccessKind, class: AccessClass) {
-        self.classed[class.index()].push((addr, width, kind == AccessKind::Atomic));
+        debug_assert!((1..=u8::MAX as u32).contains(&width));
+        self.classed[class.index()].push(TraceRec {
+            addr,
+            count: 1,
+            stride: 0,
+            width: width as u8,
+            atomic: kind == AccessKind::Atomic,
+        });
         self.instructions += 1;
+    }
+
+    /// Record `n` plain (non-atomic) accesses of `width` bytes at `addr`,
+    /// `addr + stride`, ... — `n` issue slots, and exactly the trace `n`
+    /// [`ThreadTrace::record`] calls describe to the aligner. A run that
+    /// continues the class's last run record (same width and stride, next
+    /// address in line) extends it, so a lane scanning its data in several
+    /// calls still holds one record.
+    #[inline]
+    pub fn record_run(&mut self, addr: u64, width: u32, stride: u64, n: u32, class: AccessClass) {
+        debug_assert!((1..=u8::MAX as u32).contains(&width));
+        if n == 0 {
+            return;
+        }
+        self.instructions += n as u64;
+        let ci = class.index();
+        let Ok(stride) = u16::try_from(stride) else {
+            for e in 0..n as u64 {
+                self.classed[ci].push(TraceRec {
+                    addr: addr + e * stride,
+                    count: 1,
+                    stride: 0,
+                    width: width as u8,
+                    atomic: false,
+                });
+            }
+            return;
+        };
+        let recs = &mut self.classed[ci];
+        if let Some(last) = recs.last_mut() {
+            let joins = !last.atomic
+                && last.width as u32 == width
+                && (last.count == 1 || last.stride == stride)
+                && last.addr + last.count as u64 * stride as u64 == addr;
+            if joins {
+                if let Some(count) = last.count.checked_add(n) {
+                    last.stride = stride;
+                    last.count = count;
+                    self.has_runs[ci] = true;
+                    return;
+                }
+            }
+        }
+        recs.push(TraceRec {
+            addr,
+            count: n,
+            stride,
+            width: width as u8,
+            atomic: false,
+        });
+        self.has_runs[ci] |= n > 1;
     }
 
     /// Account `n` ALU/control instructions.
@@ -186,6 +289,8 @@ pub struct WarpCost {
 pub struct WarpAligner {
     prev_segs: Vec<u64>,
     cur_segs: Vec<u64>,
+    /// Per-lane `(record, element)` cursors of the run-aware path.
+    cursors: Vec<(usize, u32)>,
     /// Bank-conflict scratch: `(bank, word)` pairs of one shared step.
     words: Vec<(u32, u32)>,
     cost: WarpCost,
@@ -203,6 +308,7 @@ impl WarpAligner {
         WarpAligner {
             prev_segs: Vec::new(),
             cur_segs: Vec::new(),
+            cursors: Vec::with_capacity(WARP_SIZE),
             words: Vec::with_capacity(WARP_SIZE),
             cost: WarpCost::default(),
         }
@@ -218,6 +324,13 @@ impl WarpAligner {
     /// hardware the 32-byte sector fetched for step `k` serves steps
     /// `k+1..k+31` of the same lane. Strided record walks still pay per
     /// record, and scattered accesses pay per access.
+    ///
+    /// Run records cost exactly what their per-access expansion costs. A
+    /// class without runs is walked by direct index; a class with runs by
+    /// per-lane `(record, element)` cursors, with step ranges where every
+    /// active lane is inside an equal-shape, segment-multiple-stride run
+    /// charged in closed form (the derivation is on the private
+    /// `align_runs`).
     ///
     /// The returned reference borrows the aligner's internal cost buffer; it
     /// is valid until the next `align` call. Callers that need to keep the
@@ -246,60 +359,39 @@ impl WarpAligner {
 
         for ci in 0..3 {
             self.prev_segs.clear();
+            if lanes.iter().any(|l| l.has_runs[ci]) {
+                self.align_runs(ci, seg, lanes);
+                continue;
+            }
             let mut step = 0usize;
             loop {
                 // One pass per step: collect the distinct segments touched
                 // (minus the one-step reuse window) and the useful bytes
-                // directly from the flat index. Lanes usually touch segments
-                // in ascending order (coalesced layouts are built that way),
-                // so dedup inline while the sequence stays sorted and only
-                // fall back to a sort when it does not.
+                // directly from the flat index.
                 self.cur_segs.clear();
                 let mut useful = 0u64;
-                let mut active = false;
                 let mut sorted = true;
+                let mut active = false;
                 for lane in lanes {
-                    let Some(&(addr, width, is_atomic)) = lane.classed[ci].get(step) else {
+                    let Some(r) = lane.classed[ci].get(step) else {
                         continue;
                     };
                     active = true;
-                    if is_atomic {
-                        self.cost.atomic_addrs.push(addr);
-                    }
-                    useful += width as u64;
-                    let first = addr >> seg_shift;
-                    let last = (addr + width as u64 - 1) >> seg_shift;
-                    for s in first..=last {
-                        match self.cur_segs.last() {
-                            Some(&p) if sorted && p == s => {}
-                            Some(&p) if p > s => {
-                                sorted = false;
-                                self.cur_segs.push(s);
-                            }
-                            _ => self.cur_segs.push(s),
-                        }
-                    }
+                    Self::touch_into(
+                        &mut self.cur_segs,
+                        &mut self.cost.atomic_addrs,
+                        r.addr,
+                        r.width,
+                        r.atomic,
+                        seg_shift,
+                        &mut useful,
+                        &mut sorted,
+                    );
                 }
                 if !active {
                     break;
                 }
-                if !sorted {
-                    self.cur_segs.sort_unstable();
-                    self.cur_segs.dedup();
-                }
-                let new_txns = self
-                    .cur_segs
-                    .iter()
-                    .filter(|s| self.prev_segs.binary_search(s).is_err())
-                    .count() as u64;
-                let reused = self.cur_segs.len() as u64 - new_txns;
-                self.cost.mem.merge(crate::coalesce::StepCost {
-                    transactions: new_txns,
-                    bytes_moved: new_txns * seg,
-                    bytes_l2: reused * seg,
-                    bytes_useful: useful,
-                });
-                std::mem::swap(&mut self.prev_segs, &mut self.cur_segs);
+                self.finish_step(seg, useful, sorted);
                 step += 1;
             }
         }
@@ -355,6 +447,170 @@ impl WarpAligner {
         self.cost.shared_accesses = lanes.iter().map(|l| l.shared_accesses).sum::<u64>()
             + lanes.iter().map(|l| l.shared.len() as u64).sum::<u64>();
         &self.cost
+    }
+
+    /// Add one lane's access to the step collected in `cur_segs`: its
+    /// segments are appended, deduplicated inline while the sequence stays
+    /// sorted (lanes usually touch segments in ascending order — coalesced
+    /// layouts are built that way); `sorted` drops to false when it does not.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn touch_into(
+        cur_segs: &mut Vec<u64>,
+        atomic_addrs: &mut Vec<u64>,
+        addr: u64,
+        width: u8,
+        is_atomic: bool,
+        seg_shift: u32,
+        useful: &mut u64,
+        sorted: &mut bool,
+    ) {
+        if is_atomic {
+            atomic_addrs.push(addr);
+        }
+        *useful += width as u64;
+        let first = addr >> seg_shift;
+        let last = (addr + width as u64 - 1) >> seg_shift;
+        for s in first..=last {
+            match cur_segs.last() {
+                Some(&p) if *sorted && p == s => {}
+                Some(&p) if p > s => {
+                    *sorted = false;
+                    cur_segs.push(s);
+                }
+                _ => cur_segs.push(s),
+            }
+        }
+    }
+
+    /// Charge the step collected in `cur_segs`: a segment also touched in
+    /// the previous step is an L2 reuse, any other a new transaction. The
+    /// step's segments become the next step's reuse window.
+    #[inline]
+    fn finish_step(&mut self, seg: u64, useful: u64, sorted: bool) {
+        if !sorted {
+            self.cur_segs.sort_unstable();
+            self.cur_segs.dedup();
+        }
+        let new_txns = self
+            .cur_segs
+            .iter()
+            .filter(|s| self.prev_segs.binary_search(s).is_err())
+            .count() as u64;
+        let reused = self.cur_segs.len() as u64 - new_txns;
+        self.cost.mem.merge(StepCost {
+            transactions: new_txns,
+            bytes_moved: new_txns * seg,
+            bytes_l2: reused * seg,
+            bytes_useful: useful,
+        });
+        std::mem::swap(&mut self.prev_segs, &mut self.cur_segs);
+    }
+
+    /// Align class `ci` when some lane holds run records: every lane walks
+    /// its records with a `(record, element)` cursor, so a run expands
+    /// lazily, one step at a time, into exactly the accesses it stands for.
+    ///
+    /// Where every active lane sits inside a run of the same width and the
+    /// same stride `S`, and `S` is a multiple of the segment size, the next
+    /// `L` steps (up to the shortest remaining run) are charged in closed
+    /// form. Step `t` of the range touches the segments of its first step
+    /// shifted by `t * S / seg`, so with `n0` distinct segments per step and
+    /// `o` of them whose shifted copy is again one of them, step 0 pays
+    /// what the ordinary step would and every later step pays `n0 - o` new
+    /// transactions and reuses `o`. The sums equal the step-by-step sums
+    /// exactly; only the work is gone.
+    fn align_runs(&mut self, ci: usize, seg: u64, lanes: &[ThreadTrace]) {
+        let seg_shift = seg.trailing_zeros();
+        self.cursors.clear();
+        self.cursors.resize(lanes.len(), (0, 0));
+        loop {
+            // Closed-form probe over the active lanes.
+            let mut shape: Option<(u8, u16)> = None;
+            let mut uniform = true;
+            let mut steps = u32::MAX;
+            let mut active = 0u64;
+            for (lane, &(ri, e)) in lanes.iter().zip(&self.cursors) {
+                let Some(r) = lane.classed[ci].get(ri) else {
+                    continue;
+                };
+                active += 1;
+                if r.count < 2 || r.atomic || shape.is_some_and(|sh| sh != (r.width, r.stride)) {
+                    uniform = false;
+                    break;
+                }
+                shape = Some((r.width, r.stride));
+                steps = steps.min(r.count - e);
+            }
+            if active == 0 {
+                break;
+            }
+            let closed = match shape {
+                Some((_, stride)) if uniform && steps >= 2 => (stride as u64)
+                    .is_multiple_of(seg)
+                    .then_some((stride as u64) >> seg_shift),
+                _ => None,
+            };
+            self.cur_segs.clear();
+            let mut useful = 0u64;
+            let mut sorted = true;
+            let taken = if closed.is_some() { steps } else { 1 };
+            for (lane, cur) in lanes.iter().zip(self.cursors.iter_mut()) {
+                let Some(r) = lane.classed[ci].get(cur.0) else {
+                    continue;
+                };
+                let (addr, width, atomic) = (r.addr_at(cur.1), r.width, r.atomic);
+                cur.1 += taken;
+                if cur.1 == r.count {
+                    *cur = (cur.0 + 1, 0);
+                }
+                Self::touch_into(
+                    &mut self.cur_segs,
+                    &mut self.cost.atomic_addrs,
+                    addr,
+                    width,
+                    atomic,
+                    seg_shift,
+                    &mut useful,
+                    &mut sorted,
+                );
+            }
+            match closed {
+                None => self.finish_step(seg, useful, sorted),
+                Some(shift) => {
+                    if !sorted {
+                        self.cur_segs.sort_unstable();
+                        self.cur_segs.dedup();
+                    }
+                    let n0 = self.cur_segs.len() as u64;
+                    let first_new = self
+                        .cur_segs
+                        .iter()
+                        .filter(|s| self.prev_segs.binary_search(s).is_err())
+                        .count() as u64;
+                    let overlap = self
+                        .cur_segs
+                        .iter()
+                        .filter(|&&s| self.cur_segs.binary_search(&(s + shift)).is_ok())
+                        .count() as u64;
+                    let l = steps as u64;
+                    let txns = first_new + (l - 1) * (n0 - overlap);
+                    let reused = l * n0 - txns;
+                    self.cost.mem.merge(StepCost {
+                        transactions: txns,
+                        bytes_moved: txns * seg,
+                        bytes_l2: reused * seg,
+                        bytes_useful: l * useful,
+                    });
+                    // The range's last step is the next step's reuse window.
+                    let last = (l - 1) * shift;
+                    for s in self.cur_segs.iter_mut() {
+                        *s += last;
+                    }
+                    std::mem::swap(&mut self.prev_segs, &mut self.cur_segs);
+                }
+            }
+        }
     }
 }
 
@@ -489,6 +745,135 @@ mod tests {
         let got = reused.align(&s, &probe).clone();
         let mut fresh = WarpAligner::new();
         assert_eq!(&got, fresh.align(&s, &probe));
+    }
+}
+
+#[cfg(test)]
+mod run_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// One traced operation: a single access or a strided run.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Single(u64, u32, bool),
+        Run(u64, u32, u64, u32),
+    }
+
+    /// The same operations recorded as written and expanded into one
+    /// `record` per access.
+    fn traces(ops: &[(usize, Op)], lanes: usize) -> (Vec<ThreadTrace>, Vec<ThreadTrace>) {
+        let mut runs = vec![ThreadTrace::default(); lanes];
+        let mut flat = vec![ThreadTrace::default(); lanes];
+        for (lane, op) in ops {
+            let (r, f) = (&mut runs[*lane], &mut flat[*lane]);
+            match *op {
+                Op::Single(addr, w, atomic) => {
+                    let kind = if atomic {
+                        AccessKind::Atomic
+                    } else {
+                        AccessKind::Read
+                    };
+                    r.record(addr, w, kind, AccessClass::Dev);
+                    f.record(addr, w, kind, AccessClass::Dev);
+                    r.record(addr, w, AccessKind::Read, AccessClass::StreamRead);
+                    f.record(addr, w, AccessKind::Read, AccessClass::StreamRead);
+                }
+                Op::Run(addr, w, stride, n) => {
+                    r.record_run(addr, w, stride, n, AccessClass::StreamRead);
+                    for e in 0..n as u64 {
+                        f.record(
+                            addr + e * stride,
+                            w,
+                            AccessKind::Read,
+                            AccessClass::StreamRead,
+                        );
+                    }
+                }
+            }
+        }
+        (runs, flat)
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let width = || proptest::sample::select(vec![1u32, 2, 4, 8]);
+        prop_oneof![
+            (0u64..4096, width(), any::<bool>()).prop_map(|(a, w, t)| Op::Single(a, w, t)),
+            (
+                0u64..4096,
+                width(),
+                proptest::sample::select(vec![0u64, 1, 2, 4, 8, 32, 64, 96, 128, 256, 70_000]),
+                1u32..80,
+            )
+                .prop_map(|(a, w, st, n)| Op::Run(a, w, st, n)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+        /// Run records align to exactly the cost of their per-access
+        /// expansion, whether the closed form or the lazy expansion applies.
+        #[test]
+        fn runs_align_like_their_expansion(
+            lanes in 1usize..=WARP_SIZE,
+            ops in proptest::collection::vec((0usize..WARP_SIZE, arb_op()), 0..120),
+            seg in proptest::sample::select(vec![32u64, 128]),
+        ) {
+            let ops: Vec<(usize, Op)> = ops.into_iter().map(|(l, o)| (l % lanes, o)).collect();
+            let (runs, flat) = traces(&ops, lanes);
+            let mut spec = DeviceSpec::test_tiny();
+            spec.segment_bytes = seg;
+            let got = WarpAligner::new().align(&spec, &runs).clone();
+            let want = WarpAligner::new().align(&spec, &flat).clone();
+            prop_assert_eq!(got, want);
+            for (r, f) in runs.iter().zip(&flat) {
+                prop_assert_eq!(r.access_count(), f.access_count());
+                prop_assert_eq!(r.instructions, f.instructions);
+            }
+        }
+
+        /// Lock-step warps of equal runs (the interleaved-layout shape)
+        /// take the closed form and still match their expansion.
+        #[test]
+        fn lockstep_runs_align_like_their_expansion(
+            lanes in 1usize..=WARP_SIZE,
+            width in proptest::sample::select(vec![1u32, 2, 4, 8]),
+            lens in proptest::collection::vec(1u32..200, 1..4),
+            ragged in 0u32..40,
+        ) {
+            let mut ops = Vec::new();
+            for lane in 0..lanes {
+                let stride = WARP_SIZE as u64 * width as u64;
+                let mut base = 4096 + lane as u64 * width as u64;
+                for &len in &lens {
+                    let n = if lane % 3 == 1 { len.saturating_sub(ragged).max(1) } else { len };
+                    ops.push((lane, Op::Run(base, width, stride, n)));
+                    base += len as u64 * stride + 4096;
+                    ops.push((lane, Op::Single(base, 4, false)));
+                    base += 256;
+                }
+            }
+            let (runs, flat) = traces(&ops, lanes);
+            let spec = DeviceSpec::test_tiny();
+            let got = WarpAligner::new().align(&spec, &runs).clone();
+            let want = WarpAligner::new().align(&spec, &flat).clone();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn consecutive_runs_join_into_one_record() {
+        let mut t = ThreadTrace::default();
+        t.record_run(4096, 1, 32, 5, AccessClass::StreamRead);
+        t.record_run(4096 + 5 * 32, 1, 32, 7, AccessClass::StreamRead);
+        t.record_run(8192, 1, 32, 3, AccessClass::StreamRead);
+        let recs = &t.classed[AccessClass::StreamRead.index()];
+        assert_eq!(recs.len(), 2);
+        assert_eq!((recs[0].count, recs[1].count), (12, 3));
+        assert_eq!(t.instructions, 15);
+        assert_eq!(t.access_count(), 15);
+        assert!(t.has_runs[AccessClass::StreamRead.index()]);
     }
 }
 

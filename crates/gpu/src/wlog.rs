@@ -374,6 +374,30 @@ impl<'m> BlockLog<'m> {
         }
     }
 
+    /// [`BlockLog::stream_load`] of `out.len() / width` elements at
+    /// `offset`, `offset + stride`, ..., packed into `out`.
+    pub fn stream_load_strided(
+        &self,
+        buf: BufferId,
+        offset: u64,
+        stride: u64,
+        width: u32,
+        out: &mut [u8],
+    ) {
+        let w = width as usize;
+        match self.priv_index(buf) {
+            Some(i) => {
+                crate::mem::copy_strided(&self.privs[i].1[offset as usize..], stride, w, out)
+            }
+            None => {
+                for (e, dst) in out.chunks_exact_mut(w).enumerate() {
+                    let v = self.load_merged(buf, offset + e as u64 * stride, width);
+                    dst.copy_from_slice(&v.to_le_bytes()[..w]);
+                }
+            }
+        }
+    }
+
     /// Store `width` bytes. Private buffers update their mirror; shared
     /// buffers record a blind `Write` op (last writer in block order wins).
     pub fn store(&mut self, buf: BufferId, offset: u64, width: u32, value: u64) {

@@ -149,6 +149,33 @@ impl Iterator for AddrStreamIter<'_> {
 
 impl ExactSizeIterator for AddrStreamIter<'_> {}
 
+impl AddrStreamIter<'_> {
+    /// Check the next `n` entries against the run `width` bytes of `s` at
+    /// `offset`, `offset + width`, ... and step past them — exactly `n`
+    /// [`Iterator::next`] calls each compared with its element, stopping at
+    /// the first mismatch with its index in the run and the entry expected
+    /// there. A pattern stream compares its cycle arrays in place instead
+    /// of building each entry.
+    pub(crate) fn check_run(
+        &mut self,
+        s: StreamId,
+        offset: u64,
+        width: u32,
+        n: usize,
+    ) -> Result<(), (usize, AddrEntry)> {
+        if let IterInner::Pattern(it) = &mut self.inner {
+            return it.check_run(s, offset, width, n);
+        }
+        for i in 0..n {
+            let e = self.next().expect("address cursor covers the run");
+            if e.stream != s || e.offset != offset + i as u64 * width as u64 || e.width != width {
+                return Err((i, e));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// One maximal contiguous gather run (byte range `start..start + len` of
 /// one mapped stream).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

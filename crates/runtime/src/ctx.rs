@@ -163,6 +163,19 @@ impl<'a> AddrGenCtx<'a> {
         );
     }
 
+    /// Record that the computation will read a run of `n` consecutive
+    /// `width`-byte elements of stream `s` from `offset` (element `i` at
+    /// `offset + i * width`): exactly `n` [`Self::emit_read`] calls — same
+    /// entries, same cost — fed to the pattern detector as one run.
+    #[inline]
+    pub fn emit_read_run(&mut self, s: StreamId, offset: u64, width: u32, n: u64) {
+        debug_assert!((1..=8).contains(&width));
+        self.trace.alu(2 * n);
+        let r = self.rec();
+        r.read_det
+            .push_run(&mut r.reads, s, offset, width, n as usize);
+    }
+
     /// Record that the computation will write `width` bytes of stream `s`.
     #[inline]
     pub fn emit_write(&mut self, s: StreamId, offset: u64, width: u32) {
@@ -249,6 +262,17 @@ pub trait DevMemory {
     fn vaddr(&self, b: DevBufId, offset: u64) -> u64;
     /// Load from a staging (stream) buffer.
     fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64;
+    /// Load `out.len() / width` elements from a staging buffer at `offset`,
+    /// `offset + stride`, ..., packed into `out` — one
+    /// [`DevMemory::stream_load`] per element, in one call.
+    fn stream_load_strided(
+        &mut self,
+        b: DevBufId,
+        offset: u64,
+        stride: u64,
+        width: u32,
+        out: &mut [u8],
+    );
     /// Store to a staging (stream) buffer.
     fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64);
     /// Load from persistent device state.
@@ -273,6 +297,17 @@ impl<M: DevMemory> DevMemory for &mut M {
     #[inline]
     fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
         (**self).stream_load(b, offset, width)
+    }
+    #[inline]
+    fn stream_load_strided(
+        &mut self,
+        b: DevBufId,
+        offset: u64,
+        stride: u64,
+        width: u32,
+        out: &mut [u8],
+    ) {
+        (**self).stream_load_strided(b, offset, stride, width, out)
     }
     #[inline]
     fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
@@ -312,6 +347,17 @@ impl DevMemory for LiveMem<'_> {
     #[inline]
     fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
         le_load(self.0.read(b, offset, width as usize))
+    }
+    #[inline]
+    fn stream_load_strided(
+        &mut self,
+        b: DevBufId,
+        offset: u64,
+        stride: u64,
+        width: u32,
+        out: &mut [u8],
+    ) {
+        self.0.read_strided(b, offset, stride, width as usize, out);
     }
     #[inline]
     fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
@@ -354,6 +400,17 @@ impl DevMemory for LoggedMem<'_, '_> {
     #[inline]
     fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
         self.0.stream_load(b, offset, width)
+    }
+    #[inline]
+    fn stream_load_strided(
+        &mut self,
+        b: DevBufId,
+        offset: u64,
+        stride: u64,
+        width: u32,
+        out: &mut [u8],
+    ) {
+        self.0.stream_load_strided(b, offset, stride, width, out);
     }
     #[inline]
     fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
@@ -618,6 +675,161 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
     }
 }
 
+/// Where a run read's elements live in device memory (see
+/// [`ComputeCtx::plan_run`]).
+struct RunPlan<'a> {
+    /// Buffer the elements are loaded from.
+    buf: DevBufId,
+    /// Elements loaded ahead of the kernel's scan.
+    len: usize,
+    place: RunPlace<'a>,
+}
+
+enum RunPlace<'a> {
+    /// Element `i` at `pos + i * stride`.
+    Linear { pos: u64, stride: u64 },
+    /// The slots of ordinals `k..` of lane-in-warp `lane`: consecutive
+    /// slots of one lane are a warp group apart, so the stride is constant
+    /// while the slot width stays the same.
+    Interleaved {
+        region: &'a crate::layout::WarpRegion,
+        lane: usize,
+        k: usize,
+    },
+}
+
+/// One constant-stride piece of a run: elements `first..first + len` at
+/// `pos`, `pos + stride`, ...
+struct RunPiece {
+    first: usize,
+    len: usize,
+    pos: u64,
+    stride: u64,
+}
+
+impl RunPlan<'_> {
+    /// The constant-stride pieces covering elements `0..to`.
+    fn pieces(&self, to: usize) -> impl Iterator<Item = RunPiece> + '_ {
+        let mut i = 0;
+        std::iter::from_fn(move || {
+            if i >= to {
+                return None;
+            }
+            let first = i;
+            Some(match self.place {
+                RunPlace::Linear { pos, stride } => {
+                    i = to;
+                    RunPiece {
+                        first,
+                        len: to,
+                        pos,
+                        stride,
+                    }
+                }
+                RunPlace::Interleaved { region, lane, k } => {
+                    let sw = region.step_width[k + i];
+                    while i < to && region.step_width[k + i] == sw {
+                        i += 1;
+                    }
+                    RunPiece {
+                        first,
+                        len: i - first,
+                        pos: region.slot(lane, k + first).0,
+                        stride: bk_gpu::WARP_SIZE as u64 * sw as u64,
+                    }
+                }
+            })
+        })
+    }
+}
+
+impl<'a, M: DevMemory> ComputeCtx<'a, M> {
+    /// Resolve up to `n_max` run elements starting at the lane's next read:
+    /// the same slots (or staged positions) [`Self::resolve_read`] would
+    /// give, clipped to elements that are safe to load ahead of the
+    /// kernel's scan — emitted, and wholly inside their slot, lane bytes or
+    /// staged range. A scan that goes further continues element by element.
+    fn plan_run(&self, s: StreamId, offset: u64, width: u32, n_max: usize) -> RunPlan<'a> {
+        let w = width as u64;
+        match (&self.mode, self.layout) {
+            (StreamMode::Staged, _) if s != StreamId(0) => {
+                // Aux-staged secondary stream: read element by element.
+                let (_, buf) = self.aux_buf(s);
+                RunPlan {
+                    buf,
+                    len: 0,
+                    place: RunPlace::Linear {
+                        pos: offset,
+                        stride: w,
+                    },
+                }
+            }
+            (StreamMode::Staged, ChunkLayout::Staged { segs, lane_seg, .. }) => {
+                let (base, range) = &segs[lane_seg[self.lane]];
+                // Elements lying wholly inside the staged range.
+                let fits = if range.contains(&offset) {
+                    ((range.end - offset) / w) as usize
+                } else {
+                    0
+                };
+                RunPlan {
+                    buf: self.data_buf,
+                    len: n_max.min(fits),
+                    place: RunPlace::Linear {
+                        pos: base + offset.saturating_sub(range.start),
+                        stride: w,
+                    },
+                }
+            }
+            (StreamMode::Staged, _) => unreachable!("staged mode pairs with a staged layout"),
+            (StreamMode::Assembled { lane_addrs, .. }, layout) => {
+                // Only the lane's emitted reads are loaded.
+                let len = n_max.min(lane_addrs.reads.len() - self.read_k);
+                match layout {
+                    ChunkLayout::Interleaved { warps, .. } => {
+                        // ...and only slots at least `width` wide: a
+                        // narrower slot cannot hold a matching element.
+                        let region = &warps[self.lane / bk_gpu::WARP_SIZE];
+                        let k = self.read_k;
+                        let len = region.step_width[k..k + len]
+                            .iter()
+                            .position(|&sw| sw < width)
+                            .unwrap_or(len);
+                        RunPlan {
+                            buf: self.data_buf,
+                            len,
+                            place: RunPlace::Interleaved {
+                                region,
+                                lane: self.lane % bk_gpu::WARP_SIZE,
+                                k,
+                            },
+                        }
+                    }
+                    ChunkLayout::PerLane {
+                        lane_base,
+                        lane_len,
+                        ..
+                    } => {
+                        // ...and only elements inside the lane's own bytes.
+                        let left = lane_len[self.lane] - self.perlane_read_cursor;
+                        RunPlan {
+                            buf: self.data_buf,
+                            len: len.min((left / w) as usize),
+                            place: RunPlace::Linear {
+                                pos: lane_base[self.lane] + self.perlane_read_cursor,
+                                stride: w,
+                            },
+                        }
+                    }
+                    ChunkLayout::Staged { .. } => {
+                        unreachable!("assembled mode never pairs with a staged layout")
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cold]
 #[inline(never)]
 fn verify_failed(
@@ -679,6 +891,80 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
             AccessClass::StreamRead,
         );
         self.mem.stream_load(self.data_buf, pos, width)
+    }
+
+    fn stream_read_run(
+        &mut self,
+        s: StreamId,
+        offset: u64,
+        width: u32,
+        buf: &mut [u8],
+        more: &mut dyn FnMut(u64) -> bool,
+    ) -> usize {
+        let w = width as usize;
+        let n_max = buf.len() / w;
+        if n_max == 0 {
+            return 0;
+        }
+        // Load what the plan allows in constant-stride pieces; the same
+        // pieces, cut at the consumed count, become the trace records.
+        let plan = self.plan_run(s, offset, width, n_max);
+        let n = plan.len;
+        for piece in plan.pieces(n) {
+            let out = &mut buf[piece.first * w..(piece.first + piece.len) * w];
+            self.mem
+                .stream_load_strided(plan.buf, piece.pos, piece.stride, width, out);
+        }
+        // The kernel's scan decides how many elements it consumes.
+        let mut consumed = 0;
+        let mut wants_next = true;
+        for e in buf[..n * w].chunks_exact(w) {
+            consumed += 1;
+            if !more(le_load(e)) {
+                wants_next = false;
+                break;
+            }
+        }
+        // Verify the consumed elements, ordinal by ordinal.
+        if let StreamMode::Assembled {
+            verify: true,
+            read_cur,
+            ..
+        } = &mut self.mode
+        {
+            if let Err((i, expected)) = read_cur.check_run(s, offset, width, consumed) {
+                let off = offset + (i * w) as u64;
+                verify_failed("read", expected, s, off, width, self.lane, self.read_k + i);
+            }
+        }
+        for piece in plan.pieces(consumed) {
+            self.trace.record_run(
+                self.mem.vaddr(plan.buf, piece.pos),
+                width,
+                piece.stride,
+                piece.len as u32,
+                AccessClass::StreamRead,
+            );
+        }
+        self.read_k += consumed;
+        self.stream_bytes_read += (consumed * w) as u64;
+        if matches!(self.layout, ChunkLayout::PerLane { .. }) {
+            self.perlane_read_cursor += (consumed * w) as u64;
+        }
+        // A scan that wants more than the plan could load continues element
+        // by element: those reads succeed, or panic, exactly as they would
+        // have without the run.
+        if wants_next && consumed == n {
+            for dst in buf[n * w..n_max * w].chunks_exact_mut(w) {
+                let v = self.stream_read(s, offset + (consumed * w) as u64, width);
+                dst.copy_from_slice(&v.to_le_bytes()[..w]);
+                consumed += 1;
+                if !more(v) {
+                    break;
+                }
+            }
+        }
+        consumed
     }
 
     fn stream_write(&mut self, s: StreamId, offset: u64, width: u32, value: u64) {
@@ -869,7 +1155,7 @@ mod tests {
         let mut ctx = AddrGenCtx::new(&m.gmem, &mut trace);
         assert_eq!(ctx.dev_read_u64(b, 8), 0xABCD);
         assert_eq!(trace.access_count(), 1);
-        assert!(!trace.classed[AccessClass::Dev.index()][0].2); // plain read
+        assert!(!trace.classed[AccessClass::Dev.index()][0].atomic); // plain read
     }
 
     fn interleaved_single_lane_setup(
@@ -1013,7 +1299,7 @@ mod tests {
         let atomics: usize = trace
             .classed
             .iter()
-            .map(|c| c.iter().filter(|a| a.2).count())
+            .map(|c| c.iter().filter(|a| a.atomic).count())
             .sum();
         assert_eq!(atomics, 2);
         assert_eq!(m.gmem.read_u32(table, 8), 3);
@@ -1119,5 +1405,357 @@ mod tests {
         };
         assert_eq!(run(false), run(true));
         assert_eq!(run(true), (130, 123, 7));
+    }
+}
+
+#[cfg(test)]
+mod run_tests {
+    //! The run read against its element-by-element meaning: the same kernel
+    //! scan performed through [`KernelCtx::stream_read_run`] and through
+    //! `stream_read` calls must read the same values and leave the same
+    //! cost model behind, warp by warp.
+    use super::*;
+    use crate::addr::AddrStream;
+    use crate::machine::Machine;
+    use crate::pattern::{detect, MAX_PERIOD};
+    use bk_gpu::trace::WarpCost;
+    use bk_gpu::{KernelCost, WarpAligner, WARP_SIZE};
+    use proptest::prelude::*;
+
+    /// One kernel access: a single read, or a run of `n` elements of which
+    /// the scan consumes the first `take`.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Single(u64, u32),
+        Run(u64, u32, usize, usize),
+    }
+
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Layout {
+        Interleaved,
+        PerLane,
+        Staged,
+    }
+
+    /// The entries a lane's ops perform, in order.
+    fn performed(ops: &[Op]) -> Vec<AddrEntry> {
+        let mut out = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Single(offset, width) => out.push(AddrEntry {
+                    stream: StreamId(0),
+                    offset,
+                    width,
+                }),
+                Op::Run(offset, width, _, take) => {
+                    out.extend((0..take as u64).map(|i| AddrEntry {
+                        stream: StreamId(0),
+                        offset: offset + i * width as u64,
+                        width,
+                    }))
+                }
+            }
+        }
+        out
+    }
+
+    /// Run `ops` against `ctx`, through runs or element by element; returns
+    /// every consumed value.
+    fn body(ctx: &mut dyn KernelCtx, ops: &[Op], runs: bool) -> Vec<u64> {
+        let mut seen = Vec::new();
+        for op in ops {
+            match *op {
+                Op::Single(offset, width) => seen.push(ctx.stream_read(StreamId(0), offset, width)),
+                Op::Run(offset, width, n, take) if runs => {
+                    let w = width as usize;
+                    let mut buf = vec![0u8; n * w];
+                    let mut left = take;
+                    let got =
+                        ctx.stream_read_run(StreamId(0), offset, width, &mut buf, &mut |_| {
+                            left -= 1;
+                            left > 0
+                        });
+                    assert_eq!(got, take);
+                    seen.extend(buf[..got * w].chunks_exact(w).map(le_load));
+                }
+                Op::Run(offset, width, _, take) => {
+                    for i in 0..take as u64 {
+                        seen.push(ctx.stream_read(StreamId(0), offset + i * width as u64, width));
+                    }
+                }
+            }
+            ctx.alu(1);
+        }
+        seen
+    }
+
+    /// Everything one block run leaves behind.
+    #[derive(Debug, PartialEq)]
+    struct Outcome {
+        values: Vec<Vec<u64>>,
+        warps: Vec<WarpCost>,
+        kernel: String,
+        bytes_read: u64,
+        reads: Vec<usize>,
+    }
+
+    fn run_block(lanes: &[Vec<Op>], layout: Layout, logged: bool, runs: bool) -> Outcome {
+        let mut m = Machine::test_platform();
+        let streams: Vec<AddrStream> = lanes
+            .iter()
+            .map(|ops| {
+                let e = performed(ops);
+                match detect(&e, MAX_PERIOD) {
+                    Some(p) => AddrStream::Pattern(p),
+                    None => AddrStream::Raw(e),
+                }
+            })
+            .collect();
+        let refs: Vec<&AddrStream> = streams.iter().collect();
+        let chunk = match layout {
+            Layout::Interleaved => ChunkLayout::build_interleaved(&refs),
+            Layout::PerLane => ChunkLayout::build_per_lane(&refs),
+            Layout::Staged => ChunkLayout::build_staged_window(0..1 << 18, 0, 1 << 18, lanes.len()),
+        };
+        let len = chunk.total_len().max(1);
+        let data = m.gmem.alloc(len);
+        let bytes: Vec<u8> = (0..len)
+            .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
+            .collect();
+        m.gmem.write(data, 0, &bytes);
+        let lane_addrs: Vec<LaneAddrs> = streams
+            .into_iter()
+            .map(|reads| LaneAddrs {
+                reads,
+                writes: AddrStream::Raw(Vec::new()),
+            })
+            .collect();
+        if logged {
+            let mut log = BlockLog::new(&m.gmem);
+            log.register_private(data);
+            run_lanes(
+                &mut LoggedMem(&mut log),
+                lanes,
+                layout,
+                &chunk,
+                &lane_addrs,
+                data,
+                runs,
+            )
+        } else {
+            run_lanes(
+                &mut LiveMem(&mut m.gmem),
+                lanes,
+                layout,
+                &chunk,
+                &lane_addrs,
+                data,
+                runs,
+            )
+        }
+    }
+
+    /// The lane loop of [`run_block`] against one backend.
+    fn run_lanes<M: DevMemory>(
+        mem: &mut M,
+        lanes: &[Vec<Op>],
+        layout: Layout,
+        chunk: &ChunkLayout,
+        lane_addrs: &[LaneAddrs],
+        data: DevBufId,
+        runs: bool,
+    ) -> Outcome {
+        let spec = bk_gpu::DeviceSpec::test_tiny();
+        let mut out = Outcome {
+            values: Vec::new(),
+            warps: Vec::new(),
+            kernel: String::new(),
+            bytes_read: 0,
+            reads: Vec::new(),
+        };
+        let mut kernel = KernelCost::new();
+        let mut aligner = WarpAligner::new();
+        let mut traces = vec![ThreadTrace::default(); WARP_SIZE];
+        for warp0 in (0..lanes.len()).step_by(WARP_SIZE) {
+            let in_warp = WARP_SIZE.min(lanes.len() - warp0);
+            for (li, trace) in traces.iter_mut().enumerate().take(in_warp) {
+                let lane = warp0 + li;
+                trace.clear();
+                let mut ctx = if layout == Layout::Staged {
+                    ComputeCtx::staged_on(&mut *mem, data, chunk, lane, 0, 1, trace)
+                } else {
+                    ComputeCtx::assembled_on(
+                        &mut *mem,
+                        data,
+                        None,
+                        chunk,
+                        None,
+                        &lane_addrs[lane],
+                        true,
+                        lane,
+                        0,
+                        1,
+                        trace,
+                    )
+                };
+                out.values.push(body(&mut ctx, &lanes[lane], runs));
+                out.bytes_read += ctx.stream_bytes_read;
+                out.reads.push(ctx.read_count());
+            }
+            let w = aligner.align(&spec, &traces[..in_warp]);
+            kernel.add_warp(w);
+            out.warps.push(w.clone());
+        }
+        out.kernel = format!("{kernel:?}");
+        out
+    }
+
+    fn arb_op() -> impl Strategy<Value = Op> {
+        let width = || proptest::sample::select(vec![1u32, 2, 4, 8]);
+        prop_oneof![
+            (0u64..4096, width()).prop_map(|(o, w)| Op::Single(o, w)),
+            (0u64..4096, width(), 1usize..48, 0usize..48).prop_map(|(o, w, n, t)| Op::Run(
+                o,
+                w,
+                n,
+                1 + t % n
+            )),
+        ]
+    }
+
+    /// Lanes of random ops, or Opinion-shaped record walks (a 4 B field
+    /// then a byte run, records 256 B apart) with a ragged record count.
+    fn arb_lanes() -> impl Strategy<Value = Vec<Vec<Op>>> {
+        let random = proptest::collection::vec(proptest::collection::vec(arb_op(), 0..8), 1..70);
+        let records = (1usize..70, 1usize..5, 1usize..64, any::<bool>()).prop_map(
+            |(lanes, records, text, ragged)| {
+                (0..lanes)
+                    .map(|l| {
+                        let r = if ragged && l % 3 == 1 {
+                            records - 1
+                        } else {
+                            records
+                        };
+                        (0..r as u64)
+                            .flat_map(|i| {
+                                let base = (l as u64 * 8 + i) * 256;
+                                [Op::Single(base, 4), Op::Run(base + 64, 1, text, text)]
+                            })
+                            .collect()
+                    })
+                    .collect()
+            },
+        );
+        prop_oneof![random, records]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
+
+        /// Run reads and element reads agree on values, counters, the
+        /// stage's `KernelCost` (every field) and each warp's `WarpCost`,
+        /// under every layout and on both memory backends.
+        #[test]
+        fn run_reads_match_element_reads(
+            lanes in arb_lanes(),
+            layout in proptest::sample::select(vec![Layout::Interleaved, Layout::PerLane, Layout::Staged]),
+            logged in any::<bool>(),
+        ) {
+            let by_run = run_block(&lanes, layout, logged, true);
+            let by_element = run_block(&lanes, layout, logged, false);
+            prop_assert_eq!(by_run, by_element);
+        }
+    }
+
+    fn single_lane(ops: &[Op], addrs: Vec<AddrEntry>, corrupt: bool) {
+        let mut m = Machine::test_platform();
+        let mut entries = addrs;
+        if corrupt {
+            // Ordinal 5: the fifth byte of the run after the 4 B field.
+            entries[5].offset += 1;
+        }
+        let stream = AddrStream::Raw(entries);
+        let layout = ChunkLayout::build_interleaved(&[&stream]);
+        let buf = m.gmem.alloc(layout.total_len().max(8));
+        let lane = LaneAddrs {
+            reads: stream,
+            writes: AddrStream::Raw(Vec::new()),
+        };
+        let mut trace = ThreadTrace::default();
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
+            buf,
+            None,
+            &layout,
+            None,
+            &lane,
+            true,
+            0,
+            0,
+            1,
+            &mut trace,
+        );
+        body(&mut ctx, ops, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "address-stream mismatch: lane 0 read #5")]
+    fn corrupted_element_inside_a_run_panics_with_its_ordinal() {
+        let ops = [Op::Single(0, 4), Op::Run(64, 1, 20, 20)];
+        single_lane(&ops, performed(&ops), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "address-stream mismatch: lane 0 read #43")]
+    fn corrupted_element_of_a_pattern_stream_panics_with_its_ordinal() {
+        // Four records of a 4 B field and a 20-byte run compress to a
+        // period-21 pattern; the kernel's third run starts one byte late,
+        // so its first element (ordinal 2 * 21 + 1) mismatches.
+        let record = |r: u64, late: u64| {
+            [
+                Op::Single(r * 256, 4),
+                Op::Run(r * 256 + 64 + late, 1, 20, 20),
+            ]
+        };
+        let emitted: Vec<Op> = (0..4).flat_map(|r| record(r, 0)).collect();
+        let performed_ops: Vec<Op> = (0..4).flat_map(|r| record(r, u64::from(r == 2))).collect();
+        let mut m = Machine::test_platform();
+        let stream = AddrStream::Pattern(detect(&performed(&emitted), MAX_PERIOD).unwrap());
+        let layout = ChunkLayout::build_interleaved(&[&stream]);
+        let buf = m.gmem.alloc(layout.total_len());
+        let lane = LaneAddrs {
+            reads: stream,
+            writes: AddrStream::Raw(Vec::new()),
+        };
+        let mut trace = ThreadTrace::default();
+        let mut ctx = ComputeCtx::assembled_on(
+            LiveMem(&mut m.gmem),
+            buf,
+            None,
+            &layout,
+            None,
+            &lane,
+            true,
+            0,
+            0,
+            1,
+            &mut trace,
+        );
+        body(&mut ctx, &performed_ops, true);
+    }
+
+    #[test]
+    #[should_panic(expected = "performed stream read #11 but its address slice emitted only 11")]
+    fn run_past_the_emitted_window_panics() {
+        let ops = [Op::Single(0, 4), Op::Run(64, 1, 20, 20)];
+        let mut addrs = performed(&ops);
+        addrs.truncate(11);
+        single_lane(&ops, addrs, false);
+    }
+
+    #[test]
+    fn partial_consumption_leaves_the_rest_for_the_next_read() {
+        let ops = [Op::Run(64, 1, 20, 7), Op::Run(71, 1, 20, 13)];
+        single_lane(&ops, performed(&ops), false);
     }
 }

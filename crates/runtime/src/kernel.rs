@@ -28,6 +28,45 @@ pub type DevBufId = bk_gpu::BufferId;
 pub trait KernelCtx {
     /// Read `width` (1..=8) bytes of mapped stream `s` at byte `offset`.
     fn stream_read(&mut self, s: StreamId, offset: u64, width: u32) -> u64;
+    /// Read a run of consecutive `width`-byte elements of mapped stream `s`
+    /// into the kernel's `buf`: element `i` is what
+    /// [`KernelCtx::stream_read`] returns at `offset + i * width`, stored
+    /// packed little-endian at `buf[i * width..]`, and the run holds at
+    /// most `buf.len() / width` elements.
+    ///
+    /// The consume rule: after each element, `more` gets its value and
+    /// answers whether the kernel reads the next one. The run stops at the
+    /// first `false` (that element is consumed) or when `buf` is full, and
+    /// the call returns the number of elements consumed. Those elements —
+    /// and only those — are performed exactly as the same number of
+    /// `stream_read` calls would be: same values, same FIFO verification
+    /// (element by element, panicking at the first mismatching ordinal),
+    /// same charges, and the same accesses in the cost model. A context
+    /// may load past the consumed prefix, but an element the kernel does
+    /// not consume is never charged, verified or traced.
+    ///
+    /// The default loops over `stream_read`; the GPU compute context
+    /// resolves, loads and traces the whole run at once.
+    fn stream_read_run(
+        &mut self,
+        s: StreamId,
+        offset: u64,
+        width: u32,
+        buf: &mut [u8],
+        more: &mut dyn FnMut(u64) -> bool,
+    ) -> usize {
+        let w = width as usize;
+        let mut n = 0;
+        for dst in buf.chunks_exact_mut(w) {
+            let v = self.stream_read(s, offset + n as u64 * width as u64, width);
+            dst.copy_from_slice(&v.to_le_bytes()[..w]);
+            n += 1;
+            if !more(v) {
+                break;
+            }
+        }
+        n
+    }
     /// Write `width` bytes to mapped stream `s` at byte `offset`.
     fn stream_write(&mut self, s: StreamId, offset: u64, width: u32, value: u64);
     /// Read from a device-resident buffer.
@@ -79,6 +118,12 @@ pub trait ValueExt: KernelCtx {
     /// Read a mapped-stream byte.
     fn stream_read_u8(&mut self, s: StreamId, offset: u64) -> u8 {
         self.stream_read(s, offset, 1) as u8
+    }
+    /// Read `buf.len()` consecutive mapped-stream bytes starting at
+    /// `offset` as one run (every byte consumed; see
+    /// [`KernelCtx::stream_read_run`]).
+    fn stream_read_bytes(&mut self, s: StreamId, offset: u64, buf: &mut [u8]) {
+        self.stream_read_run(s, offset, 1, buf, &mut |_| true);
     }
     /// Read a mapped-stream `u32`.
     fn stream_read_u32(&mut self, s: StreamId, offset: u64) -> u32 {

@@ -166,6 +166,38 @@ impl Iterator for PatternIter<'_> {
 
 impl ExactSizeIterator for PatternIter<'_> {}
 
+impl PatternIter<'_> {
+    /// [`crate::addr::AddrStreamIter::check_run`] on a pattern: the run's
+    /// element `i` is compared with the cycle position and cycle number the
+    /// cursor carries, without materializing the entry.
+    pub(crate) fn check_run(
+        &mut self,
+        s: StreamId,
+        offset: u64,
+        width: u32,
+        n: usize,
+    ) -> Result<(), (usize, AddrEntry)> {
+        let p = self.p;
+        assert!(self.k + n <= p.count, "address cursor covers the run");
+        for i in 0..n {
+            let j = self.j;
+            let off = p.bases[j] as i64 + self.m * p.strides[j];
+            let want = (offset + i as u64 * width as u64) as i64;
+            if p.streams[j] != s || p.widths[j] != width || off != want {
+                let expected = self.next().expect("cursor in range");
+                return Err((i, expected));
+            }
+            self.k += 1;
+            self.j += 1;
+            if self.j == p.period() {
+                self.j = 0;
+                self.m += 1;
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Encoded size of a cycle given as parallel slices (shared between
 /// [`Pattern::encoded_bytes`] and the online detector, which sizes its
 /// candidate before materializing a `Pattern`).
@@ -215,6 +247,23 @@ pub(crate) fn detect_from(entries: &[AddrEntry], lo: usize, max_period: usize) -
         return None; // nothing worth compressing
     }
     let window = entries.len().min(DETECT_WINDOW);
+    // Run-structure prune: if the stream opens with a stretch of `stretch`
+    // entries on one (stream, width) and then changes, every period up to
+    // `stretch` fails — entry `stretch` would have to repeat the stream and
+    // width of entry `stretch - p`, which lies inside the opening stretch.
+    // Those periods are skipped instead of verified entry by entry (a text
+    // scan followed by a header field otherwise re-verifies every short
+    // period across the whole scan).
+    let first = (entries[0].stream, entries[0].width);
+    let stretch = entries
+        .iter()
+        .position(|e| (e.stream, e.width) != first)
+        .unwrap_or(entries.len());
+    let lo = if stretch < entries.len() {
+        lo.max(stretch + 1)
+    } else {
+        lo
+    };
 
     'period: for p in lo..=max_period {
         // Need at least two full cycles inside the window to call it a
@@ -439,6 +488,90 @@ impl OnlineDetect {
                 self.seek(buf);
             }
         }
+    }
+
+    /// Feed `n` consecutive entries of one run: `width` bytes of `stream`
+    /// at `offset`, `offset + width`, ... — exactly `n` [`Self::push`]
+    /// calls. A tracking candidate advances across the matching prefix of
+    /// the run (one check when it is a period-1 walk of the run's own
+    /// stride); while pending or in fallback the run is buffered with one
+    /// extend, stopping only where a pending detector must try its next
+    /// period.
+    pub fn push_run(
+        &mut self,
+        buf: &mut Vec<AddrEntry>,
+        stream: StreamId,
+        offset: u64,
+        width: u32,
+        n: usize,
+    ) {
+        let entry = |i: usize| AddrEntry {
+            stream,
+            offset: offset + i as u64 * width as u64,
+            width,
+        };
+        let mut i = 0;
+        while i < n {
+            match self.mode {
+                OnlineMode::Tracking => {
+                    let matched = self.track_run(entry(i), n - i);
+                    self.n += matched;
+                    i += matched;
+                    if i < n {
+                        // The candidate dies on this entry.
+                        self.push(buf, entry(i));
+                        i += 1;
+                    }
+                }
+                OnlineMode::Pending => {
+                    let take = (2 * self.p - self.n).min(n - i);
+                    buf.extend((i..i + take).map(entry));
+                    self.n += take;
+                    i += take;
+                    if self.n == 2 * self.p {
+                        self.seek(buf);
+                    }
+                }
+                OnlineMode::Disabled | OnlineMode::Fallback { .. } => {
+                    buf.extend((i..n).map(entry));
+                    self.n += n - i;
+                    i = n;
+                }
+            }
+        }
+    }
+
+    /// Advance the live candidate over the longest prefix of the run
+    /// `first`, `first + width`, ... (`n` entries) it reproduces; returns
+    /// that prefix's length. Does not touch `self.n`.
+    fn track_run(&mut self, first: AddrEntry, n: usize) -> usize {
+        let (s, w) = (first.stream, first.width);
+        if self.p == 1 && self.streams[0] == s && self.widths[0] == w && self.strides[0] == w as i64
+        {
+            // A period-1 walk of the run's own stride: it reproduces the
+            // whole run iff it reproduces the first entry.
+            if self.bases[0] as i64 + self.next_m * self.strides[0] != first.offset as i64 {
+                return 0;
+            }
+            self.next_m += n as i64;
+            return n;
+        }
+        for i in 0..n {
+            let j = self.next_j;
+            let off = first.offset as i64 + i as i64 * w as i64;
+            if !(self.streams[j] == s
+                && self.widths[j] == w
+                && self.bases[j] as i64 + self.next_m * self.strides[j] == off)
+            {
+                return i;
+            }
+            self.next_j += 1;
+            if self.next_j == self.p {
+                self.next_j = 0;
+                self.next_m += 1;
+            }
+        }
+        n
     }
 
     /// Find the smallest period `>= self.p` whose candidate matches all `n`
@@ -893,7 +1026,7 @@ mod tests {
 }
 
 #[cfg(test)]
-mod proptests {
+pub(crate) mod proptests {
     use super::*;
     use proptest::prelude::*;
 
@@ -1032,7 +1165,7 @@ mod proptests {
         prop_oneof![patterned, irregular, width_flip]
     }
 
-    fn arb_mixed() -> impl Strategy<Value = Vec<AddrEntry>> {
+    pub(crate) fn arb_mixed() -> impl Strategy<Value = Vec<AddrEntry>> {
         proptest::collection::vec(arb_segment(), 1..4).prop_map(|segs| segs.concat())
     }
 
@@ -1040,7 +1173,7 @@ mod proptests {
     /// one to three runs (a timestamp then a text scan, say; each run
     /// contiguous or gapped), records 64 KiB apart, and at most one access
     /// knocked off the walk (its offset, width or stream changed).
-    fn arb_record_walk() -> impl Strategy<Value = Vec<AddrEntry>> {
+    pub(crate) fn arb_record_walk() -> impl Strategy<Value = Vec<AddrEntry>> {
         (
             proptest::collection::vec(
                 (

@@ -597,4 +597,113 @@ mod tests {
         let again_pl = pool.build_per_lane(&lanes, |l| &l.reads);
         assert_eq!(per_lane_parts(&reference_pl), per_lane_parts(&again_pl));
     }
+
+    /// Feed `entries` as runs: maximal stretches on one stream and width
+    /// whose offsets advance by the width, each cut once more at a
+    /// pseudo-random point so runs also start and end mid-stretch.
+    fn record_lane_runs(
+        scratch: &mut AddrGenScratch,
+        detect: bool,
+        entries: &[AddrEntry],
+        cut: u64,
+    ) {
+        scratch.begin_lane(detect);
+        let rec = &mut scratch.recorder;
+        let mut i = 0;
+        while i < entries.len() {
+            let first = entries[i];
+            let mut j = i + 1;
+            while j < entries.len()
+                && entries[j].stream == first.stream
+                && entries[j].width == first.width
+                && entries[j].offset == first.offset + (j - i) as u64 * first.width as u64
+            {
+                j += 1;
+            }
+            let split = i + 1 + (cut.wrapping_mul(j as u64 * 2654435761) % (j - i) as u64) as usize;
+            for (a, b) in [(i, split), (split, j)] {
+                if a < b {
+                    let e = entries[a];
+                    rec.read_det
+                        .push_run(&mut rec.reads, e.stream, e.offset, e.width, b - a);
+                }
+            }
+            i = j;
+        }
+    }
+
+    /// The pool tests' fixed shapes: the Opinion-shaped lane (a 4 B field
+    /// then a 183-byte text run per record) and the period-200 phase change.
+    fn fixed_lanes() -> Vec<Vec<AddrEntry>> {
+        let opinion: Vec<AddrEntry> = (0..5u64)
+            .flat_map(|r| {
+                std::iter::once(e(r * 256, 4)).chain((0..183).map(move |t| e(r * 256 + 4 + t, 1)))
+            })
+            .collect();
+        let phased: Vec<AddrEntry> = (0..3u64)
+            .flat_map(|r| {
+                let a = (0..100).map(move |j| e(r * 4096 + j * 16, 8));
+                a.chain((0..100).map(move |j| e((1 << 20) + r * 4096 + j * 12, 4)))
+            })
+            .collect();
+        let scan: Vec<AddrEntry> = (0..3000u64).map(|i| e(i, 1)).collect();
+        vec![opinion, phased, scan]
+    }
+
+    /// Commit `entries` fed entry by entry and fed as runs under `cfg`.
+    fn both_ways(cfg: &BigKernelConfig, entries: &[AddrEntry], cut: u64) -> [String; 2] {
+        let mut scratch = AddrGenScratch::new();
+        record_lane(&mut scratch, cfg.pattern_recognition, entries);
+        let by_entry = scratch.commit_reads(cfg);
+        record_lane_runs(&mut scratch, cfg.pattern_recognition, entries, cut);
+        assert_eq!(scratch.recorder.reads_len(), entries.len());
+        let by_run = scratch.commit_reads(cfg);
+        [format!("{by_entry:?}"), format!("{by_run:?}")]
+    }
+
+    fn configs() -> [BigKernelConfig; 3] {
+        [
+            BigKernelConfig::default(),
+            BigKernelConfig {
+                segmented_patterns: false,
+                ..BigKernelConfig::default()
+            },
+            cfg_no_pr(),
+        ]
+    }
+
+    #[test]
+    fn run_fed_commit_matches_entry_fed_on_fixed_lanes() {
+        for entries in fixed_lanes() {
+            for cfg in configs() {
+                for cut in 0..4 {
+                    let [a, b] = both_ways(&cfg, &entries, cut);
+                    assert_eq!(a, b);
+                }
+            }
+        }
+    }
+
+    mod run_fed {
+        use super::*;
+        use crate::pattern::proptests::{arb_mixed, arb_record_walk};
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+            /// §IV.A fed by runs commits the same `AddrStream` (pattern,
+            /// segmented pieces or raw entries) and the same `Compression`
+            /// as §IV.A fed entry by entry.
+            #[test]
+            fn run_fed_commit_matches_entry_fed(
+                entries in prop_oneof![arb_mixed(), arb_record_walk()],
+                cut in any::<u64>(),
+                which in 0usize..3,
+            ) {
+                let [a, b] = both_ways(&configs()[which], &entries, cut);
+                prop_assert_eq!(a, b);
+            }
+        }
+    }
 }
