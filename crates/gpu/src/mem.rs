@@ -252,7 +252,7 @@ impl GpuMemory {
 /// Copy `out.len() / width` elements of `width` bytes from `src` at byte 0,
 /// `stride`, `2 * stride`, ... into `out`, packed.
 #[inline]
-pub fn copy_strided(src: &[u8], stride: u64, width: usize, out: &mut [u8]) {
+pub(crate) fn copy_strided(src: &[u8], stride: u64, width: usize, out: &mut [u8]) {
     if stride == width as u64 {
         out.copy_from_slice(&src[..out.len()]);
         return;
