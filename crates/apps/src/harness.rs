@@ -160,6 +160,20 @@ impl HarnessConfig {
         cfg
     }
 
+    /// A fresh machine for one run: the platform preset replicated to
+    /// [`gpus`](Self::gpus) devices, with the [`link`](Self::link) override
+    /// applied and fixed costs scaled by
+    /// [`fixed_cost_scale`](Self::fixed_cost_scale).
+    pub fn build_machine(&self) -> Machine {
+        let mut machine = (self.machine)();
+        machine.replicate_gpus(self.gpus);
+        if let Some(link) = &self.link {
+            machine.link = link.clone();
+        }
+        machine.scale_fixed_costs(self.fixed_cost_scale);
+        machine
+    }
+
     /// Small everything for fast unit tests.
     pub fn test_small() -> Self {
         HarnessConfig {
@@ -339,12 +353,7 @@ pub fn run_all(
     use rayon::prelude::*;
     imps.par_iter()
         .map(|&imp| {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            if let Some(link) = &cfg.link {
-                machine.link = link.clone();
-            }
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
+            let mut machine = cfg.build_machine();
             let instance = app.instantiate(&mut machine, bytes, seed);
             let result = run_implementation(&mut machine, &instance, imp, cfg);
             if let Err(e) = (instance.verify)(&machine) {

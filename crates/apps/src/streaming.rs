@@ -42,10 +42,10 @@ use std::ops::Range;
 /// check the app's exact-output verification. Panics — like
 /// [`run_all`](crate::harness::run_all) — if verification fails.
 ///
-/// The machine setup mirrors the batch harness (GPU replication, link
-/// override, fixed-cost scaling), so streamed results are comparable with
-/// batch results from the same [`HarnessConfig`]. Multi-pass apps run
-/// unfused; pass ordering is the streaming runner's concern.
+/// The machine comes from [`HarnessConfig::build_machine`], as in the batch
+/// harness, so streamed results are comparable with batch results from the
+/// same [`HarnessConfig`]. Multi-pass apps run unfused; pass ordering is the
+/// streaming runner's concern.
 pub fn run_streamed(
     app: &dyn BenchApp,
     bytes: u64,
@@ -54,12 +54,7 @@ pub fn run_streamed(
     scfg: &StreamConfig,
     make_source: &dyn Fn(u64) -> Box<dyn Source>,
 ) -> (StreamResult, Machine) {
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    if let Some(link) = &cfg.link {
-        machine.link = link.clone();
-    }
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
+    let mut machine = cfg.build_machine();
     let instance = app.instantiate(&mut machine, bytes, seed);
     let kernels: Vec<&dyn StreamKernel> = instance
         .kernels

@@ -510,60 +510,6 @@ fn tracing_on_or_off_is_bit_identical_for_every_app() {
     }
 }
 
-/// The raw-speed assembly knobs (DESIGN.md §13) never change what a run
-/// computes: every (simd, order) combination must verify against the
-/// pure-Rust reference, and the SIMD dispatch specifically must be
-/// invisible to the simulated timeline (identical total and per-stage
-/// times; only the `assembly.simd_runs`/`scalar_runs` diagnostics may
-/// differ). Gather *ordering* legitimately changes the simulated LLC
-/// sequence — that is its purpose — so only outputs are pinned across
-/// orders.
-#[test]
-fn assembly_knobs_preserve_outputs_and_simd_preserves_timing() {
-    use bk_runtime::AssemblyOrder;
-    let launch = LaunchConfig::new(4, 32);
-    for app in all_apps() {
-        let run_with = |simd: bool, order: AssemblyOrder| {
-            let mut cfg = HarnessConfig::test_small();
-            cfg.launch = launch;
-            cfg.bigkernel.chunk_input_bytes = 16 * 1024;
-            cfg.bigkernel.simd_gather = simd;
-            cfg.bigkernel.assembly_order = order;
-            let mut machine = Machine::test_platform();
-            let instance = app.instantiate(&mut machine, 192 * 1024, 42);
-            let result =
-                run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-            if let Err(e) = (instance.verify)(&machine) {
-                panic!(
-                    "{} failed verification (simd={simd}, order={order:?}): {e}",
-                    app.spec().name
-                );
-            }
-            result
-        };
-        for order in [
-            AssemblyOrder::Auto,
-            AssemblyOrder::Natural,
-            AssemblyOrder::CacheBlocked,
-        ] {
-            let on = run_with(true, order);
-            let off = run_with(false, order);
-            assert_eq!(
-                on.total,
-                off.total,
-                "{} simulated total changed with SIMD under {order:?}",
-                app.spec().name
-            );
-            assert_eq!(
-                on.stages,
-                off.stages,
-                "{} per-stage times changed with SIMD under {order:?}",
-                app.spec().name
-            );
-        }
-    }
-}
-
 /// Mega-kernel fusion (DESIGN.md §15) is a transfer-schedule decision, not
 /// a functional one: with `--fuse`, every application's BigKernel run must
 /// still verify bit-identical against the pure-Rust reference — fused where

@@ -23,7 +23,7 @@ use bk_apps::opinion::OpinionFinder;
 use bk_apps::wordcount::WordCount;
 use bk_apps::{run_implementation, BenchApp, HarnessConfig, Implementation};
 use bk_obs::critpath::WaveDag;
-use bk_runtime::{whatif, LaunchConfig, Machine, Perturbation, RunResult, ShardPolicy};
+use bk_runtime::{whatif, LaunchConfig, Machine, Perturbation, RunResult};
 
 /// The paper's seven application configurations, in Table I order.
 fn all_apps() -> Vec<Box<dyn BenchApp + Sync>> {
@@ -89,8 +89,8 @@ fn identity_replay_and_blame_tiling_hold_for_every_app() {
             "{name}: analyzer makespan diverged from the simulated total"
         );
 
-        let identity = whatif::predict(&waves, 1, ShardPolicy::RoundRobin, &Perturbation::Identity)
-            .expect("identity replay");
+        let identity =
+            whatif::predict(&waves, 1, &Perturbation::Identity).expect("identity replay");
         assert!(
             rel_err(identity.secs(), r.total.secs()) < 1e-9,
             "{name}: identity replay {} vs observed {}",
@@ -139,7 +139,7 @@ fn structural_predictions_match_actual_reruns_for_every_app() {
         ];
 
         for (label, perturbation, (gpus, depth, wb)) in cases {
-            let predicted = whatif::predict(&waves, 1, ShardPolicy::RoundRobin, &perturbation)
+            let predicted = whatif::predict(&waves, 1, &perturbation)
                 .unwrap_or_else(|| panic!("{name}: {label} failed to replay"));
             let (actual, _) = run_captured(app.as_ref(), gpus, depth, wb);
             let err = rel_err(predicted.secs(), actual.total.secs());

@@ -41,7 +41,7 @@ use bk_gpu::occupancy::{self, BlockResources};
 use bk_gpu::{BlockLog, BlockSim, GpuPool, KernelCost, ReplayOutcome};
 use bk_host::{cpu, CpuCost, DmaDirection};
 use bk_runtime::ctx::{LiveMem, LoggedMem};
-use bk_runtime::graph::{buffered_graph, serial_graph, Executor, ShardPolicy};
+use bk_runtime::graph::{buffered_graph, serial_graph, Executor};
 use bk_runtime::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig};
 use bk_runtime::layout::ChunkLayout;
 use bk_runtime::result::finalize_stage_stats;
@@ -367,7 +367,7 @@ fn run_buffered(
     } else {
         buffered_graph(machine.gpu().copy_engines as usize, buffers)
     };
-    let executor = Executor::new(spec, machine.num_gpus(), ShardPolicy::RoundRobin);
+    let executor = Executor::new(spec, machine.num_gpus());
     let sharded = executor.run(&durations);
 
     // Observability: spans on the baseline's resource tracks (collected only

@@ -1,16 +1,13 @@
-//! Gather (assembly-stage) throughput microbenchmarks: the SIMD run fast
-//! path vs the scalar per-element walk, and the cache-blocked vs natural
-//! ordering. These guard the PR's wall-clock wins — the assembly stage is
-//! the pipeline's hot loop, so a regression here shows up directly in
-//! `perf_snapshot` blocks/sec.
+//! Gather (assembly-stage) throughput microbenchmarks: one warp gathered in
+//! natural order on the Xeon LLC, and cache-blocked on an LLC smaller than
+//! the warp's footprint. The assembly stage is the pipeline's hot loop, so a
+//! regression here shows up directly in `perf_snapshot` blocks/sec.
 
 use bk_host::CacheSim;
 use bk_runtime::addr::{AddrEntry, AddrStream, LaneAddrs};
 use bk_runtime::assembly::assemble;
 use bk_runtime::pattern;
-use bk_runtime::{
-    AssemblyLayout, AssemblyOrder, GatherConfig, Machine, StreamArray, StreamId, StreamPool,
-};
+use bk_runtime::{AssemblyLayout, GatherConfig, Machine, StreamArray, StreamId, StreamPool};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 /// One warp of 32 lanes, each reading `span` consecutive bytes as 8-byte
@@ -43,13 +40,14 @@ fn bench_gather(c: &mut Criterion) {
     let lanes = warp_lanes(span);
 
     let mut group = c.benchmark_group("gather");
-    for (name, simd, order) in [
-        ("simd-natural", true, AssemblyOrder::Natural),
-        ("scalar-natural", false, AssemblyOrder::Natural),
-        ("simd-cache-blocked", true, AssemblyOrder::CacheBlocked),
+    // The warp's footprint is 512 KiB: it fits the 8 MiB Xeon LLC and
+    // overflows a 256 KiB one, which tiles the walk.
+    for (name, llc) in [
+        ("natural", CacheSim::xeon_llc as fn() -> CacheSim),
+        ("cache-blocked", || CacheSim::new(256 * 1024, 64, 16)),
     ] {
         group.bench_function(name, |b| {
-            let mut cache = CacheSim::xeon_llc();
+            let mut cache = llc();
             let mut pool = StreamPool::new();
             b.iter(|| {
                 let out = assemble(
@@ -57,9 +55,8 @@ fn bench_gather(c: &mut Criterion) {
                     &streams,
                     &lanes,
                     GatherConfig {
-                        order,
-                        simd,
-                        ..GatherConfig::new(AssemblyLayout::Interleaved, true)
+                        layout: AssemblyLayout::Interleaved,
+                        locality: true,
                     },
                     &mut cache,
                     &mut pool,

@@ -32,15 +32,10 @@ pub struct ExpArgs {
     /// `None` keeps the streaming default (off). Only the streaming binary
     /// consults it.
     pub autotune: Option<bool>,
-    /// Assembly gather ordering (`--assembly-order natural|cache-blocked|auto`);
-    /// `None` keeps the config default (auto).
-    pub assembly_order: Option<bk_runtime::AssemblyOrder>,
-    /// Vectorized gather fast path (`--simd on|off`); `None` keeps the
-    /// config default (on).
-    pub simd: Option<bool>,
     /// Mega-kernel fusion (`--fuse` / `--fuse=off`, DESIGN.md §15); `None`
-    /// keeps the config default (off). Refused pairs fall back to the
-    /// unfused per-pass loop, so `--fuse` is always safe to pass.
+    /// keeps the config default (off). Pairs the analysis refuses fall back
+    /// to the unfused per-pass loop. Streamed runs never fuse, so the
+    /// streaming binary refuses the flag.
     pub fuse: Option<bool>,
     /// Streaming window policy (`--window bytes=N|records=N|interval-us=F`,
     /// DESIGN.md §16); `None` keeps the streaming default (1 MiB windows).
@@ -64,8 +59,6 @@ impl Default for ExpArgs {
             reuse_depth: None,
             buffers: None,
             autotune: None,
-            assembly_order: None,
-            simd: None,
             fuse: None,
             window: None,
             queue_bound: None,
@@ -117,7 +110,6 @@ impl ExpArgs {
     /// Parse `--bytes N`, `--mib N`, `--seed S`, `--app SUBSTR`,
     /// `--threads N`, `--machine NAME`, `--gpus N`, `--faults SPEC`,
     /// `--reuse-depth N`, `--buffers N`, `--autotune on|off`,
-    /// `--assembly-order natural|cache-blocked|auto`, `--simd on|off`,
     /// `--fuse[=on|off]`, `--window bytes=N|records=N|interval-us=F`,
     /// `--queue-bound N` from an iterator of arguments (pass
     /// `std::env::args().skip(1)`). Error messages attribute unknown flags
@@ -212,25 +204,6 @@ impl ExpArgs {
                         other => return Err(format!("--autotune: expected on|off, got {other:?}")),
                     };
                 }
-                "--assembly-order" => {
-                    out.assembly_order = match value("--assembly-order")?.as_str() {
-                        "natural" => Some(bk_runtime::AssemblyOrder::Natural),
-                        "cache-blocked" => Some(bk_runtime::AssemblyOrder::CacheBlocked),
-                        "auto" => Some(bk_runtime::AssemblyOrder::Auto),
-                        other => {
-                            return Err(format!(
-                            "--assembly-order: expected natural|cache-blocked|auto, got {other:?}"
-                        ))
-                        }
-                    };
-                }
-                "--simd" => {
-                    out.simd = match value("--simd")?.as_str() {
-                        "on" => Some(true),
-                        "off" => Some(false),
-                        other => return Err(format!("--simd: expected on|off, got {other:?}")),
-                    };
-                }
                 "--window" => {
                     let spec = value("--window")?;
                     out.window = Some(parse_window(binary, &spec)?);
@@ -259,8 +232,7 @@ impl ExpArgs {
                         "usage: [--bytes N | --mib N] [--seed S] [--app SUBSTR] [--threads N] \
                          [--machine gtx680|tesla-like|test-tiny] [--gpus N] [--faults SPEC] \
                          [--reuse-depth N] [--buffers N] \
-                         [--assembly-order natural|cache-blocked|auto] [--simd on|off] \
-                         [--fuse[=on|off]]\n\
+                         [--fuse[=on|off]] (not streaming)\n\
                          streaming only: [--autotune on|off] \
                          [--window bytes=N|records=N|interval-us=F] [--queue-bound N]\n\
                          fault SPEC: comma-separated seed=N,rate=F,retries=N,backoff_us=F,\
@@ -289,6 +261,13 @@ impl ExpArgs {
                     "{binary}: {flag} is read by `streaming` only; run `streaming` to use it"
                 ));
             }
+        }
+        // Streamed runs never fuse: `streaming` refuses `--fuse` rather than
+        // print the unfused rows as if the flag had applied.
+        if binary == "streaming" && out.fuse.is_some() {
+            return Err(format!(
+                "{binary}: --fuse is not read by `streaming` (streamed runs never fuse)"
+            ));
         }
         Ok(out)
     }
@@ -376,15 +355,6 @@ impl ExpArgs {
         if let Some(b) = self.buffers {
             cfg.bigkernel.wb_buffer_depth = Some(b);
         }
-        // Assembly knobs change wall-clock behaviour only — simulated
-        // results stay bit-identical — so they too apply to the bigkernel
-        // pipeline alone (the baselines have no gather stage).
-        if let Some(order) = self.assembly_order {
-            cfg.bigkernel.assembly_order = order;
-        }
-        if let Some(on) = self.simd {
-            cfg.bigkernel.simd_gather = on;
-        }
         // Fusion is a harness-level decision (it changes which runner the
         // BigKernel implementation uses); baselines always run unfused.
         if let Some(on) = self.fuse {
@@ -436,19 +406,6 @@ impl ExpArgs {
         }
         if let Some(on) = self.autotune {
             parts.push(format!("--autotune {}", if on { "on" } else { "off" }));
-        }
-        if let Some(order) = self.assembly_order {
-            parts.push(format!(
-                "--assembly-order {}",
-                match order {
-                    bk_runtime::AssemblyOrder::Natural => "natural",
-                    bk_runtime::AssemblyOrder::CacheBlocked => "cache-blocked",
-                    bk_runtime::AssemblyOrder::Auto => "auto",
-                }
-            ));
-        }
-        if let Some(on) = self.simd {
-            parts.push(format!("--simd {}", if on { "on" } else { "off" }));
         }
         if let Some(on) = self.fuse {
             parts.push(if on { "--fuse" } else { "--fuse=off" }.to_string());
@@ -638,13 +595,12 @@ mod tests {
             "2",
             "--autotune",
             "on",
-            "--simd",
-            "off",
+            "--fuse",
         ])
         .unwrap();
         assert_eq!(
             a.flags_string(),
-            "--bytes 4194304 --seed 7 --gpus 2 --autotune on --simd off"
+            "--bytes 4194304 --seed 7 --gpus 2 --autotune on --fuse"
         );
     }
 
@@ -658,39 +614,6 @@ mod tests {
         assert!(p.contains("\"flags\": \"--seed 9\""));
         assert!(p.contains("\"apps\": [\"word\", \"grep\"]"));
         assert_eq!(p.matches('{').count(), p.matches('}').count());
-    }
-
-    #[test]
-    fn assembly_order_flag() {
-        use bk_runtime::AssemblyOrder;
-        let a = parse(&["--assembly-order", "natural"]).unwrap();
-        assert_eq!(a.assembly_order, Some(AssemblyOrder::Natural));
-        let mut cfg = bk_apps::HarnessConfig::test_small();
-        assert_eq!(cfg.bigkernel.assembly_order, AssemblyOrder::Auto);
-        a.apply_platform(&mut cfg);
-        assert_eq!(cfg.bigkernel.assembly_order, AssemblyOrder::Natural);
-        let b = parse(&["--assembly-order", "cache-blocked"]).unwrap();
-        assert_eq!(b.assembly_order, Some(AssemblyOrder::CacheBlocked));
-        assert_eq!(
-            parse(&["--assembly-order", "auto"]).unwrap().assembly_order,
-            Some(AssemblyOrder::Auto)
-        );
-        assert!(parse(&["--assembly-order", "random"]).is_err());
-        assert!(parse(&["--assembly-order"]).is_err());
-    }
-
-    #[test]
-    fn simd_flag() {
-        let a = parse(&["--simd", "off"]).unwrap();
-        assert_eq!(a.simd, Some(false));
-        let mut cfg = bk_apps::HarnessConfig::test_small();
-        assert!(cfg.bigkernel.simd_gather);
-        a.apply_platform(&mut cfg);
-        assert!(!cfg.bigkernel.simd_gather);
-        parse(&["--simd", "on"]).unwrap().apply_platform(&mut cfg);
-        assert!(cfg.bigkernel.simd_gather);
-        assert!(parse(&["--simd", "maybe"]).is_err());
-        assert!(parse(&["--simd"]).is_err());
     }
 
     #[test]
@@ -818,6 +741,19 @@ mod tests {
     #[test]
     fn trace_export_rejects_streaming_only_flags() {
         assert_rejects_streaming_flags("trace_export");
+    }
+
+    #[test]
+    fn streaming_rejects_fuse() {
+        for flag in ["--fuse", "--fuse=on", "--fuse=off"] {
+            let err =
+                ExpArgs::parse_named("streaming", [flag.to_string()].into_iter()).unwrap_err();
+            assert!(
+                err.starts_with("streaming: --fuse is not read by `streaming`"),
+                "{err}"
+            );
+            assert!(ExpArgs::parse_named("report", [flag.to_string()].into_iter()).is_ok());
+        }
     }
 
     #[test]

@@ -43,9 +43,7 @@ fn run_captured(
     bytes: u64,
     seed: u64,
 ) -> (bk_runtime::RunResult, Vec<WaveDag>) {
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
+    let mut machine = cfg.build_machine();
     let instance = app.instantiate(&mut machine, bytes, seed);
     let guard = bk_obs::critpath::capture();
     let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, cfg);
@@ -78,9 +76,7 @@ fn run_perturbed(
         Perturbation::AddDevice => cfg.gpus += 1,
         _ => return None,
     }
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
+    let mut machine = cfg.build_machine();
     let instance = app.instantiate(&mut machine, bytes, seed);
     Some(run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg).total)
 }
@@ -153,8 +149,7 @@ fn main() {
             println!();
         }
 
-        let policy = cfg.bigkernel.shard_policy;
-        match whatif::predict(&waves, cfg.gpus, policy, &Perturbation::Identity) {
+        match whatif::predict(&waves, cfg.gpus, &Perturbation::Identity) {
             Some(identity) => {
                 let err = (identity.secs() - report.makespan.secs()).abs()
                     / report.makespan.secs().max(1e-12);
@@ -173,7 +168,7 @@ fn main() {
         }
 
         println!("  what-if (ranked by predicted speedup):");
-        for p in whatif::rank(&waves, cfg.gpus, policy) {
+        for p in whatif::rank(&waves, cfg.gpus) {
             print!(
                 "    {:<28} {:>5.2}x -> {}  [{}]",
                 p.scenario.label,

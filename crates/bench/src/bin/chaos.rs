@@ -65,9 +65,7 @@ fn run_with_faults(
 ) -> (bk_runtime::RunResult, bool) {
     let mut cfg = cfg.clone();
     cfg.bigkernel.faults = faults;
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
+    let mut machine = cfg.build_machine();
     let instance = app.instantiate(&mut machine, bytes, seed);
     let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
     let verified = (instance.verify)(&machine).is_ok();

@@ -168,19 +168,8 @@ fn top_stalls(crit: &bk_obs::CritReport) -> Vec<(&'static str, u64)> {
     v
 }
 
-/// JSON spelling of the assembly order — matches the `--assembly-order`
-/// flag values.
-fn order_name(order: bk_runtime::AssemblyOrder) -> &'static str {
-    match order {
-        bk_runtime::AssemblyOrder::Auto => "auto",
-        bk_runtime::AssemblyOrder::Natural => "natural",
-        bk_runtime::AssemblyOrder::CacheBlocked => "cache-blocked",
-    }
-}
-
 fn to_json(
     args: &ExpArgs,
-    cfg: &HarnessConfig,
     iters: usize,
     rows: &[Row],
     scaling: &[ScalingRow],
@@ -198,12 +187,6 @@ fn to_json(
             .unwrap_or_else(|| "null".into())
     );
     let _ = writeln!(out, "  \"iters\": {iters},");
-    let _ = writeln!(
-        out,
-        "  \"assembly_order\": \"{}\",",
-        order_name(cfg.bigkernel.assembly_order)
-    );
-    let _ = writeln!(out, "  \"simd\": {},", cfg.bigkernel.simd_gather);
     let app_names: Vec<&str> = rows.iter().map(|r| r.app).collect();
     let _ = writeln!(
         out,
@@ -414,9 +397,7 @@ fn fusion_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<FusionRow> {
         let run = |fuse: bool| {
             let mut cfg = cfg.clone();
             cfg.fuse = fuse;
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
+            let mut machine = cfg.build_machine();
             let instance = app.instantiate(&mut machine, args.bytes, args.seed);
             let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
             if let Err(e) = (instance.verify)(&machine) {
@@ -459,9 +440,7 @@ fn main() {
         let mut best = f64::INFINITY;
         let mut result = None;
         for _ in 0..ITERS {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
+            let mut machine = cfg.build_machine();
             let instance = app.instantiate(&mut machine, args.bytes, args.seed);
             let t0 = Instant::now();
             let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
@@ -476,14 +455,12 @@ fn main() {
         // critical-path / what-if sections — outside the timed region so
         // the capture allocations never skew the wall numbers.
         let (crit, what_if) = {
-            let mut machine = (cfg.machine)();
-            machine.replicate_gpus(cfg.gpus);
-            machine.scale_fixed_costs(cfg.fixed_cost_scale);
+            let mut machine = cfg.build_machine();
             let instance = app.instantiate(&mut machine, args.bytes, args.seed);
             let guard = bk_obs::critpath::capture();
             let _ = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
             let waves = guard.finish();
-            let mut ranked = bk_runtime::whatif::rank(&waves, cfg.gpus, cfg.bigkernel.shard_policy);
+            let mut ranked = bk_runtime::whatif::rank(&waves, cfg.gpus);
             ranked.truncate(WHAT_IF_TOP);
             (bk_obs::analyze(&waves), ranked)
         };
@@ -615,7 +592,7 @@ fn main() {
         }
     }
 
-    let json = to_json(&args, &cfg, ITERS, &rows, &scaling, &fusion);
+    let json = to_json(&args, ITERS, &rows, &scaling, &fusion);
     std::fs::write("BENCH_pipeline.json", &json).expect("write BENCH_pipeline.json");
     println!("wrote BENCH_pipeline.json");
     if !fusion_ok {

@@ -68,9 +68,7 @@ fn run_point(
     rate: f64,
     window_label: String,
 ) -> Row {
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
+    let mut machine = cfg.build_machine();
     let instance = app.instantiate(&mut machine, bytes, seed);
     let kernels: Vec<&dyn StreamKernel> = instance
         .kernels
@@ -163,9 +161,7 @@ fn main() {
 
         // Calibrate the source: one batch run measures the pipeline's
         // throughput; the stream then arrives RATE_FACTOR times faster.
-        let mut machine = (cfg.machine)();
-        machine.replicate_gpus(cfg.gpus);
-        machine.scale_fixed_costs(cfg.fixed_cost_scale);
+        let mut machine = cfg.build_machine();
         let instance = app.instantiate(&mut machine, args.bytes, args.seed);
         let batch = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
         let len = instance.streams[0].len();

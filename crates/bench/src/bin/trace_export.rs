@@ -49,9 +49,7 @@ fn main() {
     };
     let name = app.spec().name;
 
-    let mut machine = (cfg.machine)();
-    machine.replicate_gpus(cfg.gpus);
-    machine.scale_fixed_costs(cfg.fixed_cost_scale);
+    let mut machine = cfg.build_machine();
     let instance = app.instantiate(&mut machine, args.bytes, args.seed);
 
     let guard = bk_obs::trace::start();

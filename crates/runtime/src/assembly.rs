@@ -19,17 +19,17 @@
 //! destination writes stay in access order either way — the paper found
 //! read cost dominates write cost.
 //!
-//! Two raw-speed refinements ride on that order (both bit-identical to the
-//! plain walk, property-tested below):
+//! Two raw-speed refinements ride on that order (both bit-identical to a
+//! per-entry gather, property-tested below):
 //!
-//! * **Vectorized runs** — a contiguous uniform-width run at or above
-//!   [`SIMD_MIN_RUN_BYTES`] is gathered as one bulk source read scattered
-//!   into its destination slots with width-monomorphized copies; shorter or
-//!   mixed-width runs keep the per-element scalar path.
-//! * **Cache blocking** ([`AssemblyOrder::CacheBlocked`]) — when a warp's
-//!   gather footprint overflows the simulated LLC, the per-lane walk is
-//!   tiled over step ranges so each tile's source range stays resident
-//!   before the walk advances.
+//! * **Vectorized runs** — a contiguous uniform-width run (width 1, 2, 4 or
+//!   8) at or above [`SIMD_MIN_RUN_BYTES`] is gathered as one bulk source
+//!   read scattered into its destination slots with width-monomorphized
+//!   copies; shorter or mixed-width runs take the per-element scalar path.
+//! * **Cache blocking** — exactly when a warp's gather footprint exceeds
+//!   the simulated LLC's capacity, the per-lane walk is tiled over step
+//!   ranges so each tile's source range stays resident before the walk
+//!   advances.
 //!
 //! The prefetch buffer itself lives in the pool's [`bk_host::PinnedArena`]:
 //! assembly bumps a window per chunk and the pipeline wholesale-resets the
@@ -37,7 +37,7 @@
 //! performs zero heap allocations.
 
 use crate::addr::{AddrStream, LaneAddrs, Run};
-use crate::config::{AssemblyLayout, AssemblyOrder};
+use crate::config::AssemblyLayout;
 use crate::layout::{ChunkLayout, WarpRegion};
 use crate::pool::StreamPool;
 use crate::stream::StreamArray;
@@ -59,39 +59,23 @@ const INSTRS_PER_RUN: u64 = 3;
 /// per-element path.
 pub const SIMD_MIN_RUN_BYTES: u64 = 32;
 
-/// How [`assemble`] should gather: destination layout plus the source-walk
-/// knobs (§IV.B order and the vectorized-run fast path).
+/// How [`assemble`] should gather: destination layout plus the §IV.B read
+/// order. The vectorized-run path and cache blocking need no setting: the
+/// run geometry and the warp footprint against the LLC decide them.
 #[derive(Clone, Copy, Debug)]
 pub struct GatherConfig {
     /// Destination chunk-buffer layout.
     pub layout: AssemblyLayout,
     /// §IV.B per-GPU-thread read order when every lane is compressed.
     pub locality: bool,
-    /// Gather element order (only meaningful under the locality order).
-    pub order: AssemblyOrder,
-    /// Vectorized-run fast path (bit-identical; simulator throughput only).
-    pub simd: bool,
 }
 
 impl GatherConfig {
-    /// The default raw-speed configuration for a layout/locality pair:
-    /// automatic order selection with the vectorized path enabled.
-    pub fn new(layout: AssemblyLayout, locality: bool) -> Self {
-        GatherConfig {
-            layout,
-            locality,
-            order: AssemblyOrder::Auto,
-            simd: true,
-        }
-    }
-
-    /// Extract the gather knobs from a full runtime configuration.
+    /// Extract the gather settings from a full runtime configuration.
     pub fn from_config(cfg: &crate::config::BigKernelConfig) -> Self {
         GatherConfig {
             layout: cfg.layout,
             locality: cfg.locality_assembly,
-            order: cfg.assembly_order,
-            simd: cfg.simd_gather,
         }
     }
 }
@@ -148,7 +132,6 @@ struct RunGather<'a> {
     cost: &'a mut CpuCost,
     cache: &'a mut CacheSim,
     stats: &'a mut RunStats,
-    simd: bool,
 }
 
 impl RunGather<'_> {
@@ -166,7 +149,7 @@ impl RunGather<'_> {
     ) {
         self.stats.run_bytes.observe(run.len);
         let arr = &self.streams[run.stream.0 as usize];
-        if self.simd && run.len >= SIMD_MIN_RUN_BYTES && matches!(run.width, 1 | 2 | 4 | 8) {
+        if run.len >= SIMD_MIN_RUN_BYTES && matches!(run.width, 1 | 2 | 4 | 8) {
             let src = self.hmem.read(arr.region, run.start, run.len as usize);
             match run.width {
                 1 => scatter_run::<1>(buf, region, lane, run.first, run.count, src),
@@ -345,7 +328,7 @@ pub fn assemble(
             // the instruction cost is per run. This is what makes
             // pattern-driven assembly cheap for byte-granular data
             // (Table II). Warps whose gather footprint overflows the LLC
-            // are optionally tiled over step ranges (§IV.B blocking).
+            // are tiled over step ranges (§IV.B blocking).
             (ChunkLayout::Interleaved { warps, .. }, true) => {
                 let mut rg = RunGather {
                     hmem,
@@ -353,17 +336,11 @@ pub fn assemble(
                     cost: &mut cost,
                     cache,
                     stats: &mut stats,
-                    simd: gcfg.simd,
                 };
                 for (region, warp_lanes) in warps.iter().zip(lanes.chunks(WARP_SIZE)) {
                     let footprint: u64 = warp_lanes.iter().map(|l| l.reads.data_bytes()).sum();
-                    let blocked = match gcfg.order {
-                        AssemblyOrder::Natural => false,
-                        AssemblyOrder::CacheBlocked => true,
-                        AssemblyOrder::Auto => footprint > rg.cache.capacity_bytes(),
-                    };
                     let steps = region.step_off.len();
-                    if blocked && footprint > 0 && steps > 0 {
+                    if footprint > rg.cache.capacity_bytes() && steps > 0 {
                         cache_blocked_warps += 1;
                         // Tile so one tile's source bytes stay within half
                         // the LLC (the other half absorbs destination and
@@ -519,7 +496,7 @@ mod tests {
     }
 
     fn cfg(layout: AssemblyLayout, locality: bool) -> GatherConfig {
-        GatherConfig::new(layout, locality)
+        GatherConfig { layout, locality }
     }
 
     #[test]
@@ -778,11 +755,11 @@ mod tests {
     }
 
     #[test]
-    fn cache_blocked_order_is_bit_identical_and_recorded() {
-        // One warp of 32 lanes scanning 4 KiB each: footprint 128 KiB
-        // overflows a 4 KiB test cache, so Auto picks the blocked walk.
+    fn auto_blocks_exactly_when_the_warp_footprint_exceeds_the_llc() {
+        // One warp of 32 lanes scanning 4 KiB each: a 128 KiB footprint
+        // fits the 8 MiB Xeon LLC but overflows a 4 KiB test cache.
         let span = 4096u64;
-        let data = vec![9u8; (32 * span) as usize];
+        let data: Vec<u8> = (0..32 * span).map(|i| (i % 251) as u8).collect();
         let (m, streams) = setup(&data);
         let mk = |lane: u64| -> Vec<AddrEntry> {
             (0..span / 8)
@@ -799,17 +776,13 @@ mod tests {
                 writes: AddrStream::Raw(Vec::new()),
             })
             .collect();
-        let run = |order: AssemblyOrder| {
-            let mut cache = CacheSim::new(4096, 64, 4);
+        let run = |mut cache: CacheSim| {
             let mut pool = StreamPool::new();
             let out = assemble(
                 &m.hmem,
                 &streams,
                 &lanes,
-                GatherConfig {
-                    order,
-                    ..cfg(AssemblyLayout::Interleaved, true)
-                },
+                cfg(AssemblyLayout::Interleaved, true),
                 &mut cache,
                 &mut pool,
             );
@@ -818,14 +791,11 @@ mod tests {
                 out.cache_blocked_warps,
             )
         };
-        let (nat, nat_blocked) = run(AssemblyOrder::Natural);
-        let (blk, blk_blocked) = run(AssemblyOrder::CacheBlocked);
-        let (auto, auto_blocked) = run(AssemblyOrder::Auto);
-        assert_eq!(nat, blk, "order must not change contents");
-        assert_eq!(nat, auto);
-        assert_eq!(nat_blocked, 0);
-        assert_eq!(blk_blocked, 1);
-        assert_eq!(auto_blocked, 1, "footprint overflows the LLC → blocked");
+        let (large, large_blocked) = run(CacheSim::xeon_llc());
+        let (small, small_blocked) = run(CacheSim::new(4096, 64, 4));
+        assert_eq!(large, small, "blocking must not change contents");
+        assert_eq!(large_blocked, 0, "footprint fits the LLC → natural walk");
+        assert!(small_blocked > 0, "footprint overflows the LLC → blocked");
     }
 
     #[test]
@@ -873,66 +843,115 @@ mod tests {
         assert_eq!(out.run_bytes.count(), 129);
     }
 
+    /// Per-entry reference gather: every entry's source bytes written at
+    /// its slot in `layout`, everything else zero.
+    fn reference_gather(data: &[u8], lanes: &[LaneAddrs], layout: &ChunkLayout) -> Vec<u8> {
+        let ChunkLayout::Interleaved { warps, .. } = layout else {
+            panic!("interleaved layout expected")
+        };
+        let mut buf = vec![0u8; layout.total_len() as usize];
+        for (lane, l) in lanes.iter().enumerate() {
+            for (k, e) in l.reads.iter().enumerate() {
+                let (dest, _) = warps[lane / WARP_SIZE].slot(lane % WARP_SIZE, k);
+                let (d, o, w) = (dest as usize, e.offset as usize, e.width as usize);
+                buf[d..d + w].copy_from_slice(&data[o..o + w]);
+            }
+        }
+        buf
+    }
+
+    /// One cycle position of a generated lane: `count` contiguous elements
+    /// of `width` bytes, then `gap` skipped bytes.
+    fn arb_piece() -> impl Strategy<Value = (u32, u64, u64)> {
+        (
+            prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(8u32), Just(3u32)],
+            1u64..24,
+            prop_oneof![Just(0u64), 1u64..12],
+        )
+    }
+
     proptest! {
-        /// SIMD gather ≡ scalar gather, and Natural ≡ CacheBlocked, for
-        /// arbitrary run geometries: unaligned starts, mixed widths across
-        /// lanes, zero-length streams, and source windows that overlap
-        /// between lanes. Costs must also agree across the SIMD dispatch
-        /// (it is invisible to the cost model); orders may differ in cost
-        /// but never in bytes.
+        /// `assemble` ≡ the per-entry reference gather on pattern lanes that
+        /// mix long runs (≥ `SIMD_MIN_RUN_BYTES`), short runs and runs whose
+        /// widths change mid-run, over unaligned starts, empty lanes and
+        /// source windows shared between lanes — on a large cache (natural
+        /// walk) and on a small one (cache-blocked walk). On the large cache
+        /// the vectorized path takes exactly the long uniform-width runs of
+        /// width 1, 2, 4 or 8.
         #[test]
-        fn simd_and_blocked_gathers_match_scalar_natural(
+        fn gather_matches_per_entry_reference(
             geom in proptest::collection::vec(
-                (0u64..4096, prop_oneof![Just(1u32), Just(2u32), Just(4u32), Just(8u32)],
-                 0u64..12, 0usize..70),
-                0..40,
+                (0u64..4096, proptest::collection::vec(arb_piece(), 1..5),
+                 prop_oneof![Just(0u64), 1u64..64], 0usize..4, 0usize..4),
+                1..40,
             )
         ) {
-            // Each lane: `count` entries of `width` bytes starting at
-            // `base`, spaced `width + gap` apart (gap 0 → one mergeable
-            // run; gap > 0 → per-entry runs).
-            let data: Vec<u8> = (0..16384u32).map(|i| (i * 7 + 13) as u8).collect();
+            // Each lane is a hand-built pattern: a cycle of pieces starting at
+            // `base`, repeated `reps` times plus `tail` quarters of a cycle,
+            // each cycle `span + extra` bytes after the last (extra 0 →
+            // consecutive cycles merge into one run). Zero entries → an
+            // empty lane.
+            let data: Vec<u8> = (0..32768u32).map(|i| (i * 7 + 13) as u8).collect();
             let (m, streams) = setup(&data);
             let lanes: Vec<LaneAddrs> = geom
                 .iter()
-                .map(|&(base, width, gap, count)| {
-                    let entries: Vec<AddrEntry> = (0..count as u64)
-                        .map(|j| AddrEntry {
-                            stream: StreamId(0),
-                            offset: base + j * (width as u64 + gap),
-                            width,
+                .map(|&(base, ref pieces, extra, reps, tail)| {
+                    let (mut bases, mut widths) = (Vec::new(), Vec::new());
+                    let mut at = base;
+                    for &(width, count, gap) in pieces {
+                        for _ in 0..count {
+                            bases.push(at);
+                            widths.push(width);
+                            at += width as u64;
+                        }
+                        at += gap;
+                    }
+                    let period = bases.len();
+                    let count = period * reps + period * tail / 4;
+                    let reads = if count == 0 {
+                        AddrStream::Raw(Vec::new())
+                    } else {
+                        AddrStream::Pattern(pattern::Pattern {
+                            streams: vec![StreamId(0); period],
+                            bases,
+                            strides: vec![(at - base + extra) as i64; period],
+                            widths,
+                            count,
                         })
-                        .collect();
-                    let reads = match pattern::detect(&entries, pattern::MAX_PERIOD) {
-                        Some(p) => AddrStream::Pattern(p),
-                        None => AddrStream::Raw(entries),
                     };
                     LaneAddrs { reads, writes: AddrStream::Raw(Vec::new()) }
                 })
                 .collect();
-            let run = |simd: bool, order: AssemblyOrder| {
-                let mut cache = CacheSim::new(4096, 64, 4);
+            let expected_simd: u64 = lanes
+                .iter()
+                .flat_map(|l| l.reads.runs())
+                .filter(|r| r.len >= SIMD_MIN_RUN_BYTES && matches!(r.width, 1 | 2 | 4 | 8))
+                .count() as u64;
+            let total: u64 = lanes.iter().map(|l| l.reads.data_bytes()).sum();
+            for (mut cache, natural) in
+                [(CacheSim::xeon_llc(), true), (CacheSim::new(4096, 64, 4), false)]
+            {
                 let mut pool = StreamPool::new();
                 let out = assemble(
                     &m.hmem,
                     &streams,
                     &lanes,
-                    GatherConfig { layout: AssemblyLayout::Interleaved, locality: true, order, simd },
+                    cfg(AssemblyLayout::Interleaved, true),
                     &mut cache,
                     &mut pool,
                 );
-                let gathered = out.gathered_bytes;
-                let cost = (out.cost.instructions, out.cost.dram_bytes,
-                            out.cost.cache_hits, out.cost.cache_misses);
-                (pool.arena.bytes(&out.bytes).to_vec(), gathered, cost)
-            };
-            let (scalar, g0, c0) = run(false, AssemblyOrder::Natural);
-            let (simd, g1, c1) = run(true, AssemblyOrder::Natural);
-            let (blocked, g2, _) = run(true, AssemblyOrder::CacheBlocked);
-            prop_assert_eq!(&scalar, &simd, "SIMD dispatch changed bytes");
-            prop_assert_eq!(&scalar, &blocked, "blocked order changed bytes");
-            prop_assert_eq!((g0, c0), (g1, c1), "SIMD dispatch changed cost");
-            prop_assert_eq!(g0, g2);
+                prop_assert!(out.locality_order_used);
+                prop_assert_eq!(
+                    pool.arena.bytes(&out.bytes),
+                    &reference_gather(&data, &lanes, &out.layout)[..],
+                    "gathered bytes differ from the per-entry reference"
+                );
+                prop_assert_eq!(out.gathered_bytes, total);
+                if natural {
+                    prop_assert_eq!(out.cache_blocked_warps, 0);
+                    prop_assert_eq!(out.simd_runs, expected_simd);
+                }
+            }
         }
     }
 }

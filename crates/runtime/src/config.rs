@@ -1,7 +1,6 @@
 //! BigKernel runtime configuration.
 
 use crate::fault::FaultPlan;
-use crate::graph::ShardPolicy;
 
 /// How the assembly stage lays out prefetched data in the chunk buffer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -12,25 +11,6 @@ pub enum AssemblyLayout {
     /// Per-lane packed runs — transfer volume reduced but original order
     /// (the Fig. 5 "volume reduction only" variant).
     PerLane,
-}
-
-/// Order the assembly stage visits gather elements in (paper §IV.B).
-///
-/// Destination slots are fixed by the [`AssemblyLayout`], so every order
-/// produces bit-identical prefetch buffers; what changes is the *source*
-/// access sequence seen by the simulated LLC and therefore the assembly
-/// stage's cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AssemblyOrder {
-    /// Pick per chunk: cache-block a warp's gather only when its source
-    /// footprint overflows the simulated LLC, otherwise walk naturally.
-    Auto,
-    /// Per-GPU-thread order exactly as the locality optimization emits it.
-    Natural,
-    /// Tile the per-warp gather so each tile's source range fits the LLC
-    /// before moving on (the §IV.B blocking the paper sketches for inputs
-    /// whose per-warp working set exceeds the cache).
-    CacheBlocked,
 }
 
 /// Synchronization scheme between pipeline stages (paper §IV.C).
@@ -61,33 +41,21 @@ pub struct BigKernelConfig {
     /// shared depth; `--buffers N` and the streaming runner's between-window
     /// tuner set the two edges independently.
     pub wb_buffer_depth: Option<usize>,
-    /// §IV.A stride-pattern recognition.
+    /// §IV.A stride-pattern recognition. When a lane's whole stream has no
+    /// pattern, piecewise (mid-stream-changing) patterns — the §IV.A
+    /// extension — are tried before falling back to the raw stream.
     pub pattern_recognition: bool,
-    /// Piecewise (mid-stream-changing) patterns, the §IV.A extension; only
-    /// consulted when whole-stream recognition fails.
-    pub segmented_patterns: bool,
     /// §IV.B locality-ordered assembly reads (per-GPU-thread order) when a
     /// pattern is available.
     pub locality_assembly: bool,
     /// Chunk-buffer layout (Interleaved = coalescing optimization on).
     pub layout: AssemblyLayout,
-    /// Gather element order for the assembly stage (see [`AssemblyOrder`]).
-    /// Purely a cost/throughput knob: buffers are bit-identical across
-    /// orders.
-    pub assembly_order: AssemblyOrder,
-    /// Vectorized gather fast path: copy long contiguous runs with unrolled
-    /// word-wide moves instead of per-element loads. Bit-identical to the
-    /// scalar path (property-tested); purely a simulator-throughput knob.
-    pub simd_gather: bool,
     /// Transfer *all* input data verbatim instead of only addressed bytes —
     /// the Fig. 5 "overlap only" variant (address generation and gather are
     /// skipped; the pipeline overlap is the only remaining benefit).
     pub transfer_all: bool,
     /// Stage synchronization scheme (§IV.C).
     pub sync: SyncMode,
-    /// Verify at every compute-stage access that the address stream entry
-    /// matches (the compiler-correctness cross-check). Cheap; on by default.
-    pub verify_reads: bool,
     /// Select the host algorithm for a chunk's blocks. On: the logged
     /// algorithm — the pure phases run on the host thread pool and device
     /// effects replay from per-block write logs in block order. Off: every
@@ -97,15 +65,10 @@ pub struct BigKernelConfig {
     /// so is 0 when off. Kernels declaring `DeviceEffects::Sequential`
     /// always run live.
     pub parallel_blocks: bool,
-    /// How chunks are dealt out across the machine's simulated GPUs (only
-    /// meaningful when `Machine::num_gpus() > 1`). A timing-level decision:
-    /// functional execution stays in global chunk order, so outputs are
-    /// identical under every policy and device count.
-    pub shard_policy: ShardPolicy,
     /// Deterministic fault injection (see [`crate::fault`]). `None` (the
-    /// default) takes the exact fault-free code path. Like `shard_policy`,
-    /// faults perturb only durations and chunk placement — outputs stay
-    /// bit-identical to the fault-free run for any plan that completes.
+    /// default) takes the exact fault-free code path. Faults perturb only
+    /// durations and chunk placement — outputs stay bit-identical to the
+    /// fault-free run for any plan that completes.
     pub faults: Option<FaultPlan>,
 }
 
@@ -116,16 +79,11 @@ impl Default for BigKernelConfig {
             buffer_depth: 3,
             wb_buffer_depth: None,
             pattern_recognition: true,
-            segmented_patterns: true,
             locality_assembly: true,
             layout: AssemblyLayout::Interleaved,
-            assembly_order: AssemblyOrder::Auto,
-            simd_gather: true,
             transfer_all: false,
             sync: SyncMode::IterationBarrier,
-            verify_reads: true,
             parallel_blocks: true,
-            shard_policy: ShardPolicy::RoundRobin,
             faults: None,
         }
     }
@@ -187,8 +145,6 @@ mod tests {
         assert_eq!(c.buffer_depth, 3);
         assert!(c.pattern_recognition);
         assert_eq!(c.layout, AssemblyLayout::Interleaved);
-        assert_eq!(c.assembly_order, AssemblyOrder::Auto);
-        assert!(c.simd_gather);
         assert!(!c.transfer_all);
     }
 

@@ -440,14 +440,13 @@ impl DevMemory for LoggedMem<'_, '_> {
 
 /// Which buffer a GPU-mode stream access resolves into.
 enum StreamMode<'a> {
-    /// Prefetch-buffer consumption with optional FIFO verification. The
-    /// cursors walk the recorded streams in FIFO order (accesses are
-    /// consumed strictly in emission order) and are advanced only inside
-    /// the verify branches — they replace a per-access `entry(k)` dispatch,
-    /// which for compressed streams cost a div/mod per element.
+    /// Prefetch-buffer consumption with FIFO verification of every access.
+    /// The cursors walk the recorded streams in FIFO order (accesses are
+    /// consumed strictly in emission order) — they replace a per-access
+    /// `entry(k)` dispatch, which for compressed streams cost a div/mod per
+    /// element.
     Assembled {
         lane_addrs: &'a LaneAddrs,
-        verify: bool,
         read_cur: AddrStreamIter<'a>,
         write_cur: AddrStreamIter<'a>,
     },
@@ -503,7 +502,6 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
         layout: &'a ChunkLayout,
         write_layout: Option<&'a ChunkLayout>,
         lane_addrs: &'a LaneAddrs,
-        verify: bool,
         lane: usize,
         thread_id: u32,
         num_threads: u32,
@@ -517,7 +515,6 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
             write_layout,
             mode: StreamMode::Assembled {
                 lane_addrs,
-                verify,
                 read_cur: lane_addrs.reads.iter(),
                 write_cur: lane_addrs.writes.iter(),
             },
@@ -623,7 +620,6 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
             (
                 StreamMode::Assembled {
                     lane_addrs,
-                    verify,
                     read_cur,
                     ..
                 },
@@ -636,10 +632,8 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
                     self.lane,
                     lane_addrs.reads.len()
                 );
-                if *verify {
-                    let expected = read_cur.next().expect("read cursor in step with read_k");
-                    verify_entry("read", expected, s, offset, width, self.lane, k);
-                }
+                let expected = read_cur.next().expect("read cursor in step with read_k");
+                verify_entry("read", expected, s, offset, width, self.lane, k);
                 let warp = self.lane / bk_gpu::WARP_SIZE;
                 let (pos, _slot_w) = warps[warp].slot(self.lane % bk_gpu::WARP_SIZE, k);
                 pos
@@ -647,7 +641,6 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
             (
                 StreamMode::Assembled {
                     lane_addrs,
-                    verify,
                     read_cur,
                     ..
                 },
@@ -660,10 +653,8 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
                     self.lane,
                     lane_addrs.reads.len()
                 );
-                if *verify {
-                    let expected = read_cur.next().expect("read cursor in step with read_k");
-                    verify_entry("read", expected, s, offset, width, self.lane, k);
-                }
+                let expected = read_cur.next().expect("read cursor in step with read_k");
+                verify_entry("read", expected, s, offset, width, self.lane, k);
                 let pos = lane_base[self.lane] + self.perlane_read_cursor;
                 self.perlane_read_cursor += width as u64;
                 pos
@@ -926,12 +917,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
             }
         }
         // Verify the consumed elements, ordinal by ordinal.
-        if let StreamMode::Assembled {
-            verify: true,
-            read_cur,
-            ..
-        } = &mut self.mode
-        {
+        if let StreamMode::Assembled { read_cur, .. } = &mut self.mode {
             if let Err((i, expected)) = read_cur.check_run(s, offset, width, consumed) {
                 let off = offset + (i * w) as u64;
                 verify_failed("read", expected, s, off, width, self.lane, self.read_k + i);
@@ -1001,17 +987,10 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
                 );
                 self.mem.stream_store(self.data_buf, pos, width, value);
             }
-            (
-                StreamMode::Assembled {
-                    verify, write_cur, ..
-                },
-                Some(wl),
-            ) => {
+            (StreamMode::Assembled { write_cur, .. }, Some(wl)) => {
                 let k = self.write_k;
-                if *verify {
-                    let expected = write_cur.next().expect("write cursor in step with write_k");
-                    verify_entry("write", expected, s, offset, width, self.lane, k);
-                }
+                let expected = write_cur.next().expect("write cursor in step with write_k");
+                verify_entry("write", expected, s, offset, width, self.lane, k);
                 let wb = self.write_buf.expect("write layout implies a write buffer");
                 let pos = match wl {
                     ChunkLayout::Interleaved { warps, .. } => {
@@ -1193,7 +1172,6 @@ mod tests {
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,
@@ -1219,7 +1197,6 @@ mod tests {
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,
@@ -1324,7 +1301,6 @@ mod tests {
             &rl,
             Some(&wl),
             &lane,
-            true,
             0,
             0,
             1,
@@ -1352,7 +1328,6 @@ mod tests {
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,
@@ -1591,7 +1566,6 @@ mod run_tests {
                         chunk,
                         None,
                         &lane_addrs[lane],
-                        true,
                         lane,
                         0,
                         1,
@@ -1689,7 +1663,6 @@ mod run_tests {
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,
@@ -1735,7 +1708,6 @@ mod run_tests {
             &layout,
             None,
             &lane,
-            true,
             0,
             0,
             1,

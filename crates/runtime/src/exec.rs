@@ -454,7 +454,6 @@ fn compute_assembled<M: DevMemory>(
     write_buf: Option<bk_gpu::BufferId>,
     block: u32,
     launch: LaunchConfig,
-    verify: bool,
 ) -> BlockComputed {
     let tpb = slices.len() as u32;
     let mut comp_cost = KernelCost::new();
@@ -469,7 +468,6 @@ fn compute_assembled<M: DevMemory>(
             &pure.out.layout,
             pure.out.write_layout.as_ref(),
             &pure.lane_addrs[lane],
-            verify,
             lane,
             block * tpb + lane as u32,
             launch.total_threads(),
@@ -583,7 +581,6 @@ pub(crate) fn run_chunk_assembled(
                 *write_buf,
                 *block,
                 launch,
-                cfg.verify_reads,
             );
             done.effects = Some(log.finish_into(&mut slot.log));
             *computed = Some(done);
@@ -617,7 +614,6 @@ pub(crate) fn run_chunk_assembled(
                 *write_buf,
                 *block,
                 launch,
-                cfg.verify_reads,
             ));
         }
         let done = computed.as_ref().unwrap();

@@ -13,8 +13,8 @@
 //!    scheduled duration and surfaced as a `stall.<stage>.fault` counter.
 //! 2. **Chunk requeue onto surviving devices** — when a whole device dies
 //!    (at a wave boundary, per [`DeviceFailure`]), its dealt chunks are
-//!    re-dealt across the survivors with the run's [`ShardPolicy`] and every
-//!    later wave shards across survivors only.
+//!    dealt round-robin across the survivors and every later wave shards
+//!    across survivors only.
 //! 3. **Graceful degradation** — when a stage instance exhausts its retry
 //!    budget the bigkernel pipeline is deemed unable to make progress at its
 //!    current depth: the run drops to the double-buffered graph (reuse
@@ -34,7 +34,7 @@
 
 use crate::graph::{
     deal_chunks, pipeline_graph, pipeline_stage_names, schedule_graph, serial_graph, GraphSpec,
-    Shard, ShardPolicy, ShardedSchedule,
+    Shard, ShardedSchedule,
 };
 use crate::pipeline::STAGE_NAMES;
 use bk_obs::{stall_counter, MetricsRegistry, SpanRecord, FAULT_MARKER_STAGE};
@@ -333,7 +333,6 @@ struct FaultEvent {
 /// call replaces `Executor::run` per wave.
 pub(crate) struct FaultContext {
     plan: FaultPlan,
-    policy: ShardPolicy,
     alive: Vec<bool>,
     /// Degradation level: 0 = full pipeline, 1 = double-buffered (reuse
     /// depth 1), 2 = serial. Sticky across waves.
@@ -350,7 +349,6 @@ impl FaultContext {
     pub(crate) fn new(
         plan: FaultPlan,
         num_devices: usize,
-        policy: ShardPolicy,
         copy_engines: usize,
         passes: usize,
         depth: usize,
@@ -369,7 +367,6 @@ impl FaultContext {
         }
         FaultContext {
             plan,
-            policy,
             alive: vec![true; num_devices],
             level: 0,
             specs: [
@@ -466,9 +463,9 @@ impl FaultContext {
 
         // 2. Deal across the devices alive at the start of the wave; if the
         //    planned device failure fires now, requeue its chunks across the
-        //    survivors with the same policy.
+        //    survivors round-robin.
         let mut targets: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
-        let mut owned = deal_chunks(self.policy, targets.len(), &rows);
+        let mut owned = deal_chunks(targets.len(), &rows);
         if let Some(df) = self.plan.device_failure {
             if df.wave == wave && self.alive[df.device] {
                 let pos = targets
@@ -483,29 +480,9 @@ impl FaultContext {
                     "fault plan killed the last surviving device"
                 );
                 metrics.add("fault.failed_over", orphaned.len() as u64);
-                match self.policy {
-                    ShardPolicy::RoundRobin => {
-                        for (i, c) in orphaned.into_iter().enumerate() {
-                            let n = owned.len();
-                            owned[i % n].push(c);
-                        }
-                    }
-                    ShardPolicy::LeastLoaded => {
-                        let mut load: Vec<SimTime> = owned
-                            .iter()
-                            .map(|ids| ids.iter().map(|&c| rows[c].iter().copied().sum()).sum())
-                            .collect();
-                        for c in orphaned {
-                            let mut dev = 0usize;
-                            for (d, &l) in load.iter().enumerate() {
-                                if l < load[dev] {
-                                    dev = d;
-                                }
-                            }
-                            owned[dev].push(c);
-                            load[dev] += rows[c].iter().copied().sum();
-                        }
-                    }
+                for (i, c) in orphaned.into_iter().enumerate() {
+                    let n = owned.len();
+                    owned[i % n].push(c);
                 }
                 // Requeued chunks splice back into each survivor's sequence
                 // in global order (the shard invariant).
@@ -659,7 +636,7 @@ mod tests {
         // One site failing compute of chunk 2 twice: the inflated row pays
         // two wasted attempts plus backoff 1µs + 2µs.
         let plan = FaultPlan::parse("fail=compute@2x2,backoff_us=1").unwrap();
-        let ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let ctx = FaultContext::new(plan, 1, 1, 1, 3, 3);
         let clean = rows(4);
         let (inflated, events) = ctx.inflate(0, &clean).unwrap();
         assert_eq!(events.len(), 1);
@@ -683,7 +660,7 @@ mod tests {
             max_retries: 0,
             ..FaultPlan::default()
         };
-        let ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let ctx = FaultContext::new(plan, 1, 1, 1, 3, 3);
         // All-zero rows: rate 1.0 with no retries would exhaust instantly if
         // zero-duration stages drew faults.
         let clean = vec![vec![SimTime::ZERO; 6]; 3];
@@ -697,7 +674,7 @@ mod tests {
         // The site fails 10 times but the budget is 1 retry: level 0 cannot
         // complete. Sites clear at level 1, so the wave runs double-buffered.
         let plan = FaultPlan::parse("fail=compute@0x10,retries=1").unwrap();
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let sharded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(6), &mut metrics);
         assert_eq!(ctx.level, 1);
@@ -713,15 +690,11 @@ mod tests {
     #[test]
     fn degraded_wave_is_slower_than_clean_pipeline() {
         let plan = FaultPlan::parse("fail=compute@0x10,retries=1").unwrap();
-        let mut ctx = FaultContext::new(plan.clone(), 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan.clone(), 1, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let degraded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(8), &mut metrics);
-        let clean = crate::graph::Executor::new(
-            crate::graph::bigkernel_graph(1, 3),
-            1,
-            ShardPolicy::RoundRobin,
-        )
-        .run(&rows(8));
+        let clean =
+            crate::graph::Executor::new(crate::graph::bigkernel_graph(1, 3), 1).run(&rows(8));
         assert!(degraded.makespan() > clean.makespan());
     }
 
@@ -733,7 +706,7 @@ mod tests {
             max_retries: 2,
             ..FaultPlan::default()
         };
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(2), &mut metrics);
     }
@@ -741,7 +714,7 @@ mod tests {
     #[test]
     fn device_death_requeues_onto_survivors_in_order() {
         let plan = FaultPlan::parse("kill=0@1").unwrap();
-        let mut ctx = FaultContext::new(plan, 2, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 2, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         // Wave 0: both devices.
         let w0 = ctx.run_wave(0, 0, SimTime::ZERO, &rows(8), &mut metrics);
@@ -761,16 +734,16 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_requeue_balances_survivors() {
+    fn requeue_across_two_survivors_stays_balanced() {
         let plan = FaultPlan::parse("kill=1@0").unwrap();
-        let mut ctx = FaultContext::new(plan, 3, ShardPolicy::LeastLoaded, 1, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 3, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let w0 = ctx.run_wave(0, 0, SimTime::ZERO, &rows(9), &mut metrics);
         assert_eq!(w0.shards().len(), 2);
         assert_eq!(w0.num_chunks(), 9);
         assert!(metrics.get("fault.failed_over") > 0);
-        // Uniform chunks: the survivors split the dead device's share about
-        // evenly (within one chunk).
+        // The orphans are dealt round-robin, so the survivors split the dead
+        // device's share evenly (within one chunk).
         let sizes: Vec<usize> = w0.shards().iter().map(|s| s.chunk_ids.len()).collect();
         assert!(sizes.iter().max().unwrap() - sizes.iter().min().unwrap() <= 1);
         for shard in w0.shards() {
@@ -784,13 +757,13 @@ mod tests {
     #[should_panic(expected = "only device")]
     fn killing_the_only_device_is_rejected_up_front() {
         let plan = FaultPlan::parse("kill=0@0").unwrap();
-        let _ = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let _ = FaultContext::new(plan, 1, 1, 1, 3, 3);
     }
 
     #[test]
     fn fault_counters_and_stall_time_are_emitted() {
         let plan = FaultPlan::parse("fail=transfer@1x2,fail=compute@3,backoff_us=1").unwrap();
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(6), &mut metrics);
         assert_eq!(metrics.get("fault.injected"), 2);
@@ -805,7 +778,7 @@ mod tests {
     fn same_plan_same_wave_is_bitwise_reproducible() {
         let plan = FaultPlan::parse("seed=3,rate=0.2,retries=4,kill=1@0").unwrap();
         let run = || {
-            let mut ctx = FaultContext::new(plan.clone(), 2, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+            let mut ctx = FaultContext::new(plan.clone(), 2, 1, 1, 3, 3);
             let mut metrics = MetricsRegistry::new();
             let s = ctx.run_wave(0, 0, SimTime::ZERO, &rows(12), &mut metrics);
             (s.makespan(), format!("{metrics}"))
@@ -816,7 +789,7 @@ mod tests {
     #[test]
     fn fault_markers_appear_in_the_trace() {
         let plan = FaultPlan::parse("fail=compute@2,backoff_us=1").unwrap();
-        let mut ctx = FaultContext::new(plan, 1, ShardPolicy::RoundRobin, 1, 1, 3, 3);
+        let mut ctx = FaultContext::new(plan, 1, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let guard = bk_obs::trace::start();
         let _ = ctx.run_wave(0, 0, SimTime::ZERO, &rows(4), &mut metrics);

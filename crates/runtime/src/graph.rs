@@ -21,9 +21,9 @@
 //! * [`Executor`] / [`ShardedSchedule`] — chunk sharding across `N` simulated
 //!   GPUs: each device runs an independent copy of the stage graph (its own
 //!   DMA engine, GPU queues and host-side worker threads — resources are
-//!   qualified `dev<i>.<name>`), chunks are dealt out round-robin or
-//!   least-loaded, and reuse depth applies within a device's local chunk
-//!   sequence (per-device buffer pools). The wave makespan is the max over
+//!   qualified `dev<i>.<name>`), chunks are dealt out round-robin, and
+//!   reuse depth applies within a device's local chunk sequence
+//!   (per-device buffer pools). The wave makespan is the max over
 //!   device schedules. Devices are homogeneous ([`crate::Machine`] replicates
 //!   device 0's spec), so per-chunk durations are device-independent and
 //!   sharding is purely a timing-level decision — functional execution stays
@@ -635,27 +635,14 @@ pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> GraphSche
     }
 }
 
-/// How chunks are dealt out across devices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardPolicy {
-    /// Chunk `c` goes to device `c % N`. With homogeneous devices and
-    /// roughly uniform chunk costs this is optimal and keeps per-device
-    /// chunk sequences maximally regular (good for the reuse pipeline).
-    RoundRobin,
-    /// Greedy work-stealing flavour: each chunk (in order) goes to the
-    /// device with the least accumulated stage-duration sum; ties go to the
-    /// lowest device index. Helps when chunk costs are skewed.
-    LeastLoaded,
-}
-
 /// Executes a [`GraphSpec`] over `N` simulated devices.
 ///
 /// ```
-/// use bk_runtime::graph::{bigkernel_graph, Executor, ShardPolicy};
+/// use bk_runtime::graph::{bigkernel_graph, Executor};
 /// use bk_simcore::SimTime;
 ///
 /// // Shard four equal-cost chunks over two devices, round-robin.
-/// let exec = Executor::new(bigkernel_graph(1, 2), 2, ShardPolicy::RoundRobin);
+/// let exec = Executor::new(bigkernel_graph(1, 2), 2);
 /// let per_chunk = vec![SimTime::from_micros(10.0); 6];
 /// let wave = exec.run(&vec![per_chunk; 4]);
 ///
@@ -668,7 +655,6 @@ pub enum ShardPolicy {
 pub struct Executor {
     spec: GraphSpec,
     num_devices: usize,
-    policy: ShardPolicy,
 }
 
 /// One device's share of a wave: which wave-local chunks it owns (in order)
@@ -690,19 +676,15 @@ pub struct ShardedSchedule {
 }
 
 impl Executor {
-    /// An executor that shards each wave over `num_devices` copies of
-    /// `spec`'s resources according to `policy`.
-    pub fn new(spec: GraphSpec, num_devices: usize, policy: ShardPolicy) -> Self {
+    /// An executor that shards each wave round-robin over `num_devices`
+    /// copies of `spec`'s resources.
+    pub fn new(spec: GraphSpec, num_devices: usize) -> Self {
         assert!(num_devices >= 1, "need at least one device");
         assert!(
             num_devices <= MAX_DEVICES,
             "at most {MAX_DEVICES} simulated devices"
         );
-        Executor {
-            spec,
-            num_devices,
-            policy,
-        }
+        Executor { spec, num_devices }
     }
 
     /// How many simulated devices the executor shards over.
@@ -713,7 +695,7 @@ impl Executor {
     /// Shard the wave's chunks and schedule each device's share. With one
     /// device this is exactly [`schedule_graph`] over all chunks in order.
     pub fn run(&self, durations: &[Vec<SimTime>]) -> ShardedSchedule {
-        let owned = deal_chunks(self.policy, self.num_devices, durations);
+        let owned = deal_chunks(self.num_devices, durations);
         let shards: Vec<Shard> = owned
             .into_iter()
             .enumerate()
@@ -733,34 +715,19 @@ impl Executor {
     }
 }
 
-/// Deal wave-local chunks (rows of `durations`) across `n` schedule targets
-/// following `policy`. Returns, per target, the owned chunk indices in
-/// ascending order. This is the dealing half of [`Executor::run`], split out
-/// so the fault-recovery path ([`crate::fault`]) can re-deal a dead device's
-/// chunks across the survivors with the same policy.
-pub fn deal_chunks(policy: ShardPolicy, n: usize, durations: &[Vec<SimTime>]) -> Vec<Vec<usize>> {
+/// Deal wave-local chunks (rows of `durations`) round-robin across `n`
+/// schedule targets: chunk `c` goes to target `c % n`. With homogeneous
+/// devices and roughly uniform chunk costs this keeps per-device chunk
+/// sequences maximally regular (good for the reuse pipeline). Returns, per
+/// target, the owned chunk indices in ascending order. This is the dealing
+/// half of [`Executor::run`], split out so the fault-recovery path
+/// ([`crate::fault`]) can re-deal a dead device's chunks across the
+/// survivors the same way.
+pub fn deal_chunks(n: usize, durations: &[Vec<SimTime>]) -> Vec<Vec<usize>> {
     assert!(n >= 1, "need at least one schedule target");
     let mut owned: Vec<Vec<usize>> = vec![Vec::new(); n];
-    match policy {
-        ShardPolicy::RoundRobin => {
-            for c in 0..durations.len() {
-                owned[c % n].push(c);
-            }
-        }
-        ShardPolicy::LeastLoaded => {
-            let mut load = vec![SimTime::ZERO; n];
-            for (c, row) in durations.iter().enumerate() {
-                let weight: SimTime = row.iter().copied().sum();
-                let mut dev = 0usize;
-                for (d, &l) in load.iter().enumerate() {
-                    if l < load[dev] {
-                        dev = d;
-                    }
-                }
-                owned[dev].push(c);
-                load[dev] += weight;
-            }
-        }
+    for c in 0..durations.len() {
+        owned[c % n].push(c);
     }
     owned
 }
@@ -1018,8 +985,8 @@ mod tests {
     fn round_robin_shards_halve_streaming_makespan() {
         let spec = bigkernel_graph(1, 3);
         let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 24];
-        let one = Executor::new(spec.clone(), 1, ShardPolicy::RoundRobin).run(&rows);
-        let two = Executor::new(spec, 2, ShardPolicy::RoundRobin).run(&rows);
+        let one = Executor::new(spec.clone(), 1).run(&rows);
+        let two = Executor::new(spec, 2).run(&rows);
         let speedup = one.makespan().secs() / two.makespan().secs();
         assert!(speedup > 1.8, "expected near-2x, got {speedup:.2}x");
         assert_eq!(two.shards().len(), 2);
@@ -1040,7 +1007,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        let sharded = Executor::new(spec.clone(), 1, ShardPolicy::RoundRobin).run(&rows);
+        let sharded = Executor::new(spec.clone(), 1).run(&rows);
         let direct = schedule_graph(&spec, &rows);
         assert_eq!(sharded.makespan(), direct.makespan());
         let shard = &sharded.shards()[0];
@@ -1052,55 +1019,14 @@ mod tests {
     }
 
     #[test]
-    fn least_loaded_balances_skewed_chunks() {
-        // One huge chunk then many small ones: round-robin pins half the
-        // small chunks behind the huge one's device; least-loaded doesn't.
-        let spec = GraphSpec::chain(vec![("comp", ResourceId::new(ResourceKind::Gpu, 0))]);
-        let mut rows = vec![vec![t(100.0)]];
-        rows.extend(std::iter::repeat_with(|| vec![t(1.0)]).take(20));
-        let rr = Executor::new(spec.clone(), 2, ShardPolicy::RoundRobin).run(&rows);
-        let ll = Executor::new(spec, 2, ShardPolicy::LeastLoaded).run(&rows);
-        assert!(ll.makespan() < rr.makespan());
-        // Ties go to the lowest device: the first chunk lands on device 0.
-        assert_eq!(ll.shards()[0].chunk_ids[0], 0);
-        // All small chunks avoid the loaded device.
-        assert_eq!(ll.shards()[1].chunk_ids.len(), 20);
-    }
-
-    #[test]
-    fn deal_chunks_least_loaded_tracks_running_load_not_chunk_count() {
-        // Alternating heavy/light chunks on 3 targets: the greedy argmin
-        // must follow accumulated duration, not deal evenly by count.
-        // Weights 9,1,9,1,9,1,9,1 — target 0 takes the first heavy chunk
-        // and then stays loaded while 1 and 2 soak up the rest.
+    fn deal_chunks_is_round_robin_whatever_the_costs() {
+        // Chunk costs are skewed, but the deal follows the chunk index
+        // alone: chunk `c` lands on target `c % n`.
         let rows: Vec<Vec<SimTime>> = (0..8)
             .map(|c| vec![t(if c % 2 == 0 { 9.0 } else { 1.0 })])
             .collect();
-        let owned = deal_chunks(ShardPolicy::LeastLoaded, 3, &rows);
-        // c0(9)->0, c1(1)->1, c2(9)->2, c3(1)->1 (load 2), c4(9)->1 (still
-        // the min at 2), c5(1)->0 (9-tie with target 2; lowest index wins),
-        // c6(9)->2 (min 9), c7(1)->0 (min 10). Loads end at 11/11/18.
-        assert_eq!(owned[0], vec![0, 5, 7]);
-        assert_eq!(owned[1], vec![1, 3, 4]);
-        assert_eq!(owned[2], vec![2, 6]);
-        // Every chunk dealt exactly once, each shard in ascending order.
-        let mut all: Vec<usize> = owned.iter().flatten().copied().collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..8).collect::<Vec<_>>());
-        // Resulting loads are near-balanced: 18 / 14 / 10 vs 27 max naive.
-        let load = |ids: &Vec<usize>| -> f64 { ids.iter().map(|&c| rows[c][0].secs()).sum() };
-        assert!(owned.iter().map(load).fold(0.0, f64::max) <= 18.0);
-    }
-
-    #[test]
-    fn deal_chunks_least_loaded_with_equal_weights_matches_round_robin() {
-        // Uniform chunk costs: ties always go to the lowest-loaded, lowest-
-        // index target, which degenerates to the round-robin deal — so the
-        // policies only diverge when costs are actually skewed.
-        let rows = vec![vec![t(1.0), t(2.0)]; 12];
-        let ll = deal_chunks(ShardPolicy::LeastLoaded, 4, &rows);
-        let rr = deal_chunks(ShardPolicy::RoundRobin, 4, &rows);
-        assert_eq!(ll, rr);
+        let owned = deal_chunks(3, &rows);
+        assert_eq!(owned, vec![vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
     }
 
     #[test]
@@ -1108,13 +1034,13 @@ mod tests {
         let spec = bigkernel_graph(1, 3);
         let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 8];
         let mut m1 = MetricsRegistry::new();
-        Executor::new(spec.clone(), 1, ShardPolicy::RoundRobin)
+        Executor::new(spec.clone(), 1)
             .run(&rows)
             .record(0, SimTime::ZERO, &mut m1);
         assert_eq!(m1.get("device.0.chunks"), 8);
         assert!(m1.get("device.0.busy_ns") > 0);
         let mut m2 = MetricsRegistry::new();
-        Executor::new(spec, 2, ShardPolicy::RoundRobin)
+        Executor::new(spec, 2)
             .run(&rows)
             .record(0, SimTime::ZERO, &mut m2);
         assert_eq!(m2.get("device.0.chunks") + m2.get("device.1.chunks"), 8);
@@ -1289,13 +1215,11 @@ mod tests {
         let spec = bigkernel_graph(1, 3);
         let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 12];
         let mut one = Vec::new();
-        Executor::new(spec.clone(), 1, ShardPolicy::RoundRobin)
+        Executor::new(spec.clone(), 1)
             .run(&rows)
             .accumulate(&mut one);
         let mut two = Vec::new();
-        Executor::new(spec, 3, ShardPolicy::RoundRobin)
-            .run(&rows)
-            .accumulate(&mut two);
+        Executor::new(spec, 3).run(&rows).accumulate(&mut two);
         assert_eq!(one.len(), 6);
         assert_eq!(two.len(), 6);
         for (a, b) in one.iter().zip(&two) {
@@ -1531,21 +1455,18 @@ mod proptests {
         }
 
         /// Sharding partitions chunks: every chunk appears exactly once
-        /// across shards, for both policies and any device count.
+        /// across shards, for any device count.
         #[test]
         fn sharding_partitions_chunks(
             d in arb_durations(40, 2),
             n in 1usize..=4,
-            least_loaded in proptest::arbitrary::any::<bool>(),
         ) {
             use ResourceKind::*;
             let spec = GraphSpec::chain(vec![
                 ("xfer", ResourceId::new(DmaH2D, 0)),
                 ("comp", ResourceId::new(Gpu, 0)),
             ]);
-            let policy =
-                if least_loaded { ShardPolicy::LeastLoaded } else { ShardPolicy::RoundRobin };
-            let sharded = Executor::new(spec, n, policy).run(&d);
+            let sharded = Executor::new(spec, n).run(&d);
             let mut seen = vec![false; d.len()];
             for shard in sharded.shards() {
                 prop_assert!(shard.device < n);

@@ -31,8 +31,8 @@
 //!   signalling over PCIe, the `n-3` buffer-reuse rule).
 //! * [`graph`] — the declarative stage-graph executor: stages, hardware
 //!   resources and dependency edges as data ([`GraphSpec`]), a generalized
-//!   list scheduler, and chunk sharding across `N` simulated GPUs
-//!   ([`Executor`] / [`ShardPolicy`]).
+//!   list scheduler, and round-robin chunk sharding across `N` simulated
+//!   GPUs ([`Executor`]).
 //! * [`fault`] — deterministic fault injection & recovery: a seeded
 //!   [`FaultPlan`] failing stage instances or whole devices, with bounded
 //!   retry + backoff, chunk requeue onto survivors and graceful degradation
@@ -80,12 +80,12 @@ pub mod whatif;
 pub use assembly::GatherConfig;
 pub use autotune::{AutotuneConfig, Autotuner, TunePlan, TunerState, WindowFeedback};
 pub use bk_obs::{Histogram, MetricsRegistry};
-pub use config::{AssemblyLayout, AssemblyOrder, BigKernelConfig, SyncMode};
+pub use config::{AssemblyLayout, BigKernelConfig, SyncMode};
 pub use ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem, LoggedMem};
 pub use exec::{compute_staged, BlockComputed};
 pub use fault::{DeviceFailure, FaultPlan, FaultSite, FaultStage};
 pub use fusion::{AccessSummary, FieldSpan, FusePlan, FuseRefusal, PassIo, StreamAccess};
-pub use graph::{Executor, GraphSpec, ResourceId, ResourceKind, ShardPolicy};
+pub use graph::{Executor, GraphSpec, ResourceId, ResourceKind};
 pub use kernel::{DevBufId, DeviceEffects, KernelCtx, LaunchConfig, StreamKernel, ValueExt};
 pub use machine::Machine;
 pub use pipeline::{run_bigkernel, run_bigkernel_fused, run_bigkernel_window};

@@ -670,7 +670,6 @@ fn run_program(
     let executor = Executor::new(
         pipeline_graph(copy_engines, passes, cfg.buffer_depth, cfg.wb_depth()),
         machine.num_gpus(),
-        cfg.shard_policy,
     );
 
     // Fault injection (see [`crate::fault`]): when a plan is configured the
@@ -683,7 +682,6 @@ fn run_program(
         FaultContext::new(
             fplan,
             machine.num_gpus(),
-            cfg.shard_policy,
             copy_engines,
             passes,
             cfg.buffer_depth,
@@ -2053,7 +2051,7 @@ mod segmented_pipeline_tests {
     }
 
     #[test]
-    fn segmented_patterns_compress_phase_changing_kernels() {
+    fn segmented_pieces_compress_phase_changing_kernels() {
         let n = 16 * 1024u64; // 512 KiB, 8 phase flips per lane slice
         let (mut m, stream, expected) = setup(n);
         let acc = m.gmem.alloc(8);
@@ -2078,7 +2076,7 @@ mod segmented_pipeline_tests {
             ..Default::default()
         };
         let cfg_off = BigKernelConfig {
-            segmented_patterns: false,
+            pattern_recognition: false,
             ..cfg_on.clone()
         };
 

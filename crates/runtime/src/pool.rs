@@ -370,7 +370,7 @@ fn commit_side(
             // piecewise compression; pick the smaller. The walk is bounded by
             // the pattern's size: it gives up as soon as it cannot encode
             // smaller, which only skips results this comparison would reject.
-            if cfg.segmented_patterns && p.period() > 16 {
+            if p.period() > 16 {
                 det.materialize(buf);
                 if let Some(seg) = detect_segmented_below(buf, MAX_PERIOD, p.encoded_bytes()) {
                     pool.give_pattern(p);
@@ -380,10 +380,8 @@ fn commit_side(
             return (AddrStream::Pattern(p), Compression::Pattern);
         }
         // No whole-stream pattern: the buffer holds the complete raw stream.
-        if cfg.segmented_patterns {
-            if let Some(s) = detect_segmented(buf, MAX_PERIOD) {
-                return (AddrStream::Segmented(s), Compression::Segmented);
-            }
+        if let Some(s) = detect_segmented(buf, MAX_PERIOD) {
+            return (AddrStream::Segmented(s), Compression::Segmented);
         }
         if !buf.is_empty() {
             let mut v = pool.take_entries();
@@ -661,15 +659,8 @@ mod tests {
         [format!("{by_entry:?}"), format!("{by_run:?}")]
     }
 
-    fn configs() -> [BigKernelConfig; 3] {
-        [
-            BigKernelConfig::default(),
-            BigKernelConfig {
-                segmented_patterns: false,
-                ..BigKernelConfig::default()
-            },
-            cfg_no_pr(),
-        ]
+    fn configs() -> [BigKernelConfig; 2] {
+        [BigKernelConfig::default(), cfg_no_pr()]
     }
 
     #[test]
@@ -699,7 +690,7 @@ mod tests {
             fn run_fed_commit_matches_entry_fed(
                 entries in prop_oneof![arb_mixed(), arb_record_walk()],
                 cut in any::<u64>(),
-                which in 0usize..3,
+                which in 0usize..2,
             ) {
                 let [a, b] = both_ways(&configs()[which], &entries, cut);
                 prop_assert_eq!(a, b);

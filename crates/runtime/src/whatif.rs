@@ -19,7 +19,7 @@
 //! The `bottleneck` bench binary ranks [`scenarios`] by predicted speedup
 //! and validates the structural ones against actual re-runs within 1%.
 
-use crate::graph::{Executor, GraphSpec, GraphStage, ResourceId, ShardPolicy};
+use crate::graph::{Executor, GraphSpec, GraphStage, ResourceId};
 use bk_obs::critpath::{ShardDag, WaveDag};
 use bk_simcore::{ScheduleView, SimTime};
 
@@ -112,15 +112,10 @@ use bk_obs::critpath::ScheduleDag;
 /// Replay the captured waves under `p` and return the predicted run
 /// makespan (the sum over waves of the perturbed wave makespan — waves run
 /// back to back, exactly as the pipeline schedules them). `num_devices`
-/// and `policy` must be the recorded run's sharding configuration. Returns
+/// must be the recorded run's device count. Returns
 /// `None` if a snapshot cannot be rebuilt (unknown resource vocabulary or
 /// no waves captured).
-pub fn predict(
-    waves: &[WaveDag],
-    num_devices: usize,
-    policy: ShardPolicy,
-    p: &Perturbation,
-) -> Option<SimTime> {
+pub fn predict(waves: &[WaveDag], num_devices: usize, p: &Perturbation) -> Option<SimTime> {
     if waves.is_empty() {
         return None;
     }
@@ -175,7 +170,7 @@ pub fn predict(
                     .collect();
             }
         }
-        total += Executor::new(spec, devices, policy).run(&rows).makespan();
+        total += Executor::new(spec, devices).run(&rows).makespan();
     }
     Some(total)
 }
@@ -237,14 +232,14 @@ pub fn scenarios(waves: &[WaveDag]) -> Vec<Scenario> {
 /// Evaluate every scenario against the identity replay and return
 /// predictions sorted by speedup, best first. Scenarios whose snapshots
 /// cannot be replayed are dropped.
-pub fn rank(waves: &[WaveDag], num_devices: usize, policy: ShardPolicy) -> Vec<Prediction> {
-    let Some(base) = predict(waves, num_devices, policy, &Perturbation::Identity) else {
+pub fn rank(waves: &[WaveDag], num_devices: usize) -> Vec<Prediction> {
+    let Some(base) = predict(waves, num_devices, &Perturbation::Identity) else {
         return Vec::new();
     };
     let mut out: Vec<Prediction> = scenarios(waves)
         .into_iter()
         .filter_map(|scenario| {
-            let makespan = predict(waves, num_devices, policy, &scenario.perturbation)?;
+            let makespan = predict(waves, num_devices, &scenario.perturbation)?;
             let speedup = if makespan.is_zero() {
                 1.0
             } else {
@@ -287,7 +282,7 @@ mod tests {
     }
 
     fn capture_run(spec: &GraphSpec, devices: usize, n: usize) -> Vec<WaveDag> {
-        let exec = Executor::new(spec.clone(), devices, ShardPolicy::RoundRobin);
+        let exec = Executor::new(spec.clone(), devices);
         let sharded = exec.run(&rows(n));
         let shards = sharded
             .shards()
@@ -306,16 +301,10 @@ mod tests {
         let spec = bigkernel_graph(2, 2);
         for devices in [1, 2, 3] {
             let waves = capture_run(&spec, devices, 10);
-            let recorded = Executor::new(spec.clone(), devices, ShardPolicy::RoundRobin)
+            let recorded = Executor::new(spec.clone(), devices)
                 .run(&rows(10))
                 .makespan();
-            let predicted = predict(
-                &waves,
-                devices,
-                ShardPolicy::RoundRobin,
-                &Perturbation::Identity,
-            )
-            .expect("replayable");
+            let predicted = predict(&waves, devices, &Perturbation::Identity).expect("replayable");
             let err = (predicted.secs() - recorded.secs()).abs() / recorded.secs();
             assert!(err < 1e-9, "devices {devices}: err {err}");
         }
@@ -328,7 +317,6 @@ mod tests {
         let predicted = predict(
             &waves,
             1,
-            ShardPolicy::RoundRobin,
             &Perturbation::SetReuseDepth {
                 producer: 0,
                 consumer: 3,
@@ -347,7 +335,7 @@ mod tests {
         let err = (predicted.secs() - actual.secs()).abs() / actual.secs();
         assert!(err < 1e-9, "err {err}");
         // And deepening a depth-1 edge should actually help here.
-        let base = predict(&waves, 1, ShardPolicy::RoundRobin, &Perturbation::Identity).unwrap();
+        let base = predict(&waves, 1, &Perturbation::Identity).unwrap();
         assert!(predicted < base);
     }
 
@@ -355,11 +343,8 @@ mod tests {
     fn add_device_prediction_matches_an_actual_rerun() {
         let spec = bigkernel_graph(2, 2);
         let waves = capture_run(&spec, 1, 12);
-        let predicted = predict(&waves, 1, ShardPolicy::RoundRobin, &Perturbation::AddDevice)
-            .expect("replayable");
-        let actual = Executor::new(spec, 2, ShardPolicy::RoundRobin)
-            .run(&rows(12))
-            .makespan();
+        let predicted = predict(&waves, 1, &Perturbation::AddDevice).expect("replayable");
+        let actual = Executor::new(spec, 2).run(&rows(12)).makespan();
         let err = (predicted.secs() - actual.secs()).abs() / actual.secs();
         assert!(err < 1e-9, "err {err}");
     }
@@ -374,7 +359,7 @@ mod tests {
         assert!(scens
             .iter()
             .any(|s| s.label.starts_with("reuse addr-gen→compute")));
-        let ranked = rank(&waves, 1, ShardPolicy::RoundRobin);
+        let ranked = rank(&waves, 1);
         assert_eq!(ranked.len(), scens.len());
         // Sorted best-first.
         for w in ranked.windows(2) {
@@ -388,7 +373,7 @@ mod tests {
             "compute",
             ResourceId::new(crate::graph::ResourceKind::Serial, 0),
         )]);
-        let exec = Executor::new(spec, 1, ShardPolicy::RoundRobin);
+        let exec = Executor::new(spec, 1);
         let sharded = exec.run(&vec![vec![t(1.0)]; 4]);
         let shards = sharded
             .shards()
@@ -401,13 +386,7 @@ mod tests {
             shards,
         }];
         // Serial single stage: merging cannot change the total.
-        let merged = predict(
-            &waves,
-            1,
-            ShardPolicy::RoundRobin,
-            &Perturbation::MergeChunks { factor: 2 },
-        )
-        .unwrap();
+        let merged = predict(&waves, 1, &Perturbation::MergeChunks { factor: 2 }).unwrap();
         assert!((merged.secs() - t(4.0).secs()).abs() < 1e-12);
     }
 }

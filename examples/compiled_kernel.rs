@@ -101,7 +101,6 @@ fn main() {
     );
 
     let cfg = BigKernelConfig::default();
-    assert!(cfg.verify_reads, "FIFO cross-check stays on");
     let result = run_bigkernel(
         &mut machine,
         &kernel,

