@@ -58,12 +58,6 @@ pub const SLOT_BYTES: u64 = 16;
 /// next slot boundary (`+ SLOT_UNIT - 1`) and the record starting there
 /// extends at most [`MAX_RECORD`] further.
 pub const HALO_F: u64 = 192;
-/// Halo for scan-past-end record completion: skip of one partial record is
-/// bounded by `MAX_RECORD` and the last owned record extends at most
-/// `MAX_RECORD` past the range end. Halo bytes are fetched twice by
-/// adjacent chunk slices, so keeping this tight matters for the BigKernel
-/// transfer volume.
-pub const HALO: u64 = 128;
 
 #[inline]
 fn key(h: u64) -> u64 {
@@ -149,91 +143,6 @@ impl PassAction {
     }
 }
 
-/// A full-scan pass kernel (plain variant).
-pub struct ScanPassKernel {
-    action: PassAction,
-    text_len: u64,
-    name: &'static str,
-}
-
-impl bk_runtime::StreamKernel for ScanPassKernel {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Device effects are hash-table CAS/adds: CAS results are validated at
-    /// replay (conflicts re-execute in order), add returns are ignored.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
-    fn record_size(&self) -> Option<u64> {
-        None
-    }
-
-    fn halo_bytes(&self) -> u64 {
-        HALO
-    }
-
-    fn addresses(&self, ctx: &mut AddrGenCtx<'_>, range: Range<u64>) {
-        if range.is_empty() {
-            return;
-        }
-        let end = (range.end + HALO).min(self.text_len);
-        let mut p = range.start;
-        while p < end {
-            ctx.emit_read(StreamId(0), p, 1);
-            p += 1;
-        }
-    }
-
-    fn process(&self, ctx: &mut dyn KernelCtx, range: Range<u64>) {
-        if range.is_empty() {
-            return;
-        }
-        let len = self.text_len;
-        let mut p = range.start;
-        // Skip the record in progress at `s` (belongs to the previous
-        // thread).
-        if p > 0 {
-            while p < len {
-                let c = ctx.stream_read_u8(StreamId(0), p);
-                ctx.alu(1);
-                p += 1;
-                if c == b'\n' {
-                    break;
-                }
-            }
-        }
-        // Process records starting at positions <= range.end.
-        while p < len && p <= range.end {
-            let rec_start = p;
-            let mut card_h = FNV_OFFSET;
-            let mut merch_h = FNV_OFFSET;
-            while p < len {
-                let c = ctx.stream_read_u8(StreamId(0), p);
-                ctx.alu(2);
-                if c == b'\n' {
-                    p += 1;
-                    break;
-                }
-                let rel = p - rec_start;
-                if rel < CARD_LEN {
-                    card_h = fnv1a_step(card_h, c);
-                } else if (MERCH_OFF..MERCH_OFF + MERCH_LEN).contains(&rel) {
-                    merch_h = fnv1a_step(merch_h, c);
-                }
-                p += 1;
-            }
-            self.action.handle(ctx, key(card_h), key(merch_h));
-        }
-    }
-
-    fn barrier_dependence(&self) -> bool {
-        self.action.needs_barrier()
-    }
-}
-
 /// Compaction slots owned by a primary-range partition `[start, end)`:
 /// record starts in `(64·⌈start/64⌉, 64·⌈end/64⌉]` — plus offset 0 for the
 /// first partition — land in slots `(⌈start/64⌉, ⌈end/64⌉]` (plus slot 0).
@@ -249,11 +158,11 @@ fn owned_slots(range: &Range<u64>) -> Range<u64> {
 }
 
 /// Pass 1 of the fusable pair: one scan that collects the target merchant's
-/// customers (as [`ScanPassKernel`] pass 1 does) and compacts every owned
-/// record's `(card_key, merchant_key)` into its scratch-stream slot,
-/// zero-filling slots with no record start. Every owned slot is written
-/// exactly once, so the write is record-periodic and *exact* — the property
-/// fusion dependence analysis needs to keep the slots device-resident.
+/// customers and compacts every owned record's `(card_key, merchant_key)`
+/// into its scratch-stream slot, zero-filling slots with no record start.
+/// Every owned slot is written exactly once, so the write is
+/// record-periodic and *exact* — the property fusion dependence analysis
+/// needs to keep the slots device-resident.
 pub struct CompactScanKernel {
     customers: DevHashTable,
     target: u64,

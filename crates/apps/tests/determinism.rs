@@ -1,12 +1,18 @@
 //! Parallel-vs-sequential determinism suite.
 //!
-//! `parallel_blocks` selects the host algorithm for a wave's blocks: logged
-//! and concurrent, with device effects replayed in block order, or live in
-//! block order. Both compute the sequential schedule, so the model must be
-//! *bit-identical* either way: same simulated times, same counters, same
-//! verified outputs. The one field allowed to differ is
-//! `parallel.replay_conflicts`, which counts the logged algorithm's wasted
-//! attempts and is 0 on the live path ([`RunResult::assert_same_model`]).
+//! `parallel_blocks` selects the host algorithm, and both compute the
+//! sequential schedule, so the model must be *bit-identical* either way:
+//! same simulated times, same counters, same verified outputs.
+//!
+//! * BigKernel runs only its pure address half on the pool and every
+//!   kernel body live in block order, so its runs must be equal field for
+//!   field.
+//! * The buffered baselines run their granules concurrently against write
+//!   logs replayed in order, so one field may differ:
+//!   `parallel.replay_conflicts`, which counts the logged algorithm's
+//!   wasted attempts and is 0 on the live path
+//!   ([`RunResult::assert_same_model`]).
+//!
 //! These tests pin that property for every evaluation application and for
 //! the buffered GPU baselines, plus a property test over random launch
 //! geometries.
@@ -125,7 +131,7 @@ fn bigkernel_parallel_is_bit_identical_for_every_app() {
             192 * 1024,
             false,
         );
-        par.assert_same_model(&seq, app.spec().name);
+        assert_eq!(par, seq, "{}", app.spec().name);
     }
 }
 
@@ -171,8 +177,8 @@ const GOLDEN_STAGED_AND_PER_LANE: &[GoldenRow] = &[
     ("K-means", "volume-reduction", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888, 0),
     ("Word Count", "gpu-single-buffer", 0.0006908531282051281, &[7.005128205128222e-6, 3.092800000000002e-5, 0.0006529199999999999, 0.0, 0.0], 131136, 0, 2),
     ("Word Count", "gpu-double-buffer", 0.0006718909401709401, &[7.005128205128203e-6, 3.0928e-5, 0.00065292, 0.0, 0.0], 131136, 0, 2),
-    ("Word Count", "overlap-only", 0.0006737412307692308, &[0.0, 1.5873504273504283e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 0, 4),
-    ("Word Count", "volume-reduction", 0.000680984, &[2.7631999999999992e-5, 1.6246153846153834e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 7168, 4),
+    ("Word Count", "overlap-only", 0.0006737412307692308, &[0.0, 1.5873504273504283e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 0, 0),
+    ("Word Count", "volume-reduction", 0.000680984, &[2.7631999999999992e-5, 1.6246153846153834e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 7168, 0),
     ("Netflix", "gpu-single-buffer", 8.668e-5, &[6.999999999999996e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0, 0),
     ("Netflix", "gpu-double-buffer", 6.772000000000001e-5, &[6.999999999999998e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0, 0),
     ("Netflix", "overlap-only", 0.00012344991452991453, &[0.0, 1.6999999999999993e-5, 0.00011092, 4.576000000000001e-5, 0.0, 0.0], 131040, 0, 0),
@@ -183,16 +189,16 @@ const GOLDEN_STAGED_AND_PER_LANE: &[GoldenRow] = &[
     ("Opinion Finder", "volume-reduction", 0.00010672466666666664, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.797866666666664e-5, 3.779e-5, 0.0, 0.0], 95744, 22528, 0),
     ("DNA Assembly", "gpu-single-buffer", 9.540437606837606e-5, &[7.001709401709398e-6, 3.092266666666667e-5, 5.748e-5, 0.0, 0.0], 131072, 0, 2),
     ("DNA Assembly", "gpu-double-buffer", 7.644218803418804e-5, &[7.0017094017094e-6, 3.092266666666667e-5, 5.748000000000001e-5, 0.0, 0.0], 131072, 0, 2),
-    ("DNA Assembly", "overlap-only", 0.000107773094017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 5.205999999999999e-5, 0.0, 0.0], 131072, 0, 4),
-    ("DNA Assembly", "volume-reduction", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 4),
+    ("DNA Assembly", "overlap-only", 0.000107773094017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 5.205999999999999e-5, 0.0, 0.0], 131072, 0, 0),
+    ("DNA Assembly", "volume-reduction", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 0),
     ("MasterCard Affinity", "gpu-single-buffer", 0.0001725709305982906, &[1.4013675213675205e-5, 8.732533333333334e-5, 5.674864000000002e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784, 2),
     ("MasterCard Affinity", "gpu-double-buffer", 0.00014030788786324784, &[1.401367521367521e-5, 8.732533333333334e-5, 5.674864e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784, 2),
-    ("MasterCard Affinity", "overlap-only", 0.00024579708034188036, &[0.0, 3.2618803418803415e-5, 0.0002113893333333333, 4.644735999999998e-5, 0.0, 0.0], 376672, 32784, 1),
-    ("MasterCard Affinity", "volume-reduction", 0.0002837913333333333, &[4.264266666666667e-5, 2.7272888888888892e-5, 0.00017773466666666667, 5.346399999999999e-5, 4.273200000000002e-5, 5.794210526315774e-6], 212816, 54288, 1),
+    ("MasterCard Affinity", "overlap-only", 0.00024579708034188036, &[0.0, 3.2618803418803415e-5, 0.0002113893333333333, 4.644735999999998e-5, 0.0, 0.0], 376672, 32784, 0),
+    ("MasterCard Affinity", "volume-reduction", 0.0002837913333333333, &[4.264266666666667e-5, 2.7272888888888892e-5, 0.00017773466666666667, 5.346399999999999e-5, 4.273200000000002e-5, 5.794210526315774e-6], 212816, 54288, 0),
     ("MasterCard Affinity (indexed)", "gpu-single-buffer", 0.0001134262564102564, &[1.4010256410256403e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0, 2),
     ("MasterCard Affinity (indexed)", "gpu-double-buffer", 8.714454700854701e-5, &[1.4010256410256407e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0, 2),
-    ("MasterCard Affinity (indexed)", "overlap-only", 0.00019930379487179486, &[0.0, 3.174700854700854e-5, 0.00018456533333333333, 2.6400639999999992e-5, 0.0, 0.0], 294784, 0, 1),
-    ("MasterCard Affinity (indexed)", "volume-reduction", 0.000187616, &[2.947199999999999e-5, 3.1608e-5, 0.00016553599999999998, 2.6359999999999985e-5, 0.0, 0.0], 66432, 66432, 1),
+    ("MasterCard Affinity (indexed)", "overlap-only", 0.00019930379487179486, &[0.0, 3.174700854700854e-5, 0.00018456533333333333, 2.6400639999999992e-5, 0.0, 0.0], 294784, 0, 0),
+    ("MasterCard Affinity (indexed)", "volume-reduction", 0.000187616, &[2.947199999999999e-5, 3.1608e-5, 0.00016553599999999998, 2.6359999999999985e-5, 0.0, 0.0], 66432, 66432, 0),
 ];
 
 /// Golden results of full BigKernel under [`HarnessConfig::test_small`]
@@ -203,19 +209,21 @@ const GOLDEN_STAGED_AND_PER_LANE: &[GoldenRow] = &[
 #[rustfmt::skip]
 const GOLDEN_BIGKERNEL: &[GoldenRow] = &[
     ("K-means", "bigkernel", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888, 0),
-    ("Word Count", "bigkernel", 0.000680984, &[2.7631999999999992e-5, 1.6247863247863236e-5, 9.228799999999998e-5, 0.0006467, 0.0, 0.0], 147456, 7168, 4),
+    ("Word Count", "bigkernel", 0.000680984, &[2.7631999999999992e-5, 1.6247863247863236e-5, 9.228799999999998e-5, 0.0006467, 0.0, 0.0], 147456, 7168, 0),
     ("Netflix", "bigkernel", 0.00011875199999999999, &[1.3030666666666664e-5, 1.8188e-5, 0.000103328, 4.576000000000001e-5, 0.0, 0.0], 39936, 8960, 0),
     ("Opinion Finder", "bigkernel", 0.00010676733333333332, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.802133333333332e-5, 3.7789999999999996e-5, 0.0, 0.0], 96256, 22528, 0),
-    ("DNA Assembly", "bigkernel", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 4),
-    ("MasterCard Affinity", "bigkernel", 0.00028388999999999997, &[4.2642666666666664e-5, 2.7278017094017098e-5, 0.00017779199999999997, 5.3464e-5, 4.2773333333333346e-5, 5.794210526315774e-6], 213504, 54784, 1),
-    ("MasterCard Affinity (indexed)", "bigkernel", 0.000188352, &[2.947199999999999e-5, 3.1608e-5, 0.000166272, 2.636e-5, 0.0, 0.0], 75264, 66432, 1),
+    ("DNA Assembly", "bigkernel", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 0),
+    ("MasterCard Affinity", "bigkernel", 0.00028388999999999997, &[4.2642666666666664e-5, 2.7278017094017098e-5, 0.00017779199999999997, 5.3464e-5, 4.2773333333333346e-5, 5.794210526315774e-6], 213504, 54784, 0),
+    ("MasterCard Affinity (indexed)", "bigkernel", 0.000188352, &[2.947199999999999e-5, 3.1608e-5, 0.000166272, 2.636e-5, 0.0, 0.0], 75264, 66432, 0),
 ];
 
-/// Run every app under each of `imps` with `parallel_blocks` on (logged,
-/// replayed) and off (live, in block order) and compare against `golden`.
-/// The model is the same either way; only the conflicts column differs, and
-/// it is 0 on the live path, which logs nothing. On a mismatch the panic
-/// prints the actual table in the same Rust syntax.
+/// Run every app under each of `imps` with `parallel_blocks` on and off and
+/// compare against `golden`. The model is the same either way; only the
+/// conflicts column differs, for the buffered baselines' logged granules,
+/// and it is 0 with `parallel_blocks` off, which logs nothing. Rows run by
+/// the BigKernel runner (full BigKernel and both variants) log nothing
+/// under either setting, so their conflicts column is 0. On a mismatch the
+/// panic prints the actual table in the same Rust syntax.
 fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
     for parallel in [true, false] {
         let mut actual = Vec::new();
@@ -338,8 +346,8 @@ fn multi_gpu_runs_verify_and_match_single_gpu_for_every_app() {
     }
 }
 
-/// Parallel-vs-sequential bit-identity must survive sharding: the two-phase
-/// block simulation and the multi-device executor compose.
+/// Parallel-vs-sequential bit-identity must survive sharding: the block
+/// algorithm and the multi-device executor compose.
 #[test]
 fn bigkernel_parallel_bit_identical_at_two_gpus() {
     let launch = LaunchConfig::new(4, 32);
@@ -362,7 +370,7 @@ fn bigkernel_parallel_bit_identical_at_two_gpus() {
             false,
             2,
         );
-        par.assert_same_model(&seq, &format!("{} at 2 GPUs", app.spec().name));
+        assert_eq!(par, seq, "{} at 2 GPUs", app.spec().name);
     }
 }
 
@@ -474,7 +482,12 @@ fn same_fault_plan_is_bitwise_reproducible_for_every_app() {
             "{}: identical fault plans diverged",
             app.spec().name
         );
-        runs[0].assert_same_model(&runs[2], &format!("{} under a fault plan", app.spec().name));
+        assert_eq!(
+            runs[0],
+            runs[2],
+            "{}: a fault plan diverged between parallel and sequential blocks",
+            app.spec().name
+        );
     }
 }
 
@@ -773,31 +786,21 @@ fn autotuned_outputs_identical_to_untuned_for_every_app() {
 /// Re-plans are pure functions of the recorded schedule, so the tuned
 /// stream's re-plan sequence does not depend on host threading:
 /// `parallel_blocks` on and off must give the same [`StreamResult`] —
-/// windows, `total` to the bit, chunks, retunes, and every metric once
-/// `parallel.replay_conflicts` is removed, as
-/// [`RunResult::assert_same_model`] does.
+/// windows, `total` to the bit, chunks, retunes and every metric.
 #[test]
 fn autotune_replan_sequence_identical_across_thread_counts() {
-    const CONFLICTS: &str = "parallel.replay_conflicts";
     let mut total_retunes = 0u64;
     for app in drifting_apps() {
         let name = app.spec().name;
         let (par, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), true);
         let (seq, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), false);
-        assert_eq!(
-            seq.metrics.get(CONFLICTS),
-            0,
-            "{name}: sequential run logged blocks"
-        );
         let model = |r: &StreamResult| {
-            let mut m = r.metrics.clone();
-            m.remove(CONFLICTS);
             (
                 r.windows.clone(),
                 r.total.secs().to_bits(),
                 r.chunks,
                 r.retunes,
-                m,
+                r.metrics.clone(),
             )
         };
         assert_eq!(

@@ -60,12 +60,6 @@ impl<'a> CpuCtx<'a> {
         }
     }
 
-    /// Fold the contention statistics into the cost (call once at the end).
-    pub fn finish_atomics(&mut self) {
-        self.cost.atomic_ops = self.atomic_counts.values().sum();
-        self.cost.hot_atomic_chain = self.atomic_counts.values().copied().max().unwrap_or(0);
-    }
-
     /// Re-aim the context at another logical thread (contexts are reused
     /// across the sequential functional execution of all threads).
     pub fn set_thread(&mut self, thread_id: u32) {

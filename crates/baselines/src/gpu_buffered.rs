@@ -20,25 +20,28 @@
 //!
 //! ## Parallel granule simulation
 //!
-//! Like the BigKernel pipeline, the simulation of one window is split into
-//! per-block granules of `threads_per_block` lanes, and each granule runs
-//! BigKernel's own staged lane loop ([`bk_runtime::compute_staged`]).
-//! `parallel_blocks` selects the host algorithm. With it on, granules of
-//! kernels whose device effects are log-replayable
-//! ([`DeviceEffects::Replayable`]) run concurrently against write logs over
-//! a read snapshot of device memory, and the logs replay in granule order.
-//! A replay conflict (another granule changed a value this one read)
-//! re-executes that granule live, in order, and counts under
-//! `parallel.replay_conflicts`. With it off — and always for
+//! The simulation of one window is split into per-block granules of
+//! `threads_per_block` lanes, and each granule runs BigKernel's own staged
+//! lane loop ([`bk_runtime::compute_staged`]). `parallel_blocks` selects
+//! the host algorithm. With it on, granules of kernels whose device effects
+//! are log-replayable ([`DeviceEffects::Replayable`]) run concurrently
+//! against write logs over a read snapshot of device memory, and the logs
+//! replay in granule order. A replay conflict (another granule changed a
+//! value this one read) re-executes that granule live, in order, and counts
+//! under `parallel.replay_conflicts`. With it off — and always for
 //! `DeviceEffects::Sequential` kernels — every granule runs live in granule
 //! order with no log. Both produce the sequential schedule's result, so the
-//! model is bit-identical; only the conflict counter differs (0 when
-//! live). The window loop itself stays here: whole
-//! windows are staged at once with no address generation, so BigKernel's
-//! per-block chunk runner has nothing to offer it (DESIGN.md §6).
+//! model is bit-identical; only the conflict counter differs (0 when live).
+//!
+//! The BigKernel runner keeps no such log: its concurrency is the pure
+//! address half (address generation, detection, assembly), and its kernel
+//! bodies all run live in block order. A buffered window is staged whole,
+//! with no address generation, so its granules have no pure phase and the
+//! write log is their only concurrency. The window loop therefore stays
+//! here rather than in BigKernel's per-block chunk runner (DESIGN.md §6).
 
 use bk_gpu::occupancy::{self, BlockResources};
-use bk_gpu::{BlockLog, BlockSim, GpuPool, KernelCost, ReplayOutcome};
+use bk_gpu::{BlockEffects, BlockLog, BlockSim, GpuPool, KernelCost, ReplayOutcome};
 use bk_host::{cpu, CpuCost, DmaDirection};
 use bk_runtime::ctx::{LiveMem, LoggedMem};
 use bk_runtime::graph::{buffered_graph, serial_graph, Executor};
@@ -126,6 +129,8 @@ struct GranuleCell<'s> {
     first_lane: usize,
     sim: &'s mut BlockSim,
     computed: Option<BlockComputed>,
+    /// The granule's logged device effects, pending ordered replay.
+    effects: Option<BlockEffects>,
 }
 
 fn run_buffered(
@@ -230,6 +235,7 @@ fn run_buffered(
                 first_lane: granule * tpb as usize,
                 sim,
                 computed: None,
+                effects: None,
             })
             .collect();
         let lanes = |first: usize| &ranges[first..first + tpb as usize];
@@ -244,7 +250,7 @@ fn run_buffered(
             let shared: &Machine = machine;
             let run = |cell: &mut GranuleCell<'_>| {
                 let mut log = BlockLog::new(&shared.gmem);
-                let mut done = compute_staged(
+                cell.computed = Some(compute_staged(
                     shared.gpu(),
                     cell.sim,
                     LoggedMem(&mut log),
@@ -256,9 +262,8 @@ fn run_buffered(
                     cell.first_lane,
                     cell.first_lane as u32,
                     total_threads,
-                );
-                done.effects = Some(log.finish());
-                cell.computed = Some(done);
+                ));
+                cell.effects = Some(log.finish());
             };
             if cells.len() > 1 {
                 cells.par_iter_mut().for_each(run);
@@ -269,13 +274,9 @@ fn run_buffered(
         // Ordered phase: replay device effects in granule order; a
         // conflicting (or unlogged) granule runs live at its turn.
         for cell in cells.iter_mut() {
-            let conflict = cell
-                .computed
-                .as_mut()
-                .and_then(|c| c.effects.take())
-                .is_some_and(|effects| {
-                    effects.replay(&mut machine.gmem) == ReplayOutcome::Conflict
-                });
+            let conflict = cell.effects.take().is_some_and(|effects| {
+                effects.replay(&mut machine.gmem) == ReplayOutcome::Conflict
+            });
             if conflict {
                 metrics.incr("parallel.replay_conflicts");
             }

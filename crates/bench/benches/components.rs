@@ -65,9 +65,11 @@ fn bench_warp_align(c: &mut Criterion) {
 /// Blocks/sec of the full BigKernel pipeline simulation, per app, at
 /// 1 thread (the shape the addr-gen/assembly fast path is tuned against),
 /// plus a KMeans all-cores tier for the `parallel_blocks` payoff. Each tier
-/// sets `parallel_blocks` as `--threads` does: off (live, in block order) at
-/// 1 thread, on (logged, replayed) above. Simulated results are
-/// bit-identical either way; see the determinism suite.
+/// sets `parallel_blocks` as `--threads` does: off at 1 thread, on above,
+/// where each chunk's pure address half (addr-gen, §IV.A detection,
+/// assembly) runs on the pool; kernel bodies run live in block order in
+/// both. Simulated results are bit-identical either way; see the
+/// determinism suite.
 fn bench_sim_throughput(c: &mut Criterion) {
     use bk_apps::{run_implementation, HarnessConfig, Implementation};
     use bk_bench::{all_apps, short_name};

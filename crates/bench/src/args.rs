@@ -313,10 +313,11 @@ impl ExpArgs {
 
     /// Cap the global rayon pool at `--threads` (call once, before the
     /// first parallel region). `--threads 1` also turns `parallel_blocks`
-    /// off in `cfg`, which selects the live, in-order block algorithm
-    /// instead of the logged one. The model is identical either way; only
-    /// `parallel.replay_conflicts` differs, counting logged runs' wasted
-    /// attempts (0 when live).
+    /// off in `cfg`: BigKernel's address half then runs block by block, and
+    /// the buffered baselines run every granule live instead of against
+    /// write logs. The model is identical either way; only the baselines'
+    /// `parallel.replay_conflicts` differs, counting logged granules'
+    /// wasted attempts (0 when live).
     pub fn apply_threads(&self, cfg: &mut bk_apps::HarnessConfig) {
         if let Some(t) = self.threads {
             // Ignore the error: the pool can only be built once per

@@ -38,4 +38,4 @@ pub use occupancy::{BlockResources, Occupancy};
 pub use spec::{DeviceSpec, WARP_SIZE};
 pub use timing::{GpuPool, KernelCost};
 pub use trace::{AccessKind, ThreadTrace, WarpAligner};
-pub use wlog::{BlockEffects, BlockLog, DevOp, LogScratch, ReplayOutcome};
+pub use wlog::{BlockEffects, BlockLog, DevOp, ReplayOutcome};

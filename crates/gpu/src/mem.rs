@@ -151,12 +151,6 @@ impl GpuMemory {
         b.data[offset as usize..offset as usize + bytes.len()].copy_from_slice(bytes);
     }
 
-    /// Read one byte.
-    #[inline]
-    pub fn read_u8(&self, id: BufferId, offset: u64) -> u8 {
-        self.buffers[id.0].data[offset as usize]
-    }
-
     /// Read a little-endian `u32`.
     #[inline]
     pub fn read_u32(&self, id: BufferId, offset: u64) -> u32 {
@@ -175,18 +169,6 @@ impl GpuMemory {
         f64::from_le_bytes(self.read(id, offset, 8).try_into().unwrap())
     }
 
-    /// Read a little-endian `f32`.
-    #[inline]
-    pub fn read_f32(&self, id: BufferId, offset: u64) -> f32 {
-        f32::from_le_bytes(self.read(id, offset, 4).try_into().unwrap())
-    }
-
-    /// Write one byte.
-    #[inline]
-    pub fn write_u8(&mut self, id: BufferId, offset: u64, v: u8) {
-        self.buffers[id.0].data[offset as usize] = v;
-    }
-
     /// Write a little-endian `u32`.
     #[inline]
     pub fn write_u32(&mut self, id: BufferId, offset: u64, v: u32) {
@@ -202,12 +184,6 @@ impl GpuMemory {
     /// Write a little-endian `f64`.
     #[inline]
     pub fn write_f64(&mut self, id: BufferId, offset: u64, v: f64) {
-        self.write(id, offset, &v.to_le_bytes());
-    }
-
-    /// Write a little-endian `f32`.
-    #[inline]
-    pub fn write_f32(&mut self, id: BufferId, offset: u64, v: f32) {
         self.write(id, offset, &v.to_le_bytes());
     }
 
@@ -288,10 +264,6 @@ mod tests {
         assert_eq!(m.read_u64(b, 8), 0xDEAD_BEEF_CAFE_F00D);
         m.write_f64(b, 16, -2.5);
         assert_eq!(m.read_f64(b, 16), -2.5);
-        m.write_f32(b, 24, 1.5);
-        assert_eq!(m.read_f32(b, 24), 1.5);
-        m.write_u8(b, 0, 7);
-        assert_eq!(m.read_u8(b, 0), 7);
         m.write_u32(b, 4, 99);
         assert_eq!(m.read_u32(b, 4), 99);
     }

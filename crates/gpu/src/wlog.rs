@@ -1,22 +1,24 @@
 //! Per-block device-memory write logs for deterministic parallel replay.
 //!
-//! The parallel pipeline simulates many thread blocks concurrently, but the
-//! sequential schedule it must reproduce bit-for-bit interleaves their
-//! device-memory effects in block order. A [`BlockLog`] gives each block an
-//! isolated view of [`GpuMemory`]: reads come from a shared immutable
-//! snapshot (the memory as of the start of the chunk) merged with the
-//! block's own writes, and every externally visible operation is recorded.
-//! After the concurrent phase, each block's [`BlockEffects`] is replayed
-//! against the live memory *in block order*; recorded read/CAS observations
-//! are validated against the live values, and a mismatch (another block
-//! wrote data this block consumed) rolls the partial replay back and reports
-//! a [`ReplayOutcome::Conflict`] so the caller can re-execute that block
-//! against live memory.
+//! The buffered baselines simulate a window's kernel granules concurrently,
+//! but the sequential schedule they must reproduce bit-for-bit interleaves
+//! the granules' device-memory effects in granule order. (The BigKernel
+//! runner needs no log: only its pure address half runs concurrently, and
+//! every kernel body runs live in block order.) A [`BlockLog`] gives each
+//! granule an isolated view of [`GpuMemory`]: reads come from a shared
+//! immutable snapshot (the memory as of the start of the window) merged
+//! with the granule's own writes, and every externally visible operation is
+//! recorded. After the concurrent phase, each granule's [`BlockEffects`] is
+//! replayed against the live memory *in order*; recorded read/CAS
+//! observations are validated against the live values, and a mismatch
+//! (another granule wrote data this one consumed) rolls the partial replay
+//! back and reports a [`ReplayOutcome::Conflict`] so the caller can
+//! re-execute that granule against live memory.
 //!
 //! Two kinds of buffer get different treatment:
 //!
-//! * **Block-private buffers** (a block's own prefetch/write-value staging
-//!   buffers) are registered via [`BlockLog::register_private`]: the log
+//! * **Block-private buffers** (buffers no other concurrently logged block
+//!   can touch) are registered via [`BlockLog::register_private`]: the log
 //!   keeps a dense byte mirror and reads/writes it directly, without
 //!   recording ops — no other block can touch them, so there is nothing to
 //!   validate. The mirror is committed wholesale on successful replay.
@@ -71,26 +73,6 @@ impl Hasher for OverlayHasher {
 type OverlayMap = HashMap<(usize, u64), (u64, u8), BuildHasherDefault<OverlayHasher>>;
 type AddCache = HashMap<(usize, u64), usize, BuildHasherDefault<OverlayHasher>>;
 type ReadCache = HashMap<(usize, u64, u32), u64, BuildHasherDefault<OverlayHasher>>;
-
-/// Reusable backing storage for [`BlockLog`]s, owned by an execution slot.
-///
-/// A fresh log per block regrows its overlay map and op vector from empty —
-/// rehash churn that showed up as a top-10 cost in atomic-heavy kernels.
-/// Building logs over a slot's scratch ([`BlockLog::with_scratch`]) and
-/// returning the buffers after replay ([`BlockEffects::reclaim`]) keeps the
-/// grown capacity from block to block. All fields are held empty between
-/// blocks; only their capacity persists.
-#[derive(Default)]
-pub struct LogScratch {
-    overlay: OverlayMap,
-    add_cache: AddCache,
-    read_cache: ReadCache,
-    overlay_bufs: Vec<usize>,
-    ops: Vec<DevOp>,
-    privs: Vec<(BufferId, Vec<u8>)>,
-    /// Retired private-mirror byte storage, reused by later mirrors.
-    mirrors: Vec<Vec<u8>>,
-}
 
 /// One logged externally-visible device-memory operation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -177,8 +159,8 @@ fn le_load(bytes: &[u8]) -> u64 {
 /// A block's isolated, logged view of device memory.
 ///
 /// `base` is the shared snapshot every concurrent block reads from; it must
-/// not change while logs against it are live (the pipeline guarantees this
-/// by taking `&GpuMemory` for the whole concurrent phase).
+/// not change while logs against it are live (the caller guarantees this by
+/// holding `&GpuMemory` for the whole concurrent phase).
 pub struct BlockLog<'m> {
     base: &'m GpuMemory,
     /// Dense mirrors of block-private buffers: `(buf, bytes)`.
@@ -203,8 +185,6 @@ pub struct BlockLog<'m> {
     /// `Read` already validates it at replay). Cleared on every overlay
     /// store, since any own write may change the observed value.
     read_cache: ReadCache,
-    /// Spare mirror storage handed out by `register_private*`.
-    mirror_pool: Vec<Vec<u8>>,
 }
 
 impl<'m> BlockLog<'m> {
@@ -218,30 +198,7 @@ impl<'m> BlockLog<'m> {
             ops: Vec::new(),
             add_cache: AddCache::default(),
             read_cache: ReadCache::default(),
-            mirror_pool: Vec::new(),
         }
-    }
-
-    /// Start an empty log backed by a slot's reusable scratch storage. Pair
-    /// with [`Self::finish_into`] (and [`BlockEffects::reclaim`]) to hand
-    /// the grown buffers back for the next block.
-    pub fn with_scratch(base: &'m GpuMemory, scratch: &mut LogScratch) -> Self {
-        BlockLog {
-            base,
-            privs: std::mem::take(&mut scratch.privs),
-            overlay: std::mem::take(&mut scratch.overlay),
-            overlay_bufs: std::mem::take(&mut scratch.overlay_bufs),
-            ops: std::mem::take(&mut scratch.ops),
-            add_cache: std::mem::take(&mut scratch.add_cache),
-            read_cache: std::mem::take(&mut scratch.read_cache),
-            mirror_pool: std::mem::take(&mut scratch.mirrors),
-        }
-    }
-
-    fn fresh_mirror(&mut self) -> Vec<u8> {
-        let mut m = self.mirror_pool.pop().unwrap_or_default();
-        m.clear();
-        m
     }
 
     /// Declare `buf` block-private: reads and writes bypass the op log and
@@ -251,29 +208,7 @@ impl<'m> BlockLog<'m> {
             self.privs.iter().all(|(b, _)| *b != buf),
             "buffer registered twice"
         );
-        let mut mirror = self.fresh_mirror();
-        mirror.extend_from_slice(self.base.read(buf, 0, self.base.len(buf) as usize));
-        self.privs.push((buf, mirror));
-    }
-
-    /// Declare `buf` block-private like [`Self::register_private`], for a
-    /// buffer the caller guarantees still holds its freshly-allocated
-    /// all-zero contents: the mirror is materialized as zeros without
-    /// reading the snapshot, keeping per-block setup off the memcpy path.
-    pub fn register_private_zeroed(&mut self, buf: BufferId) {
-        debug_assert!(
-            self.privs.iter().all(|(b, _)| *b != buf),
-            "buffer registered twice"
-        );
-        debug_assert!(
-            self.base
-                .read(buf, 0, self.base.len(buf) as usize)
-                .iter()
-                .all(|&b| b == 0),
-            "register_private_zeroed on a buffer with non-zero contents"
-        );
-        let mut mirror = self.fresh_mirror();
-        mirror.resize(self.base.len(buf) as usize, 0);
+        let mirror = self.base.read(buf, 0, self.base.len(buf) as usize).to_vec();
         self.privs.push((buf, mirror));
     }
 
@@ -365,7 +300,7 @@ impl<'m> BlockLog<'m> {
 
     /// Load from a mapped-stream staging buffer. Never logged: private
     /// buffers read their mirror, shared buffers read the merged view — the
-    /// pipeline only routes stream loads here for buffers whose contents
+    /// caller only routes stream loads here for buffers whose contents
     /// other blocks cannot change before this block's replay.
     pub fn stream_load(&self, buf: BufferId, offset: u64, width: u32) -> u64 {
         match self.priv_index(buf) {
@@ -558,25 +493,6 @@ impl<'m> BlockLog<'m> {
             ops: self.ops,
         }
     }
-
-    /// Consume the log into its replayable effects, returning the cache
-    /// storage to `scratch` immediately (the op and mirror buffers follow
-    /// via [`BlockEffects::reclaim`] once replayed).
-    pub fn finish_into(mut self, scratch: &mut LogScratch) -> BlockEffects {
-        self.overlay.clear();
-        self.add_cache.clear();
-        self.read_cache.clear();
-        self.overlay_bufs.clear();
-        scratch.overlay = self.overlay;
-        scratch.add_cache = self.add_cache;
-        scratch.read_cache = self.read_cache;
-        scratch.overlay_bufs = self.overlay_bufs;
-        scratch.mirrors = self.mirror_pool;
-        BlockEffects {
-            privs: self.privs,
-            ops: self.ops,
-        }
-    }
 }
 
 /// The externally visible effects of one logged block, ready for in-order
@@ -587,20 +503,6 @@ pub struct BlockEffects {
 }
 
 impl BlockEffects {
-    /// Whether the block produced no externally visible effects at all.
-    pub fn is_empty(&self) -> bool {
-        self.privs.is_empty() && self.ops.is_empty()
-    }
-
-    /// Return the effect buffers to `scratch` after replay, keeping their
-    /// capacity for the next block's log.
-    pub fn reclaim(mut self, scratch: &mut LogScratch) {
-        self.ops.clear();
-        scratch.ops = self.ops;
-        scratch.mirrors.extend(self.privs.drain(..).map(|(_, m)| m));
-        scratch.privs = self.privs;
-    }
-
     /// Apply this block's effects to live memory. On a validation failure
     /// every op applied so far is rolled back (byte-exact) and `Conflict` is
     /// returned with `gmem` unchanged.

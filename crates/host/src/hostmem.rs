@@ -1,10 +1,8 @@
-//! Functional host memory: mapped source arrays and pinned DMA buffers.
+//! Functional host memory: the mapped source arrays.
 //!
 //! Regions are real byte vectors with stable virtual addresses (used by the
-//! cache simulator when costing gathers). DMA engines may only touch
-//! *pinned* regions — the allocator tracks pinned bytes because the paper
-//! explicitly discusses the cost of pinning (non-pageable memory taken from
-//! other processes, §III).
+//! cache simulator when costing gathers). The pinned DMA staging buffers
+//! live in [`crate::arena::PinnedArena`] instead.
 
 /// Handle to a host memory region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -15,14 +13,12 @@ pub const PAGE: u64 = 4096;
 
 struct Region {
     base: u64,
-    pinned: bool,
     data: Vec<u8>,
 }
 
 /// Host DRAM: allocator + functional storage.
 pub struct HostMemory {
     next_base: u64,
-    pinned_bytes: u64,
     regions: Vec<Region>,
 }
 
@@ -36,34 +32,20 @@ impl HostMemory {
     pub fn new() -> Self {
         HostMemory {
             next_base: PAGE,
-            pinned_bytes: 0,
             regions: Vec::new(),
         }
     }
 
-    fn alloc_inner(&mut self, len: u64, pinned: bool) -> RegionId {
+    /// Allocate ordinary pageable memory (mapped source arrays).
+    pub fn alloc(&mut self, len: u64) -> RegionId {
         let id = RegionId(self.regions.len());
         let base = self.next_base;
         self.next_base = base + len.div_ceil(PAGE) * PAGE;
-        if pinned {
-            self.pinned_bytes += len;
-        }
         self.regions.push(Region {
             base,
-            pinned,
             data: vec![0u8; len as usize],
         });
         id
-    }
-
-    /// Allocate ordinary pageable memory (mapped source arrays).
-    pub fn alloc(&mut self, len: u64) -> RegionId {
-        self.alloc_inner(len, false)
-    }
-
-    /// Allocate pinned (page-locked) memory usable by the DMA engine.
-    pub fn alloc_pinned(&mut self, len: u64) -> RegionId {
-        self.alloc_inner(len, true)
     }
 
     /// Allocate and fill from `bytes`.
@@ -71,15 +53,6 @@ impl HostMemory {
         let id = self.alloc(bytes.len() as u64);
         self.regions[id.0].data.copy_from_slice(bytes);
         id
-    }
-
-    pub fn is_pinned(&self, id: RegionId) -> bool {
-        self.regions[id.0].pinned
-    }
-
-    /// Total currently-pinned bytes (reported in experiment outputs).
-    pub fn pinned_bytes(&self) -> u64 {
-        self.pinned_bytes
     }
 
     pub fn len(&self, id: RegionId) -> u64 {
@@ -163,7 +136,6 @@ mod tests {
         let mut m = HostMemory::new();
         let r = m.alloc(100);
         assert_eq!(m.len(r), 100);
-        assert!(!m.is_pinned(r));
         m.write_u64(r, 0, 7);
         m.write_f64(r, 8, 1.5);
         m.write_u32(r, 16, 9);
@@ -171,16 +143,6 @@ mod tests {
         assert_eq!(m.read_f64(r, 8), 1.5);
         assert_eq!(m.read_u32(r, 16), 9);
         assert_eq!(m.read_u8(r, 20), 0);
-    }
-
-    #[test]
-    fn pinned_accounting() {
-        let mut m = HostMemory::new();
-        assert_eq!(m.pinned_bytes(), 0);
-        let p = m.alloc_pinned(4096);
-        let _ = m.alloc(4096);
-        assert!(m.is_pinned(p));
-        assert_eq!(m.pinned_bytes(), 4096);
     }
 
     #[test]

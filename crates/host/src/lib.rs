@@ -9,9 +9,8 @@
 //! * [`cache`] — a set-associative LRU cache simulator. The assembly stage
 //!   feeds its real gather address stream through this to measure the hit
 //!   rate, which is what the paper's §IV.B locality optimization improves.
-//! * [`hostmem`] — functional host memory regions and the pinned-buffer
-//!   allocator (DMA may only touch pinned pages; pinned bytes are tracked
-//!   because the paper calls out their cost).
+//! * [`hostmem`] — functional host memory regions (the mapped source
+//!   arrays).
 //! * [`arena`] — region-style bump allocator with generation-tagged reset,
 //!   modelling the long-lived pinned assembly buffers: allocate once, bump
 //!   per chunk, wholesale-reset between chunks, zero steady-state heap

@@ -6,8 +6,8 @@
 //! copy engine as one pipeline resource shared by host-to-device and
 //! device-to-host DMA. Two details the paper leans on:
 //!
-//! * the DMA engine requires **pinned** host memory (checked by callers via
-//!   [`crate::hostmem::HostMemory::is_pinned`]);
+//! * the DMA engine requires **pinned** host memory (the assembly stage's
+//!   prefetch buffers live in [`crate::arena::PinnedArena`]);
 //! * transfers complete **in order**, which is what lets BigKernel signal
 //!   kernel threads by queueing a flag copy right after the data copy
 //!   (§IV.C) — modelled as one extra small transfer.
@@ -87,17 +87,6 @@ impl PcieLink {
         }
     }
 
-    /// A copy with every bandwidth scaled by `factor` (sensitivity sweeps).
-    pub fn scaled_bandwidth(&self, factor: f64) -> Self {
-        PcieLink {
-            bw_h2d: self.bw_h2d.scale(factor),
-            bw_d2h: self.bw_d2h.scale(factor),
-            bw_zero_copy: self.bw_zero_copy.scale(factor),
-            latency: self.latency,
-            flag_latency: self.flag_latency,
-        }
-    }
-
     /// DMA transfer time for `bytes` in `dir` (latency + bandwidth), without
     /// the completion flag.
     pub fn dma_time(&self, dir: DmaDirection, bytes: u64) -> SimTime {
@@ -167,20 +156,6 @@ mod tests {
         assert!(t(&g1) > t(&g2));
         assert!(t(&g2) > t(&g3));
         assert!(t(&g3) > t(&nv));
-    }
-
-    #[test]
-    fn scaled_bandwidth_halves_rate() {
-        let l = PcieLink::gen3_x16();
-        let half = l.scaled_bandwidth(0.5);
-        let bytes = 1u64 << 30;
-        let t_full = l
-            .dma_time(DmaDirection::HostToDevice, bytes)
-            .saturating_sub(l.latency);
-        let t_half = half
-            .dma_time(DmaDirection::HostToDevice, bytes)
-            .saturating_sub(l.latency);
-        assert!((t_half.secs() / t_full.secs() - 2.0).abs() < 1e-9);
     }
 
     #[test]

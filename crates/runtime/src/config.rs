@@ -1,4 +1,9 @@
 //! BigKernel runtime configuration.
+//!
+//! Every field changes the modeled system except
+//! [`BigKernelConfig::parallel_blocks`], which only chooses whether the
+//! runner's pure address half runs on the host thread pool; the result is
+//! bit-identical either way (see [`crate::pipeline`]).
 
 use crate::fault::FaultPlan;
 
@@ -56,14 +61,10 @@ pub struct BigKernelConfig {
     pub transfer_all: bool,
     /// Stage synchronization scheme (§IV.C).
     pub sync: SyncMode,
-    /// Select the host algorithm for a chunk's blocks. On: the logged
-    /// algorithm — the pure phases run on the host thread pool and device
-    /// effects replay from per-block write logs in block order. Off: every
-    /// block runs live in block order, with no write log. The model is
-    /// identical either way (outputs, simulated times, every metric), except
-    /// `parallel.replay_conflicts`, which counts wasted logged attempts and
-    /// so is 0 when off. Kernels declaring `DeviceEffects::Sequential`
-    /// always run live.
+    /// Run phase A (each block's address generation, §IV.A detection and
+    /// assembly) on the host thread pool; off, it runs block by block.
+    /// Every kernel body runs live in block order either way, so the result
+    /// is identical (outputs, simulated times, every metric).
     pub parallel_blocks: bool,
     /// Deterministic fault injection (see [`crate::fault`]). `None` (the
     /// default) takes the exact fault-free code path. Faults perturb only

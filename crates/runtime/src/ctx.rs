@@ -10,12 +10,13 @@
 //!   memory; everything is traced for the warp-level timing model.
 //!
 //! `ComputeCtx` is generic over a [`DevMemory`] backend: [`LiveMem`] performs
-//! every access directly against the live [`GpuMemory`] (the sequential
-//! path and conflict re-execution), while [`LoggedMem`] routes them through
-//! a per-block [`BlockLog`] so concurrently simulated blocks stay isolated
-//! and their effects can be replayed in block order (see `bk_gpu::wlog`).
-//! The traced costs are identical either way — only the functional effect
-//! routing changes.
+//! every access directly against the live [`GpuMemory`] (every BigKernel
+//! block, and the buffered baselines' in-order and conflict re-execution
+//! runs), while [`LoggedMem`] routes them through a per-granule
+//! [`BlockLog`] so the baselines' concurrently simulated granules stay
+//! isolated and their effects can be replayed in order (see
+//! `bk_gpu::wlog`). The traced costs are identical either way — only the
+//! functional effect routing changes.
 //!
 //! `ComputeCtx` optionally verifies every stream access against the address
 //! stream recorded in stage 1 — the runtime cross-check that the
@@ -335,8 +336,9 @@ impl<M: DevMemory> DevMemory for &mut M {
     }
 }
 
-/// Direct execution against live global memory (in-order execution:
-/// sequential-capability kernels and conflict re-execution).
+/// Direct execution against live global memory, in block order: every
+/// BigKernel kernel body, and the buffered baselines' unlogged and
+/// conflict re-execution runs.
 pub struct LiveMem<'a>(pub &'a mut GpuMemory);
 
 impl DevMemory for LiveMem<'_> {
@@ -387,9 +389,10 @@ impl DevMemory for LiveMem<'_> {
     }
 }
 
-/// Execution against a per-block write log: reads see the chunk-start
-/// snapshot merged with this block's own effects; externally visible ops are
-/// recorded for in-order replay.
+/// Execution against a per-granule write log (the buffered baselines'
+/// concurrent granules): reads see the window-start snapshot merged with
+/// this granule's own effects; externally visible ops are recorded for
+/// in-order replay.
 pub struct LoggedMem<'l, 'm>(pub &'l mut BlockLog<'m>);
 
 impl DevMemory for LoggedMem<'_, '_> {

@@ -3,20 +3,18 @@
 //! thin configuration layer over the stage-graph executor.
 //!
 //! Everything here implements the *work* of a chunk — address generation,
-//! assembly, DMA, the kernel body, write-back — under the two-phase block
-//! algorithm described in [`crate::pipeline`]'s module docs (pure costing
-//! phases that may run on the rayon pool, ordered effect phases that keep
-//! results bit-identical to the sequential block schedule). Scheduling the
-//! resulting stage durations is the stage graph's job ([`crate::graph`]).
+//! assembly, DMA, the kernel body, write-back — under the block algorithm
+//! described in [`crate::pipeline`]'s module docs: a pure address half that
+//! may run on the rayon pool, then ordered phases that run every block's
+//! kernel body live, in block order. Scheduling the resulting stage
+//! durations is the stage graph's job ([`crate::graph`]).
 //!
 //! There is one chunk runner per layout — [`run_chunk_assembled`] (full
 //! BigKernel, volume reduction) and [`run_chunk_staged`] (overlap only) —
-//! and one kernel lane loop per layout: `compute_assembled` and
-//! [`compute_staged`], generic over the [`DevMemory`] backend. Logged
-//! (parallel replay, under `parallel_blocks`) and live (in-order) execution
-//! differ only in the backend the caller passes; `DeviceEffects::Sequential`
-//! kernels run the same runner one block at a time with logging off. The
-//! buffered baselines call [`compute_staged`] too.
+//! and one kernel lane loop per layout: `compute_assembled` against live
+//! device memory, and [`compute_staged`], generic over the [`DevMemory`]
+//! backend because the buffered baselines also call it against their
+//! granules' write logs.
 //!
 //! Functional execution always uses the primary device's memory image
 //! (`machine.gmem` is one unified image shared by all simulated devices)
@@ -26,14 +24,14 @@
 use crate::addr::LaneAddrs;
 use crate::assembly::{assemble, AssemblyOutput, GatherConfig};
 use crate::config::BigKernelConfig;
-use crate::ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem, LoggedMem};
+use crate::ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem};
 use crate::fusion::PassIo;
 use crate::kernel::{LaunchConfig, StreamKernel};
 use crate::layout::ChunkLayout;
 use crate::machine::Machine;
 use crate::pool::{AddrGenScratch, Compression};
 use crate::stream::{StreamArray, StreamId};
-use bk_gpu::{BlockLog, BlockSim, DeviceSpec, GpuMemory, KernelCost, ReplayOutcome, WARP_SIZE};
+use bk_gpu::{BlockSim, DeviceSpec, GpuMemory, KernelCost, WARP_SIZE};
 use bk_host::{ArenaRef, CacheSim, CpuCost, DmaDirection, PinnedArena};
 use bk_obs::MetricsRegistry;
 use bk_simcore::SimTime;
@@ -54,8 +52,6 @@ pub(crate) struct BlockSlot {
     pub(crate) sim: BlockSim,
     pub(crate) llc: CacheSim,
     pub(crate) scratch: AddrGenScratch,
-    /// Reusable write-log backing storage (maps, op and mirror buffers).
-    pub(crate) log: bk_gpu::LogScratch,
 }
 
 impl BlockSlot {
@@ -64,7 +60,6 @@ impl BlockSlot {
             sim: BlockSim::new(),
             llc: CacheSim::xeon_llc(),
             scratch: AddrGenScratch::new(),
-            log: bk_gpu::LogScratch::default(),
         }
     }
 
@@ -118,8 +113,7 @@ pub(crate) struct StagedPure {
 }
 
 /// What one block's compute-stage lanes did: their traced cost and
-/// counters, plus the block's device effects when it ran against a write
-/// log.
+/// counters.
 pub struct BlockComputed {
     /// Traced issue, memory and atomic cost of the block's lanes.
     pub comp_cost: KernelCost,
@@ -136,9 +130,6 @@ pub struct BlockComputed {
     /// Bitmask of aux-staged secondary streams written (staged chunks; bit
     /// = table index, see [`ComputeCtx::set_aux`]).
     pub aux_dirty: u64,
-    /// The block's logged device effects, pending ordered replay. `None`
-    /// after replay, or when the block ran against live memory.
-    pub effects: Option<bk_gpu::BlockEffects>,
 }
 
 /// One active block's work for the current chunk.
@@ -150,7 +141,6 @@ pub(crate) struct WaveCell<'s> {
     pub(crate) staged: Option<StagedPure>,
     pub(crate) data_buf: Option<bk_gpu::BufferId>,
     pub(crate) write_buf: Option<bk_gpu::BufferId>,
-    pub(crate) computed: Option<BlockComputed>,
 }
 
 /// Per-chunk cost accumulators shared by every execution path.
@@ -234,12 +224,7 @@ fn block_pure_bigkernel(
 ) -> BlockPure {
     let mut ag_cost = KernelCost::new();
     let mut counts = AddrCounts::default();
-    let BlockSlot {
-        sim,
-        llc,
-        scratch,
-        log: _,
-    } = slot;
+    let BlockSlot { sim, llc, scratch } = slot;
     let mut lane_addrs: Vec<LaneAddrs> = scratch.pool.take_lanes();
     {
         let gmem = &machine.gmem;
@@ -440,13 +425,12 @@ fn writeback_assembled(
 }
 
 /// The compute stage's lane loop over an assembled chunk: run the kernel
-/// body for each of the block's lanes against `mem` — a [`LoggedMem`] over
-/// the block's write log, or [`LiveMem`] in block order.
+/// body for each of the block's lanes against live device memory.
 #[allow(clippy::too_many_arguments)]
-fn compute_assembled<M: DevMemory>(
+fn compute_assembled(
     gpu: &DeviceSpec,
     sim: &mut BlockSim,
-    mut mem: M,
+    gmem: &mut GpuMemory,
     kernel: &dyn StreamKernel,
     slices: &[Range<u64>],
     pure: &BlockPure,
@@ -456,6 +440,7 @@ fn compute_assembled<M: DevMemory>(
     launch: LaunchConfig,
 ) -> BlockComputed {
     let tpb = slices.len() as u32;
+    let mut mem = LiveMem(gmem);
     let mut comp_cost = KernelCost::new();
     let mut writes_performed: Vec<usize> = vec![0; slices.len()];
     let mut bytes_read = 0u64;
@@ -485,29 +470,23 @@ fn compute_assembled<M: DevMemory>(
         writes_performed,
         any_writes: false,
         aux_dirty: 0,
-        effects: None,
     }
 }
 
 /// One chunk of the assembled path (full BigKernel and the
-/// volume-reduction variant) for `cells`, in four phases.
+/// volume-reduction variant) for `cells`, in three phases.
 ///
-/// A and C are pure; B and D are ordered. `logged` selects the algorithm.
-/// Logged, phases A and C run on the rayon pool and C runs the kernel body
-/// against each block's write log over the chunk-start snapshot (replayed
-/// in block order in phase D, where a conflicting block re-executes live at
-/// its turn). Live, A runs block by block, C is skipped and every block
-/// runs the kernel body live in phase D, in block order. Both produce the
-/// sequential schedule's result. Sequential-capability kernels pass one
-/// cell at a time with `logged` off, which keeps their stages strictly
-/// A→B→D per block.
+/// Phase A is the pure address half (stages 1–2); it runs on the rayon pool
+/// when `cfg.parallel_blocks` is on and block by block when it is off. B
+/// (DMA in) and C (kernel body, write-back) are ordered: every block's
+/// kernel body runs live against `machine.gmem` in block order, which is
+/// the sequential schedule itself, so both settings give the same result.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chunk_assembled(
     machine: &mut Machine,
     kernel: &dyn StreamKernel,
     streams: &[StreamArray],
     cells: &mut [WaveCell<'_>],
-    logged: bool,
     launch: LaunchConfig,
     cfg: &BigKernelConfig,
     io: Option<&PassIo>,
@@ -515,10 +494,11 @@ pub(crate) fn run_chunk_assembled(
     metrics: &mut MetricsRegistry,
 ) {
     let tpb = launch.threads_per_block;
-    // Phase A (pure; concurrent when logged): stages 1–2 per block.
+    // Phase A (pure; on the pool under `parallel_blocks`): stages 1–2 per
+    // block.
     {
         let shared: &Machine = machine;
-        for_each_cell(logged, cells, |cell| {
+        for_each_cell(cfg.parallel_blocks, cells, |cell| {
             let WaveCell {
                 slices, slot, pure, ..
             } = cell;
@@ -546,50 +526,8 @@ pub(crate) fn run_chunk_assembled(
         *write_buf = wb;
     }
 
-    // Phase C (pure, concurrent; logged only): kernel body against each
-    // block's write log over the chunk-start snapshot.
-    if logged {
-        let shared: &Machine = machine;
-        for_each_cell(logged, cells, |cell| {
-            let WaveCell {
-                block,
-                slices,
-                slot,
-                pure,
-                data_buf,
-                write_buf,
-                computed,
-                ..
-            } = cell;
-            let mut log = BlockLog::with_scratch(&shared.gmem, &mut slot.log);
-            // The write buffer is block-private: mirror it so writes commit
-            // wholesale on replay. Freshly allocated by the transfer stage
-            // and untouched since, so the mirror can skip the snapshot read.
-            // The data buffer is also block-private but only read, so
-            // snapshot reads need no mirror.
-            if let Some(wb) = *write_buf {
-                log.register_private_zeroed(wb);
-            }
-            let mut done = compute_assembled(
-                shared.gpu(),
-                &mut slot.sim,
-                LoggedMem(&mut log),
-                kernel,
-                slices,
-                pure.as_ref().unwrap(),
-                data_buf.unwrap(),
-                *write_buf,
-                *block,
-                launch,
-            );
-            done.effects = Some(log.finish_into(&mut slot.log));
-            *computed = Some(done);
-        });
-    }
-
-    // Phase D (ordered): replay effects in block order; a conflicting (or
-    // unlogged) block executes live at its turn. Then host write-back +
-    // frees.
+    // Phase C (ordered): each block's kernel body runs live at its turn,
+    // then host write-back + frees.
     for cell in cells.iter_mut() {
         let WaveCell {
             block,
@@ -598,32 +536,28 @@ pub(crate) fn run_chunk_assembled(
             pure,
             data_buf,
             write_buf,
-            computed,
             ..
         } = cell;
         let p = pure.as_ref().unwrap();
-        if !replay_effects(&mut machine.gmem, computed, &mut slot.log, metrics) {
-            *computed = Some(compute_assembled(
-                &machine.devices[0],
-                &mut slot.sim,
-                LiveMem(&mut machine.gmem),
-                kernel,
-                slices,
-                p,
-                data_buf.unwrap(),
-                *write_buf,
-                *block,
-                launch,
-            ));
-        }
-        let done = computed.as_ref().unwrap();
-        fold_computed(done, costs, metrics);
+        let done = compute_assembled(
+            &machine.devices[0],
+            &mut slot.sim,
+            &mut machine.gmem,
+            kernel,
+            slices,
+            p,
+            data_buf.unwrap(),
+            *write_buf,
+            *block,
+            launch,
+        );
+        fold_computed(&done, costs, metrics);
         writeback_assembled(
             machine,
             streams,
             p,
             *write_buf,
-            done,
+            &done,
             io,
             &mut slot.llc,
             costs,
@@ -639,28 +573,6 @@ pub(crate) fn run_chunk_assembled(
             slot.recycle(done_pure);
         }
     }
-}
-
-/// Phase D's replay step: replay a logged block's effects onto live memory
-/// in block order. Returns whether the block's result stands; `false` means
-/// it must execute live at its turn — it ran unlogged, or its replay hit a
-/// conflict (counted under `parallel.replay_conflicts`).
-fn replay_effects(
-    gmem: &mut GpuMemory,
-    computed: &mut Option<BlockComputed>,
-    log_scratch: &mut bk_gpu::LogScratch,
-    metrics: &mut MetricsRegistry,
-) -> bool {
-    let Some(effects) = computed.as_mut().and_then(|c| c.effects.take()) else {
-        return false;
-    };
-    let outcome = effects.replay(gmem);
-    effects.reclaim(log_scratch);
-    if outcome == ReplayOutcome::Conflict {
-        metrics.incr("parallel.replay_conflicts");
-        return false;
-    }
-    true
 }
 
 /// Scatter the chunk's write-buffer values into the mapped host arrays
@@ -780,14 +692,13 @@ fn stage_transfer_staged(
 
 /// The compute stage's lane loop over a staged chunk (the overlap-only
 /// variant's stage 4, and the kernel of the buffered baselines): run the
-/// kernel body for each lane of one block against `mem` — a [`LoggedMem`]
-/// over the block's write log, or [`LiveMem`] in order.
+/// kernel body for each lane of one block against `mem` — [`LiveMem`] in
+/// order, or (baselines only) a backend over a granule's write log.
 ///
 /// Lane `l` processes `slices[l]` (absolute stream ranges) as layout lane
 /// `first_lane + l` and thread `first_thread + l` of `num_threads`. Only
 /// the lane loop is shared: each caller keeps what its cost model differs
-/// in — building and finishing the write log, which buffers it registers
-/// as block-private, and any barrier cost.
+/// in — the baselines' write logs and any barrier cost.
 #[allow(clippy::too_many_arguments)]
 pub fn compute_staged<M: DevMemory>(
     gpu: &DeviceSpec,
@@ -832,7 +743,6 @@ pub fn compute_staged<M: DevMemory>(
         writes_performed: Vec::new(),
         any_writes,
         aux_dirty,
-        effects: None,
     }
 }
 
@@ -872,9 +782,9 @@ fn writeback_staged(
     }
 }
 
-/// One chunk of the overlap-only variant for `cells`: the same four phases
-/// and the same `logged` switch as [`run_chunk_assembled`], over staged
-/// windows.
+/// One chunk of the overlap-only variant for `cells`: the same phases as
+/// [`run_chunk_assembled`] over staged windows, with phase A (the host-side
+/// staging gather) on the rayon pool when `parallel`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_chunk_staged(
     machine: &mut Machine,
@@ -882,17 +792,17 @@ pub(crate) fn run_chunk_staged(
     streams: &[StreamArray],
     aux: &[(StreamId, bk_gpu::BufferId)],
     cells: &mut [WaveCell<'_>],
-    logged: bool,
+    parallel: bool,
     launch: LaunchConfig,
     costs: &mut ChunkCosts,
     metrics: &mut MetricsRegistry,
 ) {
     let tpb = launch.threads_per_block;
-    // Phase A (pure; concurrent when logged): staging layout + host-side
-    // gather into the slot's pinned arena.
+    // Phase A (pure; on the pool when `parallel`): staging layout +
+    // host-side gather into the slot's pinned arena.
     {
         let shared: &Machine = machine;
-        for_each_cell(logged, cells, |cell| {
+        for_each_cell(parallel, cells, |cell| {
             let WaveCell {
                 slices,
                 slot,
@@ -927,43 +837,7 @@ pub(crate) fn run_chunk_staged(
         ));
     }
 
-    // Phase C (pure, concurrent; logged only): kernel body against
-    // per-block logs. The staged chunk itself is a private mirror: in-place
-    // modifications commit wholesale on replay.
-    if logged {
-        let shared: &Machine = machine;
-        for_each_cell(logged, cells, |cell| {
-            let WaveCell {
-                block,
-                slices,
-                slot,
-                staged,
-                data_buf,
-                computed,
-                ..
-            } = cell;
-            let mut log = BlockLog::with_scratch(&shared.gmem, &mut slot.log);
-            log.register_private(data_buf.unwrap());
-            let mut done = compute_staged(
-                shared.gpu(),
-                &mut slot.sim,
-                LoggedMem(&mut log),
-                kernel,
-                &staged.as_ref().unwrap().layout,
-                data_buf.unwrap(),
-                aux,
-                slices,
-                0,
-                *block * tpb,
-                launch.total_threads(),
-            );
-            done.effects = Some(log.finish_into(&mut slot.log));
-            *computed = Some(done);
-        });
-    }
-
-    // Phase D (ordered): replay, live execution of conflicting or unlogged
-    // blocks, write-back, frees.
+    // Phase C (ordered): live kernel body, write-back, frees.
     for cell in cells.iter_mut() {
         let WaveCell {
             block,
@@ -971,27 +845,23 @@ pub(crate) fn run_chunk_staged(
             slot,
             staged,
             data_buf,
-            computed,
             ..
         } = cell;
         let st = staged.as_ref().unwrap();
-        if !replay_effects(&mut machine.gmem, computed, &mut slot.log, metrics) {
-            *computed = Some(compute_staged(
-                &machine.devices[0],
-                &mut slot.sim,
-                LiveMem(&mut machine.gmem),
-                kernel,
-                &st.layout,
-                data_buf.unwrap(),
-                aux,
-                slices,
-                0,
-                *block * tpb,
-                launch.total_threads(),
-            ));
-        }
-        let done = computed.as_ref().unwrap();
-        fold_computed(done, costs, metrics);
+        let done = compute_staged(
+            &machine.devices[0],
+            &mut slot.sim,
+            LiveMem(&mut machine.gmem),
+            kernel,
+            &st.layout,
+            data_buf.unwrap(),
+            aux,
+            slices,
+            0,
+            *block * tpb,
+            launch.total_threads(),
+        );
+        fold_computed(&done, costs, metrics);
         writeback_staged(
             machine,
             streams,

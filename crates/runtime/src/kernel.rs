@@ -162,8 +162,9 @@ pub trait ValueExt: KernelCtx {
 impl<T: KernelCtx + ?Sized> ValueExt for T {}
 
 /// Whether a kernel's device-buffer side effects can be captured in a
-/// per-block write log and replayed in block order (see `bk_gpu::wlog` and
-/// the pipeline's two-phase parallel execution model).
+/// per-block write log and replayed in block order (see `bk_gpu::wlog`).
+/// Only the buffered baselines log their granules; the BigKernel runner
+/// runs every kernel body live in block order and ignores this.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DeviceEffects {
     /// Device ops are loads, blind stores, CAS, and atomic adds whose
@@ -210,10 +211,11 @@ pub trait StreamKernel: Sync {
     }
 
     /// Whether this kernel's device ops are log-replayable (the default) or
-    /// force the block-ordered sequential path. Kernels that consume atomic
-    /// fetch-add *return values* across blocks must declare `Sequential`;
-    /// everything else (loads of immutable tables, commutative accumulation,
-    /// CAS-guarded inserts) stays `Replayable`.
+    /// force the buffered baselines' granule-ordered sequential path.
+    /// Kernels that consume atomic fetch-add *return values* across blocks
+    /// must declare `Sequential`; everything else (loads of immutable
+    /// tables, commutative accumulation, CAS-guarded inserts) stays
+    /// `Replayable`.
     fn device_effects(&self) -> DeviceEffects {
         DeviceEffects::Replayable
     }

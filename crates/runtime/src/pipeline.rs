@@ -43,41 +43,31 @@
 //! depths is the streaming runner's, between windows
 //! ([`crate::stream::run_bigkernel_streamed`]).
 //!
-//! ## Two-phase block simulation
+//! ## One block algorithm
 //!
-//! Simulating one chunk means simulating every active block's stage work.
-//! `cfg.parallel_blocks` selects the host algorithm; the model is the same
-//! either way. With it on, kernels whose device effects are log-replayable
-//! (the default, see [`DeviceEffects`]) split each block's work into
+//! Simulating one chunk means simulating every active block's stage work,
+//! in three phases that mirror the paper's pipeline, where every block's
+//! address half for a chunk runs before that chunk's compute half:
 //!
-//! * a **pure costing phase** — address-slice execution, §IV.A pattern
-//!   recognition, assembly + LLC simulation, warp-trace alignment and the
-//!   kernel body run against a per-block write log ([`bk_gpu::BlockLog`])
-//!   over a read snapshot of device memory — which touches no shared
-//!   simulator state and therefore runs on the rayon pool, and
-//! * an **ordered effects phase** — device-buffer writes and atomics
-//!   replayed from each block's log *in block order*, followed by host
-//!   write-back — which is serial and makes the result bit-identical to the
-//!   sequential block schedule.
+//! * **A, the address half** — address-slice execution, §IV.A pattern
+//!   recognition, and assembly against the block slot's own LLC model. It
+//!   reads the machine immutably and touches only its own slot, so with
+//!   `cfg.parallel_blocks` on it runs on the rayon pool; with it off it
+//!   runs block by block.
+//! * **B, the transfer** — each block's pure results fold into the chunk's
+//!   costs and metrics, and its device buffers are allocated and filled in
+//!   block order, so device addresses do not depend on the host schedule.
+//! * **C, the compute half** — each block's kernel body runs live against
+//!   `machine.gmem`, in block order, followed by its host write-back.
 //!
-//! If a logged observation (a device load or CAS result consumed by the
-//! kernel) no longer holds at replay time, the replay rolls back and the
-//! block re-executes against live memory at its in-order turn — exactly what
-//! the sequential schedule would have computed. Each such wasted attempt
-//! counts under `parallel.replay_conflicts`.
-//!
-//! With `parallel_blocks` off there is no concurrency for a write log to buy,
-//! so the runner skips it: every block's pure phase runs in block order, then
-//! every block's kernel body runs live, in block order — the sequential
-//! schedule itself. Metrics, simulated times and outputs are bit-identical
-//! to the logged run; only `parallel.replay_conflicts` differs, and it is
-//! always 0 on the live path, which logs nothing.
-//!
-//! Kernels whose device ops are *not* log-replayable (e.g. consuming
-//! `atomic_add` return values across blocks) declare
-//! [`DeviceEffects::Sequential`]: the same chunk runner takes their blocks
-//! one at a time with logging off under either setting, so each block runs
-//! live and finishes all its stages before the next block starts.
+//! Phase C is the sequential block schedule itself, so the result does not
+//! depend on `parallel_blocks` or on the host thread count: every field of
+//! the [`RunResult`] is bit-identical either way. Nothing in the runner
+//! logs device effects; the write logs of [`bk_gpu::wlog`] serve the
+//! buffered baselines only, whose granules have no pure phase to run
+//! concurrently. The runner ignores a kernel's declared device-effect
+//! capability: a kernel that consumes cross-block `atomic_add` return
+//! values already sees them in block order.
 //!
 //! Thread blocks beyond the §IV.D active-block count run as successive
 //! waves, reusing the active blocks' buffers (and their per-slot simulation
@@ -102,7 +92,7 @@ use crate::exec::{
 use crate::fault::FaultContext;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
 use crate::graph::{pipeline_graph, Executor};
-use crate::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig, StreamKernel};
+use crate::kernel::{chunk_slice, partition_ranges, LaunchConfig, StreamKernel};
 use crate::machine::Machine;
 use crate::result::{finalize_stage_stats, RunResult};
 use crate::stream::{StreamArray, StreamId};
@@ -220,7 +210,6 @@ fn simulate_chunk(
     cfg: &BigKernelConfig,
     io: Option<&PassIo>,
     aux: &mut StagedAux,
-    logged: bool,
     ag_pool: &GpuPool,
     comp_pool: &GpuPool,
     sync_costs: &sync::SyncCosts,
@@ -254,7 +243,6 @@ fn simulate_chunk(
             staged: None,
             data_buf: None,
             write_buf: None,
-            computed: None,
         });
     }
 
@@ -262,24 +250,22 @@ fn simulate_chunk(
         return row;
     }
 
-    // Sequential-capability kernels run the chunk one block at a time, so
-    // each block's stages complete before the next block's begin. Replayable
-    // kernels keep the whole chunk as one group, logged or live: phase A for
-    // every block, then phase B for every block, then phase D in block order.
-    let group_len = match kernel.device_effects() {
-        DeviceEffects::Replayable => cells.len(),
-        DeviceEffects::Sequential => 1,
-    };
-    for group in cells.chunks_mut(group_len) {
-        if cfg.transfer_all {
-            run_chunk_staged(
-                machine, kernel, streams, &aux.table, group, logged, launch, &mut costs, metrics,
-            );
-        } else {
-            run_chunk_assembled(
-                machine, kernel, streams, group, logged, launch, cfg, io, &mut costs, metrics,
-            );
-        }
+    if cfg.transfer_all {
+        run_chunk_staged(
+            machine,
+            kernel,
+            streams,
+            &aux.table,
+            &mut cells,
+            cfg.parallel_blocks,
+            launch,
+            &mut costs,
+            metrics,
+        );
+    } else {
+        run_chunk_assembled(
+            machine, kernel, streams, &mut cells, launch, cfg, io, &mut costs, metrics,
+        );
     }
 
     // Stage 1: addr-gen pool roofline + zero-copy address stores.
@@ -721,13 +707,6 @@ fn run_program(
         // nothing.
         let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(passes * num_chunks);
         for (p, kernel) in kernels.iter().enumerate() {
-            // Only log-replayable kernels may run the logged algorithm, and
-            // only `parallel_blocks` asks for it: on one host thread the
-            // write log buys no concurrency, so blocks run live in block
-            // order instead. Either way the result is the sequential
-            // schedule's; only `parallel.replay_conflicts` tells them apart.
-            let logged =
-                kernel.device_effects() == DeviceEffects::Replayable && cfg.parallel_blocks;
             let io = plan.map(|plan| &plan.io[p]);
             for chunk in 0..num_chunks {
                 let stages = simulate_chunk(
@@ -743,7 +722,6 @@ fn run_program(
                     cfg,
                     io,
                     &mut aux,
-                    logged,
                     &ag_pool,
                     &comp_pool,
                     &sync_costs,
@@ -1587,9 +1565,8 @@ mod parallel_tests {
     }
 
     /// Every block's first-observing lane CASes the same slot; losers bump a
-    /// second counter. Concurrently simulated blocks all observe the slot
-    /// free, so replay conflicts and the losers re-execute live — landing on
-    /// exactly the sequential schedule's outcome.
+    /// second counter. Each lane's outcome depends on every earlier lane's,
+    /// across blocks, so only block-order execution gets it right.
     struct RaceKernel {
         table: bk_gpu::BufferId,
     }
@@ -1614,7 +1591,7 @@ mod parallel_tests {
     }
 
     #[test]
-    fn replay_conflicts_fall_back_to_in_order_re_execution() {
+    fn racing_blocks_run_live_in_block_order() {
         let run = |parallel: bool| {
             let mut m = Machine::test_platform();
             let region = m.hmem.alloc(128 * 8);
@@ -1638,17 +1615,14 @@ mod parallel_tests {
         // counter — the sequential schedule's exact outcome.
         assert_eq!((t0, t8), (1, 127));
         assert_eq!((s0, s8), (1, 127));
-        // The sequential run takes the live path: it logs nothing, so it
-        // reports no conflicts, and everything else matches.
-        r_par.assert_same_model(&r_seq, "race");
-        // In the first wave every concurrently simulated block except the
-        // first observes stale state and must re-execute in order.
-        let first_wave_blocks = r_par.metrics.get("launch.active_blocks").min(4);
-        assert!(first_wave_blocks > 1, "the race needs concurrent blocks");
-        assert_eq!(
-            r_par.metrics.get("parallel.replay_conflicts"),
-            first_wave_blocks - 1
+        assert!(
+            r_par.metrics.get("launch.active_blocks") > 1,
+            "the race needs several blocks in one wave"
         );
+        // Concurrent address halves, then every kernel body live in block
+        // order: nothing is logged, so nothing conflicts or re-executes.
+        assert_eq!(r_par.metrics.get("parallel.replay_conflicts"), 0);
+        assert_eq!(r_par, r_seq);
     }
 
     /// Hands out sequence slots by consuming `atomic_add` return values —

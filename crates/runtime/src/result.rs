@@ -71,13 +71,15 @@ impl RunResult {
         other.total.ratio(self.total)
     }
 
-    /// Assert that `self`, a run with `parallel_blocks` on, and `sequential`,
-    /// the same run with it off, simulate the same model. Every field —
-    /// `total` to the bit, stages, chunks, every counter and histogram —
-    /// must match once `parallel.replay_conflicts` is removed from both.
-    /// That counter measures the host algorithm, not the model: it counts
-    /// the logged algorithm's wasted attempts, so `sequential`, which runs
-    /// live and logs nothing, must report 0. Panics naming `what`.
+    /// Assert that `self`, a buffered-baseline run with `parallel_blocks`
+    /// on, and `sequential`, the same run with it off, simulate the same
+    /// model. Every field — `total` to the bit, stages, chunks, every
+    /// counter and histogram — must match once `parallel.replay_conflicts`
+    /// is removed from both. That counter measures the baselines' host
+    /// algorithm, not the model: it counts their logged granules' wasted
+    /// attempts, so `sequential`, which runs live and logs nothing, must
+    /// report 0. (BigKernel runs need no such allowance: they are equal
+    /// field for field.) Panics naming `what`.
     pub fn assert_same_model(&self, sequential: &RunResult, what: &str) {
         const CONFLICTS: &str = "parallel.replay_conflicts";
         assert_eq!(

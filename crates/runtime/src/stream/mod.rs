@@ -22,8 +22,8 @@
 //!
 //! A streamed run over a replayable source is bit-identical to the batch
 //! run over the concatenated input: windows are record-aligned, every
-//! record is processed by exactly one window, and device effects replay in
-//! window order just as batch chunks replay in chunk order. Arrival times,
+//! record is processed by exactly one window, and device effects land in
+//! window order just as batch chunks land in chunk order. Arrival times,
 //! queue admission and drift decisions are pure arithmetic over the
 //! deterministic per-window [`RunResult`](crate::RunResult)s — no
 //! wall-clock, no ambient randomness. The determinism suite pins

@@ -58,10 +58,6 @@ impl RooflineTerms {
     pub fn bounds(&self) -> &[BoundTerm] {
         &self.bounds
     }
-
-    pub fn fixed_total(&self) -> SimTime {
-        self.fixed
-    }
 }
 
 #[cfg(test)]
@@ -91,7 +87,6 @@ mod tests {
         r.fixed(SimTime::from_secs(0.1))
             .fixed(SimTime::from_secs(0.2));
         assert!((r.duration().secs() - 0.3).abs() < 1e-12);
-        assert!((r.fixed_total().secs() - 0.3).abs() < 1e-12);
     }
 
     #[test]
