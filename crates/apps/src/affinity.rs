@@ -199,10 +199,6 @@ impl bk_runtime::StreamKernel for CompactScanKernel {
         "affinity-fused-pass1"
     }
 
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         None
     }
@@ -326,10 +322,6 @@ impl bk_runtime::StreamKernel for SlotCountKernel {
         "affinity-fused-pass2"
     }
 
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         None
     }
@@ -416,12 +408,6 @@ impl IndexedPassKernel {
 impl bk_runtime::StreamKernel for IndexedPassKernel {
     fn name(&self) -> &'static str {
         self.name
-    }
-
-    /// The offset index is immutable during the run, so its dev reads
-    /// always validate at replay; table updates are as in the scan pass.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
     }
 
     fn record_size(&self) -> Option<u64> {

@@ -51,12 +51,6 @@ impl bk_runtime::StreamKernel for DnaKernel {
         "dna-assembly"
     }
 
-    /// Only hash-table CAS/adds touch device memory; CAS results are
-    /// validated at replay, so concurrent block simulation is safe.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         Some(RECORD)
     }

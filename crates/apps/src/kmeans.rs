@@ -75,12 +75,6 @@ impl bk_runtime::StreamKernel for KMeansKernel {
         "kmeans"
     }
 
-    /// Cluster centroids are read-only during an iteration (dev reads always
-    /// validate); per-point assignments go to the stream, not device memory.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         Some(RECORD)
     }
@@ -158,11 +152,6 @@ pub struct KMeansCountKernel {
 impl bk_runtime::StreamKernel for KMeansCountKernel {
     fn name(&self) -> &'static str {
         "kmeans-count"
-    }
-
-    /// Atomic adds commute and their return values are discarded.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
     }
 
     fn record_size(&self) -> Option<u64> {

@@ -34,12 +34,6 @@ impl bk_runtime::StreamKernel for NetflixKernel {
         "netflix"
     }
 
-    /// Co-rating cells are bumped with `atomic_add` and the returns are
-    /// discarded — commutative, so block-order replay is exact.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         Some(RECORD)
     }

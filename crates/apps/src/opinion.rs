@@ -87,12 +87,6 @@ impl bk_runtime::StreamKernel for OpinionKernel {
         "opinion-finder"
     }
 
-    /// The single device effect is an `atomic_add` to the score accumulator
-    /// whose return is ignored — commutative, hence log-replayable.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         Some(RECORD)
     }

@@ -31,8 +31,8 @@ use crate::wordcount::{generate_text_sized, reference_counts, WordCountKernel, M
 use bk_runtime::ctx::AddrGenCtx;
 use bk_runtime::stream::{run_bigkernel_streamed, ReplaySource, Source};
 use bk_runtime::{
-    DevBufId, DeviceEffects, KernelCtx, Machine, StreamArray, StreamConfig, StreamId, StreamKernel,
-    StreamResult, ValueExt,
+    DevBufId, KernelCtx, Machine, StreamArray, StreamConfig, StreamId, StreamKernel, StreamResult,
+    ValueExt,
 };
 use bk_simcore::SplitMix64;
 use std::ops::Range;
@@ -212,11 +212,6 @@ impl StreamKernel for DriftingFilterKernel {
         "filtercount-drift"
     }
 
-    /// Count bumps are commutative atomic adds with discarded returns.
-    fn device_effects(&self) -> DeviceEffects {
-        DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         Some(FC_RECORD)
     }
@@ -340,11 +335,6 @@ pub struct DriftingKMeansKernel {
 impl StreamKernel for DriftingKMeansKernel {
     fn name(&self) -> &'static str {
         "kmeans-drift"
-    }
-
-    /// Centroids are read-only; population adds commute.
-    fn device_effects(&self) -> DeviceEffects {
-        DeviceEffects::Replayable
     }
 
     fn record_size(&self) -> Option<u64> {

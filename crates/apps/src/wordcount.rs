@@ -50,12 +50,6 @@ impl bk_runtime::StreamKernel for WordCountKernel {
         "wordcount"
     }
 
-    /// Hash-table inserts consume only CAS results, which the write log
-    /// validates at replay; count bumps ignore the add returns.
-    fn device_effects(&self) -> bk_runtime::DeviceEffects {
-        bk_runtime::DeviceEffects::Replayable
-    }
-
     fn record_size(&self) -> Option<u64> {
         None // variable-length
     }

@@ -1,17 +1,10 @@
 //! Parallel-vs-sequential determinism suite.
 //!
-//! `parallel_blocks` selects the host algorithm, and both compute the
-//! sequential schedule, so the model must be *bit-identical* either way:
+//! `bigkernel.parallel_blocks` only moves BigKernel's pure address half
+//! (address generation, detection, assembly) onto the rayon pool; every
+//! kernel body, and every buffered-baseline granule, runs live in block
+//! order either way. So runs must be *bit-identical* field for field:
 //! same simulated times, same counters, same verified outputs.
-//!
-//! * BigKernel runs only its pure address half on the pool and every
-//!   kernel body live in block order, so its runs must be equal field for
-//!   field.
-//! * The buffered baselines run their granules concurrently against write
-//!   logs replayed in order, so one field may differ:
-//!   `parallel.replay_conflicts`, which counts the logged algorithm's
-//!   wasted attempts and is 0 on the live path
-//!   ([`RunResult::assert_same_model`]).
 //!
 //! These tests pin that property for every evaluation application and for
 //! the buffered GPU baselines, plus a property test over random launch
@@ -95,7 +88,6 @@ fn run_faulted(
     cfg.bigkernel.parallel_blocks = parallel;
     cfg.bigkernel.faults = faults;
     cfg.baseline.window_bytes = chunk_bytes.max(16 * 1024);
-    cfg.baseline.parallel_blocks = parallel;
     cfg.gpus = gpus;
     let mut machine = Machine::test_platform();
     machine.replicate_gpus(gpus);
@@ -145,24 +137,16 @@ fn baselines_parallel_is_bit_identical_for_every_app() {
         ] {
             let par = run_once(app.as_ref(), imp, launch, 32 * 1024, 128 * 1024, true);
             let seq = run_once(app.as_ref(), imp, launch, 32 * 1024, 128 * 1024, false);
-            par.assert_same_model(&seq, &format!("{} under {}", app.spec().name, imp.label()));
+            assert_eq!(par, seq, "{} under {}", app.spec().name, imp.label());
         }
     }
 }
 
 /// One golden row: app, implementation, total simulated seconds, per-stage
-/// busy seconds (pipeline order), `pcie.h2d_bytes`, `pcie.d2h_bytes`,
-/// `parallel.replay_conflicts`. The f64 literals are shortest round-trip
-/// forms, so comparing their bits is exact.
-type GoldenRow = (
-    &'static str,
-    &'static str,
-    f64,
-    &'static [f64],
-    u64,
-    u64,
-    u64,
-);
+/// busy seconds (pipeline order), `pcie.h2d_bytes`, `pcie.d2h_bytes`. The
+/// f64 literals are shortest round-trip forms, so comparing their bits is
+/// exact.
+type GoldenRow = (&'static str, &'static str, f64, &'static [f64], u64, u64);
 
 /// Golden results of the staged and per-lane paths under
 /// [`HarnessConfig::test_small`] (128 KiB per app, seed 42). The committed
@@ -171,34 +155,34 @@ type GoldenRow = (
 /// to their exact simulated times and transfer volumes.
 #[rustfmt::skip]
 const GOLDEN_STAGED_AND_PER_LANE: &[GoldenRow] = &[
-    ("K-means", "gpu-single-buffer", 0.00020599712820512818, &[1.4003418803418795e-5, 6.184533333333334e-5, 9.222399999999999e-5, 3.0922666666666675e-5, 7.001709401709403e-6], 262144, 131072, 0),
-    ("K-means", "gpu-double-buffer", 0.00018003323076923078, &[1.40034188034188e-5, 6.184533333333334e-5, 9.222399999999999e-5, 3.0922666666666675e-5, 7.001709401709403e-6], 262144, 131072, 0),
-    ("K-means", "overlap-only", 0.000285035282051282, &[0.0, 3.0003418803418795e-5, 0.0001818453333333333, 8.153599999999997e-5, 5.092266666666665e-5, 7.001709401709416e-6], 262144, 131072, 0),
-    ("K-means", "volume-reduction", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888, 0),
-    ("Word Count", "gpu-single-buffer", 0.0006908531282051281, &[7.005128205128222e-6, 3.092800000000002e-5, 0.0006529199999999999, 0.0, 0.0], 131136, 0, 2),
-    ("Word Count", "gpu-double-buffer", 0.0006718909401709401, &[7.005128205128203e-6, 3.0928e-5, 0.00065292, 0.0, 0.0], 131136, 0, 2),
-    ("Word Count", "overlap-only", 0.0006737412307692308, &[0.0, 1.5873504273504283e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 0, 0),
-    ("Word Count", "volume-reduction", 0.000680984, &[2.7631999999999992e-5, 1.6246153846153834e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 7168, 0),
-    ("Netflix", "gpu-single-buffer", 8.668e-5, &[6.999999999999996e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0, 0),
-    ("Netflix", "gpu-double-buffer", 6.772000000000001e-5, &[6.999999999999998e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0, 0),
-    ("Netflix", "overlap-only", 0.00012344991452991453, &[0.0, 1.6999999999999993e-5, 0.00011092, 4.576000000000001e-5, 0.0, 0.0], 131040, 0, 0),
-    ("Netflix", "volume-reduction", 0.00011869999999999998, &[1.3030666666666664e-5, 1.8188e-5, 0.00010327599999999999, 4.576000000000001e-5, 0.0, 0.0], 39312, 8960, 0),
-    ("Opinion Finder", "gpu-single-buffer", 6.926933606837607e-5, &[7.001709401709398e-6, 3.092266666666667e-5, 3.134496e-5, 0.0, 0.0], 131072, 0, 0),
-    ("Opinion Finder", "gpu-double-buffer", 5.030714803418803e-5, &[7.0017094017094e-6, 3.092266666666667e-5, 3.134495999999999e-5, 0.0, 0.0], 131072, 0, 0),
-    ("Opinion Finder", "overlap-only", 0.000101112134017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 2.578416e-5, 0.0, 0.0], 131072, 0, 0),
-    ("Opinion Finder", "volume-reduction", 0.00010672466666666664, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.797866666666664e-5, 3.779e-5, 0.0, 0.0], 95744, 22528, 0),
-    ("DNA Assembly", "gpu-single-buffer", 9.540437606837606e-5, &[7.001709401709398e-6, 3.092266666666667e-5, 5.748e-5, 0.0, 0.0], 131072, 0, 2),
-    ("DNA Assembly", "gpu-double-buffer", 7.644218803418804e-5, &[7.0017094017094e-6, 3.092266666666667e-5, 5.748000000000001e-5, 0.0, 0.0], 131072, 0, 2),
-    ("DNA Assembly", "overlap-only", 0.000107773094017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 5.205999999999999e-5, 0.0, 0.0], 131072, 0, 0),
-    ("DNA Assembly", "volume-reduction", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 0),
-    ("MasterCard Affinity", "gpu-single-buffer", 0.0001725709305982906, &[1.4013675213675205e-5, 8.732533333333334e-5, 5.674864000000002e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784, 2),
-    ("MasterCard Affinity", "gpu-double-buffer", 0.00014030788786324784, &[1.401367521367521e-5, 8.732533333333334e-5, 5.674864e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784, 2),
-    ("MasterCard Affinity", "overlap-only", 0.00024579708034188036, &[0.0, 3.2618803418803415e-5, 0.0002113893333333333, 4.644735999999998e-5, 0.0, 0.0], 376672, 32784, 0),
-    ("MasterCard Affinity", "volume-reduction", 0.0002837913333333333, &[4.264266666666667e-5, 2.7272888888888892e-5, 0.00017773466666666667, 5.346399999999999e-5, 4.273200000000002e-5, 5.794210526315774e-6], 212816, 54288, 0),
-    ("MasterCard Affinity (indexed)", "gpu-single-buffer", 0.0001134262564102564, &[1.4010256410256403e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0, 2),
-    ("MasterCard Affinity (indexed)", "gpu-double-buffer", 8.714454700854701e-5, &[1.4010256410256407e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0, 2),
-    ("MasterCard Affinity (indexed)", "overlap-only", 0.00019930379487179486, &[0.0, 3.174700854700854e-5, 0.00018456533333333333, 2.6400639999999992e-5, 0.0, 0.0], 294784, 0, 0),
-    ("MasterCard Affinity (indexed)", "volume-reduction", 0.000187616, &[2.947199999999999e-5, 3.1608e-5, 0.00016553599999999998, 2.6359999999999985e-5, 0.0, 0.0], 66432, 66432, 0),
+    ("K-means", "gpu-single-buffer", 0.00020599712820512818, &[1.4003418803418795e-5, 6.184533333333334e-5, 9.222399999999999e-5, 3.0922666666666675e-5, 7.001709401709403e-6], 262144, 131072),
+    ("K-means", "gpu-double-buffer", 0.00018003323076923078, &[1.40034188034188e-5, 6.184533333333334e-5, 9.222399999999999e-5, 3.0922666666666675e-5, 7.001709401709403e-6], 262144, 131072),
+    ("K-means", "overlap-only", 0.000285035282051282, &[0.0, 3.0003418803418795e-5, 0.0001818453333333333, 8.153599999999997e-5, 5.092266666666665e-5, 7.001709401709416e-6], 262144, 131072),
+    ("K-means", "volume-reduction", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888),
+    ("Word Count", "gpu-single-buffer", 0.0006908531282051281, &[7.005128205128222e-6, 3.092800000000002e-5, 0.0006529199999999999, 0.0, 0.0], 131136, 0),
+    ("Word Count", "gpu-double-buffer", 0.0006718909401709401, &[7.005128205128203e-6, 3.0928e-5, 0.00065292, 0.0, 0.0], 131136, 0),
+    ("Word Count", "overlap-only", 0.0006737412307692308, &[0.0, 1.5873504273504283e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 0),
+    ("Word Count", "volume-reduction", 0.000680984, &[2.7631999999999992e-5, 1.6246153846153834e-5, 9.228266666666666e-5, 0.0006467, 0.0, 0.0], 147392, 7168),
+    ("Netflix", "gpu-single-buffer", 8.668e-5, &[6.999999999999996e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0),
+    ("Netflix", "gpu-double-buffer", 6.772000000000001e-5, &[6.999999999999998e-6, 3.0919999999999995e-5, 4.876000000000001e-5, 0.0, 0.0], 131040, 0),
+    ("Netflix", "overlap-only", 0.00012344991452991453, &[0.0, 1.6999999999999993e-5, 0.00011092, 4.576000000000001e-5, 0.0, 0.0], 131040, 0),
+    ("Netflix", "volume-reduction", 0.00011869999999999998, &[1.3030666666666664e-5, 1.8188e-5, 0.00010327599999999999, 4.576000000000001e-5, 0.0, 0.0], 39312, 8960),
+    ("Opinion Finder", "gpu-single-buffer", 6.926933606837607e-5, &[7.001709401709398e-6, 3.092266666666667e-5, 3.134496e-5, 0.0, 0.0], 131072, 0),
+    ("Opinion Finder", "gpu-double-buffer", 5.030714803418803e-5, &[7.0017094017094e-6, 3.092266666666667e-5, 3.134495999999999e-5, 0.0, 0.0], 131072, 0),
+    ("Opinion Finder", "overlap-only", 0.000101112134017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 2.578416e-5, 0.0, 0.0], 131072, 0),
+    ("Opinion Finder", "volume-reduction", 0.00010672466666666664, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.797866666666664e-5, 3.779e-5, 0.0, 0.0], 95744, 22528),
+    ("DNA Assembly", "gpu-single-buffer", 9.540437606837606e-5, &[7.001709401709398e-6, 3.092266666666667e-5, 5.748e-5, 0.0, 0.0], 131072, 0),
+    ("DNA Assembly", "gpu-double-buffer", 7.644218803418804e-5, &[7.0017094017094e-6, 3.092266666666667e-5, 5.748000000000001e-5, 0.0, 0.0], 131072, 0),
+    ("DNA Assembly", "overlap-only", 0.000107773094017094, &[0.0, 1.5001709401709397e-5, 9.092266666666665e-5, 5.205999999999999e-5, 0.0, 0.0], 131072, 0),
+    ("DNA Assembly", "volume-reduction", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288),
+    ("MasterCard Affinity", "gpu-single-buffer", 0.0001725709305982906, &[1.4013675213675205e-5, 8.732533333333334e-5, 5.674864000000002e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784),
+    ("MasterCard Affinity", "gpu-double-buffer", 0.00014030788786324784, &[1.401367521367521e-5, 8.732533333333334e-5, 5.674864e-5, 1.2732e-5, 1.7512820512820466e-6], 327904, 32784),
+    ("MasterCard Affinity", "overlap-only", 0.00024579708034188036, &[0.0, 3.2618803418803415e-5, 0.0002113893333333333, 4.644735999999998e-5, 0.0, 0.0], 376672, 32784),
+    ("MasterCard Affinity", "volume-reduction", 0.0002837913333333333, &[4.264266666666667e-5, 2.7272888888888892e-5, 0.00017773466666666667, 5.346399999999999e-5, 4.273200000000002e-5, 5.794210526315774e-6], 212816, 54288),
+    ("MasterCard Affinity (indexed)", "gpu-single-buffer", 0.0001134262564102564, &[1.4010256410256403e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0),
+    ("MasterCard Affinity (indexed)", "gpu-double-buffer", 8.714454700854701e-5, &[1.4010256410256407e-5, 6.1856e-5, 3.756e-5, 0.0, 0.0], 262272, 0),
+    ("MasterCard Affinity (indexed)", "overlap-only", 0.00019930379487179486, &[0.0, 3.174700854700854e-5, 0.00018456533333333333, 2.6400639999999992e-5, 0.0, 0.0], 294784, 0),
+    ("MasterCard Affinity (indexed)", "volume-reduction", 0.000187616, &[2.947199999999999e-5, 3.1608e-5, 0.00016553599999999998, 2.6359999999999985e-5, 0.0, 0.0], 66432, 66432),
 ];
 
 /// Golden results of full BigKernel under [`HarnessConfig::test_small`]
@@ -208,22 +192,18 @@ const GOLDEN_STAGED_AND_PER_LANE: &[GoldenRow] = &[
 /// the address or compute half cannot move the model unnoticed.
 #[rustfmt::skip]
 const GOLDEN_BIGKERNEL: &[GoldenRow] = &[
-    ("K-means", "bigkernel", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888, 0),
-    ("Word Count", "bigkernel", 0.000680984, &[2.7631999999999992e-5, 1.6247863247863236e-5, 9.228799999999998e-5, 0.0006467, 0.0, 0.0], 147456, 7168, 0),
-    ("Netflix", "bigkernel", 0.00011875199999999999, &[1.3030666666666664e-5, 1.8188e-5, 0.000103328, 4.576000000000001e-5, 0.0, 0.0], 39936, 8960, 0),
-    ("Opinion Finder", "bigkernel", 0.00010676733333333332, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.802133333333332e-5, 3.7789999999999996e-5, 0.0, 0.0], 96256, 22528, 0),
-    ("DNA Assembly", "bigkernel", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288, 0),
-    ("MasterCard Affinity", "bigkernel", 0.00028388999999999997, &[4.2642666666666664e-5, 2.7278017094017098e-5, 0.00017779199999999997, 5.3464e-5, 4.2773333333333346e-5, 5.794210526315774e-6], 213504, 54784, 0),
-    ("MasterCard Affinity (indexed)", "bigkernel", 0.000188352, &[2.947199999999999e-5, 3.1608e-5, 0.000166272, 2.636e-5, 0.0, 0.0], 75264, 66432, 0),
+    ("K-means", "bigkernel", 0.0002853844210526315, &[2.1983999999999995e-5, 3.2383999999999994e-5, 0.00016682666666666666, 0.00010131200000000001, 4.1365333333333315e-5, 3.2336842105262973e-6], 81920, 37888),
+    ("Word Count", "bigkernel", 0.000680984, &[2.7631999999999992e-5, 1.6247863247863236e-5, 9.228799999999998e-5, 0.0006467, 0.0, 0.0], 147456, 7168),
+    ("Netflix", "bigkernel", 0.00011875199999999999, &[1.3030666666666664e-5, 1.8188e-5, 0.000103328, 4.576000000000001e-5, 0.0, 0.0], 39936, 8960),
+    ("Opinion Finder", "bigkernel", 0.00010676733333333332, &[2.1040000000000002e-5, 1.6191999999999997e-5, 8.802133333333332e-5, 3.7789999999999996e-5, 0.0, 0.0], 96256, 22528),
+    ("DNA Assembly", "bigkernel", 0.00010375733333333332, &[1.4832e-5, 1.2095999999999997e-5, 8.392533333333331e-5, 5.2060000000000006e-5, 0.0, 0.0], 47104, 12288),
+    ("MasterCard Affinity", "bigkernel", 0.00028388999999999997, &[4.2642666666666664e-5, 2.7278017094017098e-5, 0.00017779199999999997, 5.3464e-5, 4.2773333333333346e-5, 5.794210526315774e-6], 213504, 54784),
+    ("MasterCard Affinity (indexed)", "bigkernel", 0.000188352, &[2.947199999999999e-5, 3.1608e-5, 0.000166272, 2.636e-5, 0.0, 0.0], 75264, 66432),
 ];
 
-/// Run every app under each of `imps` with `parallel_blocks` on and off and
-/// compare against `golden`. The model is the same either way; only the
-/// conflicts column differs, for the buffered baselines' logged granules,
-/// and it is 0 with `parallel_blocks` off, which logs nothing. Rows run by
-/// the BigKernel runner (full BigKernel and both variants) log nothing
-/// under either setting, so their conflicts column is 0. On a mismatch the
-/// panic prints the actual table in the same Rust syntax.
+/// Run every app under each of `imps` with `bigkernel.parallel_blocks` on
+/// and off and compare against `golden`. On a mismatch the panic prints the
+/// actual table in the same Rust syntax.
 fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
     for parallel in [true, false] {
         let mut actual = Vec::new();
@@ -231,7 +211,6 @@ fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
             for &imp in imps {
                 let mut cfg = HarnessConfig::test_small();
                 cfg.bigkernel.parallel_blocks = parallel;
-                cfg.baseline.parallel_blocks = parallel;
                 let mut machine = Machine::test_platform();
                 let instance = app.instantiate(&mut machine, 128 * 1024, 42);
                 let r = run_implementation(&mut machine, &instance, imp, &cfg);
@@ -249,23 +228,20 @@ fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
                     r.stages.iter().map(|s| s.busy.secs()).collect::<Vec<f64>>(),
                     r.metrics.get("pcie.h2d_bytes"),
                     r.metrics.get("pcie.d2h_bytes"),
-                    r.metrics.get("parallel.replay_conflicts"),
                 ));
             }
         }
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         let matches = actual.len() == golden.len()
             && actual.iter().zip(golden).all(|(a, g)| {
-                let conflicts = if parallel { g.6 } else { 0 };
-                (a.0, a.1, a.2.to_bits(), bits(&a.3), a.4, a.5, a.6)
-                    == (g.0, g.1, g.2.to_bits(), bits(g.3), g.4, g.5, conflicts)
+                (a.0, a.1, a.2.to_bits(), bits(&a.3), a.4, a.5)
+                    == (g.0, g.1, g.2.to_bits(), bits(g.3), g.4, g.5)
             });
         if !matches {
             let mut table = String::new();
-            for (app, imp, total, stages, h2d, d2h, conflicts) in &actual {
-                table += &format!(
-                    "    (\"{app}\", \"{imp}\", {total:?}, &{stages:?}, {h2d}, {d2h}, {conflicts}),\n"
-                );
+            for (app, imp, total, stages, h2d, d2h) in &actual {
+                table +=
+                    &format!("    (\"{app}\", \"{imp}\", {total:?}, &{stages:?}, {h2d}, {d2h}),\n");
             }
             panic!("golden results diverged (parallel_blocks {parallel}); actual table:\n{table}");
         }
@@ -273,7 +249,7 @@ fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
 }
 
 /// The buffered baselines and the Fig. 5 variants land on their golden rows
-/// under both host algorithms.
+/// under either `parallel_blocks` setting.
 #[test]
 fn baselines_and_variants_match_golden_results() {
     assert_golden(
@@ -287,7 +263,8 @@ fn baselines_and_variants_match_golden_results() {
     );
 }
 
-/// Full BigKernel lands on its golden rows under both host algorithms.
+/// Full BigKernel lands on its golden rows under either `parallel_blocks`
+/// setting.
 #[test]
 fn bigkernel_matches_golden_results() {
     assert_golden(&[Implementation::BigKernel], GOLDEN_BIGKERNEL);

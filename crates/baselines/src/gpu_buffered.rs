@@ -18,41 +18,27 @@
 //! record layout, so strided field accesses stay uncoalesced — the warp
 //! traces measure that directly.
 //!
-//! ## Parallel granule simulation
+//! ## Granule simulation
 //!
 //! The simulation of one window is split into per-block granules of
 //! `threads_per_block` lanes, and each granule runs BigKernel's own staged
-//! lane loop ([`bk_runtime::compute_staged`]). `parallel_blocks` selects
-//! the host algorithm. With it on, granules of kernels whose device effects
-//! are log-replayable ([`DeviceEffects::Replayable`]) run concurrently
-//! against write logs over a read snapshot of device memory, and the logs
-//! replay in granule order. A replay conflict (another granule changed a
-//! value this one read) re-executes that granule live, in order, and counts
-//! under `parallel.replay_conflicts`. With it off — and always for
-//! `DeviceEffects::Sequential` kernels — every granule runs live in granule
-//! order with no log. Both produce the sequential schedule's result, so the
-//! model is bit-identical; only the conflict counter differs (0 when live).
-//!
-//! The BigKernel runner keeps no such log: its concurrency is the pure
-//! address half (address generation, detection, assembly), and its kernel
-//! bodies all run live in block order. A buffered window is staged whole,
-//! with no address generation, so its granules have no pure phase and the
-//! write log is their only concurrency. The window loop therefore stays
-//! here rather than in BigKernel's per-block chunk runner (DESIGN.md §6).
+//! lane loop ([`bk_runtime::compute_staged`]) live against device memory,
+//! in granule order — the order of one plain kernel launch per window.
+//! A buffered window is staged whole, with no address generation, so its
+//! granules have no pure phase to run on the host pool, and a run's result
+//! does not depend on the host thread count.
 
 use bk_gpu::occupancy::{self, BlockResources};
-use bk_gpu::{BlockEffects, BlockLog, BlockSim, GpuPool, KernelCost, ReplayOutcome};
+use bk_gpu::{BlockSim, GpuPool, KernelCost};
 use bk_host::{cpu, CpuCost, DmaDirection};
-use bk_runtime::ctx::{LiveMem, LoggedMem};
+use bk_runtime::compute_staged;
 use bk_runtime::graph::{buffered_graph, serial_graph, Executor};
-use bk_runtime::kernel::{chunk_slice, partition_ranges, DeviceEffects, LaunchConfig};
+use bk_runtime::kernel::{chunk_slice, partition_ranges, LaunchConfig};
 use bk_runtime::layout::ChunkLayout;
 use bk_runtime::result::finalize_stage_stats;
 use bk_runtime::MetricsRegistry;
-use bk_runtime::{compute_staged, BlockComputed};
 use bk_runtime::{Machine, RunResult, StreamArray, StreamKernel};
 use bk_simcore::SimTime;
-use rayon::prelude::*;
 
 /// Configuration of the buffered baselines.
 #[derive(Clone, Debug)]
@@ -61,11 +47,8 @@ pub struct BaselineConfig {
     pub window_bytes: u64,
     /// Cost of one kernel invocation (driver + launch + context setup).
     pub kernel_launch_overhead: SimTime,
-    /// Select the host algorithm for a window's granules. On: granules run
-    /// concurrently against write logs that replay in granule order. Off:
-    /// every granule runs live in granule order, with no write log. The
-    /// model is identical either way, except `parallel.replay_conflicts`,
-    /// which counts wasted logged attempts and so is 0 when off.
+    /// Ignored: granules always run live in granule order; delete with the
+    /// next benchmark change.
     pub parallel_blocks: bool,
 }
 
@@ -121,18 +104,6 @@ pub fn run_gpu_double_buffer(
     )
 }
 
-/// Per-granule work cell: owns the mutable slot state for one granule of
-/// the current window so rayon can hand each cell to a different thread.
-/// Granule `g` runs the window's lanes `g × tpb ..`; a lane's window-wide
-/// index is both its layout lane and its thread id.
-struct GranuleCell<'s> {
-    first_lane: usize,
-    sim: &'s mut BlockSim,
-    computed: Option<BlockComputed>,
-    /// The granule's logged device effects, pending ordered replay.
-    effects: Option<BlockEffects>,
-}
-
 fn run_buffered(
     machine: &mut Machine,
     kernel: &dyn StreamKernel,
@@ -147,9 +118,7 @@ fn run_buffered(
     let rec = kernel.record_size();
     let halo = kernel.halo_bytes();
     let total_threads = launch.total_threads();
-    let tpb = launch.threads_per_block;
-    // The logged algorithm only pays off on concurrent granules.
-    let logged = kernel.device_effects() == DeviceEffects::Replayable && cfg.parallel_blocks;
+    let tpb = launch.threads_per_block as usize;
 
     let res = kernel.resources();
     let block_res = BlockResources {
@@ -166,7 +135,8 @@ fn run_buffered(
 
     let mut metrics = MetricsRegistry::new();
     let mut durations: Vec<Vec<SimTime>> = Vec::with_capacity(num_windows);
-    let mut sims: Vec<BlockSim> = (0..num_granules).map(|_| BlockSim::new()).collect();
+    // Every granule's warp state is scratch, so one simulator serves all.
+    let mut sim = BlockSim::new();
     let mut any_writes_at_all = false;
 
     // A traditional buffered implementation needs a whole resident copy of
@@ -228,79 +198,23 @@ fn run_buffered(
         for r in &mut ranges {
             *r = window.start + r.start..window.start + r.end;
         }
-        let mut cells: Vec<GranuleCell<'_>> = sims
-            .iter_mut()
-            .enumerate()
-            .map(|(granule, sim)| GranuleCell {
-                first_lane: granule * tpb as usize,
-                sim,
-                computed: None,
-                effects: None,
-            })
-            .collect();
-        let lanes = |first: usize| &ranges[first..first + tpb as usize];
-
-        if logged {
-            // Pure phase: simulate every granule against a write log over
-            // the snapshot. The window's staging buffer is shared between
-            // granules, so it is *not* registered private: lane stores hit
-            // the log's overlay (read-your-writes) and replay as blind
-            // writes — granules write disjoint lane slices, so granule-order
-            // replay reproduces the sequential schedule exactly.
-            let shared: &Machine = machine;
-            let run = |cell: &mut GranuleCell<'_>| {
-                let mut log = BlockLog::new(&shared.gmem);
-                cell.computed = Some(compute_staged(
-                    shared.gpu(),
-                    cell.sim,
-                    LoggedMem(&mut log),
-                    kernel,
-                    &layout,
-                    data_buf,
-                    &aux,
-                    lanes(cell.first_lane),
-                    cell.first_lane,
-                    cell.first_lane as u32,
-                    total_threads,
-                ));
-                cell.effects = Some(log.finish());
-            };
-            if cells.len() > 1 {
-                cells.par_iter_mut().for_each(run);
-            } else {
-                cells.iter_mut().for_each(run);
-            }
-        }
-        // Ordered phase: replay device effects in granule order; a
-        // conflicting (or unlogged) granule runs live at its turn.
-        for cell in cells.iter_mut() {
-            let conflict = cell.effects.take().is_some_and(|effects| {
-                effects.replay(&mut machine.gmem) == ReplayOutcome::Conflict
-            });
-            if conflict {
-                metrics.incr("parallel.replay_conflicts");
-            }
-            if conflict || !logged {
-                cell.computed = Some(compute_staged(
-                    &machine.devices[0],
-                    cell.sim,
-                    LiveMem(&mut machine.gmem),
-                    kernel,
-                    &layout,
-                    data_buf,
-                    &aux,
-                    lanes(cell.first_lane),
-                    cell.first_lane,
-                    cell.first_lane as u32,
-                    total_threads,
-                ));
-            }
-        }
-
         let mut comp_cost = KernelCost::new();
         let mut any_writes = false;
-        for cell in cells.iter() {
-            let computed = cell.computed.as_ref().expect("granule computed");
+        for granule in 0..num_granules {
+            let first_lane = granule * tpb;
+            let computed = compute_staged(
+                &machine.devices[0],
+                &mut sim,
+                &mut machine.gmem,
+                kernel,
+                &layout,
+                data_buf,
+                &aux,
+                &ranges[first_lane..first_lane + tpb],
+                first_lane,
+                first_lane as u32,
+                total_threads,
+            );
             comp_cost.merge(&computed.comp_cost);
             metrics.add("stream.bytes_read", computed.bytes_read);
             metrics.add("stream.bytes_written", computed.bytes_written);
@@ -492,8 +406,7 @@ mod tests {
     }
 
     /// Hands out sequence slots by consuming `atomic_add` return values, so
-    /// it declares `DeviceEffects::Sequential`: granules must run live, in
-    /// order, under either `parallel_blocks` setting.
+    /// its tickets show the order granules and lanes run in.
     struct TicketKernel {
         table: bk_gpu::BufferId,
     }
@@ -504,9 +417,6 @@ mod tests {
         }
         fn record_size(&self) -> Option<u64> {
             Some(8)
-        }
-        fn device_effects(&self) -> DeviceEffects {
-            DeviceEffects::Sequential
         }
         fn addresses(&self, _ctx: &mut AddrGenCtx<'_>, _range: Range<u64>) {}
         fn process(&self, ctx: &mut dyn KernelCtx, range: Range<u64>) {
@@ -676,82 +586,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_baselines() {
-        let run = |parallel: bool, buffers: usize| {
-            let (mut m, s, _) = setup(8192);
-            let acc = m.gmem.alloc(8);
-            let cfg = BaselineConfig {
-                parallel_blocks: parallel,
-                ..small_cfg()
-            };
-            let r = if buffers == 1 {
-                run_gpu_single_buffer(
-                    &mut m,
-                    &SumKernel { acc },
-                    &s,
-                    LaunchConfig::new(4, 32),
-                    &cfg,
-                )
-            } else {
-                run_gpu_double_buffer(
-                    &mut m,
-                    &SumKernel { acc },
-                    &s,
-                    LaunchConfig::new(4, 32),
-                    &cfg,
-                )
-            };
-            (r, m.gmem.read_u64(acc, 0))
-        };
-        for buffers in [1, 2] {
-            let (r_par, v_par) = run(true, buffers);
-            let (r_seq, v_seq) = run(false, buffers);
-            assert_eq!(v_par, v_seq, "{buffers}-buffer accumulator diverged");
-            assert_eq!(r_par, r_seq, "{buffers}-buffer RunResult diverged");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_sequential_writeback_baseline() {
-        let run = |parallel: bool| {
-            let mut m = Machine::test_platform();
-            let r = m.hmem.alloc(2048 * 8);
-            for i in 0..2048u64 {
-                m.hmem.write_u32(r, i * 8, i as u32);
-            }
-            let streams = vec![StreamArray::map(&m, StreamId(0), r)];
-            let cfg = BaselineConfig {
-                parallel_blocks: parallel,
-                ..small_cfg()
-            };
-            let res = run_gpu_double_buffer(
-                &mut m,
-                &ScaleKernel,
-                &streams,
-                LaunchConfig::new(4, 32),
-                &cfg,
-            );
-            let host = m.hmem.read(r, 0, 2048 * 8).to_vec();
-            (res, host)
-        };
-        let (r_par, h_par) = run(true);
-        let (r_seq, h_seq) = run(false);
-        assert_eq!(h_par, h_seq);
-        assert_eq!(r_par, r_seq);
-    }
-
-    #[test]
     fn sequential_kernels_issue_tickets_in_granule_then_lane_order() {
         // 128 one-record lanes' worth of data in two 512 B windows, each run
         // by 2 granules of 32 lanes.
-        let run = |parallel: bool, buffers: usize| {
+        for buffers in [1, 2] {
             let mut m = Machine::test_platform();
             let region = m.hmem.alloc(128 * 8);
             let s = vec![StreamArray::map(&m, StreamId(0), region)];
             let table = m.gmem.alloc(8 + 4 * 128);
             let cfg = BaselineConfig {
                 window_bytes: 512,
-                parallel_blocks: parallel,
                 ..BaselineConfig::default()
             };
             let kernel = TicketKernel { table };
@@ -761,24 +605,14 @@ mod tests {
             } else {
                 run_gpu_double_buffer(&mut m, &kernel, &s, launch, &cfg)
             };
-            let slots: Vec<u32> = (0..128)
-                .map(|i| m.gmem.read_u32(table, 8 + 4 * i))
-                .collect();
-            (r, m.gmem.read_u32(table, 0), slots)
-        };
-        for buffers in [1, 2] {
-            let (r_par, count, slots) = run(true, buffers);
-            let (r_seq, count2, slots2) = run(false, buffers);
-            assert_eq!(r_par.metrics.get("run.windows"), 2);
-            assert_eq!(count, 128);
+            assert_eq!(r.metrics.get("run.windows"), 2);
+            assert_eq!(m.gmem.read_u32(table, 0), 128);
             // Window by window, tickets go to granule 0's lanes, then
             // granule 1's: thread ids 1..=64 in order, twice.
-            for (i, v) in slots.iter().enumerate() {
-                assert_eq!(*v, (i % 64) as u32 + 1, "{buffers}-buffer slot {i}");
+            for i in 0..128 {
+                let v = m.gmem.read_u32(table, 8 + 4 * i);
+                assert_eq!(v, (i % 64) as u32 + 1, "{buffers}-buffer slot {i}");
             }
-            assert_eq!((count, &slots), (count2, &slots2));
-            assert_eq!(r_par, r_seq, "{buffers}-buffer RunResult diverged");
-            assert_eq!(r_par.metrics.get("parallel.replay_conflicts"), 0);
         }
     }
 }

@@ -312,12 +312,11 @@ impl ExpArgs {
     }
 
     /// Cap the global rayon pool at `--threads` (call once, before the
-    /// first parallel region). `--threads 1` also turns `parallel_blocks`
-    /// off in `cfg`: BigKernel's address half then runs block by block, and
-    /// the buffered baselines run every granule live instead of against
-    /// write logs. The model is identical either way; only the baselines'
-    /// `parallel.replay_conflicts` differs, counting logged granules'
-    /// wasted attempts (0 when live).
+    /// first parallel region). `--threads 1` also turns
+    /// `bigkernel.parallel_blocks` off in `cfg`, so BigKernel's address
+    /// half runs block by block instead of on the pool. Nothing else moves:
+    /// kernel bodies and the buffered baselines' granules run in order
+    /// either way, and every result is identical.
     pub fn apply_threads(&self, cfg: &mut bk_apps::HarnessConfig) {
         if let Some(t) = self.threads {
             // Ignore the error: the pool can only be built once per
@@ -328,7 +327,6 @@ impl ExpArgs {
                 .build_global();
             if t == 1 {
                 cfg.bigkernel.parallel_blocks = false;
-                cfg.baseline.parallel_blocks = false;
             }
         }
     }
@@ -516,10 +514,9 @@ mod tests {
     fn single_thread_forces_sequential_path() {
         let a = parse(&["--threads", "1"]).unwrap();
         let mut cfg = bk_apps::HarnessConfig::test_small();
-        assert!(cfg.bigkernel.parallel_blocks && cfg.baseline.parallel_blocks);
+        assert!(cfg.bigkernel.parallel_blocks);
         a.apply_threads(&mut cfg);
         assert!(!cfg.bigkernel.parallel_blocks);
-        assert!(!cfg.baseline.parallel_blocks);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use bk_runtime::graph::{
     buffered_graph, pipeline_graph, schedule_graph, serial_graph, GraphSchedule,
 };
 use bk_runtime::pipeline::STAGE_NAMES;
-use bk_runtime::{Machine, RunResult, SyncMode};
+use bk_runtime::{Machine, RunResult, StageStat, SyncMode};
 use bk_simcore::SimTime;
 use std::cell::OnceCell;
 use std::fmt::Write as _;
@@ -349,12 +349,14 @@ impl Report {
     fn fig6(&self) -> String {
         let rows = self.fig4a_runs().iter().map(|a| {
             let bk = &a.runs[4];
-            let rel = bk.relative_stage_times();
-            let pct = STAGE_NAMES.map(|stage| {
-                let f = rel
-                    .iter()
-                    .find(|(n, _)| *n == stage)
-                    .map_or(0.0, |(_, f)| f * 100.0);
+            let busy = STAGE_NAMES.map(|stage| role_stat(bk, stage, |s| s.busy));
+            let max = busy.iter().copied().fold(SimTime::ZERO, SimTime::max);
+            let pct = busy.map(|b| {
+                let f = if max.is_zero() {
+                    0.0
+                } else {
+                    b.ratio(max) * 100.0
+                };
                 format!("{f:.0}%")
             });
             format!(
@@ -641,13 +643,10 @@ impl Report {
         let r = self.run(app.as_ref(), &self.cfg, &imps);
         let stage_names: [&[&str]; 3] = [&BASELINE_STAGES, &BASELINE_STAGES, &STAGE_NAMES];
         let means = [0, 1, 2].map(|i| {
-            let mean = |n| {
-                r[i].stages
-                    .iter()
-                    .find(|s| s.name == n)
-                    .map_or(SimTime::ZERO, |s| s.mean)
-            };
-            stage_names[i].iter().map(|&n| mean(n)).collect::<Vec<_>>()
+            stage_names[i]
+                .iter()
+                .map(|&n| role_stat(&r[i], n, |s| s.mean))
+                .collect::<Vec<_>>()
         });
         let rows = ["addr-gen", "assemble"]
             .iter()
@@ -710,6 +709,15 @@ impl Report {
         }
         out + "  ]\n}"
     }
+}
+
+/// `stat` of stage `role` in `r`, summed over a fused run's per-pass
+/// `p<i>.<role>` stages (zero if the run has no such stage).
+fn role_stat(r: &RunResult, role: &str, stat: impl Fn(&StageStat) -> SimTime) -> SimTime {
+    r.stages
+        .iter()
+        .filter(|s| bk_obs::stage_role(s.name) == role)
+        .fold(SimTime::ZERO, |t, s| t + stat(s))
 }
 
 /// The timeline section's three schedules — single buffer, double buffer,
@@ -889,6 +897,27 @@ mod tests {
         let two = double_buffer(2);
         assert!(shared_busy_run(&one, "transfer", "wb-xfer") <= 1, "{one}");
         assert!(shared_busy_run(&two, "transfer", "wb-xfer") >= 3, "{two}");
+    }
+
+    #[test]
+    fn fused_runs_fold_pass_stages_onto_their_roles() {
+        // Two-pass K-means fuses, so its BigKernel run names its stages
+        // `p0.addr-gen` … `p1.wb-apply`.
+        let args = ExpArgs::parse(
+            words("--bytes 262144 --machine test-tiny --app kmeans --fuse").into_iter(),
+        )
+        .unwrap();
+        let report = Report::new(args);
+        let fig6 = report.fig6();
+        let row = fig6.lines().find(|l| l.starts_with("| KMeans |")).unwrap();
+        assert!(row.contains("| 100% |"), "no busiest stage in {row}");
+        let timeline = report.timeline();
+        let compute = timeline
+            .lines()
+            .find(|l| l.starts_with("| compute |"))
+            .unwrap();
+        let bigkernel = compute.rsplit('|').nth(1).unwrap().trim();
+        assert_ne!(bigkernel, SimTime::ZERO.to_string(), "{compute}");
     }
 
     #[test]

@@ -9,10 +9,10 @@ use crate::spec::{DeviceSpec, WARP_SIZE};
 use crate::timing::KernelCost;
 use crate::trace::{ThreadTrace, WarpAligner};
 
-/// Reusable per-block simulation state: the warp aligner plus one trace per
-/// warp lane. Owning one `BlockSim` per concurrently simulated block lets
-/// [`run_block_lanes`] run allocation-free in steady state, and gives the
-/// parallel pipeline an obvious unit of thread-private scratch.
+/// Reusable block simulation state: the warp aligner plus one trace per
+/// warp lane. Reusing a `BlockSim` lets [`run_block_lanes`] run
+/// allocation-free in steady state; its contents are scratch that no result
+/// reads after the lane loop, so blocks may share one.
 pub struct BlockSim {
     /// The block's warp aligner (scratch reused across warps).
     pub aligner: WarpAligner,
@@ -20,7 +20,7 @@ pub struct BlockSim {
 }
 
 impl BlockSim {
-    /// Fresh scratch for one concurrently simulated block.
+    /// Fresh scratch for simulating a block's lanes.
     pub fn new() -> Self {
         BlockSim {
             aligner: WarpAligner::new(),

@@ -29,7 +29,6 @@ pub mod occupancy;
 pub mod spec;
 pub mod timing;
 pub mod trace;
-pub mod wlog;
 
 pub use coalesce::{coalesce_step, StepCost};
 pub use exec::{run_block_lanes, BlockSim};
@@ -38,4 +37,3 @@ pub use occupancy::{BlockResources, Occupancy};
 pub use spec::{DeviceSpec, WARP_SIZE};
 pub use timing::{GpuPool, KernelCost};
 pub use trace::{AccessKind, ThreadTrace, WarpAligner};
-pub use wlog::{BlockEffects, BlockLog, DevOp, ReplayOutcome};

@@ -91,16 +91,6 @@ impl GpuMemory {
         }
     }
 
-    /// Length of the buffer in bytes (zero once freed).
-    pub fn len(&self, id: BufferId) -> u64 {
-        self.buffers[id.0].data.len() as u64
-    }
-
-    /// Whether the buffer holds no bytes (zero-length or freed).
-    pub fn is_empty(&self, id: BufferId) -> bool {
-        self.buffers[id.0].data.is_empty()
-    }
-
     /// Bytes currently allocated across live buffers.
     pub fn used(&self) -> u64 {
         self.used
@@ -258,7 +248,6 @@ mod tests {
     fn alloc_zeroed_and_rw_roundtrip() {
         let mut m = mem();
         let b = m.alloc(1024);
-        assert_eq!(m.len(b), 1024);
         assert_eq!(m.read(b, 0, 16), &[0u8; 16]);
         m.write_u64(b, 8, 0xDEAD_BEEF_CAFE_F00D);
         assert_eq!(m.read_u64(b, 8), 0xDEAD_BEEF_CAFE_F00D);

@@ -9,17 +9,12 @@
 //!   the [`ChunkLayout`]; device accesses execute against simulated global
 //!   memory; everything is traced for the warp-level timing model.
 //!
-//! `ComputeCtx` is generic over a [`DevMemory`] backend: [`LiveMem`] performs
-//! every access directly against the live [`GpuMemory`] (every BigKernel
-//! block, and the buffered baselines' in-order and conflict re-execution
-//! runs), while [`LoggedMem`] routes them through a per-granule
-//! [`BlockLog`] so the baselines' concurrently simulated granules stay
-//! isolated and their effects can be replayed in order (see
-//! `bk_gpu::wlog`). The traced costs are identical either way — only the
-//! functional effect routing changes.
+//! `ComputeCtx` performs every access directly against the live
+//! [`GpuMemory`]: each BigKernel block and each buffered-baseline granule
+//! runs its kernel body in order, so no access needs isolating.
 //!
-//! `ComputeCtx` optionally verifies every stream access against the address
-//! stream recorded in stage 1 — the runtime cross-check that the
+//! In assembled mode `ComputeCtx` verifies every stream access against the
+//! address stream recorded in stage 1 — the runtime cross-check that the
 //! hand-written (or compiler-sliced) `addresses()` is exactly the access
 //! slice of `process()`. A mismatch panics with a precise diagnostic: in a
 //! real deployment that is a compiler bug, and in this reproduction it is
@@ -31,7 +26,7 @@ use crate::layout::ChunkLayout;
 use crate::pattern::{OnlineDetect, MAX_PERIOD};
 use crate::stream::StreamId;
 use bk_gpu::trace::AccessClass;
-use bk_gpu::{AccessKind, BlockLog, GpuMemory, ThreadTrace};
+use bk_gpu::{AccessKind, GpuMemory, ThreadTrace};
 
 /// Reusable per-worker recording state for one address-generation lane:
 /// the raw entry buffers plus the streaming pattern detectors feeding on
@@ -252,195 +247,6 @@ fn le_store(value: u64, width: u32) -> [u8; 8] {
     value.to_le_bytes()
 }
 
-/// Functional backend a [`ComputeCtx`] performs its accesses against.
-///
-/// Stream loads/stores target the chunk's staging buffers; `dev_*` and the
-/// atomics target kernel device state. The split matters to [`LoggedMem`]:
-/// stream accesses hit block-private staging and need no logging, while
-/// device accesses are externally visible and must be logged/validated.
-pub trait DevMemory {
-    /// Virtual device address of `offset` within buffer `b`.
-    fn vaddr(&self, b: DevBufId, offset: u64) -> u64;
-    /// Load from a staging (stream) buffer.
-    fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64;
-    /// Load `out.len() / width` elements from a staging buffer at `offset`,
-    /// `offset + stride`, ..., packed into `out` — one
-    /// [`DevMemory::stream_load`] per element, in one call.
-    fn stream_load_strided(
-        &mut self,
-        b: DevBufId,
-        offset: u64,
-        stride: u64,
-        width: u32,
-        out: &mut [u8],
-    );
-    /// Store to a staging (stream) buffer.
-    fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64);
-    /// Load from persistent device state.
-    fn dev_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64;
-    /// Store to persistent device state.
-    fn dev_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64);
-    /// Atomic 32-bit add on device state; returns the old value.
-    fn atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32;
-    /// Atomic 64-bit add on device state; returns the old value.
-    fn atomic_add_u64(&mut self, b: DevBufId, offset: u64, v: u64) -> u64;
-    /// Atomic CAS on device state; returns the old value (CUDA semantics).
-    fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64;
-}
-
-/// A borrowed backend is a backend, so one lane loop can hand each lane's
-/// [`ComputeCtx`] a reborrow of the same [`LiveMem`] or [`LoggedMem`].
-impl<M: DevMemory> DevMemory for &mut M {
-    #[inline]
-    fn vaddr(&self, b: DevBufId, offset: u64) -> u64 {
-        (**self).vaddr(b, offset)
-    }
-    #[inline]
-    fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
-        (**self).stream_load(b, offset, width)
-    }
-    #[inline]
-    fn stream_load_strided(
-        &mut self,
-        b: DevBufId,
-        offset: u64,
-        stride: u64,
-        width: u32,
-        out: &mut [u8],
-    ) {
-        (**self).stream_load_strided(b, offset, stride, width, out)
-    }
-    #[inline]
-    fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
-        (**self).stream_store(b, offset, width, value)
-    }
-    #[inline]
-    fn dev_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
-        (**self).dev_load(b, offset, width)
-    }
-    #[inline]
-    fn dev_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
-        (**self).dev_store(b, offset, width, value)
-    }
-    #[inline]
-    fn atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32 {
-        (**self).atomic_add_u32(b, offset, v)
-    }
-    #[inline]
-    fn atomic_add_u64(&mut self, b: DevBufId, offset: u64, v: u64) -> u64 {
-        (**self).atomic_add_u64(b, offset, v)
-    }
-    #[inline]
-    fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64 {
-        (**self).atomic_cas_u64(b, offset, expected, new)
-    }
-}
-
-/// Direct execution against live global memory, in block order: every
-/// BigKernel kernel body, and the buffered baselines' unlogged and
-/// conflict re-execution runs.
-pub struct LiveMem<'a>(pub &'a mut GpuMemory);
-
-impl DevMemory for LiveMem<'_> {
-    #[inline]
-    fn vaddr(&self, b: DevBufId, offset: u64) -> u64 {
-        self.0.vaddr(b, offset)
-    }
-    #[inline]
-    fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
-        le_load(self.0.read(b, offset, width as usize))
-    }
-    #[inline]
-    fn stream_load_strided(
-        &mut self,
-        b: DevBufId,
-        offset: u64,
-        stride: u64,
-        width: u32,
-        out: &mut [u8],
-    ) {
-        self.0.read_strided(b, offset, stride, width as usize, out);
-    }
-    #[inline]
-    fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
-        let bytes = le_store(value, width);
-        self.0.write(b, offset, &bytes[..width as usize]);
-    }
-    #[inline]
-    fn dev_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
-        le_load(self.0.read(b, offset, width as usize))
-    }
-    #[inline]
-    fn dev_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
-        let bytes = le_store(value, width);
-        self.0.write(b, offset, &bytes[..width as usize]);
-    }
-    #[inline]
-    fn atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32 {
-        self.0.atomic_add_u32(b, offset, v)
-    }
-    #[inline]
-    fn atomic_add_u64(&mut self, b: DevBufId, offset: u64, v: u64) -> u64 {
-        self.0.atomic_add_u64(b, offset, v)
-    }
-    #[inline]
-    fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64 {
-        self.0.atomic_cas_u64(b, offset, expected, new)
-    }
-}
-
-/// Execution against a per-granule write log (the buffered baselines'
-/// concurrent granules): reads see the window-start snapshot merged with
-/// this granule's own effects; externally visible ops are recorded for
-/// in-order replay.
-pub struct LoggedMem<'l, 'm>(pub &'l mut BlockLog<'m>);
-
-impl DevMemory for LoggedMem<'_, '_> {
-    #[inline]
-    fn vaddr(&self, b: DevBufId, offset: u64) -> u64 {
-        self.0.vaddr(b, offset)
-    }
-    #[inline]
-    fn stream_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
-        self.0.stream_load(b, offset, width)
-    }
-    #[inline]
-    fn stream_load_strided(
-        &mut self,
-        b: DevBufId,
-        offset: u64,
-        stride: u64,
-        width: u32,
-        out: &mut [u8],
-    ) {
-        self.0.stream_load_strided(b, offset, stride, width, out);
-    }
-    #[inline]
-    fn stream_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
-        self.0.store(b, offset, width, value);
-    }
-    #[inline]
-    fn dev_load(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
-        self.0.dev_load(b, offset, width)
-    }
-    #[inline]
-    fn dev_store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
-        self.0.store(b, offset, width, value);
-    }
-    #[inline]
-    fn atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32 {
-        self.0.atomic_add_u32(b, offset, v)
-    }
-    #[inline]
-    fn atomic_add_u64(&mut self, b: DevBufId, offset: u64, v: u64) -> u64 {
-        self.0.atomic_add_u64(b, offset, v)
-    }
-    #[inline]
-    fn atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64 {
-        self.0.atomic_cas_u64(b, offset, expected, new)
-    }
-}
-
 /// Which buffer a GPU-mode stream access resolves into.
 enum StreamMode<'a> {
     /// Prefetch-buffer consumption with FIFO verification of every access.
@@ -459,8 +265,8 @@ enum StreamMode<'a> {
 
 /// Context for the computation half on the GPU (pipeline stage 4, and the
 /// kernel of the single/double-buffer baselines).
-pub struct ComputeCtx<'a, M: DevMemory> {
-    mem: M,
+pub struct ComputeCtx<'a> {
+    mem: &'a mut GpuMemory,
     data_buf: DevBufId,
     /// GPU-side write-value buffer (BigKernel write path); `None` when the
     /// layout is `Staged` (writes land in the staged chunk in place).
@@ -494,12 +300,12 @@ pub struct ComputeCtx<'a, M: DevMemory> {
     pub aux_written_mask: u64,
 }
 
-impl<'a, M: DevMemory> ComputeCtx<'a, M> {
+impl<'a> ComputeCtx<'a> {
     /// Context for BigKernel's compute stage against `mem`: reads resolve
     /// through `layout`, writes through `write_layout` into `write_buf`.
     #[allow(clippy::too_many_arguments)]
     pub fn assembled_on(
-        mem: M,
+        mem: &'a mut GpuMemory,
         data_buf: DevBufId,
         write_buf: Option<DevBufId>,
         layout: &'a ChunkLayout,
@@ -542,7 +348,7 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
     /// offset inside the staged window; writes modify the staged chunk in
     /// place.
     pub fn staged_on(
-        mem: M,
+        mem: &'a mut GpuMemory,
         data_buf: DevBufId,
         layout: &'a ChunkLayout,
         lane: usize,
@@ -593,6 +399,19 @@ impl<'a, M: DevMemory> ComputeCtx<'a, M> {
                  streams with ComputeCtx::set_aux or run the kernel under BigKernel / the CPU"
             ),
         }
+    }
+
+    /// Load `width` bytes at `offset` of buffer `b`, little-endian.
+    #[inline]
+    fn load(&self, b: DevBufId, offset: u64, width: u32) -> u64 {
+        le_load(self.mem.read(b, offset, width as usize))
+    }
+
+    /// Store the low `width` bytes of `value` at `offset` of buffer `b`.
+    #[inline]
+    fn store(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
+        let bytes = le_store(value, width);
+        self.mem.write(b, offset, &bytes[..width as usize]);
     }
 
     /// Number of mapped-stream reads performed so far.
@@ -737,7 +556,7 @@ impl RunPlan<'_> {
     }
 }
 
-impl<'a, M: DevMemory> ComputeCtx<'a, M> {
+impl<'a> ComputeCtx<'a> {
     /// Resolve up to `n_max` run elements starting at the lane's next read:
     /// the same slots (or staged positions) [`Self::resolve_read`] would
     /// give, clipped to elements that are safe to load ahead of the
@@ -859,7 +678,7 @@ fn verify_entry(
     }
 }
 
-impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
+impl KernelCtx for ComputeCtx<'_> {
     fn stream_read(&mut self, s: StreamId, offset: u64, width: u32) -> u64 {
         // Aux-staged secondary stream: the whole stream sits in a device
         // buffer, so the stream offset IS the buffer offset.
@@ -873,7 +692,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
                 AccessKind::Read,
                 AccessClass::StreamRead,
             );
-            return self.mem.stream_load(buf, offset, width);
+            return self.load(buf, offset, width);
         }
         let pos = self.resolve_read(s, offset, width);
         self.read_k += 1;
@@ -884,7 +703,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
             AccessKind::Read,
             AccessClass::StreamRead,
         );
-        self.mem.stream_load(self.data_buf, pos, width)
+        self.load(self.data_buf, pos, width)
     }
 
     fn stream_read_run(
@@ -907,7 +726,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
         for piece in plan.pieces(n) {
             let out = &mut buf[piece.first * w..(piece.first + piece.len) * w];
             self.mem
-                .stream_load_strided(plan.buf, piece.pos, piece.stride, width, out);
+                .read_strided(plan.buf, piece.pos, piece.stride, w, out);
         }
         // The kernel's scan decides how many elements it consumes.
         let mut consumed = 0;
@@ -967,7 +786,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
                 AccessKind::Write,
                 AccessClass::StreamWrite,
             );
-            return self.mem.stream_store(buf, offset, width, value);
+            return self.store(buf, offset, width, value);
         }
         if s == StreamId(0) {
             self.primary_bytes_written += width as u64;
@@ -988,7 +807,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
                     AccessKind::Write,
                     AccessClass::StreamWrite,
                 );
-                self.mem.stream_store(self.data_buf, pos, width, value);
+                self.store(self.data_buf, pos, width, value);
             }
             (StreamMode::Assembled { write_cur, .. }, Some(wl)) => {
                 let k = self.write_k;
@@ -1014,7 +833,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
                     AccessKind::Write,
                     AccessClass::StreamWrite,
                 );
-                self.mem.stream_store(wb, pos, width, value);
+                self.store(wb, pos, width, value);
             }
             (StreamMode::Assembled { .. }, None) => {
                 panic!("kernel wrote to mapped stream {s:?} but no write layout was assembled")
@@ -1029,7 +848,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
             AccessKind::Read,
             AccessClass::Dev,
         );
-        self.mem.dev_load(b, offset, width)
+        self.load(b, offset, width)
     }
 
     fn dev_write(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
@@ -1039,7 +858,7 @@ impl<M: DevMemory> KernelCtx for ComputeCtx<'_, M> {
             AccessKind::Write,
             AccessClass::Dev,
         );
-        self.mem.dev_store(b, offset, width, value);
+        self.store(b, offset, width, value);
     }
 
     fn dev_atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32 {
@@ -1169,7 +988,7 @@ mod tests {
             interleaved_single_lane_setup(&mut m, &[(100, 11), (108, 22), (200, 33)]);
         let mut trace = ThreadTrace::default();
         let mut ctx = ComputeCtx::assembled_on(
-            LiveMem(&mut m.gmem),
+            &mut m.gmem,
             buf,
             None,
             &layout,
@@ -1194,7 +1013,7 @@ mod tests {
         let (buf, layout, lane) = interleaved_single_lane_setup(&mut m, &[(100, 11)]);
         let mut trace = ThreadTrace::default();
         let mut ctx = ComputeCtx::assembled_on(
-            LiveMem(&mut m.gmem),
+            &mut m.gmem,
             buf,
             None,
             &layout,
@@ -1215,8 +1034,7 @@ mod tests {
         let buf = m.gmem.alloc(layout.total_len());
         m.gmem.write_u64(buf, 8, 777); // stream offset 1008
         let mut trace = ThreadTrace::default();
-        let mut ctx =
-            ComputeCtx::staged_on(LiveMem(&mut m.gmem), buf, &layout, 1, 5, 8, &mut trace);
+        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, buf, &layout, 1, 5, 8, &mut trace);
         assert_eq!(ctx.stream_read(StreamId(0), 1008, 8), 777);
         ctx.stream_write(StreamId(0), 1016, 4, 42);
         assert_eq!(ctx.thread_id(), 5);
@@ -1236,8 +1054,7 @@ mod tests {
         let aux = [(StreamId(1), aux_buf)];
         let mut trace = ThreadTrace::default();
         let mut ctx =
-            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace)
-                .set_aux(&aux);
+            ComputeCtx::staged_on(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace).set_aux(&aux);
         assert_eq!(ctx.stream_read(StreamId(1), 40, 8), 99);
         ctx.stream_write(StreamId(1), 48, 8, 7);
         ctx.stream_write(StreamId(0), 8, 4, 1);
@@ -1255,8 +1072,7 @@ mod tests {
         let layout = ChunkLayout::build_staged_window(0..64, 0, 64, 1);
         let data = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx =
-            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
         let _ = ctx.stream_read(StreamId(3), 0, 8);
     }
 
@@ -1267,8 +1083,7 @@ mod tests {
         let data = m.gmem.alloc(64);
         let table = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx =
-            ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
         ctx.dev_write(table, 0, 8, 5);
         assert_eq!(ctx.dev_read(table, 0, 8), 5);
         assert_eq!(ctx.dev_atomic_add_u32(table, 8, 3), 0);
@@ -1298,7 +1113,7 @@ mod tests {
         let lane = LaneAddrs { reads, writes };
         let mut trace = ThreadTrace::default();
         let mut ctx = ComputeCtx::assembled_on(
-            LiveMem(&mut m.gmem),
+            &mut m.gmem,
             data,
             Some(wbuf),
             &rl,
@@ -1325,7 +1140,7 @@ mod tests {
         let (buf, layout, lane) = interleaved_single_lane_setup(&mut m, &[(0, 1)]);
         let mut trace = ThreadTrace::default();
         let mut ctx = ComputeCtx::assembled_on(
-            LiveMem(&mut m.gmem),
+            &mut m.gmem,
             buf,
             None,
             &layout,
@@ -1337,52 +1152,6 @@ mod tests {
             &mut trace,
         );
         ctx.stream_write(StreamId(0), 0, 4, 1);
-    }
-
-    /// The same kernel body run against a `LoggedMem` must observe identical
-    /// values and leave identical device state after replay as a `LiveMem`
-    /// run — the whole-pipeline determinism tests rest on this.
-    #[test]
-    fn logged_backend_matches_live_backend() {
-        let run = |logged: bool| -> (u64, u64, u64) {
-            let mut m = Machine::test_platform();
-            let layout = ChunkLayout::build_staged_window(0..64, 0, 64, 1);
-            let data = m.gmem.alloc(64);
-            m.gmem.write_u64(data, 0, 123);
-            let table = m.gmem.alloc(64);
-            m.gmem.write_u64(table, 0, 7);
-            let mut trace = ThreadTrace::default();
-            let body = |ctx: &mut dyn KernelCtx| {
-                let v = ctx.stream_read(StreamId(0), 0, 8);
-                let t = ctx.dev_read(table, 0, 8);
-                ctx.dev_write(table, 8, 8, v.wrapping_add(t));
-                let _ = ctx.dev_atomic_add_u64(table, 16, v);
-                let _ = ctx.dev_atomic_cas_u64(table, 24, 0, t);
-            };
-            if logged {
-                let mut log = BlockLog::new(&m.gmem);
-                log.register_private(data);
-                let mut ctx =
-                    ComputeCtx::staged_on(LoggedMem(&mut log), data, &layout, 0, 0, 1, &mut trace);
-                body(&mut ctx);
-                drop(ctx);
-                assert_eq!(
-                    log.finish().replay(&mut m.gmem),
-                    bk_gpu::ReplayOutcome::Committed
-                );
-            } else {
-                let mut ctx =
-                    ComputeCtx::staged_on(LiveMem(&mut m.gmem), data, &layout, 0, 0, 1, &mut trace);
-                body(&mut ctx);
-            }
-            (
-                m.gmem.read_u64(table, 8),
-                m.gmem.read_u64(table, 16),
-                m.gmem.read_u64(table, 24),
-            )
-        };
-        assert_eq!(run(false), run(true));
-        assert_eq!(run(true), (130, 123, 7));
     }
 }
 
@@ -1477,7 +1246,7 @@ mod run_tests {
         reads: Vec<usize>,
     }
 
-    fn run_block(lanes: &[Vec<Op>], layout: Layout, logged: bool, runs: bool) -> Outcome {
+    fn run_block(lanes: &[Vec<Op>], layout: Layout, runs: bool) -> Outcome {
         let mut m = Machine::test_platform();
         let streams: Vec<AddrStream> = lanes
             .iter()
@@ -1508,41 +1277,6 @@ mod run_tests {
                 writes: AddrStream::Raw(Vec::new()),
             })
             .collect();
-        if logged {
-            let mut log = BlockLog::new(&m.gmem);
-            log.register_private(data);
-            run_lanes(
-                &mut LoggedMem(&mut log),
-                lanes,
-                layout,
-                &chunk,
-                &lane_addrs,
-                data,
-                runs,
-            )
-        } else {
-            run_lanes(
-                &mut LiveMem(&mut m.gmem),
-                lanes,
-                layout,
-                &chunk,
-                &lane_addrs,
-                data,
-                runs,
-            )
-        }
-    }
-
-    /// The lane loop of [`run_block`] against one backend.
-    fn run_lanes<M: DevMemory>(
-        mem: &mut M,
-        lanes: &[Vec<Op>],
-        layout: Layout,
-        chunk: &ChunkLayout,
-        lane_addrs: &[LaneAddrs],
-        data: DevBufId,
-        runs: bool,
-    ) -> Outcome {
         let spec = bk_gpu::DeviceSpec::test_tiny();
         let mut out = Outcome {
             values: Vec::new(),
@@ -1560,13 +1294,13 @@ mod run_tests {
                 let lane = warp0 + li;
                 trace.clear();
                 let mut ctx = if layout == Layout::Staged {
-                    ComputeCtx::staged_on(&mut *mem, data, chunk, lane, 0, 1, trace)
+                    ComputeCtx::staged_on(&mut m.gmem, data, &chunk, lane, 0, 1, trace)
                 } else {
                     ComputeCtx::assembled_on(
-                        &mut *mem,
+                        &mut m.gmem,
                         data,
                         None,
-                        chunk,
+                        &chunk,
                         None,
                         &lane_addrs[lane],
                         lane,
@@ -1631,15 +1365,14 @@ mod run_tests {
 
         /// Run reads and element reads agree on values, counters, the
         /// stage's `KernelCost` (every field) and each warp's `WarpCost`,
-        /// under every layout and on both memory backends.
+        /// under every layout.
         #[test]
         fn run_reads_match_element_reads(
             lanes in arb_lanes(),
             layout in proptest::sample::select(vec![Layout::Interleaved, Layout::PerLane, Layout::Staged]),
-            logged in any::<bool>(),
         ) {
-            let by_run = run_block(&lanes, layout, logged, true);
-            let by_element = run_block(&lanes, layout, logged, false);
+            let by_run = run_block(&lanes, layout, true);
+            let by_element = run_block(&lanes, layout, false);
             prop_assert_eq!(by_run, by_element);
         }
     }
@@ -1660,7 +1393,7 @@ mod run_tests {
         };
         let mut trace = ThreadTrace::default();
         let mut ctx = ComputeCtx::assembled_on(
-            LiveMem(&mut m.gmem),
+            &mut m.gmem,
             buf,
             None,
             &layout,
@@ -1705,7 +1438,7 @@ mod run_tests {
         };
         let mut trace = ThreadTrace::default();
         let mut ctx = ComputeCtx::assembled_on(
-            LiveMem(&mut m.gmem),
+            &mut m.gmem,
             buf,
             None,
             &layout,

@@ -11,10 +11,9 @@
 //!
 //! There is one chunk runner per layout — [`run_chunk_assembled`] (full
 //! BigKernel, volume reduction) and [`run_chunk_staged`] (overlap only) —
-//! and one kernel lane loop per layout: `compute_assembled` against live
-//! device memory, and [`compute_staged`], generic over the [`DevMemory`]
-//! backend because the buffered baselines also call it against their
-//! granules' write logs.
+//! and one kernel lane loop per layout, each against live device memory:
+//! `compute_assembled`, and [`compute_staged`], which the buffered
+//! baselines also run for each granule of their windows.
 //!
 //! Functional execution always uses the primary device's memory image
 //! (`machine.gmem` is one unified image shared by all simulated devices)
@@ -24,7 +23,7 @@
 use crate::addr::LaneAddrs;
 use crate::assembly::{assemble, AssemblyOutput, GatherConfig};
 use crate::config::BigKernelConfig;
-use crate::ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem};
+use crate::ctx::{AddrGenCtx, ComputeCtx};
 use crate::fusion::PassIo;
 use crate::kernel::{LaunchConfig, StreamKernel};
 use crate::layout::ChunkLayout;
@@ -440,14 +439,13 @@ fn compute_assembled(
     launch: LaunchConfig,
 ) -> BlockComputed {
     let tpb = slices.len() as u32;
-    let mut mem = LiveMem(gmem);
     let mut comp_cost = KernelCost::new();
     let mut writes_performed: Vec<usize> = vec![0; slices.len()];
     let mut bytes_read = 0u64;
     let mut bytes_written = 0u64;
     bk_gpu::run_block_lanes(gpu, sim, tpb, &mut comp_cost, |lane, trace| {
         let mut ctx = ComputeCtx::assembled_on(
-            &mut mem,
+            &mut *gmem,
             data_buf,
             write_buf,
             &pure.out.layout,
@@ -692,18 +690,18 @@ fn stage_transfer_staged(
 
 /// The compute stage's lane loop over a staged chunk (the overlap-only
 /// variant's stage 4, and the kernel of the buffered baselines): run the
-/// kernel body for each lane of one block against `mem` — [`LiveMem`] in
-/// order, or (baselines only) a backend over a granule's write log.
+/// kernel body for each lane of one block against live device memory, in
+/// lane order.
 ///
 /// Lane `l` processes `slices[l]` (absolute stream ranges) as layout lane
 /// `first_lane + l` and thread `first_thread + l` of `num_threads`. Only
 /// the lane loop is shared: each caller keeps what its cost model differs
-/// in — the baselines' write logs and any barrier cost.
+/// in — the baselines' launch overhead and any barrier cost.
 #[allow(clippy::too_many_arguments)]
-pub fn compute_staged<M: DevMemory>(
+pub fn compute_staged(
     gpu: &DeviceSpec,
     sim: &mut BlockSim,
-    mut mem: M,
+    gmem: &mut GpuMemory,
     kernel: &dyn StreamKernel,
     layout: &ChunkLayout,
     data_buf: bk_gpu::BufferId,
@@ -721,7 +719,7 @@ pub fn compute_staged<M: DevMemory>(
     let num_lanes = slices.len() as u32;
     bk_gpu::run_block_lanes(gpu, sim, num_lanes, &mut comp_cost, |lane, trace| {
         let mut ctx = ComputeCtx::staged_on(
-            &mut mem,
+            &mut *gmem,
             data_buf,
             layout,
             first_lane + lane,
@@ -851,7 +849,7 @@ pub(crate) fn run_chunk_staged(
         let done = compute_staged(
             &machine.devices[0],
             &mut slot.sim,
-            LiveMem(&mut machine.gmem),
+            &mut machine.gmem,
             kernel,
             &st.layout,
             data_buf.unwrap(),

@@ -161,25 +161,6 @@ pub trait ValueExt: KernelCtx {
 
 impl<T: KernelCtx + ?Sized> ValueExt for T {}
 
-/// Whether a kernel's device-buffer side effects can be captured in a
-/// per-block write log and replayed in block order (see `bk_gpu::wlog`).
-/// Only the buffered baselines log their granules; the BigKernel runner
-/// runs every kernel body live in block order and ignores this.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeviceEffects {
-    /// Device ops are loads, blind stores, CAS, and atomic adds whose
-    /// *return values* never feed cross-block decisions. The logged
-    /// executor preserves sequential semantics: loads and CAS results are
-    /// validated at replay (a stale observation re-executes the block in
-    /// order), adds commute, stores are last-writer-wins in block order.
-    Replayable,
-    /// Device ops observe cross-block state in a way the log cannot
-    /// validate — e.g. consuming an atomic-add return value (ticket/slot
-    /// allocation) whose cross-block old value matters. Blocks execute in
-    /// order against live memory.
-    Sequential,
-}
-
 /// A streaming kernel: the paper's programming model.
 pub trait StreamKernel: Sync {
     /// Kernel name, used in reports and traces.
@@ -208,16 +189,6 @@ pub trait StreamKernel: Sync {
     /// Per-thread-block resource usage (paper §IV.D, `R_tb`).
     fn resources(&self) -> BlockResources {
         BlockResources::streaming_default()
-    }
-
-    /// Whether this kernel's device ops are log-replayable (the default) or
-    /// force the buffered baselines' granule-ordered sequential path.
-    /// Kernels that consume atomic fetch-add *return values* across blocks
-    /// must declare `Sequential`; everything else (loads of immutable
-    /// tables, commutative accumulation, CAS-guarded inserts) stays
-    /// `Replayable`.
-    fn device_effects(&self) -> DeviceEffects {
-        DeviceEffects::Replayable
     }
 
     /// Declarative record-periodic access summary for mega-kernel fusion

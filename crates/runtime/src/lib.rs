@@ -81,12 +81,12 @@ pub use assembly::GatherConfig;
 pub use autotune::{AutotuneConfig, Autotuner, TunePlan, TunerState, WindowFeedback};
 pub use bk_obs::{Histogram, MetricsRegistry};
 pub use config::{AssemblyLayout, BigKernelConfig, SyncMode};
-pub use ctx::{AddrGenCtx, ComputeCtx, DevMemory, LiveMem, LoggedMem};
+pub use ctx::{AddrGenCtx, ComputeCtx};
 pub use exec::{compute_staged, BlockComputed};
 pub use fault::{DeviceFailure, FaultPlan, FaultSite, FaultStage};
 pub use fusion::{AccessSummary, FieldSpan, FusePlan, FuseRefusal, PassIo, StreamAccess};
 pub use graph::{Executor, GraphSpec, ResourceId, ResourceKind};
-pub use kernel::{DevBufId, DeviceEffects, KernelCtx, LaunchConfig, StreamKernel, ValueExt};
+pub use kernel::{DevBufId, KernelCtx, LaunchConfig, StreamKernel, ValueExt};
 pub use machine::Machine;
 pub use pipeline::{run_bigkernel, run_bigkernel_fused, run_bigkernel_window};
 pub use pool::{AddrGenScratch, StreamPool};

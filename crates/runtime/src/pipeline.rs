@@ -62,12 +62,8 @@
 //!
 //! Phase C is the sequential block schedule itself, so the result does not
 //! depend on `parallel_blocks` or on the host thread count: every field of
-//! the [`RunResult`] is bit-identical either way. Nothing in the runner
-//! logs device effects; the write logs of [`bk_gpu::wlog`] serve the
-//! buffered baselines only, whose granules have no pure phase to run
-//! concurrently. The runner ignores a kernel's declared device-effect
-//! capability: a kernel that consumes cross-block `atomic_add` return
-//! values already sees them in block order.
+//! the [`RunResult`] is bit-identical either way. A kernel that consumes
+//! cross-block `atomic_add` return values sees them in block order.
 //!
 //! Thread blocks beyond the §IV.D active-block count run as successive
 //! waves, reusing the active blocks' buffers (and their per-slot simulation
@@ -1620,14 +1616,12 @@ mod parallel_tests {
             "the race needs several blocks in one wave"
         );
         // Concurrent address halves, then every kernel body live in block
-        // order: nothing is logged, so nothing conflicts or re-executes.
-        assert_eq!(r_par.metrics.get("parallel.replay_conflicts"), 0);
+        // order: the parallel run is the sequential one.
         assert_eq!(r_par, r_seq);
     }
 
-    /// Hands out sequence slots by consuming `atomic_add` return values —
-    /// not log-replayable, so the kernel declares `DeviceEffects::Sequential`
-    /// and its blocks must run live, in order, under either setting.
+    /// Hands out sequence slots by consuming `atomic_add` return values, so
+    /// its blocks must run in order under either setting.
     struct TicketKernel {
         table: bk_gpu::BufferId,
     }
@@ -1638,9 +1632,6 @@ mod parallel_tests {
         }
         fn record_size(&self) -> Option<u64> {
             Some(8)
-        }
-        fn device_effects(&self) -> crate::kernel::DeviceEffects {
-            crate::kernel::DeviceEffects::Sequential
         }
         fn addresses(&self, _ctx: &mut AddrGenCtx<'_>, _range: Range<u64>) {}
         fn process(&self, ctx: &mut dyn KernelCtx, range: Range<u64>) {
@@ -1694,7 +1685,6 @@ mod parallel_tests {
             }
             assert_eq!((count, &slots), (count2, &slots2));
             assert_eq!(r_par, r_seq);
-            assert_eq!(r_par.metrics.get("parallel.replay_conflicts"), 0);
         }
     }
 }

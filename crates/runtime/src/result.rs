@@ -70,36 +70,6 @@ impl RunResult {
     pub fn speedup_over(&self, other: &RunResult) -> f64 {
         other.total.ratio(self.total)
     }
-
-    /// Assert that `self`, a buffered-baseline run with `parallel_blocks`
-    /// on, and `sequential`, the same run with it off, simulate the same
-    /// model. Every field — `total` to the bit, stages, chunks, every
-    /// counter and histogram — must match once `parallel.replay_conflicts`
-    /// is removed from both. That counter measures the baselines' host
-    /// algorithm, not the model: it counts their logged granules' wasted
-    /// attempts, so `sequential`, which runs live and logs nothing, must
-    /// report 0. (BigKernel runs need no such allowance: they are equal
-    /// field for field.) Panics naming `what`.
-    pub fn assert_same_model(&self, sequential: &RunResult, what: &str) {
-        const CONFLICTS: &str = "parallel.replay_conflicts";
-        assert_eq!(
-            sequential.metrics.get(CONFLICTS),
-            0,
-            "{what}: the sequential run logged blocks"
-        );
-        let model = |r: &RunResult| {
-            let mut r = r.clone();
-            r.metrics.remove(CONFLICTS);
-            r
-        };
-        let (par, seq) = (model(self), model(sequential));
-        assert_eq!(
-            par.total.secs().to_bits(),
-            seq.total.secs().to_bits(),
-            "{what}: total diverged"
-        );
-        assert_eq!(par, seq, "{what}: parallel vs sequential diverged");
-    }
 }
 
 /// Fold a wave's schedule (any [`ScheduleView`] — legacy or graph-based,
