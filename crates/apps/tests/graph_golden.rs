@@ -23,7 +23,7 @@ use bk_apps::wordcount::WordCount;
 use bk_apps::{BenchApp, HarnessConfig};
 use bk_runtime::{run_bigkernel, LaunchConfig, Machine};
 use bk_simcore::pipeline::{schedule, PipelineSpec};
-use bk_simcore::{SimTime, StageDef};
+use bk_simcore::{ScheduleView, SimTime, StageDef};
 use std::collections::HashMap;
 
 /// The pre-refactor pipeline, verbatim (stage order, resource names, reuse

@@ -1,6 +1,6 @@
 //! Plain-text rendering helpers for the experiment report.
 
-use bk_simcore::ScheduleView;
+use bk_simcore::{Schedule, ScheduleView};
 use std::fmt::Write as _;
 
 /// Format a speedup like the paper's log axis labels ("2.4x").
@@ -32,7 +32,7 @@ pub(crate) fn table(header: &str, rows: impl IntoIterator<Item = String>) -> Str
 /// `width` cells, a digit marking which chunk (mod 10) occupies each cell,
 /// and an axis line ending at the makespan — the textual form of the
 /// paper's Fig. 2 pipeline diagram. Empty for an empty schedule.
-pub fn gantt(schedule: &impl ScheduleView, width: usize) -> String {
+pub fn gantt(schedule: &Schedule, width: usize) -> String {
     let mut out = String::new();
     let makespan = schedule.makespan();
     if makespan.is_zero() || width == 0 {

@@ -16,12 +16,10 @@ use bk_apps::{run_all, BenchApp, HarnessConfig, Implementation};
 use bk_baselines::gpu_buffered::BASELINE_STAGES;
 use bk_baselines::BigKernelVariant;
 use bk_host::PcieLink;
-use bk_runtime::graph::{
-    buffered_graph, pipeline_graph, schedule_graph, serial_graph, GraphSchedule,
-};
+use bk_runtime::graph::{buffered_graph, pipeline_graph, schedule_graph, serial_graph};
 use bk_runtime::pipeline::STAGE_NAMES;
 use bk_runtime::{Machine, RunResult, StageStat, SyncMode};
-use bk_simcore::SimTime;
+use bk_simcore::{Schedule, SimTime};
 use std::cell::OnceCell;
 use std::fmt::Write as _;
 
@@ -729,7 +727,7 @@ fn timeline_charts(
     depth: usize,
     wb_depth: usize,
     means: &[Vec<SimTime>; 3],
-) -> [(&'static str, GraphSchedule); 3] {
+) -> [(&'static str, Schedule); 3] {
     let window = |i: usize| vec![means[i].clone(); TIMELINE_CHUNKS];
     [
         (

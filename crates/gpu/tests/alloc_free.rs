@@ -244,7 +244,7 @@ fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
 /// times — counter and histogram slots are interned on first use, span
 /// records are dropped at the thread-local check, and nothing grows.
 #[test]
-fn record_schedule_without_tracing_allocates_nothing() {
+fn untraced_record_schedule_allocates_nothing() {
     use bk_simcore::{pipeline, SimTime, StageDef};
 
     let spec = pipeline::PipelineSpec::new(vec![

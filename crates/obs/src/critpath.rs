@@ -19,40 +19,23 @@
 //! telescope and their sum equals the rounded makespan **exactly**; the
 //! `bottleneck` bench binary and CI gate on that identity.
 //!
-//! Capture follows the [`crate::trace`] pattern: the runtime snapshots every
-//! scheduled wave (per-device shards, including dependency edges, reuse
-//! edges and capacities, so the schedule is self-describing) into a
+//! [`critical_path`] reads one [`Schedule`]: besides the slots it carries
+//! the dependency edges, reuse edges and capacities it was solved under,
+//! so the walk needs nothing else. Capture follows the [`crate::trace`]
+//! pattern: the runtime records every scheduled wave as a [`WaveDag`] — a
+//! clone of each device's shard with run-global chunk ids — into a
 //! thread-local sink, but only while a [`capture`] guard is live — an
 //! unobserved run allocates nothing and does no work beyond one
 //! thread-local check per wave.
 
 use crate::trace::SpanRecord;
-use bk_simcore::pipeline::Slot;
-use bk_simcore::{ReuseEdge, ScheduleView, SimTime, SlotMeta, StallKind};
+use bk_simcore::{Schedule, ScheduleView, SimTime, SlotMeta, StallKind};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
 /// Track name the exporter uses for critical-path marker spans (one
 /// Perfetto lane showing the bottleneck chain; see [`marker_spans`]).
 pub const CRITPATH_TRACK: &str = "critpath";
-
-/// A schedule that also describes the graph it was scheduled under —
-/// everything [`critical_path`] needs to re-derive each slot's binding
-/// predecessor. Implemented by the runtime's `GraphSchedule` and by the
-/// captured [`ShardDag`] snapshots.
-pub trait ScheduleDag: ScheduleView {
-    /// Same-chunk stage indices `stage` depends on (all smaller — stages
-    /// are listed in topological order).
-    fn stage_deps(&self, stage: usize) -> &[usize];
-    /// The spec's cross-chunk buffer-reuse edges.
-    fn reuse_edges(&self) -> &[ReuseEdge];
-    /// Number of identical units of `resource` (default 1, the production
-    /// configuration).
-    fn resource_capacity(&self, resource: &str) -> usize {
-        let _ = resource;
-        1
-    }
-}
 
 /// The constraint through which the critical path *entered* a slot — i.e.
 /// what the slot was waiting for when it started.
@@ -134,7 +117,7 @@ fn segment_ns(start: SimTime, finish: SimTime) -> u64 {
 /// start is a `max` over exactly those finishes), so the returned segments
 /// abut with no gaps. Zero-duration slots can appear on the path; they
 /// contribute zero-length segments and no blame.
-pub fn critical_path<S: ScheduleDag + ?Sized>(sched: &S) -> Vec<CritSegment> {
+pub fn critical_path(sched: &Schedule) -> Vec<CritSegment> {
     let nc = sched.num_chunks();
     let ns = sched.num_stages();
     if nc == 0 || ns == 0 {
@@ -154,7 +137,7 @@ pub fn critical_path<S: ScheduleDag + ?Sized>(sched: &S) -> Vec<CritSegment> {
                 continue; // zero-duration stages never occupy their resource
             }
             let res = sched.stage_resource(stage);
-            let cap = sched.resource_capacity(res).max(1);
+            let cap = sched.capacity(res).max(1);
             let (times, occupants) = free
                 .entry(res)
                 .or_insert_with(|| (vec![SimTime::ZERO; cap], vec![None; cap]));
@@ -190,7 +173,7 @@ pub fn critical_path<S: ScheduleDag + ?Sized>(sched: &S) -> Vec<CritSegment> {
         let (entered, pred) = match meta.kind {
             Some(StallKind::Reuse { consumer }) => {
                 // Later edges win scheduler ties, so scan in reverse.
-                let p = sched.reuse_edges().iter().rev().find_map(|e| {
+                let p = sched.reuse.iter().rev().find_map(|e| {
                     (e.producer == stage
                         && e.consumer == consumer
                         && chunk >= e.depth
@@ -207,8 +190,7 @@ pub fn critical_path<S: ScheduleDag + ?Sized>(sched: &S) -> Vec<CritSegment> {
             }
             None if slot.start.is_zero() => (EdgeKind::Start, None),
             None => {
-                let p = sched
-                    .stage_deps(stage)
+                let p = sched.deps[stage]
                     .iter()
                     .find(|&&d| sched.slot(chunk, d).finish == slot.start)
                     .map(|&d| (chunk, d));
@@ -240,108 +222,6 @@ pub fn path_sum_ns(segs: &[CritSegment]) -> u64 {
     segs.iter().map(|s| segment_ns(s.start, s.finish)).sum()
 }
 
-// ---------------------------------------------------------------------------
-// Captured snapshots: self-describing per-shard schedules.
-// ---------------------------------------------------------------------------
-
-/// An owned snapshot of one device's scheduled shard, including the graph
-/// shape (deps, reuse edges, capacities) so it satisfies [`ScheduleDag`]
-/// without a reference back into the runtime.
-#[derive(Clone, Debug)]
-pub struct ShardDag {
-    /// The device that ran the shard.
-    pub device: usize,
-    /// Run-global chunk id of each local chunk row.
-    pub chunk_ids: Vec<usize>,
-    stage_names: Vec<&'static str>,
-    resources: Vec<&'static str>,
-    deps: Vec<Vec<usize>>,
-    reuse: Vec<ReuseEdge>,
-    capacities: Vec<(&'static str, usize)>,
-    slots: Vec<Vec<Slot>>,
-    meta: Vec<Vec<SlotMeta>>,
-    makespan: SimTime,
-}
-
-impl ShardDag {
-    /// Snapshot a scheduled shard. `chunk_ids[local]` is the run-global id
-    /// of local chunk row `local` (sharding deals non-contiguous chunk
-    /// subsequences to each device).
-    pub fn from_dag<S: ScheduleDag>(sched: &S, device: usize, chunk_ids: Vec<usize>) -> ShardDag {
-        let nc = sched.num_chunks();
-        let ns = sched.num_stages();
-        assert_eq!(chunk_ids.len(), nc, "one global id per chunk row");
-        let resources: Vec<&'static str> = (0..ns).map(|s| sched.stage_resource(s)).collect();
-        let mut capacities: Vec<(&'static str, usize)> = Vec::new();
-        for &r in &resources {
-            if !capacities.iter().any(|&(seen, _)| seen == r) {
-                capacities.push((r, sched.resource_capacity(r)));
-            }
-        }
-        ShardDag {
-            device,
-            chunk_ids,
-            stage_names: (0..ns).map(|s| sched.stage_name(s)).collect(),
-            resources,
-            deps: (0..ns).map(|s| sched.stage_deps(s).to_vec()).collect(),
-            reuse: sched.reuse_edges().to_vec(),
-            capacities,
-            slots: (0..nc)
-                .map(|c| (0..ns).map(|s| sched.slot(c, s)).collect())
-                .collect(),
-            meta: (0..nc)
-                .map(|c| (0..ns).map(|s| sched.slot_meta(c, s)).collect())
-                .collect(),
-            makespan: sched.makespan(),
-        }
-    }
-
-    /// The distinct resources the shard's stages run on, with their unit
-    /// counts (the what-if replayer rebuilds a spec from these).
-    pub fn capacities(&self) -> &[(&'static str, usize)] {
-        &self.capacities
-    }
-}
-
-impl ScheduleView for ShardDag {
-    fn num_chunks(&self) -> usize {
-        self.slots.len()
-    }
-    fn num_stages(&self) -> usize {
-        self.stage_names.len()
-    }
-    fn slot(&self, chunk: usize, stage: usize) -> Slot {
-        self.slots[chunk][stage]
-    }
-    fn stage_name(&self, stage: usize) -> &'static str {
-        self.stage_names[stage]
-    }
-    fn stage_resource(&self, stage: usize) -> &'static str {
-        self.resources[stage]
-    }
-    fn slot_meta(&self, chunk: usize, stage: usize) -> SlotMeta {
-        self.meta[chunk][stage]
-    }
-    fn makespan(&self) -> SimTime {
-        self.makespan
-    }
-}
-
-impl ScheduleDag for ShardDag {
-    fn stage_deps(&self, stage: usize) -> &[usize] {
-        &self.deps[stage]
-    }
-    fn reuse_edges(&self) -> &[ReuseEdge] {
-        &self.reuse
-    }
-    fn resource_capacity(&self, resource: &str) -> usize {
-        self.capacities
-            .iter()
-            .find(|&&(r, _)| r == resource)
-            .map_or(1, |&(_, n)| n)
-    }
-}
-
 /// One scheduled wave: every device's shard plus the absolute simulated
 /// time the wave started (waves run back to back, so `time_base` of wave
 /// `w + 1` equals `time_base + max shard makespan` of wave `w`).
@@ -356,8 +236,9 @@ pub struct WaveDag {
     /// Absolute simulated start time of the wave (relative to its pass's
     /// pipeline invocation).
     pub time_base: SimTime,
-    /// Per-device shard snapshots.
-    pub shards: Vec<ShardDag>,
+    /// Per-device shards, each a clone of the executor's shard with
+    /// run-global chunk ids.
+    pub shards: Vec<Schedule>,
 }
 
 // ---------------------------------------------------------------------------
@@ -556,7 +437,7 @@ pub fn analyze(waves: &[WaveDag]) -> CritReport {
         let Some(shard) = wave
             .shards
             .iter()
-            .fold(None::<&ShardDag>, |best, s| match best {
+            .fold(None::<&Schedule>, |best, s| match best {
                 Some(b) if b.makespan() >= s.makespan() => Some(b),
                 _ => Some(s),
             })
@@ -650,78 +531,39 @@ pub fn marker_spans(report: &CritReport) -> Vec<SpanRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bk_simcore::{pipeline, PipelineSpec, StageDef};
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    /// Hand-built DAG schedule for tests: a 2-stage chain on one shared
-    /// resource with a reuse edge, scheduled by the same rules as the
-    /// production scheduler (computed by hand).
-    struct TestDag {
-        slots: Vec<Vec<Slot>>,
-        meta: Vec<Vec<SlotMeta>>,
-        deps: Vec<Vec<usize>>,
-        reuse: Vec<ReuseEdge>,
-        names: Vec<&'static str>,
-        resources: Vec<&'static str>,
-        makespan: SimTime,
-    }
-
-    impl ScheduleView for TestDag {
-        fn num_chunks(&self) -> usize {
-            self.slots.len()
-        }
-        fn num_stages(&self) -> usize {
-            self.names.len()
-        }
-        fn slot(&self, chunk: usize, stage: usize) -> Slot {
-            self.slots[chunk][stage]
-        }
-        fn stage_name(&self, stage: usize) -> &'static str {
-            self.names[stage]
-        }
-        fn stage_resource(&self, stage: usize) -> &'static str {
-            self.resources[stage]
-        }
-        fn slot_meta(&self, chunk: usize, stage: usize) -> SlotMeta {
-            self.meta[chunk][stage]
-        }
-        fn makespan(&self) -> SimTime {
-            self.makespan
-        }
-    }
-
-    impl ScheduleDag for TestDag {
-        fn stage_deps(&self, stage: usize) -> &[usize] {
-            &self.deps[stage]
-        }
-        fn reuse_edges(&self) -> &[ReuseEdge] {
-            &self.reuse
-        }
+    /// Oracle schedule of `rows` over `stages` (name, resource) chained in
+    /// order, with the given `(producer, consumer, depth)` reuse edges.
+    fn chain(
+        stages: &[(&'static str, &'static str)],
+        reuse: &[(usize, usize, usize)],
+        rows: Vec<Vec<SimTime>>,
+    ) -> Schedule {
+        let defs = stages
+            .iter()
+            .map(|&(name, resource)| StageDef { name, resource })
+            .collect();
+        let spec = reuse
+            .iter()
+            .fold(PipelineSpec::new(defs), |spec, &(p, c, d)| {
+                spec.with_reuse(p, c, d)
+            });
+        pipeline::schedule(&spec, &rows)
     }
 
     /// One chunk, two chained stages of 1 µs and 3 µs on distinct
     /// resources: the path is both slots back to back.
-    fn single_chunk_chain() -> TestDag {
-        TestDag {
-            slots: vec![vec![
-                Slot {
-                    start: t(0.0),
-                    finish: t(1.0),
-                },
-                Slot {
-                    start: t(1.0),
-                    finish: t(4.0),
-                },
-            ]],
-            meta: vec![vec![SlotMeta::default(), SlotMeta::default()]],
-            deps: vec![vec![], vec![0]],
-            reuse: vec![],
-            names: vec!["transfer", "compute"],
-            resources: vec!["dma", "gpu-comp"],
-            makespan: t(4.0),
-        }
+    fn single_chunk_chain() -> Schedule {
+        chain(
+            &[("transfer", "dma"), ("compute", "gpu-comp")],
+            &[],
+            vec![vec![t(1.0), t(3.0)]],
+        )
     }
 
     #[test]
@@ -738,30 +580,12 @@ mod tests {
     #[test]
     fn resource_contention_walks_through_the_prior_occupant() {
         // Two chunks on one serial resource: chunk 1 waits for chunk 0.
-        let d = TestDag {
-            slots: vec![
-                vec![Slot {
-                    start: t(0.0),
-                    finish: t(2.0),
-                }],
-                vec![Slot {
-                    start: t(2.0),
-                    finish: t(4.0),
-                }],
-            ],
-            meta: vec![
-                vec![SlotMeta::default()],
-                vec![SlotMeta {
-                    kind: Some(StallKind::Resource("serial")),
-                    stall: t(2.0),
-                }],
-            ],
-            deps: vec![vec![]],
-            reuse: vec![],
-            names: vec!["compute"],
-            resources: vec!["serial"],
-            makespan: t(4.0),
-        };
+        let d = chain(&[("compute", "serial")], &[], vec![vec![t(2.0)]; 2]);
+        assert_eq!(
+            d.meta[1][0].kind,
+            Some(StallKind::Resource("serial")),
+            "chunk 1 queues behind chunk 0"
+        );
         let path = critical_path(&d);
         assert_eq!(path.len(), 2);
         assert_eq!(path[0].chunk, 0);
@@ -772,51 +596,13 @@ mod tests {
 
     #[test]
     fn reuse_stall_walks_across_chunks_via_the_edge() {
-        // Stage 0 of chunk 1 waits on stage 1 of chunk 0 (depth 1).
-        let d = TestDag {
-            slots: vec![
-                vec![
-                    Slot {
-                        start: t(0.0),
-                        finish: t(1.0),
-                    },
-                    Slot {
-                        start: t(1.0),
-                        finish: t(5.0),
-                    },
-                ],
-                vec![
-                    Slot {
-                        start: t(5.0),
-                        finish: t(6.0),
-                    },
-                    Slot {
-                        start: t(6.0),
-                        finish: t(10.0),
-                    },
-                ],
-            ],
-            meta: vec![
-                vec![SlotMeta::default(), SlotMeta::default()],
-                vec![
-                    SlotMeta {
-                        kind: Some(StallKind::Reuse { consumer: 1 }),
-                        stall: t(4.0),
-                    },
-                    SlotMeta::default(),
-                ],
-            ],
-            deps: vec![vec![], vec![0]],
-            reuse: vec![ReuseEdge {
-                producer: 0,
-                consumer: 1,
-                depth: 1,
-            }],
-            names: vec!["transfer", "compute"],
-            // Distinct resources so only the reuse edge can couple chunks.
-            resources: vec!["dma", "gpu-comp"],
-            makespan: t(10.0),
-        };
+        // Stage 0 of chunk 1 waits on stage 1 of chunk 0 (depth 1). Distinct
+        // resources, so only the reuse edge can couple chunks.
+        let d = chain(
+            &[("transfer", "dma"), ("compute", "gpu-comp")],
+            &[(0, 1, 1)],
+            vec![vec![t(1.0), t(4.0)]; 2],
+        );
         let path = critical_path(&d);
         assert_eq!(path.len(), 4);
         assert_eq!(path[2].entered, EdgeKind::Reuse { consumer: 1 });
@@ -838,7 +624,10 @@ mod tests {
         record_wave(WaveDag {
             pass: 0,
             time_base: SimTime::ZERO,
-            shards: vec![ShardDag::from_dag(&single_chunk_chain(), 0, vec![7])],
+            shards: vec![Schedule {
+                chunk_ids: vec![7],
+                ..single_chunk_chain()
+            }],
         });
         let waves = g.finish();
         assert!(!capture_enabled());
@@ -861,7 +650,7 @@ mod tests {
 
     #[test]
     fn analyze_offsets_waves_and_blames_exactly() {
-        let shard = ShardDag::from_dag(&single_chunk_chain(), 0, vec![0]);
+        let shard = single_chunk_chain();
         let mut shard2 = shard.clone();
         shard2.chunk_ids = vec![1];
         let waves = vec![
@@ -893,7 +682,7 @@ mod tests {
     fn explicit_pass_boundaries_stack_passes() {
         // Two pipeline invocations, each restarting its clock at zero. The
         // explicit pass indices stack pass 1 after pass 0's end.
-        let shard = ShardDag::from_dag(&single_chunk_chain(), 0, vec![0]);
+        let shard = single_chunk_chain();
         let mut shard2 = shard.clone();
         shard2.chunk_ids = vec![1];
         let waves = vec![
@@ -921,7 +710,7 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "without an explicit pass boundary")]
     fn clock_restart_without_pass_boundary_asserts() {
-        let shard = ShardDag::from_dag(&single_chunk_chain(), 0, vec![0]);
+        let shard = single_chunk_chain();
         let waves = vec![
             WaveDag {
                 pass: 0,
@@ -960,12 +749,14 @@ mod tests {
 
     #[test]
     fn bottleneck_shard_wins_per_wave() {
-        let fast = ShardDag::from_dag(&single_chunk_chain(), 0, vec![0]);
-        let mut slow_src = single_chunk_chain();
-        slow_src.slots[0][1].finish = t(9.0);
-        slow_src.makespan = t(9.0);
-        slow_src.resources = vec!["dev1.dma", "dev1.gpu-comp"];
-        let slow = ShardDag::from_dag(&slow_src, 1, vec![1]);
+        let fast = single_chunk_chain();
+        let mut slow = single_chunk_chain();
+        slow.slots[0][1].finish = t(9.0);
+        slow.makespan = t(9.0);
+        slow.resources = vec!["dev1.dma", "dev1.gpu-comp"];
+        slow.capacities = vec![("dev1.dma", 1), ("dev1.gpu-comp", 1)];
+        slow.device = 1;
+        slow.chunk_ids = vec![1];
         let report = analyze(&[WaveDag {
             pass: 0,
             time_base: SimTime::ZERO,
@@ -985,7 +776,7 @@ mod tests {
 
     #[test]
     fn marker_spans_land_on_the_critpath_track() {
-        let shard = ShardDag::from_dag(&single_chunk_chain(), 0, vec![0]);
+        let shard = single_chunk_chain();
         let report = analyze(&[WaveDag {
             pass: 0,
             time_base: SimTime::ZERO,

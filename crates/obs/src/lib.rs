@@ -37,11 +37,9 @@ pub mod metrics;
 pub mod stall;
 pub mod trace;
 
-pub use critpath::{analyze, critical_path, CritReport, ScheduleDag};
+pub use critpath::{analyze, critical_path, CritReport};
 pub use device::{device_counter, MAX_DEVICES};
 pub use export::{text_report, to_chrome_json};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use stall::{
-    record_schedule, record_schedule_mapped, reuse_wait_hist, stage_role, stall_counter, StallCause,
-};
+pub use stall::{record_schedule, reuse_wait_hist, stage_role, stall_counter, StallCause};
 pub use trace::{SpanRecord, FAULT_MARKER_STAGE, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE};

@@ -156,12 +156,6 @@ impl MetricsRegistry {
         self.counters.get(name)
     }
 
-    /// Remove the named counter, returning its value (zero if never
-    /// touched).
-    pub fn remove(&mut self, name: &str) -> u64 {
-        self.counters.remove(name)
-    }
-
     /// Ratio of two counters, `0.0` when the denominator is zero.
     pub fn ratio(&self, num: &str, den: &str) -> f64 {
         self.counters.ratio(num, den)

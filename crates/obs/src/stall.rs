@@ -1,7 +1,9 @@
 //! Stall attribution: typed causes, `stall.<stage>.<cause>` counters, and
-//! the schedule walker that feeds spans + metrics in one pass.
+//! [`record_schedule`], the one walker that turns a [`Schedule`] into
+//! spans + metrics in one pass (its chunk ids plus the wave's chunk base
+//! name each span's run-global chunk).
 //!
-//! The scheduler ([`bk_simcore::pipeline::schedule`]) records *why* each
+//! Every scheduler records in its [`Schedule`] *why* each
 //! slot started later than its dataflow predecessor finished — a
 //! [`StallKind`]: either a buffer-reuse edge (§IV.C's `addr-gen(n)` waits
 //! for `compute(n−3)` rule, implemented by flag signalling over PCIe) or
@@ -12,7 +14,7 @@
 
 use crate::metrics::MetricsRegistry;
 use crate::trace::{self, SpanRecord};
-use bk_simcore::{ScheduleView, SimTime, StallKind};
+use bk_simcore::{Schedule, ScheduleView, SimTime, StallKind};
 
 /// Why a pipeline stage instance could not start when its input was ready.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,49 +174,6 @@ pub fn reuse_wait_hist(stage: &str) -> Option<&'static str> {
     )
 }
 
-/// Walk one computed wave `Schedule` and record, for every non-empty slot:
-///
-/// * a [`SpanRecord`] on the slot's resource track (only collected while a
-///   [`trace::start`] guard is live — see the crate docs),
-/// * the span-duration histogram `hist.span.<stage>`,
-/// * if the slot stalled, the `stall.<stage>.<cause>` counter (simulated
-///   nanoseconds), plus the per-wait `hist.reuse-wait.<stage>` histogram
-///   when the cause is the buffer-reuse rule.
-///
-/// `chunk_base` and `time_base` place the wave in the whole run: the
-/// runtime schedules waves back to back, so wave-local chunk indices and
-/// times are offset into run-global ones. Metrics are recorded
-/// unconditionally and derive purely from the deterministic schedule, so
-/// tracing on/off cannot change any simulated result.
-pub fn record_schedule<S: ScheduleView>(
-    sched: &S,
-    chunk_base: usize,
-    time_base: SimTime,
-    metrics: &mut MetricsRegistry,
-) {
-    record_schedule_with(sched, |local| chunk_base + local, time_base, metrics)
-}
-
-/// [`record_schedule`] with an arbitrary local→global chunk-index map.
-///
-/// A sharded multi-device schedule covers a non-contiguous subsequence of
-/// the run's chunks (device `d` owns chunks `d, d + N, d + 2N, ...` under
-/// round-robin); `chunk_ids[local]` names the run-global chunk each local
-/// row corresponds to, so spans land on the right chunk labels.
-pub fn record_schedule_mapped<S: ScheduleView>(
-    sched: &S,
-    chunk_ids: &[usize],
-    time_base: SimTime,
-    metrics: &mut MetricsRegistry,
-) {
-    assert_eq!(
-        chunk_ids.len(),
-        sched.num_chunks(),
-        "one global id per scheduled chunk"
-    );
-    record_schedule_with(sched, |local| chunk_ids[local], time_base, metrics)
-}
-
 /// Strip a fused-pass `p<i>.` qualifier from a stage name. Fused multi-pass
 /// graphs name their stages `p0.addr-gen` … `p3.wb-apply`; every pass's copy
 /// of a role feeds the same span histogram and stall buckets, exactly like
@@ -231,9 +190,24 @@ pub fn stage_role(name: &str) -> &str {
     name
 }
 
-fn record_schedule_with<S: ScheduleView>(
-    sched: &S,
-    chunk_id: impl Fn(usize) -> usize,
+/// Walk one computed wave [`Schedule`] and record, for every non-empty slot:
+///
+/// * a [`SpanRecord`] on the slot's resource track (only collected while a
+///   [`trace::start`] guard is live — see the crate docs),
+/// * the span-duration histogram `hist.span.<stage>`,
+/// * if the slot stalled, the `stall.<stage>.<cause>` counter (simulated
+///   nanoseconds), plus the per-wait `hist.reuse-wait.<stage>` histogram
+///   when the cause is the buffer-reuse rule.
+///
+/// `chunk_base` and `time_base` place the wave in the whole run: the
+/// runtime schedules waves back to back, so the schedule's chunk ids
+/// ([`Schedule::chunk_ids`], wave-local) and times are offset into
+/// run-global ones. Metrics are recorded unconditionally and derive purely
+/// from the deterministic schedule, so tracing on/off cannot change any
+/// simulated result.
+pub fn record_schedule(
+    sched: &Schedule,
+    chunk_base: usize,
     time_base: SimTime,
     metrics: &mut MetricsRegistry,
 ) {
@@ -273,7 +247,7 @@ fn record_schedule_with<S: ScheduleView>(
             trace::record(&SpanRecord {
                 track: sched.stage_resource(stage),
                 stage: full_name,
-                chunk: chunk_id(chunk),
+                chunk: chunk_base + sched.chunk_ids[chunk],
                 start: time_base + slot.start,
                 dur,
                 stall,

@@ -33,8 +33,8 @@
 //! fault-free run for any plan that completes. See DESIGN.md §11.
 
 use crate::graph::{
-    deal_chunks, pipeline_graph, pipeline_stage_names, schedule_graph, serial_graph, GraphSpec,
-    Shard, ShardedSchedule,
+    deal_chunks, pipeline_graph, pipeline_stage_names, schedule_shard, serial_graph, GraphSpec,
+    ShardedSchedule,
 };
 use crate::pipeline::STAGE_NAMES;
 use bk_obs::{stall_counter, MetricsRegistry, SpanRecord, FAULT_MARKER_STAGE};
@@ -494,20 +494,10 @@ impl FaultContext {
 
         // 3. Schedule each survivor's share on its device resources.
         let spec = &self.specs[self.level];
-        let shards: Vec<Shard> = targets
+        let shards = targets
             .into_iter()
             .zip(owned)
-            .map(|(device, chunk_ids)| {
-                let spec_d = spec.for_device(device);
-                let dev_rows: Vec<Vec<SimTime>> =
-                    chunk_ids.iter().map(|&c| rows[c].clone()).collect();
-                let sched = schedule_graph(&spec_d, &dev_rows);
-                Shard {
-                    device,
-                    chunk_ids,
-                    sched,
-                }
-            })
+            .map(|(device, chunk_ids)| schedule_shard(spec, device, chunk_ids, &rows))
             .collect();
         let sharded = ShardedSchedule::from_shards(shards);
 
@@ -522,10 +512,10 @@ impl FaultContext {
             for shard in sharded.shards() {
                 if let Some(local) = shard.chunk_ids.iter().position(|&c| c == ev.chunk) {
                     bk_obs::trace::record(&SpanRecord {
-                        track: shard.sched.stage_resource(ev.stage),
+                        track: shard.stage_resource(ev.stage),
                         stage: FAULT_MARKER_STAGE,
                         chunk: chunk_base + ev.chunk,
-                        start: time_base + shard.sched.slot(local, ev.stage).start,
+                        start: time_base + shard.slot(local, ev.stage).start,
                         dur: SimTime::ZERO,
                         stall: Some(("fault", ev.extra)),
                     });

@@ -13,13 +13,16 @@
 //!   buffer-reuse edges (§IV.C's `addr-gen(n)` ↔ `compute(n−3)` rule) and
 //!   per-resource capacities.
 //! * [`schedule_graph`] — forward list scheduling generalized to DAG deps and
-//!   multi-unit resources. For a linear chain on unit-capacity resources it
-//!   performs the *identical* sequence of exact f64 max/add operations as
-//!   [`bk_simcore::pipeline::schedule`], so single-GPU schedules are
-//!   bit-identical to the pre-refactor ones (the golden tests in
-//!   `crates/apps/tests` hold simcore to be the oracle).
+//!   multi-unit resources, returning a [`bk_simcore::Schedule`]. For a
+//!   linear chain on unit-capacity resources it performs the *identical*
+//!   sequence of exact f64 max/add operations as
+//!   [`bk_simcore::pipeline::schedule`], and the two results are equal
+//!   (the golden tests in `crates/apps/tests` hold simcore to be the
+//!   oracle).
 //! * [`Executor`] / [`ShardedSchedule`] — chunk sharding across `N` simulated
-//!   GPUs: each device runs an independent copy of the stage graph (its own
+//!   GPUs, one device-local [`bk_simcore::Schedule`] per device with its
+//!   `device` and wave-local `chunk_ids` set. Each device runs an
+//!   independent copy of the stage graph (its own
 //!   DMA engine, GPU queues and host-side worker threads — resources are
 //!   qualified `dev<i>.<name>`), chunks are dealt out round-robin, and
 //!   reuse depth applies within a device's local chunk sequence
@@ -33,8 +36,9 @@
 use crate::pipeline::STAGE_NAMES;
 use crate::result::{accumulate_stage_stats, StageStat};
 use bk_obs::{device_counter, MetricsRegistry, MAX_DEVICES};
+use bk_simcore::pipeline::distinct_capacities;
 use bk_simcore::pipeline::Slot;
-use bk_simcore::{ReuseEdge, ScheduleView, SimTime, SlotMeta, StallKind};
+use bk_simcore::{ReuseEdge, Schedule, SimTime, SlotMeta, StallKind};
 use std::collections::HashMap;
 
 /// The kinds of hardware resources the pipelines schedule onto. One kind ×
@@ -448,75 +452,6 @@ pub fn pipeline_graph(
     spec
 }
 
-/// A computed graph schedule; same slot/meta surface as
-/// [`bk_simcore::Schedule`] via [`ScheduleView`], plus the graph shape it
-/// was scheduled under (deps, reuse edges, capacities) so it satisfies
-/// [`bk_obs::critpath::ScheduleDag`] — the critical-path analyzer re-derives
-/// each slot's binding predecessor from these.
-#[derive(Clone, Debug)]
-pub struct GraphSchedule {
-    stage_names: Vec<&'static str>,
-    resources: Vec<&'static str>,
-    deps: Vec<Vec<usize>>,
-    reuse: Vec<ReuseEdge>,
-    capacities: Vec<(&'static str, usize)>,
-    /// `slots[chunk][stage]`
-    slots: Vec<Vec<Slot>>,
-    meta: Vec<Vec<SlotMeta>>,
-    makespan: SimTime,
-}
-
-impl ScheduleView for GraphSchedule {
-    fn num_chunks(&self) -> usize {
-        self.slots.len()
-    }
-    fn num_stages(&self) -> usize {
-        self.stage_names.len()
-    }
-    fn slot(&self, chunk: usize, stage: usize) -> Slot {
-        self.slots[chunk][stage]
-    }
-    fn stage_name(&self, stage: usize) -> &'static str {
-        self.stage_names[stage]
-    }
-    fn stage_resource(&self, stage: usize) -> &'static str {
-        self.resources[stage]
-    }
-    fn slot_meta(&self, chunk: usize, stage: usize) -> SlotMeta {
-        self.meta[chunk][stage]
-    }
-    fn makespan(&self) -> SimTime {
-        self.makespan
-    }
-}
-
-impl bk_obs::critpath::ScheduleDag for GraphSchedule {
-    fn stage_deps(&self, stage: usize) -> &[usize] {
-        &self.deps[stage]
-    }
-    fn reuse_edges(&self) -> &[ReuseEdge] {
-        &self.reuse
-    }
-    fn resource_capacity(&self, resource: &str) -> usize {
-        self.capacities
-            .iter()
-            .find(|&&(r, _)| r == resource)
-            .map_or(1, |&(_, n)| n)
-    }
-}
-
-impl GraphSchedule {
-    /// Total stalled time across every slot (feeds `device.<i>.stall_ns`).
-    pub fn total_stall(&self) -> SimTime {
-        self.meta.iter().flatten().map(|m| m.stall).sum()
-    }
-
-    /// Total busy time across every stage.
-    pub fn total_busy(&self) -> SimTime {
-        (0..self.num_stages()).map(|s| self.stage_busy(s)).sum()
-    }
-}
-
 /// Compute the schedule for `durations[chunk][stage]` under the graph's
 /// dataflow edges, resource capacities and reuse edges.
 ///
@@ -533,7 +468,7 @@ impl GraphSchedule {
 ///   resource contention) are verbatim from the legacy scheduler.
 ///
 /// Zero-duration stages neither wait for nor occupy their resource.
-pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> GraphSchedule {
+pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule {
     let ns = spec.num_stages();
     for (i, row) in durations.iter().enumerate() {
         assert_eq!(
@@ -619,19 +554,40 @@ pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> GraphSche
         .flat_map(|c| c.iter().map(|s| s.finish))
         .fold(SimTime::ZERO, SimTime::max);
 
-    GraphSchedule {
+    let resources: Vec<&'static str> = spec.stages.iter().map(|s| s.resource.as_str()).collect();
+    Schedule {
+        device: 0,
+        chunk_ids: (0..slots.len()).collect(),
         stage_names: spec.stages.iter().map(|s| s.name).collect(),
-        resources: spec.stages.iter().map(|s| s.resource.as_str()).collect(),
         deps: spec.stages.iter().map(|s| s.deps.clone()).collect(),
         reuse: spec.reuse.clone(),
-        capacities: spec
-            .capacities
-            .iter()
-            .map(|&(r, n)| (r.as_str(), n))
-            .collect(),
+        capacities: distinct_capacities(&resources, |r| {
+            spec.capacities
+                .iter()
+                .find(|&&(id, _)| id.as_str() == r)
+                .map_or(1, |&(_, n)| n)
+        }),
+        resources,
         slots,
         meta,
         makespan,
+    }
+}
+
+/// Schedule one device's share of a wave: the rows `chunk_ids` of
+/// `durations`, in order, on `spec`'s resources moved to `device`. The
+/// executor and the fault-recovery path both build their shards here.
+pub(crate) fn schedule_shard(
+    spec: &GraphSpec,
+    device: usize,
+    chunk_ids: Vec<usize>,
+    durations: &[Vec<SimTime>],
+) -> Schedule {
+    let rows: Vec<Vec<SimTime>> = chunk_ids.iter().map(|&c| durations[c].clone()).collect();
+    Schedule {
+        device,
+        chunk_ids,
+        ..schedule_graph(&spec.for_device(device), &rows)
     }
 }
 
@@ -657,21 +613,10 @@ pub struct Executor {
     num_devices: usize,
 }
 
-/// One device's share of a wave: which wave-local chunks it owns (in order)
-/// and their schedule on that device's resources.
-pub struct Shard {
-    /// The device that ran this share.
-    pub device: usize,
-    /// Wave-local chunk ids owned by the device, in issue order.
-    pub chunk_ids: Vec<usize>,
-    /// The device-local schedule over those chunks.
-    pub sched: GraphSchedule,
-}
-
 /// A wave scheduled across all devices. The devices run concurrently, so
 /// the wave's makespan is the max over shard makespans.
 pub struct ShardedSchedule {
-    shards: Vec<Shard>,
+    shards: Vec<Schedule>,
     makespan: SimTime,
 }
 
@@ -696,20 +641,10 @@ impl Executor {
     /// device this is exactly [`schedule_graph`] over all chunks in order.
     pub fn run(&self, durations: &[Vec<SimTime>]) -> ShardedSchedule {
         let owned = deal_chunks(self.num_devices, durations);
-        let shards: Vec<Shard> = owned
+        let shards = owned
             .into_iter()
             .enumerate()
-            .map(|(device, chunk_ids)| {
-                let spec_d = self.spec.for_device(device);
-                let rows: Vec<Vec<SimTime>> =
-                    chunk_ids.iter().map(|&c| durations[c].clone()).collect();
-                let sched = schedule_graph(&spec_d, &rows);
-                Shard {
-                    device,
-                    chunk_ids,
-                    sched,
-                }
-            })
+            .map(|(device, chunk_ids)| schedule_shard(&self.spec, device, chunk_ids, durations))
             .collect();
         ShardedSchedule::from_shards(shards)
     }
@@ -736,10 +671,10 @@ impl ShardedSchedule {
     /// Assemble a wave from already-scheduled shards (the executor's normal
     /// path and the fault-recovery path both end here). The wave makespan is
     /// the max over shard makespans — devices run concurrently.
-    pub fn from_shards(shards: Vec<Shard>) -> ShardedSchedule {
+    pub fn from_shards(shards: Vec<Schedule>) -> ShardedSchedule {
         let makespan = shards
             .iter()
-            .map(|s| s.sched.makespan)
+            .map(|s| s.makespan)
             .fold(SimTime::ZERO, SimTime::max);
         ShardedSchedule { shards, makespan }
     }
@@ -755,28 +690,31 @@ impl ShardedSchedule {
     }
 
     /// The per-device shards, ordered by device id.
-    pub fn shards(&self) -> &[Shard] {
+    pub fn shards(&self) -> &[Schedule] {
         &self.shards
     }
 
     /// Record every shard's spans, stall counters and histograms into the
-    /// registry ([`bk_obs::record_schedule_mapped`] maps each shard's local
-    /// chunk rows back to run-global chunk ids), plus the per-device
+    /// registry ([`bk_obs::record_schedule`] offsets each shard's wave-local
+    /// chunk ids by `chunk_base`), plus the per-device
     /// `device.<i>.{chunks, busy_ns, makespan_ns, stall_ns}` counters.
     ///
     /// While a [`bk_obs::critpath::capture`] guard is live, the wave is
-    /// additionally snapshot as a [`bk_obs::critpath::WaveDag`] (per-shard
-    /// schedules with their graph shape, global chunk ids and this wave's
-    /// `time_base`) for post-run critical-path analysis and what-if replay.
-    /// Without a guard the check is one thread-local read — no allocation.
+    /// additionally captured as a [`bk_obs::critpath::WaveDag`]: a clone of
+    /// each shard with run-global chunk ids, plus this wave's `time_base`,
+    /// for post-run critical-path analysis and what-if replay. Without a
+    /// guard the check is one thread-local read — no allocation.
     pub fn record(&self, chunk_base: usize, time_base: SimTime, metrics: &mut MetricsRegistry) {
         if bk_obs::critpath::capture_enabled() {
             let shards = self
                 .shards
                 .iter()
                 .map(|shard| {
-                    let ids: Vec<usize> = shard.chunk_ids.iter().map(|&c| chunk_base + c).collect();
-                    bk_obs::critpath::ShardDag::from_dag(&shard.sched, shard.device, ids)
+                    let mut shard = shard.clone();
+                    for c in &mut shard.chunk_ids {
+                        *c += chunk_base;
+                    }
+                    shard
                 })
                 .collect();
             bk_obs::critpath::record_wave(bk_obs::critpath::WaveDag {
@@ -786,21 +724,16 @@ impl ShardedSchedule {
             });
         }
         for shard in &self.shards {
-            let ids: Vec<usize> = shard.chunk_ids.iter().map(|&c| chunk_base + c).collect();
-            bk_obs::record_schedule_mapped(&shard.sched, &ids, time_base, metrics);
+            bk_obs::record_schedule(shard, chunk_base, time_base, metrics);
             let add = |metrics: &mut MetricsRegistry, what: &str, v: u64| {
                 if let Some(c) = device_counter(shard.device, what) {
                     metrics.add(c, v);
                 }
             };
             add(metrics, "chunks", shard.chunk_ids.len() as u64);
-            add(metrics, "busy_ns", shard.sched.total_busy().nanos() as u64);
-            add(metrics, "makespan_ns", shard.sched.makespan.nanos() as u64);
-            add(
-                metrics,
-                "stall_ns",
-                shard.sched.total_stall().nanos() as u64,
-            );
+            add(metrics, "busy_ns", shard.total_busy().nanos() as u64);
+            add(metrics, "makespan_ns", shard.makespan.nanos() as u64);
+            add(metrics, "stall_ns", shard.total_stall().nanos() as u64);
         }
     }
 
@@ -809,7 +742,7 @@ impl ShardedSchedule {
     /// shape check holds across devices and waves).
     pub fn accumulate(&self, stats: &mut Vec<StageStat>) {
         for shard in &self.shards {
-            accumulate_stage_stats(stats, &shard.sched);
+            accumulate_stage_stats(stats, shard);
         }
     }
 }
@@ -817,7 +750,7 @@ impl ShardedSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_simcore::{pipeline, StageDef};
+    use bk_simcore::{pipeline, ScheduleView, StageDef};
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
@@ -900,23 +833,10 @@ mod tests {
                 ]
             })
             .collect();
-        let g = schedule_graph(&graph, &durations);
-        let s = pipeline::schedule(&legacy, &durations);
-        assert_eq!(g.makespan(), ScheduleView::makespan(&s));
-        for c in 0..durations.len() {
-            for st in 0..6 {
-                assert_eq!(
-                    g.slot(c, st),
-                    pipeline::Schedule::slot(&s, c, st),
-                    "c{c} s{st}"
-                );
-                assert_eq!(
-                    g.slot_meta(c, st),
-                    pipeline::Schedule::slot_meta(&s, c, st),
-                    "c{c} s{st}"
-                );
-            }
-        }
+        assert_eq!(
+            schedule_graph(&graph, &durations),
+            pipeline::schedule(&legacy, &durations)
+        );
     }
 
     #[test]
@@ -1010,12 +930,45 @@ mod tests {
         let sharded = Executor::new(spec.clone(), 1).run(&rows);
         let direct = schedule_graph(&spec, &rows);
         assert_eq!(sharded.makespan(), direct.makespan());
-        let shard = &sharded.shards()[0];
-        for c in 0..rows.len() {
-            for s in 0..6 {
-                assert_eq!(shard.sched.slot(c, s), direct.slot(c, s));
-            }
+        assert_eq!(sharded.shards()[0], direct);
+    }
+
+    /// A capture is the executor's shard field for field — deps, reuse
+    /// edges and capacities included — with chunk ids offset by the wave's
+    /// base.
+    #[test]
+    fn captured_shards_equal_the_executor_shards() {
+        let asm = ResourceId::new(ResourceKind::CpuAssembly, 0);
+        let spec = pipeline_graph(2, 2, 3, 2).with_capacity(asm, 2);
+        let rows: Vec<Vec<SimTime>> = (0..9)
+            .map(|c| {
+                (0..12)
+                    .map(|s| t(((c * 5 + s * 3) % 7) as f64 * 0.1 + 0.1))
+                    .collect()
+            })
+            .collect();
+        let wave = Executor::new(spec, 2).run(&rows);
+        let guard = bk_obs::critpath::capture();
+        wave.record(40, t(3.0), &mut MetricsRegistry::new());
+        let captured = guard.finish();
+        assert_eq!(captured.len(), 1);
+        assert_eq!(captured[0].time_base, t(3.0));
+        assert_eq!(captured[0].shards.len(), 2);
+        for (got, shard) in captured[0].shards.iter().zip(wave.shards()) {
+            let want = Schedule {
+                chunk_ids: shard.chunk_ids.iter().map(|&c| 40 + c).collect(),
+                ..shard.clone()
+            };
+            assert_eq!(got, &want);
         }
+        // The shape a capture must carry: device 1's resources, both
+        // passes' reuse edges, the cross-pass dependency and the capacity.
+        let dev1 = &wave.shards()[1];
+        assert_eq!((dev1.device, &dev1.chunk_ids[..]), (1, &[1, 3, 5, 7][..]));
+        assert_eq!(dev1.reuse.len(), 4);
+        assert_eq!(dev1.deps[6], vec![5]);
+        assert!(dev1.capacities.contains(&("dev1.cpu-asm", 2)));
+        assert!(dev1.capacities.contains(&("dev1.gpu-comp", 1)));
     }
 
     #[test]
@@ -1128,16 +1081,10 @@ mod tests {
                 let spec = pipeline_graph(copy_engines, 1, depth, wb_depth);
                 assert_eq!(shape(&spec), shape(&expected));
                 let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 10];
-                let (a, b) = (
+                assert_eq!(
                     schedule_graph(&spec, &rows),
-                    schedule_graph(&expected, &rows),
+                    schedule_graph(&expected, &rows)
                 );
-                for c in 0..rows.len() {
-                    for s in 0..6 {
-                        assert_eq!(a.slot(c, s), b.slot(c, s));
-                        assert_eq!(a.slot_meta(c, s), b.slot_meta(c, s));
-                    }
-                }
             }
         }
         // The fault ladder's serial rung over one pass is the plain one.
@@ -1233,8 +1180,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bk_simcore::pipeline;
-    use bk_simcore::StageDef;
+    use bk_simcore::{pipeline, ScheduleView, StageDef};
     use proptest::prelude::*;
 
     fn t_us(us: u32) -> SimTime {
@@ -1310,18 +1256,7 @@ mod proptests {
                 StageDef { name: "comp", resource: "gpu-comp" },
             ])
             .with_reuse(0, 3, depth);
-            let g = schedule_graph(&graph, &d);
-            let s = pipeline::schedule(&legacy, &d);
-            prop_assert_eq!(g.makespan(), ScheduleView::makespan(&s));
-            for c in 0..d.len() {
-                for st in 0..4 {
-                    prop_assert_eq!(g.slot(c, st), pipeline::Schedule::slot(&s, c, st));
-                    prop_assert_eq!(
-                        g.slot_meta(c, st),
-                        pipeline::Schedule::slot_meta(&s, c, st)
-                    );
-                }
-            }
+            prop_assert_eq!(schedule_graph(&graph, &d), pipeline::schedule(&legacy, &d));
         }
 
         /// Random DAGs with random capacities: a resource with capacity `k`

@@ -1,7 +1,7 @@
 //! Run results: simulated time, per-stage breakdown, counters.
 
 use bk_obs::MetricsRegistry;
-use bk_simcore::{ScheduleView, SimTime};
+use bk_simcore::{Schedule, ScheduleView, SimTime};
 
 /// Aggregate statistics for one pipeline stage across a whole run.
 #[derive(Clone, Debug, PartialEq)]
@@ -72,9 +72,9 @@ impl RunResult {
     }
 }
 
-/// Fold a wave's schedule (any [`ScheduleView`] — legacy or graph-based,
-/// whole wave or one device's shard) into per-stage totals.
-pub fn accumulate_stage_stats<S: ScheduleView>(stats: &mut Vec<StageStat>, schedule: &S) {
+/// Fold a wave's schedule (a whole wave or one device's shard) into
+/// per-stage totals.
+pub fn accumulate_stage_stats(stats: &mut Vec<StageStat>, schedule: &Schedule) {
     if stats.is_empty() {
         for s in 0..schedule.num_stages() {
             stats.push(StageStat {

@@ -20,8 +20,8 @@
 //! and validates the structural ones against actual re-runs within 1%.
 
 use crate::graph::{Executor, GraphSpec, GraphStage, ResourceId};
-use bk_obs::critpath::{ShardDag, WaveDag};
-use bk_simcore::{ScheduleView, SimTime};
+use bk_obs::critpath::WaveDag;
+use bk_simcore::{Schedule, ScheduleView, SimTime};
 
 /// A hypothetical change to the recorded pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -85,29 +85,27 @@ pub struct Prediction {
     pub speedup: f64,
 }
 
-fn respec(shard: &ShardDag) -> Option<GraphSpec> {
+fn respec(shard: &Schedule) -> Option<GraphSpec> {
     let stages = (0..shard.num_stages())
         .map(|s| {
             Some(GraphStage {
                 name: shard.stage_name(s),
                 resource: ResourceId::parse(shard.stage_resource(s))?.on_device(0),
-                deps: shard.stage_deps(s).to_vec(),
+                deps: shard.deps[s].clone(),
             })
         })
         .collect::<Option<Vec<_>>>()?;
     let mut spec = GraphSpec::new(stages);
-    for e in shard.reuse_edges() {
+    for e in &shard.reuse {
         spec = spec.with_reuse(e.producer, e.consumer, e.depth);
     }
-    for &(res, n) in shard.capacities() {
+    for &(res, n) in &shard.capacities {
         if n > 1 {
             spec = spec.with_capacity(ResourceId::parse(res)?.on_device(0), n);
         }
     }
     Some(spec)
 }
-
-use bk_obs::critpath::ScheduleDag;
 
 /// Replay the captured waves under `p` and return the predicted run
 /// makespan (the sum over waves of the perturbed wave makespan — waves run
@@ -199,7 +197,7 @@ pub fn scenarios(waves: &[WaveDag]) -> Vec<Scenario> {
             modeled: true,
         });
     }
-    for e in shard.reuse_edges() {
+    for e in &shard.reuse {
         out.push(Scenario {
             label: format!(
                 "reuse {}→{} depth {}→{}",
@@ -260,7 +258,6 @@ pub fn rank(waves: &[WaveDag], num_devices: usize) -> Vec<Prediction> {
 mod tests {
     use super::*;
     use crate::graph::{bigkernel_graph, schedule_graph};
-    use bk_obs::critpath;
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
@@ -284,11 +281,7 @@ mod tests {
     fn capture_run(spec: &GraphSpec, devices: usize, n: usize) -> Vec<WaveDag> {
         let exec = Executor::new(spec.clone(), devices);
         let sharded = exec.run(&rows(n));
-        let shards = sharded
-            .shards()
-            .iter()
-            .map(|sh| critpath::ShardDag::from_dag(&sh.sched, sh.device, sh.chunk_ids.clone()))
-            .collect();
+        let shards = sharded.shards().to_vec();
         vec![WaveDag {
             pass: 0,
             time_base: SimTime::ZERO,
@@ -375,11 +368,7 @@ mod tests {
         )]);
         let exec = Executor::new(spec, 1);
         let sharded = exec.run(&vec![vec![t(1.0)]; 4]);
-        let shards = sharded
-            .shards()
-            .iter()
-            .map(|sh| critpath::ShardDag::from_dag(&sh.sched, sh.device, sh.chunk_ids.clone()))
-            .collect();
+        let shards = sharded.shards().to_vec();
         let waves = vec![WaveDag {
             pass: 0,
             time_base: SimTime::ZERO,

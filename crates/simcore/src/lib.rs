@@ -7,12 +7,13 @@
 //!   ([`Bandwidth`], [`Frequency`]).
 //! * [`roofline`] — throughput-model primitives: a stage's duration is the
 //!   max over its compute-bound, memory-bound and fixed-latency terms.
-//! * [`pipeline`] — the schedule types every scheduler shares
-//!   ([`pipeline::Slot`], [`SlotMeta`], [`StallKind`], the
-//!   [`ScheduleView`] trait) and a linear in-order pipeline scheduler with
-//!   shared resources and buffer-reuse edges. Runs schedule with
-//!   `bk_runtime`'s stage-graph executor; [`pipeline::schedule`] is the
-//!   test oracle it must match bit for bit on linear chains.
+//! * [`pipeline`] — [`Schedule`], the one solved-schedule type every
+//!   scheduler returns (slots with [`SlotMeta`] stall attribution, plus the
+//!   device, chunk ids and graph shape they were solved under), and a
+//!   linear in-order pipeline scheduler with shared resources and
+//!   buffer-reuse edges. Runs schedule with `bk_runtime`'s stage-graph
+//!   executor; [`pipeline::schedule`] is its reference implementation,
+//!   whose result it must equal on linear chains.
 //! * [`stats`] — cheap named counters for bytes moved, transactions issued,
 //!   cache hits, etc.
 //! * [`rng`] — deterministic RNG (SplitMix64) and a Zipf sampler used by the

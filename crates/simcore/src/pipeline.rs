@@ -21,10 +21,12 @@
 //! The schedule is computed by forward list scheduling in (chunk, stage)
 //! order, which is exact for in-order pipelines of this shape.
 //!
-//! Runs schedule with `bk_runtime::graph::schedule_graph`, which generalizes
+//! Every scheduler returns the one [`Schedule`] type defined here. Runs
+//! schedule with `bk_runtime::graph::schedule_graph`, which generalizes
 //! this scheduler to DAG dependencies, multi-unit resources and multi-GPU
-//! sharding. [`schedule`] stays as its test oracle: on a linear chain the
-//! two must produce bit-identical schedules.
+//! sharding; each device's shard of a wave and each critical-path capture
+//! is a `Schedule` too. [`schedule`] stays as the reference
+//! implementation: on a linear chain the two return equal values.
 
 use crate::time::SimTime;
 use std::collections::HashMap;
@@ -43,7 +45,7 @@ pub struct StageDef {
 
 /// Buffer-reuse dependency: `producer` of chunk `i` waits for `consumer` of
 /// chunk `i - depth`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ReuseEdge {
     pub producer: usize,
     pub consumer: usize,
@@ -131,93 +133,61 @@ pub struct SlotMeta {
     pub stall: SimTime,
 }
 
-/// The computed schedule.
-#[derive(Clone, Debug)]
+/// A solved schedule: one slot per (chunk, stage), plus the graph shape it
+/// was solved under (stage resources, dependency edges, reuse edges,
+/// capacities), so the critical-path analyzer and the what-if replayer
+/// can re-derive every slot's binding predecessor from the value alone.
+///
+/// Every scheduler produces this one type: the oracle [`schedule`], the
+/// runtime's stage-graph scheduler, each device's shard of a wave, and the
+/// critical-path capture (a clone of a shard with run-global chunk ids).
+#[derive(Clone, Debug, PartialEq)]
 pub struct Schedule {
-    stage_names: Vec<&'static str>,
-    resources: Vec<ResourceId>,
+    /// The simulated device whose resources the stages ran on.
+    pub device: usize,
+    /// Chunk id of each row: `0..n` from a scheduler, the wave-local ids a
+    /// device owns in a shard, run-global ids in a capture.
+    pub chunk_ids: Vec<usize>,
+    /// Stage names, in stage order.
+    pub stage_names: Vec<&'static str>,
+    /// Resource of each stage (one trace track per resource).
+    pub resources: Vec<ResourceId>,
+    /// Same-chunk stage indices each stage depends on (all smaller).
+    pub deps: Vec<Vec<usize>>,
+    /// Cross-chunk buffer-reuse edges.
+    pub reuse: Vec<ReuseEdge>,
+    /// Unit count of each distinct stage resource, in stage order.
+    pub capacities: Vec<(ResourceId, usize)>,
     /// `slots[chunk][stage]`
-    slots: Vec<Vec<Slot>>,
+    pub slots: Vec<Vec<Slot>>,
     /// `meta[chunk][stage]`, parallel to `slots`.
-    meta: Vec<Vec<SlotMeta>>,
-    makespan: SimTime,
+    pub meta: Vec<Vec<SlotMeta>>,
+    /// Time from t=0 to the last finish.
+    pub makespan: SimTime,
 }
 
 impl Schedule {
-    /// Total time from the first stage start (t=0) to the last finish.
-    pub fn makespan(&self) -> SimTime {
-        self.makespan
+    /// Total stalled time across every slot (feeds `device.<i>.stall_ns`).
+    pub fn total_stall(&self) -> SimTime {
+        self.meta.iter().flatten().map(|m| m.stall).sum()
     }
 
-    pub fn num_chunks(&self) -> usize {
-        self.slots.len()
+    /// Total busy time across every stage.
+    pub fn total_busy(&self) -> SimTime {
+        (0..self.num_stages()).map(|s| self.stage_busy(s)).sum()
     }
 
-    pub fn num_stages(&self) -> usize {
-        self.stage_names.len()
-    }
-
-    pub fn slot(&self, chunk: usize, stage: usize) -> Slot {
-        self.slots[chunk][stage]
-    }
-
-    pub fn stage_name(&self, stage: usize) -> &'static str {
-        self.stage_names[stage]
-    }
-
-    /// Resource the stage was mapped to (one trace track per resource).
-    pub fn stage_resource(&self, stage: usize) -> ResourceId {
-        self.resources[stage]
-    }
-
-    /// Stall attribution for one slot (see [`SlotMeta`]).
-    pub fn slot_meta(&self, chunk: usize, stage: usize) -> SlotMeta {
-        self.meta[chunk][stage]
-    }
-
-    /// Total busy time of a stage across all chunks.
-    pub fn stage_busy(&self, stage: usize) -> SimTime {
-        self.slots.iter().map(|c| c[stage].duration()).sum()
-    }
-
-    /// Mean duration of one instance of the stage.
-    pub fn stage_mean(&self, stage: usize) -> SimTime {
-        if self.slots.is_empty() {
-            return SimTime::ZERO;
-        }
-        self.stage_busy(stage) / self.slots.len() as f64
-    }
-
-    /// Per-stage busy time relative to the busiest stage, in `[0, 1]`.
-    /// This reproduces the shape of the paper's Fig. 6 ("relative completion
-    /// time of each BigKernel stage").
-    pub fn relative_stage_times(&self) -> Vec<(&'static str, f64)> {
-        let busy: Vec<SimTime> = (0..self.num_stages()).map(|s| self.stage_busy(s)).collect();
-        let max = busy.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        self.stage_names
+    /// Number of identical units of `resource` (1 when not listed).
+    pub fn capacity(&self, resource: &str) -> usize {
+        self.capacities
             .iter()
-            .zip(&busy)
-            .map(|(&n, &b)| {
-                let rel = if max.is_zero() { 0.0 } else { b.ratio(max) };
-                (n, rel)
-            })
-            .collect()
-    }
-
-    /// Fraction of the makespan during which the given stage was executing.
-    pub fn stage_utilization(&self, stage: usize) -> f64 {
-        if self.makespan.is_zero() {
-            return 0.0;
-        }
-        self.stage_busy(stage).ratio(self.makespan)
+            .find(|&&(r, _)| r == resource)
+            .map_or(1, |&(_, n)| n)
     }
 }
 
-/// Read-only view of a computed schedule: the accessor surface shared by
-/// [`Schedule`] and any other scheduler producing the same slot/meta shape
-/// (e.g. the stage-graph executor in `bk-runtime`). Observability and
-/// stage-stat accumulation are written against this trait, so every
-/// scheduler feeds the same spans, stall counters and reports.
+/// Read-only accessors of a [`Schedule`]. Observability, stage-stat
+/// accumulation and reports read schedules through these.
 pub trait ScheduleView {
     fn num_chunks(&self) -> usize;
     fn num_stages(&self) -> usize;
@@ -239,35 +209,47 @@ pub trait ScheduleView {
 
 impl ScheduleView for Schedule {
     fn num_chunks(&self) -> usize {
-        Schedule::num_chunks(self)
+        self.slots.len()
     }
     fn num_stages(&self) -> usize {
-        Schedule::num_stages(self)
+        self.stage_names.len()
     }
     fn slot(&self, chunk: usize, stage: usize) -> Slot {
-        Schedule::slot(self, chunk, stage)
+        self.slots[chunk][stage]
     }
     fn stage_name(&self, stage: usize) -> &'static str {
-        Schedule::stage_name(self, stage)
+        self.stage_names[stage]
     }
     fn stage_resource(&self, stage: usize) -> ResourceId {
-        Schedule::stage_resource(self, stage)
+        self.resources[stage]
     }
     fn slot_meta(&self, chunk: usize, stage: usize) -> SlotMeta {
-        Schedule::slot_meta(self, chunk, stage)
+        self.meta[chunk][stage]
     }
     fn makespan(&self) -> SimTime {
-        Schedule::makespan(self)
+        self.makespan
     }
-    fn stage_busy(&self, stage: usize) -> SimTime {
-        Schedule::stage_busy(self, stage)
+}
+
+/// The distinct resources of `resources`, in first-use order, each with the
+/// unit count `capacity` gives it: the canonical [`Schedule::capacities`].
+pub fn distinct_capacities(
+    resources: &[ResourceId],
+    capacity: impl Fn(ResourceId) -> usize,
+) -> Vec<(ResourceId, usize)> {
+    let mut out: Vec<(ResourceId, usize)> = Vec::new();
+    for &r in resources {
+        if !out.iter().any(|&(seen, _)| seen == r) {
+            out.push((r, capacity(r)));
+        }
     }
+    out
 }
 
 /// Compute the schedule for `durations[chunk][stage]`.
 ///
 /// ```
-/// use bk_simcore::{pipeline, SimTime, StageDef};
+/// use bk_simcore::{pipeline, ScheduleView, SimTime, StageDef};
 ///
 /// // Two stages on separate resources: transfers overlap computation.
 /// let spec = pipeline::PipelineSpec::new(vec![
@@ -366,9 +348,17 @@ pub fn schedule(spec: &PipelineSpec, durations: &[Vec<SimTime>]) -> Schedule {
         .flat_map(|c| c.iter().map(|s| s.finish))
         .fold(SimTime::ZERO, SimTime::max);
 
+    let resources: Vec<ResourceId> = spec.stages.iter().map(|s| s.resource).collect();
     Schedule {
+        device: 0,
+        chunk_ids: (0..slots.len()).collect(),
         stage_names: spec.stages.iter().map(|s| s.name).collect(),
-        resources: spec.stages.iter().map(|s| s.resource).collect(),
+        deps: (0..ns)
+            .map(|s| s.checked_sub(1).into_iter().collect())
+            .collect(),
+        reuse: spec.reuse.clone(),
+        capacities: distinct_capacities(&resources, |_| 1),
+        resources,
         slots,
         meta,
         makespan,
@@ -503,27 +493,21 @@ mod tests {
             "{}",
             s.makespan()
         );
-        let rel = s.relative_stage_times();
-        assert_eq!(rel[3].1, 1.0);
-        assert!((rel[0].1 - 0.2).abs() < 1e-12);
+        // Compute is the busiest stage; addr-gen is busy a fifth as long.
+        let busy: Vec<SimTime> = (0..4).map(|st| s.stage_busy(st)).collect();
+        assert_eq!(
+            busy.iter().copied().fold(SimTime::ZERO, SimTime::max),
+            busy[3]
+        );
+        assert!((busy[0].ratio(busy[3]) - 0.2).abs() < 1e-12);
     }
 
     #[test]
-    fn relative_times_of_empty_schedule() {
+    fn empty_schedule_is_idle() {
         let s = schedule(&two_stage_spec(), &[]);
         assert_eq!(s.makespan(), SimTime::ZERO);
-        for (_, r) in s.relative_stage_times() {
-            assert_eq!(r, 0.0);
-        }
-    }
-
-    #[test]
-    fn utilization_bounded_by_one() {
-        let d = vec![vec![t(1.0), t(2.0)]; 4];
-        let s = schedule(&two_stage_spec(), &d);
-        for st in 0..2 {
-            let u = s.stage_utilization(st);
-            assert!((0.0..=1.0).contains(&u), "{u}");
+        for st in 0..s.num_stages() {
+            assert_eq!(s.stage_busy(st), SimTime::ZERO);
         }
     }
 
@@ -628,14 +612,6 @@ mod tests {
                 assert_eq!(m.kind.is_some(), !gap.is_zero(), "chunk {c} stage {st}");
             }
         }
-    }
-
-    #[test]
-    fn stage_mean_matches_inputs() {
-        let d = vec![vec![t(1.0), t(3.0)], vec![t(3.0), t(1.0)]];
-        let s = schedule(&two_stage_spec(), &d);
-        assert!((s.stage_mean(0).secs() - 2.0).abs() < 1e-12);
-        assert!((s.stage_mean(1).secs() - 2.0).abs() < 1e-12);
     }
 }
 

@@ -51,12 +51,6 @@ impl Counters {
         self.values.get(name).copied().unwrap_or(0)
     }
 
-    /// Remove the named counter, returning its value (zero if never
-    /// touched).
-    pub fn remove(&mut self, name: &str) -> u64 {
-        self.values.remove(name).unwrap_or(0)
-    }
-
     /// Merge another counter set into this one (summing shared names).
     pub fn merge(&mut self, other: &Counters) {
         for (&k, &v) in &other.values {
@@ -104,18 +98,6 @@ mod tests {
         c.incr("x");
         assert_eq!(c.get("x"), 6);
         assert_eq!(c.get("absent"), 0);
-    }
-
-    #[test]
-    fn remove_drops_the_name() {
-        let mut c = Counters::new();
-        c.add("x", 5);
-        c.add("y", 1);
-        assert_eq!(c.remove("x"), 5);
-        assert_eq!(c.remove("absent"), 0);
-        let mut only_y = Counters::new();
-        only_y.add("y", 1);
-        assert_eq!(c, only_y);
     }
 
     #[test]
