@@ -503,7 +503,8 @@ impl BenchApp for DriftingKMeans {
     }
 }
 
-/// The drifting applications, boxed for sweeps (bench `streaming` binary).
+/// The drifting applications, boxed for sweeps (the `report streaming`
+/// section).
 pub fn drifting_apps() -> Vec<Box<dyn BenchApp + Sync>> {
     vec![
         Box::new(DriftingWordCount::default()),

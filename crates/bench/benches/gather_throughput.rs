@@ -1,7 +1,7 @@
 //! Gather (assembly-stage) throughput microbenchmarks: one warp gathered in
 //! natural order on the Xeon LLC, and cache-blocked on an LLC smaller than
 //! the warp's footprint. The assembly stage is the pipeline's hot loop, so a
-//! regression here shows up directly in `perf_snapshot` blocks/sec.
+//! regression here shows up directly in `report pipeline` blocks/sec.
 
 use bk_host::CacheSim;
 use bk_runtime::addr::{AddrEntry, AddrStream, LaneAddrs};

@@ -1,4 +1,5 @@
-//! Minimal CLI argument handling shared by the experiment binaries.
+//! Minimal CLI argument handling shared by the experiment binaries
+//! (`report` and `trace_export`).
 
 /// Common experiment parameters.
 #[derive(Clone, Debug)]
@@ -10,12 +11,13 @@ pub struct ExpArgs {
     /// Only run apps whose name contains this substring.
     pub filter: Option<String>,
     /// Host threads for the block-wave simulation (`None` = rayon default,
-    /// one per core). `1` also selects the live, in-order block algorithm
-    /// (see [`ExpArgs::apply_threads`]) — simulated results are
-    /// bit-identical either way.
+    /// one per core). `1` also moves BigKernel's address half (addr-gen,
+    /// detection, assembly) off the pool (see [`ExpArgs::apply_threads`]);
+    /// every kernel body runs live in block order at any thread count, so
+    /// simulated results are bit-identical either way.
     pub threads: Option<usize>,
-    /// Platform preset name (`--machine`); `None` keeps each binary's
-    /// default (normally the paper's GTX 680 platform).
+    /// Platform preset name (`--machine`); `None` keeps the config default
+    /// (the paper's GTX 680 platform).
     pub machine: Option<String>,
     /// Simulated GPU count (`--gpus`); `None` keeps the config default (1).
     pub gpus: Option<usize>,
@@ -29,20 +31,21 @@ pub struct ExpArgs {
     /// prefetch-data depth, as in the paper.
     pub buffers: Option<usize>,
     /// Streaming between-window tuner (`--autotune on|off`, DESIGN.md §12);
-    /// `None` keeps the streaming default (off). Only the streaming binary
-    /// consults it.
+    /// `None` keeps the streaming default (off). Only the `streaming`
+    /// report section reads it.
     pub autotune: Option<bool>,
     /// Mega-kernel fusion (`--fuse` / `--fuse=off`, DESIGN.md §15); `None`
     /// keeps the config default (off). Pairs the analysis refuses fall back
     /// to the unfused per-pass loop. Streamed runs never fuse, so the
-    /// streaming binary refuses the flag.
+    /// `streaming` section refuses the flag.
     pub fuse: Option<bool>,
     /// Streaming window policy (`--window bytes=N|records=N|interval-us=F`,
-    /// DESIGN.md §16); `None` keeps the streaming default (1 MiB windows).
-    /// Only the streaming binary consults it.
+    /// DESIGN.md §16); `None` sweeps the `streaming` section's window
+    /// shapes. Only that section reads it.
     pub window: Option<bk_runtime::WindowPolicy>,
     /// Streaming inter-stage queue high-watermark (`--queue-bound N`);
-    /// `None` keeps the streaming default (2 windows in flight).
+    /// `None` sweeps the `streaming` section's bounds. Only that section
+    /// reads it.
     pub queue_bound: Option<usize>,
 }
 
@@ -111,10 +114,9 @@ impl ExpArgs {
     /// `--threads N`, `--machine NAME`, `--gpus N`, `--faults SPEC`,
     /// `--reuse-depth N`, `--buffers N`, `--autotune on|off`,
     /// `--fuse[=on|off]`, `--window bytes=N|records=N|interval-us=F`,
-    /// `--queue-bound N` from an iterator of arguments (pass
-    /// `std::env::args().skip(1)`). Error messages attribute unknown flags
-    /// to the generic name "bench"; binaries parsing real process arguments
-    /// should use [`ExpArgs::from_env`], which names the binary.
+    /// `--queue-bound N` from an iterator of arguments. Error messages
+    /// attribute unknown flags to the generic name "bench"; binaries use
+    /// [`ExpArgs::parse_named`], which names them.
     pub fn parse<I: Iterator<Item = String>>(args: I) -> Result<Self, String> {
         Self::parse_named("bench", args)
     }
@@ -231,9 +233,8 @@ impl ExpArgs {
                     return Err(
                         "usage: [--bytes N | --mib N] [--seed S] [--app SUBSTR] [--threads N] \
                          [--machine gtx680|tesla-like|test-tiny] [--gpus N] [--faults SPEC] \
-                         [--reuse-depth N] [--buffers N] \
-                         [--fuse[=on|off]] (not streaming)\n\
-                         streaming only: [--autotune on|off] \
+                         [--reuse-depth N] [--buffers N] [--fuse[=on|off]]\n\
+                         `streaming` section only: [--autotune on|off] \
                          [--window bytes=N|records=N|interval-us=F] [--queue-bound N]\n\
                          fault SPEC: comma-separated seed=N,rate=F,retries=N,backoff_us=F,\
                          fail=STAGE@CHUNK[xN],kill=DEV@WAVE"
@@ -246,51 +247,33 @@ impl ExpArgs {
         if out.bytes == 0 {
             return Err("--bytes must be positive".into());
         }
-        // The streaming-only flags would be silently ignored anywhere else;
-        // a named binary other than `streaming` refuses them instead. The
-        // generic `parse` entry ("bench") does not know its binary and
-        // accepts every flag.
-        if binary != "streaming" && binary != "bench" {
-            let streaming_only = [
-                ("--autotune", out.autotune.is_some()),
-                ("--window", out.window.is_some()),
-                ("--queue-bound", out.queue_bound.is_some()),
-            ];
-            if let Some((flag, _)) = streaming_only.iter().find(|(_, set)| *set) {
-                return Err(format!(
-                    "{binary}: {flag} is read by `streaming` only; run `streaming` to use it"
-                ));
-            }
-        }
-        // Streamed runs never fuse: `streaming` refuses `--fuse` rather than
-        // print the unfused rows as if the flag had applied.
-        if binary == "streaming" && out.fuse.is_some() {
-            return Err(format!(
-                "{binary}: --fuse is not read by `streaming` (streamed runs never fuse)"
-            ));
-        }
         Ok(out)
     }
 
-    /// Parse from the process arguments, exiting with a message on error.
-    /// Errors name the running binary (from `argv[0]`), so a typo'd flag in
-    /// a sweep over several binaries points at the invocation that failed.
-    pub fn from_env() -> Self {
-        let mut argv = std::env::args();
-        let binary = argv
-            .next()
-            .and_then(|p| {
-                std::path::Path::new(&p)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-            })
-            .unwrap_or_else(|| "bench".to_string());
-        match Self::parse_named(&binary, argv) {
-            Ok(a) => a,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
+    /// Refuse flags the run would not read, naming `binary` in the error:
+    /// the streaming-only `--autotune`, `--window` and `--queue-bound`
+    /// unless the `streaming` report section runs, and `--fuse` when it
+    /// does (streamed runs never fuse).
+    pub fn check_streaming(&self, binary: &str, streaming: bool) -> Result<(), String> {
+        if streaming {
+            if self.fuse.is_some() {
+                return Err(format!(
+                    "{binary}: --fuse is not read by the `streaming` section (streamed runs never fuse)"
+                ));
             }
+            return Ok(());
+        }
+        let streaming_only = [
+            ("--autotune", self.autotune.is_some()),
+            ("--window", self.window.is_some()),
+            ("--queue-bound", self.queue_bound.is_some()),
+        ];
+        match streaming_only.iter().find(|(_, set)| *set) {
+            Some((flag, _)) => Err(format!(
+                "{binary}: {flag} is read by the `streaming` report section only; \
+                 run `report streaming` to use it"
+            )),
+            None => Ok(()),
         }
     }
 
@@ -419,8 +402,8 @@ impl ExpArgs {
     }
 
     /// The command-line spelling of a window policy (inverse of the
-    /// `--window` parser; used by `flags_string` and the streaming binary's
-    /// sweep labels).
+    /// `--window` parser; used by `flags_string` and the `streaming`
+    /// section's sweep labels).
     pub fn window_spec(policy: &bk_runtime::WindowPolicy) -> String {
         match *policy {
             bk_runtime::WindowPolicy::ByBytes(n) => format!("bytes={n}"),
@@ -429,22 +412,8 @@ impl ExpArgs {
         }
     }
 
-    /// Build the streaming runner's config from `--window` / `--queue-bound`
-    /// (defaults where unset). The bigkernel config's tuner settings flow to
-    /// the stream-level controller separately (see the streaming binary).
-    pub fn stream_config(&self) -> bk_runtime::StreamConfig {
-        let mut scfg = bk_runtime::StreamConfig::default();
-        if let Some(w) = self.window {
-            scfg.policy = w;
-        }
-        if let Some(b) = self.queue_bound {
-            scfg.queue_bound = b;
-        }
-        scfg
-    }
-
     /// The shared `provenance` JSON object (one line, no trailing comma):
-    /// which binary produced the file, from which crate version, with which
+    /// which producer made the file, from which crate version, with which
     /// seed, flags and app set. Emitters embed it verbatim under a
     /// `"provenance":` key.
     pub fn provenance_json(&self, bench: &str, apps: &[&str]) -> String {
@@ -635,7 +604,6 @@ mod tests {
         use bk_runtime::WindowPolicy;
         let a = parse(&["--window", "bytes=65536"]).unwrap();
         assert_eq!(a.window, Some(WindowPolicy::ByBytes(65536)));
-        assert_eq!(a.stream_config().policy, WindowPolicy::ByBytes(65536));
         assert_eq!(a.flags_string(), "--window bytes=65536");
         let b = parse(&["--window", "records=512"]).unwrap();
         assert_eq!(b.window, Some(WindowPolicy::ByRecords(512)));
@@ -644,10 +612,7 @@ mod tests {
             Some(WindowPolicy::ByInterval(dt)) => assert!((dt.micros() - 250.0).abs() < 1e-9),
             other => panic!("expected ByInterval, got {other:?}"),
         }
-        // Defaults flow through when the flags are absent.
-        let d = parse(&[]).unwrap().stream_config();
-        assert_eq!(d.policy, bk_runtime::StreamConfig::default().policy);
-        assert_eq!(d.queue_bound, 2);
+        assert_eq!(parse(&[]).unwrap().window, None);
     }
 
     #[test]
@@ -674,7 +639,6 @@ mod tests {
     fn queue_bound_flag() {
         let a = parse(&["--queue-bound", "4"]).unwrap();
         assert_eq!(a.queue_bound, Some(4));
-        assert_eq!(a.stream_config().queue_bound, 4);
         assert_eq!(a.flags_string(), "--queue-bound 4");
         let err = ExpArgs::parse_named(
             "streaming",
@@ -695,62 +659,23 @@ mod tests {
         assert!(err.starts_with("bench: unknown argument"), "{err}");
     }
 
-    /// `binary` refuses each streaming-only flag with a usage error that
-    /// names it; `streaming` accepts all three.
-    fn assert_rejects_streaming_flags(binary: &str) {
+    #[test]
+    fn trace_export_rejects_streaming_only_flags() {
         for flag in [
             &["--autotune", "on"][..],
             &["--window", "bytes=65536"],
             &["--queue-bound", "4"],
         ] {
-            let args = || flag.iter().map(|s| s.to_string());
-            let err = ExpArgs::parse_named(binary, args()).unwrap_err();
-            assert!(
-                err.starts_with(&format!(
-                    "{binary}: {} is read by `streaming` only",
-                    flag[0]
-                )),
-                "{err}"
+            let args = ExpArgs::parse_named("trace_export", flag.iter().map(|s| s.to_string()));
+            let err = args
+                .unwrap()
+                .check_streaming("trace_export", false)
+                .unwrap_err();
+            let want = format!(
+                "trace_export: {} is read by the `streaming` report",
+                flag[0]
             );
-            assert!(ExpArgs::parse_named("streaming", args()).is_ok());
-        }
-    }
-
-    #[test]
-    fn report_rejects_streaming_only_flags() {
-        assert_rejects_streaming_flags("report");
-    }
-
-    #[test]
-    fn perf_snapshot_rejects_streaming_only_flags() {
-        assert_rejects_streaming_flags("perf_snapshot");
-    }
-
-    #[test]
-    fn chaos_rejects_streaming_only_flags() {
-        assert_rejects_streaming_flags("chaos");
-    }
-
-    #[test]
-    fn bottleneck_rejects_streaming_only_flags() {
-        assert_rejects_streaming_flags("bottleneck");
-    }
-
-    #[test]
-    fn trace_export_rejects_streaming_only_flags() {
-        assert_rejects_streaming_flags("trace_export");
-    }
-
-    #[test]
-    fn streaming_rejects_fuse() {
-        for flag in ["--fuse", "--fuse=on", "--fuse=off"] {
-            let err =
-                ExpArgs::parse_named("streaming", [flag.to_string()].into_iter()).unwrap_err();
-            assert!(
-                err.starts_with("streaming: --fuse is not read by `streaming`"),
-                "{err}"
-            );
-            assert!(ExpArgs::parse_named("report", [flag.to_string()].into_iter()).is_ok());
+            assert!(err.starts_with(&want), "{err}");
         }
     }
 

@@ -31,7 +31,9 @@ fn main() {
         out_path = raw.remove(i + 1);
         raw.remove(i);
     }
-    let args = match ExpArgs::parse_named("trace_export", raw.into_iter()) {
+    let args = ExpArgs::parse_named("trace_export", raw.into_iter())
+        .and_then(|a| a.check_streaming("trace_export", false).map(|()| a));
+    let args = match args {
         Ok(a) => a,
         Err(e) => {
             eprintln!("{e} [--out PATH]");

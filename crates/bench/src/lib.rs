@@ -1,14 +1,10 @@
 //! # bk-bench — experiment harness regenerating the paper's tables & figures
 //!
-//! Six binaries (see DESIGN.md §5):
+//! Two binaries (see DESIGN.md §5):
 //!
 //! | binary | regenerates |
 //! |---|---|
-//! | `report` | the paper's evaluation and the extension experiments, one named markdown section each ([`report::SECTIONS`]) |
-//! | `perf_snapshot` | host wall-clock per app + simulated scaling/fusion/critical-path sections → `BENCH_pipeline.json` |
-//! | `chaos` | fault-rate sweep + device-kill failover → `BENCH_chaos.json` |
-//! | `bottleneck` | critical-path blame report + what-if predictions validated against re-runs |
-//! | `streaming` | continuous-ingestion window/queue sweep over the drifting apps → `BENCH_streaming.json` |
+//! | `report` | the paper's evaluation, the extension experiments and the committed `BENCH_*.json` snapshots, one named markdown section each ([`report::SECTIONS`]) |
 //! | `trace_export` | one span-traced run → Perfetto JSON plus a utilization/stall report |
 //!
 //! `report`'s sections:
@@ -26,8 +22,17 @@
 //! | `scaling` | GPU scaling — chunks sharded across 1/2/4 replicated devices |
 //! | `stages` | absolute per-stage busy times and GPU counters of every implementation |
 //! | `timeline` | Fig. 2 — Gantt charts of the single-buffer, double-buffer and BigKernel stage graphs |
+//! | `pipeline` | host wall clock per app + simulated stage shares, critical path, scaling and fusion → `BENCH_pipeline.json` |
+//! | `chaos` | fault-rate sweep + device-kill failover → `BENCH_chaos.json` |
+//! | `streaming` | continuous-ingestion window/queue sweep over the drifting apps → `BENCH_streaming.json` |
+//! | `bottleneck` | critical-path blame + what-if predictions checked against re-runs |
 //!
-//! All binaries accept `--bytes N` / `--mib N` (per-app input size, default
+//! `report` writes each section's `BENCH_*.json` to the current directory
+//! and exits 1 after writing when a section fails a gate check (a fusion
+//! that saves no bytes, a streaming sweep without backpressure, a broken
+//! critical-path identity).
+//!
+//! Both binaries accept `--bytes N` / `--mib N` (per-app input size, default
 //! 32 MiB), `--seed S`, `--app SUBSTR`, `--threads N`, `--machine NAME`
 //! (platform preset), `--gpus N` (replicated simulated devices) and
 //! `--faults SPEC` (deterministic fault injection, DESIGN.md §11), and
@@ -75,10 +80,10 @@ pub fn short_name(name: &str) -> &'static str {
         "MasterCard Affinity" => "MCA",
         "MasterCard Affinity (indexed)" => "MCA-idx",
         // Not a Table I app: the IR-fusion showcase scenario (DESIGN.md
-        // §15), used by the perf snapshot's fusion sweep.
+        // §15), used by the `pipeline` section's fusion sweep.
         "FilterCount" => "FiltCnt",
-        // Streaming drift scenarios (DESIGN.md §16), used by the streaming
-        // sweep only.
+        // Streaming drift scenarios (DESIGN.md §16), used by the `streaming`
+        // section only.
         "Word Count (drifting)" => "WordCnt~",
         "FilterCount (drifting)" => "FiltCnt~",
         "K-means (drifting)" => "KMeans~",

@@ -2,7 +2,9 @@
 //! list of named sections, each rendering one markdown section.
 //!
 //! The first six (the paper set) regenerate the paper's §V evaluation
-//! in `results/REPORT.md` order; the rest are extension experiments. The
+//! in `results/REPORT.md` order; the rest are extension experiments, and
+//! the last four also produce the committed `BENCH_*.json` snapshots and
+//! check the critical-path identities (`report/snapshots.rs`). The
 //! Fig. 4(a), Table I, Fig. 4(b) and Fig. 6 sections read one shared
 //! [`Implementation::FIG4A`] run set per app (every implementation runs on
 //! a fresh machine with the same seed, so a run does not depend on which
@@ -12,16 +14,20 @@ use crate::render::{self, table};
 use crate::{all_apps, args::ExpArgs, expectations, short_name};
 use bk_apps::kmeans::KMeans;
 use bk_apps::wordcount::WordCount;
-use bk_apps::{run_all, BenchApp, HarnessConfig, Implementation};
+use bk_apps::{run_all, run_implementation, BenchApp, HarnessConfig, Implementation};
 use bk_baselines::gpu_buffered::BASELINE_STAGES;
 use bk_baselines::BigKernelVariant;
 use bk_host::PcieLink;
+use bk_obs::critpath::WaveDag;
 use bk_runtime::graph::{buffered_graph, pipeline_graph, schedule_graph, serial_graph};
 use bk_runtime::pipeline::STAGE_NAMES;
 use bk_runtime::{Machine, RunResult, StageStat, SyncMode};
 use bk_simcore::{Schedule, SimTime};
 use std::cell::OnceCell;
 use std::fmt::Write as _;
+use std::time::Instant;
+
+mod snapshots;
 
 /// One named section of the report.
 pub struct Section {
@@ -29,22 +35,59 @@ pub struct Section {
     pub name: &'static str,
     /// Markdown heading.
     pub title: &'static str,
-    body: fn(&Report) -> String,
+    body: Body,
+}
+
+/// How a section renders: markdown alone, or a snapshot section's full
+/// [`Rendered`] output.
+enum Body {
+    Markdown(fn(&Report) -> String),
+    Snapshot(fn(&Report) -> Rendered),
 }
 
 const fn section(name: &'static str, title: &'static str, body: fn(&Report) -> String) -> Section {
+    let body = Body::Markdown(body);
     Section { name, title, body }
 }
 
+const fn snapshot(
+    name: &'static str,
+    title: &'static str,
+    body: fn(&Report) -> Rendered,
+) -> Section {
+    let body = Body::Snapshot(body);
+    Section { name, title, body }
+}
+
+/// What a section produced.
+pub struct Rendered {
+    /// The section as markdown.
+    pub markdown: String,
+    /// A file for the `report` binary to write: (file name, contents).
+    pub artifact: Option<(&'static str, String)>,
+    /// The section's gate checks that failed, one line each; the `report`
+    /// binary exits non-zero after writing the artifact when any did.
+    pub failures: Vec<String>,
+}
+
 impl Section {
-    /// The section as markdown: its heading, then its body.
-    pub fn render(&self, report: &Report) -> String {
-        format!("## {}\n\n{}", self.title, (self.body)(report))
+    /// Run the section; its markdown starts with the section heading.
+    pub fn render(&self, report: &Report) -> Rendered {
+        let mut out = match self.body {
+            Body::Markdown(body) => Rendered {
+                markdown: body(report),
+                artifact: None,
+                failures: Vec::new(),
+            },
+            Body::Snapshot(body) => body(report),
+        };
+        out.markdown = format!("## {}\n\n{}", self.title, out.markdown);
+        out
     }
 }
 
 /// Every section, paper set first (in `results/REPORT.md` order).
-pub const SECTIONS: [Section; 11] = [
+pub const SECTIONS: [Section; 15] = [
     section(
         "fig4a",
         "Fig. 4(a) — speedup over serial CPU",
@@ -100,6 +143,26 @@ pub const SECTIONS: [Section; 11] = [
         "Pipeline timelines (paper Fig. 2)",
         Report::timeline,
     ),
+    snapshot(
+        "pipeline",
+        "Pipeline snapshot — host wall clock, simulated blame, fusion (BENCH_pipeline.json)",
+        Report::pipeline,
+    ),
+    snapshot(
+        "chaos",
+        "Chaos — fault-rate sweep and device failover (BENCH_chaos.json)",
+        Report::chaos,
+    ),
+    snapshot(
+        "streaming",
+        "Streaming — window and queue-bound sweep over the drifting apps (BENCH_streaming.json)",
+        Report::streaming,
+    ),
+    snapshot(
+        "bottleneck",
+        "Bottleneck — critical-path blame and checked what-if predictions",
+        Report::bottleneck,
+    ),
 ];
 
 /// How many leading [`SECTIONS`] make up the paper set.
@@ -123,6 +186,15 @@ pub fn select(names: &[String]) -> Result<Vec<&'static Section>, String> {
             })
         })
         .collect()
+}
+
+/// Parse the `report` flags for the selected `sections`, refusing what no
+/// selected section reads: the streaming-only `--autotune`, `--window` and
+/// `--queue-bound` need the `streaming` section, which refuses `--fuse`.
+pub fn parse_flags(sections: &[&Section], flags: Vec<String>) -> Result<ExpArgs, String> {
+    let args = ExpArgs::parse_named("report", flags.into_iter())?;
+    args.check_streaming("report", sections.iter().any(|s| s.name == "streaming"))?;
+    Ok(args)
 }
 
 /// Split command-line words into section names and [`ExpArgs`] flags. A
@@ -182,11 +254,13 @@ impl AppRuns {
 }
 
 /// A report run: the parsed flags, the harness config they give, and the
-/// shared Fig. 4(a) run set (computed on first use).
+/// run sets several sections share (computed on first use): the Fig. 4(a)
+/// runs and the GPU scaling sweep.
 pub struct Report {
     args: ExpArgs,
     cfg: HarnessConfig,
     fig4a_runs: OnceCell<Vec<AppRuns>>,
+    scaling_rows: OnceCell<Vec<ScalingRow>>,
 }
 
 /// Cell width of the timeline Gantt charts.
@@ -199,17 +273,17 @@ impl Report {
     pub fn new(args: ExpArgs) -> Self {
         let mut cfg = HarnessConfig::paper_scaled(args.bytes);
         args.apply(&mut cfg);
-        let fig4a_runs = OnceCell::new();
         Report {
             args,
             cfg,
-            fig4a_runs,
+            fig4a_runs: OnceCell::new(),
+            scaling_rows: OnceCell::new(),
         }
     }
 
-    /// The `results/REPORT.md` document: a preamble, then every section in
-    /// `sections`.
-    pub fn markdown(&self, sections: &[&Section]) -> String {
+    /// The `results/REPORT.md` document: a preamble, then every rendered
+    /// section's markdown.
+    pub fn markdown(&self, sections: &[Rendered]) -> String {
         let mut md = format!(
             "# BigKernel reproduction report\n\nScale: {} MiB per application, seed {}. \
              Times are simulated; see\nEXPERIMENTS.md for interpretation.\n",
@@ -218,7 +292,7 @@ impl Report {
         );
         for s in sections {
             md.push('\n');
-            md.push_str(&s.render(self));
+            md.push_str(&s.markdown);
         }
         md
     }
@@ -241,8 +315,34 @@ impl Report {
         runs.into_iter().map(|(_, r)| r).collect()
     }
 
-    fn bigkernel(&self, app: &(dyn BenchApp + Sync), cfg: &HarnessConfig) -> RunResult {
-        self.run(app, cfg, &[Implementation::BigKernel]).remove(0)
+    fn bigkernel(&self, app: &dyn BenchApp, cfg: &HarnessConfig) -> RunResult {
+        self.timed_bigkernel(app, cfg).0
+    }
+
+    /// One verified BigKernel run of `app` under `cfg` on this thread, and
+    /// the host seconds the run itself took (machine set-up, data
+    /// generation and verification excluded).
+    fn timed_bigkernel(&self, app: &dyn BenchApp, cfg: &HarnessConfig) -> (RunResult, f64) {
+        let mut machine = cfg.build_machine();
+        let instance = app.instantiate(&mut machine, self.args.bytes, self.args.seed);
+        let t0 = Instant::now();
+        let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, cfg);
+        let secs = t0.elapsed().as_secs_f64();
+        if let Err(e) = (instance.verify)(&machine) {
+            panic!(
+                "{} failed verification under BigKernel: {e}",
+                app.spec().name
+            );
+        }
+        (r, secs)
+    }
+
+    /// [`Report::bigkernel`] with schedule capture live: the run and every
+    /// wave it scheduled, for the critical-path analyzer.
+    fn captured(&self, app: &dyn BenchApp, cfg: &HarnessConfig) -> (RunResult, Vec<WaveDag>) {
+        let guard = bk_obs::critpath::capture();
+        let r = self.bigkernel(app, cfg);
+        (r, guard.finish())
     }
 
     fn fig4a_runs(&self) -> &[AppRuns] {
@@ -253,6 +353,48 @@ impl Report {
                     AppRuns { app, runs }
                 })
                 .collect()
+        })
+    }
+
+    /// BigKernel on 1, 2 and 4 replicated GPUs for the three streaming-heavy
+    /// apps (Word Count, DNA Assembly, Netflix: they keep every stage busy,
+    /// so sharding has real work to spread), under the report's config with
+    /// the device count overridden. `--app` does not apply, so `scaling` and
+    /// `pipeline` record the same rows. Every run is verified.
+    fn scaling_rows(&self) -> &[ScalingRow] {
+        const SCALING_APPS: [&str; 3] = ["Word Count", "DNA Assembly", "Netflix"];
+        self.scaling_rows.get_or_init(|| {
+            let mut out = Vec::new();
+            for app in all_apps() {
+                let name = app.spec().name;
+                if !SCALING_APPS.contains(&name) {
+                    continue;
+                }
+                let mut base: Option<SimTime> = None;
+                for gpus in [1usize, 2, 4] {
+                    let cfg = HarnessConfig {
+                        gpus,
+                        ..self.cfg.clone()
+                    };
+                    let r = self.bigkernel(app.as_ref(), &cfg);
+                    let b = *base.get_or_insert(r.total);
+                    let overlap = (0..gpus)
+                        .map(|d| {
+                            let busy = r.metrics.get(&format!("device.{d}.busy_ns"));
+                            let span = r.metrics.get(&format!("device.{d}.makespan_ns"));
+                            (span > 0).then(|| busy as f64 / span as f64)
+                        })
+                        .collect();
+                    out.push(ScalingRow {
+                        app: short_name(name),
+                        gpus,
+                        sim_secs: r.total.secs(),
+                        speedup: b.ratio(r.total),
+                        overlap,
+                    });
+                }
+            }
+            out
         })
     }
 
@@ -545,7 +687,7 @@ impl Report {
     }
 
     fn scaling(&self) -> String {
-        let rows = scaling_sweep(&self.args, &self.cfg).into_iter().map(|s| {
+        let rows = self.scaling_rows().iter().map(|s| {
             let overlap: Vec<String> = (s.overlap.iter().enumerate())
                 .map(|(d, o)| o.map_or(format!("d{d}: idle"), |x| format!("d{d}: {x:.2}x")))
                 .collect();
@@ -749,56 +891,14 @@ fn timeline_charts(
 }
 
 /// One point of the simulated multi-GPU scaling sweep.
-pub struct ScalingRow {
-    pub app: &'static str,
-    pub gpus: usize,
-    pub sim_secs: f64,
+struct ScalingRow {
+    app: &'static str,
+    gpus: usize,
+    sim_secs: f64,
     /// Speedup over the same app on one GPU.
-    pub speedup: f64,
+    speedup: f64,
     /// Per-device busy/span ratio (`None` for a device that got no chunk).
-    pub overlap: Vec<Option<f64>>,
-}
-
-/// BigKernel on 1, 2 and 4 replicated GPUs for the three streaming-heavy
-/// apps (Word Count, DNA Assembly, Netflix: they keep every stage busy, so
-/// sharding has real work to spread), under `cfg` with the device count
-/// overridden. `--app` does not apply, so every caller records the same
-/// rows. Each run is verified against the pure-Rust reference and panics
-/// on a mismatch.
-pub fn scaling_sweep(args: &ExpArgs, cfg: &HarnessConfig) -> Vec<ScalingRow> {
-    const SCALING_APPS: [&str; 3] = ["Word Count", "DNA Assembly", "Netflix"];
-    let mut out = Vec::new();
-    for app in all_apps() {
-        let name = app.spec().name;
-        if !SCALING_APPS.contains(&name) {
-            continue;
-        }
-        let mut base: Option<SimTime> = None;
-        for gpus in [1usize, 2, 4] {
-            let cfg = HarnessConfig {
-                gpus,
-                ..cfg.clone()
-            };
-            let imps = [Implementation::BigKernel];
-            let (_, r) = run_all(app.as_ref(), args.bytes, args.seed, &cfg, &imps).remove(0);
-            let b = *base.get_or_insert(r.total);
-            let overlap = (0..gpus)
-                .map(|d| {
-                    let busy = r.metrics.get(&format!("device.{d}.busy_ns"));
-                    let span = r.metrics.get(&format!("device.{d}.makespan_ns"));
-                    (span > 0).then(|| busy as f64 / span as f64)
-                })
-                .collect();
-            out.push(ScalingRow {
-                app: short_name(name),
-                gpus,
-                sim_secs: r.total.secs(),
-                speedup: b.ratio(r.total),
-                overlap,
-            });
-        }
-    }
-    out
+    overlap: Vec<Option<f64>>,
 }
 
 #[cfg(test)]
@@ -853,6 +953,83 @@ mod tests {
             "flags must parse as ExpArgs"
         );
         assert!(ExpArgs::parse(flags.into_iter()).is_ok());
+    }
+
+    /// `line` parsed as a `report` command line: its sections' flags.
+    fn command(line: &str) -> Result<ExpArgs, String> {
+        let (names, flags) = split_names(words(line));
+        parse_flags(&select(&names)?, flags)
+    }
+
+    #[test]
+    fn fig4a_refuses_streaming_only_flags() {
+        for flag in ["--autotune on", "--window bytes=65536", "--queue-bound 4"] {
+            let err = command(&format!("fig4a {flag}")).unwrap_err();
+            let name = flag.split(' ').next().unwrap();
+            assert!(err.contains(name) && err.contains("`streaming`"), "{err}");
+            assert!(command(&format!("fig4a streaming {flag}")).is_ok());
+        }
+        assert!(
+            command("--autotune on").is_err(),
+            "the paper set reads no tuner"
+        );
+    }
+
+    #[test]
+    fn streaming_section_refuses_fuse() {
+        for flag in ["--fuse", "--fuse=on", "--fuse=off"] {
+            let err = command(&format!("streaming {flag}")).unwrap_err();
+            assert!(
+                err.contains("--fuse is not read by the `streaming` section"),
+                "{err}"
+            );
+            assert!(command(&format!("pipeline {flag}")).is_ok());
+        }
+    }
+
+    #[test]
+    fn streaming_section_reads_its_flags() {
+        let args = command("streaming --autotune on --window bytes=65536 --queue-bound 4").unwrap();
+        assert_eq!(args.autotune, Some(true));
+        assert_eq!(args.window, Some(bk_runtime::WindowPolicy::ByBytes(65536)));
+        assert_eq!(args.queue_bound, Some(4));
+    }
+
+    #[test]
+    fn bench_sections_return_their_artifacts_at_tiny_scale() {
+        let args = command("--bytes 262144 --machine test-tiny --app word").unwrap();
+        let report = Report::new(args);
+        for name in ["pipeline", "chaos", "streaming", "bottleneck"] {
+            let out = select(&[name.to_string()]).unwrap()[0].render(&report);
+            if name == "bottleneck" {
+                assert!(out.artifact.is_none());
+            } else {
+                let (file, json) = out.artifact.expect("a BENCH file");
+                assert_eq!(file, format!("BENCH_{name}.json"));
+                assert_eq!(
+                    json.matches('{').count(),
+                    json.matches('}').count(),
+                    "{json}"
+                );
+                assert!(json.contains("\"provenance\": { \"bench\": \""), "{json}");
+            }
+            if name == "pipeline" || name == "bottleneck" {
+                assert!(out.failures.is_empty(), "{name}: {:?}", out.failures);
+            }
+        }
+    }
+
+    #[test]
+    fn app_filter_matching_nothing_fails_the_gated_sections() {
+        let report = Report::new(command("--bytes 262144 --app nosuch").unwrap());
+        for name in ["streaming", "bottleneck"] {
+            let out = select(&[name.to_string()]).unwrap()[0].render(&report);
+            assert!(
+                out.failures.iter().any(|f| f.contains("--app")),
+                "{name}: {:?}",
+                out.failures
+            );
+        }
     }
 
     /// Longest run of columns in which both named rows of a chart are busy.
@@ -925,7 +1102,7 @@ mod tests {
                 .unwrap();
         let report = Report::new(args);
         for s in &SECTIONS {
-            let md = s.render(&report);
+            let md = s.render(&report).markdown;
             let body = md
                 .strip_prefix(&format!("## {}\n\n", s.title))
                 .unwrap_or_else(|| panic!("{} lacks its title:\n{md}", s.name));

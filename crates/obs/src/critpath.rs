@@ -17,7 +17,7 @@
 //! segment *boundaries* (not the durations). Consecutive segments share the
 //! exact same boundary value, so the per-segment nanosecond durations
 //! telescope and their sum equals the rounded makespan **exactly**; the
-//! `bottleneck` bench binary and CI gate on that identity.
+//! `report bottleneck` section and CI gate on that identity.
 //!
 //! [`critical_path`] reads one [`Schedule`]: besides the slots it carries
 //! the dependency edges, reuse edges and capacities it was solved under,
@@ -339,7 +339,8 @@ pub struct RunSegment {
 }
 
 /// Critical path of a whole run plus blame aggregations. Produced by
-/// [`analyze`]; rendered by the `bottleneck` binary and `perf_snapshot`.
+/// [`analyze`]; rendered by the `report` sections `bottleneck` and
+/// `pipeline`.
 #[derive(Clone, Debug, Default)]
 pub struct CritReport {
     /// End of the run: sum over waves of the bottleneck shard's makespan —
@@ -377,7 +378,7 @@ impl CritReport {
     }
 
     /// Do the path segments sum to the makespan exactly? True by
-    /// construction; the `bottleneck` binary and CI gate on it anyway.
+    /// construction; `report bottleneck` and CI gate on it anyway.
     pub fn tiles_exactly(&self) -> bool {
         self.blame_sum_ns() == self.makespan_ns
     }

@@ -153,7 +153,7 @@ fn span_hist(stage: &str) -> Option<&'static str> {
 /// Interned `hist.reuse-wait.<stage>` histogram name: how long each
 /// buffer-reuse wait lasted, in simulated nanoseconds, log₂-bucketed by the
 /// registry's [`crate::Histogram`]: the wait-depth distribution
-/// `perf_snapshot` summarizes.
+/// `report pipeline` summarizes.
 pub fn reuse_wait_hist(stage: &str) -> Option<&'static str> {
     macro_rules! table {
         ($( $stage:literal ),* $(,)?) => {

@@ -16,7 +16,7 @@
 //! *modeled* — they assume stage costs scale as stated, which no config
 //! knob reproduces exactly — and are labeled as such.
 //!
-//! The `bottleneck` bench binary ranks [`scenarios`] by predicted speedup
+//! The `report bottleneck` section ranks [`scenarios`] by predicted speedup
 //! and validates the structural ones against actual re-runs within 1%.
 
 use crate::graph::{Executor, GraphSpec, GraphStage, ResourceId};
