@@ -37,7 +37,7 @@ use bk_runtime::kernel::{chunk_slice, partition_ranges, LaunchConfig};
 use bk_runtime::layout::ChunkLayout;
 use bk_runtime::result::finalize_stage_stats;
 use bk_runtime::MetricsRegistry;
-use bk_runtime::{Machine, RunResult, StreamArray, StreamKernel};
+use bk_runtime::{Machine, RunResult, StagedAux, StreamArray, StreamKernel};
 use bk_simcore::SimTime;
 
 /// Configuration of the buffered baselines.
@@ -143,22 +143,7 @@ fn run_buffered(
     // every secondary mapped array (the staging window holds the primary
     // stream only). Stage them up front; the transfer cost lands on the
     // first window, and dirty aux streams copy back after the last.
-    let aux: Vec<(bk_runtime::StreamId, bk_gpu::BufferId)> = streams[1..]
-        .iter()
-        .map(|s| {
-            let buf = machine.gmem.alloc(s.len().max(1));
-            let src = machine.hmem.read(s.region, 0, s.len() as usize).to_vec();
-            machine.gmem.dma_in(buf, 0, &src);
-            metrics.add("pcie.h2d_bytes", s.len());
-            (s.id, buf)
-        })
-        .collect();
-    let mut pending_aux_xfer = streams[1..].iter().fold(SimTime::ZERO, |t, s| {
-        t + machine
-            .link
-            .dma_time_with_flag(DmaDirection::HostToDevice, s.len())
-    });
-    let mut aux_dirty_mask = 0u64;
+    let mut aux = StagedAux::stage(machine, &streams[1..], &mut metrics);
 
     for w in 0..num_windows {
         let window = chunk_slice(&full, w, num_windows, rec);
@@ -189,7 +174,7 @@ fn run_buffered(
         let t_xfer = machine
             .link
             .dma_time_with_flag(DmaDirection::HostToDevice, staged_len)
-            + std::mem::replace(&mut pending_aux_xfer, SimTime::ZERO);
+            + aux.take_xfer();
         metrics.add("pcie.h2d_bytes", staged_len);
 
         // Stage 3: kernel over the window (original layout), one granule of
@@ -209,7 +194,7 @@ fn run_buffered(
                 kernel,
                 &layout,
                 data_buf,
-                &aux,
+                &aux.table,
                 &ranges[first_lane..first_lane + tpb],
                 first_lane,
                 first_lane as u32,
@@ -219,7 +204,7 @@ fn run_buffered(
             metrics.add("stream.bytes_read", computed.bytes_read);
             metrics.add("stream.bytes_written", computed.bytes_written);
             any_writes |= computed.any_writes;
-            aux_dirty_mask |= computed.aux_dirty;
+            aux.dirty |= computed.aux_dirty;
         }
         let t_comp = pool.stage_time(&comp_cost) + cfg.kernel_launch_overhead;
         metrics.add("gpu.mem_transactions", comp_cost.mem_transactions);
@@ -249,19 +234,10 @@ fn run_buffered(
 
     // Copy dirty aux streams back once, after the last window.
     let (mut t_aux_wbx, mut t_aux_wba) = (SimTime::ZERO, SimTime::ZERO);
-    for (i, (_, buf)) in aux.iter().enumerate() {
-        if aux_dirty_mask & (1u64 << i.min(63)) != 0 {
-            let arr = &streams[1 + i];
-            let bytes = machine.gmem.dma_out(*buf, 0, arr.len() as usize);
-            machine.hmem.write(arr.region, 0, &bytes);
-            t_aux_wbx += machine
-                .link
-                .dma_time_with_flag(DmaDirection::DeviceToHost, arr.len());
-            t_aux_wba += cpu::cpu_stage_time(&machine.cpu, &CpuCost::streaming(arr.len(), 2, 1), 1);
-            metrics.add("pcie.d2h_bytes", arr.len());
-            any_writes_at_all = true;
-        }
-        machine.gmem.free(*buf);
+    for (xfer, apply) in aux.flush(machine, streams, &mut metrics) {
+        t_aux_wbx += xfer;
+        t_aux_wba += apply;
+        any_writes_at_all = true;
     }
     if t_aux_wbx > SimTime::ZERO {
         if let Some(last) = durations.last_mut() {

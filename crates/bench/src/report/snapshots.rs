@@ -102,10 +102,9 @@ fn top_stalls(crit: &CritReport) -> Vec<(&'static str, u64)> {
             EdgeKind::Resource => StallKind::Resource(seg.resource),
             EdgeKind::Start | EdgeKind::Dataflow => continue,
         };
-        let cause = bk_obs::StallCause::from_kind(kind).label();
-        if let Some(name) = bk_obs::stall_counter(bk_obs::stage_role(seg.stage), cause) {
-            *sums.entry(name).or_default() += seg.wait.nanos() as u64;
-        }
+        let cause = bk_obs::StallCause::from_kind(kind);
+        let name = bk_obs::names::stall(bk_obs::stage_role(seg.stage), cause);
+        *sums.entry(name).or_default() += seg.wait.nanos() as u64;
     }
     let mut v: Vec<(&'static str, u64)> = sums.into_iter().collect();
     v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
@@ -454,7 +453,7 @@ impl Report {
                 let (secs, slow) = (r.total.secs(), slowdown(r.total, clean));
                 sweep.push(format!(
                     "{{ \"app\": \"{name}\", \"rate\": {rate:.4}, \"sim_secs\": {secs:.9}, \
-                     \"slowdown\": {slow:.4}, \"verified\": true, \"injected\": {injected}, \
+                     \"slowdown\": {slow:.4}, \"injected\": {injected}, \
                      \"retried\": {retried}, \"failed_over\": {failed_over}, \
                      \"degraded\": {degraded} }}"
                 ));
@@ -479,8 +478,7 @@ impl Report {
             failover.push(format!(
                 "{{ \"app\": \"{name}\", \"gpus\": {failover_gpus}, \"killed_device\": {killed}, \
                  \"kill_wave\": {KILL_WAVE}, \"sim_secs\": {secs:.9}, \"clean_sim_secs\": \
-                 {clean_secs:.9}, \"slowdown\": {slow:.4}, \"failed_over\": {requeued}, \
-                 \"verified\": true }}"
+                 {clean_secs:.9}, \"slowdown\": {slow:.4}, \"failed_over\": {requeued} }}"
             ));
             failover_rows.push(format!(
                 "{name} | {failover_gpus} | {killed} | {secs:.6} | {clean_secs:.6} | \
@@ -601,7 +599,7 @@ impl Report {
                  \"windows\": {n}, \"sim_secs\": {secs:.9}, \
                  \"sustained_bytes_per_sec\": {:.1}, \"p99_latency_us\": {p99:.3}, \
                  \"backpressure_ns\": {backpressure}, \"max_depth\": {depth}, \
-                 \"redetects\": {redetects}, \"retunes\": {retunes}, \"verified\": true }}",
+                 \"redetects\": {redetects}, \"retunes\": {retunes} }}",
                 r.sustained_bytes_per_sec
             ));
             rows.push(format!(

@@ -1,11 +1,15 @@
 //! # bk-obs — observability for the BigKernel reproduction
 //!
 //! The pipeline's whole value proposition (§III, Fig. 2) is *staying full*;
-//! this crate makes emptiness visible. Four pieces:
+//! this crate makes emptiness visible. Its pieces:
 //!
 //! * [`metrics`] — the [`MetricsRegistry`]: the workspace's single metrics
 //!   sink, wrapping the event counters ([`bk_simcore::Counters`]) and adding
 //!   fixed-footprint log₂ [`Histogram`]s (span durations, per-chunk bytes).
+//! * [`names`] — the one builder of composed names: `stall.<stage>.<cause>`,
+//!   `hist.span.<stage>`, `bound.<stage>.<label>`, `device.<i>.<quantity>`,
+//!   `dev<i>.<resource>` tracks and `p<i>.<role>` fused stages, each
+//!   interned as a `&'static str` the first time it is asked for.
 //! * [`trace`] — a span recorder for simulated-time spans
 //!   `(chunk, stage, resource)`. Collection is compile-time gated behind the
 //!   `trace` cargo feature *and* runtime-gated behind a thread-local
@@ -31,15 +35,14 @@
 #![deny(missing_docs)]
 
 pub mod critpath;
-pub mod device;
 pub mod export;
 pub mod metrics;
+pub mod names;
 pub mod stall;
 pub mod trace;
 
 pub use critpath::{analyze, critical_path, CritReport};
-pub use device::{device_counter, MAX_DEVICES};
 pub use export::{text_report, to_chrome_json};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use stall::{record_schedule, reuse_wait_hist, stage_role, stall_counter, StallCause};
+pub use stall::{record_schedule, stage_role, StallCause};
 pub use trace::{SpanRecord, FAULT_MARKER_STAGE, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE};

@@ -8,6 +8,9 @@
 //!
 //! Both halves use `BTreeMap`s keyed by `&'static str`, so iteration order —
 //! and therefore every printed report and exported JSON — is deterministic.
+//! Fixed names are literals at the call site; composed ones
+//! (`stall.<stage>.<cause>`, `device.<i>.busy_ns`, …) come interned from
+//! [`crate::names`].
 //! A histogram's storage is a fixed inline array: `observe` never allocates
 //! once the name exists, which keeps the steady-state pipeline loop
 //! allocation-free (pinned by `crates/gpu/tests/alloc_free.rs`).

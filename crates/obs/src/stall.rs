@@ -13,6 +13,7 @@
 //! fully-serialized single-buffer resource, or the buffer-reuse/flag wait.
 
 use crate::metrics::MetricsRegistry;
+use crate::names;
 use crate::trace::{self, SpanRecord};
 use bk_simcore::{Schedule, ScheduleView, SimTime, StallKind};
 
@@ -92,88 +93,6 @@ impl StallCause {
     }
 }
 
-/// Expand the causes for one stage literal (the stage × cause cross product
-/// needs the stage bound once per arm, hence the two-level macro).
-macro_rules! stall_arms {
-    ($stage:literal, $cause:expr) => {
-        match $cause {
-            "buffer-reuse" => Some(concat!("stall.", $stage, ".buffer-reuse")),
-            "dma-queue" => Some(concat!("stall.", $stage, ".dma-queue")),
-            "cpu-thread" => Some(concat!("stall.", $stage, ".cpu-thread")),
-            "gpu-queue" => Some(concat!("stall.", $stage, ".gpu-queue")),
-            "serial" => Some(concat!("stall.", $stage, ".serial")),
-            "fault" => Some(concat!("stall.", $stage, ".fault")),
-            "backpressure" => Some(concat!("stall.", $stage, ".backpressure")),
-            "other" => Some(concat!("stall.", $stage, ".other")),
-            _ => None,
-        }
-    };
-}
-
-/// Interned `stall.<stage>.<cause>` counter name for every known
-/// stage/cause pair, `None` for a pair outside the table. Counter names must
-/// be `&'static str`, so the cross product is expanded at compile time.
-pub fn stall_counter(stage: &str, cause: &str) -> Option<&'static str> {
-    match stage {
-        "addr-gen" => stall_arms!("addr-gen", cause),
-        "assemble" => stall_arms!("assemble", cause),
-        "transfer" => stall_arms!("transfer", cause),
-        "compute" => stall_arms!("compute", cause),
-        "wb-xfer" => stall_arms!("wb-xfer", cause),
-        "wb-apply" => stall_arms!("wb-apply", cause),
-        "stage-pin" => stall_arms!("stage-pin", cause),
-        "ingest" => stall_arms!("ingest", cause),
-        _ => None,
-    }
-}
-
-/// Interned `hist.span.<stage>` histogram name (span durations in
-/// simulated nanoseconds).
-fn span_hist(stage: &str) -> Option<&'static str> {
-    macro_rules! table {
-        ($( $stage:literal ),* $(,)?) => {
-            match stage {
-                $( $stage => Some(concat!("hist.span.", $stage)), )*
-                _ => None,
-            }
-        };
-    }
-    table!(
-        "addr-gen",
-        "assemble",
-        "transfer",
-        "compute",
-        "wb-xfer",
-        "wb-apply",
-        "stage-pin",
-        "ingest"
-    )
-}
-
-/// Interned `hist.reuse-wait.<stage>` histogram name: how long each
-/// buffer-reuse wait lasted, in simulated nanoseconds, log₂-bucketed by the
-/// registry's [`crate::Histogram`]: the wait-depth distribution
-/// `report pipeline` summarizes.
-pub fn reuse_wait_hist(stage: &str) -> Option<&'static str> {
-    macro_rules! table {
-        ($( $stage:literal ),* $(,)?) => {
-            match stage {
-                $( $stage => Some(concat!("hist.reuse-wait.", $stage)), )*
-                _ => None,
-            }
-        };
-    }
-    table!(
-        "addr-gen",
-        "assemble",
-        "transfer",
-        "compute",
-        "wb-xfer",
-        "wb-apply",
-        "stage-pin"
-    )
-}
-
 /// Strip a fused-pass `p<i>.` qualifier from a stage name. Fused multi-pass
 /// graphs name their stages `p0.addr-gen` … `p3.wb-apply`; every pass's copy
 /// of a role feeds the same span histogram and stall buckets, exactly like
@@ -220,28 +139,14 @@ pub fn record_schedule(
             }
             let full_name = sched.stage_name(stage);
             let name = stage_role(full_name);
-            if let Some(h) = span_hist(name) {
-                metrics.observe(h, dur.nanos() as u64);
-            }
+            metrics.observe(names::span_hist(name), dur.nanos() as u64);
             let meta = sched.slot_meta(chunk, stage);
             let stall = meta.kind.map(|k| {
                 let cause = StallCause::from_kind(k);
                 if cause == StallCause::BufferReuse {
-                    if let Some(h) = reuse_wait_hist(name) {
-                        metrics.observe(h, meta.stall.nanos() as u64);
-                    }
+                    metrics.observe(names::reuse_wait_hist(name), meta.stall.nanos() as u64);
                 }
-                match stall_counter(name, cause.label()) {
-                    Some(c) => metrics.add(c, meta.stall.nanos() as u64),
-                    None => {
-                        debug_assert!(
-                            false,
-                            "no stall counter for stage `{name}` cause `{}`",
-                            cause.label()
-                        );
-                        metrics.add("stall.other", meta.stall.nanos() as u64);
-                    }
-                }
+                metrics.add(names::stall(name, cause), meta.stall.nanos() as u64);
                 (cause.label(), meta.stall)
             });
             trace::record(&SpanRecord {
@@ -312,24 +217,19 @@ mod tests {
 
     #[test]
     fn stall_counter_names_are_interned() {
-        assert_eq!(
-            stall_counter("addr-gen", "buffer-reuse"),
-            Some("stall.addr-gen.buffer-reuse")
-        );
-        assert_eq!(
-            stall_counter("stage-pin", "serial"),
-            Some("stall.stage-pin.serial")
-        );
-        assert_eq!(
-            stall_counter("compute", StallCause::Fault.label()),
-            Some("stall.compute.fault")
-        );
-        assert_eq!(
-            stall_counter("ingest", StallCause::Backpressure.label()),
-            Some("stall.ingest.backpressure")
-        );
-        assert_eq!(stall_counter("unknown-stage", "serial"), None);
-        assert_eq!(stall_counter("compute", "unknown-cause"), None);
+        use StallCause::*;
+        for (stage, cause, want) in [
+            ("addr-gen", BufferReuse, "stall.addr-gen.buffer-reuse"),
+            ("stage-pin", Serial, "stall.stage-pin.serial"),
+            ("compute", Fault, "stall.compute.fault"),
+            ("ingest", Backpressure, "stall.ingest.backpressure"),
+        ] {
+            assert_eq!(names::stall(stage, cause), want);
+        }
+        assert!(std::ptr::eq(
+            names::stall("compute", Fault),
+            names::stall("compute", Fault)
+        ));
     }
 
     #[test]
@@ -379,11 +279,11 @@ mod tests {
     #[test]
     fn reuse_wait_hist_names_are_interned() {
         assert_eq!(
-            reuse_wait_hist("addr-gen"),
-            Some("hist.reuse-wait.addr-gen")
+            names::reuse_wait_hist("addr-gen"),
+            "hist.reuse-wait.addr-gen"
         );
-        assert_eq!(reuse_wait_hist("compute"), Some("hist.reuse-wait.compute"));
-        assert_eq!(reuse_wait_hist("unknown"), None);
+        assert_eq!(names::reuse_wait_hist("compute"), "hist.reuse-wait.compute");
+        assert_eq!(names::span_hist("stage-pin"), "hist.span.stage-pin");
     }
 
     #[test]

@@ -31,7 +31,7 @@ use crate::machine::Machine;
 use crate::pool::{AddrGenScratch, Compression};
 use crate::stream::{StreamArray, StreamId};
 use bk_gpu::{BlockSim, DeviceSpec, GpuMemory, KernelCost, WARP_SIZE};
-use bk_host::{ArenaRef, CacheSim, CpuCost, DmaDirection, PinnedArena};
+use bk_host::{cpu, ArenaRef, CacheSim, CpuCost, DmaDirection, PinnedArena};
 use bk_obs::MetricsRegistry;
 use bk_simcore::SimTime;
 use rayon::prelude::*;
@@ -741,6 +741,84 @@ pub fn compute_staged(
         writes_performed: Vec::new(),
         any_writes,
         aux_dirty,
+    }
+}
+
+/// Secondary streams staged *whole* to device buffers up front — the
+/// paper's "simply defaults to fetching all data" fallback extended to
+/// every mapped stream. The overlap-only BigKernel path and the buffered
+/// baselines both stage only a window of the primary stream, so each keeps
+/// the other mapped streams resident this way: it charges
+/// [`take_xfer`](Self::take_xfer) to its first non-empty chunk or window,
+/// folds each block's written mask into [`dirty`](Self::dirty) and
+/// [`flush`](Self::flush)es after the last one (unfused multi-pass apps
+/// re-map the same regions in their next pass, so secondary writes must
+/// land in host memory).
+pub struct StagedAux {
+    /// `(stream, whole-stream device buffer)`, in stream order.
+    pub table: Vec<(StreamId, bk_gpu::BufferId)>,
+    /// Union of the per-block written masks (bit = table index).
+    pub dirty: u64,
+    /// Staging h2d DMA time not yet charged.
+    pending_xfer: SimTime,
+}
+
+impl StagedAux {
+    /// Stage each of `secondary` whole to a fresh device buffer.
+    pub fn stage(
+        machine: &mut Machine,
+        secondary: &[StreamArray],
+        metrics: &mut MetricsRegistry,
+    ) -> StagedAux {
+        let mut aux = StagedAux {
+            table: Vec::with_capacity(secondary.len()),
+            dirty: 0,
+            pending_xfer: SimTime::ZERO,
+        };
+        for s in secondary {
+            let buf = machine.gmem.alloc(s.len().max(1));
+            let src = machine.hmem.read(s.region, 0, s.len() as usize).to_vec();
+            machine.gmem.dma_in(buf, 0, &src);
+            metrics.add("pcie.h2d_bytes", s.len());
+            aux.pending_xfer += machine
+                .link
+                .dma_time_with_flag(DmaDirection::HostToDevice, s.len());
+            aux.table.push((s.id, buf));
+        }
+        aux
+    }
+
+    /// The staging transfer time on the first call, zero after.
+    pub fn take_xfer(&mut self) -> SimTime {
+        std::mem::replace(&mut self.pending_xfer, SimTime::ZERO)
+    }
+
+    /// Copy every dirty stream back to host memory and free every staged
+    /// buffer. Returns each dirty stream's `(d2h DMA, host apply)` time, in
+    /// stream order, for the caller to charge.
+    pub fn flush(
+        self,
+        machine: &mut Machine,
+        streams: &[StreamArray],
+        metrics: &mut MetricsRegistry,
+    ) -> Vec<(SimTime, SimTime)> {
+        let mut flushed = Vec::new();
+        for (i, (id, buf)) in self.table.iter().enumerate() {
+            if self.dirty & (1u64 << i.min(63)) != 0 {
+                let s = &streams[id.0 as usize];
+                let bytes = machine.gmem.dma_out(*buf, 0, s.len() as usize);
+                machine.hmem.write(s.region, 0, &bytes);
+                metrics.add("pcie.d2h_bytes", s.len());
+                flushed.push((
+                    machine
+                        .link
+                        .dma_time_with_flag(DmaDirection::DeviceToHost, s.len()),
+                    cpu::cpu_stage_time(&machine.cpu, &CpuCost::streaming(s.len(), 2, 1), 1),
+                ));
+            }
+            machine.gmem.free(*buf);
+        }
+        flushed
     }
 }
 

@@ -37,7 +37,7 @@ use crate::graph::{
     ShardedSchedule,
 };
 use crate::pipeline::STAGE_NAMES;
-use bk_obs::{stall_counter, MetricsRegistry, SpanRecord, FAULT_MARKER_STAGE};
+use bk_obs::{names, MetricsRegistry, SpanRecord, StallCause, FAULT_MARKER_STAGE};
 use bk_simcore::{ScheduleView, SimTime, SplitMix64};
 
 /// A pipeline stage that can be failed by a [`FaultSite`]. Maps 1:1 onto the
@@ -506,9 +506,10 @@ impl FaultContext {
         for ev in &events {
             metrics.incr("fault.injected");
             metrics.add("fault.retried", ev.attempts as u64);
-            if let Some(c) = stall_counter(STAGE_NAMES[ev.stage % 6], "fault") {
-                metrics.add(c, ev.extra.nanos() as u64);
-            }
+            metrics.add(
+                names::stall(STAGE_NAMES[ev.stage % 6], StallCause::Fault),
+                ev.extra.nanos() as u64,
+            );
             for shard in sharded.shards() {
                 if let Some(local) = shard.chunk_ids.iter().position(|&c| c == ev.chunk) {
                     bk_obs::trace::record(&SpanRecord {
@@ -517,7 +518,7 @@ impl FaultContext {
                         chunk: chunk_base + ev.chunk,
                         start: time_base + shard.slot(local, ev.stage).start,
                         dur: SimTime::ZERO,
-                        stall: Some(("fault", ev.extra)),
+                        stall: Some((StallCause::Fault.label(), ev.extra)),
                     });
                     break;
                 }

@@ -33,9 +33,10 @@
 //!   in global chunk order and outputs are bit-identical for any device
 //!   count. See DESIGN.md §10.
 
+use crate::machine::MAX_DEVICES;
 use crate::pipeline::STAGE_NAMES;
 use crate::result::{accumulate_stage_stats, StageStat};
-use bk_obs::{device_counter, MetricsRegistry, MAX_DEVICES};
+use bk_obs::{names, MetricsRegistry};
 use bk_simcore::pipeline::distinct_capacities;
 use bk_simcore::pipeline::Slot;
 use bk_simcore::{ReuseEdge, Schedule, SimTime, SlotMeta, StallKind};
@@ -69,8 +70,8 @@ pub enum ResourceKind {
 ///
 /// `as_str()` interns to the exact legacy resource vocabulary on device 0
 /// (`"gpu-ag"`, `"cpu-asm"`, `"dma"`, `"dma-d2h"`, `"gpu-comp"`, `"cpu-wb"`,
-/// `"cpu-stage"`, `"gpu"`, `"serial"`) and to `"dev<i>.<name>"` on devices
-/// `1..MAX_DEVICES` — so single-GPU trace/BENCH output is unchanged, and
+/// `"cpu-stage"`, `"gpu"`, `"serial"`) and to `"dev<i>.<name>"` on every
+/// other device — so single-GPU trace/BENCH output is unchanged, and
 /// multi-GPU runs get one Perfetto lane per device resource for free.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ResourceId {
@@ -91,36 +92,21 @@ impl ResourceId {
         ResourceId { device, ..self }
     }
 
-    /// Interned resource string (see the type docs). Panics past
-    /// [`MAX_DEVICES`]; [`crate::Machine::replicate_gpus`] enforces the cap
-    /// before any schedule is built.
+    /// Interned resource string (see the type docs).
     pub fn as_str(self) -> &'static str {
-        macro_rules! dev_arms {
-            ($name:literal, $dev:expr) => {
-                match $dev {
-                    0 => $name,
-                    1 => concat!("dev1.", $name),
-                    2 => concat!("dev2.", $name),
-                    3 => concat!("dev3.", $name),
-                    4 => concat!("dev4.", $name),
-                    5 => concat!("dev5.", $name),
-                    6 => concat!("dev6.", $name),
-                    7 => concat!("dev7.", $name),
-                    d => panic!("device index {d} exceeds MAX_DEVICES"),
-                }
-            };
-        }
-        match self.kind {
-            ResourceKind::GpuAddrGen => dev_arms!("gpu-ag", self.device),
-            ResourceKind::CpuAssembly => dev_arms!("cpu-asm", self.device),
-            ResourceKind::DmaH2D => dev_arms!("dma", self.device),
-            ResourceKind::DmaD2H => dev_arms!("dma-d2h", self.device),
-            ResourceKind::GpuCompute => dev_arms!("gpu-comp", self.device),
-            ResourceKind::CpuWriteback => dev_arms!("cpu-wb", self.device),
-            ResourceKind::CpuStage => dev_arms!("cpu-stage", self.device),
-            ResourceKind::Gpu => dev_arms!("gpu", self.device),
-            ResourceKind::Serial => dev_arms!("serial", self.device),
-        }
+        use ResourceKind::*;
+        let kind = match self.kind {
+            GpuAddrGen => "gpu-ag",
+            CpuAssembly => "cpu-asm",
+            DmaH2D => "dma",
+            DmaD2H => "dma-d2h",
+            GpuCompute => "gpu-comp",
+            CpuWriteback => "cpu-wb",
+            CpuStage => "cpu-stage",
+            Gpu => "gpu",
+            Serial => "serial",
+        };
+        names::resource(kind, self.device)
     }
 
     /// Parse an interned resource string (as produced by [`Self::as_str`],
@@ -343,66 +329,29 @@ pub fn serial_graph(names: &[&'static str]) -> GraphSpec {
     )
 }
 
-/// Stage names of a multi-pass program's graph: pass `p`'s six pipeline
-/// stages, prefixed `p<p>.` so observability can both distinguish passes
-/// and strip back to the role name for aggregation. A one-pass program keeps
-/// the plain [`STAGE_NAMES`].
-pub const FUSED_STAGE_NAMES: [[&str; 6]; 4] = [
-    [
-        "p0.addr-gen",
-        "p0.assemble",
-        "p0.transfer",
-        "p0.compute",
-        "p0.wb-xfer",
-        "p0.wb-apply",
-    ],
-    [
-        "p1.addr-gen",
-        "p1.assemble",
-        "p1.transfer",
-        "p1.compute",
-        "p1.wb-xfer",
-        "p1.wb-apply",
-    ],
-    [
-        "p2.addr-gen",
-        "p2.assemble",
-        "p2.transfer",
-        "p2.compute",
-        "p2.wb-xfer",
-        "p2.wb-apply",
-    ],
-    [
-        "p3.addr-gen",
-        "p3.assemble",
-        "p3.transfer",
-        "p3.compute",
-        "p3.wb-xfer",
-        "p3.wb-apply",
-    ],
-];
+/// Most passes one fused [`pipeline_graph`] chains.
+const MAX_FUSED_PASSES: usize = 4;
 
-/// Per-pass stage names of a `passes`-pass program: [`STAGE_NAMES`] alone
-/// for one pass, the `p<i>.`-prefixed rows of [`FUSED_STAGE_NAMES`] for
-/// more. Borrowed from the static tables, so building a graph allocates no
-/// name list.
-fn pass_stage_names(passes: usize) -> &'static [[&'static str; 6]] {
+/// Flat stage-name list of the `passes`-pass [`pipeline_graph`], in stage
+/// order: the plain [`STAGE_NAMES`] for one pass; for more, each pass's six
+/// stages prefixed `p<p>.`, so observability can both distinguish passes
+/// and strip back to the role name for aggregation. The fault ladder's
+/// [`serial_graph`] rung uses it to keep the `6 × passes` stage shape.
+pub fn pipeline_stage_names(passes: usize) -> Vec<&'static str> {
     assert!(
-        (1..=FUSED_STAGE_NAMES.len()).contains(&passes),
+        (1..=MAX_FUSED_PASSES).contains(&passes),
         "pipeline graph supports 1..=4 passes"
     );
     if passes == 1 {
-        std::slice::from_ref(&STAGE_NAMES)
-    } else {
-        &FUSED_STAGE_NAMES[..passes]
+        return STAGE_NAMES.to_vec();
     }
-}
-
-/// Flat stage-name list of the `passes`-pass [`pipeline_graph`], in stage
-/// order — e.g. for the fault ladder's [`serial_graph`] rung, which keeps
-/// the `6 × passes` stage shape.
-pub fn pipeline_stage_names(passes: usize) -> Vec<&'static str> {
-    pass_stage_names(passes).iter().flatten().copied().collect()
+    (0..passes)
+        .flat_map(|p| {
+            STAGE_NAMES
+                .iter()
+                .map(move |&role| names::pass_stage(p, role))
+        })
+        .collect()
 }
 
 /// The BigKernel graph of a `passes`-pass program: `passes` copies of the
@@ -436,14 +385,13 @@ pub fn pipeline_graph(
         wb_dma,
         CpuWriteback,
     ];
-    let per_pass = pass_stage_names(passes);
-    let mut chain = Vec::with_capacity(per_pass.len() * 6);
-    for names in per_pass {
-        for (&name, &kind) in names.iter().zip(&roles) {
-            chain.push((name, ResourceId::new(kind, 0)));
-        }
-    }
-    let mut spec = GraphSpec::chain(chain);
+    let mut spec = GraphSpec::chain(
+        pipeline_stage_names(passes)
+            .into_iter()
+            .zip(roles.iter().cycle())
+            .map(|(name, &kind)| (name, ResourceId::new(kind, 0)))
+            .collect(),
+    );
     for p in 0..passes {
         spec = spec
             .with_reuse(p * 6, p * 6 + 3, depth)
@@ -725,15 +673,14 @@ impl ShardedSchedule {
         }
         for shard in &self.shards {
             bk_obs::record_schedule(shard, chunk_base, time_base, metrics);
-            let add = |metrics: &mut MetricsRegistry, what: &str, v: u64| {
-                if let Some(c) = device_counter(shard.device, what) {
-                    metrics.add(c, v);
-                }
-            };
-            add(metrics, "chunks", shard.chunk_ids.len() as u64);
-            add(metrics, "busy_ns", shard.total_busy().nanos() as u64);
-            add(metrics, "makespan_ns", shard.makespan.nanos() as u64);
-            add(metrics, "stall_ns", shard.total_stall().nanos() as u64);
+            for (quantity, v) in [
+                ("chunks", shard.chunk_ids.len() as u64),
+                ("busy_ns", shard.total_busy().nanos() as u64),
+                ("makespan_ns", shard.makespan.nanos() as u64),
+                ("stall_ns", shard.total_stall().nanos() as u64),
+            ] {
+                metrics.add(names::device(shard.device, quantity), v);
+            }
         }
     }
 
@@ -775,12 +722,8 @@ mod tests {
         }
         assert_eq!(ResourceId::new(GpuCompute, 3).as_str(), "dev3.gpu-comp");
         assert_eq!(ResourceId::new(DmaH2D, 7).to_string(), "dev7.dma");
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds MAX_DEVICES")]
-    fn resource_id_past_cap_panics() {
-        let _ = ResourceId::new(ResourceKind::Gpu, MAX_DEVICES).as_str();
+        // The device cap belongs to the machine, not to the names.
+        assert_eq!(ResourceId::new(Gpu, MAX_DEVICES).as_str(), "dev8.gpu");
     }
 
     /// The golden equivalence: a linear unit-capacity graph schedules

@@ -82,7 +82,7 @@ pub use autotune::{AutotuneConfig, Autotuner, TunePlan, TunerState, WindowFeedba
 pub use bk_obs::{Histogram, MetricsRegistry};
 pub use config::{AssemblyLayout, BigKernelConfig, SyncMode};
 pub use ctx::{AddrGenCtx, ComputeCtx};
-pub use exec::{compute_staged, BlockComputed};
+pub use exec::{compute_staged, BlockComputed, StagedAux};
 pub use fault::{DeviceFailure, FaultPlan, FaultSite, FaultStage};
 pub use fusion::{AccessSummary, FieldSpan, FusePlan, FuseRefusal, PassIo, StreamAccess};
 pub use graph::{Executor, GraphSpec, ResourceId, ResourceKind};

@@ -3,9 +3,11 @@
 use bk_gpu::{DeviceSpec, GpuMemory};
 use bk_host::{CpuSpec, HostMemory, PcieLink};
 
-/// Maximum simulated device count (per-device trace tracks and metric names
-/// are interned at compile time in `bk-obs`).
-pub const MAX_DEVICES: usize = bk_obs::MAX_DEVICES;
+/// Maximum simulated device count: a machine cap, not a naming cap (per-
+/// device track and metric names are interned on demand by
+/// [`bk_obs::names`]). [`Machine::replicate_gpus`] and
+/// [`crate::graph::Executor::new`] enforce it.
+pub const MAX_DEVICES: usize = 8;
 
 /// One CPU/GPU system. All implementations (BigKernel, the GPU baselines,
 /// the CPU baselines) run against the same `Machine` so that functional

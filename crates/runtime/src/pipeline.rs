@@ -83,7 +83,8 @@
 
 use crate::config::BigKernelConfig;
 use crate::exec::{
-    prepare_slots, run_chunk_assembled, run_chunk_staged, BlockSlot, ChunkCosts, WaveCell,
+    prepare_slots, run_chunk_assembled, run_chunk_staged, BlockSlot, ChunkCosts, StagedAux,
+    WaveCell,
 };
 use crate::fault::FaultContext;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
@@ -91,12 +92,12 @@ use crate::graph::{pipeline_graph, Executor};
 use crate::kernel::{chunk_slice, partition_ranges, LaunchConfig, StreamKernel};
 use crate::machine::Machine;
 use crate::result::{finalize_stage_stats, RunResult};
-use crate::stream::{StreamArray, StreamId};
+use crate::stream::StreamArray;
 use crate::sync;
 use bk_gpu::occupancy::{self, BlockResources};
 use bk_gpu::GpuPool;
-use bk_host::{cpu, CpuCost, DmaDirection};
-use bk_obs::MetricsRegistry;
+use bk_host::{cpu, DmaDirection};
+use bk_obs::{names, MetricsRegistry};
 use bk_simcore::SimTime;
 use std::ops::Range;
 
@@ -104,86 +105,6 @@ use std::ops::Range;
 pub const STAGE_NAMES: [&str; 6] = [
     "addr-gen", "assemble", "transfer", "compute", "wb-xfer", "wb-apply",
 ];
-
-/// Counter name for "stage S was bound by B this chunk". Labels come from a
-/// small fixed set, so interning to 'static is a lookup, not a leak risk.
-fn bound_counter(stage: &str, bound: &str) -> &'static str {
-    // The cross product is small and known; match to static strings.
-    match (stage, bound) {
-        ("addr-gen", "gpu-issue") => "bound.addr-gen.gpu-issue",
-        ("addr-gen", "gpu-mem") => "bound.addr-gen.gpu-mem",
-        ("addr-gen", "gpu-l2") => "bound.addr-gen.gpu-l2",
-        ("addr-gen", "gpu-atomic-throughput") => "bound.addr-gen.gpu-atomic-throughput",
-        ("addr-gen", "gpu-atomic-conflict") => "bound.addr-gen.gpu-atomic-conflict",
-        ("addr-gen", "pcie-zerocopy") => "bound.addr-gen.pcie-zerocopy",
-        ("assemble", "cpu-issue") => "bound.assemble.cpu-issue",
-        ("assemble", "cpu-dram-bw") => "bound.assemble.cpu-dram-bw",
-        ("assemble", "cpu-dram-latency") => "bound.assemble.cpu-dram-latency",
-        ("assemble", "cpu-atomic-throughput") => "bound.assemble.cpu-atomic-throughput",
-        ("assemble", "cpu-atomic-contention") => "bound.assemble.cpu-atomic-contention",
-        ("transfer", "dma-bandwidth") => "bound.transfer.dma-bandwidth",
-        ("transfer", "dma-latency") => "bound.transfer.dma-latency",
-        ("compute", "gpu-issue") => "bound.compute.gpu-issue",
-        ("compute", "gpu-mem") => "bound.compute.gpu-mem",
-        ("compute", "gpu-l2") => "bound.compute.gpu-l2",
-        ("compute", "gpu-atomic-throughput") => "bound.compute.gpu-atomic-throughput",
-        ("compute", "gpu-atomic-conflict") => "bound.compute.gpu-atomic-conflict",
-        ("wb-xfer", "dma-bandwidth") => "bound.wb-xfer.dma-bandwidth",
-        ("wb-xfer", "dma-latency") => "bound.wb-xfer.dma-latency",
-        ("wb-apply", "cpu-issue") => "bound.wb-apply.cpu-issue",
-        ("wb-apply", "cpu-dram-bw") => "bound.wb-apply.cpu-dram-bw",
-        ("wb-apply", "cpu-dram-latency") => "bound.wb-apply.cpu-dram-latency",
-        ("wb-apply", "cpu-atomic-throughput") => "bound.wb-apply.cpu-atomic-throughput",
-        ("wb-apply", "cpu-atomic-contention") => "bound.wb-apply.cpu-atomic-contention",
-        _ => {
-            // An unknown pair means a stage or roofline label was added
-            // without extending this table — surface it instead of silently
-            // merging everything into one bucket: assert in debug builds,
-            // log once (not per chunk) in release builds.
-            debug_assert!(
-                false,
-                "unknown stage/bound pair ({stage}, {bound}) has no counter"
-            );
-            static LOGGED: std::sync::atomic::AtomicBool =
-                std::sync::atomic::AtomicBool::new(false);
-            if !LOGGED.swap(true, std::sync::atomic::Ordering::Relaxed) {
-                eprintln!(
-                    "bk-runtime: unknown stage/bound pair ({stage}, {bound}); \
-                     counting as bound.other"
-                );
-            }
-            "bound.other"
-        }
-    }
-}
-
-/// Aux-staged secondary streams for the overlap-only path (`transfer_all`):
-/// the staged execution modes resolve `StreamId(0)` through the chunk window
-/// but have no per-chunk window for secondary streams, so those are staged
-/// *whole* to device buffers up front — the paper's "simply defaults to
-/// fetching all data" fallback extended to every mapped stream. The up-front
-/// h2d DMA time is charged to the first non-empty chunk's transfer stage;
-/// dirty streams flush back to host memory after the last chunk (unfused
-/// multi-pass apps re-map the same regions in their next pass, so secondary
-/// writes must land in `hmem`).
-struct StagedAux {
-    /// `(stream, whole-stream device buffer)`, in `streams[1..]` order.
-    table: Vec<(StreamId, bk_gpu::BufferId)>,
-    /// Up-front h2d DMA time not yet charged to a chunk's transfer stage.
-    pending_xfer: SimTime,
-    /// Union of the per-block written masks (bit = table index).
-    dirty: u64,
-}
-
-impl StagedAux {
-    fn empty() -> Self {
-        StagedAux {
-            table: Vec::new(),
-            pending_xfer: SimTime::ZERO,
-            dirty: 0,
-        }
-    }
-}
 
 /// Simulate one chunk of one pass: run every active block's functional
 /// simulation, fold the per-block costs into the six per-stage durations and
@@ -272,7 +193,7 @@ fn simulate_chunk(
             machine.link.zero_copy_write_time(costs.addr_bytes),
         );
         if let Some(b) = terms.dominant() {
-            metrics.incr(bound_counter("addr-gen", b.label));
+            metrics.incr(names::bound("addr-gen", b.label));
         }
         row[0] = terms.duration() + sync_costs.addr_gen;
     }
@@ -280,7 +201,7 @@ fn simulate_chunk(
     let asm_threads = (blocks.len() as u32).min(machine.cpu.hw_threads).max(1);
     let asm_terms = cpu::cpu_stage_terms(&machine.cpu, &costs.asm, asm_threads);
     if let Some(b) = asm_terms.dominant() {
-        metrics.incr(bound_counter("assemble", b.label));
+        metrics.incr(names::bound("assemble", b.label));
     }
     row[1] = asm_terms.duration() + sync_costs.assembly;
     // Stage 3: DMA (already summed per block, one engine). Bound
@@ -288,7 +209,7 @@ fn simulate_chunk(
     // bandwidth share. The first chunk that does any work also pays the
     // up-front aux-stream staging transfer.
     aux.dirty |= costs.aux_dirty;
-    costs.xfer += std::mem::replace(&mut aux.pending_xfer, SimTime::ZERO);
+    costs.xfer += aux.take_xfer();
     row[2] = costs.xfer;
     if costs.xfer > SimTime::ZERO {
         let fixed = SimTime::from_secs(
@@ -301,12 +222,12 @@ fn simulate_chunk(
         } else {
             "dma-latency"
         };
-        metrics.incr(bound_counter("transfer", label));
+        metrics.incr(names::bound("transfer", label));
     }
     // Stage 4: compute pool.
     let comp_terms = comp_pool.stage_terms(&costs.comp);
     if let Some(b) = comp_terms.dominant() {
-        metrics.incr(bound_counter("compute", b.label));
+        metrics.incr(names::bound("compute", b.label));
     }
     row[3] = comp_terms.duration() + sync_costs.compute;
     metrics.add("gpu.comp_issue_slots", costs.comp.issue_slots);
@@ -326,13 +247,13 @@ fn simulate_chunk(
         } else {
             "dma-latency"
         };
-        metrics.incr(bound_counter("wb-xfer", label));
+        metrics.incr(names::bound("wb-xfer", label));
     }
     // Stage 6: write-back apply.
     let wb_terms = cpu::cpu_stage_terms(&machine.cpu, &costs.wb, asm_threads);
     if costs.wb_bytes > 0 {
         if let Some(b) = wb_terms.dominant() {
-            metrics.incr(bound_counter("wb-apply", b.label));
+            metrics.incr(names::bound("wb-apply", b.label));
         }
     }
     row[5] = wb_terms.duration();
@@ -678,19 +599,8 @@ fn run_program(
 
     // Overlap-only with secondary streams: stage each whole aux stream to a
     // device buffer up front (see [`StagedAux`]).
-    let mut aux = StagedAux::empty();
-    if cfg.transfer_all && streams.len() > 1 {
-        for s in &streams[1..] {
-            let buf = machine.gmem.alloc(s.len().max(1));
-            let src = machine.hmem.read(s.region, 0, s.len() as usize).to_vec();
-            machine.gmem.dma_in(buf, 0, &src);
-            metrics.add("pcie.h2d_bytes", s.len());
-            aux.pending_xfer += machine
-                .link
-                .dma_time_with_flag(DmaDirection::HostToDevice, s.len());
-            aux.table.push((s.id, buf));
-        }
-    }
+    let secondary = if cfg.transfer_all { &streams[1..] } else { &[] };
+    let mut aux = StagedAux::stage(machine, secondary, &mut metrics);
 
     for wave in 0..waves {
         let blocks: Vec<u32> =
@@ -746,19 +656,9 @@ fn run_program(
     // Flush dirty aux streams back to host and free the staged buffers. The
     // flush is a serial drain tail after the last chunk retires: one d2h DMA
     // plus the host-side apply per dirty stream.
-    for (i, (id, buf)) in aux.table.iter().enumerate() {
-        let s = &streams[id.0 as usize];
-        if aux.dirty & (1u64 << (i as u64).min(63)) != 0 {
-            let bytes = machine.gmem.dma_out(*buf, 0, s.len() as usize);
-            machine.hmem.write(s.region, 0, &bytes);
-            metrics.add("pcie.d2h_bytes", s.len());
-            total += machine
-                .link
-                .dma_time_with_flag(DmaDirection::DeviceToHost, s.len());
-            let apply = CpuCost::streaming(s.len(), 2, 1);
-            total += cpu::cpu_stage_terms(&machine.cpu, &apply, 1).duration();
-        }
-        machine.gmem.free(*buf);
+    for (xfer, apply) in aux.flush(machine, streams, &mut metrics) {
+        total += xfer;
+        total += apply;
     }
 
     finalize_stage_stats(&mut stage_stats, total_chunks);
@@ -1698,51 +1598,18 @@ mod bound_counter_tests {
 
     #[test]
     fn labels_cover_every_stage() {
-        assert_eq!(
-            bound_counter("addr-gen", "pcie-zerocopy"),
-            "bound.addr-gen.pcie-zerocopy"
-        );
-        assert_eq!(
-            bound_counter("assemble", "cpu-dram-bw"),
-            "bound.assemble.cpu-dram-bw"
-        );
-        assert_eq!(
-            bound_counter("transfer", "dma-bandwidth"),
-            "bound.transfer.dma-bandwidth"
-        );
-        assert_eq!(
-            bound_counter("transfer", "dma-latency"),
-            "bound.transfer.dma-latency"
-        );
-        assert_eq!(bound_counter("compute", "gpu-mem"), "bound.compute.gpu-mem");
-        assert_eq!(
-            bound_counter("wb-xfer", "dma-bandwidth"),
-            "bound.wb-xfer.dma-bandwidth"
-        );
-        assert_eq!(
-            bound_counter("wb-xfer", "dma-latency"),
-            "bound.wb-xfer.dma-latency"
-        );
-        assert_eq!(
-            bound_counter("wb-apply", "cpu-issue"),
-            "bound.wb-apply.cpu-issue"
-        );
-        assert_eq!(
-            bound_counter("wb-apply", "cpu-dram-latency"),
-            "bound.wb-apply.cpu-dram-latency"
-        );
-    }
-
-    /// Unknown pairs no longer vanish silently: debug builds assert (a
-    /// missing table entry is a bug to fix, not a bucket to hide in);
-    /// release builds log once and still count under `bound.other` so the
-    /// chunk tally stays complete.
-    #[test]
-    #[cfg_attr(debug_assertions, should_panic(expected = "unknown stage/bound pair"))]
-    fn unknown_pairs_assert_in_debug_and_fall_back_in_release() {
-        assert_eq!(bound_counter("no-such-stage", "gpu-mem"), "bound.other");
-        for stage in STAGE_NAMES {
-            assert_eq!(bound_counter(stage, "no-such-bound"), "bound.other");
+        for (stage, label) in [
+            ("addr-gen", "pcie-zerocopy"),
+            ("assemble", "cpu-dram-bw"),
+            ("transfer", "dma-bandwidth"),
+            ("transfer", "dma-latency"),
+            ("compute", "gpu-mem"),
+            ("wb-xfer", "dma-bandwidth"),
+            ("wb-xfer", "dma-latency"),
+            ("wb-apply", "cpu-issue"),
+            ("wb-apply", "cpu-dram-latency"),
+        ] {
+            assert_eq!(names::bound(stage, label), format!("bound.{stage}.{label}"));
         }
     }
 
@@ -1775,7 +1642,7 @@ mod bound_counter_tests {
     }
 
     /// A write-back run must classify every active stage — transfer, wb-xfer
-    /// and wb-apply no longer collapse into `bound.other`.
+    /// and wb-apply included — and every bound counter names a stage.
     #[test]
     fn every_active_stage_is_classified() {
         let mut m = Machine::test_platform();
@@ -1800,11 +1667,14 @@ mod bound_counter_tests {
             "cpu-atomic-contention",
         ]
         .iter()
-        .map(|b| c.get(bound_counter("wb-apply", b)))
+        .map(|b| c.get(names::bound("wb-apply", b)))
         .sum::<u64>();
         assert!(wba > 0, "wb-apply chunks unclassified: {c}");
         assert!(transfer <= chunks && wbx <= chunks && wba <= chunks);
-        assert_eq!(c.get("bound.other"), 0, "metrics: {c}");
+        for (name, _) in c.iter().filter(|(n, _)| n.starts_with("bound.")) {
+            let stage = name.split('.').nth(1).expect("bound.<stage>.<label>");
+            assert!(STAGE_NAMES.contains(&stage), "{name} names no stage");
+        }
     }
 }
 

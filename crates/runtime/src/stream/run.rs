@@ -73,7 +73,9 @@ use crate::machine::Machine;
 use crate::pipeline::run_window_in;
 use crate::stream::StreamArray;
 use bk_gpu::occupancy::{self, BlockResources};
-use bk_obs::{MetricsRegistry, SpanRecord, StallCause, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE};
+use bk_obs::{
+    names, MetricsRegistry, SpanRecord, StallCause, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE,
+};
 use bk_simcore::SimTime;
 use std::ops::Range;
 
@@ -336,21 +338,11 @@ pub fn run_bigkernel_streamed(
 
     for (w, win) in windows.iter().enumerate() {
         let ready = source.arrival((win.end + halo).min(len));
-        // This window's pipeline start, by the same recurrence the queue
-        // applies at push time — known before execution because it depends
-        // only on arrival and *earlier* completions. Anchors the trace
-        // offset so the window's spans land at absolute stream time.
-        let oldest_free = if w >= scfg.queue_bound {
-            queue.completed(w - scfg.queue_bound)
-        } else {
-            SimTime::ZERO
-        };
-        let prev_done = if w > 0 {
-            queue.completed(w - 1)
-        } else {
-            SimTime::ZERO
-        };
-        let start_hint = ready.max(oldest_free).max(prev_done);
+        // Admission and start depend only on arrival and *earlier*
+        // completions, so they are known before the window runs. The start
+        // anchors the trace offset so the window's spans land at absolute
+        // stream time.
+        let adm = queue.admit(ready);
 
         let wcfg = window_cfg(cfg, plan);
         let mut makespan = SimTime::ZERO;
@@ -358,7 +350,7 @@ pub fn run_bigkernel_streamed(
         let mut wm = MetricsRegistry::new();
         for (p, kernel) in queued_passes.iter().enumerate() {
             bk_obs::critpath::set_pass(p);
-            bk_obs::trace::set_time_offset(start_hint + makespan);
+            bk_obs::trace::set_time_offset(adm.started + makespan);
             let r = run_window_in(
                 &mut slots,
                 machine,
@@ -374,8 +366,7 @@ pub fn run_bigkernel_streamed(
         }
         bk_obs::trace::set_time_offset(SimTime::ZERO);
 
-        let adm = queue.push(ready, makespan);
-        debug_assert_eq!(adm.started, start_hint);
+        let completed = queue.retire(makespan);
 
         // Ingest lane: the window's life from first-byte arrival to
         // admission, with the backpressure share attributed.
@@ -390,7 +381,10 @@ pub fn run_bigkernel_streamed(
                 .then_some((StallCause::Backpressure.label(), adm.backpressure)),
         });
         if !adm.backpressure.is_zero() {
-            metrics.add("stall.ingest.backpressure", adm.backpressure.nanos() as u64);
+            metrics.add(
+                names::stall("ingest", StallCause::Backpressure),
+                adm.backpressure.nanos() as u64,
+            );
             metrics.add("stream.backpressure_ns", adm.backpressure.nanos() as u64);
         }
         metrics.incr("stream.windows");
@@ -428,11 +422,11 @@ pub fn run_bigkernel_streamed(
             let window_stall = fb.data_reuse_stall + fb.wb_reuse_stall;
             if let Some(p) = t.observe(&fb) {
                 plan = p;
-                note_stream_retune(&mut metrics, p, w + 1, adm.completed, window_stall);
+                note_stream_retune(&mut metrics, p, w + 1, completed, window_stall);
             }
             if let Some(p) = t.plan_wave(window_chunks) {
                 plan = p;
-                note_stream_retune(&mut metrics, p, w + 1, adm.completed, SimTime::ZERO);
+                note_stream_retune(&mut metrics, p, w + 1, completed, SimTime::ZERO);
             }
         }
 
@@ -442,7 +436,7 @@ pub fn run_bigkernel_streamed(
             window: win.clone(),
             ready,
             admitted: adm.admitted,
-            completed: adm.completed,
+            completed,
             backpressure: adm.backpressure,
             depth: adm.depth,
             makespan,

@@ -154,7 +154,7 @@ pub fn predict(waves: &[WaveDag], num_devices: usize, p: &Perturbation) -> Optio
                 }
             }
             Perturbation::AddDevice => {
-                devices = (num_devices + 1).min(bk_obs::MAX_DEVICES);
+                devices = (num_devices + 1).min(crate::machine::MAX_DEVICES);
             }
             Perturbation::MergeChunks { factor } => {
                 let factor = factor.max(1);
