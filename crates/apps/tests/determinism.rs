@@ -1,10 +1,11 @@
 //! Parallel-vs-sequential determinism suite.
 //!
-//! `bigkernel.parallel_blocks` only moves BigKernel's pure address half
-//! (address generation, detection, assembly) onto the rayon pool; every
-//! kernel body, and every buffered-baseline granule, runs live in block
-//! order either way. So runs must be *bit-identical* field for field:
-//! same simulated times, same counters, same verified outputs.
+//! The rayon pool's width only decides how many host threads run
+//! BigKernel's pure address half (address generation, detection,
+//! assembly); every kernel body, and every buffered-baseline granule, runs
+//! live in block order at any width. So runs at widths 1 and 2 must be
+//! *bit-identical* field for field: same simulated times, same counters,
+//! same verified outputs.
 //!
 //! These tests pin that property for every evaluation application and for
 //! the buffered GPU baselines, plus a property test over random launch
@@ -43,17 +44,28 @@ fn all_apps() -> Vec<Box<dyn BenchApp + Sync>> {
     ]
 }
 
-/// One verified run of `app` under `imp` with the given geometry; panics if
-/// the output diverges from the pure-Rust reference.
+/// Run `f` on a rayon pool of `width` host threads — the only parallelism
+/// switch the simulator has.
+fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(width)
+        .build()
+        .expect("build a rayon pool")
+        .install(f)
+}
+
+/// One verified run of `app` under `imp` with the given geometry on a pool
+/// of `width` threads; panics if the output diverges from the pure-Rust
+/// reference.
 fn run_once(
     app: &dyn BenchApp,
     imp: Implementation,
     launch: LaunchConfig,
     chunk_bytes: u64,
     bytes: u64,
-    parallel: bool,
+    width: usize,
 ) -> RunResult {
-    run_on_gpus(app, imp, launch, chunk_bytes, bytes, parallel, 1)
+    run_on_gpus(app, imp, launch, chunk_bytes, bytes, width, 1)
 }
 
 /// [`run_once`] on a machine with `gpus` replicated devices.
@@ -64,10 +76,10 @@ fn run_on_gpus(
     launch: LaunchConfig,
     chunk_bytes: u64,
     bytes: u64,
-    parallel: bool,
+    width: usize,
     gpus: usize,
 ) -> RunResult {
-    run_faulted(app, imp, launch, chunk_bytes, bytes, parallel, gpus, None)
+    run_faulted(app, imp, launch, chunk_bytes, bytes, width, gpus, None)
 }
 
 /// [`run_on_gpus`] with an optional fault-injection plan.
@@ -78,24 +90,25 @@ fn run_faulted(
     launch: LaunchConfig,
     chunk_bytes: u64,
     bytes: u64,
-    parallel: bool,
+    width: usize,
     gpus: usize,
     faults: Option<FaultPlan>,
 ) -> RunResult {
     let mut cfg = HarnessConfig::test_small();
     cfg.launch = launch;
     cfg.bigkernel.chunk_input_bytes = chunk_bytes;
-    cfg.bigkernel.parallel_blocks = parallel;
     cfg.bigkernel.faults = faults;
     cfg.baseline.window_bytes = chunk_bytes.max(16 * 1024);
     cfg.gpus = gpus;
     let mut machine = Machine::test_platform();
     machine.replicate_gpus(gpus);
     let instance = app.instantiate(&mut machine, bytes, 42);
-    let result = run_implementation(&mut machine, &instance, imp, &cfg);
+    let result = at_width(width, || {
+        run_implementation(&mut machine, &instance, imp, &cfg)
+    });
     if let Err(e) = (instance.verify)(&machine) {
         panic!(
-            "{} failed verification under {} (parallel={parallel}): {e}",
+            "{} failed verification under {} (pool width {width}): {e}",
             app.spec().name,
             imp.label()
         );
@@ -113,7 +126,7 @@ fn bigkernel_parallel_is_bit_identical_for_every_app() {
             launch,
             16 * 1024,
             192 * 1024,
-            true,
+            2,
         );
         let seq = run_once(
             app.as_ref(),
@@ -121,7 +134,7 @@ fn bigkernel_parallel_is_bit_identical_for_every_app() {
             launch,
             16 * 1024,
             192 * 1024,
-            false,
+            1,
         );
         assert_eq!(par, seq, "{}", app.spec().name);
     }
@@ -135,8 +148,8 @@ fn baselines_parallel_is_bit_identical_for_every_app() {
             Implementation::GpuSingleBuffer,
             Implementation::GpuDoubleBuffer,
         ] {
-            let par = run_once(app.as_ref(), imp, launch, 32 * 1024, 128 * 1024, true);
-            let seq = run_once(app.as_ref(), imp, launch, 32 * 1024, 128 * 1024, false);
+            let par = run_once(app.as_ref(), imp, launch, 32 * 1024, 128 * 1024, 2);
+            let seq = run_once(app.as_ref(), imp, launch, 32 * 1024, 128 * 1024, 1);
             assert_eq!(par, seq, "{} under {}", app.spec().name, imp.label());
         }
     }
@@ -201,22 +214,23 @@ const GOLDEN_BIGKERNEL: &[GoldenRow] = &[
     ("MasterCard Affinity (indexed)", "bigkernel", 0.000188352, &[2.947199999999999e-5, 3.1608e-5, 0.000166272, 2.636e-5, 0.0, 0.0], 75264, 66432),
 ];
 
-/// Run every app under each of `imps` with `bigkernel.parallel_blocks` on
-/// and off and compare against `golden`. On a mismatch the panic prints the
+/// Run every app under each of `imps` at pool widths 2 and 1 and compare
+/// against `golden`. On a mismatch the panic prints the
 /// actual table in the same Rust syntax.
 fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
-    for parallel in [true, false] {
+    for width in [2, 1] {
         let mut actual = Vec::new();
         for app in all_apps() {
             for &imp in imps {
-                let mut cfg = HarnessConfig::test_small();
-                cfg.bigkernel.parallel_blocks = parallel;
+                let cfg = HarnessConfig::test_small();
                 let mut machine = Machine::test_platform();
                 let instance = app.instantiate(&mut machine, 128 * 1024, 42);
-                let r = run_implementation(&mut machine, &instance, imp, &cfg);
+                let r = at_width(width, || {
+                    run_implementation(&mut machine, &instance, imp, &cfg)
+                });
                 if let Err(e) = (instance.verify)(&machine) {
                     panic!(
-                        "{} failed verification under {} (parallel={parallel}): {e}",
+                        "{} failed verification under {} (pool width {width}): {e}",
                         app.spec().name,
                         imp.label()
                     );
@@ -243,13 +257,13 @@ fn assert_golden(imps: &[Implementation], golden: &[GoldenRow]) {
                 table +=
                     &format!("    (\"{app}\", \"{imp}\", {total:?}, &{stages:?}, {h2d}, {d2h}),\n");
             }
-            panic!("golden results diverged (parallel_blocks {parallel}); actual table:\n{table}");
+            panic!("golden results diverged (pool width {width}); actual table:\n{table}");
         }
     }
 }
 
 /// The buffered baselines and the Fig. 5 variants land on their golden rows
-/// under either `parallel_blocks` setting.
+/// at pool widths 2 and 1.
 #[test]
 fn baselines_and_variants_match_golden_results() {
     assert_golden(
@@ -263,8 +277,7 @@ fn baselines_and_variants_match_golden_results() {
     );
 }
 
-/// Full BigKernel lands on its golden rows under either `parallel_blocks`
-/// setting.
+/// Full BigKernel lands on its golden rows at pool widths 2 and 1.
 #[test]
 fn bigkernel_matches_golden_results() {
     assert_golden(&[Implementation::BigKernel], GOLDEN_BIGKERNEL);
@@ -284,7 +297,7 @@ fn multi_gpu_runs_verify_and_match_single_gpu_for_every_app() {
             launch,
             16 * 1024,
             192 * 1024,
-            true,
+            2,
             1,
         );
         for gpus in [2usize, 4] {
@@ -294,7 +307,7 @@ fn multi_gpu_runs_verify_and_match_single_gpu_for_every_app() {
                 launch,
                 16 * 1024,
                 192 * 1024,
-                true,
+                2,
                 gpus,
             );
             let name = app.spec().name;
@@ -335,7 +348,7 @@ fn bigkernel_parallel_bit_identical_at_two_gpus() {
             launch,
             16 * 1024,
             192 * 1024,
-            true,
+            2,
             2,
         );
         let seq = run_on_gpus(
@@ -344,7 +357,7 @@ fn bigkernel_parallel_bit_identical_at_two_gpus() {
             launch,
             16 * 1024,
             192 * 1024,
-            false,
+            1,
             2,
         );
         assert_eq!(par, seq, "{} at 2 GPUs", app.spec().name);
@@ -385,7 +398,7 @@ fn fault_injected_runs_produce_identical_outputs_for_every_app() {
             launch,
             16 * 1024,
             192 * 1024,
-            true,
+            2,
             2,
         );
         let faulted = run_faulted(
@@ -394,7 +407,7 @@ fn fault_injected_runs_produce_identical_outputs_for_every_app() {
             launch,
             16 * 1024,
             192 * 1024,
-            true,
+            2,
             2,
             Some(busy_plan()),
         );
@@ -438,16 +451,16 @@ fn fault_injected_runs_produce_identical_outputs_for_every_app() {
 fn same_fault_plan_is_bitwise_reproducible_for_every_app() {
     let launch = LaunchConfig::new(4, 32);
     for app in all_apps() {
-        let runs: Vec<RunResult> = [true, true, false]
+        let runs: Vec<RunResult> = [2, 2, 1]
             .iter()
-            .map(|&parallel| {
+            .map(|&width| {
                 run_faulted(
                     app.as_ref(),
                     Implementation::BigKernel,
                     launch,
                     16 * 1024,
                     192 * 1024,
-                    parallel,
+                    width,
                     2,
                     Some(busy_plan()),
                 )
@@ -479,9 +492,9 @@ fn tracing_on_or_off_is_bit_identical_for_every_app() {
     let launch = LaunchConfig::new(4, 32);
     for app in all_apps() {
         for imp in [Implementation::BigKernel, Implementation::GpuDoubleBuffer] {
-            let plain = run_once(app.as_ref(), imp, launch, 16 * 1024, 128 * 1024, true);
+            let plain = run_once(app.as_ref(), imp, launch, 16 * 1024, 128 * 1024, 2);
             let guard = bk_obs::trace::start();
-            let traced = run_once(app.as_ref(), imp, launch, 16 * 1024, 128 * 1024, true);
+            let traced = run_once(app.as_ref(), imp, launch, 16 * 1024, 128 * 1024, 2);
             let spans = guard.finish();
             assert!(
                 !spans.is_empty(),
@@ -697,10 +710,9 @@ const TUNED_STREAM_BYTES: u64 = 96 * 1024;
 fn tuned_stream(
     app: &dyn BenchApp,
     autotune: Option<AutotuneConfig>,
-    parallel: bool,
+    width: usize,
 ) -> (StreamResult, Machine) {
     let mut cfg = HarnessConfig::test_small();
-    cfg.bigkernel.parallel_blocks = parallel;
     cfg.bigkernel.chunk_input_bytes = 2 * 1024;
     let scfg = StreamConfig {
         policy: WindowPolicy::ByBytes(32 * 1024),
@@ -708,7 +720,9 @@ fn tuned_stream(
         autotune,
         ..StreamConfig::default()
     };
-    run_streamed_at_rate(app, TUNED_STREAM_BYTES, 42, &cfg, &scfg, 1e9)
+    at_width(width, || {
+        run_streamed_at_rate(app, TUNED_STREAM_BYTES, 42, &cfg, &scfg, 1e9)
+    })
 }
 
 fn hair_trigger_tuner() -> AutotuneConfig {
@@ -743,8 +757,8 @@ fn autotuned_outputs_identical_to_untuned_for_every_app() {
                 .map(|s| m.hmem.bytes(s.region).to_vec())
                 .collect()
         };
-        let (_, plain) = tuned_stream(app.as_ref(), None, true);
-        let (result, tuned) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), true);
+        let (_, plain) = tuned_stream(app.as_ref(), None, 2);
+        let (result, tuned) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), 2);
         assert_eq!(
             regions(&tuned),
             regions(&plain),
@@ -762,15 +776,15 @@ fn autotuned_outputs_identical_to_untuned_for_every_app() {
 
 /// Re-plans are pure functions of the recorded schedule, so the tuned
 /// stream's re-plan sequence does not depend on host threading:
-/// `parallel_blocks` on and off must give the same [`StreamResult`] —
+/// pool widths 2 and 1 must give the same [`StreamResult`] —
 /// windows, `total` to the bit, chunks, retunes and every metric.
 #[test]
 fn autotune_replan_sequence_identical_across_thread_counts() {
     let mut total_retunes = 0u64;
     for app in drifting_apps() {
         let name = app.spec().name;
-        let (par, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), true);
-        let (seq, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), false);
+        let (par, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), 2);
+        let (seq, _) = tuned_stream(app.as_ref(), Some(hair_trigger_tuner()), 1);
         let model = |r: &StreamResult| {
             (
                 r.windows.clone(),
@@ -885,20 +899,20 @@ proptest! {
         let chunk = chunk_kib * 1024;
         let bytes = bytes_kib * 1024;
         let app = KMeans::default();
-        let run = |parallel: bool| {
+        let run = |width: usize| {
             let mut cfg = HarnessConfig::test_small();
             cfg.launch = launch;
             cfg.bigkernel.chunk_input_bytes = chunk;
-            cfg.bigkernel.parallel_blocks = parallel;
             let mut machine = Machine::test_platform();
             let instance = app.instantiate(&mut machine, bytes, seed);
-            let result =
-                run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
+            let result = at_width(width, || {
+                run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg)
+            });
             prop_assert!((instance.verify)(&machine).is_ok(), "verification failed");
             Ok(result)
         };
-        let par = run(true)?;
-        let seq = run(false)?;
+        let par = run(2)?;
+        let seq = run(1)?;
         prop_assert_eq!(par, seq);
     }
 }

@@ -34,7 +34,7 @@ use bk_host::{cpu, CpuCost, DmaDirection};
 use bk_runtime::compute_staged;
 use bk_runtime::graph::{buffered_graph, serial_graph, Executor};
 use bk_runtime::kernel::{chunk_slice, partition_ranges, LaunchConfig};
-use bk_runtime::layout::ChunkLayout;
+use bk_runtime::layout::StagedLayout;
 use bk_runtime::result::finalize_stage_stats;
 use bk_runtime::MetricsRegistry;
 use bk_runtime::{Machine, RunResult, StagedAux, StreamArray, StreamKernel};
@@ -151,13 +151,9 @@ fn run_buffered(
             durations.push(vec![SimTime::ZERO; 5]);
             continue;
         }
-        let layout = ChunkLayout::build_staged_window(
-            window.clone(),
-            halo,
-            primary.len(),
-            total_threads as usize,
-        );
-        let staged_len = layout.total_len();
+        let layout =
+            StagedLayout::build_window(window.clone(), halo, primary.len(), total_threads as usize);
+        let staged_len = layout.total_len;
         let data_buf = machine.gmem.alloc(staged_len.max(1));
         {
             let src = machine

@@ -64,11 +64,11 @@ fn bench_warp_align(c: &mut Criterion) {
 
 /// Blocks/sec of the full BigKernel pipeline simulation, per app, at
 /// 1 thread (the shape the addr-gen/assembly fast path is tuned against),
-/// plus a KMeans all-cores tier for the `parallel_blocks` payoff. Each tier
-/// sets `bigkernel.parallel_blocks` as `--threads` does: off at 1 thread,
-/// on above, where each chunk's pure address half (addr-gen, §IV.A
-/// detection, assembly) runs on the pool; kernel bodies run live in block
-/// order in both. Simulated results are bit-identical either way; see the
+/// plus a KMeans all-cores tier for the pool payoff. Each tier runs inside a
+/// pool of its width, as `--threads` sizes the global one: each chunk's
+/// pure address half (addr-gen, §IV.A detection, assembly) fans out to the
+/// pool, inline at width 1; kernel bodies run live in block order at any
+/// width. Simulated results are bit-identical either way; see the
 /// determinism suite.
 fn bench_sim_throughput(c: &mut Criterion) {
     use bk_apps::{run_implementation, HarnessConfig, Implementation};
@@ -99,8 +99,6 @@ fn bench_sim_throughput(c: &mut Criterion) {
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let mut cfg = cfg.clone();
-            cfg.bigkernel.parallel_blocks = threads > 1;
             let app = &app;
             group.bench_function(format!("{name}-2mib-8blocks/threads-{threads}"), |b| {
                 b.iter_batched(

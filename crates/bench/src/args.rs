@@ -11,10 +11,10 @@ pub struct ExpArgs {
     /// Only run apps whose name contains this substring.
     pub filter: Option<String>,
     /// Host threads for the block-wave simulation (`None` = rayon default,
-    /// one per core). `1` also moves BigKernel's address half (addr-gen,
-    /// detection, assembly) off the pool (see [`ExpArgs::apply_threads`]);
-    /// every kernel body runs live in block order at any thread count, so
-    /// simulated results are bit-identical either way.
+    /// one per core): the width of the pool BigKernel's address half
+    /// (addr-gen, detection, assembly) fans out to, inline at `1` (see
+    /// [`ExpArgs::apply_threads`]). Every kernel body runs live in block
+    /// order at any width, so simulated results are bit-identical.
     pub threads: Option<usize>,
     /// Platform preset name (`--machine`); `None` keeps the config default
     /// (the paper's GTX 680 platform).
@@ -294,13 +294,13 @@ impl ExpArgs {
         }
     }
 
-    /// Cap the global rayon pool at `--threads` (call once, before the
-    /// first parallel region). `--threads 1` also turns
-    /// `bigkernel.parallel_blocks` off in `cfg`, so BigKernel's address
-    /// half runs block by block instead of on the pool. Nothing else moves:
-    /// kernel bodies and the buffered baselines' granules run in order
-    /// either way, and every result is identical.
-    pub fn apply_threads(&self, cfg: &mut bk_apps::HarnessConfig) {
+    /// Size the global rayon pool to `--threads` (call once, before the
+    /// first parallel region). The pool width is the only parallelism
+    /// switch: BigKernel's address half fans out to it, and at width 1 the
+    /// pool runs it inline, block by block. Kernel bodies and the buffered
+    /// baselines' granules run in order at any width, and every result is
+    /// identical.
+    pub fn apply_threads(&self) {
         if let Some(t) = self.threads {
             // Ignore the error: the pool can only be built once per
             // process, and a second binary invocation in-process (tests)
@@ -308,9 +308,6 @@ impl ExpArgs {
             let _ = rayon::ThreadPoolBuilder::new()
                 .num_threads(t)
                 .build_global();
-            if t == 1 {
-                cfg.bigkernel.parallel_blocks = false;
-            }
         }
     }
 
@@ -347,7 +344,7 @@ impl ExpArgs {
     /// `apply_threads` + `apply_platform` in one call — what every
     /// experiment binary wants right after building its config.
     pub fn apply(&self, cfg: &mut bk_apps::HarnessConfig) {
-        self.apply_threads(cfg);
+        self.apply_threads();
         self.apply_platform(cfg);
     }
 
@@ -479,13 +476,31 @@ mod tests {
         assert!(parse(&["--threads"]).is_err());
     }
 
+    /// `--threads 1` sizes the global pool to one thread, and the pool
+    /// width is the only switch: the same config at widths 1 and 2 gives
+    /// the same result.
     #[test]
     fn single_thread_forces_sequential_path() {
-        let a = parse(&["--threads", "1"]).unwrap();
-        let mut cfg = bk_apps::HarnessConfig::test_small();
-        assert!(cfg.bigkernel.parallel_blocks);
-        a.apply_threads(&mut cfg);
-        assert!(!cfg.bigkernel.parallel_blocks);
+        use bk_apps::{run_implementation, BenchApp, Implementation};
+        parse(&["--threads", "1"]).unwrap().apply_threads();
+        assert_eq!(rayon::current_num_threads(), 1);
+        let cfg = bk_apps::HarnessConfig::test_small();
+        let run = |width: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(width)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let mut machine = bk_runtime::Machine::test_platform();
+                let instance =
+                    bk_apps::kmeans::KMeans::default().instantiate(&mut machine, 64 * 1024, 42);
+                let r =
+                    run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
+                (instance.verify)(&machine).unwrap();
+                r
+            })
+        };
+        assert_eq!(run(1), run(2));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! simulated global memory — and (ii) derives simulated time from the
 //! architectural mechanisms the paper's results hinge on:
 //!
-//! * **warp-level coalescing** ([`coalesce`]): each aligned warp step's 32
+//! * **warp-level coalescing** ([`trace`]): each aligned warp step's 32
 //!   addresses are mapped to the minimal set of 32-byte segments; strided or
 //!   scattered access patterns inflate the number of memory transactions
 //!   exactly the way GDDR5 transactions do;
@@ -22,7 +22,6 @@
 
 #![deny(missing_docs)]
 
-pub mod coalesce;
 pub mod exec;
 pub mod mem;
 pub mod occupancy;
@@ -30,10 +29,9 @@ pub mod spec;
 pub mod timing;
 pub mod trace;
 
-pub use coalesce::{coalesce_step, StepCost};
 pub use exec::{run_block_lanes, BlockSim};
 pub use mem::{BufferId, GpuMemory};
 pub use occupancy::{BlockResources, Occupancy};
 pub use spec::{DeviceSpec, WARP_SIZE};
 pub use timing::{GpuPool, KernelCost};
-pub use trace::{AccessKind, ThreadTrace, WarpAligner};
+pub use trace::{AccessKind, StepCost, ThreadTrace, WarpAligner};

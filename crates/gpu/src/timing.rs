@@ -222,8 +222,7 @@ impl GpuPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coalesce::StepCost;
-    use crate::trace::WarpCost;
+    use crate::trace::{StepCost, WarpCost};
 
     fn warp(issue: u64, txns: u64, atomics: Vec<u64>) -> WarpCost {
         WarpCost {

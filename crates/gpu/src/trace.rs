@@ -1,4 +1,17 @@
-//! Per-thread access traces and warp-level alignment.
+//! Per-thread access traces, warp-level alignment and memory coalescing.
+//!
+//! The paper's third motivating problem (§I): GPU memory bandwidth is only
+//! achievable when the 32 threads of a warp access adjacent locations, so
+//! that the hardware can merge them into few memory transactions; scattered
+//! or strided accesses serialize into many transactions.
+//!
+//! We model Kepler-style coalescing: for one lock-step access by a warp, the
+//! addressed bytes are covered by aligned 32-byte segments; each distinct
+//! segment touched costs one transaction that moves the full 32 bytes. A
+//! fully-coalesced 4-byte access by 32 lanes touches 4 segments (128 bytes);
+//! a 48-byte-strided access touches up to 32 segments (1024 bytes moved for
+//! 128 useful); an access straddling a segment boundary touches both, and
+//! lanes reading the same word share its one segment (a broadcast).
 //!
 //! Kernel threads in this simulator run one after another (sequentially) for
 //! functional simplicity, but the *timing* model needs warp-level lock-step
@@ -6,7 +19,7 @@
 //! same cycle and coalesces (or not) with its 31 siblings. So each thread
 //! records a compact trace of its memory accesses; once a warp's 32 lanes
 //! have run, [`WarpAligner`] aligns the traces by access index and feeds each
-//! aligned step through the coalescing model.
+//! aligned step through that coalescing model ([`StepCost`] per step).
 //!
 //! This trace-then-align approach is exact for the streaming kernels the
 //! paper targets (no data-dependent reconvergence games) and keeps memory
@@ -20,8 +33,32 @@
 //! size (see [`WarpAligner::align`]); either way the cost equals that of
 //! the per-access expansion exactly.
 
-use crate::coalesce::StepCost;
 use crate::spec::{DeviceSpec, WARP_SIZE};
+
+/// Cost of one aligned warp step (or a sum of steps) against global memory.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct StepCost {
+    /// Number of DRAM memory transactions (distinct new segments touched).
+    pub transactions: u64,
+    /// Bytes actually moved over the DRAM interface
+    /// (`transactions * segment_bytes`).
+    pub bytes_moved: u64,
+    /// Bytes served from L2 (segments re-touched within the reuse window) —
+    /// cheaper than DRAM but not free; the L2 has ~4x DRAM bandwidth.
+    pub bytes_l2: u64,
+    /// Bytes the lanes asked for (useful bytes).
+    pub bytes_useful: u64,
+}
+
+impl StepCost {
+    /// Accumulate another step's cost into this one.
+    pub fn merge(&mut self, other: StepCost) {
+        self.transactions += other.transactions;
+        self.bytes_moved += other.bytes_moved;
+        self.bytes_l2 += other.bytes_l2;
+        self.bytes_useful += other.bytes_useful;
+    }
+}
 
 /// Classifies one recorded memory access.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -641,6 +678,31 @@ mod tests {
         let c = al.align(&spec(), &lanes);
         assert_eq!(c.mem.transactions, 8);
         assert_eq!(c.mem.bytes_useful, 32 * 2 * 4);
+
+        // One-step warps: (lane addresses, width) → (transactions, bytes
+        // moved, useful bytes).
+        let one_step = |addrs: Vec<u64>, width: u32| {
+            let lanes: Vec<ThreadTrace> = addrs
+                .iter()
+                .map(|&a| lane_with_reads(&[a], width))
+                .collect();
+            let m = WarpAligner::new().align(&spec(), &lanes).mem;
+            (m.transactions, m.bytes_moved, m.bytes_useful)
+        };
+        // An unaligned access straddling a segment boundary touches both.
+        assert_eq!(one_step(vec![4096 + 30], 4), (2, 64, 4));
+        // Every lane reading the same word is one transaction (broadcast).
+        assert_eq!(one_step(vec![4096; 32], 8), (1, 32, 32 * 8));
+        // 32 contiguous bytes are exactly one segment: nothing is wasted.
+        assert_eq!(
+            one_step((0..32).map(|i| 8192 + i).collect(), 1),
+            (1, 32, 32)
+        );
+        // The same bytes 2 KiB apart touch one segment each.
+        assert_eq!(
+            one_step((0..32).map(|i| 8192 + i * 2048).collect(), 1),
+            (32, 1024, 32)
+        );
     }
 
     #[test]

@@ -429,7 +429,6 @@ pub fn assemble(
                     }
                 }
             }
-            (ChunkLayout::Staged { .. }, _) => unreachable!("assemble never builds staged layouts"),
         }
     }
 

@@ -1,9 +1,10 @@
 //! BigKernel runtime configuration.
 //!
 //! Every field changes the modeled system except
-//! [`BigKernelConfig::parallel_blocks`], which only chooses whether the
-//! runner's pure address half runs on the host thread pool; the result is
-//! bit-identical either way (see [`crate::pipeline`]).
+//! [`BigKernelConfig::parallel_blocks`], which nothing reads. How many host
+//! threads run the simulation is not configuration: the runner's pure
+//! address half fans out to the installed rayon pool's width, and the
+//! result is bit-identical at any width (see [`crate::pipeline`]).
 
 use crate::fault::FaultPlan;
 
@@ -61,10 +62,8 @@ pub struct BigKernelConfig {
     pub transfer_all: bool,
     /// Stage synchronization scheme (§IV.C).
     pub sync: SyncMode,
-    /// Run phase A (each block's address generation, §IV.A detection and
-    /// assembly) on the host thread pool; off, it runs block by block.
-    /// Every kernel body runs live in block order either way, so the result
-    /// is identical (outputs, simulated times, every metric).
+    /// Ignored: phase A fans out to the pool width; delete with the next
+    /// benchmark change.
     pub parallel_blocks: bool,
     /// Deterministic fault injection (see [`crate::fault`]). `None` (the
     /// default) takes the exact fault-free code path. Faults perturb only

@@ -6,23 +6,24 @@
 //!   indexed MasterCard Affinity variant walks its index.
 //! * [`ComputeCtx`] — what the kernel body runs against in GPU modes: mapped
 //!   stream accesses resolve into the chunk's prefetch buffer according to
-//!   the [`ChunkLayout`]; device accesses execute against simulated global
+//!   its layout — an assembled [`ChunkLayout`] or a verbatim
+//!   [`StagedLayout`]; device accesses execute against simulated global
 //!   memory; everything is traced for the warp-level timing model.
 //!
 //! `ComputeCtx` performs every access directly against the live
 //! [`GpuMemory`]: each BigKernel block and each buffered-baseline granule
 //! runs its kernel body in order, so no access needs isolating.
 //!
-//! In assembled mode `ComputeCtx` verifies every stream access against the
-//! address stream recorded in stage 1 — the runtime cross-check that the
-//! hand-written (or compiler-sliced) `addresses()` is exactly the access
+//! On an assembled chunk `ComputeCtx` verifies every stream access against
+//! the address stream recorded in stage 1 — the runtime cross-check that
+//! the hand-written (or compiler-sliced) `addresses()` is exactly the access
 //! slice of `process()`. A mismatch panics with a precise diagnostic: in a
 //! real deployment that is a compiler bug, and in this reproduction it is
 //! how the test suite proves the transformation's correctness invariant.
 
 use crate::addr::{AddrEntry, AddrStreamIter, LaneAddrs};
 use crate::kernel::{DevBufId, KernelCtx};
-use crate::layout::ChunkLayout;
+use crate::layout::{ChunkLayout, StagedLayout};
 use crate::pattern::{OnlineDetect, MAX_PERIOD};
 use crate::stream::StreamId;
 use bk_gpu::trace::AccessClass;
@@ -247,20 +248,36 @@ fn le_store(value: u64, width: u32) -> [u8; 8] {
     value.to_le_bytes()
 }
 
-/// Which buffer a GPU-mode stream access resolves into.
-enum StreamMode<'a> {
-    /// Prefetch-buffer consumption with FIFO verification of every access.
-    /// The cursors walk the recorded streams in FIFO order (accesses are
-    /// consumed strictly in emission order) — they replace a per-access
-    /// `entry(k)` dispatch, which for compressed streams cost a div/mod per
-    /// element.
+/// What a GPU-mode stream access resolves against: the chunk's layout
+/// plus the per-lane state that layout needs.
+enum Chunk<'a> {
+    /// An assembled chunk (full BigKernel, volume reduction): prefetch-buffer
+    /// consumption with FIFO verification of every access. The cursors walk
+    /// the recorded streams in FIFO order (accesses are consumed strictly in
+    /// emission order) — they replace a per-access `entry(k)` dispatch,
+    /// which for compressed streams cost a div/mod per element.
     Assembled {
+        layout: &'a ChunkLayout,
         lane_addrs: &'a LaneAddrs,
         read_cur: AddrStreamIter<'a>,
         write_cur: AddrStreamIter<'a>,
+        /// Bytes of this lane consumed so far under a per-lane layout.
+        perlane_read_cursor: u64,
+        perlane_write_cursor: u64,
+        /// GPU-side write-value buffer and its layout; `None` when the
+        /// chunk's address slice emitted no writes.
+        write_buf: Option<DevBufId>,
+        write_layout: Option<&'a ChunkLayout>,
     },
-    /// Verbatim staged window(s) (baselines / overlap-only variant).
-    Staged,
+    /// A verbatim staged window (the overlap-only variant and the buffered
+    /// baselines): primary-stream accesses resolve by offset inside the
+    /// lane's staged segment and writes modify it in place; every other
+    /// stream resolves at its direct offset inside its whole-stream buffer
+    /// in `aux`.
+    Staged {
+        layout: &'a StagedLayout,
+        aux: &'a [(StreamId, DevBufId)],
+    },
 }
 
 /// Context for the computation half on the GPU (pipeline stage 4, and the
@@ -268,12 +285,7 @@ enum StreamMode<'a> {
 pub struct ComputeCtx<'a> {
     mem: &'a mut GpuMemory,
     data_buf: DevBufId,
-    /// GPU-side write-value buffer (BigKernel write path); `None` when the
-    /// layout is `Staged` (writes land in the staged chunk in place).
-    write_buf: Option<DevBufId>,
-    layout: &'a ChunkLayout,
-    write_layout: Option<&'a ChunkLayout>,
-    mode: StreamMode<'a>,
+    chunk: Chunk<'a>,
     /// Lane index within the block (warp * 32 + lane-in-warp).
     lane: usize,
     thread_id: u32,
@@ -281,26 +293,47 @@ pub struct ComputeCtx<'a> {
     trace: &'a mut ThreadTrace,
     read_k: usize,
     write_k: usize,
-    perlane_read_cursor: u64,
-    perlane_write_cursor: u64,
-    /// Whole secondary streams staged to device buffers (staged mode only):
-    /// accesses to these streams resolve at their *direct* stream offset
-    /// inside the paired buffer. See [`ComputeCtx::set_aux`].
-    aux: &'a [(StreamId, DevBufId)],
     /// Bytes of mapped data actually written (for counters).
     pub stream_bytes_written: u64,
     /// Bytes of mapped data actually read (for counters / Table I).
     pub stream_bytes_read: u64,
-    /// Bytes written to the *primary* stream only — the per-window
-    /// write-back decision keys on this, so aux-only writes don't force a
-    /// primary-window copy-back.
+    /// Bytes written to the *primary* stream of a staged chunk — the
+    /// per-window write-back decision keys on this, so aux-only writes don't
+    /// force a primary-window copy-back.
     pub primary_bytes_written: u64,
-    /// Bit `i` set when aux stream `i` (by table index) was written; the
-    /// runner copies dirty aux buffers back to the host once at the end.
+    /// Bit `i` set when aux stream `i` (by table index) of a staged chunk
+    /// was written; the runner copies dirty aux buffers back to the host
+    /// once at the end.
     pub aux_written_mask: u64,
 }
 
 impl<'a> ComputeCtx<'a> {
+    fn on(
+        mem: &'a mut GpuMemory,
+        data_buf: DevBufId,
+        chunk: Chunk<'a>,
+        lane: usize,
+        thread_id: u32,
+        num_threads: u32,
+        trace: &'a mut ThreadTrace,
+    ) -> Self {
+        ComputeCtx {
+            mem,
+            data_buf,
+            chunk,
+            lane,
+            thread_id,
+            num_threads,
+            trace,
+            read_k: 0,
+            write_k: 0,
+            stream_bytes_written: 0,
+            stream_bytes_read: 0,
+            primary_bytes_written: 0,
+            aux_written_mask: 0,
+        }
+    }
+
     /// Context for BigKernel's compute stage against `mem`: reads resolve
     /// through `layout`, writes through `write_layout` into `write_buf`.
     #[allow(clippy::too_many_arguments)]
@@ -316,89 +349,39 @@ impl<'a> ComputeCtx<'a> {
         num_threads: u32,
         trace: &'a mut ThreadTrace,
     ) -> Self {
-        ComputeCtx {
-            mem,
-            data_buf,
-            write_buf,
+        let chunk = Chunk::Assembled {
             layout,
-            write_layout,
-            mode: StreamMode::Assembled {
-                lane_addrs,
-                read_cur: lane_addrs.reads.iter(),
-                write_cur: lane_addrs.writes.iter(),
-            },
-            lane,
-            thread_id,
-            num_threads,
-            trace,
-            read_k: 0,
-            write_k: 0,
+            lane_addrs,
+            read_cur: lane_addrs.reads.iter(),
+            write_cur: lane_addrs.writes.iter(),
             perlane_read_cursor: 0,
             perlane_write_cursor: 0,
-            aux: &[],
-            stream_bytes_written: 0,
-            stream_bytes_read: 0,
-            primary_bytes_written: 0,
-            aux_written_mask: 0,
-        }
+            write_buf,
+            write_layout,
+        };
+        Self::on(mem, data_buf, chunk, lane, thread_id, num_threads, trace)
     }
 
     /// Context for staged-chunk execution against `mem` (the buffered
-    /// baselines and the overlap-only variant): stream accesses resolve by
-    /// offset inside the staged window; writes modify the staged chunk in
-    /// place.
+    /// baselines and the overlap-only variant): primary-stream accesses
+    /// resolve by offset inside the staged window and writes modify it in
+    /// place. Each `aux` pair declares a buffer holding a secondary stream's
+    /// full contents (see [`crate::StagedAux`]), so accesses to that stream
+    /// resolve at their direct stream offset; BigKernel's assembly gathers
+    /// from any stream and needs no such table.
+    #[allow(clippy::too_many_arguments)]
     pub fn staged_on(
         mem: &'a mut GpuMemory,
         data_buf: DevBufId,
-        layout: &'a ChunkLayout,
+        layout: &'a StagedLayout,
+        aux: &'a [(StreamId, DevBufId)],
         lane: usize,
         thread_id: u32,
         num_threads: u32,
         trace: &'a mut ThreadTrace,
     ) -> Self {
-        ComputeCtx {
-            mem,
-            data_buf,
-            write_buf: None,
-            layout,
-            write_layout: None,
-            mode: StreamMode::Staged,
-            lane,
-            thread_id,
-            num_threads,
-            trace,
-            read_k: 0,
-            write_k: 0,
-            perlane_read_cursor: 0,
-            perlane_write_cursor: 0,
-            aux: &[],
-            stream_bytes_written: 0,
-            stream_bytes_read: 0,
-            primary_bytes_written: 0,
-            aux_written_mask: 0,
-        }
-    }
-
-    /// Stage whole secondary streams: each `(stream, buffer)` pair declares
-    /// that the buffer holds the stream's full contents, so staged-mode
-    /// accesses to that stream resolve at their direct stream offset. This
-    /// is how the buffered baselines and the overlap-only variant run
-    /// multi-stream kernels (BigKernel's assembly gathers from any stream
-    /// and needs no aux table).
-    pub fn set_aux(mut self, aux: &'a [(StreamId, DevBufId)]) -> Self {
-        self.aux = aux;
-        self
-    }
-
-    /// The staged buffer for secondary stream `s`, with its aux-table index.
-    fn aux_buf(&self, s: StreamId) -> (usize, DevBufId) {
-        match self.aux.iter().position(|(id, _)| *id == s) {
-            Some(i) => (i, self.aux[i].1),
-            None => panic!(
-                "staged execution has no staged buffer for stream {s:?}; stage secondary \
-                 streams with ComputeCtx::set_aux or run the kernel under BigKernel / the CPU"
-            ),
-        }
+        let chunk = Chunk::Staged { layout, aux };
+        Self::on(mem, data_buf, chunk, lane, thread_id, num_threads, trace)
     }
 
     /// Load `width` bytes at `offset` of buffer `b`, little-endian.
@@ -424,67 +407,73 @@ impl<'a> ComputeCtx<'a> {
         self.write_k
     }
 
-    /// Resolve the position of the next read in the data buffer.
-    fn resolve_read(&mut self, s: StreamId, offset: u64, width: u32) -> u64 {
-        match (&mut self.mode, self.layout) {
-            (StreamMode::Staged, layout) => {
-                // Staged chunks hold the primary stream only; a traditional
-                // buffered implementation would need a staging buffer per
-                // mapped array. Multi-stream kernels run under BigKernel
-                // (whose assembly gathers from any stream) or on the CPU.
-                assert_eq!(
-                    s,
-                    StreamId(0),
-                    "staged execution supports only the primary stream;                      run multi-stream kernels under BigKernel or the CPU"
-                );
-                layout.staged_pos(self.lane, offset)
+    /// Resolve the next read to its buffer and position.
+    fn resolve_read(&mut self, s: StreamId, offset: u64, width: u32) -> (DevBufId, u64) {
+        match &mut self.chunk {
+            Chunk::Staged { layout, aux } => {
+                if s == StreamId(0) {
+                    (self.data_buf, layout.pos(self.lane, offset))
+                } else {
+                    // The whole stream sits in a device buffer, so the
+                    // stream offset IS the buffer offset.
+                    (aux_buf(aux, s).1, offset)
+                }
             }
-            (
-                StreamMode::Assembled {
-                    lane_addrs,
-                    read_cur,
-                    ..
-                },
-                ChunkLayout::Interleaved { warps, .. },
-            ) => {
+            Chunk::Assembled {
+                layout,
+                lane_addrs,
+                read_cur,
+                perlane_read_cursor,
+                ..
+            } => {
                 let k = self.read_k;
-                assert!(
-                    k < lane_addrs.reads.len(),
-                    "lane {} performed stream read #{k} but its address slice emitted only {}                      reads — the kernel scanned past its emitted window (data-dependent scan                      exceeding halo_bytes? run with BigKernelConfig::overlap_only, the paper's                      fetch-all fallback)",
-                    self.lane,
-                    lane_addrs.reads.len()
-                );
-                let expected = read_cur.next().expect("read cursor in step with read_k");
-                verify_entry("read", expected, s, offset, width, self.lane, k);
-                let warp = self.lane / bk_gpu::WARP_SIZE;
-                let (pos, _slot_w) = warps[warp].slot(self.lane % bk_gpu::WARP_SIZE, k);
-                pos
-            }
-            (
-                StreamMode::Assembled {
-                    lane_addrs,
-                    read_cur,
-                    ..
-                },
-                ChunkLayout::PerLane { lane_base, .. },
-            ) => {
-                let k = self.read_k;
-                assert!(
-                    k < lane_addrs.reads.len(),
-                    "lane {} read past its address slice ({} reads emitted) — see halo_bytes",
-                    self.lane,
-                    lane_addrs.reads.len()
-                );
-                let expected = read_cur.next().expect("read cursor in step with read_k");
-                verify_entry("read", expected, s, offset, width, self.lane, k);
-                let pos = lane_base[self.lane] + self.perlane_read_cursor;
-                self.perlane_read_cursor += width as u64;
-                pos
-            }
-            (StreamMode::Assembled { .. }, ChunkLayout::Staged { .. }) => {
-                unreachable!("assembled mode never pairs with a staged layout")
+                let pos = match layout {
+                    ChunkLayout::Interleaved { warps, .. } => {
+                        assert!(
+                            k < lane_addrs.reads.len(),
+                            "lane {} performed stream read #{k} but its address slice emitted \
+                             only {} reads — the kernel scanned past its emitted window \
+                             (data-dependent scan exceeding halo_bytes? run with \
+                             BigKernelConfig::overlap_only, the paper's fetch-all fallback)",
+                            self.lane,
+                            lane_addrs.reads.len()
+                        );
+                        let expected = read_cur.next().expect("read cursor in step with read_k");
+                        verify_entry("read", expected, s, offset, width, self.lane, k);
+                        let warp = self.lane / bk_gpu::WARP_SIZE;
+                        warps[warp].slot(self.lane % bk_gpu::WARP_SIZE, k).0
+                    }
+                    ChunkLayout::PerLane { lane_base, .. } => {
+                        assert!(
+                            k < lane_addrs.reads.len(),
+                            "lane {} read past its address slice ({} reads emitted) — see \
+                             halo_bytes",
+                            self.lane,
+                            lane_addrs.reads.len()
+                        );
+                        let expected = read_cur.next().expect("read cursor in step with read_k");
+                        verify_entry("read", expected, s, offset, width, self.lane, k);
+                        let pos = lane_base[self.lane] + *perlane_read_cursor;
+                        *perlane_read_cursor += width as u64;
+                        pos
+                    }
+                };
+                (self.data_buf, pos)
             }
         }
+    }
+}
+
+/// The whole-stream buffer for secondary stream `s` of a staged chunk, with
+/// its aux-table index.
+fn aux_buf(aux: &[(StreamId, DevBufId)], s: StreamId) -> (usize, DevBufId) {
+    match aux.iter().position(|(id, _)| *id == s) {
+        Some(i) => (i, aux[i].1),
+        None => panic!(
+            "staged execution has no staged buffer for stream {s:?}; stage secondary \
+             streams with StagedAux and pass its table to ComputeCtx::staged_on, or run \
+             the kernel under BigKernel / the CPU"
+        ),
     }
 }
 
@@ -564,12 +553,11 @@ impl<'a> ComputeCtx<'a> {
     /// staged range. A scan that goes further continues element by element.
     fn plan_run(&self, s: StreamId, offset: u64, width: u32, n_max: usize) -> RunPlan<'a> {
         let w = width as u64;
-        match (&self.mode, self.layout) {
-            (StreamMode::Staged, _) if s != StreamId(0) => {
+        match self.chunk {
+            Chunk::Staged { aux, .. } if s != StreamId(0) => {
                 // Aux-staged secondary stream: read element by element.
-                let (_, buf) = self.aux_buf(s);
                 RunPlan {
-                    buf,
+                    buf: aux_buf(aux, s).1,
                     len: 0,
                     place: RunPlace::Linear {
                         pos: offset,
@@ -577,8 +565,8 @@ impl<'a> ComputeCtx<'a> {
                     },
                 }
             }
-            (StreamMode::Staged, ChunkLayout::Staged { segs, lane_seg, .. }) => {
-                let (base, range) = &segs[lane_seg[self.lane]];
+            Chunk::Staged { layout, .. } => {
+                let (base, range) = layout.seg(self.lane);
                 // Elements lying wholly inside the staged range.
                 let fits = if range.contains(&offset) {
                     ((range.end - offset) / w) as usize
@@ -594,8 +582,12 @@ impl<'a> ComputeCtx<'a> {
                     },
                 }
             }
-            (StreamMode::Staged, _) => unreachable!("staged mode pairs with a staged layout"),
-            (StreamMode::Assembled { lane_addrs, .. }, layout) => {
+            Chunk::Assembled {
+                layout,
+                lane_addrs,
+                perlane_read_cursor,
+                ..
+            } => {
                 // Only the lane's emitted reads are loaded.
                 let len = n_max.min(lane_addrs.reads.len() - self.read_k);
                 match layout {
@@ -624,18 +616,15 @@ impl<'a> ComputeCtx<'a> {
                         ..
                     } => {
                         // ...and only elements inside the lane's own bytes.
-                        let left = lane_len[self.lane] - self.perlane_read_cursor;
+                        let left = lane_len[self.lane] - perlane_read_cursor;
                         RunPlan {
                             buf: self.data_buf,
                             len: len.min((left / w) as usize),
                             place: RunPlace::Linear {
-                                pos: lane_base[self.lane] + self.perlane_read_cursor,
+                                pos: lane_base[self.lane] + perlane_read_cursor,
                                 stride: w,
                             },
                         }
-                    }
-                    ChunkLayout::Staged { .. } => {
-                        unreachable!("assembled mode never pairs with a staged layout")
                     }
                 }
             }
@@ -680,30 +669,16 @@ fn verify_entry(
 
 impl KernelCtx for ComputeCtx<'_> {
     fn stream_read(&mut self, s: StreamId, offset: u64, width: u32) -> u64 {
-        // Aux-staged secondary stream: the whole stream sits in a device
-        // buffer, so the stream offset IS the buffer offset.
-        if s != StreamId(0) && matches!(self.mode, StreamMode::Staged) {
-            let (_, buf) = self.aux_buf(s);
-            self.read_k += 1;
-            self.stream_bytes_read += width as u64;
-            self.trace.record(
-                self.mem.vaddr(buf, offset),
-                width,
-                AccessKind::Read,
-                AccessClass::StreamRead,
-            );
-            return self.load(buf, offset, width);
-        }
-        let pos = self.resolve_read(s, offset, width);
+        let (buf, pos) = self.resolve_read(s, offset, width);
         self.read_k += 1;
         self.stream_bytes_read += width as u64;
         self.trace.record(
-            self.mem.vaddr(self.data_buf, pos),
+            self.mem.vaddr(buf, pos),
             width,
             AccessKind::Read,
             AccessClass::StreamRead,
         );
-        self.load(self.data_buf, pos, width)
+        self.load(buf, pos, width)
     }
 
     fn stream_read_run(
@@ -738,11 +713,21 @@ impl KernelCtx for ComputeCtx<'_> {
                 break;
             }
         }
-        // Verify the consumed elements, ordinal by ordinal.
-        if let StreamMode::Assembled { read_cur, .. } = &mut self.mode {
+        // Verify the consumed elements, ordinal by ordinal, and advance a
+        // per-lane layout's byte cursor past them.
+        if let Chunk::Assembled {
+            layout,
+            read_cur,
+            perlane_read_cursor,
+            ..
+        } = &mut self.chunk
+        {
             if let Err((i, expected)) = read_cur.check_run(s, offset, width, consumed) {
                 let off = offset + (i * w) as u64;
                 verify_failed("read", expected, s, off, width, self.lane, self.read_k + i);
+            }
+            if matches!(layout, ChunkLayout::PerLane { .. }) {
+                *perlane_read_cursor += (consumed * w) as u64;
             }
         }
         for piece in plan.pieces(consumed) {
@@ -756,9 +741,6 @@ impl KernelCtx for ComputeCtx<'_> {
         }
         self.read_k += consumed;
         self.stream_bytes_read += (consumed * w) as u64;
-        if matches!(self.layout, ChunkLayout::PerLane { .. }) {
-            self.perlane_read_cursor += (consumed * w) as u64;
-        }
         // A scan that wants more than the plan could load continues element
         // by element: those reads succeed, or panic, exactly as they would
         // have without the run.
@@ -777,68 +759,55 @@ impl KernelCtx for ComputeCtx<'_> {
 
     fn stream_write(&mut self, s: StreamId, offset: u64, width: u32, value: u64) {
         self.stream_bytes_written += width as u64;
-        if s != StreamId(0) && matches!(self.mode, StreamMode::Staged) {
-            let (i, buf) = self.aux_buf(s);
-            self.aux_written_mask |= 1u64 << i.min(63);
-            self.trace.record(
-                self.mem.vaddr(buf, offset),
-                width,
-                AccessKind::Write,
-                AccessClass::StreamWrite,
-            );
-            return self.store(buf, offset, width, value);
-        }
-        if s == StreamId(0) {
-            self.primary_bytes_written += width as u64;
-        }
-        match (&mut self.mode, self.write_layout) {
-            (StreamMode::Staged, _) => {
-                // In-place modification of the staged chunk; the runner
-                // copies the dirty window back to host memory afterwards.
-                assert_eq!(
-                    s,
-                    StreamId(0),
-                    "staged execution supports only the primary stream"
-                );
-                let pos = self.layout.staged_pos(self.lane, offset);
-                self.trace.record(
-                    self.mem.vaddr(self.data_buf, pos),
-                    width,
-                    AccessKind::Write,
-                    AccessClass::StreamWrite,
-                );
-                self.store(self.data_buf, pos, width, value);
+        let (buf, pos) = match &mut self.chunk {
+            Chunk::Staged { layout, aux } => {
+                if s == StreamId(0) {
+                    // In-place modification of the staged chunk; the runner
+                    // copies the dirty window back to host memory afterwards.
+                    self.primary_bytes_written += width as u64;
+                    (self.data_buf, layout.pos(self.lane, offset))
+                } else {
+                    let (i, buf) = aux_buf(aux, s);
+                    self.aux_written_mask |= 1u64 << i.min(63);
+                    (buf, offset)
+                }
             }
-            (StreamMode::Assembled { write_cur, .. }, Some(wl)) => {
+            Chunk::Assembled {
+                write_cur,
+                perlane_write_cursor,
+                write_buf,
+                write_layout,
+                ..
+            } => {
+                let Some(wl) = write_layout else {
+                    panic!("kernel wrote to mapped stream {s:?} but no write layout was assembled")
+                };
                 let k = self.write_k;
                 let expected = write_cur.next().expect("write cursor in step with write_k");
                 verify_entry("write", expected, s, offset, width, self.lane, k);
-                let wb = self.write_buf.expect("write layout implies a write buffer");
+                let wb = write_buf.expect("write layout implies a write buffer");
                 let pos = match wl {
                     ChunkLayout::Interleaved { warps, .. } => {
                         let warp = self.lane / bk_gpu::WARP_SIZE;
                         warps[warp].slot(self.lane % bk_gpu::WARP_SIZE, k).0
                     }
                     ChunkLayout::PerLane { lane_base, .. } => {
-                        let p = lane_base[self.lane] + self.perlane_write_cursor;
-                        self.perlane_write_cursor += width as u64;
+                        let p = lane_base[self.lane] + *perlane_write_cursor;
+                        *perlane_write_cursor += width as u64;
                         p
                     }
-                    ChunkLayout::Staged { .. } => unreachable!("write layouts are never staged"),
                 };
                 self.write_k += 1;
-                self.trace.record(
-                    self.mem.vaddr(wb, pos),
-                    width,
-                    AccessKind::Write,
-                    AccessClass::StreamWrite,
-                );
-                self.store(wb, pos, width, value);
+                (wb, pos)
             }
-            (StreamMode::Assembled { .. }, None) => {
-                panic!("kernel wrote to mapped stream {s:?} but no write layout was assembled")
-            }
-        }
+        };
+        self.trace.record(
+            self.mem.vaddr(buf, pos),
+            width,
+            AccessKind::Write,
+            AccessClass::StreamWrite,
+        );
+        self.store(buf, pos, width, value);
     }
 
     fn dev_read(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
@@ -1030,11 +999,11 @@ mod tests {
     #[test]
     fn staged_mode_reads_and_writes_in_place() {
         let mut m = Machine::test_platform();
-        let layout = ChunkLayout::build_staged_window(1000..1100, 0, 4096, 2);
-        let buf = m.gmem.alloc(layout.total_len());
+        let layout = StagedLayout::build_window(1000..1100, 0, 4096, 2);
+        let buf = m.gmem.alloc(layout.total_len);
         m.gmem.write_u64(buf, 8, 777); // stream offset 1008
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, buf, &layout, 1, 5, 8, &mut trace);
+        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, buf, &layout, &[], 1, 5, 8, &mut trace);
         assert_eq!(ctx.stream_read(StreamId(0), 1008, 8), 777);
         ctx.stream_write(StreamId(0), 1016, 4, 42);
         assert_eq!(ctx.thread_id(), 5);
@@ -1047,14 +1016,13 @@ mod tests {
     #[test]
     fn staged_aux_streams_resolve_at_direct_offsets() {
         let mut m = Machine::test_platform();
-        let layout = ChunkLayout::build_staged_window(0..64, 0, 64, 1);
+        let layout = StagedLayout::build_window(0..64, 0, 64, 1);
         let data = m.gmem.alloc(64);
         let aux_buf = m.gmem.alloc(128);
         m.gmem.write_u64(aux_buf, 40, 99);
         let aux = [(StreamId(1), aux_buf)];
         let mut trace = ThreadTrace::default();
-        let mut ctx =
-            ComputeCtx::staged_on(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace).set_aux(&aux);
+        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, data, &layout, &aux, 0, 0, 1, &mut trace);
         assert_eq!(ctx.stream_read(StreamId(1), 40, 8), 99);
         ctx.stream_write(StreamId(1), 48, 8, 7);
         ctx.stream_write(StreamId(0), 8, 4, 1);
@@ -1069,21 +1037,21 @@ mod tests {
     #[should_panic(expected = "no staged buffer")]
     fn staged_unknown_secondary_stream_panics() {
         let mut m = Machine::test_platform();
-        let layout = ChunkLayout::build_staged_window(0..64, 0, 64, 1);
+        let layout = StagedLayout::build_window(0..64, 0, 64, 1);
         let data = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, data, &layout, &[], 0, 0, 1, &mut trace);
         let _ = ctx.stream_read(StreamId(3), 0, 8);
     }
 
     #[test]
     fn dev_ops_functional_and_atomic_traced() {
         let mut m = Machine::test_platform();
-        let layout = ChunkLayout::build_staged_window(0..64, 0, 64, 1);
+        let layout = StagedLayout::build_window(0..64, 0, 64, 1);
         let data = m.gmem.alloc(64);
         let table = m.gmem.alloc(64);
         let mut trace = ThreadTrace::default();
-        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, data, &layout, 0, 0, 1, &mut trace);
+        let mut ctx = ComputeCtx::staged_on(&mut m.gmem, data, &layout, &[], 0, 0, 1, &mut trace);
         ctx.dev_write(table, 0, 8, 5);
         assert_eq!(ctx.dev_read(table, 0, 8), 5);
         assert_eq!(ctx.dev_atomic_add_u32(table, 8, 3), 0);
@@ -1259,12 +1227,16 @@ mod run_tests {
             })
             .collect();
         let refs: Vec<&AddrStream> = streams.iter().collect();
+        let staged = StagedLayout::build_window(0..1 << 18, 0, 1 << 18, lanes.len());
         let chunk = match layout {
-            Layout::Interleaved => ChunkLayout::build_interleaved(&refs),
-            Layout::PerLane => ChunkLayout::build_per_lane(&refs),
-            Layout::Staged => ChunkLayout::build_staged_window(0..1 << 18, 0, 1 << 18, lanes.len()),
+            Layout::Interleaved => Some(ChunkLayout::build_interleaved(&refs)),
+            Layout::PerLane => Some(ChunkLayout::build_per_lane(&refs)),
+            Layout::Staged => None,
         };
-        let len = chunk.total_len().max(1);
+        let len = chunk
+            .as_ref()
+            .map_or(staged.total_len, ChunkLayout::total_len)
+            .max(1);
         let data = m.gmem.alloc(len);
         let bytes: Vec<u8> = (0..len)
             .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
@@ -1293,21 +1265,22 @@ mod run_tests {
             for (li, trace) in traces.iter_mut().enumerate().take(in_warp) {
                 let lane = warp0 + li;
                 trace.clear();
-                let mut ctx = if layout == Layout::Staged {
-                    ComputeCtx::staged_on(&mut m.gmem, data, &chunk, lane, 0, 1, trace)
-                } else {
-                    ComputeCtx::assembled_on(
+                let mut ctx = match &chunk {
+                    None => {
+                        ComputeCtx::staged_on(&mut m.gmem, data, &staged, &[], lane, 0, 1, trace)
+                    }
+                    Some(chunk) => ComputeCtx::assembled_on(
                         &mut m.gmem,
                         data,
                         None,
-                        &chunk,
+                        chunk,
                         None,
                         &lane_addrs[lane],
                         lane,
                         0,
                         1,
                         trace,
-                    )
+                    ),
                 };
                 out.values.push(body(&mut ctx, &lanes[lane], runs));
                 out.bytes_read += ctx.stream_bytes_read;

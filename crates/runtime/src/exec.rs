@@ -4,16 +4,18 @@
 //!
 //! Everything here implements the *work* of a chunk — address generation,
 //! assembly, DMA, the kernel body, write-back — under the block algorithm
-//! described in [`crate::pipeline`]'s module docs: a pure address half that
-//! may run on the rayon pool, then ordered phases that run every block's
-//! kernel body live, in block order. Scheduling the resulting stage
-//! durations is the stage graph's job ([`crate::graph`]).
+//! described in [`crate::pipeline`]'s module docs: a pure phase A that fans
+//! out over the installed rayon pool's width (run inline at width 1), then
+//! ordered phases that run every block's kernel body live, in block order.
+//! Scheduling the resulting stage durations is the stage graph's job
+//! ([`crate::graph`]).
 //!
-//! There is one chunk runner per layout — [`run_chunk_assembled`] (full
-//! BigKernel, volume reduction) and [`run_chunk_staged`] (overlap only) —
-//! and one kernel lane loop per layout, each against live device memory:
-//! `compute_assembled`, and [`compute_staged`], which the buffered
-//! baselines also run for each granule of their windows.
+//! There is one chunk runner, [`run_chunk`], for every layout. What phase A
+//! prepares per block is a [`Prepared`]: an assembled chunk (full BigKernel,
+//! volume reduction) or a staged one (overlap only), and phases A, B and C
+//! each dispatch on it once. There is one kernel lane loop per layout, each
+//! against live device memory: `compute_assembled`, and [`compute_staged`],
+//! which the buffered baselines also run for each granule of their windows.
 //!
 //! Functional execution always uses the primary device's memory image
 //! (`machine.gmem` is one unified image shared by all simulated devices)
@@ -26,7 +28,7 @@ use crate::config::BigKernelConfig;
 use crate::ctx::{AddrGenCtx, ComputeCtx};
 use crate::fusion::PassIo;
 use crate::kernel::{LaunchConfig, StreamKernel};
-use crate::layout::ChunkLayout;
+use crate::layout::{ChunkLayout, StagedLayout};
 use crate::machine::Machine;
 use crate::pool::{AddrGenScratch, Compression};
 use crate::stream::{StreamArray, StreamId};
@@ -62,13 +64,15 @@ impl BlockSlot {
         }
     }
 
-    /// Return a finished chunk's pure-phase vectors to this slot's pool so
+    /// Return a finished chunk's phase-A vectors to this slot's pool so
     /// the next chunk allocates nothing. Resetting the arena recycles the
     /// chunk's pinned prefetch window (and invalidates its `ArenaRef`s, so
     /// any stale read past this point panics instead of aliasing).
-    fn recycle(&mut self, pure: BlockPure) {
-        self.scratch.pool.give_lanes(pure.lane_addrs);
-        self.scratch.pool.give_output(pure.out);
+    fn recycle(&mut self, work: Prepared) {
+        if let Prepared::Assembled(pure) = work {
+            self.scratch.pool.give_lanes(pure.lane_addrs);
+            self.scratch.pool.give_output(pure.out);
+        }
         self.scratch.pool.arena.reset();
     }
 }
@@ -107,8 +111,20 @@ pub(crate) struct BlockPure {
 
 /// Pure per-block output of the overlap-only staging copy.
 pub(crate) struct StagedPure {
-    layout: ChunkLayout,
+    layout: StagedLayout,
     bytes: ArenaRef,
+}
+
+/// One block's phase-A output for the current chunk, by layout.
+// Inline on purpose: boxing the assembled variant would add a heap
+// allocation per block per chunk.
+#[allow(clippy::large_enum_variant)]
+pub(crate) enum Prepared {
+    /// Addresses generated and gathered into an assembled chunk (full
+    /// BigKernel, volume reduction).
+    Assembled(BlockPure),
+    /// Slices copied verbatim into a staged chunk (overlap only).
+    Staged(StagedPure),
 }
 
 /// What one block's compute-stage lanes did: their traced cost and
@@ -127,7 +143,7 @@ pub struct BlockComputed {
     /// place (staged chunks).
     pub any_writes: bool,
     /// Bitmask of aux-staged secondary streams written (staged chunks; bit
-    /// = table index, see [`ComputeCtx::set_aux`]).
+    /// = table index, see [`ComputeCtx::staged_on`]).
     pub aux_dirty: u64,
 }
 
@@ -136,8 +152,7 @@ pub(crate) struct WaveCell<'s> {
     pub(crate) block: u32,
     pub(crate) slices: Vec<Range<u64>>,
     pub(crate) slot: &'s mut BlockSlot,
-    pub(crate) pure: Option<BlockPure>,
-    pub(crate) staged: Option<StagedPure>,
+    pub(crate) work: Option<Prepared>,
     pub(crate) data_buf: Option<bk_gpu::BufferId>,
     pub(crate) write_buf: Option<bk_gpu::BufferId>,
 }
@@ -173,19 +188,6 @@ impl ChunkCosts {
             wb: CpuCost::new(),
             addr_bytes: 0,
             aux_dirty: 0,
-        }
-    }
-}
-
-/// Run `f` over every cell — on the rayon pool when `parallel`, serially
-/// otherwise. Both orders produce identical cells: `f` touches only its own
-/// cell plus shared read-only state.
-fn for_each_cell<T: Send>(parallel: bool, cells: &mut [T], f: impl Fn(&mut T) + Sync) {
-    if parallel && cells.len() > 1 {
-        cells.par_iter_mut().for_each(&f);
-    } else {
-        for c in cells.iter_mut() {
-            f(c);
         }
     }
 }
@@ -471,108 +473,6 @@ fn compute_assembled(
     }
 }
 
-/// One chunk of the assembled path (full BigKernel and the
-/// volume-reduction variant) for `cells`, in three phases.
-///
-/// Phase A is the pure address half (stages 1–2); it runs on the rayon pool
-/// when `cfg.parallel_blocks` is on and block by block when it is off. B
-/// (DMA in) and C (kernel body, write-back) are ordered: every block's
-/// kernel body runs live against `machine.gmem` in block order, which is
-/// the sequential schedule itself, so both settings give the same result.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_assembled(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    cells: &mut [WaveCell<'_>],
-    launch: LaunchConfig,
-    cfg: &BigKernelConfig,
-    io: Option<&PassIo>,
-    costs: &mut ChunkCosts,
-    metrics: &mut MetricsRegistry,
-) {
-    let tpb = launch.threads_per_block;
-    // Phase A (pure; on the pool under `parallel_blocks`): stages 1–2 per
-    // block.
-    {
-        let shared: &Machine = machine;
-        for_each_cell(cfg.parallel_blocks, cells, |cell| {
-            let WaveCell {
-                slices, slot, pure, ..
-            } = cell;
-            *pure = Some(block_pure_bigkernel(
-                shared, kernel, streams, slices, tpb, cfg, slot,
-            ));
-        });
-    }
-
-    // Phase B (ordered): fold pure results; allocate + DMA in block order so
-    // device addresses are schedule-independent.
-    for cell in cells.iter_mut() {
-        let WaveCell {
-            slot,
-            pure,
-            data_buf,
-            write_buf,
-            ..
-        } = cell;
-        let pure = pure.as_ref().unwrap();
-        fold_pure(pure, costs, metrics);
-        let arena = &slot.scratch.pool.arena;
-        let (db, wb) = stage_transfer(machine, pure, arena, io, costs, metrics);
-        *data_buf = Some(db);
-        *write_buf = wb;
-    }
-
-    // Phase C (ordered): each block's kernel body runs live at its turn,
-    // then host write-back + frees.
-    for cell in cells.iter_mut() {
-        let WaveCell {
-            block,
-            slices,
-            slot,
-            pure,
-            data_buf,
-            write_buf,
-            ..
-        } = cell;
-        let p = pure.as_ref().unwrap();
-        let done = compute_assembled(
-            &machine.devices[0],
-            &mut slot.sim,
-            &mut machine.gmem,
-            kernel,
-            slices,
-            p,
-            data_buf.unwrap(),
-            *write_buf,
-            *block,
-            launch,
-        );
-        fold_computed(&done, costs, metrics);
-        writeback_assembled(
-            machine,
-            streams,
-            p,
-            *write_buf,
-            &done,
-            io,
-            &mut slot.llc,
-            costs,
-            metrics,
-        );
-        machine.gmem.free(data_buf.unwrap());
-        if let Some(wb) = *write_buf {
-            machine.gmem.free(wb);
-        }
-        // Chunk retired: its address streams, layouts and prefetch bytes go
-        // back to the slot's pool for the next chunk.
-        if let Some(done_pure) = pure.take() {
-            slot.recycle(done_pure);
-        }
-    }
-}
-
 /// Scatter the chunk's write-buffer values into the mapped host arrays
 /// (pipeline stage 6, functional + cost).
 #[allow(clippy::too_many_arguments)]
@@ -600,7 +500,6 @@ fn apply_writeback(
                     perlane_cursor += e.width as u64;
                     p
                 }
-                ChunkLayout::Staged { .. } => unreachable!(),
             };
             let Machine {
                 ref gmem,
@@ -643,18 +542,16 @@ fn block_pure_staged(
 ) -> StagedPure {
     let primary = &streams[0];
     let halo = kernel.halo_bytes();
-    let layout = ChunkLayout::build_staged_slices(slices, halo, primary.len());
-    let bytes_ref = arena.alloc_zeroed(layout.total_len() as usize);
-    if let ChunkLayout::Staged { segs, .. } = &layout {
-        let bytes = arena.bytes_mut(&bytes_ref);
-        for (base, range) in segs {
-            let src = machine.hmem.read(
-                primary.region,
-                range.start,
-                (range.end - range.start) as usize,
-            );
-            bytes[*base as usize..*base as usize + src.len()].copy_from_slice(src);
-        }
+    let layout = StagedLayout::build_slices(slices, halo, primary.len());
+    let bytes_ref = arena.alloc_zeroed(layout.total_len as usize);
+    let bytes = arena.bytes_mut(&bytes_ref);
+    for (base, range) in &layout.segs {
+        let src = machine.hmem.read(
+            primary.region,
+            range.start,
+            (range.end - range.start) as usize,
+        );
+        bytes[*base as usize..*base as usize + src.len()].copy_from_slice(src);
     }
     StagedPure {
         layout,
@@ -672,19 +569,18 @@ fn stage_transfer_staged(
     costs: &mut ChunkCosts,
     metrics: &mut MetricsRegistry,
 ) -> bk_gpu::BufferId {
-    costs
-        .asm
-        .merge(&CpuCost::streaming(staged.layout.total_len(), 2, 1));
-    let data_buf = machine.gmem.alloc(staged.layout.total_len().max(1));
+    let len = staged.layout.total_len;
+    costs.asm.merge(&CpuCost::streaming(len, 2, 1));
+    let data_buf = machine.gmem.alloc(len.max(1));
     machine.gmem.dma_in(data_buf, 0, arena.bytes(&staged.bytes));
     costs.xfer += machine
         .link
-        .dma_time_with_flag(DmaDirection::HostToDevice, staged.layout.total_len());
+        .dma_time_with_flag(DmaDirection::HostToDevice, len);
     costs.h2d_flags += 1;
-    if staged.layout.total_len() > 0 {
+    if len > 0 {
         costs.h2d_lats += 1;
     }
-    metrics.add("pcie.h2d_bytes", staged.layout.total_len());
+    metrics.add("pcie.h2d_bytes", len);
     data_buf
 }
 
@@ -703,7 +599,7 @@ pub fn compute_staged(
     sim: &mut BlockSim,
     gmem: &mut GpuMemory,
     kernel: &dyn StreamKernel,
-    layout: &ChunkLayout,
+    layout: &StagedLayout,
     data_buf: bk_gpu::BufferId,
     aux: &[(StreamId, bk_gpu::BufferId)],
     slices: &[Range<u64>],
@@ -722,12 +618,12 @@ pub fn compute_staged(
             &mut *gmem,
             data_buf,
             layout,
+            aux,
             first_lane + lane,
             first_thread + lane as u32,
             num_threads,
             trace,
-        )
-        .set_aux(aux);
+        );
         kernel.process(&mut ctx, slices[lane].clone());
         bytes_read += ctx.stream_bytes_read;
         bytes_written += ctx.stream_bytes_written;
@@ -828,7 +724,7 @@ impl StagedAux {
 fn writeback_staged(
     machine: &mut Machine,
     streams: &[StreamArray],
-    layout: &ChunkLayout,
+    layout: &StagedLayout,
     data_buf: bk_gpu::BufferId,
     slices: &[Range<u64>],
     any_writes: bool,
@@ -839,118 +735,163 @@ fn writeback_staged(
         return;
     }
     let primary = &streams[0];
-    if let ChunkLayout::Staged { segs, lane_seg, .. } = layout {
-        let mut copied = 0u64;
-        for (lane, sl) in slices.iter().enumerate() {
-            if sl.is_empty() {
-                continue;
-            }
-            let (base, range) = &segs[lane_seg[lane]];
-            let off_in_seg = base + (sl.start - range.start);
-            let len = sl.end - sl.start;
-            let bytes = machine.gmem.dma_out(data_buf, off_in_seg, len as usize);
-            machine.hmem.write(primary.region, sl.start, &bytes);
-            copied += len;
+    let mut copied = 0u64;
+    for (lane, sl) in slices.iter().enumerate() {
+        if sl.is_empty() {
+            continue;
         }
-        costs.wb_bytes += copied;
-        metrics.add("pcie.d2h_bytes", copied);
-        costs.wb.merge(&CpuCost::streaming(copied, 2, 1));
+        let off_in_seg = layout.pos(lane, sl.start);
+        let len = sl.end - sl.start;
+        let bytes = machine.gmem.dma_out(data_buf, off_in_seg, len as usize);
+        machine.hmem.write(primary.region, sl.start, &bytes);
+        copied += len;
     }
+    costs.wb_bytes += copied;
+    metrics.add("pcie.d2h_bytes", copied);
+    costs.wb.merge(&CpuCost::streaming(copied, 2, 1));
 }
 
-/// One chunk of the overlap-only variant for `cells`: the same phases as
-/// [`run_chunk_assembled`] over staged windows, with phase A (the host-side
-/// staging gather) on the rayon pool when `parallel`.
+/// One chunk for `cells`, in the three phases of the block algorithm
+/// ([`crate::pipeline`]'s module docs): `cfg.transfer_all` picks the staged
+/// layout (overlap only), otherwise the assembled one (full BigKernel,
+/// volume reduction).
+///
+/// Phase A prepares each block's chunk — address generation, §IV.A
+/// detection and assembly, or the verbatim staging copy — and fans out over
+/// the installed rayon pool (inline at width 1). B (DMA in) and C (kernel
+/// body, write-back) are ordered: every block's kernel body runs live
+/// against `machine.gmem` in block order, which is the sequential schedule
+/// itself, so the pool width never changes the result. `aux` is the staged
+/// chunks' whole-stream table ([`StagedAux`]); assembled chunks ignore it.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn run_chunk_staged(
+pub(crate) fn run_chunk(
     machine: &mut Machine,
     kernel: &dyn StreamKernel,
     streams: &[StreamArray],
     aux: &[(StreamId, bk_gpu::BufferId)],
     cells: &mut [WaveCell<'_>],
-    parallel: bool,
     launch: LaunchConfig,
+    cfg: &BigKernelConfig,
+    io: Option<&PassIo>,
     costs: &mut ChunkCosts,
     metrics: &mut MetricsRegistry,
 ) {
     let tpb = launch.threads_per_block;
-    // Phase A (pure; on the pool when `parallel`): staging layout +
-    // host-side gather into the slot's pinned arena.
+    // Phase A (pure, on the pool): each block's chunk, from its own slot.
     {
         let shared: &Machine = machine;
-        for_each_cell(parallel, cells, |cell| {
+        cells.par_iter_mut().for_each(|cell| {
             let WaveCell {
-                slices,
-                slot,
-                staged,
-                ..
+                slices, slot, work, ..
             } = cell;
-            *staged = Some(block_pure_staged(
-                shared,
-                kernel,
-                streams,
-                slices,
-                &mut slot.scratch.pool.arena,
-            ));
+            *work = Some(if cfg.transfer_all {
+                Prepared::Staged(block_pure_staged(
+                    shared,
+                    kernel,
+                    streams,
+                    slices,
+                    &mut slot.scratch.pool.arena,
+                ))
+            } else {
+                Prepared::Assembled(block_pure_bigkernel(
+                    shared, kernel, streams, slices, tpb, cfg, slot,
+                ))
+            });
         });
     }
 
-    // Phase B (ordered): staging-copy cost + alloc + DMA in block order.
+    // Phase B (ordered): fold pure results; allocate + DMA in block order so
+    // device addresses are schedule-independent.
     for cell in cells.iter_mut() {
-        let WaveCell {
-            slot,
-            staged,
-            data_buf,
-            ..
-        } = cell;
-        let staged = staged.as_ref().unwrap();
-        *data_buf = Some(stage_transfer_staged(
-            machine,
-            staged,
-            &slot.scratch.pool.arena,
-            costs,
-            metrics,
-        ));
+        let arena = &cell.slot.scratch.pool.arena;
+        match cell.work.as_ref().expect("phase A prepared every cell") {
+            Prepared::Assembled(pure) => {
+                fold_pure(pure, costs, metrics);
+                let (db, wb) = stage_transfer(machine, pure, arena, io, costs, metrics);
+                cell.data_buf = Some(db);
+                cell.write_buf = wb;
+            }
+            Prepared::Staged(staged) => {
+                cell.data_buf = Some(stage_transfer_staged(
+                    machine, staged, arena, costs, metrics,
+                ));
+            }
+        }
     }
 
-    // Phase C (ordered): live kernel body, write-back, frees.
+    // Phase C (ordered): each block's kernel body runs live at its turn,
+    // then host write-back + frees.
     for cell in cells.iter_mut() {
         let WaveCell {
             block,
             slices,
             slot,
-            staged,
+            work,
             data_buf,
-            ..
+            write_buf,
         } = cell;
-        let st = staged.as_ref().unwrap();
-        let done = compute_staged(
-            &machine.devices[0],
-            &mut slot.sim,
-            &mut machine.gmem,
-            kernel,
-            &st.layout,
-            data_buf.unwrap(),
-            aux,
-            slices,
-            0,
-            *block * tpb,
-            launch.total_threads(),
-        );
-        fold_computed(&done, costs, metrics);
-        writeback_staged(
-            machine,
-            streams,
-            &st.layout,
-            data_buf.unwrap(),
-            slices,
-            done.any_writes,
-            costs,
-            metrics,
-        );
-        machine.gmem.free(data_buf.unwrap());
-        // Chunk retired: drop the staged window and recycle the arena.
-        *staged = None;
-        slot.scratch.pool.arena.reset();
+        let data_buf = data_buf.expect("phase B allocated every data buffer");
+        let work = work.take().expect("phase A prepared every cell");
+        match &work {
+            Prepared::Assembled(pure) => {
+                let done = compute_assembled(
+                    &machine.devices[0],
+                    &mut slot.sim,
+                    &mut machine.gmem,
+                    kernel,
+                    slices,
+                    pure,
+                    data_buf,
+                    *write_buf,
+                    *block,
+                    launch,
+                );
+                fold_computed(&done, costs, metrics);
+                writeback_assembled(
+                    machine,
+                    streams,
+                    pure,
+                    *write_buf,
+                    &done,
+                    io,
+                    &mut slot.llc,
+                    costs,
+                    metrics,
+                );
+            }
+            Prepared::Staged(staged) => {
+                let done = compute_staged(
+                    &machine.devices[0],
+                    &mut slot.sim,
+                    &mut machine.gmem,
+                    kernel,
+                    &staged.layout,
+                    data_buf,
+                    aux,
+                    slices,
+                    0,
+                    *block * tpb,
+                    launch.total_threads(),
+                );
+                fold_computed(&done, costs, metrics);
+                writeback_staged(
+                    machine,
+                    streams,
+                    &staged.layout,
+                    data_buf,
+                    slices,
+                    done.any_writes,
+                    costs,
+                    metrics,
+                );
+            }
+        }
+        machine.gmem.free(data_buf);
+        if let Some(wb) = *write_buf {
+            machine.gmem.free(wb);
+        }
+        // Chunk retired: its address streams, layouts and prefetch bytes go
+        // back to the slot's pool for the next chunk.
+        slot.recycle(work);
     }
 }

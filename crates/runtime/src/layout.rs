@@ -2,7 +2,8 @@
 //! consumer.
 //!
 //! The layout is the contract that makes stage 2 (CPU assembly) and stage 4
-//! (GPU computation) agree on where each prefetched item lives:
+//! (GPU computation) agree on where each prefetched item lives. The three
+//! layouts are the three bars of Fig. 5:
 //!
 //! * [`ChunkLayout::Interleaved`] — the paper's `dataBuf[counter][tid]`
 //!   arrangement: for each warp, the k-th accesses of all 32 lanes sit side
@@ -13,9 +14,11 @@
 //!   contiguously, in access order ("transferred data in its original
 //!   layout", the Fig. 5 volume-reduction-only variant): transfer volume is
 //!   reduced but warp steps touch 32 scattered regions.
-//! * [`ChunkLayout::Staged`] — whole input slices staged verbatim (the
+//! * [`StagedLayout`] — whole input slices staged verbatim (the
 //!   overlap-only variant and the single/double-buffer baselines): reads
-//!   resolve by stream offset inside the staged window(s).
+//!   resolve by stream offset inside the staged window(s). It is its own
+//!   type because nothing assembles into it: the assembled path only ever
+//!   sees the first two.
 
 use crate::addr::AddrStream;
 use bk_gpu::WARP_SIZE;
@@ -82,25 +85,15 @@ pub enum ChunkLayout {
         /// Total staged bytes.
         total_len: u64,
     },
-    /// Verbatim staged input; reads resolve by stream offset inside the
-    /// staged segment(s).
-    Staged {
-        /// Segments: (base offset within the buffer, stream byte range).
-        segs: Vec<(u64, Range<u64>)>,
-        /// Lane → segment index.
-        lane_seg: Vec<usize>,
-        /// Total staged bytes.
-        total_len: u64,
-    },
 }
 
 impl ChunkLayout {
     /// Total bytes the chunk buffer occupies under this layout.
     pub fn total_len(&self) -> u64 {
         match self {
-            ChunkLayout::Interleaved { total_len, .. }
-            | ChunkLayout::PerLane { total_len, .. }
-            | ChunkLayout::Staged { total_len, .. } => *total_len,
+            ChunkLayout::Interleaved { total_len, .. } | ChunkLayout::PerLane { total_len, .. } => {
+                *total_len
+            }
         }
     }
 
@@ -165,10 +158,24 @@ impl ChunkLayout {
             total_len: cursor,
         }
     }
+}
 
-    /// Build the staged layout for per-lane input slices (+halo each) — the
-    /// "overlap only" variant: every lane's slice is shipped verbatim.
-    pub fn build_staged_slices(slices: &[Range<u64>], halo: u64, stream_len: u64) -> ChunkLayout {
+/// Verbatim staged input: whole stream ranges copied as they are, so reads
+/// resolve by stream offset inside the lane's staged segment.
+#[derive(Clone, Debug)]
+pub struct StagedLayout {
+    /// Segments: (base offset within the buffer, stream byte range).
+    pub segs: Vec<(u64, Range<u64>)>,
+    /// Lane → segment index.
+    pub lane_seg: Vec<usize>,
+    /// Total staged bytes.
+    pub total_len: u64,
+}
+
+impl StagedLayout {
+    /// One segment per lane slice (+halo each) — the "overlap only"
+    /// variant: every lane's slice is shipped verbatim.
+    pub fn build_slices(slices: &[Range<u64>], halo: u64, stream_len: u64) -> StagedLayout {
         let mut segs = Vec::with_capacity(slices.len());
         let mut cursor = 0u64;
         for sl in slices {
@@ -176,39 +183,41 @@ impl ChunkLayout {
             segs.push((cursor, sl.start..end));
             cursor += end - sl.start;
         }
-        let lane_seg = (0..slices.len()).collect();
-        ChunkLayout::Staged {
+        StagedLayout {
             segs,
-            lane_seg,
+            lane_seg: (0..slices.len()).collect(),
             total_len: cursor,
         }
     }
 
-    /// Build the staged layout for one contiguous chunk window shared by all
-    /// lanes — the single/double-buffer baselines.
-    pub fn build_staged_window(
+    /// One contiguous chunk window (+halo) shared by all lanes — the
+    /// single/double-buffer baselines.
+    pub fn build_window(
         window: Range<u64>,
         halo: u64,
         stream_len: u64,
         num_lanes: usize,
-    ) -> ChunkLayout {
+    ) -> StagedLayout {
         let end = (window.end + halo).min(stream_len).max(window.start);
-        let total_len = end - window.start;
-        ChunkLayout::Staged {
+        StagedLayout {
+            total_len: end - window.start,
             segs: vec![(0, window.start..end)],
             lane_seg: vec![0; num_lanes],
-            total_len,
         }
     }
 
-    /// Resolve a staged stream offset for `lane` → buffer position. Panics
-    /// when the offset lies outside the lane's staged segment (insufficient
-    /// halo — a configuration bug).
-    pub fn staged_pos(&self, lane: usize, offset: u64) -> u64 {
-        let ChunkLayout::Staged { segs, lane_seg, .. } = self else {
-            panic!("staged_pos on non-staged layout");
-        };
-        let (base, range) = &segs[lane_seg[lane]];
+    /// `lane`'s segment: its base offset in the buffer and the stream
+    /// range it holds.
+    #[inline]
+    pub fn seg(&self, lane: usize) -> &(u64, Range<u64>) {
+        &self.segs[self.lane_seg[lane]]
+    }
+
+    /// Resolve stream offset `offset` of `lane` to its buffer position.
+    /// Panics when the offset lies outside the lane's staged segment
+    /// (insufficient halo — a configuration bug).
+    pub fn pos(&self, lane: usize, offset: u64) -> u64 {
+        let (base, range) = self.seg(lane);
         assert!(
             range.contains(&offset),
             "lane {lane} accessed stream offset {offset} outside staged range {range:?} \
@@ -328,39 +337,31 @@ mod tests {
     #[test]
     fn staged_slices_with_halo_clamped() {
         let slices = vec![0..100u64, 100..200u64];
-        let l = ChunkLayout::build_staged_slices(&slices, 16, 210);
-        let ChunkLayout::Staged {
-            segs,
-            lane_seg,
-            total_len,
-        } = &l
-        else {
-            panic!()
-        };
-        assert_eq!(segs[0], (0, 0..116));
-        assert_eq!(segs[1], (116, 100..210)); // halo clamped to stream end
-        assert_eq!(lane_seg, &vec![0, 1]);
-        assert_eq!(*total_len, 116 + 110);
+        let l = StagedLayout::build_slices(&slices, 16, 210);
+        assert_eq!(l.segs[0], (0, 0..116));
+        assert_eq!(l.segs[1], (116, 100..210)); // halo clamped to stream end
+        assert_eq!(l.lane_seg, vec![0, 1]);
+        assert_eq!(l.total_len, 116 + 110);
         // Lane 0 resolves inside its own segment, including the halo.
-        assert_eq!(l.staged_pos(0, 110), 110);
-        assert_eq!(l.staged_pos(1, 100), 116);
+        assert_eq!(l.pos(0, 110), 110);
+        assert_eq!(l.pos(1, 100), 116);
     }
 
     #[test]
     fn staged_window_shared_by_lanes() {
-        let l = ChunkLayout::build_staged_window(1000..2000, 32, 4096, 4);
-        assert_eq!(l.total_len(), 1032);
+        let l = StagedLayout::build_window(1000..2000, 32, 4096, 4);
+        assert_eq!(l.total_len, 1032);
         for lane in 0..4 {
-            assert_eq!(l.staged_pos(lane, 1000), 0);
-            assert_eq!(l.staged_pos(lane, 2031), 1031);
+            assert_eq!(l.pos(lane, 1000), 0);
+            assert_eq!(l.pos(lane, 2031), 1031);
         }
     }
 
     #[test]
     #[should_panic(expected = "increase halo_bytes")]
     fn staged_out_of_range_panics() {
-        let l = ChunkLayout::build_staged_window(0..100, 0, 4096, 1);
-        let _ = l.staged_pos(0, 100);
+        let l = StagedLayout::build_window(0..100, 0, 4096, 1);
+        let _ = l.pos(0, 100);
     }
 
     #[test]

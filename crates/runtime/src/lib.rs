@@ -88,7 +88,7 @@ pub use fusion::{AccessSummary, FieldSpan, FusePlan, FuseRefusal, PassIo, Stream
 pub use graph::{Executor, GraphSpec, ResourceId, ResourceKind};
 pub use kernel::{DevBufId, KernelCtx, LaunchConfig, StreamKernel, ValueExt};
 pub use machine::Machine;
-pub use pipeline::{run_bigkernel, run_bigkernel_fused, run_bigkernel_window};
+pub use pipeline::{run_bigkernel, run_bigkernel_fused};
 pub use pool::{AddrGenScratch, StreamPool};
 pub use result::{RunResult, StageStat};
 pub use stream::{

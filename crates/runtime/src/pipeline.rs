@@ -32,7 +32,7 @@
 //! ## One runner for every program
 //!
 //! There is a single runner body, over an ordered list of passes. A plain
-//! run ([`run_bigkernel`], [`run_bigkernel_window`]) is the one-pass program
+//! run ([`run_bigkernel`], or one window of a stream) is the one-pass program
 //! on the six-stage graph above. A fused multi-pass program
 //! ([`run_bigkernel_fused`], DESIGN.md §15) is the same loop over `passes`
 //! kernels on a `6 × passes`-stage graph, plus a [`FusePlan`] whose per-pass
@@ -47,13 +47,17 @@
 //!
 //! Simulating one chunk means simulating every active block's stage work,
 //! in three phases that mirror the paper's pipeline, where every block's
-//! address half for a chunk runs before that chunk's compute half:
+//! address half for a chunk runs before that chunk's compute half. The
+//! three Fig. 5 layouts run the same phases: each block's chunk is either
+//! assembled (full BigKernel, volume reduction) or staged verbatim
+//! (overlap only), and each phase dispatches on that once.
 //!
 //! * **A, the address half** — address-slice execution, §IV.A pattern
-//!   recognition, and assembly against the block slot's own LLC model. It
-//!   reads the machine immutably and touches only its own slot, so with
-//!   `cfg.parallel_blocks` on it runs on the rayon pool; with it off it
-//!   runs block by block.
+//!   recognition, and assembly against the block slot's own LLC model (for
+//!   a staged chunk, the verbatim staging copy). It reads the machine
+//!   immutably and touches only its own slot, so it fans out over the
+//!   installed rayon pool; at pool width 1 the pool runs it inline, block
+//!   by block. The pool width is the only parallelism switch.
 //! * **B, the transfer** — each block's pure results fold into the chunk's
 //!   costs and metrics, and its device buffers are allocated and filled in
 //!   block order, so device addresses do not depend on the host schedule.
@@ -61,8 +65,8 @@
 //!   `machine.gmem`, in block order, followed by its host write-back.
 //!
 //! Phase C is the sequential block schedule itself, so the result does not
-//! depend on `parallel_blocks` or on the host thread count: every field of
-//! the [`RunResult`] is bit-identical either way. A kernel that consumes
+//! depend on the pool width: every field of the [`RunResult`] is
+//! bit-identical at any host thread count. A kernel that consumes
 //! cross-block `atomic_add` return values sees them in block order.
 //!
 //! Thread blocks beyond the §IV.D active-block count run as successive
@@ -72,20 +76,17 @@
 //! ## Block slots belong to the caller
 //!
 //! That per-slot state is borrowed, not built, by the runner. The public
-//! entry points ([`run_bigkernel`], [`run_bigkernel_window`],
-//! [`run_bigkernel_fused`]) pass a fresh, empty pool; the streaming runner
-//! passes one pool for the whole stream, so its windows stop allocating a
-//! 1 MiB LLC tag array per block per window. On entry the runner clears
-//! every pooled slot's LLC ([`bk_host::CacheSim::clear`], exact and
-//! proportional to the sets touched since the last clear) and grows the
-//! pool to the run's active-block count, so a run on reused slots is
-//! bit-identical to one on fresh slots.
+//! entry points ([`run_bigkernel`], [`run_bigkernel_fused`]) pass a fresh,
+//! empty pool; the streaming runner passes one pool for the whole stream,
+//! so its windows stop allocating a 1 MiB LLC tag array per block per
+//! window. On entry the runner clears every pooled slot's LLC
+//! ([`bk_host::CacheSim::clear`], exact and proportional to the sets
+//! touched since the last clear) and grows the pool to the run's
+//! active-block count, so a run on reused slots is bit-identical to one on
+//! fresh slots.
 
 use crate::config::BigKernelConfig;
-use crate::exec::{
-    prepare_slots, run_chunk_assembled, run_chunk_staged, BlockSlot, ChunkCosts, StagedAux,
-    WaveCell,
-};
+use crate::exec::{prepare_slots, run_chunk, BlockSlot, ChunkCosts, StagedAux, WaveCell};
 use crate::fault::FaultContext;
 use crate::fusion::{FusePlan, FuseRefusal, PassIo};
 use crate::graph::{pipeline_graph, Executor};
@@ -95,7 +96,7 @@ use crate::result::{finalize_stage_stats, RunResult};
 use crate::stream::StreamArray;
 use crate::sync;
 use bk_gpu::occupancy::{self, BlockResources};
-use bk_gpu::GpuPool;
+use bk_gpu::{DeviceSpec, GpuPool};
 use bk_host::{cpu, DmaDirection};
 use bk_obs::{names, MetricsRegistry};
 use bk_simcore::SimTime;
@@ -156,8 +157,7 @@ fn simulate_chunk(
             block: b,
             slices,
             slot,
-            pure: None,
-            staged: None,
+            work: None,
             data_buf: None,
             write_buf: None,
         });
@@ -167,23 +167,9 @@ fn simulate_chunk(
         return row;
     }
 
-    if cfg.transfer_all {
-        run_chunk_staged(
-            machine,
-            kernel,
-            streams,
-            &aux.table,
-            &mut cells,
-            cfg.parallel_blocks,
-            launch,
-            &mut costs,
-            metrics,
-        );
-    } else {
-        run_chunk_assembled(
-            machine, kernel, streams, &mut cells, launch, cfg, io, &mut costs, metrics,
-        );
-    }
+    run_chunk(
+        machine, kernel, streams, &aux.table, &mut cells, launch, cfg, io, &mut costs, metrics,
+    );
 
     // Stage 1: addr-gen pool roofline + zero-copy address stores.
     if !cfg.transfer_all {
@@ -280,35 +266,6 @@ pub fn run_bigkernel(
     cfg: &BigKernelConfig,
 ) -> RunResult {
     let window = 0..streams.first().map_or(0, |s| s.len());
-    run_bigkernel_window(machine, kernel, streams, launch, cfg, window)
-}
-
-/// [`run_bigkernel`] restricted to one *window* of the primary stream: the
-/// absolute byte range `window` of `streams[0]` is partitioned across the
-/// launch's lanes exactly as a whole-stream run partitions `0..len`, and
-/// everything downstream (chunking, scheduling, §IV.A recognition, fault
-/// handling) operates on those absolute ranges unchanged.
-///
-/// This is the batch building block of the streaming runner
-/// ([`crate::stream::run_bigkernel_streamed`]): a stream of windows is a
-/// sequence of these runs, and because every record of `streams[0]` is
-/// processed exactly once by whichever window covers it, the concatenation
-/// is functionally identical to one whole-stream run (the determinism suite
-/// pins this per app). The streaming runner calls the same body on one
-/// block-slot pool it keeps for the whole stream; this entry point runs on
-/// fresh slots, and the results are bit-identical. `window` must lie inside
-/// the primary stream and, for fixed-record kernels, start on a record
-/// boundary. Kernels that scan past
-/// their range end ([`StreamKernel::halo_bytes`]) keep doing so across the
-/// window end — halos are bounded by the *stream* length, never the window.
-pub fn run_bigkernel_window(
-    machine: &mut Machine,
-    kernel: &dyn StreamKernel,
-    streams: &[StreamArray],
-    launch: LaunchConfig,
-    cfg: &BigKernelConfig,
-    window: Range<u64>,
-) -> RunResult {
     run_window_in(
         &mut Vec::new(),
         machine,
@@ -320,10 +277,26 @@ pub fn run_bigkernel_window(
     )
 }
 
-/// [`run_bigkernel_window`] on caller-owned block slots: the streaming
-/// runner passes one pool for the whole stream, so consecutive windows reuse
-/// their per-block simulation state instead of rebuilding it. The result is
-/// bit-identical to a run on fresh slots (see [`prepare_slots`]).
+/// [`run_bigkernel`] restricted to one *window* of the primary stream, on
+/// caller-owned block slots: the absolute byte range `window` of
+/// `streams[0]` is partitioned across the launch's lanes exactly as a
+/// whole-stream run partitions `0..len`, and everything downstream
+/// (chunking, scheduling, §IV.A recognition, fault handling) operates on
+/// those absolute ranges unchanged.
+///
+/// This is the batch building block of the streaming runner
+/// ([`crate::stream::run_bigkernel_streamed`]): a stream of windows is a
+/// sequence of these runs, and because every record of `streams[0]` is
+/// processed exactly once by whichever window covers it, the concatenation
+/// is functionally identical to one whole-stream run (the determinism suite
+/// pins this per app). The streaming runner passes one slot pool for the
+/// whole stream, so consecutive windows reuse their per-block simulation
+/// state instead of rebuilding it; [`run_bigkernel`] passes a fresh one.
+/// The result is bit-identical either way (see [`prepare_slots`]).
+/// `window` must lie inside the primary stream and, for fixed-record
+/// kernels, start on a record boundary. Kernels that scan past their range
+/// end ([`StreamKernel::halo_bytes`]) keep doing so across the window end —
+/// halos are bounded by the *stream* length, never the window.
 pub(crate) fn run_window_in(
     slots: &mut Vec<BlockSlot>,
     machine: &mut Machine,
@@ -404,6 +377,43 @@ pub fn run_bigkernel_fused(
     )
 }
 
+/// §IV.D occupancy of a pipeline launch of `kernels` (one per pass): the
+/// active-block front and the thread-occupancy factor the GPU pools run at
+/// (floored at 1/8).
+///
+/// Each block runs its address-generation warps beside its compute warps,
+/// so a block's thread count doubles — except under `transfer_all` (the
+/// overlap-only variant), which launches no addr-gen warps. Every pass runs
+/// on the same active-block front, so this takes the most constrained pass
+/// (fewest active blocks, lowest thread occupancy) — conservative for the
+/// schedule and exact for the memory footprint of the blocks in flight.
+pub(crate) fn pipeline_occupancy(
+    gpu: &DeviceSpec,
+    kernels: &[&dyn StreamKernel],
+    launch: LaunchConfig,
+    transfer_all: bool,
+) -> (occupancy::Occupancy, f64) {
+    let mut occ: Option<occupancy::Occupancy> = None;
+    let mut occ_factor = f64::INFINITY;
+    for k in kernels {
+        let base_res = k.resources();
+        let threads = base_res.threads_per_block.max(launch.threads_per_block);
+        let res = BlockResources {
+            threads_per_block: if transfer_all { threads } else { threads * 2 },
+            ..base_res
+        };
+        let o = occupancy::compute(gpu, &res, launch.num_blocks);
+        occ_factor = occ_factor.min(o.thread_occupancy(gpu, &res));
+        if occ
+            .as_ref()
+            .is_none_or(|prev| o.active_blocks < prev.active_blocks)
+        {
+            occ = Some(o);
+        }
+    }
+    (occ.expect("at least one pass"), occ_factor.max(0.125))
+}
+
 /// The one pipeline runner: a program of `kernels.len()` passes over one
 /// `window` of the primary stream, scheduled on the [`pipeline_graph`] of
 /// that many passes. A plain run is the one-pass program with no `plan`; a
@@ -467,35 +477,7 @@ fn run_program(
         );
     }
 
-    // §IV.D: occupancy with the doubled thread count (addr-gen + compute;
-    // the overlap-only variant launches no addr-gen warps). Every pass runs
-    // on the same active-block front, so take the most constrained pass
-    // (fewest active blocks, lowest thread occupancy) — conservative for the
-    // schedule and exact for the memory footprint of the blocks in flight.
-    let mut occ: Option<occupancy::Occupancy> = None;
-    let mut occ_factor = f64::INFINITY;
-    for k in kernels {
-        let base_res = k.resources();
-        let threads = base_res.threads_per_block.max(tpb);
-        let doubled = BlockResources {
-            threads_per_block: if cfg.transfer_all {
-                threads
-            } else {
-                threads * 2
-            },
-            ..base_res
-        };
-        let o = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
-        occ_factor = occ_factor.min(o.thread_occupancy(machine.gpu(), &doubled));
-        if occ
-            .as_ref()
-            .is_none_or(|prev| o.active_blocks < prev.active_blocks)
-        {
-            occ = Some(o);
-        }
-    }
-    let occ = occ.expect("at least one pass");
-    let occ_factor = occ_factor.max(0.125);
+    let (occ, occ_factor) = pipeline_occupancy(machine.gpu(), kernels, launch, cfg.transfer_all);
     let active_blocks = occ.active_blocks.max(1);
     let waves = launch.num_blocks.div_ceil(active_blocks);
 
@@ -844,6 +826,15 @@ mod tests {
             chunk_input_bytes: 4096,
             ..BigKernelConfig::default()
         }
+    }
+
+    /// Run `f` on a rayon pool of `width` threads.
+    pub(super) fn at_width<R>(width: usize, f: impl FnOnce() -> R) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(width)
+            .build()
+            .expect("build a rayon pool")
+            .install(f)
     }
 
     #[test]
@@ -1210,8 +1201,7 @@ mod tests {
     /// a slot whose cache were not cleared would hit on the previous
     /// kernel's lines. It covers empty lanes (a 20-record window on 256
     /// lanes), write-back through the LLC, a pool that grows from 1 to 8
-    /// slots and is then used below its size, and both `parallel_blocks`
-    /// settings.
+    /// slots and is then used below its size, and pool widths 1 and 2.
     #[test]
     fn shared_slot_pool_matches_fresh_slots() {
         let n = 4096u64;
@@ -1228,11 +1218,8 @@ mod tests {
         };
         let default = BlockResources::streaming_default();
         let windows = [0..20 * 8, 20 * 8..1500 * 8, 1500 * 8..n * 8];
-        for parallel_blocks in [false, true] {
-            let cfg = BigKernelConfig {
-                parallel_blocks,
-                ..small_cfg()
-            };
+        for width in [1, 2] {
+            let cfg = small_cfg();
             let mut shared = Machine::test_platform();
             let mut fresh = Machine::test_platform();
             let setup = |m: &mut Machine| {
@@ -1267,24 +1254,28 @@ mod tests {
             let mut pool_sizes = Vec::new();
             for win in &windows {
                 for k in &kernels {
-                    let a = run_window_in(
-                        &mut pool,
-                        &mut shared,
-                        k.as_ref(),
-                        &streams,
-                        launch,
-                        &cfg,
-                        win.clone(),
-                    );
-                    let b = run_bigkernel_window(
-                        &mut fresh,
-                        k.as_ref(),
-                        &streams,
-                        launch,
-                        &cfg,
-                        win.clone(),
-                    );
-                    let at = format!("{} on {win:?}, parallel {parallel_blocks}", k.name());
+                    let (a, b) = at_width(width, || {
+                        let a = run_window_in(
+                            &mut pool,
+                            &mut shared,
+                            k.as_ref(),
+                            &streams,
+                            launch,
+                            &cfg,
+                            win.clone(),
+                        );
+                        let b = run_window_in(
+                            &mut Vec::new(),
+                            &mut fresh,
+                            k.as_ref(),
+                            &streams,
+                            launch,
+                            &cfg,
+                            win.clone(),
+                        );
+                        (a, b)
+                    });
+                    let at = format!("{} on {win:?}, pool width {width}", k.name());
                     assert_eq!(a.total.secs().to_bits(), b.total.secs().to_bits(), "{at}");
                     assert_eq!(a.stages, b.stages, "{at}");
                     assert_eq!(a.metrics, b.metrics, "{at}");
@@ -1312,6 +1303,7 @@ mod parallel_tests {
     use crate::ctx::AddrGenCtx;
     use crate::kernel::{KernelCtx, ValueExt};
     use crate::stream::{StreamArray, StreamId};
+    use tests::at_width;
 
     /// Same kernels as the main test module, re-declared locally so each
     /// module stays self-contained.
@@ -1386,76 +1378,80 @@ mod parallel_tests {
         (m, s)
     }
 
-    fn cfg_with(parallel: bool) -> BigKernelConfig {
+    fn small_cfg() -> BigKernelConfig {
         BigKernelConfig {
             chunk_input_bytes: 4096,
-            parallel_blocks: parallel,
             ..BigKernelConfig::default()
         }
     }
 
     #[test]
     fn parallel_matches_sequential_sum() {
-        let run = |parallel: bool| {
-            let (mut m, s) = filled_machine(8192);
-            let acc = m.gmem.alloc(8);
-            let r = run_bigkernel(
-                &mut m,
-                &SumKernel { acc },
-                &[s],
-                LaunchConfig::new(8, 32),
-                &cfg_with(parallel),
-            );
-            (r, m.gmem.read_u64(acc, 0))
+        let run = |width: usize| {
+            at_width(width, || {
+                let (mut m, s) = filled_machine(8192);
+                let acc = m.gmem.alloc(8);
+                let r = run_bigkernel(
+                    &mut m,
+                    &SumKernel { acc },
+                    &[s],
+                    LaunchConfig::new(8, 32),
+                    &small_cfg(),
+                );
+                (r, m.gmem.read_u64(acc, 0))
+            })
         };
-        let (r_par, v_par) = run(true);
-        let (r_seq, v_seq) = run(false);
+        let (r_par, v_par) = run(2);
+        let (r_seq, v_seq) = run(1);
         assert_eq!(v_par, v_seq, "device accumulator diverged");
         assert_eq!(r_par, r_seq, "RunResult diverged between schedules");
     }
 
     #[test]
     fn parallel_matches_sequential_writeback() {
-        let run = |parallel: bool| {
-            let (mut m, s) = filled_machine(4096);
-            let region = s.region;
-            let r = run_bigkernel(
-                &mut m,
-                &ScaleKernel,
-                &[s],
-                LaunchConfig::new(4, 32),
-                &cfg_with(parallel),
-            );
-            let host: Vec<u8> = m.hmem.read(region, 0, 4096 * 8).to_vec();
-            (r, host)
+        let run = |width: usize| {
+            at_width(width, || {
+                let (mut m, s) = filled_machine(4096);
+                let region = s.region;
+                let r = run_bigkernel(
+                    &mut m,
+                    &ScaleKernel,
+                    &[s],
+                    LaunchConfig::new(4, 32),
+                    &small_cfg(),
+                );
+                let host: Vec<u8> = m.hmem.read(region, 0, 4096 * 8).to_vec();
+                (r, host)
+            })
         };
-        let (r_par, h_par) = run(true);
-        let (r_seq, h_seq) = run(false);
+        let (r_par, h_par) = run(2);
+        let (r_seq, h_seq) = run(1);
         assert_eq!(h_par, h_seq, "host write-back diverged");
         assert_eq!(r_par, r_seq);
     }
 
     #[test]
     fn parallel_matches_sequential_overlap_only() {
-        let run = |parallel: bool| {
-            let (mut m, s) = filled_machine(4096);
-            let acc = m.gmem.alloc(8);
-            let cfg = BigKernelConfig {
-                chunk_input_bytes: 4096,
-                parallel_blocks: parallel,
-                ..BigKernelConfig::overlap_only()
-            };
-            let r = run_bigkernel(
-                &mut m,
-                &SumKernel { acc },
-                &[s],
-                LaunchConfig::new(4, 32),
-                &cfg,
-            );
-            (r, m.gmem.read_u64(acc, 0))
+        let run = |width: usize| {
+            at_width(width, || {
+                let (mut m, s) = filled_machine(4096);
+                let acc = m.gmem.alloc(8);
+                let cfg = BigKernelConfig {
+                    chunk_input_bytes: 4096,
+                    ..BigKernelConfig::overlap_only()
+                };
+                let r = run_bigkernel(
+                    &mut m,
+                    &SumKernel { acc },
+                    &[s],
+                    LaunchConfig::new(4, 32),
+                    &cfg,
+                );
+                (r, m.gmem.read_u64(acc, 0))
+            })
         };
-        let (r_par, v_par) = run(true);
-        let (r_seq, v_seq) = run(false);
+        let (r_par, v_par) = run(2);
+        let (r_seq, v_seq) = run(1);
         assert_eq!(v_par, v_seq);
         assert_eq!(r_par, r_seq);
     }
@@ -1488,25 +1484,24 @@ mod parallel_tests {
 
     #[test]
     fn racing_blocks_run_live_in_block_order() {
-        let run = |parallel: bool| {
-            let mut m = Machine::test_platform();
-            let region = m.hmem.alloc(128 * 8);
-            let s = StreamArray::map(&m, StreamId(0), region);
-            let table = m.gmem.alloc(16);
-            let r = run_bigkernel(
-                &mut m,
-                &RaceKernel { table },
-                &[s],
-                LaunchConfig::new(4, 32),
-                &BigKernelConfig {
-                    parallel_blocks: parallel,
-                    ..BigKernelConfig::default()
-                },
-            );
-            (r, m.gmem.read_u64(table, 0), m.gmem.read_u64(table, 8))
+        let run = |width: usize| {
+            at_width(width, || {
+                let mut m = Machine::test_platform();
+                let region = m.hmem.alloc(128 * 8);
+                let s = StreamArray::map(&m, StreamId(0), region);
+                let table = m.gmem.alloc(16);
+                let r = run_bigkernel(
+                    &mut m,
+                    &RaceKernel { table },
+                    &[s],
+                    LaunchConfig::new(4, 32),
+                    &BigKernelConfig::default(),
+                );
+                (r, m.gmem.read_u64(table, 0), m.gmem.read_u64(table, 8))
+            })
         };
-        let (r_par, t0, t8) = run(true);
-        let (r_seq, s0, s8) = run(false);
+        let (r_par, t0, t8) = run(2);
+        let (r_seq, s0, s8) = run(1);
         // One global winner; every other lane (127 of 128) bumps the loser
         // counter — the sequential schedule's exact outcome.
         assert_eq!((t0, t8), (1, 127));
@@ -1553,26 +1548,26 @@ mod parallel_tests {
         // The full pipeline runs the assembled chunk layout; overlap-only
         // runs the staged one.
         for base in [BigKernelConfig::default(), BigKernelConfig::overlap_only()] {
-            let run = |parallel: bool| {
-                let mut m = Machine::test_platform();
-                let region = m.hmem.alloc(64 * 8);
-                let s = StreamArray::map(&m, StreamId(0), region);
-                let table = m.gmem.alloc(8 + 4 * 64);
-                let r = run_bigkernel(
-                    &mut m,
-                    &TicketKernel { table },
-                    &[s],
-                    LaunchConfig::new(2, 32),
-                    &BigKernelConfig {
-                        parallel_blocks: parallel,
-                        ..base.clone()
-                    },
-                );
-                let slots: Vec<u32> = (0..64).map(|i| m.gmem.read_u32(table, 8 + 4 * i)).collect();
-                (r, m.gmem.read_u32(table, 0), slots)
+            let run = |width: usize| {
+                at_width(width, || {
+                    let mut m = Machine::test_platform();
+                    let region = m.hmem.alloc(64 * 8);
+                    let s = StreamArray::map(&m, StreamId(0), region);
+                    let table = m.gmem.alloc(8 + 4 * 64);
+                    let r = run_bigkernel(
+                        &mut m,
+                        &TicketKernel { table },
+                        &[s],
+                        LaunchConfig::new(2, 32),
+                        &base,
+                    );
+                    let slots: Vec<u32> =
+                        (0..64).map(|i| m.gmem.read_u32(table, 8 + 4 * i)).collect();
+                    (r, m.gmem.read_u32(table, 0), slots)
+                })
             };
-            let (r_par, count, slots) = run(true);
-            let (r_seq, count2, slots2) = run(false);
+            let (r_par, count, slots) = run(2);
+            let (r_seq, count2, slots2) = run(1);
             assert_eq!(count, 64);
             // Tickets issue strictly in block-then-lane order.
             for (i, v) in slots.iter().enumerate() {

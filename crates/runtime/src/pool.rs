@@ -180,7 +180,6 @@ impl StreamPool {
                 self.give_u64(lane_base);
                 self.give_u64(lane_len);
             }
-            ChunkLayout::Staged { .. } => {}
         }
     }
 

@@ -9,8 +9,9 @@
 //!   [`run`]) — the unbounded generalization of the batch pipeline: input
 //!   *arrives over simulated time* from a [`Source`], a [`WindowPolicy`]
 //!   cuts the live stream into record-aligned windows, and each window runs
-//!   through the full §III pipeline via
-//!   [`run_bigkernel_window`](crate::pipeline::run_bigkernel_window). A
+//!   through the full §III pipeline: the body of
+//!   [`run_bigkernel`](crate::pipeline::run_bigkernel) restricted to that
+//!   window's byte range. A
 //!   bounded inter-stage queue ([`BoundedQueue`]) applies high-watermark
 //!   backpressure from assembly back to ingestion (attributed as
 //!   `stall.ingest.backpressure`), per-window §IV.A fingerprints drive

@@ -5,7 +5,8 @@
 //! *arrives over simulated time*: a [`Source`] describes the arrival curve,
 //! a [`WindowPolicy`] cuts the live stream into record-aligned windows, and
 //! each window runs through the full §III pipeline: the body of
-//! [`run_bigkernel_window`]. Between ingestion and the pipeline sits the
+//! [`run_bigkernel`], restricted to the window's byte range. Between
+//! ingestion and the pipeline sits the
 //! [`BoundedQueue`]: at most `queue_bound` windows may be in flight, and
 //! when the bound is hit, admission stalls — attributed as
 //! `stall.ingest.backpressure` and drawn on the `ingest` trace lane.
@@ -19,7 +20,7 @@
 //! ([`CacheSim::clear`](bk_host::CacheSim::clear)), which zeroes only the
 //! sets the previous window touched and leaves the cache exactly as cold as
 //! a new one, so a window costs no 1 MiB tag-array allocation per block and
-//! its results equal those of [`run_bigkernel_window`] on fresh slots.
+//! its results equal those of the same window run on fresh slots.
 //!
 //! ## Pass ordering
 //!
@@ -59,7 +60,6 @@
 //! policy.
 //!
 //! [`run_bigkernel`]: crate::pipeline::run_bigkernel
-//! [`run_bigkernel_window`]: crate::pipeline::run_bigkernel_window
 //! [`StreamKernel::barrier_dependence`]: crate::kernel::StreamKernel::barrier_dependence
 //! [`REDETECT_MARKER_STAGE`]: bk_obs::REDETECT_MARKER_STAGE
 
@@ -70,9 +70,9 @@ use crate::autotune::{AutotuneConfig, Autotuner, TunePlan, WindowFeedback};
 use crate::config::BigKernelConfig;
 use crate::kernel::{LaunchConfig, StreamKernel};
 use crate::machine::Machine;
-use crate::pipeline::run_window_in;
+use crate::pipeline::{pipeline_occupancy, run_window_in};
 use crate::stream::StreamArray;
-use bk_gpu::occupancy::{self, BlockResources};
+use bk_gpu::occupancy;
 use bk_obs::{
     names, MetricsRegistry, SpanRecord, StallCause, REDETECT_MARKER_STAGE, RETUNE_MARKER_STAGE,
 };
@@ -315,12 +315,7 @@ pub fn run_bigkernel_streamed(
         chunk_bytes: cfg.chunk_input_bytes,
     };
     let mut tuner = scfg.autotune.clone().map(|tcfg| {
-        let base_res = kernels[0].resources();
-        let doubled = BlockResources {
-            threads_per_block: (base_res.threads_per_block.max(launch.threads_per_block)) * 2,
-            ..base_res
-        };
-        let occ = occupancy::compute(machine.gpu(), &doubled, launch.num_blocks);
+        let (occ, _) = pipeline_occupancy(machine.gpu(), kernels, launch, cfg.transfer_all);
         let feasible =
             occupancy::max_buffer_sets(machine.gpu(), &occ, cfg.chunk_input_bytes.max(1));
         Autotuner::new(tcfg, plan, feasible)

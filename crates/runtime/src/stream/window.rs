@@ -1,8 +1,8 @@
 //! Windowing: cut the live stream into record-aligned execution windows.
 //!
 //! A window is an absolute byte range of the primary stream that runs
-//! through the batch pipeline as one unit
-//! ([`run_bigkernel_window`](crate::pipeline::run_bigkernel_window)). The
+//! through the batch pipeline ([`run_bigkernel`](crate::pipeline::run_bigkernel)'s
+//! body, restricted to that range) as one unit. The
 //! planner guarantees the properties the streamed ≡ batch contract rests
 //! on: windows are non-empty, disjoint, cover `0..len` exactly, and every
 //! interior boundary is record-aligned — so no record ever straddles two
