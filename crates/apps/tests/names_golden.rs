@@ -1,12 +1,16 @@
 //! Golden name set: every counter, histogram, span track and span stage
-//! name one small traced run emits, byte for byte.
+//! name three small traced runs emit, byte for byte.
 //!
-//! The run is K-means on two GPUs, fused into one two-pass pipeline, with a
-//! targeted compute fault, so it reaches every composed-name family: fused
-//! `p<i>.` stages, `dev<i>.` resource tracks, `device.<i>.*` counters,
-//! `bound.*` and `stall.*.fault` counters and the `hist.reuse-wait.*`
-//! histograms. Reports, BENCH files and the benchmark read metrics by these
-//! names, so any change to the set is a format change and must show here.
+//! The runs share one K-means instance on two GPUs. BigKernel runs fused
+//! into one two-pass pipeline with a targeted compute fault, so it reaches
+//! every composed-name family: fused `p<i>.` stages, `dev<i>.` resource
+//! tracks, `device.<i>.*` counters, `bound.*` and `stall.*.fault` counters
+//! and the `hist.reuse-wait.*` histograms. The single- and double-buffered
+//! baselines add the rest of the resource vocabulary: the `serial`,
+//! `cpu-stage` and `gpu` tracks on both devices and their
+//! `stall.*.serial` and `stall.*.cpu-thread` counters. Reports, BENCH files
+//! and the benchmark read metrics by these names, so any change to the set
+//! is a format change and must show here.
 
 use bk_apps::kmeans::KMeans;
 use bk_apps::{run_implementation, BenchApp, HarnessConfig, Implementation};
@@ -56,6 +60,7 @@ const GOLDEN: &[&str] = &[
     "counter:gpu.comp_issue_slots",
     "counter:gpu.comp_mem_bytes_moved",
     "counter:gpu.comp_mem_bytes_useful",
+    "counter:gpu.mem_transactions",
     "counter:launch.active_blocks",
     "counter:launch.blocks",
     "counter:launch.threads",
@@ -63,12 +68,16 @@ const GOLDEN: &[&str] = &[
     "counter:pcie.h2d_bytes",
     "counter:run.chunks_per_block",
     "counter:run.devices",
+    "counter:run.modified_mapped_data",
     "counter:run.waves",
+    "counter:run.windows",
     "counter:stall.addr-gen.buffer-reuse",
     "counter:stall.addr-gen.gpu-queue",
     "counter:stall.assemble.cpu-thread",
     "counter:stall.compute.fault",
     "counter:stall.compute.gpu-queue",
+    "counter:stall.stage-pin.cpu-thread",
+    "counter:stall.stage-pin.serial",
     "counter:stall.transfer.dma-queue",
     "counter:stream.bytes_read",
     "counter:stream.bytes_read_unique",
@@ -80,9 +89,11 @@ const GOLDEN: &[&str] = &[
     "hist:hist.span.addr-gen",
     "hist:hist.span.assemble",
     "hist:hist.span.compute",
+    "hist:hist.span.stage-pin",
     "hist:hist.span.transfer",
     "hist:hist.span.wb-apply",
     "hist:hist.span.wb-xfer",
+    "stage:compute",
     "stage:fault",
     "stage:p0.addr-gen",
     "stage:p0.assemble",
@@ -94,16 +105,26 @@ const GOLDEN: &[&str] = &[
     "stage:p1.assemble",
     "stage:p1.compute",
     "stage:p1.transfer",
+    "stage:stage-pin",
+    "stage:transfer",
+    "stage:wb-apply",
+    "stage:wb-xfer",
     "track:cpu-asm",
+    "track:cpu-stage",
     "track:cpu-wb",
     "track:dev1.cpu-asm",
+    "track:dev1.cpu-stage",
     "track:dev1.cpu-wb",
     "track:dev1.dma",
+    "track:dev1.gpu",
     "track:dev1.gpu-ag",
     "track:dev1.gpu-comp",
+    "track:dev1.serial",
     "track:dma",
+    "track:gpu",
     "track:gpu-ag",
     "track:gpu-comp",
+    "track:serial",
 ];
 
 fn emitted_names() -> Vec<String> {
@@ -114,16 +135,21 @@ fn emitted_names() -> Vec<String> {
     let mut machine = cfg.build_machine();
     let instance = KMeans::default().instantiate(&mut machine, 256 * 1024, 7);
 
-    let guard = bk_obs::trace::start();
-    let r = run_implementation(&mut machine, &instance, Implementation::BigKernel, &cfg);
-    let spans = guard.finish();
-
     let mut names = BTreeSet::new();
-    names.extend(r.metrics.iter().map(|(n, _)| format!("counter:{n}")));
-    names.extend(r.metrics.hists().map(|(n, _)| format!("hist:{n}")));
-    for sp in &spans {
-        names.insert(format!("track:{}", sp.track));
-        names.insert(format!("stage:{}", sp.stage));
+    for imp in [
+        Implementation::BigKernel,
+        Implementation::GpuSingleBuffer,
+        Implementation::GpuDoubleBuffer,
+    ] {
+        let guard = bk_obs::trace::start();
+        let r = run_implementation(&mut machine, &instance, imp, &cfg);
+        let spans = guard.finish();
+        names.extend(r.metrics.iter().map(|(n, _)| format!("counter:{n}")));
+        names.extend(r.metrics.hists().map(|(n, _)| format!("hist:{n}")));
+        for sp in &spans {
+            names.insert(format!("track:{}", sp.track));
+            names.insert(format!("stage:{}", sp.stage));
+        }
     }
     names.into_iter().collect()
 }
@@ -138,6 +164,11 @@ fn emitted_names_match_the_golden_set() {
         "counter:bound.",
         "counter:stall.compute.fault",
         "hist:hist.reuse-wait.",
+        "track:dev1.serial",
+        "track:dev1.cpu-stage",
+        "track:dev1.gpu",
+        "counter:stall.stage-pin.serial",
+        "counter:stall.stage-pin.cpu-thread",
     ] {
         assert!(
             names.iter().any(|n| n.starts_with(family)),
