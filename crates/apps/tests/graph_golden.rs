@@ -22,47 +22,44 @@ use bk_apps::opinion::OpinionFinder;
 use bk_apps::wordcount::WordCount;
 use bk_apps::{BenchApp, HarnessConfig};
 use bk_runtime::{run_bigkernel, LaunchConfig, Machine};
-use bk_simcore::pipeline::{schedule, PipelineSpec};
-use bk_simcore::{ScheduleView, SimTime, StageDef};
+use bk_simcore::pipeline::schedule;
+use bk_simcore::{GraphSpec, ResourceId, ResourceKind, ScheduleView, SimTime};
 use std::collections::HashMap;
 
-/// The pre-refactor pipeline, verbatim (stage order, resource names, reuse
-/// depth semantics). `wb_dma` was `"dma-d2h"` on parts with a second copy
-/// engine and the shared `"dma"` engine otherwise.
+/// The pre-refactor pipeline, verbatim (stage order, resources and their
+/// track names, reuse depth semantics). The write-back transfer ran on the
+/// `"dma-d2h"` engine on parts with a second copy engine and on the shared
+/// `"dma"` engine otherwise.
 const GOLDEN_STAGES: [&str; 6] = [
     "addr-gen", "assemble", "transfer", "compute", "wb-xfer", "wb-apply",
 ];
 
-fn golden_spec(copy_engines: u32, depth: usize) -> PipelineSpec {
-    let wb_dma = if copy_engines >= 2 { "dma-d2h" } else { "dma" };
-    PipelineSpec::new(vec![
-        StageDef {
-            name: GOLDEN_STAGES[0],
-            resource: "gpu-ag",
-        },
-        StageDef {
-            name: GOLDEN_STAGES[1],
-            resource: "cpu-asm",
-        },
-        StageDef {
-            name: GOLDEN_STAGES[2],
-            resource: "dma",
-        },
-        StageDef {
-            name: GOLDEN_STAGES[3],
-            resource: "gpu-comp",
-        },
-        StageDef {
-            name: GOLDEN_STAGES[4],
-            resource: wb_dma,
-        },
-        StageDef {
-            name: GOLDEN_STAGES[5],
-            resource: "cpu-wb",
-        },
-    ])
+/// The golden chain and each stage's track name.
+fn golden_spec(copy_engines: u32, depth: usize) -> (GraphSpec, [&'static str; 6]) {
+    use ResourceKind::*;
+    let wb_dma = if copy_engines >= 2 {
+        (DmaD2H, "dma-d2h")
+    } else {
+        (DmaH2D, "dma")
+    };
+    let resources = [
+        (GpuAddrGen, "gpu-ag"),
+        (CpuAssembly, "cpu-asm"),
+        (DmaH2D, "dma"),
+        (GpuCompute, "gpu-comp"),
+        wb_dma,
+        (CpuWriteback, "cpu-wb"),
+    ];
+    let spec = GraphSpec::chain(
+        GOLDEN_STAGES
+            .iter()
+            .zip(resources)
+            .map(|(&name, (kind, _))| (name, ResourceId::new(kind, 0)))
+            .collect(),
+    )
     .with_reuse(0, 3, depth)
-    .with_reuse(3, 5, depth)
+    .with_reuse(3, 5, depth);
+    (spec, resources.map(|(_, track)| track))
 }
 
 fn stage_index(name: &str) -> usize {
@@ -125,7 +122,7 @@ fn check_pass(app_name: &str, machine: &mut Machine, instance: &bk_apps::Instanc
         per_wave * waves,
         "{app_name}: waves must tile the chunk count"
     );
-    let spec = golden_spec(machine.gpu().copy_engines, bk.buffer_depth);
+    let (spec, tracks) = golden_spec(machine.gpu().copy_engines, bk.buffer_depth);
 
     let mut time_base = SimTime::ZERO;
     let mut compared = 0usize;
@@ -147,7 +144,7 @@ fn check_pass(app_name: &str, machine: &mut Machine, instance: &bk_apps::Instanc
                     GOLDEN_STAGES[stage],
                 );
                 assert_eq!(
-                    track, spec.stages[stage].resource,
+                    track, tracks[stage],
                     "{app_name} pass {pass}: chunk {chunk} {} on the wrong resource",
                     GOLDEN_STAGES[stage],
                 );

@@ -71,8 +71,8 @@ pub fn gantt(schedule: &Schedule, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_runtime::graph::{schedule_graph, GraphSpec, ResourceId, ResourceKind};
-    use bk_simcore::SimTime;
+    use bk_runtime::graph::schedule_graph;
+    use bk_simcore::{GraphSpec, ResourceId, ResourceKind, SimTime};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)

@@ -158,7 +158,6 @@ mod chunk {
             for k in 0..STEPS {
                 ctx.emit_read(StreamId(0), lane * LANE_SPAN + k * 8, 8);
             }
-            drop(ctx);
             let (reads, c) = scratch.commit_reads(cfg);
             assert_eq!(c, Compression::Pattern, "strided lane must compress");
             let (writes, _) = scratch.commit_writes(cfg);
@@ -245,17 +244,11 @@ fn addr_gen_and_assembly_second_chunk_allocates_nothing() {
 /// records are dropped at the thread-local check, and nothing grows.
 #[test]
 fn untraced_record_schedule_allocates_nothing() {
-    use bk_simcore::{pipeline, SimTime, StageDef};
+    use bk_simcore::{pipeline, GraphSpec, ResourceId, ResourceKind, SimTime};
 
-    let spec = pipeline::PipelineSpec::new(vec![
-        StageDef {
-            name: "transfer",
-            resource: "dma",
-        },
-        StageDef {
-            name: "compute",
-            resource: "gpu-comp",
-        },
+    let spec = GraphSpec::chain(vec![
+        ("transfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
+        ("compute", ResourceId::new(ResourceKind::GpuCompute, 0)),
     ])
     .with_reuse(0, 1, 1);
     let t = SimTime::from_micros(1.0);

@@ -154,9 +154,10 @@ mod tests {
         let acc = m.gmem.alloc(8);
         let kernel = IrKernel::compile(sum_ir(), vec![acc]).unwrap();
         let mut trace = bk_gpu::ThreadTrace::default();
-        let mut actx = bk_runtime::ctx::AddrGenCtx::new(&m.gmem, &mut trace);
+        let mut rec = bk_runtime::ctx::AddrRecorder::new();
+        let mut actx = bk_runtime::ctx::AddrGenCtx::recording(&m.gmem, &mut trace, &mut rec);
         kernel.addresses(&mut actx, 0..64);
-        let (reads, writes) = actx.finish();
+        let (reads, writes) = rec.take();
         assert_eq!(reads.len(), 4); // 4 records of 16 bytes
         assert_eq!(reads[2].offset, 32);
         assert!(writes.is_empty());

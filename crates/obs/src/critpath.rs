@@ -19,6 +19,10 @@
 //! telescope and their sum equals the rounded makespan **exactly**; the
 //! `report bottleneck` section and CI gate on that identity.
 //!
+//! Resource and device blame read each path slot's typed
+//! [`ResourceId`]: its kind's name keys the resource table (every device's
+//! unit of a kind adds up) and its device keys the device table.
+//!
 //! [`critical_path`] reads one [`Schedule`]: besides the slots it carries
 //! the dependency edges, reuse edges and capacities it was solved under,
 //! so the walk needs nothing else. Capture follows the [`crate::trace`]
@@ -29,7 +33,7 @@
 //! thread-local check per wave.
 
 use crate::trace::SpanRecord;
-use bk_simcore::{Schedule, ScheduleView, SimTime, SlotMeta, StallKind};
+use bk_simcore::{ResourceId, Schedule, ScheduleView, SimTime, SlotMeta, StallKind};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 
@@ -128,7 +132,7 @@ pub fn critical_path(sched: &Schedule) -> Vec<CritSegment> {
     // occupied the unit each slot ran on. `free` mirrors the scheduler's
     // per-resource free times; occupants ride along.
     type Occupant = Option<(usize, usize)>;
-    let mut free: HashMap<&'static str, (Vec<SimTime>, Vec<Occupant>)> = HashMap::new();
+    let mut free: HashMap<ResourceId, (Vec<SimTime>, Vec<Occupant>)> = HashMap::new();
     let mut res_pred: Vec<Vec<Occupant>> = vec![vec![None; ns]; nc];
     for (chunk, preds) in res_pred.iter_mut().enumerate() {
         for (stage, pred) in preds.iter_mut().enumerate() {
@@ -320,14 +324,12 @@ pub fn record_wave(wave: WaveDag) {
 /// run-global chunk ids.
 #[derive(Clone, Copy, Debug)]
 pub struct RunSegment {
-    /// Device the slot ran on.
-    pub device: usize,
     /// Run-global chunk id.
     pub chunk: usize,
     /// Stage name.
     pub stage: &'static str,
-    /// Full resource string (possibly `dev<i>.`-qualified).
-    pub resource: &'static str,
+    /// Resource the slot ran on, on its device.
+    pub resource: ResourceId,
     /// Absolute start time.
     pub start: SimTime,
     /// Absolute finish time.
@@ -354,8 +356,8 @@ pub struct CritReport {
     pub segments: Vec<RunSegment>,
     /// Critical-path nanoseconds per stage name, descending.
     pub stage_blame: Vec<(&'static str, u64)>,
-    /// Critical-path nanoseconds per base resource (device prefix
-    /// stripped), descending.
+    /// Critical-path nanoseconds per resource kind name (all devices
+    /// together), descending.
     pub resource_blame: Vec<(&'static str, u64)>,
     /// Critical-path nanoseconds per device, descending.
     pub device_blame: Vec<(usize, u64)>,
@@ -391,19 +393,6 @@ impl CritReport {
             ns as f64 / self.makespan_ns as f64
         }
     }
-}
-
-/// Split a resource/track string into `(device, base name)`:
-/// `"dev3.gpu-comp"` → `(3, "gpu-comp")`, `"dma"` → `(0, "dma")`.
-pub fn split_device(resource: &'static str) -> (usize, &'static str) {
-    if let Some(rest) = resource.strip_prefix("dev") {
-        if let Some((d, tail)) = rest.split_once('.') {
-            if let Ok(n) = d.parse::<usize>() {
-                return (n, tail);
-            }
-        }
-    }
-    (0, resource)
 }
 
 /// Compute the whole-run critical path and blame tables from captured
@@ -459,7 +448,6 @@ pub fn analyze(waves: &[WaveDag]) -> CritReport {
         prev_pass = Some(wave.pass);
         for seg in critical_path(shard) {
             segments.push(RunSegment {
-                device: shard.device,
                 chunk: shard.chunk_ids[seg.chunk],
                 stage: shard.stage_name(seg.stage),
                 resource: shard.stage_resource(seg.stage),
@@ -480,9 +468,8 @@ pub fn analyze(waves: &[WaveDag]) -> CritReport {
     for seg in &segments {
         let ns = segment_ns(seg.start, seg.finish);
         *by_stage.entry(seg.stage).or_default() += ns;
-        let (dev, base) = split_device(seg.resource);
-        *by_resource.entry(base).or_default() += ns;
-        *by_device.entry(dev).or_default() += ns;
+        *by_resource.entry(seg.resource.kind.name()).or_default() += ns;
+        *by_device.entry(seg.resource.device).or_default() += ns;
         if let EdgeKind::Reuse { consumer } = seg.entered {
             *by_edge.entry(consumer).or_default() += boundary_ns(seg.wait);
         }
@@ -532,26 +519,28 @@ pub fn marker_spans(report: &CritReport) -> Vec<SpanRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_simcore::{pipeline, PipelineSpec, StageDef};
+    use bk_simcore::{pipeline, GraphSpec, ResourceKind};
+    use ResourceKind::*;
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    /// Oracle schedule of `rows` over `stages` (name, resource) chained in
-    /// order, with the given `(producer, consumer, depth)` reuse edges.
+    /// Oracle schedule of `rows` over `stages` (name, device-0 resource)
+    /// chained in order, with the given `(producer, consumer, depth)`
+    /// reuse edges.
     fn chain(
-        stages: &[(&'static str, &'static str)],
+        stages: &[(&'static str, ResourceKind)],
         reuse: &[(usize, usize, usize)],
         rows: Vec<Vec<SimTime>>,
     ) -> Schedule {
-        let defs = stages
+        let stages = stages
             .iter()
-            .map(|&(name, resource)| StageDef { name, resource })
+            .map(|&(name, kind)| (name, ResourceId::new(kind, 0)))
             .collect();
         let spec = reuse
             .iter()
-            .fold(PipelineSpec::new(defs), |spec, &(p, c, d)| {
+            .fold(GraphSpec::chain(stages), |spec, &(p, c, d)| {
                 spec.with_reuse(p, c, d)
             });
         pipeline::schedule(&spec, &rows)
@@ -561,7 +550,7 @@ mod tests {
     /// resources: the path is both slots back to back.
     fn single_chunk_chain() -> Schedule {
         chain(
-            &[("transfer", "dma"), ("compute", "gpu-comp")],
+            &[("transfer", DmaH2D), ("compute", GpuCompute)],
             &[],
             vec![vec![t(1.0), t(3.0)]],
         )
@@ -581,10 +570,10 @@ mod tests {
     #[test]
     fn resource_contention_walks_through_the_prior_occupant() {
         // Two chunks on one serial resource: chunk 1 waits for chunk 0.
-        let d = chain(&[("compute", "serial")], &[], vec![vec![t(2.0)]; 2]);
+        let d = chain(&[("compute", Serial)], &[], vec![vec![t(2.0)]; 2]);
         assert_eq!(
             d.meta[1][0].kind,
-            Some(StallKind::Resource("serial")),
+            Some(StallKind::Resource(ResourceId::new(Serial, 0))),
             "chunk 1 queues behind chunk 0"
         );
         let path = critical_path(&d);
@@ -600,7 +589,7 @@ mod tests {
         // Stage 0 of chunk 1 waits on stage 1 of chunk 0 (depth 1). Distinct
         // resources, so only the reuse edge can couple chunks.
         let d = chain(
-            &[("transfer", "dma"), ("compute", "gpu-comp")],
+            &[("transfer", DmaH2D), ("compute", GpuCompute)],
             &[(0, 1, 1)],
             vec![vec![t(1.0), t(4.0)]; 2],
         );
@@ -754,8 +743,9 @@ mod tests {
         let mut slow = single_chunk_chain();
         slow.slots[0][1].finish = t(9.0);
         slow.makespan = t(9.0);
-        slow.resources = vec!["dev1.dma", "dev1.gpu-comp"];
-        slow.capacities = vec![("dev1.dma", 1), ("dev1.gpu-comp", 1)];
+        let (dma, comp) = (ResourceId::new(DmaH2D, 1), ResourceId::new(GpuCompute, 1));
+        slow.resources = vec![dma, comp];
+        slow.capacities = vec![(dma, 1), (comp, 1)];
         slow.device = 1;
         slow.chunk_ids = vec![1];
         let report = analyze(&[WaveDag {
@@ -764,15 +754,8 @@ mod tests {
             shards: vec![fast, slow],
         }]);
         assert_eq!(report.device_blame, vec![(1, 9_000)]);
-        assert_eq!(report.resource_blame[0].0, "gpu-comp"); // prefix stripped
+        assert_eq!(report.resource_blame[0].0, "gpu-comp"); // kind, not device
         assert!(report.tiles_exactly());
-    }
-
-    #[test]
-    fn split_device_parses_prefixes() {
-        assert_eq!(split_device("dma"), (0, "dma"));
-        assert_eq!(split_device("dev3.gpu-comp"), (3, "gpu-comp"));
-        assert_eq!(split_device("critpath"), (0, "critpath"));
     }
 
     #[test]

@@ -8,13 +8,16 @@
 //! with the workspace's hand-rolled JSON (no serde in the dependency set),
 //! with deterministic ordering: one process per simulated device (pid =
 //! device + 1, named `bigkernel-sim` / `bigkernel-sim dev<i>`), tracks in
-//! canonical pipeline order within each device, spans in recorded order.
+//! canonical lane order within each device — the resources in
+//! [`ResourceKind`] declaration order, then the marker lanes — and spans
+//! in recorded order.
 //! Canonical — not first-seen — track order matters on multi-GPU traces:
 //! shards interleave recording, so first-seen order would shuffle lanes
 //! from run to run.
 
+use crate::critpath::CRITPATH_TRACK;
 use crate::trace::SpanRecord;
-use bk_simcore::SimTime;
+use bk_simcore::{ResourceKind, SimTime};
 use std::fmt::Write as _;
 
 /// Escape a string for a JSON literal. Span/track names are static
@@ -35,23 +38,6 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// Canonical lane order within one device's process: the six pipeline
-/// resources in stage order, then the degraded-mode and marker tracks.
-/// Track names missing from this list sort after it, alphabetically.
-const TRACK_RANK: [&str; 11] = [
-    "gpu-ag",
-    "cpu-asm",
-    "dma",
-    "gpu-comp",
-    "dma-d2h",
-    "cpu-wb",
-    "cpu-stage",
-    "gpu",
-    "serial",
-    "autotune",
-    "critpath",
-];
-
 /// Split an optional `dev<i>.` shard prefix off a track name; unprefixed
 /// tracks belong to device 0.
 fn track_device(track: &str) -> (usize, &str) {
@@ -65,11 +51,17 @@ fn track_device(track: &str) -> (usize, &str) {
     (0, track)
 }
 
+/// Lane rank of a track within one device's process: the resources in
+/// [`ResourceKind`] declaration order, then the autotune and critical-path
+/// marker lanes. Tracks outside both sort after them, alphabetically.
 fn rank(base: &str) -> usize {
-    TRACK_RANK
+    let markers = ["autotune", CRITPATH_TRACK];
+    ResourceKind::ALL
         .iter()
-        .position(|&r| r == base)
-        .unwrap_or(TRACK_RANK.len())
+        .map(|k| k.name())
+        .chain(markers)
+        .position(|lane| lane == base)
+        .unwrap_or(ResourceKind::ALL.len() + markers.len())
 }
 
 /// Distinct tracks in canonical order: device ascending, then pipeline

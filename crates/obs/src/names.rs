@@ -10,6 +10,7 @@
 //! stack buffer and allocates nothing.
 
 use crate::stall::StallCause;
+use bk_simcore::ResourceId;
 use std::collections::BTreeSet;
 use std::fmt::{self, Write};
 use std::sync::RwLock;
@@ -90,13 +91,14 @@ pub fn device(d: usize, quantity: &str) -> &'static str {
     intern(format_args!("device.{d}.{quantity}"))
 }
 
-/// A resource track: the bare `kind` on device 0, `dev<d>.<kind>` on any
-/// other device, so single-GPU output keeps the unqualified vocabulary.
-pub fn resource(kind: &'static str, device: usize) -> &'static str {
-    if device == 0 {
-        kind
-    } else {
-        intern(format_args!("dev{device}.{kind}"))
+/// A resource's track name: the bare kind name on device 0,
+/// `dev<d>.<kind>` on any other device, so single-GPU output keeps the
+/// unqualified vocabulary.
+pub fn resource(id: ResourceId) -> &'static str {
+    let kind = id.kind.name();
+    match id.device {
+        0 => kind,
+        d => intern(format_args!("dev{d}.{kind}")),
     }
 }
 
@@ -114,8 +116,9 @@ mod tests {
         assert_eq!(device(0, "chunks"), "device.0.chunks");
         assert_eq!(device(7, "stall_ns"), "device.7.stall_ns");
         assert_eq!(device(3, "busy_ns"), "device.3.busy_ns");
-        assert_eq!(resource("gpu-comp", 0), "gpu-comp");
-        assert_eq!(resource("gpu-comp", 3), "dev3.gpu-comp");
+        let comp = ResourceId::new(bk_simcore::ResourceKind::GpuCompute, 0);
+        assert_eq!(resource(comp), "gpu-comp");
+        assert_eq!(resource(comp.on_device(3)), "dev3.gpu-comp");
         assert_eq!(pass_stage(1, "wb-apply"), "p1.wb-apply");
     }
 

@@ -8,14 +8,16 @@
 //! [`StallKind`]: either a buffer-reuse edge (§IV.C's `addr-gen(n)` waits
 //! for `compute(n−3)` rule, implemented by flag signalling over PCIe) or
 //! in-order contention on the slot's resource. This module maps those raw
-//! kinds onto the pipeline's hardware vocabulary ([`StallCause`]): the DMA
-//! in-order queue, CPU assembly-thread availability, GPU queue pressure, the
-//! fully-serialized single-buffer resource, or the buffer-reuse/flag wait.
+//! kinds onto the pipeline's hardware vocabulary ([`StallCause`]) by the
+//! stalled resource's [`ResourceKind`], whatever its device: the DMA
+//! in-order queue, CPU thread availability (assembly, staging, write-back
+//! apply), GPU queue pressure, the fully-serialized single-buffer resource,
+//! or the buffer-reuse/flag wait.
 
 use crate::metrics::MetricsRegistry;
 use crate::names;
 use crate::trace::{self, SpanRecord};
-use bk_simcore::{Schedule, ScheduleView, SimTime, StallKind};
+use bk_simcore::{ResourceKind, Schedule, ScheduleView, SimTime, StallKind};
 
 /// Why a pipeline stage instance could not start when its input was ready.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -44,8 +46,6 @@ pub enum StallCause {
     /// this is never produced by [`StallCause::from_kind`] — the streaming
     /// runner attributes it directly on the `ingest` stage.
     Backpressure,
-    /// A resource outside the known vocabulary (kept visible, never silent).
-    Other,
 }
 
 impl StallCause {
@@ -56,39 +56,25 @@ impl StallCause {
             StallCause::DmaQueue => "dma-queue",
             StallCause::CpuThread => "cpu-thread",
             StallCause::GpuQueue => "gpu-queue",
-            StallCause::Serial => "serial",
+            // Named after the one resource this cause waits on.
+            StallCause::Serial => ResourceKind::Serial.name(),
             StallCause::Fault => "fault",
             StallCause::Backpressure => "backpressure",
-            StallCause::Other => "other",
         }
     }
 
-    /// Classify a scheduler-level stall by the resource vocabulary used by
-    /// the runtime (`gpu-ag`, `cpu-asm`, `dma`, `dma-d2h`, `gpu-comp`,
-    /// `cpu-wb`) and the baselines (`cpu-stage`, `dma`, `gpu`, `wb_dma`,
-    /// `cpu-wb`, `serial`). Multi-device runs qualify resources as
-    /// `dev<i>.<name>`; the device prefix is stripped before
-    /// classification, so all devices feed the same cause buckets.
+    /// Classify a scheduler-level stall by the kind of the stalled
+    /// resource. Every device's unit of a kind feeds the same cause bucket.
     pub fn from_kind(kind: StallKind) -> StallCause {
+        use ResourceKind::*;
         match kind {
             StallKind::Reuse { .. } => StallCause::BufferReuse,
-            StallKind::Resource(r) => {
-                let r = match r.strip_prefix("dev") {
-                    Some(rest) => rest.split_once('.').map_or(r, |(_, tail)| tail),
-                    None => r,
-                };
-                if r == "serial" {
-                    StallCause::Serial
-                } else if r.contains("dma") {
-                    StallCause::DmaQueue
-                } else if r.starts_with("cpu") {
-                    StallCause::CpuThread
-                } else if r.starts_with("gpu") {
-                    StallCause::GpuQueue
-                } else {
-                    StallCause::Other
-                }
-            }
+            StallKind::Resource(r) => match r.kind {
+                DmaH2D | DmaD2H => StallCause::DmaQueue,
+                CpuAssembly | CpuWriteback | CpuStage => StallCause::CpuThread,
+                GpuAddrGen | GpuCompute | Gpu => StallCause::GpuQueue,
+                Serial => StallCause::Serial,
+            },
         }
     }
 }
@@ -112,7 +98,8 @@ pub fn stage_role(name: &str) -> &str {
 /// Walk one computed wave [`Schedule`] and record, for every non-empty slot:
 ///
 /// * a [`SpanRecord`] on the slot's resource track (only collected while a
-///   [`trace::start`] guard is live — see the crate docs),
+///   [`trace::start`] guard is live — see the crate docs; the track names
+///   are composed once per stage, and only then),
 /// * the span-duration histogram `hist.span.<stage>`,
 /// * if the slot stalled, the `stall.<stage>.<cause>` counter (simulated
 ///   nanoseconds), plus the per-wait `hist.reuse-wait.<stage>` histogram
@@ -130,6 +117,13 @@ pub fn record_schedule(
     time_base: SimTime,
     metrics: &mut MetricsRegistry,
 ) {
+    let tracks: Option<Vec<&'static str>> = trace::enabled().then(|| {
+        sched
+            .resources
+            .iter()
+            .map(|&r| names::resource(r))
+            .collect()
+    });
     for chunk in 0..sched.num_chunks() {
         for stage in 0..sched.num_stages() {
             let slot = sched.slot(chunk, stage);
@@ -149,14 +143,16 @@ pub fn record_schedule(
                 metrics.add(names::stall(name, cause), meta.stall.nanos() as u64);
                 (cause.label(), meta.stall)
             });
-            trace::record(&SpanRecord {
-                track: sched.stage_resource(stage),
-                stage: full_name,
-                chunk: chunk_base + sched.chunk_ids[chunk],
-                start: time_base + slot.start,
-                dur,
-                stall,
-            });
+            if let Some(tracks) = &tracks {
+                trace::record(&SpanRecord {
+                    track: tracks[stage],
+                    stage: full_name,
+                    chunk: chunk_base + sched.chunk_ids[chunk],
+                    start: time_base + slot.start,
+                    dur,
+                    stall,
+                });
+            }
         }
     }
 }
@@ -164,24 +160,18 @@ pub fn record_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_simcore::{pipeline, SimTime, StageDef};
+    use bk_simcore::{pipeline, GraphSpec, ResourceId, SimTime};
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
     }
 
     fn sched() -> pipeline::Schedule {
-        // Two stages sharing one DMA-like resource plus a reuse edge, so
-        // both stall flavours appear.
-        let spec = pipeline::PipelineSpec::new(vec![
-            StageDef {
-                name: "transfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "compute",
-                resource: "gpu-comp",
-            },
+        // Two stages on the DMA engine and the compute queue plus a reuse
+        // edge, so both stall flavours appear.
+        let spec = GraphSpec::chain(vec![
+            ("transfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
+            ("compute", ResourceId::new(ResourceKind::GpuCompute, 0)),
         ])
         .with_reuse(0, 1, 1);
         pipeline::schedule(&spec, &vec![vec![t(1.0), t(3.0)]; 4])
@@ -189,25 +179,19 @@ mod tests {
 
     #[test]
     fn cause_classification_covers_the_resource_vocabulary() {
+        use ResourceKind::*;
         use StallCause::*;
-        for (res, want) in [
-            ("dma", DmaQueue),
-            ("dma-d2h", DmaQueue),
-            ("wb_dma", DmaQueue),
-            ("cpu-asm", CpuThread),
-            ("cpu-stage", CpuThread),
-            ("cpu-wb", CpuThread),
-            ("gpu-ag", GpuQueue),
-            ("gpu-comp", GpuQueue),
-            ("gpu", GpuQueue),
-            ("serial", Serial),
-            ("fpga", Other),
-        ] {
-            assert_eq!(
-                StallCause::from_kind(StallKind::Resource(res)),
-                want,
-                "{res}"
-            );
+        for kind in ResourceKind::ALL {
+            let want = match kind {
+                DmaH2D | DmaD2H => DmaQueue,
+                CpuAssembly | CpuStage | CpuWriteback => CpuThread,
+                GpuAddrGen | GpuCompute | Gpu => GpuQueue,
+                ResourceKind::Serial => StallCause::Serial,
+            };
+            for device in [0, 3] {
+                let r = ResourceId::new(kind, device);
+                assert_eq!(StallCause::from_kind(StallKind::Resource(r)), want, "{r:?}");
+            }
         }
         assert_eq!(
             StallCause::from_kind(StallKind::Reuse { consumer: 3 }),

@@ -19,7 +19,6 @@
 //! Guards do not nest: a second [`start`] on the same thread resets the
 //! buffer.
 
-use bk_simcore::pipeline::ResourceId;
 use bk_simcore::SimTime;
 
 /// Stage label marking a span as a fault-recovery marker rather than a
@@ -50,8 +49,9 @@ pub const RETUNE_MARKER_STAGE: &str = "retune";
 /// One recorded stage instance.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpanRecord {
-    /// Resource the stage ran on — one exporter track per distinct value.
-    pub track: ResourceId,
+    /// Track the span sits on — one exporter lane per distinct value: a
+    /// resource's [`crate::names::resource`] name, or a marker lane.
+    pub track: &'static str,
     /// Stage name ("addr-gen", "assemble", ...).
     pub stage: &'static str,
     /// Global chunk index (monotone across waves).

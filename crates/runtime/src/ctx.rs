@@ -44,7 +44,8 @@ pub struct AddrRecorder {
 }
 
 impl AddrRecorder {
-    /// Fresh recorder with empty buffers and live pattern detectors.
+    /// Fresh recorder with empty buffers; pattern detection stays off
+    /// until [`Self::reset`] turns it on.
     pub fn new() -> Self {
         AddrRecorder {
             reads: Vec::new(),
@@ -73,9 +74,10 @@ impl AddrRecorder {
         self.write_det.len()
     }
 
-    /// Materialize and surrender both raw streams (legacy API; the pipeline
-    /// commits through the pooled scratch instead — see `pool.rs`).
-    fn take(&mut self) -> (Vec<AddrEntry>, Vec<AddrEntry>) {
+    /// Materialize and surrender both raw streams. The pipeline commits
+    /// through the pooled scratch instead (see `pool.rs`); tests and the
+    /// kernel compiler's adapter read a lane back with this.
+    pub fn take(&mut self) -> (Vec<AddrEntry>, Vec<AddrEntry>) {
         self.read_det.materialize(&mut self.reads);
         self.write_det.materialize(&mut self.writes);
         (
@@ -91,55 +93,23 @@ impl Default for AddrRecorder {
     }
 }
 
-// The owned recorder is inline on purpose: boxing it would put a heap
-// allocation and a pointer chase on the addr-gen fast path, and only a
-// handful of these contexts exist at a time.
-#[allow(clippy::large_enum_variant)]
-enum Rec<'a> {
-    /// Context-owned recorder (legacy `new`/`finish` API: kernelc adapter,
-    /// baseline tests). Detection off; everything is buffered.
-    Owned(AddrRecorder),
-    /// Borrowed per-worker recorder (the pipeline's pooled fast path).
-    External(&'a mut AddrRecorder),
-}
-
 /// Context for the address-generation half (pipeline stage 1).
 pub struct AddrGenCtx<'a> {
     gmem: &'a GpuMemory,
     trace: &'a mut ThreadTrace,
-    rec: Rec<'a>,
+    rec: &'a mut AddrRecorder,
 }
 
 impl<'a> AddrGenCtx<'a> {
-    /// Context owning its own recorder (tests and standalone use).
-    pub fn new(gmem: &'a GpuMemory, trace: &'a mut ThreadTrace) -> Self {
-        AddrGenCtx {
-            gmem,
-            trace,
-            rec: Rec::Owned(AddrRecorder::new()),
-        }
-    }
-
-    /// Record into an external (pooled) recorder. The caller resets the
-    /// recorder beforehand and commits its streams after the context drops.
+    /// Record into `rec`. The caller resets the recorder beforehand and
+    /// commits (or [takes](AddrRecorder::take)) its streams after the
+    /// context drops.
     pub fn recording(
         gmem: &'a GpuMemory,
         trace: &'a mut ThreadTrace,
         rec: &'a mut AddrRecorder,
     ) -> Self {
-        AddrGenCtx {
-            gmem,
-            trace,
-            rec: Rec::External(rec),
-        }
-    }
-
-    #[inline]
-    fn rec(&mut self) -> &mut AddrRecorder {
-        match &mut self.rec {
-            Rec::Owned(r) => r,
-            Rec::External(r) => r,
-        }
+        AddrGenCtx { gmem, trace, rec }
     }
 
     /// Record that the computation will read `width` bytes of stream `s` at
@@ -149,7 +119,7 @@ impl<'a> AddrGenCtx<'a> {
     pub fn emit_read(&mut self, s: StreamId, offset: u64, width: u32) {
         debug_assert!((1..=8).contains(&width));
         self.trace.alu(2);
-        let r = self.rec();
+        let r = &mut *self.rec;
         r.read_det.push(
             &mut r.reads,
             AddrEntry {
@@ -168,7 +138,7 @@ impl<'a> AddrGenCtx<'a> {
     pub fn emit_read_run(&mut self, s: StreamId, offset: u64, width: u32, n: u64) {
         debug_assert!((1..=8).contains(&width));
         self.trace.alu(2 * n);
-        let r = self.rec();
+        let r = &mut *self.rec;
         r.read_det
             .push_run(&mut r.reads, s, offset, width, n as usize);
     }
@@ -178,7 +148,7 @@ impl<'a> AddrGenCtx<'a> {
     pub fn emit_write(&mut self, s: StreamId, offset: u64, width: u32) {
         debug_assert!((1..=8).contains(&width));
         self.trace.alu(2);
-        let r = self.rec();
+        let r = &mut *self.rec;
         r.write_det.push(
             &mut r.writes,
             AddrEntry {
@@ -215,15 +185,6 @@ impl<'a> AddrGenCtx<'a> {
     #[inline]
     pub fn alu(&mut self, n: u64) {
         self.trace.alu(n);
-    }
-
-    /// Finish the lane and take its recorded address streams.
-    ///
-    /// For the pooled fast path the pipeline drops the context and commits
-    /// through the recorder instead — `finish` on an external recorder
-    /// would surrender the pooled buffers.
-    pub fn finish(mut self) -> (Vec<AddrEntry>, Vec<AddrEntry>) {
-        self.rec().take()
     }
 }
 
@@ -904,12 +865,13 @@ mod tests {
     fn addrgen_records_reads_writes_and_cost() {
         let m = Machine::test_platform();
         let mut trace = ThreadTrace::default();
-        let mut ctx = AddrGenCtx::new(&m.gmem, &mut trace);
+        let mut rec = AddrRecorder::new();
+        let mut ctx = AddrGenCtx::recording(&m.gmem, &mut trace, &mut rec);
         ctx.emit_read(StreamId(0), 0, 8);
         ctx.emit_read(StreamId(0), 8, 8);
         ctx.emit_write(StreamId(0), 16, 4);
         ctx.alu(3);
-        let (reads, writes) = ctx.finish();
+        let (reads, writes) = rec.take();
         assert_eq!(reads, vec![entry(0, 8), entry(8, 8)]);
         assert_eq!(writes, vec![entry(16, 4)]);
         assert_eq!(trace.instructions, 2 * 3 + 3);
@@ -922,7 +884,8 @@ mod tests {
         let b = m.gmem.alloc(16);
         m.gmem.write_u64(b, 8, 0xABCD);
         let mut trace = ThreadTrace::default();
-        let mut ctx = AddrGenCtx::new(&m.gmem, &mut trace);
+        let mut rec = AddrRecorder::new();
+        let mut ctx = AddrGenCtx::recording(&m.gmem, &mut trace, &mut rec);
         assert_eq!(ctx.dev_read_u64(b, 8), 0xABCD);
         assert_eq!(trace.access_count(), 1);
         assert!(!trace.classed[AccessClass::Dev.index()][0].atomic); // plain read

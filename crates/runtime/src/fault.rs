@@ -33,12 +33,12 @@
 //! fault-free run for any plan that completes. See DESIGN.md §11.
 
 use crate::graph::{
-    deal_chunks, pipeline_graph, pipeline_stage_names, schedule_shard, serial_graph, GraphSpec,
+    deal_chunks, pipeline_graph, pipeline_stage_names, schedule_shard, serial_graph,
     ShardedSchedule,
 };
 use crate::pipeline::STAGE_NAMES;
 use bk_obs::{names, MetricsRegistry, SpanRecord, StallCause, FAULT_MARKER_STAGE};
-use bk_simcore::{ScheduleView, SimTime, SplitMix64};
+use bk_simcore::{GraphSpec, ScheduleView, SimTime, SplitMix64};
 
 /// A pipeline stage that can be failed by a [`FaultSite`]. Maps 1:1 onto the
 /// 6-stage bigkernel graph (indices into [`STAGE_NAMES`]).
@@ -513,7 +513,7 @@ impl FaultContext {
             for shard in sharded.shards() {
                 if let Some(local) = shard.chunk_ids.iter().position(|&c| c == ev.chunk) {
                     bk_obs::trace::record(&SpanRecord {
-                        track: shard.stage_resource(ev.stage),
+                        track: names::resource(shard.resources[ev.stage]),
                         stage: FAULT_MARKER_STAGE,
                         chunk: chunk_base + ev.chunk,
                         start: time_base + shard.slot(local, ev.stage).start,

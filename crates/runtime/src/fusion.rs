@@ -7,7 +7,7 @@
 //! bytes straight back onto the device. The fusion planner proves, from
 //! per-kernel [`AccessSummary`]s, when pass *b*'s stream reads are fully
 //! covered by pass *a*'s device-buffer writes — in which case the runtime
-//! runs every pass through **one** multi-stage [`GraphSpec`](crate::graph::GraphSpec)
+//! runs every pass through **one** multi-stage [`GraphSpec`](bk_simcore::GraphSpec)
 //! ([`crate::graph::pipeline_graph`]) and keeps the intermediate
 //! device-resident: the covered reads skip their host-to-device transfer and
 //! scratch intermediates skip their device-to-host write-back entirely.
@@ -25,8 +25,8 @@
 
 use crate::stream::{StreamArray, StreamId};
 
-/// Maximum number of passes one fused graph supports (matches the static
-/// stage-name tables in [`crate::graph`]).
+/// Maximum number of passes one fused graph supports: the planner refuses
+/// more, and [`crate::graph::pipeline_graph`] asserts the same limit.
 pub const MAX_FUSED_PASSES: usize = 4;
 
 /// One contiguous field within a record-periodic access.

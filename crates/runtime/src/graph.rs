@@ -1,17 +1,15 @@
-//! Declarative stage-graph executor.
+//! Stage-graph factories, scheduler and multi-GPU executor.
 //!
-//! Historically `run_bigkernel` and the buffered baselines each wove their
-//! stage structure into control flow: hand-built [`bk_simcore::PipelineSpec`]s
-//! with stringly resource names, an inline `copy_engines >= 2` branch choosing
-//! the write-back DMA resource, and their own schedule/record/accumulate
-//! loops. This module turns that structure into *data*:
+//! `run_bigkernel` and the buffered baselines describe their stage
+//! structure as *data*: a [`GraphSpec`] of stages on typed
+//! [`ResourceId`]s (kind × device), with dependency edges (a DAG, not just
+//! a chain), buffer-reuse edges (§IV.C's `addr-gen(n)` ↔ `compute(n−3)`
+//! rule) and per-resource capacities — the vocabulary lives in
+//! [`bk_simcore::pipeline`]. This module adds:
 //!
-//! * [`ResourceId`] — a typed hardware resource (kind × device index) that
-//!   interns to the legacy resource strings, so trace tracks, stall counters
-//!   and BENCH output are unchanged on device 0.
-//! * [`GraphSpec`] — stages, dependency edges (a DAG, not just a chain),
-//!   buffer-reuse edges (§IV.C's `addr-gen(n)` ↔ `compute(n−3)` rule) and
-//!   per-resource capacities.
+//! * the factories [`pipeline_graph`] (with its one-pass shorthand
+//!   [`bigkernel_graph`]), [`buffered_graph`] and [`serial_graph`], which
+//!   also choose the write-back DMA resource from the copy-engine count;
 //! * [`schedule_graph`] — forward list scheduling generalized to DAG deps and
 //!   multi-unit resources, returning a [`bk_simcore::Schedule`]. For a
 //!   linear chain on unit-capacity resources it performs the *identical*
@@ -22,10 +20,10 @@
 //! * [`Executor`] / [`ShardedSchedule`] — chunk sharding across `N` simulated
 //!   GPUs, one device-local [`bk_simcore::Schedule`] per device with its
 //!   `device` and wave-local `chunk_ids` set. Each device runs an
-//!   independent copy of the stage graph (its own
-//!   DMA engine, GPU queues and host-side worker threads — resources are
-//!   qualified `dev<i>.<name>`), chunks are dealt out round-robin, and
-//!   reuse depth applies within a device's local chunk sequence
+//!   independent copy of the stage graph (its own DMA engine, GPU queues
+//!   and host-side worker threads — the same resource kinds on its own
+//!   device index), chunks are dealt out round-robin, and reuse depth
+//!   applies within a device's local chunk sequence
 //!   (per-device buffer pools). The wave makespan is the max over
 //!   device schedules. Devices are homogeneous ([`crate::Machine`] replicates
 //!   device 0's spec), so per-chunk durations are device-independent and
@@ -33,263 +31,14 @@
 //!   in global chunk order and outputs are bit-identical for any device
 //!   count. See DESIGN.md §10.
 
+use crate::fusion::MAX_FUSED_PASSES;
 use crate::machine::MAX_DEVICES;
 use crate::pipeline::STAGE_NAMES;
 use crate::result::{accumulate_stage_stats, StageStat};
 use bk_obs::{names, MetricsRegistry};
-use bk_simcore::pipeline::distinct_capacities;
 use bk_simcore::pipeline::Slot;
-use bk_simcore::{ReuseEdge, Schedule, SimTime, SlotMeta, StallKind};
+use bk_simcore::{GraphSpec, ResourceId, ResourceKind, Schedule, SimTime, SlotMeta, StallKind};
 use std::collections::HashMap;
-
-/// The kinds of hardware resources the pipelines schedule onto. One kind ×
-/// one device index = one serializing unit (or `capacity` identical units).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ResourceKind {
-    /// GPU queue running the address-generation mini-kernel.
-    GpuAddrGen,
-    /// CPU assembly threads gathering scattered data into a chunk.
-    CpuAssembly,
-    /// Host-to-device DMA engine (also D2H on single-copy-engine GPUs).
-    DmaH2D,
-    /// Device-to-host DMA engine (only present with `copy_engines >= 2`).
-    DmaD2H,
-    /// GPU queue running the main computation kernel.
-    GpuCompute,
-    /// CPU threads applying write-backs to host memory.
-    CpuWriteback,
-    /// CPU staging/pinning thread (double-buffered baseline).
-    CpuStage,
-    /// The whole GPU as one queue (baseline granularity).
-    Gpu,
-    /// The single shared resource of a fully serialized baseline.
-    Serial,
-}
-
-/// A typed resource identity: which kind of unit, on which simulated device.
-///
-/// `as_str()` interns to the exact legacy resource vocabulary on device 0
-/// (`"gpu-ag"`, `"cpu-asm"`, `"dma"`, `"dma-d2h"`, `"gpu-comp"`, `"cpu-wb"`,
-/// `"cpu-stage"`, `"gpu"`, `"serial"`) and to `"dev<i>.<name>"` on every
-/// other device — so single-GPU trace/BENCH output is unchanged, and
-/// multi-GPU runs get one Perfetto lane per device resource for free.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ResourceId {
-    /// Which kind of execution unit.
-    pub kind: ResourceKind,
-    /// Which simulated device the unit belongs to.
-    pub device: usize,
-}
-
-impl ResourceId {
-    /// A resource of `kind` on `device`.
-    pub const fn new(kind: ResourceKind, device: usize) -> Self {
-        ResourceId { kind, device }
-    }
-
-    /// Same kind of unit on another device.
-    pub fn on_device(self, device: usize) -> Self {
-        ResourceId { device, ..self }
-    }
-
-    /// Interned resource string (see the type docs).
-    pub fn as_str(self) -> &'static str {
-        use ResourceKind::*;
-        let kind = match self.kind {
-            GpuAddrGen => "gpu-ag",
-            CpuAssembly => "cpu-asm",
-            DmaH2D => "dma",
-            DmaD2H => "dma-d2h",
-            GpuCompute => "gpu-comp",
-            CpuWriteback => "cpu-wb",
-            CpuStage => "cpu-stage",
-            Gpu => "gpu",
-            Serial => "serial",
-        };
-        names::resource(kind, self.device)
-    }
-
-    /// Parse an interned resource string (as produced by [`Self::as_str`],
-    /// bare or `dev<i>.`-qualified) back into a typed id. The inverse of
-    /// `as_str` for every kind × device pair; `None` for anything outside
-    /// the vocabulary. The what-if replayer uses this to rebuild a
-    /// [`GraphSpec`] from a captured schedule snapshot.
-    pub fn parse(s: &str) -> Option<ResourceId> {
-        let (device, base) = match s.strip_prefix("dev").and_then(|rest| rest.split_once('.')) {
-            Some((d, tail)) => (d.parse::<usize>().ok().filter(|&d| d < MAX_DEVICES)?, tail),
-            None => (0, s),
-        };
-        use ResourceKind::*;
-        let kind = match base {
-            "gpu-ag" => GpuAddrGen,
-            "cpu-asm" => CpuAssembly,
-            "dma" => DmaH2D,
-            "dma-d2h" => DmaD2H,
-            "gpu-comp" => GpuCompute,
-            "cpu-wb" => CpuWriteback,
-            "cpu-stage" => CpuStage,
-            "gpu" => Gpu,
-            "serial" => Serial,
-            _ => return None,
-        };
-        Some(ResourceId::new(kind, device))
-    }
-}
-
-impl std::fmt::Display for ResourceId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// One stage of the graph: a name, the resource it occupies, and the stage
-/// indices it depends on (all must be smaller — stages are listed in
-/// topological order, which forward list scheduling requires).
-#[derive(Clone, Debug)]
-pub struct GraphStage {
-    /// Stage name as it appears in spans and BENCH output.
-    pub name: &'static str,
-    /// The execution unit the stage occupies while running.
-    pub resource: ResourceId,
-    /// Indices of same-chunk stages that must finish first.
-    pub deps: Vec<usize>,
-}
-
-/// Declarative pipeline description: stages + DAG edges + reuse edges +
-/// resource capacities. Built once per configuration; the per-wave work is
-/// only [`schedule_graph`] over that wave's durations.
-///
-/// ```
-/// use bk_runtime::graph::{bigkernel_graph, schedule_graph};
-/// use bk_simcore::{ScheduleView, SimTime};
-///
-/// // The paper's 6-stage pipeline, double-buffered, one copy engine.
-/// let spec = bigkernel_graph(1, 2);
-/// assert_eq!(spec.num_stages(), 6);
-///
-/// // Schedule three chunks whose stages each take 10 µs: with every
-/// // stage on its own resource the pipeline overlaps, so the makespan
-/// // is well under the serial 3 × 6 × 10 µs.
-/// let per_chunk = vec![SimTime::from_micros(10.0); 6];
-/// let sched = schedule_graph(&spec, &[per_chunk.clone(), per_chunk.clone(), per_chunk]);
-/// assert!(sched.makespan() < SimTime::from_micros(180.0));
-/// ```
-#[derive(Clone, Debug)]
-pub struct GraphSpec {
-    /// The stages in topological order.
-    pub stages: Vec<GraphStage>,
-    /// Cross-chunk buffer-reuse edges (double/multi-buffering).
-    pub reuse: Vec<ReuseEdge>,
-    /// Resources with more than one identical unit; absent means capacity 1.
-    capacities: Vec<(ResourceId, usize)>,
-}
-
-impl GraphSpec {
-    /// Build from explicit stages. Panics if any dependency is not an
-    /// earlier stage (the list must be a topological order).
-    pub fn new(stages: Vec<GraphStage>) -> Self {
-        for (i, st) in stages.iter().enumerate() {
-            for &d in &st.deps {
-                assert!(
-                    d < i,
-                    "stage {i} ({}) depends on non-earlier stage {d}",
-                    st.name
-                );
-            }
-        }
-        GraphSpec {
-            stages,
-            reuse: Vec::new(),
-            capacities: Vec::new(),
-        }
-    }
-
-    /// The common case: a linear chain, each stage depending on the previous.
-    pub fn chain(stages: Vec<(&'static str, ResourceId)>) -> Self {
-        let stages = stages
-            .into_iter()
-            .enumerate()
-            .map(|(i, (name, resource))| GraphStage {
-                name,
-                resource,
-                deps: if i > 0 { vec![i - 1] } else { Vec::new() },
-            })
-            .collect();
-        GraphSpec {
-            stages,
-            reuse: Vec::new(),
-            capacities: Vec::new(),
-        }
-    }
-
-    /// Add a buffer-reuse edge: `producer` of chunk `i` waits for `consumer`
-    /// of chunk `i − depth` (per-device local chunk sequence when sharded).
-    pub fn with_reuse(mut self, producer: usize, consumer: usize, depth: usize) -> Self {
-        assert!(producer < self.stages.len(), "producer index out of range");
-        assert!(consumer < self.stages.len(), "consumer index out of range");
-        assert!(depth > 0, "reuse depth must be >= 1");
-        self.reuse.push(ReuseEdge {
-            producer,
-            consumer,
-            depth,
-        });
-        self
-    }
-
-    /// Depth of the reuse edge from `producer` to `consumer`, if one exists:
-    /// how many buffer sets the §IV.C rule on that edge allows in flight.
-    pub fn reuse_depth(&self, producer: usize, consumer: usize) -> Option<usize> {
-        self.reuse
-            .iter()
-            .find(|e| e.producer == producer && e.consumer == consumer)
-            .map(|e| e.depth)
-    }
-
-    /// Give a resource `n` identical units (e.g. a thread pool). Production
-    /// configs all use the default capacity 1 — that is what keeps
-    /// [`schedule_graph`] bit-identical to the legacy scheduler; capacities
-    /// exist for the property tests and future heterogeneous setups.
-    pub fn with_capacity(mut self, resource: ResourceId, n: usize) -> Self {
-        assert!(n >= 1, "capacity must be >= 1");
-        self.capacities.retain(|(r, _)| *r != resource);
-        self.capacities.push((resource, n));
-        self
-    }
-
-    /// Number of stages per chunk.
-    pub fn num_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    fn capacity_of(&self, resource: ResourceId) -> usize {
-        self.capacities
-            .iter()
-            .find(|(r, _)| *r == resource)
-            .map_or(1, |&(_, n)| n)
-    }
-
-    /// The same graph with every resource (and capacity entry) moved to
-    /// `device` — one independent sub-pipeline per simulated GPU.
-    pub fn for_device(&self, device: usize) -> GraphSpec {
-        GraphSpec {
-            stages: self
-                .stages
-                .iter()
-                .map(|s| GraphStage {
-                    name: s.name,
-                    resource: s.resource.on_device(device),
-                    deps: s.deps.clone(),
-                })
-                .collect(),
-            reuse: self.reuse.clone(),
-            capacities: self
-                .capacities
-                .iter()
-                .map(|&(r, n)| (r.on_device(device), n))
-                .collect(),
-        }
-    }
-}
 
 /// The BigKernel 6-stage graph (§IV): addr-gen → assemble → transfer →
 /// compute → wb-xfer → wb-apply, with the paper's depth-`depth` buffer-reuse
@@ -329,9 +78,6 @@ pub fn serial_graph(names: &[&'static str]) -> GraphSpec {
     )
 }
 
-/// Most passes one fused [`pipeline_graph`] chains.
-const MAX_FUSED_PASSES: usize = 4;
-
 /// Flat stage-name list of the `passes`-pass [`pipeline_graph`], in stage
 /// order: the plain [`STAGE_NAMES`] for one pass; for more, each pass's six
 /// stages prefixed `p<p>.`, so observability can both distinguish passes
@@ -340,7 +86,7 @@ const MAX_FUSED_PASSES: usize = 4;
 pub fn pipeline_stage_names(passes: usize) -> Vec<&'static str> {
     assert!(
         (1..=MAX_FUSED_PASSES).contains(&passes),
-        "pipeline graph supports 1..=4 passes"
+        "pipeline graph supports 1..={MAX_FUSED_PASSES} passes"
     );
     if passes == 1 {
         return STAGE_NAMES.to_vec();
@@ -411,9 +157,9 @@ pub fn pipeline_graph(
 /// * resource-ready = the earliest-free of the resource's `capacity`
 ///   identical units (capacity 1 reduces to the legacy single free time —
 ///   an untouched unit is free at t=0, exactly like an absent entry in the
-///   legacy scheduler's map, and `max(x, 0) = x` exactly in f64);
+///   reference scheduler's map, and `max(x, 0) = x` exactly in f64);
 /// * reuse edges and the stall-attribution tie rule (reuse wins ties over
-///   resource contention) are verbatim from the legacy scheduler.
+///   resource contention) are verbatim from the reference scheduler.
 ///
 /// Zero-duration stages neither wait for nor occupy their resource.
 pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule {
@@ -449,7 +195,7 @@ pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule 
             if !dur.is_zero() {
                 let free = resource_free
                     .entry(res)
-                    .or_insert_with(|| vec![SimTime::ZERO; spec.capacity_of(res)]);
+                    .or_insert_with(|| vec![SimTime::ZERO; spec.capacity(res)]);
                 for (i, &t) in free.iter().enumerate() {
                     if t < free[unit] {
                         unit = i;
@@ -472,7 +218,7 @@ pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule 
                 }
             }
             // Attribute the inter-stage gap to whichever constraint won;
-            // reuse takes precedence on ties (see the legacy scheduler).
+            // reuse takes precedence on ties (see the reference scheduler).
             let stalled = start.saturating_sub(dataflow);
             let kind = if stalled.is_zero() {
                 None
@@ -481,7 +227,7 @@ pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule 
                     consumer: reuse_consumer,
                 })
             } else {
-                Some(StallKind::Resource(res.as_str()))
+                Some(StallKind::Resource(res))
             };
             let finish = start + dur;
             if !dur.is_zero() {
@@ -497,29 +243,7 @@ pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule 
         meta.push(chunk_meta);
     }
 
-    let makespan = slots
-        .iter()
-        .flat_map(|c| c.iter().map(|s| s.finish))
-        .fold(SimTime::ZERO, SimTime::max);
-
-    let resources: Vec<&'static str> = spec.stages.iter().map(|s| s.resource.as_str()).collect();
-    Schedule {
-        device: 0,
-        chunk_ids: (0..slots.len()).collect(),
-        stage_names: spec.stages.iter().map(|s| s.name).collect(),
-        deps: spec.stages.iter().map(|s| s.deps.clone()).collect(),
-        reuse: spec.reuse.clone(),
-        capacities: distinct_capacities(&resources, |r| {
-            spec.capacities
-                .iter()
-                .find(|&&(id, _)| id.as_str() == r)
-                .map_or(1, |&(_, n)| n)
-        }),
-        resources,
-        slots,
-        meta,
-        makespan,
-    }
+    Schedule::solved(spec, slots, meta)
 }
 
 /// Schedule one device's share of a wave: the rows `chunk_ids` of
@@ -697,7 +421,7 @@ impl ShardedSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_simcore::{pipeline, ScheduleView, StageDef};
+    use bk_simcore::{pipeline, GraphStage, ScheduleView};
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
@@ -717,47 +441,38 @@ mod tests {
             (Gpu, "gpu"),
             (Serial, "serial"),
         ] {
-            assert_eq!(ResourceId::new(kind, 0).as_str(), want);
-            assert_eq!(ResourceId::new(kind, 0).to_string(), want);
+            assert_eq!(names::resource(ResourceId::new(kind, 0)), want);
+            assert_eq!(
+                names::resource(ResourceId::new(kind, 2)),
+                format!("dev2.{want}")
+            );
         }
-        assert_eq!(ResourceId::new(GpuCompute, 3).as_str(), "dev3.gpu-comp");
-        assert_eq!(ResourceId::new(DmaH2D, 7).to_string(), "dev7.dma");
+        assert_eq!(
+            names::resource(ResourceId::new(GpuCompute, 3)),
+            "dev3.gpu-comp"
+        );
+        assert_eq!(names::resource(ResourceId::new(DmaH2D, 7)), "dev7.dma");
         // The device cap belongs to the machine, not to the names.
-        assert_eq!(ResourceId::new(Gpu, MAX_DEVICES).as_str(), "dev8.gpu");
+        assert_eq!(
+            names::resource(ResourceId::new(Gpu, MAX_DEVICES)),
+            "dev8.gpu"
+        );
     }
 
     /// The golden equivalence: a linear unit-capacity graph schedules
-    /// bit-identically to the legacy simcore scheduler (slots *and* stall
+    /// bit-identically to the reference simcore scheduler (slots *and* stall
     /// attribution), for the exact BigKernel shape.
     #[test]
     fn chain_schedule_is_bit_identical_to_simcore() {
         let depth = 3;
         let graph = bigkernel_graph(1, depth);
-        let legacy = pipeline::PipelineSpec::new(vec![
-            StageDef {
-                name: "addr-gen",
-                resource: "gpu-ag",
-            },
-            StageDef {
-                name: "assemble",
-                resource: "cpu-asm",
-            },
-            StageDef {
-                name: "transfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "compute",
-                resource: "gpu-comp",
-            },
-            StageDef {
-                name: "wb-xfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "wb-apply",
-                resource: "cpu-wb",
-            },
+        let legacy = GraphSpec::chain(vec![
+            ("addr-gen", ResourceId::new(ResourceKind::GpuAddrGen, 0)),
+            ("assemble", ResourceId::new(ResourceKind::CpuAssembly, 0)),
+            ("transfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
+            ("compute", ResourceId::new(ResourceKind::GpuCompute, 0)),
+            ("wb-xfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
+            ("wb-apply", ResourceId::new(ResourceKind::CpuWriteback, 0)),
         ])
         .with_reuse(0, 3, depth)
         .with_reuse(3, 5, depth);
@@ -910,8 +625,12 @@ mod tests {
         assert_eq!((dev1.device, &dev1.chunk_ids[..]), (1, &[1, 3, 5, 7][..]));
         assert_eq!(dev1.reuse.len(), 4);
         assert_eq!(dev1.deps[6], vec![5]);
-        assert!(dev1.capacities.contains(&("dev1.cpu-asm", 2)));
-        assert!(dev1.capacities.contains(&("dev1.gpu-comp", 1)));
+        assert!(dev1
+            .capacities
+            .contains(&(ResourceId::new(ResourceKind::CpuAssembly, 1), 2)));
+        assert!(dev1
+            .capacities
+            .contains(&(ResourceId::new(ResourceKind::GpuCompute, 1), 1)));
     }
 
     #[test]
@@ -979,7 +698,7 @@ mod tests {
     /// Everything scheduling reads from a spec: stage names, resources,
     /// deps, reuse edges.
     type Shape = (
-        Vec<(&'static str, &'static str, Vec<usize>)>,
+        Vec<(&'static str, ResourceId, Vec<usize>)>,
         Vec<(usize, usize, usize)>,
     );
 
@@ -987,7 +706,7 @@ mod tests {
         (
             spec.stages
                 .iter()
-                .map(|s| (s.name, s.resource.as_str(), s.deps.clone()))
+                .map(|s| (s.name, s.resource, s.deps.clone()))
                 .collect(),
             spec.reuse
                 .iter()
@@ -1123,7 +842,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bk_simcore::{pipeline, ScheduleView, StageDef};
+    use bk_simcore::{pipeline, GraphStage, ScheduleView};
     use proptest::prelude::*;
 
     fn t_us(us: u32) -> SimTime {
@@ -1179,7 +898,7 @@ mod proptests {
     }
 
     proptest! {
-        /// Equivalence with the legacy scheduler on random linear chains
+        /// Equivalence with the reference scheduler on random linear chains
         /// with random reuse depth — the property behind the 1-GPU golden
         /// guarantee.
         #[test]
@@ -1192,14 +911,7 @@ mod proptests {
                 ("comp", ResourceId::new(GpuCompute, 0)),
             ])
             .with_reuse(0, 3, depth);
-            let legacy = pipeline::PipelineSpec::new(vec![
-                StageDef { name: "ag", resource: "gpu-ag" },
-                StageDef { name: "asm", resource: "cpu-asm" },
-                StageDef { name: "xfer", resource: "dma" },
-                StageDef { name: "comp", resource: "gpu-comp" },
-            ])
-            .with_reuse(0, 3, depth);
-            prop_assert_eq!(schedule_graph(&graph, &d), pipeline::schedule(&legacy, &d));
+            prop_assert_eq!(schedule_graph(&graph, &d), pipeline::schedule(&graph, &d));
         }
 
         /// Random DAGs with random capacities: a resource with capacity `k`
@@ -1226,7 +938,7 @@ mod proptests {
                 }
             }
             for (res, mut iv) in by_res {
-                let cap = spec.capacity_of(res);
+                let cap = spec.capacity(res);
                 // Sweep: +1 at start, -1 at finish; finishes drain before
                 // coincident starts (back-to-back slots don't overlap).
                 let mut events: Vec<(SimTime, i32)> = Vec::new();
@@ -1242,9 +954,9 @@ mod proptests {
                     in_flight += delta;
                     prop_assert!(
                         in_flight <= cap as i32,
-                        "{} spans in flight on {} (capacity {cap})",
+                        "{} spans in flight on {:?} (capacity {cap})",
                         in_flight,
-                        res.as_str(),
+                        res,
                     );
                 }
             }
@@ -1323,11 +1035,11 @@ mod proptests {
                 }
             }
             for (res, total) in busy {
-                let cap = spec.capacity_of(res) as f64;
+                let cap = spec.capacity(res) as f64;
                 prop_assert!(
                     s.makespan().secs() + 1e-9 >= total / cap,
-                    "makespan below busy/capacity bound for {}",
-                    res.as_str(),
+                    "makespan below busy/capacity bound for {:?}",
+                    res,
                 );
             }
         }

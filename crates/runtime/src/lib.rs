@@ -29,10 +29,11 @@
 //!   correctness).
 //! * [`sync`] — §IV.C synchronization cost model (bar.red barriers, flag
 //!   signalling over PCIe, the `n-3` buffer-reuse rule).
-//! * [`graph`] — the declarative stage-graph executor: stages, hardware
-//!   resources and dependency edges as data ([`GraphSpec`]), a generalized
-//!   list scheduler, and round-robin chunk sharding across `N` simulated
-//!   GPUs ([`Executor`]).
+//! * [`graph`] — the declarative stage-graph executor: the BigKernel and
+//!   baseline graphs as [`bk_simcore::GraphSpec`] data (stages, typed
+//!   hardware resources, dependency edges), a generalized list scheduler,
+//!   and round-robin chunk sharding across `N` simulated GPUs
+//!   ([`Executor`]).
 //! * [`fault`] — deterministic fault injection & recovery: a seeded
 //!   [`FaultPlan`] failing stage instances or whole devices, with bounded
 //!   retry + backoff, chunk requeue onto survivors and graceful degradation
@@ -85,7 +86,7 @@ pub use ctx::{AddrGenCtx, ComputeCtx};
 pub use exec::{compute_staged, BlockComputed, StagedAux};
 pub use fault::{DeviceFailure, FaultPlan, FaultSite, FaultStage};
 pub use fusion::{AccessSummary, FieldSpan, FusePlan, FuseRefusal, PassIo, StreamAccess};
-pub use graph::{Executor, GraphSpec, ResourceId, ResourceKind};
+pub use graph::Executor;
 pub use kernel::{DevBufId, KernelCtx, LaunchConfig, StreamKernel, ValueExt};
 pub use machine::Machine;
 pub use pipeline::{run_bigkernel, run_bigkernel_fused};

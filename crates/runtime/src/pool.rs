@@ -1,9 +1,9 @@
 //! Pooled scratch for the addr-gen → assembly hot path.
 //!
 //! The pipeline's inner loop used to pay a heap allocation per lane per
-//! chunk: fresh `Vec<AddrEntry>` buffers in `AddrGenCtx::new`, fresh pattern
-//! component vectors in `detect`, a fresh `Vec<LaneAddrs>`, fresh layout
-//! vectors and a fresh prefetch-byte buffer in `assemble`. None of that
+//! chunk: fresh `Vec<AddrEntry>` buffers in each addr-gen context, fresh
+//! pattern component vectors in `detect`, a fresh `Vec<LaneAddrs>`, fresh
+//! layout vectors and a fresh prefetch-byte buffer in `assemble`. None of that
 //! churn models anything — the paper's stage 1–2 must be near-zero-cost for
 //! the overlap to pay (§III) — so every one of those vectors now cycles
 //! through a per-block-slot [`StreamPool`] of typed freelists: taken at the

@@ -107,22 +107,16 @@ pub fn finalize_stage_stats(stats: &mut [StageStat], total_chunks: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_simcore::{pipeline, SimTime, StageDef};
+    use bk_simcore::{pipeline, GraphSpec, ResourceId, ResourceKind, SimTime};
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
     }
 
     fn sample_schedule() -> pipeline::Schedule {
-        let spec = pipeline::PipelineSpec::new(vec![
-            StageDef {
-                name: "a",
-                resource: "ra",
-            },
-            StageDef {
-                name: "b",
-                resource: "rb",
-            },
+        let spec = GraphSpec::chain(vec![
+            ("a", ResourceId::new(ResourceKind::DmaH2D, 0)),
+            ("b", ResourceId::new(ResourceKind::GpuCompute, 0)),
         ]);
         pipeline::schedule(&spec, &[vec![t(1.0), t(3.0)], vec![t(1.0), t(3.0)]])
     }

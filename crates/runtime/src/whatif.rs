@@ -19,9 +19,9 @@
 //! The `report bottleneck` section ranks [`scenarios`] by predicted speedup
 //! and validates the structural ones against actual re-runs within 1%.
 
-use crate::graph::{Executor, GraphSpec, GraphStage, ResourceId};
+use crate::graph::Executor;
 use bk_obs::critpath::WaveDag;
-use bk_simcore::{Schedule, ScheduleView, SimTime};
+use bk_simcore::{GraphSpec, GraphStage, Schedule, ScheduleView, SimTime};
 
 /// A hypothetical change to the recorded pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -85,34 +85,32 @@ pub struct Prediction {
     pub speedup: f64,
 }
 
-fn respec(shard: &Schedule) -> Option<GraphSpec> {
+/// The device-0 [`GraphSpec`] a shard was scheduled under.
+fn respec(shard: &Schedule) -> GraphSpec {
     let stages = (0..shard.num_stages())
-        .map(|s| {
-            Some(GraphStage {
-                name: shard.stage_name(s),
-                resource: ResourceId::parse(shard.stage_resource(s))?.on_device(0),
-                deps: shard.deps[s].clone(),
-            })
+        .map(|s| GraphStage {
+            name: shard.stage_name(s),
+            resource: shard.stage_resource(s).on_device(0),
+            deps: shard.deps[s].clone(),
         })
-        .collect::<Option<Vec<_>>>()?;
+        .collect();
     let mut spec = GraphSpec::new(stages);
     for e in &shard.reuse {
         spec = spec.with_reuse(e.producer, e.consumer, e.depth);
     }
     for &(res, n) in &shard.capacities {
         if n > 1 {
-            spec = spec.with_capacity(ResourceId::parse(res)?.on_device(0), n);
+            spec = spec.with_capacity(res.on_device(0), n);
         }
     }
-    Some(spec)
+    spec
 }
 
 /// Replay the captured waves under `p` and return the predicted run
 /// makespan (the sum over waves of the perturbed wave makespan — waves run
 /// back to back, exactly as the pipeline schedules them). `num_devices`
 /// must be the recorded run's device count. Returns
-/// `None` if a snapshot cannot be rebuilt (unknown resource vocabulary or
-/// no waves captured).
+/// `None` if no waves (or a wave without shards) were captured.
 pub fn predict(waves: &[WaveDag], num_devices: usize, p: &Perturbation) -> Option<SimTime> {
     if waves.is_empty() {
         return None;
@@ -120,7 +118,7 @@ pub fn predict(waves: &[WaveDag], num_devices: usize, p: &Perturbation) -> Optio
     let mut total = SimTime::ZERO;
     for wave in waves {
         let shard0 = wave.shards.first()?;
-        let mut spec = respec(shard0)?;
+        let mut spec = respec(shard0);
         let ns = shard0.num_stages();
 
         // Reassemble the wave's duration rows in global chunk order.
@@ -364,7 +362,7 @@ mod tests {
     fn merge_chunks_sums_stage_costs() {
         let spec = GraphSpec::chain(vec![(
             "compute",
-            ResourceId::new(crate::graph::ResourceKind::Serial, 0),
+            bk_simcore::ResourceId::new(bk_simcore::ResourceKind::Serial, 0),
         )]);
         let exec = Executor::new(spec, 1);
         let sharded = exec.run(&vec![vec![t(1.0)]; 4]);

@@ -1,14 +1,22 @@
-//! Generic in-order pipeline scheduler.
+//! The stage-graph vocabulary and the reference pipeline scheduler.
 //!
 //! BigKernel's execution is a software pipeline over *chunks* of the streamed
 //! data: address generation (GPU), data assembly (CPU), data transfer (DMA),
 //! computation (GPU), plus two optional write-back stages. The baselines are
 //! shallower pipelines over the same chunks (single buffering is a pipeline
-//! with no overlap at all). This module computes, given per-chunk per-stage
-//! durations, when each stage instance starts and finishes, subject to:
+//! with no overlap at all). A [`GraphSpec`] describes one such pipeline as
+//! data: its [`GraphStage`]s in topological order, each on a typed hardware
+//! [`ResourceId`] (a [`ResourceKind`] on one simulated device), their
+//! same-chunk dependency edges, the cross-chunk [`ReuseEdge`]s and the
+//! resources with more than one identical unit. [`ResourceKind::name`] is
+//! the one spelling of each kind; `bk_obs::names::resource` composes the
+//! `dev<i>.` prefix where traces and metrics are written.
 //!
-//! 1. **Dataflow**: stage `s` of chunk `i` starts after stage `s-1` of chunk
-//!    `i` finishes.
+//! Scheduling computes, given per-chunk per-stage durations, when each
+//! stage instance starts and finishes, subject to:
+//!
+//! 1. **Dataflow**: a stage of chunk `i` starts after its dependencies
+//!    (on a chain, the previous stage) of chunk `i` finish.
 //! 2. **Resource exclusivity**: stages mapped to the same resource (e.g. the
 //!    one DMA engine, or the CPU assembly thread) serialize; chunks are
 //!    issued in order per resource.
@@ -23,24 +31,103 @@
 //!
 //! Every scheduler returns the one [`Schedule`] type defined here. Runs
 //! schedule with `bk_runtime::graph::schedule_graph`, which generalizes
-//! this scheduler to DAG dependencies, multi-unit resources and multi-GPU
+//! [`schedule`] to DAG dependencies, multi-unit resources and multi-GPU
 //! sharding; each device's shard of a wave and each critical-path capture
-//! is a `Schedule` too. [`schedule`] stays as the reference
-//! implementation: on a linear chain the two return equal values.
+//! is a `Schedule` too. [`schedule`] stays as the reference implementation
+//! for capacity-1 chains: on those the two return equal values.
 
 use crate::time::SimTime;
 use std::collections::HashMap;
 
-/// Identifies a hardware resource that serializes the stages mapped to it.
-pub type ResourceId = &'static str;
+/// The kinds of hardware unit the pipelines schedule onto. One kind × one
+/// device index = one serializing unit (or `capacity` identical units).
+///
+/// Declared in trace lane order: a device's Perfetto lanes list its
+/// resources in this order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum ResourceKind {
+    /// GPU queue running the address-generation mini-kernel.
+    GpuAddrGen,
+    /// CPU assembly threads gathering scattered data into a chunk.
+    CpuAssembly,
+    /// Host-to-device DMA engine (also D2H on single-copy-engine GPUs).
+    DmaH2D,
+    /// GPU queue running the main computation kernel.
+    GpuCompute,
+    /// Device-to-host DMA engine (only present with `copy_engines >= 2`).
+    DmaD2H,
+    /// CPU threads applying write-backs to host memory.
+    CpuWriteback,
+    /// CPU staging/pinning thread (double-buffered baseline).
+    CpuStage,
+    /// The whole GPU as one queue (baseline granularity).
+    Gpu,
+    /// The single shared resource of a fully serialized baseline.
+    Serial,
+}
 
-/// Static description of one pipeline stage.
+impl ResourceKind {
+    /// Every kind, in declaration (lane) order.
+    pub const ALL: [ResourceKind; 9] = [
+        ResourceKind::GpuAddrGen,
+        ResourceKind::CpuAssembly,
+        ResourceKind::DmaH2D,
+        ResourceKind::GpuCompute,
+        ResourceKind::DmaD2H,
+        ResourceKind::CpuWriteback,
+        ResourceKind::CpuStage,
+        ResourceKind::Gpu,
+        ResourceKind::Serial,
+    ];
+
+    /// The kind's spelling in trace tracks and critical-path blame keys.
+    pub fn name(self) -> &'static str {
+        match self {
+            ResourceKind::GpuAddrGen => "gpu-ag",
+            ResourceKind::CpuAssembly => "cpu-asm",
+            ResourceKind::DmaH2D => "dma",
+            ResourceKind::GpuCompute => "gpu-comp",
+            ResourceKind::DmaD2H => "dma-d2h",
+            ResourceKind::CpuWriteback => "cpu-wb",
+            ResourceKind::CpuStage => "cpu-stage",
+            ResourceKind::Gpu => "gpu",
+            ResourceKind::Serial => "serial",
+        }
+    }
+}
+
+/// A typed resource identity: which kind of unit, on which simulated device.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ResourceId {
+    /// Which kind of execution unit.
+    pub kind: ResourceKind,
+    /// Which simulated device the unit belongs to.
+    pub device: usize,
+}
+
+impl ResourceId {
+    /// A resource of `kind` on `device`.
+    pub const fn new(kind: ResourceKind, device: usize) -> Self {
+        ResourceId { kind, device }
+    }
+
+    /// Same kind of unit on another device.
+    pub fn on_device(self, device: usize) -> Self {
+        ResourceId { device, ..self }
+    }
+}
+
+/// One stage of the graph: a name, the resource it occupies, and the stage
+/// indices it depends on (all must be smaller — stages are listed in
+/// topological order, which forward list scheduling requires).
 #[derive(Clone, Debug)]
-pub struct StageDef {
-    /// Human-readable stage name (appears in breakdowns and figures).
+pub struct GraphStage {
+    /// Stage name as it appears in spans and BENCH output.
     pub name: &'static str,
-    /// Resource this stage occupies for its whole duration.
+    /// The execution unit the stage occupies while running.
     pub resource: ResourceId,
+    /// Indices of same-chunk stages that must finish first.
+    pub deps: Vec<usize>,
 }
 
 /// Buffer-reuse dependency: `producer` of chunk `i` waits for `consumer` of
@@ -52,24 +139,76 @@ pub struct ReuseEdge {
     pub depth: usize,
 }
 
-/// Static pipeline description.
+/// Declarative pipeline description: stages + DAG edges + reuse edges +
+/// resource capacities. Built once per configuration; the per-wave work is
+/// only scheduling that wave's durations.
+///
+/// ```
+/// use bk_simcore::pipeline::{self, GraphSpec, ResourceId, ResourceKind};
+/// use bk_simcore::{ScheduleView, SimTime};
+///
+/// // Transfer and compute on their own resources, double-buffered.
+/// let spec = GraphSpec::chain(vec![
+///     ("transfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
+///     ("compute", ResourceId::new(ResourceKind::GpuCompute, 0)),
+/// ])
+/// .with_reuse(0, 1, 2);
+/// assert_eq!(spec.num_stages(), 2);
+///
+/// // Three chunks whose stages each take 10 µs overlap: the makespan is
+/// // well under the serial 3 × 2 × 10 µs.
+/// let per_chunk = vec![SimTime::from_micros(10.0); 2];
+/// let sched = pipeline::schedule(&spec, &vec![per_chunk; 3]);
+/// assert!(sched.makespan() < SimTime::from_micros(60.0));
+/// ```
 #[derive(Clone, Debug)]
-pub struct PipelineSpec {
-    pub stages: Vec<StageDef>,
+pub struct GraphSpec {
+    /// The stages in topological order.
+    pub stages: Vec<GraphStage>,
+    /// Cross-chunk buffer-reuse edges (double/multi-buffering).
     pub reuse: Vec<ReuseEdge>,
+    /// Resources with more than one identical unit; absent means capacity 1.
+    capacities: Vec<(ResourceId, usize)>,
 }
 
-impl PipelineSpec {
-    pub fn new(stages: Vec<StageDef>) -> Self {
-        PipelineSpec {
+impl GraphSpec {
+    /// Build from explicit stages. Panics if any dependency is not an
+    /// earlier stage (the list must be a topological order).
+    pub fn new(stages: Vec<GraphStage>) -> Self {
+        for (i, st) in stages.iter().enumerate() {
+            for &d in &st.deps {
+                assert!(
+                    d < i,
+                    "stage {i} ({}) depends on non-earlier stage {d}",
+                    st.name
+                );
+            }
+        }
+        GraphSpec {
             stages,
             reuse: Vec::new(),
+            capacities: Vec::new(),
         }
     }
 
-    /// Add a buffer-reuse edge. Panics if stage indices are out of range or
-    /// the depth is zero (a zero-depth edge would deadlock the chunk on
-    /// itself).
+    /// The common case: a linear chain, each stage depending on the previous.
+    pub fn chain(stages: Vec<(&'static str, ResourceId)>) -> Self {
+        let stages = stages
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, resource))| GraphStage {
+                name,
+                resource,
+                deps: i.checked_sub(1).into_iter().collect(),
+            })
+            .collect();
+        GraphSpec::new(stages)
+    }
+
+    /// Add a buffer-reuse edge: `producer` of chunk `i` waits for `consumer`
+    /// of chunk `i − depth` (per-device local chunk sequence when sharded).
+    /// Panics if a stage index is out of range or the depth is zero (a
+    /// zero-depth edge would deadlock the chunk on itself).
     pub fn with_reuse(mut self, producer: usize, consumer: usize, depth: usize) -> Self {
         assert!(producer < self.stages.len(), "producer index out of range");
         assert!(consumer < self.stages.len(), "consumer index out of range");
@@ -82,8 +221,58 @@ impl PipelineSpec {
         self
     }
 
+    /// Depth of the reuse edge from `producer` to `consumer`, if one exists:
+    /// how many buffer sets the §IV.C rule on that edge allows in flight.
+    pub fn reuse_depth(&self, producer: usize, consumer: usize) -> Option<usize> {
+        self.reuse
+            .iter()
+            .find(|e| e.producer == producer && e.consumer == consumer)
+            .map(|e| e.depth)
+    }
+
+    /// Give a resource `n` identical units (e.g. a thread pool). Production
+    /// configs all use the default capacity 1 — that is what keeps
+    /// `schedule_graph` bit-identical to [`schedule`]; capacities exist for
+    /// the property tests and future heterogeneous setups.
+    pub fn with_capacity(mut self, resource: ResourceId, n: usize) -> Self {
+        assert!(n >= 1, "capacity must be >= 1");
+        self.capacities.retain(|(r, _)| *r != resource);
+        self.capacities.push((resource, n));
+        self
+    }
+
+    /// Number of stages per chunk.
     pub fn num_stages(&self) -> usize {
         self.stages.len()
+    }
+
+    /// Number of identical units of `resource` (1 when not listed).
+    pub fn capacity(&self, resource: ResourceId) -> usize {
+        self.capacities
+            .iter()
+            .find(|(r, _)| *r == resource)
+            .map_or(1, |&(_, n)| n)
+    }
+
+    /// The same graph with every resource (and capacity entry) moved to
+    /// `device` — one independent sub-pipeline per simulated GPU.
+    pub fn for_device(&self, device: usize) -> GraphSpec {
+        GraphSpec {
+            stages: self
+                .stages
+                .iter()
+                .map(|s| GraphStage {
+                    resource: s.resource.on_device(device),
+                    ..s.clone()
+                })
+                .collect(),
+            reuse: self.reuse.clone(),
+            capacities: self
+                .capacities
+                .iter()
+                .map(|&(r, n)| (r.on_device(device), n))
+                .collect(),
+        }
     }
 }
 
@@ -167,6 +356,37 @@ pub struct Schedule {
 }
 
 impl Schedule {
+    /// The device-0 schedule of `spec` with chunk rows `0..n`: the solved
+    /// `slots` and `meta` plus the spec's shape, the canonical
+    /// [`Self::capacities`] (each distinct stage resource in first-use
+    /// order with its unit count) and the last finish as the makespan.
+    pub fn solved(spec: &GraphSpec, slots: Vec<Vec<Slot>>, meta: Vec<Vec<SlotMeta>>) -> Schedule {
+        let makespan = slots
+            .iter()
+            .flatten()
+            .map(|s| s.finish)
+            .fold(SimTime::ZERO, SimTime::max);
+        let resources: Vec<ResourceId> = spec.stages.iter().map(|s| s.resource).collect();
+        let mut capacities: Vec<(ResourceId, usize)> = Vec::new();
+        for &r in &resources {
+            if !capacities.iter().any(|&(seen, _)| seen == r) {
+                capacities.push((r, spec.capacity(r)));
+            }
+        }
+        Schedule {
+            device: 0,
+            chunk_ids: (0..slots.len()).collect(),
+            stage_names: spec.stages.iter().map(|s| s.name).collect(),
+            resources,
+            deps: spec.stages.iter().map(|s| s.deps.clone()).collect(),
+            reuse: spec.reuse.clone(),
+            capacities,
+            slots,
+            meta,
+            makespan,
+        }
+    }
+
     /// Total stalled time across every slot (feeds `device.<i>.stall_ns`).
     pub fn total_stall(&self) -> SimTime {
         self.meta.iter().flatten().map(|m| m.stall).sum()
@@ -178,7 +398,7 @@ impl Schedule {
     }
 
     /// Number of identical units of `resource` (1 when not listed).
-    pub fn capacity(&self, resource: &str) -> usize {
+    pub fn capacity(&self, resource: ResourceId) -> usize {
         self.capacities
             .iter()
             .find(|&&(r, _)| r == resource)
@@ -231,30 +451,17 @@ impl ScheduleView for Schedule {
     }
 }
 
-/// The distinct resources of `resources`, in first-use order, each with the
-/// unit count `capacity` gives it: the canonical [`Schedule::capacities`].
-pub fn distinct_capacities(
-    resources: &[ResourceId],
-    capacity: impl Fn(ResourceId) -> usize,
-) -> Vec<(ResourceId, usize)> {
-    let mut out: Vec<(ResourceId, usize)> = Vec::new();
-    for &r in resources {
-        if !out.iter().any(|&(seen, _)| seen == r) {
-            out.push((r, capacity(r)));
-        }
-    }
-    out
-}
-
-/// Compute the schedule for `durations[chunk][stage]`.
+/// Compute the schedule of the capacity-1 chain `spec` for
+/// `durations[chunk][stage]`.
 ///
 /// ```
-/// use bk_simcore::{pipeline, ScheduleView, SimTime, StageDef};
+/// use bk_simcore::pipeline::{self, GraphSpec, ResourceId, ResourceKind};
+/// use bk_simcore::{ScheduleView, SimTime};
 ///
 /// // Two stages on separate resources: transfers overlap computation.
-/// let spec = pipeline::PipelineSpec::new(vec![
-///     StageDef { name: "xfer", resource: "dma" },
-///     StageDef { name: "comp", resource: "gpu" },
+/// let spec = GraphSpec::chain(vec![
+///     ("xfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
+///     ("comp", ResourceId::new(ResourceKind::Gpu, 0)),
 /// ]);
 /// let per_chunk = vec![SimTime::from_micros(10.0), SimTime::from_micros(10.0)];
 /// let s = pipeline::schedule(&spec, &vec![per_chunk; 4]);
@@ -262,9 +469,23 @@ pub fn distinct_capacities(
 /// assert!((s.makespan().micros() - 50.0).abs() < 1e-9);
 /// ```
 ///
-/// Panics if any chunk row has a different number of stages than the spec.
-pub fn schedule(spec: &PipelineSpec, durations: &[Vec<SimTime>]) -> Schedule {
+/// Panics if `spec` is not a chain on capacity-1 resources, or if any chunk
+/// row has a different number of stages than the spec.
+pub fn schedule(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule {
     let ns = spec.num_stages();
+    for (i, st) in spec.stages.iter().enumerate() {
+        assert!(
+            st.deps.iter().copied().eq(i.checked_sub(1)),
+            "stage {i} ({}) is not a chain link",
+            st.name
+        );
+        assert_eq!(
+            spec.capacity(st.resource),
+            1,
+            "stage {i} ({}) has a multi-unit resource",
+            st.name
+        );
+    }
     for (i, row) in durations.iter().enumerate() {
         assert_eq!(
             row.len(),
@@ -295,7 +516,7 @@ pub fn schedule(spec: &PipelineSpec, durations: &[Vec<SimTime>]) -> Schedule {
             let res = spec.stages[stage].resource;
             let mut res_ready = SimTime::ZERO;
             if !dur.is_zero() {
-                if let Some(&free) = resource_free.get(res) {
+                if let Some(&free) = resource_free.get(&res) {
                     res_ready = free;
                     start = start.max(free);
                 }
@@ -343,47 +564,24 @@ pub fn schedule(spec: &PipelineSpec, durations: &[Vec<SimTime>]) -> Schedule {
         meta.push(chunk_meta);
     }
 
-    let makespan = slots
-        .iter()
-        .flat_map(|c| c.iter().map(|s| s.finish))
-        .fold(SimTime::ZERO, SimTime::max);
-
-    let resources: Vec<ResourceId> = spec.stages.iter().map(|s| s.resource).collect();
-    Schedule {
-        device: 0,
-        chunk_ids: (0..slots.len()).collect(),
-        stage_names: spec.stages.iter().map(|s| s.name).collect(),
-        deps: (0..ns)
-            .map(|s| s.checked_sub(1).into_iter().collect())
-            .collect(),
-        reuse: spec.reuse.clone(),
-        capacities: distinct_capacities(&resources, |_| 1),
-        resources,
-        slots,
-        meta,
-        makespan,
-    }
+    Schedule::solved(spec, slots, meta)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ResourceKind::*;
 
     fn t(s: f64) -> SimTime {
         SimTime::from_secs(s)
     }
 
-    fn two_stage_spec() -> PipelineSpec {
-        PipelineSpec::new(vec![
-            StageDef {
-                name: "xfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "comp",
-                resource: "gpu",
-            },
-        ])
+    fn r(kind: ResourceKind) -> ResourceId {
+        ResourceId::new(kind, 0)
+    }
+
+    fn two_stage_spec() -> GraphSpec {
+        GraphSpec::chain(vec![("xfer", r(DmaH2D)), ("comp", r(Gpu))])
     }
 
     #[test]
@@ -414,11 +612,8 @@ mod tests {
     fn serialized_schedule_is_sum() {
         let d = vec![vec![t(1.0), t(2.0)]; 4];
         // Every stage on one shared resource: no overlap at all.
-        let serial = |name| StageDef {
-            name,
-            resource: "serial",
-        };
-        let s = schedule(&PipelineSpec::new(vec![serial("xfer"), serial("comp")]), &d);
+        let serial = |name| (name, r(Serial));
+        let s = schedule(&GraphSpec::chain(vec![serial("xfer"), serial("comp")]), &d);
         assert!((s.makespan().secs() - 12.0).abs() < 1e-12);
     }
 
@@ -445,16 +640,7 @@ mod tests {
     #[test]
     fn resource_sharing_serializes_stages() {
         // Both stages on the same resource → no overlap even across chunks.
-        let spec = PipelineSpec::new(vec![
-            StageDef {
-                name: "a",
-                resource: "r",
-            },
-            StageDef {
-                name: "b",
-                resource: "r",
-            },
-        ]);
+        let spec = GraphSpec::chain(vec![("a", r(Serial)), ("b", r(Serial))]);
         let d = vec![vec![t(1.0), t(1.0)]; 3];
         let s = schedule(&spec, &d);
         assert!((s.makespan().secs() - 6.0).abs() < 1e-12);
@@ -464,23 +650,11 @@ mod tests {
     fn four_stage_bigkernel_shape() {
         // addr-gen / assemble / xfer / compute on distinct resources with the
         // paper's depth-3 reuse: steady state throughput = max stage time.
-        let spec = PipelineSpec::new(vec![
-            StageDef {
-                name: "addrgen",
-                resource: "gpu_ag",
-            },
-            StageDef {
-                name: "assemble",
-                resource: "cpu",
-            },
-            StageDef {
-                name: "xfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "compute",
-                resource: "gpu_c",
-            },
+        let spec = GraphSpec::chain(vec![
+            ("addrgen", r(GpuAddrGen)),
+            ("assemble", r(CpuAssembly)),
+            ("xfer", r(DmaH2D)),
+            ("compute", r(GpuCompute)),
         ])
         .with_reuse(0, 3, 3);
         let n = 50;
@@ -518,6 +692,31 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not a chain link")]
+    fn non_chain_spec_rejected() {
+        let spec = GraphSpec::new(vec![
+            GraphStage {
+                name: "a",
+                resource: r(DmaH2D),
+                deps: vec![],
+            },
+            GraphStage {
+                name: "b",
+                resource: r(Gpu),
+                deps: vec![],
+            },
+        ]);
+        let _ = schedule(&spec, &[vec![t(1.0), t(1.0)]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-unit resource")]
+    fn multi_unit_resource_rejected() {
+        let spec = two_stage_spec().with_capacity(r(Gpu), 2);
+        let _ = schedule(&spec, &[vec![t(1.0), t(1.0)]]);
+    }
+
+    #[test]
     #[should_panic(expected = "wrong number of stage durations")]
     fn mismatched_durations_rejected() {
         let _ = schedule(&two_stage_spec(), &[vec![t(1.0)]]);
@@ -528,19 +727,10 @@ mod tests {
         // 3 stages; the middle "write-back" stage shares the dma resource
         // with stage 0 but has zero duration — it must not delay stage 0 of
         // later chunks.
-        let spec = PipelineSpec::new(vec![
-            StageDef {
-                name: "xfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "comp",
-                resource: "gpu",
-            },
-            StageDef {
-                name: "wb",
-                resource: "dma",
-            },
+        let spec = GraphSpec::chain(vec![
+            ("xfer", r(DmaH2D)),
+            ("comp", r(Gpu)),
+            ("wb", r(DmaH2D)),
         ]);
         let d = vec![vec![t(1.0), t(5.0), t(0.0)]; 3];
         let s = schedule(&spec, &d);
@@ -557,16 +747,7 @@ mod tests {
         // Both stages on one resource: stage "b" of chunk 0 waits for "a" of
         // chunk 0 via dataflow (no stall), but "a" of chunk 1 waits for the
         // shared resource to drain "b" of chunk 0.
-        let spec = PipelineSpec::new(vec![
-            StageDef {
-                name: "a",
-                resource: "r",
-            },
-            StageDef {
-                name: "b",
-                resource: "r",
-            },
-        ]);
+        let spec = GraphSpec::chain(vec![("a", r(Serial)), ("b", r(Serial))]);
         let s = schedule(&spec, &vec![vec![t(1.0), t(1.0)]; 2]);
         assert_eq!(s.slot_meta(0, 0).kind, None);
         assert_eq!(
@@ -575,7 +756,7 @@ mod tests {
             "dataflow waits are not stalls"
         );
         let m = s.slot_meta(1, 0);
-        assert_eq!(m.kind, Some(StallKind::Resource("r")));
+        assert_eq!(m.kind, Some(StallKind::Resource(r(Serial))));
         assert!((m.stall.secs() - 2.0).abs() < 1e-12);
     }
 
@@ -589,8 +770,8 @@ mod tests {
         let m = s.slot_meta(1, 0);
         assert_eq!(m.kind, Some(StallKind::Reuse { consumer: 1 }));
         assert!(m.stall > SimTime::ZERO);
-        assert_eq!(s.stage_resource(0), "dma");
-        assert_eq!(s.stage_resource(1), "gpu");
+        assert_eq!(s.stage_resource(0), r(DmaH2D));
+        assert_eq!(s.stage_resource(1), r(Gpu));
     }
 
     #[test]
@@ -620,6 +801,11 @@ mod proptests {
     use super::*;
     use crate::time::SimTime;
     use proptest::prelude::*;
+    use ResourceKind::*;
+
+    fn r(kind: ResourceKind) -> ResourceId {
+        ResourceId::new(kind, 0)
+    }
 
     fn arb_durations(max_chunks: usize, stages: usize) -> impl Strategy<Value = Vec<Vec<SimTime>>> {
         proptest::collection::vec(
@@ -632,24 +818,12 @@ mod proptests {
         )
     }
 
-    fn bigkernel_spec(depth: usize) -> PipelineSpec {
-        PipelineSpec::new(vec![
-            StageDef {
-                name: "ag",
-                resource: "gpu-ag",
-            },
-            StageDef {
-                name: "asm",
-                resource: "cpu",
-            },
-            StageDef {
-                name: "xfer",
-                resource: "dma",
-            },
-            StageDef {
-                name: "comp",
-                resource: "gpu",
-            },
+    fn bigkernel_spec(depth: usize) -> GraphSpec {
+        GraphSpec::chain(vec![
+            ("ag", r(GpuAddrGen)),
+            ("asm", r(CpuAssembly)),
+            ("xfer", r(DmaH2D)),
+            ("comp", r(Gpu)),
         ])
         .with_reuse(0, 3, depth)
     }
@@ -704,10 +878,10 @@ mod proptests {
         /// Stages sharing one resource never overlap in time.
         #[test]
         fn resource_exclusivity(d in arb_durations(25, 3)) {
-            let spec = PipelineSpec::new(vec![
-                StageDef { name: "a", resource: "shared" },
-                StageDef { name: "b", resource: "other" },
-                StageDef { name: "c", resource: "shared" },
+            let spec = GraphSpec::chain(vec![
+                ("a", r(DmaH2D)),
+                ("b", r(Gpu)),
+                ("c", r(DmaH2D)),
             ]);
             let s = schedule(&spec, &d);
             // Collect non-empty busy intervals on "shared" and check pairwise
