@@ -248,10 +248,7 @@ impl GraphSpec {
 
     /// Number of identical units of `resource` (1 when not listed).
     pub fn capacity(&self, resource: ResourceId) -> usize {
-        self.capacities
-            .iter()
-            .find(|(r, _)| *r == resource)
-            .map_or(1, |&(_, n)| n)
+        units(&self.capacities, resource)
     }
 
     /// The same graph with every resource (and capacity entry) moved to
@@ -399,11 +396,16 @@ impl Schedule {
 
     /// Number of identical units of `resource` (1 when not listed).
     pub fn capacity(&self, resource: ResourceId) -> usize {
-        self.capacities
-            .iter()
-            .find(|&&(r, _)| r == resource)
-            .map_or(1, |&(_, n)| n)
+        units(&self.capacities, resource)
     }
+}
+
+/// The unit count `capacities` gives `resource` (1 when not listed).
+fn units(capacities: &[(ResourceId, usize)], resource: ResourceId) -> usize {
+    capacities
+        .iter()
+        .find(|&&(r, _)| r == resource)
+        .map_or(1, |&(_, n)| n)
 }
 
 /// Read-only accessors of a [`Schedule`]. Observability, stage-stat
