@@ -29,6 +29,46 @@ const CID_OFF: u64 = 32;
 /// Number of coordinate dimensions (x, y, z, w).
 const DIMS: usize = 4;
 
+/// Most centroids a K-means kernel stages: the staged table lives on the
+/// kernel's stack, so staging allocates nothing per invocation.
+pub const MAX_K: usize = 64;
+
+/// Stage the `k` centroid rows of `buf` with one device-buffer run read of
+/// `k * DIMS` doubles, as a real kernel stages the table into shared memory
+/// at block start, and run `f` over them. The table is a stack buffer sized
+/// for `k` rounded up to 8, 32 or [`MAX_K`] rows, so a small table is not
+/// paid for at the size of the largest.
+pub fn with_centroids<R>(
+    ctx: &mut dyn KernelCtx,
+    buf: DevBufId,
+    k: u32,
+    f: impl FnOnce(&mut dyn KernelCtx, &[[f64; DIMS]]) -> R,
+) -> R {
+    match k {
+        0..=8 => stage::<8, R>(ctx, buf, k as usize, f),
+        9..=32 => stage::<32, R>(ctx, buf, k as usize, f),
+        _ => stage::<MAX_K, R>(ctx, buf, k as usize, f),
+    }
+}
+
+fn stage<const N: usize, R>(
+    ctx: &mut dyn KernelCtx,
+    buf: DevBufId,
+    k: usize,
+    f: impl FnOnce(&mut dyn KernelCtx, &[[f64; DIMS]]) -> R,
+) -> R {
+    assert!(k <= N, "K-means stages at most {MAX_K} centroids, got {k}");
+    let mut raw = [[0u8; DIMS * 8]; N];
+    ctx.dev_read_run(buf, 0, 8, raw[..k].as_flattened_mut());
+    let mut table = [[0.0; DIMS]; N];
+    for (centre, row) in table.iter_mut().zip(&raw).take(k) {
+        for (v, b) in centre.iter_mut().zip(row.chunks_exact(8)) {
+            *v = f64::from_le_bytes(b.try_into().expect("8-byte field"));
+        }
+    }
+    f(ctx, &table[..k])
+}
+
 /// Nearest-cluster search shared by the kernel and the reference
 /// implementation so results are bit-identical.
 pub fn closest_cluster(p: &[f64; DIMS], clusters: &[[f64; DIMS]]) -> u64 {
@@ -52,22 +92,6 @@ pub fn closest_cluster(p: &[f64; DIMS], clusters: &[[f64; DIMS]]) -> u64 {
 pub struct KMeansKernel {
     pub clusters_buf: DevBufId,
     pub k: u32,
-}
-
-impl KMeansKernel {
-    fn load_clusters(&self, ctx: &mut dyn KernelCtx) -> Vec<[f64; DIMS]> {
-        // Each thread loads the centroid array once per chunk invocation
-        // (real kernels stage it into shared memory at block start).
-        (0..self.k as u64)
-            .map(|c| {
-                let mut centre = [0.0; DIMS];
-                for (i, v) in centre.iter_mut().enumerate() {
-                    *v = ctx.dev_read_f64(self.clusters_buf, c * 32 + i as u64 * 8);
-                }
-                centre
-            })
-            .collect()
-    }
 }
 
 impl bk_runtime::StreamKernel for KMeansKernel {
@@ -95,23 +119,26 @@ impl bk_runtime::StreamKernel for KMeansKernel {
         if range.is_empty() {
             return;
         }
-        let clusters = self.load_clusters(ctx);
-        let mut off = range.start;
-        while off < range.end {
-            let mut p = [0.0; DIMS];
-            for (i, v) in p.iter_mut().enumerate() {
-                *v = ctx.stream_read_f64(StreamId(0), off + i as u64 * 8);
+        // Each thread stages the centroid array once per chunk invocation.
+        with_centroids(ctx, self.clusters_buf, self.k, |ctx, clusters| {
+            let mut off = range.start;
+            while off < range.end {
+                let mut p = [0.0; DIMS];
+                for (i, v) in p.iter_mut().enumerate() {
+                    *v = ctx.stream_read_f64(StreamId(0), off + i as u64 * 8);
+                }
+                // Distance arithmetic: ~2 FLOPs x DIMS per cluster;
+                // centroids are staged in shared memory and read per
+                // comparison. All lanes compare against the same centroid
+                // in lock-step, so the reads broadcast (no bank conflicts)
+                // — the realistic kernel shape.
+                ctx.alu(2 * DIMS as u64 * self.k as u64);
+                ctx.shared_at_strided(0, 32, self.k, 8);
+                let cid = closest_cluster(&p, clusters);
+                ctx.stream_write_u64(StreamId(0), off + CID_OFF, cid);
+                off += RECORD;
             }
-            // Distance arithmetic: ~2 FLOPs x DIMS per cluster; centroids
-            // are staged in shared memory and read per comparison. All lanes
-            // compare against the same centroid in lock-step, so the reads
-            // broadcast (no bank conflicts) — the realistic kernel shape.
-            ctx.alu(2 * DIMS as u64 * self.k as u64);
-            ctx.shared_at_strided(0, 32, self.k, 8);
-            let cid = closest_cluster(&p, &clusters);
-            ctx.stream_write_u64(StreamId(0), off + CID_OFF, cid);
-            off += RECORD;
-        }
+        })
     }
 
     fn access_summary(&self) -> Option<AccessSummary> {

@@ -25,7 +25,7 @@
 //! batch determinism contract holds for them like for every other app.
 
 use crate::harness::{AppSpec, BenchApp, HarnessConfig, Instance};
-use crate::kmeans::closest_cluster;
+use crate::kmeans::{closest_cluster, with_centroids};
 use crate::util::DevHashTable;
 use crate::wordcount::{generate_text_sized, reference_counts, WordCountKernel, MAX_WORD};
 use bk_runtime::ctx::AddrGenCtx;
@@ -362,32 +362,25 @@ impl StreamKernel for DriftingKMeansKernel {
         }
         // Stage the centroid array once per chunk invocation, like the
         // batch K-means kernel.
-        let clusters: Vec<[f64; KM_DIMS]> = (0..self.k as u64)
-            .map(|c| {
-                let mut centre = [0.0; KM_DIMS];
-                for (i, v) in centre.iter_mut().enumerate() {
-                    *v = ctx.dev_read_f64(self.clusters_buf, c * 32 + i as u64 * 8);
+        with_centroids(ctx, self.clusters_buf, self.k, |ctx, clusters| {
+            let mut off = range.start;
+            while off < range.end {
+                let mut p = [0.0; KM_DIMS];
+                for (i, v) in p.iter_mut().enumerate() {
+                    *v = ctx.stream_read_f64(StreamId(0), off + i as u64 * 8);
                 }
-                centre
-            })
-            .collect();
-        let mut off = range.start;
-        while off < range.end {
-            let mut p = [0.0; KM_DIMS];
-            for (i, v) in p.iter_mut().enumerate() {
-                *v = ctx.stream_read_f64(StreamId(0), off + i as u64 * 8);
+                ctx.alu(2 * KM_DIMS as u64 * self.k as u64);
+                ctx.shared_at_strided(0, 32, self.k, 8);
+                let cid = closest_cluster(&p, clusters);
+                ctx.stream_write_u64(StreamId(0), off + KM_CID_OFF, cid);
+                if off >= self.flip_at {
+                    let w = ctx.stream_read(StreamId(0), off + KM_WEIGHT_OFF, 8);
+                    ctx.alu(1);
+                    ctx.dev_atomic_add_u64(self.counts_buf, cid * 8, w);
+                }
+                off += KM_RECORD;
             }
-            ctx.alu(2 * KM_DIMS as u64 * self.k as u64);
-            ctx.shared_at_strided(0, 32, self.k, 8);
-            let cid = closest_cluster(&p, &clusters);
-            ctx.stream_write_u64(StreamId(0), off + KM_CID_OFF, cid);
-            if off >= self.flip_at {
-                let w = ctx.stream_read(StreamId(0), off + KM_WEIGHT_OFF, 8);
-                ctx.alu(1);
-                ctx.dev_atomic_add_u64(self.counts_buf, cid * 8, w);
-            }
-            off += KM_RECORD;
-        }
+        })
     }
 }
 

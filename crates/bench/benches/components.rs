@@ -60,6 +60,35 @@ fn bench_warp_align(c: &mut Criterion) {
             std::hint::black_box(cost.issue_slots)
         })
     });
+
+    // A warp staging one 256-byte table (K-means' centroids): every lane
+    // reads the same 32 words, recorded as one run (the broadcast closed
+    // form) or as 32 single reads (the per-step walk).
+    let staged = |run: bool| -> Vec<ThreadTrace> {
+        (0..32u64)
+            .map(|_| {
+                let mut t = ThreadTrace::default();
+                if run {
+                    t.record_run(1 << 16, 8, 8, 32, AccessClass::Dev);
+                } else {
+                    for k in 0..32u64 {
+                        t.record((1 << 16) + k * 8, 8, AccessKind::Read, AccessClass::Dev);
+                    }
+                }
+                t
+            })
+            .collect()
+    };
+    for (name, run) in [
+        ("gpu/warp-align-broadcast-run", true),
+        ("gpu/warp-align-broadcast-singles", false),
+    ] {
+        let lanes = staged(run);
+        c.bench_function(name, |b| {
+            let mut aligner = WarpAligner::new();
+            b.iter(|| std::hint::black_box(aligner.align(&spec, &lanes).mem.transactions))
+        });
+    }
 }
 
 /// Blocks/sec of the full BigKernel pipeline simulation, per app, at

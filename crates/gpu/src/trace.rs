@@ -25,13 +25,16 @@
 //! paper targets (no data-dependent reconvergence games) and keeps memory
 //! bounded: traces are reused per warp, never stored for the whole kernel.
 //!
-//! A contiguous run read is recorded as one strided [`TraceRec`] standing
-//! for `count` accesses (and `count` issue slots), never expanded into the
-//! trace. The aligner expands runs lazily, one step at a time, and charges
-//! whole step ranges in closed form when every active lane sits inside a
-//! run of the same width and a stride that is a multiple of the segment
-//! size (see [`WarpAligner::align`]); either way the cost equals that of
-//! the per-access expansion exactly.
+//! A contiguous run read — of a mapped stream or of a device buffer — is
+//! recorded as one strided [`TraceRec`] standing for `count` accesses (and
+//! `count` issue slots), never expanded into the trace. The aligner expands
+//! runs lazily, one step at a time, and charges whole step ranges in closed
+//! form in two shapes (see [`WarpAligner::align`]): every active lane inside
+//! a run of the same width and a stride that is a multiple of the segment
+//! size (the interleaved stream layout), or every active lane at the same
+//! element of an identical run (a broadcast: a warp staging one device-side
+//! table, like K-means' centroids), which costs one lane's walk. Either way
+//! the cost equals that of the per-access expansion exactly.
 
 use crate::spec::{DeviceSpec, WARP_SIZE};
 
@@ -365,9 +368,9 @@ impl WarpAligner {
     /// Run records cost exactly what their per-access expansion costs. A
     /// class without runs is walked by direct index; a class with runs by
     /// per-lane `(record, element)` cursors, with step ranges where every
-    /// active lane is inside an equal-shape, segment-multiple-stride run
-    /// charged in closed form (the derivation is on the private
-    /// `align_runs`).
+    /// active lane is inside an equal-shape, segment-multiple-stride run, or
+    /// at the same element of an identical run (a broadcast), charged in
+    /// closed form (the derivations are on the private `align_runs`).
     ///
     /// The returned reference borrows the aligner's internal cost buffer; it
     /// is valid until the next `align` call. Callers that need to keep the
@@ -557,14 +560,25 @@ impl WarpAligner {
     /// what the ordinary step would and every later step pays `n0 - o` new
     /// transactions and reuses `o`. The sums equal the step-by-step sums
     /// exactly; only the work is gone.
+    ///
+    /// Where instead every active lane sits at the same element of an
+    /// identical run (same current address, width, stride and remaining
+    /// count: a warp-uniform table read), each step of the run is one
+    /// access broadcast to the warp, so the whole run is charged by walking
+    /// that one access, with `active * width` useful bytes per step. The
+    /// same probe pass over the lanes detects both forms.
     fn align_runs(&mut self, ci: usize, seg: u64, lanes: &[ThreadTrace]) {
         let seg_shift = seg.trailing_zeros();
         self.cursors.clear();
         self.cursors.resize(lanes.len(), (0, 0));
         loop {
-            // Closed-form probe over the active lanes.
-            let mut shape: Option<(u8, u16)> = None;
+            // Closed-form probe over the active lanes: the first lane's
+            // `(address, width, stride, remaining)`, whether every lane
+            // shares its width and stride, and whether every lane is at
+            // exactly that element.
+            let mut first: Option<(u64, u8, u16, u32)> = None;
             let mut uniform = true;
+            let mut broadcast = true;
             let mut steps = u32::MAX;
             let mut active = 0u64;
             for (lane, &(ri, e)) in lanes.iter().zip(&self.cursors) {
@@ -572,22 +586,35 @@ impl WarpAligner {
                     continue;
                 };
                 active += 1;
-                if r.count < 2 || r.atomic || shape.is_some_and(|sh| sh != (r.width, r.stride)) {
+                let at = (r.addr_at(e), r.width, r.stride, r.count - e);
+                if r.count < 2 || r.atomic || first.is_some_and(|f| (f.1, f.2) != (at.1, at.2)) {
                     uniform = false;
                     break;
                 }
-                shape = Some((r.width, r.stride));
-                steps = steps.min(r.count - e);
+                broadcast &= first.is_none_or(|f| f == at);
+                first.get_or_insert(at);
+                steps = steps.min(at.3);
             }
             if active == 0 {
                 break;
             }
-            let closed = match shape {
-                Some((_, stride)) if uniform && steps >= 2 => (stride as u64)
+            let shape = first.filter(|_| uniform && steps >= 2);
+            let closed = shape.and_then(|(_, _, stride, _)| {
+                (stride as u64)
                     .is_multiple_of(seg)
-                    .then_some((stride as u64) >> seg_shift),
-                _ => None,
-            };
+                    .then_some((stride as u64) >> seg_shift)
+            });
+            if let Some((addr, width, stride, _)) = shape.filter(|_| closed.is_none() && broadcast)
+            {
+                self.walk_broadcast(seg, addr, width, stride, steps, active);
+                // Every active lane had exactly `steps` elements left.
+                for (lane, cur) in lanes.iter().zip(self.cursors.iter_mut()) {
+                    if cur.0 < lane.classed[ci].len() {
+                        *cur = (cur.0 + 1, 0);
+                    }
+                }
+                continue;
+            }
             self.cur_segs.clear();
             let mut useful = 0u64;
             let mut sorted = true;
@@ -648,6 +675,45 @@ impl WarpAligner {
                 }
             }
         }
+    }
+
+    /// Charge `steps` broadcast steps: step `t` is the one access
+    /// `addr + t * stride` of `width` bytes, issued by `active` lanes. A
+    /// single access touches one contiguous segment range, so each step's
+    /// reuse is the overlap of its range with the previous step's; the
+    /// first step is checked against the reuse window left in `prev_segs`,
+    /// and the last step's range becomes the next one.
+    fn walk_broadcast(
+        &mut self,
+        seg: u64,
+        addr: u64,
+        width: u8,
+        stride: u16,
+        steps: u32,
+        active: u64,
+    ) {
+        let seg_shift = seg.trailing_zeros();
+        let range = |a: u64| (a >> seg_shift, (a + width as u64 - 1) >> seg_shift);
+        let (mut lo, mut hi) = range(addr);
+        let mut txns = (lo..=hi)
+            .filter(|s| self.prev_segs.binary_search(s).is_err())
+            .count() as u64;
+        let mut touched = hi - lo + 1;
+        for t in 1..steps as u64 {
+            let (nlo, nhi) = range(addr + t * stride as u64);
+            let overlap = (hi.min(nhi) + 1).saturating_sub(lo.max(nlo));
+            touched += nhi - nlo + 1;
+            txns += nhi - nlo + 1 - overlap;
+            (lo, hi) = (nlo, nhi);
+        }
+        self.cost.mem.merge(StepCost {
+            transactions: txns,
+            bytes_moved: txns * seg,
+            bytes_l2: (touched - txns) * seg,
+            bytes_useful: steps as u64 * active * width as u64,
+        });
+        self.prev_segs.clear();
+        self.prev_segs.extend(lo..=hi);
     }
 }
 
@@ -823,7 +889,8 @@ mod run_tests {
     }
 
     /// The same operations recorded as written and expanded into one
-    /// `record` per access.
+    /// `record` per access. Every operation is recorded in both the
+    /// stream-read and the device class.
     fn traces(ops: &[(usize, Op)], lanes: usize) -> (Vec<ThreadTrace>, Vec<ThreadTrace>) {
         let mut runs = vec![ThreadTrace::default(); lanes];
         let mut flat = vec![ThreadTrace::default(); lanes];
@@ -842,14 +909,11 @@ mod run_tests {
                     f.record(addr, w, AccessKind::Read, AccessClass::StreamRead);
                 }
                 Op::Run(addr, w, stride, n) => {
-                    r.record_run(addr, w, stride, n, AccessClass::StreamRead);
-                    for e in 0..n as u64 {
-                        f.record(
-                            addr + e * stride,
-                            w,
-                            AccessKind::Read,
-                            AccessClass::StreamRead,
-                        );
+                    for class in [AccessClass::StreamRead, AccessClass::Dev] {
+                        r.record_run(addr, w, stride, n, class);
+                        for e in 0..n as u64 {
+                            f.record(addr + e * stride, w, AccessKind::Read, class);
+                        }
                     }
                 }
             }
@@ -918,6 +982,46 @@ mod run_tests {
             }
             let (runs, flat) = traces(&ops, lanes);
             let spec = DeviceSpec::test_tiny();
+            let got = WarpAligner::new().align(&spec, &runs).clone();
+            let want = WarpAligner::new().align(&spec, &flat).clone();
+            prop_assert_eq!(got, want);
+        }
+
+        /// Warps staging one table (every lane reading the same run, the
+        /// broadcast closed form) match their expansion, also with ragged
+        /// lanes, lanes without the run, per-lane singles around it and a
+        /// trailing atomic (drifting K-means' shape after its flip).
+        #[test]
+        fn broadcast_runs_align_like_their_expansion(
+            lanes in 1usize..=WARP_SIZE,
+            addr in 0u64..4096,
+            width in proptest::sample::select(vec![1u32, 2, 4, 8]),
+            stride in proptest::sample::select(vec![0u64, 1, 2, 4, 8, 16, 24, 32, 40, 64, 128, 256]),
+            count in 1u32..80,
+            (absent, ragged, singles, atomic) in (any::<u64>(), 0u32..40, any::<bool>(), any::<bool>()),
+            seg in proptest::sample::select(vec![32u64, 128]),
+        ) {
+            let mut ops = Vec::new();
+            for lane in 0..lanes {
+                let solo = 8192 + lane as u64 * 8;
+                if singles && lane % 5 == 3 {
+                    ops.push((lane, Op::Single(solo, 4, false)));
+                }
+                // About one lane in four has no run.
+                if (absent >> lane) & (absent >> (lane + 32)) & 1 == 0 {
+                    let n = if lane % 3 == 1 { count.saturating_sub(ragged).max(1) } else { count };
+                    ops.push((lane, Op::Run(addr, width, stride, n)));
+                }
+                if singles {
+                    ops.push((lane, Op::Single(solo + 4, 4, false)));
+                }
+                if atomic {
+                    ops.push((lane, Op::Single(16384 + (lane as u64 % 4) * 8, 8, true)));
+                }
+            }
+            let (runs, flat) = traces(&ops, lanes);
+            let mut spec = DeviceSpec::test_tiny();
+            spec.segment_bytes = seg;
             let got = WarpAligner::new().align(&spec, &runs).clone();
             let want = WarpAligner::new().align(&spec, &flat).clone();
             prop_assert_eq!(got, want);

@@ -1,5 +1,6 @@
 //! Proof that the simulator's per-chunk hot loops are allocation-free in
-//! steady state: `WarpAligner::align`, and the pooled addr-gen → assembly
+//! steady state: `WarpAligner::align` (per-access warps and warps staging a
+//! table as one broadcast run), and the pooled addr-gen → assembly
 //! path (`AddrGenScratch` recording/commit plus `assemble`).
 //!
 //! The counting allocator counts per thread: each test measures only the
@@ -123,6 +124,46 @@ fn align_performs_no_heap_allocations_in_steady_state() {
         after - before,
         0,
         "align allocated {} times in steady state",
+        after - before
+    );
+}
+
+/// The broadcast closed form allocates nothing either: a warp staging one
+/// 256-byte table as a run (K-means' centroid staging), each lane then
+/// reading its own record field and bumping a shared counter.
+#[test]
+fn broadcast_run_align_performs_no_heap_allocations_in_steady_state() {
+    let spec = DeviceSpec::test_tiny();
+    let lanes: Vec<ThreadTrace> = (0..WARP_SIZE as u64)
+        .map(|i| {
+            let mut t = ThreadTrace::default();
+            t.record_run(1 << 16, 8, 8, 32, AccessClass::Dev);
+            t.record(4096 + i * 64, 8, AccessKind::Read, AccessClass::StreamRead);
+            t.record(
+                (2 << 20) + (i % 4) * 8,
+                8,
+                AccessKind::Atomic,
+                AccessClass::Dev,
+            );
+            t
+        })
+        .collect();
+
+    let mut aligner = WarpAligner::new();
+    for _ in 0..3 {
+        let _ = aligner.align(&spec, &lanes);
+    }
+
+    let before = allocs();
+    for _ in 0..100 {
+        let c = aligner.align(&spec, &lanes);
+        assert_eq!(c.mem.bytes_useful, 32 * (32 * 8 + 8 + 8));
+    }
+    let after = allocs();
+    assert_eq!(
+        after - before,
+        0,
+        "broadcast align allocated {} times in steady state",
         after - before
     );
 }

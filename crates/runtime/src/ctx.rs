@@ -781,6 +781,22 @@ impl KernelCtx for ComputeCtx<'_> {
         self.load(b, offset, width)
     }
 
+    fn dev_read_run(&mut self, b: DevBufId, offset: u64, width: u32, out: &mut [u8]) {
+        let w = width as usize;
+        let n = out.len() / w;
+        if n == 0 {
+            return;
+        }
+        self.trace.record_run(
+            self.mem.vaddr(b, offset),
+            width,
+            width as u64,
+            n as u32,
+            AccessClass::Dev,
+        );
+        out[..n * w].copy_from_slice(self.mem.read(b, offset, n * w));
+    }
+
     fn dev_write(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
         self.trace.record(
             self.mem.vaddr(b, offset),
@@ -1088,10 +1104,11 @@ mod tests {
 
 #[cfg(test)]
 mod run_tests {
-    //! The run read against its element-by-element meaning: the same kernel
-    //! scan performed through [`KernelCtx::stream_read_run`] and through
-    //! `stream_read` calls must read the same values and leave the same
-    //! cost model behind, warp by warp.
+    //! The run reads against their element-by-element meaning: the same
+    //! kernel scan performed through [`KernelCtx::stream_read_run`] and
+    //! [`KernelCtx::dev_read_run`], through the trait's default run reads,
+    //! and through `stream_read` / `dev_read` calls must read the same values
+    //! and leave the same cost model behind, warp by warp.
     use super::*;
     use crate::addr::AddrStream;
     use crate::machine::Machine;
@@ -1100,12 +1117,66 @@ mod run_tests {
     use bk_gpu::{KernelCost, WarpAligner, WARP_SIZE};
     use proptest::prelude::*;
 
-    /// One kernel access: a single read, or a run of `n` elements of which
-    /// the scan consumes the first `take`.
+    /// One kernel access: a single read, a run of `n` elements of which
+    /// the scan consumes the first `take`, or a run of `n` elements of the
+    /// device table.
     #[derive(Clone, Debug)]
     enum Op {
         Single(u64, u32),
         Run(u64, u32, usize, usize),
+        Dev(u64, u32, usize),
+    }
+
+    /// How a block performs its runs.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    enum Mode {
+        /// Through `ComputeCtx`'s run reads.
+        Runs,
+        /// Through the trait's default run reads over `ComputeCtx`'s
+        /// element reads.
+        Defaults,
+        /// Element by element.
+        Elements,
+    }
+
+    /// A context that forwards every required method to a `ComputeCtx`, so
+    /// its run reads are the trait defaults.
+    struct Defaults<'c, 'a>(&'c mut ComputeCtx<'a>);
+
+    impl KernelCtx for Defaults<'_, '_> {
+        fn stream_read(&mut self, s: StreamId, offset: u64, width: u32) -> u64 {
+            self.0.stream_read(s, offset, width)
+        }
+        fn stream_write(&mut self, s: StreamId, offset: u64, width: u32, value: u64) {
+            self.0.stream_write(s, offset, width, value)
+        }
+        fn dev_read(&mut self, b: DevBufId, offset: u64, width: u32) -> u64 {
+            self.0.dev_read(b, offset, width)
+        }
+        fn dev_write(&mut self, b: DevBufId, offset: u64, width: u32, value: u64) {
+            self.0.dev_write(b, offset, width, value)
+        }
+        fn dev_atomic_add_u32(&mut self, b: DevBufId, offset: u64, v: u32) -> u32 {
+            self.0.dev_atomic_add_u32(b, offset, v)
+        }
+        fn dev_atomic_add_u64(&mut self, b: DevBufId, offset: u64, v: u64) -> u64 {
+            self.0.dev_atomic_add_u64(b, offset, v)
+        }
+        fn dev_atomic_cas_u64(&mut self, b: DevBufId, offset: u64, expected: u64, new: u64) -> u64 {
+            self.0.dev_atomic_cas_u64(b, offset, expected, new)
+        }
+        fn alu(&mut self, n: u64) {
+            self.0.alu(n)
+        }
+        fn shared(&mut self, n: u64) {
+            self.0.shared(n)
+        }
+        fn thread_id(&self) -> u32 {
+            self.0.thread_id()
+        }
+        fn num_threads(&self) -> u32 {
+            self.0.num_threads()
+        }
     }
 
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -1132,14 +1203,15 @@ mod run_tests {
                         width,
                     }))
                 }
+                Op::Dev(..) => {}
             }
         }
         out
     }
 
-    /// Run `ops` against `ctx`, through runs or element by element; returns
-    /// every consumed value.
-    fn body(ctx: &mut dyn KernelCtx, ops: &[Op], runs: bool) -> Vec<u64> {
+    /// Run `ops` against `ctx` (device runs read `table`), through runs or
+    /// element by element; returns every consumed value.
+    fn body(ctx: &mut dyn KernelCtx, ops: &[Op], runs: bool, table: DevBufId) -> Vec<u64> {
         let mut seen = Vec::new();
         for op in ops {
             match *op {
@@ -1161,6 +1233,17 @@ mod run_tests {
                         seen.push(ctx.stream_read(StreamId(0), offset + i * width as u64, width));
                     }
                 }
+                Op::Dev(offset, width, n) if runs => {
+                    let w = width as usize;
+                    let mut buf = vec![0u8; n * w];
+                    ctx.dev_read_run(table, offset, width, &mut buf);
+                    seen.extend(buf.chunks_exact(w).map(le_load));
+                }
+                Op::Dev(offset, width, n) => {
+                    for i in 0..n as u64 {
+                        seen.push(ctx.dev_read(table, offset + i * width as u64, width));
+                    }
+                }
             }
             ctx.alu(1);
         }
@@ -1177,7 +1260,7 @@ mod run_tests {
         reads: Vec<usize>,
     }
 
-    fn run_block(lanes: &[Vec<Op>], layout: Layout, runs: bool) -> Outcome {
+    fn run_block(lanes: &[Vec<Op>], layout: Layout, mode: Mode) -> Outcome {
         let mut m = Machine::test_platform();
         let streams: Vec<AddrStream> = lanes
             .iter()
@@ -1205,6 +1288,9 @@ mod run_tests {
             .map(|i| (i.wrapping_mul(2654435761) >> 7) as u8)
             .collect();
         m.gmem.write(data, 0, &bytes);
+        let table = m.gmem.alloc(TABLE_LEN);
+        m.gmem
+            .write(table, 0, &bytes[..TABLE_LEN.min(len) as usize]);
         let lane_addrs: Vec<LaneAddrs> = streams
             .into_iter()
             .map(|reads| LaneAddrs {
@@ -1245,7 +1331,11 @@ mod run_tests {
                         trace,
                     ),
                 };
-                out.values.push(body(&mut ctx, &lanes[lane], runs));
+                out.values.push(match mode {
+                    Mode::Runs => body(&mut ctx, &lanes[lane], true, table),
+                    Mode::Defaults => body(&mut Defaults(&mut ctx), &lanes[lane], true, table),
+                    Mode::Elements => body(&mut ctx, &lanes[lane], false, table),
+                });
                 out.bytes_read += ctx.stream_bytes_read;
                 out.reads.push(ctx.read_count());
             }
@@ -1257,10 +1347,14 @@ mod run_tests {
         out
     }
 
+    /// Bytes of the device table; every `Op::Dev` stays inside it.
+    const TABLE_LEN: u64 = 8192;
+
     fn arb_op() -> impl Strategy<Value = Op> {
         let width = || proptest::sample::select(vec![1u32, 2, 4, 8]);
         prop_oneof![
             (0u64..4096, width()).prop_map(|(o, w)| Op::Single(o, w)),
+            (0u64..4096, width(), 0usize..48).prop_map(|(o, w, n)| Op::Dev(o, w, n)),
             (0u64..4096, width(), 1usize..48, 0usize..48).prop_map(|(o, w, n, t)| Op::Run(
                 o,
                 w,
@@ -1270,8 +1364,10 @@ mod run_tests {
         ]
     }
 
-    /// Lanes of random ops, or Opinion-shaped record walks (a 4 B field
-    /// then a byte run, records 256 B apart) with a ragged record count.
+    /// Lanes of random ops, Opinion-shaped record walks (a 4 B field then a
+    /// byte run, records 256 B apart) with a ragged record count, or
+    /// K-means-shaped lanes (every lane stages the same `k`-row table, then
+    /// reads four 8 B fields per 64 B record), some lanes without records.
     fn arb_lanes() -> impl Strategy<Value = Vec<Vec<Op>>> {
         let random = proptest::collection::vec(proptest::collection::vec(arb_op(), 0..8), 1..70);
         let records = (1usize..70, 1usize..5, 1usize..64, any::<bool>()).prop_map(
@@ -1293,23 +1389,41 @@ mod run_tests {
                     .collect()
             },
         );
-        prop_oneof![random, records]
+        let staging = (1usize..70, 1usize..5, 1usize..33, any::<bool>()).prop_map(
+            |(lanes, records, k, ragged)| {
+                (0..lanes)
+                    .map(|l| {
+                        if ragged && l % 3 == 1 {
+                            return Vec::new();
+                        }
+                        let mut ops = vec![Op::Dev(0, 8, k * 4)];
+                        for i in 0..records as u64 {
+                            let base = (l as u64 * 8 + i) * 64;
+                            ops.extend((0..4).map(|f| Op::Single(base + f * 8, 8)));
+                        }
+                        ops
+                    })
+                    .collect()
+            },
+        );
+        prop_oneof![random, records, staging]
     }
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 128, ..ProptestConfig::default() })]
 
-        /// Run reads and element reads agree on values, counters, the
-        /// stage's `KernelCost` (every field) and each warp's `WarpCost`,
-        /// under every layout.
+        /// Run reads (the compute context's and the trait defaults) and
+        /// element reads agree on values, counters, the stage's
+        /// `KernelCost` (every field) and each warp's `WarpCost`, under
+        /// every layout.
         #[test]
         fn run_reads_match_element_reads(
             lanes in arb_lanes(),
             layout in proptest::sample::select(vec![Layout::Interleaved, Layout::PerLane, Layout::Staged]),
         ) {
-            let by_run = run_block(&lanes, layout, true);
-            let by_element = run_block(&lanes, layout, false);
-            prop_assert_eq!(by_run, by_element);
+            let by_element = run_block(&lanes, layout, Mode::Elements);
+            prop_assert_eq!(&run_block(&lanes, layout, Mode::Runs), &by_element);
+            prop_assert_eq!(&run_block(&lanes, layout, Mode::Defaults), &by_element);
         }
     }
 
@@ -1340,7 +1454,7 @@ mod run_tests {
             1,
             &mut trace,
         );
-        body(&mut ctx, ops, true);
+        body(&mut ctx, ops, true, buf);
     }
 
     #[test]
@@ -1385,7 +1499,7 @@ mod run_tests {
             1,
             &mut trace,
         );
-        body(&mut ctx, &performed_ops, true);
+        body(&mut ctx, &performed_ops, true, buf);
     }
 
     #[test]

@@ -71,6 +71,22 @@ pub trait KernelCtx {
     fn stream_write(&mut self, s: StreamId, offset: u64, width: u32, value: u64);
     /// Read from a device-resident buffer.
     fn dev_read(&mut self, b: DevBufId, offset: u64, width: u32) -> u64;
+    /// Read `out.len() / width` consecutive `width`-byte elements of device
+    /// buffer `b` from `offset` into `out`, packed little-endian: exactly
+    /// that many [`KernelCtx::dev_read`] calls at `offset`,
+    /// `offset + width`, ... (same bytes, same charges, same accesses in
+    /// the cost model). Bytes past the last whole element are left alone.
+    ///
+    /// The default loops over `dev_read`; the GPU compute context traces
+    /// the whole run as one record and copies it in one slice (a block
+    /// staging a table, like K-means' centroids).
+    fn dev_read_run(&mut self, b: DevBufId, offset: u64, width: u32, out: &mut [u8]) {
+        let w = width as usize;
+        for (i, dst) in out.chunks_exact_mut(w).enumerate() {
+            let v = self.dev_read(b, offset + (i * w) as u64, width);
+            dst.copy_from_slice(&v.to_le_bytes()[..w]);
+        }
+    }
     /// Write to a device-resident buffer.
     fn dev_write(&mut self, b: DevBufId, offset: u64, width: u32, value: u64);
     /// Atomic fetch-add on a `u32` cell of a device buffer.

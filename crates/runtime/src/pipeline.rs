@@ -144,11 +144,14 @@ fn simulate_chunk(
     let mut cells: Vec<WaveCell<'_>> = Vec::with_capacity(blocks.len());
     for (i, slot) in slots.iter_mut().enumerate().take(blocks.len()) {
         let b = blocks[i];
-        let slices: Vec<Range<u64>> = (0..tpb)
-            .map(|t| {
-                let lane_range = &ranges[(b * tpb + t) as usize];
-                chunk_slice(lane_range, chunk, num_chunks, rec)
-            })
+        let lane_ranges = &ranges[(b * tpb) as usize..((b + 1) * tpb) as usize];
+        // A block without records is skipped before its slices are built.
+        if lane_ranges.iter().all(|r| r.is_empty()) {
+            continue;
+        }
+        let slices: Vec<Range<u64>> = lane_ranges
+            .iter()
+            .map(|r| chunk_slice(r, chunk, num_chunks, rec))
             .collect();
         if slices.iter().all(|s| s.is_empty()) {
             continue;

@@ -357,7 +357,11 @@ pub fn run_bigkernel_streamed(
             );
             makespan += r.total;
             window_chunks += r.chunks;
-            wm.merge(&r.metrics);
+            if p == 0 {
+                wm = r.metrics;
+            } else {
+                wm.merge(&r.metrics);
+            }
         }
         bk_obs::trace::set_time_offset(SimTime::ZERO);
 
