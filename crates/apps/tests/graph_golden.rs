@@ -3,9 +3,9 @@
 //! scheduler did.
 //!
 //! Method: run BigKernel for every application with span tracing on, then
-//! rebuild the schedule independently with the legacy
-//! [`bk_simcore::pipeline`] scheduler — which the refactor left untouched —
-//! configured exactly as the pre-refactor `run_bigkernel` configured it
+//! rebuild the schedule independently with the chain-only reference
+//! scheduler [`bk_simcore::pipeline::oracle`] — the pre-refactor scheduler,
+//! left untouched — configured exactly as the pre-refactor `run_bigkernel` configured it
 //! (stage/resource table, §IV.C reuse edges, second-copy-engine rule). The
 //! legacy configuration is *hard-coded here* on purpose: it is the golden
 //! record, and must not drift along with `runtime::graph`.
@@ -22,7 +22,7 @@ use bk_apps::opinion::OpinionFinder;
 use bk_apps::wordcount::WordCount;
 use bk_apps::{BenchApp, HarnessConfig};
 use bk_runtime::{run_bigkernel, LaunchConfig, Machine};
-use bk_simcore::pipeline::schedule;
+use bk_simcore::pipeline::oracle::schedule;
 use bk_simcore::{GraphSpec, ResourceId, ResourceKind, ScheduleView, SimTime};
 use std::collections::HashMap;
 

@@ -7,11 +7,13 @@ use bk_gpu::trace::AccessClass;
 use bk_gpu::{AccessKind, DeviceSpec, ThreadTrace, WarpAligner};
 use bk_host::CacheSim;
 use bk_runtime::addr::AddrEntry;
-use bk_runtime::graph::{bigkernel_graph, schedule_graph};
+use bk_runtime::graph::pipeline_graph;
 use bk_runtime::pattern;
 use bk_runtime::StreamId;
+use bk_simcore::pipeline::schedule;
 use bk_simcore::{ScheduleView, SimTime};
 use criterion::{criterion_group, criterion_main, Criterion};
+use std::sync::Arc;
 
 fn bench_pattern_detect(c: &mut Criterion) {
     // A 3-entry-per-record cycle over 1000 records (K-means-like).
@@ -155,7 +157,7 @@ fn bench_sim_throughput(c: &mut Criterion) {
 }
 
 fn bench_scheduler(c: &mut Criterion) {
-    let spec = bigkernel_graph(1, 3);
+    let spec = Arc::new(pipeline_graph(1, 1, 3, 3));
     let durations: Vec<Vec<SimTime>> = (0..1000)
         .map(|i| {
             (0..6)
@@ -164,7 +166,7 @@ fn bench_scheduler(c: &mut Criterion) {
         })
         .collect();
     c.bench_function("graph/schedule-1000-chunks", |b| {
-        b.iter(|| std::hint::black_box(schedule_graph(&spec, &durations).makespan()))
+        b.iter(|| std::hint::black_box(schedule(Arc::clone(&spec), &durations).makespan()))
     });
 }
 

@@ -71,7 +71,7 @@ pub fn gantt(schedule: &Schedule, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_runtime::graph::schedule_graph;
+    use bk_simcore::pipeline::schedule;
     use bk_simcore::{GraphSpec, ResourceId, ResourceKind, SimTime};
 
     fn t(s: f64) -> SimTime {
@@ -105,7 +105,7 @@ mod tests {
 
     #[test]
     fn gantt_shows_overlap() {
-        let s = schedule_graph(&xfer_comp(), &vec![vec![t(1.0), t(1.0)]; 3]);
+        let s = schedule(xfer_comp(), &vec![vec![t(1.0), t(1.0)]; 3]);
         let g = gantt(&s, 40);
         assert_eq!(g.lines().count(), 3); // two stages + axis
         assert!(g.contains("xfer |"));
@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_renders_empty() {
-        let s = schedule_graph(&xfer_comp(), &[]);
+        let s = schedule(xfer_comp(), &[]);
         assert!(gantt(&s, 20).is_empty());
     }
 }

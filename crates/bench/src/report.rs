@@ -19,9 +19,10 @@ use bk_baselines::gpu_buffered::BASELINE_STAGES;
 use bk_baselines::BigKernelVariant;
 use bk_host::PcieLink;
 use bk_obs::critpath::WaveDag;
-use bk_runtime::graph::{buffered_graph, pipeline_graph, schedule_graph, serial_graph};
+use bk_runtime::graph::{buffered_graph, pipeline_graph, serial_graph};
 use bk_runtime::pipeline::STAGE_NAMES;
 use bk_runtime::{Machine, RunResult, StageStat, SyncMode};
+use bk_simcore::pipeline::schedule;
 use bk_simcore::{Schedule, SimTime};
 use std::cell::OnceCell;
 use std::fmt::Write as _;
@@ -874,18 +875,15 @@ fn timeline_charts(
     [
         (
             "single buffer (fully serialized)",
-            schedule_graph(&serial_graph(&BASELINE_STAGES), &window(0)),
+            schedule(serial_graph(&BASELINE_STAGES), &window(0)),
         ),
         (
             "double buffer (2-deep)",
-            schedule_graph(&buffered_graph(copy_engines, 2), &window(1)),
+            schedule(buffered_graph(copy_engines, 2), &window(1)),
         ),
         (
             "BigKernel (4+2 stages, paper Fig. 2)",
-            schedule_graph(
-                &pipeline_graph(copy_engines, 1, depth, wb_depth),
-                &window(2),
-            ),
+            schedule(pipeline_graph(copy_engines, 1, depth, wb_depth), &window(2)),
         ),
     ]
 }

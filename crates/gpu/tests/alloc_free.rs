@@ -293,7 +293,7 @@ fn untraced_record_schedule_allocates_nothing() {
     ])
     .with_reuse(0, 1, 1);
     let t = SimTime::from_micros(1.0);
-    let sched = pipeline::schedule(&spec, &vec![vec![t, t + t]; 8]);
+    let sched = pipeline::schedule(spec, &vec![vec![t, t + t]; 8]);
 
     let mut metrics = bk_obs::MetricsRegistry::new();
     // Warm-up: interns every counter/histogram slot this schedule touches

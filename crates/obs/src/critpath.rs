@@ -3,14 +3,15 @@
 //! Stall attribution ([`crate::stall`]) answers *where time waits*; this
 //! module answers the sharper question — *which waits actually bound the
 //! makespan*. The forward list scheduler records, for every slot, the
-//! constraint that set its start time ([`bk_simcore::SlotMeta`]): a
-//! dataflow dependency, in-order contention on the slot's resource, or a
-//! buffer-reuse edge (§IV.C back-pressure). Because each start is computed
-//! as an exact f64 `max` over candidate ready times, every slot's start
-//! *equals* the finish of exactly the predecessor that bound it. Walking
-//! backwards from the slot that finishes at the makespan therefore yields a
-//! chain of abutting segments that tiles `[0, makespan]` with **no gaps**:
-//! the critical path.
+//! constraint that set its start time and the slot whose finish bound it
+//! ([`bk_simcore::SlotMeta`]): a dataflow dependency, the previous occupant
+//! of the slot's resource unit, or the consumer of a buffer-reuse edge
+//! (§IV.C back-pressure). Because each start is computed as an exact f64
+//! `max` over candidate ready times, every slot's start *equals* the finish
+//! of that recorded predecessor. Walking the recorded predecessors back
+//! from the slot that finishes at the makespan therefore yields a chain of
+//! abutting segments that tiles `[0, makespan]` with **no gaps**: the
+//! critical path.
 //!
 //! Blame — the share of the critical path a stage / resource / device
 //! occupies — is accounted in integer nanoseconds derived by rounding the
@@ -23,9 +24,8 @@
 //! [`ResourceId`]: its kind's name keys the resource table (every device's
 //! unit of a kind adds up) and its device keys the device table.
 //!
-//! [`critical_path`] reads one [`Schedule`]: besides the slots it carries
-//! the dependency edges, reuse edges and capacities it was solved under,
-//! so the walk needs nothing else. Capture follows the [`crate::trace`]
+//! [`critical_path`] reads one [`Schedule`]: its slots and their recorded
+//! predecessors are all the walk needs. Capture follows the [`crate::trace`]
 //! pattern: the runtime records every scheduled wave as a [`WaveDag`] — a
 //! clone of each device's shard with run-global chunk ids — into a
 //! thread-local sink, but only while a [`capture`] guard is live — an
@@ -33,9 +33,9 @@
 //! thread-local check per wave.
 
 use crate::trace::SpanRecord;
-use bk_simcore::{ResourceId, Schedule, ScheduleView, SimTime, SlotMeta, StallKind};
+use bk_simcore::{ResourceId, Schedule, ScheduleView, SimTime, StallKind};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Track name the exporter uses for critical-path marker spans (one
 /// Perfetto lane showing the bottleneck chain; see [`marker_spans`]).
@@ -103,104 +103,30 @@ fn segment_ns(start: SimTime, finish: SimTime) -> u64 {
 /// Reconstruct the critical path of one schedule: the chain of slots, in
 /// time order, whose segments tile `[0, makespan]` exactly.
 ///
-/// Walks backwards from the first slot that finishes at the makespan,
-/// choosing each slot's binding predecessor from its recorded
-/// [`StallKind`]:
+/// Walks back from the first slot that finishes at the makespan through
+/// each slot's recorded [`bk_simcore::SlotMeta::pred`], labelling the
+/// edge it entered by from its recorded [`StallKind`]: `None` is a
+/// dataflow handover (or the path origin when the slot has no
+/// predecessor), `Resource` the previous occupant of its unit, `Reuse` the
+/// consumer of the binding reuse edge.
 ///
-/// * `None` — the slot started the moment its dataflow input was ready; the
-///   predecessor is the dependency whose finish equals the start (or the
-///   path origin when the start is 0).
-/// * `Resource` — the predecessor is the previous occupant of the unit the
-///   slot ran on, re-derived by replaying the scheduler's earliest-free
-///   unit selection over the recorded finish times (exact, because unit
-///   choice is a pure function of those times).
-/// * `Reuse { consumer }` — the predecessor is `consumer` of chunk
-///   `n − depth` for the binding reuse edge.
-///
-/// Every predecessor's finish equals the slot's start *bit-exactly* (each
-/// start is a `max` over exactly those finishes), so the returned segments
-/// abut with no gaps. Zero-duration slots can appear on the path; they
-/// contribute zero-length segments and no blame.
+/// Every predecessor's finish equals the slot's start *bit-exactly*, so
+/// the returned segments abut with no gaps. Zero-duration slots can appear
+/// on the path; they contribute zero-length segments and no blame.
 pub fn critical_path(sched: &Schedule) -> Vec<CritSegment> {
-    let nc = sched.num_chunks();
-    let ns = sched.num_stages();
-    if nc == 0 || ns == 0 {
-        return Vec::new();
-    }
-
-    // Forward replay of the scheduler's unit selection: which slot last
-    // occupied the unit each slot ran on. `free` mirrors the scheduler's
-    // per-resource free times; occupants ride along.
-    type Occupant = Option<(usize, usize)>;
-    let mut free: HashMap<ResourceId, (Vec<SimTime>, Vec<Occupant>)> = HashMap::new();
-    let mut res_pred: Vec<Vec<Occupant>> = vec![vec![None; ns]; nc];
-    for (chunk, preds) in res_pred.iter_mut().enumerate() {
-        for (stage, pred) in preds.iter_mut().enumerate() {
-            let slot = sched.slot(chunk, stage);
-            if slot.duration().is_zero() {
-                continue; // zero-duration stages never occupy their resource
-            }
-            let res = sched.stage_resource(stage);
-            let cap = sched.capacity(res).max(1);
-            let (times, occupants) = free
-                .entry(res)
-                .or_insert_with(|| (vec![SimTime::ZERO; cap], vec![None; cap]));
-            let mut unit = 0usize;
-            for (i, &t) in times.iter().enumerate() {
-                if t < times[unit] {
-                    unit = i;
-                }
-            }
-            *pred = occupants[unit];
-            times[unit] = slot.finish;
-            occupants[unit] = Some((chunk, stage));
-        }
-    }
-
-    // The terminal slot: first (chunk, stage) whose finish is the makespan.
     let makespan = sched.makespan();
-    let mut cur = (0usize, 0usize);
-    'find: for chunk in 0..nc {
-        for stage in 0..ns {
-            if sched.slot(chunk, stage).finish == makespan {
-                cur = (chunk, stage);
-                break 'find;
-            }
-        }
-    }
-
+    let mut cur = (0..sched.num_chunks())
+        .flat_map(|chunk| (0..sched.num_stages()).map(move |stage| (chunk, stage)))
+        .find(|&(chunk, stage)| sched.slot(chunk, stage).finish == makespan);
     let mut segs: Vec<CritSegment> = Vec::new();
-    loop {
-        let (chunk, stage) = cur;
+    while let Some((chunk, stage)) = cur {
         let slot = sched.slot(chunk, stage);
-        let meta: SlotMeta = sched.slot_meta(chunk, stage);
-        let (entered, pred) = match meta.kind {
-            Some(StallKind::Reuse { consumer }) => {
-                // Later edges win scheduler ties, so scan in reverse.
-                let p = sched.reuse.iter().rev().find_map(|e| {
-                    (e.producer == stage
-                        && e.consumer == consumer
-                        && chunk >= e.depth
-                        && sched.slot(chunk - e.depth, e.consumer).finish == slot.start)
-                        .then(|| (chunk - e.depth, e.consumer))
-                });
-                debug_assert!(p.is_some(), "reuse stall without a matching edge");
-                (EdgeKind::Reuse { consumer }, p)
-            }
-            Some(StallKind::Resource(_)) => {
-                let p = res_pred[chunk][stage];
-                debug_assert!(p.is_some(), "resource stall without a prior occupant");
-                (EdgeKind::Resource, p)
-            }
-            None if slot.start.is_zero() => (EdgeKind::Start, None),
-            None => {
-                let p = sched.deps[stage]
-                    .iter()
-                    .find(|&&d| sched.slot(chunk, d).finish == slot.start)
-                    .map(|&d| (chunk, d));
-                debug_assert!(p.is_some(), "seamless handover without a matching dep");
-                (EdgeKind::Dataflow, p)
-            }
+        let meta = sched.slot_meta(chunk, stage);
+        let entered = match meta.kind {
+            Some(StallKind::Reuse { consumer }) => EdgeKind::Reuse { consumer },
+            Some(StallKind::Resource(_)) => EdgeKind::Resource,
+            None if meta.pred.is_none() => EdgeKind::Start,
+            None => EdgeKind::Dataflow,
         };
         segs.push(CritSegment {
             chunk,
@@ -210,10 +136,7 @@ pub fn critical_path(sched: &Schedule) -> Vec<CritSegment> {
             entered,
             wait: meta.stall,
         });
-        match pred {
-            Some(p) => cur = p,
-            None => break,
-        }
+        cur = meta.pred;
     }
     segs.reverse();
     segs
@@ -526,7 +449,7 @@ mod tests {
         SimTime::from_micros(us)
     }
 
-    /// Oracle schedule of `rows` over `stages` (name, device-0 resource)
+    /// Schedule of `rows` over `stages` (name, device-0 resource)
     /// chained in order, with the given `(producer, consumer, depth)`
     /// reuse edges.
     fn chain(
@@ -543,7 +466,7 @@ mod tests {
             .fold(GraphSpec::chain(stages), |spec, &(p, c, d)| {
                 spec.with_reuse(p, c, d)
             });
-        pipeline::schedule(&spec, &rows)
+        pipeline::schedule(spec, &rows)
     }
 
     /// One chunk, two chained stages of 1 µs and 3 µs on distinct
@@ -743,9 +666,7 @@ mod tests {
         let mut slow = single_chunk_chain();
         slow.slots[0][1].finish = t(9.0);
         slow.makespan = t(9.0);
-        let (dma, comp) = (ResourceId::new(DmaH2D, 1), ResourceId::new(GpuCompute, 1));
-        slow.resources = vec![dma, comp];
-        slow.capacities = vec![(dma, 1), (comp, 1)];
+        slow.spec = std::sync::Arc::new(slow.spec.for_device(1));
         slow.device = 1;
         slow.chunk_ids = vec![1];
         let report = analyze(&[WaveDag {

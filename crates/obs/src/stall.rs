@@ -119,9 +119,10 @@ pub fn record_schedule(
 ) {
     let tracks: Option<Vec<&'static str>> = trace::enabled().then(|| {
         sched
-            .resources
+            .spec
+            .stages
             .iter()
-            .map(|&r| names::resource(r))
+            .map(|s| names::resource(s.resource))
             .collect()
     });
     for chunk in 0..sched.num_chunks() {
@@ -174,7 +175,7 @@ mod tests {
             ("compute", ResourceId::new(ResourceKind::GpuCompute, 0)),
         ])
         .with_reuse(0, 1, 1);
-        pipeline::schedule(&spec, &vec![vec![t(1.0), t(3.0)]; 4])
+        pipeline::schedule(spec, &vec![vec![t(1.0), t(3.0)]; 4])
     }
 
     #[test]

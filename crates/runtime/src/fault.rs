@@ -32,13 +32,10 @@
 //! execution stays in global chunk order — outputs are bit-identical to the
 //! fault-free run for any plan that completes. See DESIGN.md §11.
 
-use crate::graph::{
-    deal_chunks, pipeline_graph, pipeline_stage_names, schedule_shard, serial_graph,
-    ShardedSchedule,
-};
+use crate::graph::{pipeline_graph, pipeline_stage_names, serial_graph, Executor, ShardedSchedule};
 use crate::pipeline::STAGE_NAMES;
 use bk_obs::{names, MetricsRegistry, SpanRecord, StallCause, FAULT_MARKER_STAGE};
-use bk_simcore::{GraphSpec, ScheduleView, SimTime, SplitMix64};
+use bk_simcore::{pipeline, ScheduleView, SimTime, SplitMix64};
 
 /// A pipeline stage that can be failed by a [`FaultSite`]. Maps 1:1 onto the
 /// 6-stage bigkernel graph (indices into [`STAGE_NAMES`]).
@@ -337,7 +334,8 @@ pub(crate) struct FaultContext {
     /// Degradation level: 0 = full pipeline, 1 = double-buffered (reuse
     /// depth 1), 2 = serial. Sticky across waves.
     level: usize,
-    specs: [GraphSpec; 3],
+    /// One executor per degradation level, over every device.
+    rungs: [Executor; 3],
 }
 
 impl FaultContext {
@@ -369,11 +367,12 @@ impl FaultContext {
             plan,
             alive: vec![true; num_devices],
             level: 0,
-            specs: [
+            rungs: [
                 pipeline_graph(copy_engines, passes, depth, wb_depth),
                 pipeline_graph(copy_engines, passes, 1, 1),
                 serial_graph(&pipeline_stage_names(passes)),
-            ],
+            ]
+            .map(|spec| Executor::new(spec, num_devices)),
         }
     }
 
@@ -449,7 +448,7 @@ impl FaultContext {
                 Ok(out) => break out,
                 Err((chunk, stage)) => {
                     assert!(
-                        self.level + 1 < self.specs.len(),
+                        self.level + 1 < self.rungs.len(),
                         "fault plan cannot make progress: {} of chunk {chunk} still \
                          exhausts {} retries in the serial fallback graph",
                         STAGE_NAMES[stage % 6],
@@ -464,42 +463,35 @@ impl FaultContext {
         // 2. Deal across the devices alive at the start of the wave; if the
         //    planned device failure fires now, requeue its chunks across the
         //    survivors round-robin.
-        let mut targets: Vec<usize> = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
-        let mut owned = deal_chunks(targets.len(), &rows);
+        let targets = (0..self.alive.len()).filter(|&d| self.alive[d]).collect();
+        let mut shares = pipeline::deal(targets, rows.len());
         if let Some(df) = self.plan.device_failure {
             if df.wave == wave && self.alive[df.device] {
-                let pos = targets
+                let pos = shares
                     .iter()
-                    .position(|&d| d == df.device)
+                    .position(|&(d, _)| d == df.device)
                     .expect("alive device is a target");
-                let orphaned = owned.remove(pos);
-                targets.remove(pos);
+                let (_, orphaned) = shares.remove(pos);
                 self.alive[df.device] = false;
                 assert!(
-                    !targets.is_empty(),
+                    !shares.is_empty(),
                     "fault plan killed the last surviving device"
                 );
                 metrics.add("fault.failed_over", orphaned.len() as u64);
+                let n = shares.len();
                 for (i, c) in orphaned.into_iter().enumerate() {
-                    let n = owned.len();
-                    owned[i % n].push(c);
+                    shares[i % n].1.push(c);
                 }
                 // Requeued chunks splice back into each survivor's sequence
                 // in global order (the shard invariant).
-                for ids in owned.iter_mut() {
+                for (_, ids) in shares.iter_mut() {
                     ids.sort_unstable();
                 }
             }
         }
 
         // 3. Schedule each survivor's share on its device resources.
-        let spec = &self.specs[self.level];
-        let shards = targets
-            .into_iter()
-            .zip(owned)
-            .map(|(device, chunk_ids)| schedule_shard(spec, device, chunk_ids, &rows))
-            .collect();
-        let sharded = ShardedSchedule::from_shards(shards);
+        let sharded = self.rungs[self.level].run_shares(shares, &rows);
 
         // 4. Account the faults the wave absorbed, and drop a Perfetto
         //    instant marker on each recovered stage instance.
@@ -513,7 +505,7 @@ impl FaultContext {
             for shard in sharded.shards() {
                 if let Some(local) = shard.chunk_ids.iter().position(|&c| c == ev.chunk) {
                     bk_obs::trace::record(&SpanRecord {
-                        track: names::resource(shard.resources[ev.stage]),
+                        track: names::resource(shard.stage_resource(ev.stage)),
                         stage: FAULT_MARKER_STAGE,
                         chunk: chunk_base + ev.chunk,
                         start: time_base + shard.slot(local, ev.stage).start,
@@ -684,8 +676,7 @@ mod tests {
         let mut ctx = FaultContext::new(plan.clone(), 1, 1, 1, 3, 3);
         let mut metrics = MetricsRegistry::new();
         let degraded = ctx.run_wave(0, 0, SimTime::ZERO, &rows(8), &mut metrics);
-        let clean =
-            crate::graph::Executor::new(crate::graph::bigkernel_graph(1, 3), 1).run(&rows(8));
+        let clean = Executor::new(pipeline_graph(1, 1, 3, 3), 1).run(&rows(8));
         assert!(degraded.makespan() > clean.makespan());
     }
 

@@ -1,54 +1,38 @@
-//! Stage-graph factories, scheduler and multi-GPU executor.
+//! Stage-graph factories and the multi-GPU executor.
 //!
 //! `run_bigkernel` and the buffered baselines describe their stage
 //! structure as *data*: a [`GraphSpec`] of stages on typed
 //! [`ResourceId`]s (kind × device), with dependency edges (a DAG, not just
 //! a chain), buffer-reuse edges (§IV.C's `addr-gen(n)` ↔ `compute(n−3)`
-//! rule) and per-resource capacities — the vocabulary lives in
-//! [`bk_simcore::pipeline`]. This module adds:
+//! rule) and per-resource capacities. The vocabulary and the one scheduler
+//! live in [`bk_simcore::pipeline`]. This module adds:
 //!
-//! * the factories [`pipeline_graph`] (with its one-pass shorthand
-//!   [`bigkernel_graph`]), [`buffered_graph`] and [`serial_graph`], which
-//!   also choose the write-back DMA resource from the copy-engine count;
-//! * [`schedule_graph`] — forward list scheduling generalized to DAG deps and
-//!   multi-unit resources, returning a [`bk_simcore::Schedule`]. For a
-//!   linear chain on unit-capacity resources it performs the *identical*
-//!   sequence of exact f64 max/add operations as
-//!   [`bk_simcore::pipeline::schedule`], and the two results are equal
-//!   (the golden tests in `crates/apps/tests` hold simcore to be the
-//!   oracle).
+//! * the factories [`pipeline_graph`], [`buffered_graph`] and
+//!   [`serial_graph`], which also choose the write-back DMA resource from
+//!   the copy-engine count;
 //! * [`Executor`] / [`ShardedSchedule`] — chunk sharding across `N` simulated
 //!   GPUs, one device-local [`bk_simcore::Schedule`] per device with its
 //!   `device` and wave-local `chunk_ids` set. Each device runs an
 //!   independent copy of the stage graph (its own DMA engine, GPU queues
 //!   and host-side worker threads — the same resource kinds on its own
-//!   device index), chunks are dealt out round-robin, and reuse depth
-//!   applies within a device's local chunk sequence
-//!   (per-device buffer pools). The wave makespan is the max over
-//!   device schedules. Devices are homogeneous ([`crate::Machine`] replicates
-//!   device 0's spec), so per-chunk durations are device-independent and
-//!   sharding is purely a timing-level decision — functional execution stays
-//!   in global chunk order and outputs are bit-identical for any device
-//!   count. See DESIGN.md §10.
+//!   device index), built once per executor and shared by every shard on
+//!   that device. Chunks are dealt out round-robin
+//!   ([`bk_simcore::pipeline::deal`]), and reuse depth applies within a
+//!   device's local chunk sequence (per-device buffer pools). The wave
+//!   makespan is the max over device schedules. Devices are homogeneous
+//!   ([`crate::Machine`] replicates device 0's spec), so per-chunk durations
+//!   are device-independent and sharding is purely a timing-level decision
+//!   — functional execution stays in global chunk order and outputs are
+//!   bit-identical for any device count. See DESIGN.md §10.
 
 use crate::fusion::MAX_FUSED_PASSES;
 use crate::machine::MAX_DEVICES;
 use crate::pipeline::STAGE_NAMES;
 use crate::result::{accumulate_stage_stats, StageStat};
 use bk_obs::{names, MetricsRegistry};
-use bk_simcore::pipeline::Slot;
-use bk_simcore::{GraphSpec, ResourceId, ResourceKind, Schedule, SimTime, SlotMeta, StallKind};
-use std::collections::HashMap;
-
-/// The BigKernel 6-stage graph (§IV): addr-gen → assemble → transfer →
-/// compute → wb-xfer → wb-apply, with the paper's depth-`depth` buffer-reuse
-/// edges `addr-gen(n) ↔ compute(n−depth)` and `compute(n) ↔ wb-apply(n−depth)`.
-/// On GPUs with a second copy engine the write-back transfer gets its own
-/// D2H DMA resource; otherwise it queues on the one engine. Shorthand for the
-/// one-pass [`pipeline_graph`] with both reuse edges at `depth`.
-pub fn bigkernel_graph(copy_engines: usize, depth: usize) -> GraphSpec {
-    pipeline_graph(copy_engines, 1, depth, depth)
-}
+use bk_simcore::pipeline::{self, GraphSpec, ResourceId, ResourceKind, Schedule};
+use bk_simcore::SimTime;
+use std::sync::Arc;
 
 /// The double-buffered baseline graph: stage-pin → transfer → compute →
 /// wb-xfer → wb-apply with `buffers`-deep reuse on the staging and transfer
@@ -146,131 +130,14 @@ pub fn pipeline_graph(
     spec
 }
 
-/// Compute the schedule for `durations[chunk][stage]` under the graph's
-/// dataflow edges, resource capacities and reuse edges.
-///
-/// Forward list scheduling in (chunk, stage) order, generalized from
-/// [`bk_simcore::pipeline::schedule`]:
-///
-/// * dataflow-ready = max over the stage's dependency finishes (a chain's
-///   single dependency reduces to "previous stage of the same chunk");
-/// * resource-ready = the earliest-free of the resource's `capacity`
-///   identical units (capacity 1 reduces to the legacy single free time —
-///   an untouched unit is free at t=0, exactly like an absent entry in the
-///   reference scheduler's map, and `max(x, 0) = x` exactly in f64);
-/// * reuse edges and the stall-attribution tie rule (reuse wins ties over
-///   resource contention) are verbatim from the reference scheduler.
-///
-/// Zero-duration stages neither wait for nor occupy their resource.
-pub fn schedule_graph(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule {
-    let ns = spec.num_stages();
-    for (i, row) in durations.iter().enumerate() {
-        assert_eq!(
-            row.len(),
-            ns,
-            "chunk {i} has wrong number of stage durations"
-        );
-    }
-
-    let mut resource_free: HashMap<ResourceId, Vec<SimTime>> = HashMap::new();
-    let mut slots: Vec<Vec<Slot>> = Vec::with_capacity(durations.len());
-    let mut meta: Vec<Vec<SlotMeta>> = Vec::with_capacity(durations.len());
-
-    for (chunk, row) in durations.iter().enumerate() {
-        let mut chunk_slots: Vec<Slot> = Vec::with_capacity(ns);
-        let mut chunk_meta: Vec<SlotMeta> = Vec::with_capacity(ns);
-        for (stage, &dur) in row.iter().enumerate() {
-            let mut start = SimTime::ZERO;
-            // 1. dataflow: all dependency stages of this chunk must finish.
-            let dataflow = spec.stages[stage]
-                .deps
-                .iter()
-                .map(|&d| chunk_slots[d].finish)
-                .fold(SimTime::ZERO, SimTime::max);
-            start = start.max(dataflow);
-            // 2. resource availability: earliest-free unit, in-order issue.
-            let res = spec.stages[stage].resource;
-            let mut res_ready = SimTime::ZERO;
-            let mut unit = 0usize;
-            if !dur.is_zero() {
-                let free = resource_free
-                    .entry(res)
-                    .or_insert_with(|| vec![SimTime::ZERO; spec.capacity(res)]);
-                for (i, &t) in free.iter().enumerate() {
-                    if t < free[unit] {
-                        unit = i;
-                    }
-                }
-                res_ready = free[unit];
-                start = start.max(res_ready);
-            }
-            // 3. buffer-reuse edges.
-            let mut reuse_ready = SimTime::ZERO;
-            let mut reuse_consumer = 0usize;
-            for e in &spec.reuse {
-                if e.producer == stage && chunk >= e.depth {
-                    let ready = slots[chunk - e.depth][e.consumer].finish;
-                    if ready >= reuse_ready {
-                        reuse_ready = ready;
-                        reuse_consumer = e.consumer;
-                    }
-                    start = start.max(ready);
-                }
-            }
-            // Attribute the inter-stage gap to whichever constraint won;
-            // reuse takes precedence on ties (see the reference scheduler).
-            let stalled = start.saturating_sub(dataflow);
-            let kind = if stalled.is_zero() {
-                None
-            } else if reuse_ready >= res_ready {
-                Some(StallKind::Reuse {
-                    consumer: reuse_consumer,
-                })
-            } else {
-                Some(StallKind::Resource(res))
-            };
-            let finish = start + dur;
-            if !dur.is_zero() {
-                resource_free.get_mut(&res).expect("initialized above")[unit] = finish;
-            }
-            chunk_slots.push(Slot { start, finish });
-            chunk_meta.push(SlotMeta {
-                kind,
-                stall: stalled,
-            });
-        }
-        slots.push(chunk_slots);
-        meta.push(chunk_meta);
-    }
-
-    Schedule::solved(spec, slots, meta)
-}
-
-/// Schedule one device's share of a wave: the rows `chunk_ids` of
-/// `durations`, in order, on `spec`'s resources moved to `device`. The
-/// executor and the fault-recovery path both build their shards here.
-pub(crate) fn schedule_shard(
-    spec: &GraphSpec,
-    device: usize,
-    chunk_ids: Vec<usize>,
-    durations: &[Vec<SimTime>],
-) -> Schedule {
-    let rows: Vec<Vec<SimTime>> = chunk_ids.iter().map(|&c| durations[c].clone()).collect();
-    Schedule {
-        device,
-        chunk_ids,
-        ..schedule_graph(&spec.for_device(device), &rows)
-    }
-}
-
 /// Executes a [`GraphSpec`] over `N` simulated devices.
 ///
 /// ```
-/// use bk_runtime::graph::{bigkernel_graph, Executor};
+/// use bk_runtime::graph::{pipeline_graph, Executor};
 /// use bk_simcore::SimTime;
 ///
 /// // Shard four equal-cost chunks over two devices, round-robin.
-/// let exec = Executor::new(bigkernel_graph(1, 2), 2);
+/// let exec = Executor::new(pipeline_graph(1, 1, 2, 2), 2);
 /// let per_chunk = vec![SimTime::from_micros(10.0); 6];
 /// let wave = exec.run(&vec![per_chunk; 4]);
 ///
@@ -281,8 +148,8 @@ pub(crate) fn schedule_shard(
 /// assert_eq!(wave.shards()[1].chunk_ids, vec![1, 3]);
 /// ```
 pub struct Executor {
-    spec: GraphSpec,
-    num_devices: usize,
+    /// `specs[d]`: the graph with its resources moved to device `d`.
+    specs: Vec<Arc<GraphSpec>>,
 }
 
 /// A wave scheduled across all devices. The devices run concurrently, so
@@ -301,56 +168,43 @@ impl Executor {
             num_devices <= MAX_DEVICES,
             "at most {MAX_DEVICES} simulated devices"
         );
-        Executor { spec, num_devices }
+        let specs = (0..num_devices)
+            .map(|d| Arc::new(spec.for_device(d)))
+            .collect();
+        Executor { specs }
     }
 
     /// How many simulated devices the executor shards over.
     pub fn num_devices(&self) -> usize {
-        self.num_devices
+        self.specs.len()
     }
 
-    /// Shard the wave's chunks and schedule each device's share. With one
-    /// device this is exactly [`schedule_graph`] over all chunks in order.
+    /// Deal the wave's chunks round-robin over every device and schedule
+    /// each device's share. With one device this is exactly
+    /// [`pipeline::schedule`] over all chunks in order.
     pub fn run(&self, durations: &[Vec<SimTime>]) -> ShardedSchedule {
-        let owned = deal_chunks(self.num_devices, durations);
-        let shards = owned
-            .into_iter()
-            .enumerate()
-            .map(|(device, chunk_ids)| schedule_shard(&self.spec, device, chunk_ids, durations))
-            .collect();
-        ShardedSchedule::from_shards(shards)
+        let devices = (0..self.specs.len()).collect();
+        self.run_shares(pipeline::deal(devices, durations.len()), durations)
     }
-}
 
-/// Deal wave-local chunks (rows of `durations`) round-robin across `n`
-/// schedule targets: chunk `c` goes to target `c % n`. With homogeneous
-/// devices and roughly uniform chunk costs this keeps per-device chunk
-/// sequences maximally regular (good for the reuse pipeline). Returns, per
-/// target, the owned chunk indices in ascending order. This is the dealing
-/// half of [`Executor::run`], split out so the fault-recovery path
-/// ([`crate::fault`]) can re-deal a dead device's chunks across the
-/// survivors the same way.
-pub fn deal_chunks(n: usize, durations: &[Vec<SimTime>]) -> Vec<Vec<usize>> {
-    assert!(n >= 1, "need at least one schedule target");
-    let mut owned: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for c in 0..durations.len() {
-        owned[c % n].push(c);
-    }
-    owned
-}
-
-impl ShardedSchedule {
-    /// Assemble a wave from already-scheduled shards (the executor's normal
-    /// path and the fault-recovery path both end here). The wave makespan is
-    /// the max over shard makespans — devices run concurrently.
-    pub fn from_shards(shards: Vec<Schedule>) -> ShardedSchedule {
+    /// Schedule a wave already dealt into `(device, chunk rows)` shares —
+    /// [`Self::run`]'s path, which the fault-recovery path ([`crate::fault`])
+    /// takes after requeuing a dead device's chunks across the survivors.
+    pub(crate) fn run_shares(
+        &self,
+        shares: Vec<(usize, Vec<usize>)>,
+        durations: &[Vec<SimTime>],
+    ) -> ShardedSchedule {
+        let shards = pipeline::schedule_shards(&self.specs, shares, durations);
         let makespan = shards
             .iter()
             .map(|s| s.makespan)
             .fold(SimTime::ZERO, SimTime::max);
         ShardedSchedule { shards, makespan }
     }
+}
 
+impl ShardedSchedule {
     /// Wave makespan: the max over the concurrent shard makespans.
     pub fn makespan(&self) -> SimTime {
         self.makespan
@@ -421,7 +275,7 @@ impl ShardedSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bk_simcore::{pipeline, GraphStage, ScheduleView};
+    use bk_simcore::{GraphStage, ScheduleView};
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
@@ -459,13 +313,13 @@ mod tests {
         );
     }
 
-    /// The golden equivalence: a linear unit-capacity graph schedules
-    /// bit-identically to the reference simcore scheduler (slots *and* stall
-    /// attribution), for the exact BigKernel shape.
+    /// The golden equivalence: the one-pass BigKernel graph schedules
+    /// bit-identically to the chain-only reference scheduler over the
+    /// hard-coded legacy chain (slots, stall attribution and predecessors).
     #[test]
     fn chain_schedule_is_bit_identical_to_simcore() {
         let depth = 3;
-        let graph = bigkernel_graph(1, depth);
+        let graph = pipeline_graph(1, 1, depth, depth);
         let legacy = GraphSpec::chain(vec![
             ("addr-gen", ResourceId::new(ResourceKind::GpuAddrGen, 0)),
             ("assemble", ResourceId::new(ResourceKind::CpuAssembly, 0)),
@@ -492,8 +346,8 @@ mod tests {
             })
             .collect();
         assert_eq!(
-            schedule_graph(&graph, &durations),
-            pipeline::schedule(&legacy, &durations)
+            pipeline::schedule(graph, &durations),
+            pipeline::oracle::schedule(&legacy, &durations)
         );
     }
 
@@ -524,7 +378,7 @@ mod tests {
                 deps: vec![1, 2],
             },
         ]);
-        let s = schedule_graph(&spec, &[vec![t(1.0), t(2.0), t(5.0), t(1.0)]]);
+        let s = pipeline::schedule(spec, &[vec![t(1.0), t(2.0), t(5.0), t(1.0)]]);
         assert_eq!(s.slot(0, 1).start, t(1.0));
         assert_eq!(s.slot(0, 2).start, t(1.0));
         // Compare against the same float op sequence the scheduler performs
@@ -552,7 +406,7 @@ mod tests {
         use ResourceKind::*;
         let res = ResourceId::new(Gpu, 0);
         let spec = GraphSpec::chain(vec![("comp", res)]).with_capacity(res, 2);
-        let s = schedule_graph(&spec, &vec![vec![t(4.0)]; 4]);
+        let s = pipeline::schedule(spec, &vec![vec![t(4.0)]; 4]);
         // Two units: chunks 0/1 start at 0, chunks 2/3 at 4.
         assert_eq!(s.slot(1, 0).start, SimTime::ZERO);
         assert_eq!(s.slot(2, 0).start, t(4.0));
@@ -561,7 +415,7 @@ mod tests {
 
     #[test]
     fn round_robin_shards_halve_streaming_makespan() {
-        let spec = bigkernel_graph(1, 3);
+        let spec = pipeline_graph(1, 1, 3, 3);
         let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 24];
         let one = Executor::new(spec.clone(), 1).run(&rows);
         let two = Executor::new(spec, 2).run(&rows);
@@ -576,8 +430,8 @@ mod tests {
     }
 
     #[test]
-    fn single_device_executor_matches_schedule_graph_exactly() {
-        let spec = bigkernel_graph(2, 3);
+    fn single_device_executor_matches_schedule_exactly() {
+        let spec = pipeline_graph(2, 1, 3, 3);
         let rows: Vec<Vec<SimTime>> = (0..10)
             .map(|c| {
                 (0..6)
@@ -586,14 +440,13 @@ mod tests {
             })
             .collect();
         let sharded = Executor::new(spec.clone(), 1).run(&rows);
-        let direct = schedule_graph(&spec, &rows);
+        let direct = pipeline::schedule(spec, &rows);
         assert_eq!(sharded.makespan(), direct.makespan());
         assert_eq!(sharded.shards()[0], direct);
     }
 
-    /// A capture is the executor's shard field for field — deps, reuse
-    /// edges and capacities included — with chunk ids offset by the wave's
-    /// base.
+    /// A capture is the executor's shard field for field — its device's
+    /// spec included — with chunk ids offset by the wave's base.
     #[test]
     fn captured_shards_equal_the_executor_shards() {
         let asm = ResourceId::new(ResourceKind::CpuAssembly, 0);
@@ -605,7 +458,8 @@ mod tests {
                     .collect()
             })
             .collect();
-        let wave = Executor::new(spec, 2).run(&rows);
+        let exec = Executor::new(spec, 2);
+        let wave = exec.run(&rows);
         let guard = bk_obs::critpath::capture();
         wave.record(40, t(3.0), &mut MetricsRegistry::new());
         let captured = guard.finish();
@@ -623,14 +477,22 @@ mod tests {
         // passes' reuse edges, the cross-pass dependency and the capacity.
         let dev1 = &wave.shards()[1];
         assert_eq!((dev1.device, &dev1.chunk_ids[..]), (1, &[1, 3, 5, 7][..]));
-        assert_eq!(dev1.reuse.len(), 4);
-        assert_eq!(dev1.deps[6], vec![5]);
-        assert!(dev1
-            .capacities
-            .contains(&(ResourceId::new(ResourceKind::CpuAssembly, 1), 2)));
-        assert!(dev1
-            .capacities
-            .contains(&(ResourceId::new(ResourceKind::GpuCompute, 1), 1)));
+        assert_eq!(dev1.spec.reuse.len(), 4);
+        assert_eq!(dev1.spec.stages[6].deps, vec![5]);
+        assert_eq!(
+            dev1.spec
+                .capacity(ResourceId::new(ResourceKind::CpuAssembly, 1)),
+            2
+        );
+        assert_eq!(
+            dev1.spec
+                .capacity(ResourceId::new(ResourceKind::GpuCompute, 1)),
+            1
+        );
+        // Every wave's shard on a device shares that device's one spec.
+        let again = exec.run(&rows);
+        assert!(Arc::ptr_eq(&again.shards()[1].spec, &dev1.spec));
+        assert!(!Arc::ptr_eq(&wave.shards()[0].spec, &dev1.spec));
     }
 
     #[test]
@@ -640,13 +502,15 @@ mod tests {
         let rows: Vec<Vec<SimTime>> = (0..8)
             .map(|c| vec![t(if c % 2 == 0 { 9.0 } else { 1.0 })])
             .collect();
-        let owned = deal_chunks(3, &rows);
-        assert_eq!(owned, vec![vec![0, 3, 6], vec![1, 4, 7], vec![2, 5]]);
+        let res = ResourceId::new(ResourceKind::Gpu, 0);
+        let wave = Executor::new(GraphSpec::chain(vec![("comp", res)]), 3).run(&rows);
+        let owned: Vec<&[usize]> = wave.shards().iter().map(|s| &s.chunk_ids[..]).collect();
+        assert_eq!(owned, [&[0, 3, 6][..], &[1, 4, 7], &[2, 5]]);
     }
 
     #[test]
     fn sharded_record_emits_per_device_counters_and_same_stage_totals() {
-        let spec = bigkernel_graph(1, 3);
+        let spec = pipeline_graph(1, 1, 3, 3);
         let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 8];
         let mut m1 = MetricsRegistry::new();
         Executor::new(spec.clone(), 1)
@@ -669,19 +533,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "reuse depth must be >= 1")]
     fn with_reuse_depth_zero_panics() {
-        let _ = bigkernel_graph(1, 3).with_reuse(0, 3, 0);
+        let _ = pipeline_graph(1, 1, 3, 3).with_reuse(0, 3, 0);
     }
 
     #[test]
     #[should_panic(expected = "producer index out of range")]
     fn with_reuse_producer_out_of_range_panics() {
-        let _ = bigkernel_graph(1, 3).with_reuse(6, 3, 1);
+        let _ = pipeline_graph(1, 1, 3, 3).with_reuse(6, 3, 1);
     }
 
     #[test]
     #[should_panic(expected = "consumer index out of range")]
     fn with_reuse_consumer_out_of_range_panics() {
-        let _ = bigkernel_graph(1, 3).with_reuse(0, 6, 1);
+        let _ = pipeline_graph(1, 1, 3, 3).with_reuse(0, 6, 1);
     }
 
     #[test]
@@ -690,9 +554,6 @@ mod tests {
         assert_eq!(spec.reuse_depth(0, 3), Some(4));
         assert_eq!(spec.reuse_depth(3, 5), Some(7));
         assert_eq!(spec.reuse_depth(1, 2), None);
-        // The single-depth factory keeps both edges in lockstep.
-        let legacy = bigkernel_graph(1, 3);
-        assert_eq!(legacy.reuse_depth(0, 3), legacy.reuse_depth(3, 5));
     }
 
     /// Everything scheduling reads from a spec: stage names, resources,
@@ -744,8 +605,8 @@ mod tests {
                 assert_eq!(shape(&spec), shape(&expected));
                 let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 10];
                 assert_eq!(
-                    schedule_graph(&spec, &rows),
-                    schedule_graph(&expected, &rows)
+                    pipeline::schedule(spec, &rows),
+                    pipeline::schedule(expected, &rows)
                 );
             }
         }
@@ -802,7 +663,7 @@ mod tests {
             ("xfer", ResourceId::new(ResourceKind::DmaH2D, 0)),
         ]);
         let rows = vec![vec![t(0.5), t(1.25), t(0.25)]];
-        let s = schedule_graph(&spec, &rows);
+        let s = pipeline::schedule(spec, &rows);
         assert_eq!(s.makespan(), t(2.0));
         let segs = critical_path(&s);
         assert_eq!(segs.len(), 3);
@@ -821,7 +682,7 @@ mod tests {
 
     #[test]
     fn sharded_accumulate_preserves_stage_shape_and_totals() {
-        let spec = bigkernel_graph(1, 3);
+        let spec = pipeline_graph(1, 1, 3, 3);
         let rows = vec![vec![t(0.2), t(0.9), t(0.7), t(1.3), t(0.3), t(0.2)]; 12];
         let mut one = Vec::new();
         Executor::new(spec.clone(), 1)
@@ -842,7 +703,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use bk_simcore::{pipeline, GraphStage, ScheduleView};
+    use bk_simcore::{GraphStage, ScheduleView, StallKind};
     use proptest::prelude::*;
 
     fn t_us(us: u32) -> SimTime {
@@ -898,22 +759,6 @@ mod proptests {
     }
 
     proptest! {
-        /// Equivalence with the reference scheduler on random linear chains
-        /// with random reuse depth — the property behind the 1-GPU golden
-        /// guarantee.
-        #[test]
-        fn chain_matches_simcore(d in arb_durations(30, 4), depth in 1usize..5) {
-            use ResourceKind::*;
-            let graph = GraphSpec::chain(vec![
-                ("ag", ResourceId::new(GpuAddrGen, 0)),
-                ("asm", ResourceId::new(CpuAssembly, 0)),
-                ("xfer", ResourceId::new(DmaH2D, 0)),
-                ("comp", ResourceId::new(GpuCompute, 0)),
-            ])
-            .with_reuse(0, 3, depth);
-            prop_assert_eq!(schedule_graph(&graph, &d), pipeline::schedule(&graph, &d));
-        }
-
         /// Random DAGs with random capacities: a resource with capacity `k`
         /// never has more than `k` spans in flight at once — in particular,
         /// two spans never overlap on a unit-capacity resource.
@@ -922,7 +767,7 @@ mod proptests {
             spec in arb_dag(5),
             d in arb_durations(20, 5),
         ) {
-            let s = schedule_graph(&spec, &d);
+            let s = pipeline::schedule(spec.clone(), &d);
             // Group busy intervals by resource.
             let mut by_res: std::collections::HashMap<ResourceId, Vec<(SimTime, SimTime)>> =
                 std::collections::HashMap::new();
@@ -966,7 +811,7 @@ mod proptests {
         /// dependencies' finishes.
         #[test]
         fn dag_slots_are_causal(spec in arb_dag(5), d in arb_durations(20, 5)) {
-            let s = schedule_graph(&spec, &d);
+            let s = pipeline::schedule(spec.clone(), &d);
             for c in 0..s.num_chunks() {
                 for st in 0..s.num_stages() {
                     for &dep in &spec.stages[st].deps {
@@ -989,7 +834,7 @@ mod proptests {
             copy_engines in 1usize..=2,
         ) {
             let spec = pipeline_graph(copy_engines, 1, depth, wb_depth);
-            let s = schedule_graph(&spec, &d);
+            let s = pipeline::schedule(spec.clone(), &d);
             for e in &spec.reuse {
                 for c in e.depth..s.num_chunks() {
                     prop_assert!(
@@ -1012,7 +857,7 @@ mod proptests {
             d in arb_durations(20, 5),
         ) {
             use bk_obs::critpath::{boundary_ns, critical_path, path_sum_ns};
-            let s = schedule_graph(&spec, &d);
+            let s = pipeline::schedule(spec.clone(), &d);
             let segs = critical_path(&s);
             prop_assert!(!segs.is_empty());
             prop_assert_eq!(path_sum_ns(&segs), boundary_ns(s.makespan()));
@@ -1041,6 +886,51 @@ mod proptests {
                     "makespan below busy/capacity bound for {:?}",
                     res,
                 );
+            }
+        }
+
+        /// Every slot that starts after t = 0 records the predecessor whose
+        /// finish set its start, bit-exactly: a dependency of the same
+        /// chunk when it did not stall, an earlier occupant of the same
+        /// resource on a resource stall, and the edge's consumer `depth`
+        /// rows back on a reuse stall. Random DAGs with random capacities
+        /// and reuse edges, dealt over one to four devices.
+        #[test]
+        fn recorded_predecessors_bind_every_start(
+            spec in arb_dag(5),
+            reuse in proptest::collection::vec((0usize..5, 0usize..5, 1usize..4), 0..3),
+            d in arb_durations(20, 5),
+            n in 1usize..=4,
+        ) {
+            let spec = reuse
+                .into_iter()
+                .fold(spec, |spec, (p, c, depth)| spec.with_reuse(p, c, depth));
+            for s in Executor::new(spec, n).run(&d).shards() {
+                for c in 0..s.num_chunks() {
+                    for st in 0..s.num_stages() {
+                        let (slot, meta) = (s.slot(c, st), s.slot_meta(c, st));
+                        let Some((pc, ps)) = meta.pred else {
+                            prop_assert!(slot.start.is_zero() && meta.kind.is_none());
+                            continue;
+                        };
+                        prop_assert_eq!(s.slot(pc, ps).finish, slot.start);
+                        let deps = &s.spec.stages[st].deps;
+                        match meta.kind {
+                            None => prop_assert!(pc == c && deps.contains(&ps)),
+                            Some(StallKind::Resource(r)) => {
+                                prop_assert_eq!(r, s.stage_resource(st));
+                                prop_assert_eq!(s.stage_resource(ps), r);
+                                prop_assert!((pc, ps) < (c, st));
+                            }
+                            Some(StallKind::Reuse { consumer }) => {
+                                let edge = s.spec.reuse.iter().any(|e| {
+                                    e.producer == st && e.consumer == ps && pc + e.depth == c
+                                });
+                                prop_assert!(edge && ps == consumer);
+                            }
+                        }
+                    }
+                }
             }
         }
 

@@ -118,7 +118,7 @@ mod tests {
             ("a", ResourceId::new(ResourceKind::DmaH2D, 0)),
             ("b", ResourceId::new(ResourceKind::GpuCompute, 0)),
         ]);
-        pipeline::schedule(&spec, &[vec![t(1.0), t(3.0)], vec![t(1.0), t(3.0)]])
+        pipeline::schedule(spec, &[vec![t(1.0), t(3.0)], vec![t(1.0), t(3.0)]])
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! What-if replay: predict the makespan of a perturbed pipeline without
 //! re-simulating the application.
 //!
-//! [`crate::graph::schedule_graph`] is a pure deterministic function of
-//! per-chunk stage costs, graph shape and device count — and those costs
-//! are device- and schedule-independent (the machine model prices each
-//! stage instance before anything is scheduled). So a captured run
-//! ([`bk_obs::critpath::WaveDag`] snapshots) contains everything needed to
-//! answer "what would the makespan be if ...": rebuild each wave's
-//! [`GraphSpec`] and duration rows from the snapshot, apply a
-//! [`Perturbation`], and re-run the scheduler. For structural
+//! The scheduler ([`bk_simcore::pipeline::schedule`]) is a pure
+//! deterministic function of per-chunk stage costs, graph shape and device
+//! count — and those costs are device- and schedule-independent (the
+//! machine model prices each stage instance before anything is scheduled).
+//! So a captured run ([`bk_obs::critpath::WaveDag`] snapshots) contains
+//! everything needed to answer "what would the makespan be if ...": take
+//! each wave's [`GraphSpec`] from its first shard, rebuild the duration
+//! rows from the slots, apply a [`Perturbation`], and re-run the executor
+//! (which moves the spec onto each device it shards over). For structural
 //! perturbations the scheduler *is* the real system, so predictions match
 //! actual re-runs to floating-point noise (the only error is
 //! reconstructing each duration as `finish − start`); cost perturbations
@@ -21,7 +22,7 @@
 
 use crate::graph::Executor;
 use bk_obs::critpath::WaveDag;
-use bk_simcore::{GraphSpec, GraphStage, Schedule, ScheduleView, SimTime};
+use bk_simcore::{GraphSpec, ScheduleView, SimTime};
 
 /// A hypothetical change to the recorded pipeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -85,27 +86,6 @@ pub struct Prediction {
     pub speedup: f64,
 }
 
-/// The device-0 [`GraphSpec`] a shard was scheduled under.
-fn respec(shard: &Schedule) -> GraphSpec {
-    let stages = (0..shard.num_stages())
-        .map(|s| GraphStage {
-            name: shard.stage_name(s),
-            resource: shard.stage_resource(s).on_device(0),
-            deps: shard.deps[s].clone(),
-        })
-        .collect();
-    let mut spec = GraphSpec::new(stages);
-    for e in &shard.reuse {
-        spec = spec.with_reuse(e.producer, e.consumer, e.depth);
-    }
-    for &(res, n) in &shard.capacities {
-        if n > 1 {
-            spec = spec.with_capacity(res.on_device(0), n);
-        }
-    }
-    spec
-}
-
 /// Replay the captured waves under `p` and return the predicted run
 /// makespan (the sum over waves of the perturbed wave makespan — waves run
 /// back to back, exactly as the pipeline schedules them). `num_devices`
@@ -118,7 +98,7 @@ pub fn predict(waves: &[WaveDag], num_devices: usize, p: &Perturbation) -> Optio
     let mut total = SimTime::ZERO;
     for wave in waves {
         let shard0 = wave.shards.first()?;
-        let mut spec = respec(shard0);
+        let mut spec = GraphSpec::clone(&shard0.spec);
         let ns = shard0.num_stages();
 
         // Reassemble the wave's duration rows in global chunk order.
@@ -195,7 +175,7 @@ pub fn scenarios(waves: &[WaveDag]) -> Vec<Scenario> {
             modeled: true,
         });
     }
-    for e in &shard.reuse {
+    for e in &shard.spec.reuse {
         out.push(Scenario {
             label: format!(
                 "reuse {}→{} depth {}→{}",
@@ -255,7 +235,8 @@ pub fn rank(waves: &[WaveDag], num_devices: usize) -> Vec<Prediction> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{bigkernel_graph, schedule_graph};
+    use crate::graph::pipeline_graph;
+    use bk_simcore::pipeline;
 
     fn t(us: f64) -> SimTime {
         SimTime::from_micros(us)
@@ -289,7 +270,7 @@ mod tests {
 
     #[test]
     fn identity_replay_reproduces_the_recorded_makespan() {
-        let spec = bigkernel_graph(2, 2);
+        let spec = pipeline_graph(2, 1, 2, 2);
         for devices in [1, 2, 3] {
             let waves = capture_run(&spec, devices, 10);
             let recorded = Executor::new(spec.clone(), devices)
@@ -303,7 +284,7 @@ mod tests {
 
     #[test]
     fn deepened_reuse_edge_prediction_matches_an_actual_rerun() {
-        let shallow = bigkernel_graph(2, 1);
+        let shallow = pipeline_graph(2, 1, 1, 1);
         let waves = capture_run(&shallow, 1, 12);
         let predicted = predict(
             &waves,
@@ -322,7 +303,7 @@ mod tests {
                 e.depth = 4;
             }
         }
-        let actual = schedule_graph(&deeper, &rows(12)).makespan();
+        let actual = pipeline::schedule(deeper, &rows(12)).makespan();
         let err = (predicted.secs() - actual.secs()).abs() / actual.secs();
         assert!(err < 1e-9, "err {err}");
         // And deepening a depth-1 edge should actually help here.
@@ -332,7 +313,7 @@ mod tests {
 
     #[test]
     fn add_device_prediction_matches_an_actual_rerun() {
-        let spec = bigkernel_graph(2, 2);
+        let spec = pipeline_graph(2, 1, 2, 2);
         let waves = capture_run(&spec, 1, 12);
         let predicted = predict(&waves, 1, &Perturbation::AddDevice).expect("replayable");
         let actual = Executor::new(spec, 2).run(&rows(12)).makespan();
@@ -342,7 +323,7 @@ mod tests {
 
     #[test]
     fn scenarios_cover_stages_edges_and_devices() {
-        let waves = capture_run(&bigkernel_graph(2, 2), 1, 6);
+        let waves = capture_run(&pipeline_graph(2, 1, 2, 2), 1, 6);
         let scens = scenarios(&waves);
         // 6 nonzero stages + 2 reuse edges + device + merge.
         assert_eq!(scens.len(), 10);

@@ -10,12 +10,12 @@
 //! * [`pipeline`] — the stage-graph vocabulary: typed resources
 //!   ([`ResourceKind`] × device = [`ResourceId`], the only place a resource
 //!   is spelled), [`GraphSpec`] (stages, dependency edges, buffer-reuse
-//!   edges, capacities) and [`Schedule`], the one solved-schedule type
-//!   every scheduler returns (slots with [`SlotMeta`] stall attribution,
-//!   plus the device, chunk ids and graph shape they were solved under).
-//!   Runs schedule with `bk_runtime`'s stage-graph executor;
-//!   [`pipeline::schedule`] is its reference implementation for
-//!   capacity-1 chains, whose result it must equal.
+//!   edges, capacities), the one scheduler ([`pipeline::schedule`], and
+//!   [`pipeline::deal`] plus [`pipeline::schedule_shards`] for a wave
+//!   sharded over simulated devices) and [`Schedule`], the solved schedule
+//!   it returns: slots with [`SlotMeta`] stall attribution and binding
+//!   predecessors, plus the device, chunk ids and shared graph spec they
+//!   were solved under.
 //! * [`stats`] — cheap named counters for bytes moved, transactions issued,
 //!   cache hits, etc.
 //! * [`rng`] — deterministic RNG (SplitMix64) and a Zipf sampler used by the

@@ -1,4 +1,4 @@
-//! The stage-graph vocabulary and the reference pipeline scheduler.
+//! The stage-graph vocabulary and the pipeline scheduler.
 //!
 //! BigKernel's execution is a software pipeline over *chunks* of the streamed
 //! data: address generation (GPU), data assembly (CPU), data transfer (DMA),
@@ -26,18 +26,22 @@
 //!    address generation of iteration `n` synchronizes with the computation
 //!    threads of iteration `n - 3` (§IV.C), i.e. triple buffering.
 //!
-//! The schedule is computed by forward list scheduling in (chunk, stage)
-//! order, which is exact for in-order pipelines of this shape.
-//!
-//! Every scheduler returns the one [`Schedule`] type defined here. Runs
-//! schedule with `bk_runtime::graph::schedule_graph`, which generalizes
-//! [`schedule`] to DAG dependencies, multi-unit resources and multi-GPU
-//! sharding; each device's shard of a wave and each critical-path capture
-//! is a `Schedule` too. [`schedule`] stays as the reference implementation
-//! for capacity-1 chains: on those the two return equal values.
+//! [`schedule`] computes this by forward list scheduling in (chunk, stage)
+//! order, which is exact for in-order pipelines of this shape, over DAG
+//! dependencies and multi-unit resources. It is the one scheduler: runs
+//! shard a wave over simulated devices with [`deal`] and
+//! [`schedule_shards`], which solve each device's share the same way on
+//! that device's copy of the graph. Each result is a [`Schedule`] holding
+//! the spec it was solved under and, per slot, the predecessor whose finish
+//! set its start, so the critical-path walk and the what-if replayer read
+//! everything from the value alone.
 
 use crate::time::SimTime;
 use std::collections::HashMap;
+use std::sync::Arc;
+
+#[doc(hidden)]
+pub mod oracle;
 
 /// The kinds of hardware unit the pipelines schedule onto. One kind × one
 /// device index = one serializing unit (or `capacity` identical units).
@@ -120,7 +124,7 @@ impl ResourceId {
 /// One stage of the graph: a name, the resource it occupies, and the stage
 /// indices it depends on (all must be smaller — stages are listed in
 /// topological order, which forward list scheduling requires).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphStage {
     /// Stage name as it appears in spans and BENCH output.
     pub name: &'static str,
@@ -158,10 +162,10 @@ pub struct ReuseEdge {
 /// // Three chunks whose stages each take 10 µs overlap: the makespan is
 /// // well under the serial 3 × 2 × 10 µs.
 /// let per_chunk = vec![SimTime::from_micros(10.0); 2];
-/// let sched = pipeline::schedule(&spec, &vec![per_chunk; 3]);
+/// let sched = pipeline::schedule(spec, &vec![per_chunk; 3]);
 /// assert!(sched.makespan() < SimTime::from_micros(60.0));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GraphSpec {
     /// The stages in topological order.
     pub stages: Vec<GraphStage>,
@@ -231,9 +235,8 @@ impl GraphSpec {
     }
 
     /// Give a resource `n` identical units (e.g. a thread pool). Production
-    /// configs all use the default capacity 1 — that is what keeps
-    /// `schedule_graph` bit-identical to [`schedule`]; capacities exist for
-    /// the property tests and future heterogeneous setups.
+    /// configs all use the default capacity 1; capacities exist for the
+    /// property tests and future heterogeneous setups.
     pub fn with_capacity(mut self, resource: ResourceId, n: usize) -> Self {
         assert!(n >= 1, "capacity must be >= 1");
         self.capacities.retain(|(r, _)| *r != resource);
@@ -248,7 +251,10 @@ impl GraphSpec {
 
     /// Number of identical units of `resource` (1 when not listed).
     pub fn capacity(&self, resource: ResourceId) -> usize {
-        units(&self.capacities, resource)
+        self.capacities
+            .iter()
+            .find(|&&(r, _)| r == resource)
+            .map_or(1, |&(_, n)| n)
     }
 
     /// The same graph with every resource (and capacity entry) moved to
@@ -309,7 +315,8 @@ pub enum StallKind {
     },
 }
 
-/// Stall attribution for one slot: why it started late and by how much.
+/// Stall attribution for one slot: why it started late, by how much, and
+/// which slot's finish set its start.
 /// `kind` is `None` exactly when the slot started the moment its dataflow
 /// predecessor finished (no inter-stage gap).
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -317,33 +324,30 @@ pub struct SlotMeta {
     pub kind: Option<StallKind>,
     /// Gap between the dataflow-ready time and the actual start.
     pub stall: SimTime,
+    /// The binding predecessor, as `(row, stage)` of the same schedule: the
+    /// dependency of the same row when `kind` is `None`, the previous
+    /// occupant of the unit for [`StallKind::Resource`], and the consumer of
+    /// row `row − depth` for [`StallKind::Reuse`]. Its finish equals this
+    /// slot's start bit-exactly. `None` exactly when the slot started at 0.
+    pub pred: Option<(usize, usize)>,
 }
 
-/// A solved schedule: one slot per (chunk, stage), plus the graph shape it
-/// was solved under (stage resources, dependency edges, reuse edges,
-/// capacities), so the critical-path analyzer and the what-if replayer
-/// can re-derive every slot's binding predecessor from the value alone.
+/// A solved schedule: one slot per (chunk, stage), plus the device-mapped
+/// graph it was solved under, shared with every other schedule solved on
+/// that device's copy of the graph.
 ///
-/// Every scheduler produces this one type: the oracle [`schedule`], the
-/// runtime's stage-graph scheduler, each device's shard of a wave, and the
-/// critical-path capture (a clone of a shard with run-global chunk ids).
+/// [`schedule`] and [`schedule_shards`] (one per device's shard of a wave)
+/// produce it; a critical-path capture is a clone of a shard with
+/// run-global chunk ids.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Schedule {
     /// The simulated device whose resources the stages ran on.
     pub device: usize,
-    /// Chunk id of each row: `0..n` from a scheduler, the wave-local ids a
+    /// Chunk id of each row: `0..n` from [`schedule`], the wave-local ids a
     /// device owns in a shard, run-global ids in a capture.
     pub chunk_ids: Vec<usize>,
-    /// Stage names, in stage order.
-    pub stage_names: Vec<&'static str>,
-    /// Resource of each stage (one trace track per resource).
-    pub resources: Vec<ResourceId>,
-    /// Same-chunk stage indices each stage depends on (all smaller).
-    pub deps: Vec<Vec<usize>>,
-    /// Cross-chunk buffer-reuse edges.
-    pub reuse: Vec<ReuseEdge>,
-    /// Unit count of each distinct stage resource, in stage order.
-    pub capacities: Vec<(ResourceId, usize)>,
+    /// The graph the slots were solved under, its resources on `device`.
+    pub spec: Arc<GraphSpec>,
     /// `slots[chunk][stage]`
     pub slots: Vec<Vec<Slot>>,
     /// `meta[chunk][stage]`, parallel to `slots`.
@@ -353,31 +357,24 @@ pub struct Schedule {
 }
 
 impl Schedule {
-    /// The device-0 schedule of `spec` with chunk rows `0..n`: the solved
-    /// `slots` and `meta` plus the spec's shape, the canonical
-    /// [`Self::capacities`] (each distinct stage resource in first-use
-    /// order with its unit count) and the last finish as the makespan.
-    pub fn solved(spec: &GraphSpec, slots: Vec<Vec<Slot>>, meta: Vec<Vec<SlotMeta>>) -> Schedule {
+    /// The schedule of `spec` on `device` with rows `chunk_ids`: the solved
+    /// `slots` and `meta`, with the last finish as the makespan.
+    pub fn solved(
+        spec: Arc<GraphSpec>,
+        device: usize,
+        chunk_ids: Vec<usize>,
+        slots: Vec<Vec<Slot>>,
+        meta: Vec<Vec<SlotMeta>>,
+    ) -> Schedule {
         let makespan = slots
             .iter()
             .flatten()
             .map(|s| s.finish)
             .fold(SimTime::ZERO, SimTime::max);
-        let resources: Vec<ResourceId> = spec.stages.iter().map(|s| s.resource).collect();
-        let mut capacities: Vec<(ResourceId, usize)> = Vec::new();
-        for &r in &resources {
-            if !capacities.iter().any(|&(seen, _)| seen == r) {
-                capacities.push((r, spec.capacity(r)));
-            }
-        }
         Schedule {
-            device: 0,
-            chunk_ids: (0..slots.len()).collect(),
-            stage_names: spec.stages.iter().map(|s| s.name).collect(),
-            resources,
-            deps: spec.stages.iter().map(|s| s.deps.clone()).collect(),
-            reuse: spec.reuse.clone(),
-            capacities,
+            device,
+            chunk_ids,
+            spec,
             slots,
             meta,
             makespan,
@@ -393,19 +390,6 @@ impl Schedule {
     pub fn total_busy(&self) -> SimTime {
         (0..self.num_stages()).map(|s| self.stage_busy(s)).sum()
     }
-
-    /// Number of identical units of `resource` (1 when not listed).
-    pub fn capacity(&self, resource: ResourceId) -> usize {
-        units(&self.capacities, resource)
-    }
-}
-
-/// The unit count `capacities` gives `resource` (1 when not listed).
-fn units(capacities: &[(ResourceId, usize)], resource: ResourceId) -> usize {
-    capacities
-        .iter()
-        .find(|&&(r, _)| r == resource)
-        .map_or(1, |&(_, n)| n)
 }
 
 /// Read-only accessors of a [`Schedule`]. Observability, stage-stat
@@ -434,16 +418,16 @@ impl ScheduleView for Schedule {
         self.slots.len()
     }
     fn num_stages(&self) -> usize {
-        self.stage_names.len()
+        self.spec.num_stages()
     }
     fn slot(&self, chunk: usize, stage: usize) -> Slot {
         self.slots[chunk][stage]
     }
     fn stage_name(&self, stage: usize) -> &'static str {
-        self.stage_names[stage]
+        self.spec.stages[stage].name
     }
     fn stage_resource(&self, stage: usize) -> ResourceId {
-        self.resources[stage]
+        self.spec.stages[stage].resource
     }
     fn slot_meta(&self, chunk: usize, stage: usize) -> SlotMeta {
         self.meta[chunk][stage]
@@ -453,8 +437,8 @@ impl ScheduleView for Schedule {
     }
 }
 
-/// Compute the schedule of the capacity-1 chain `spec` for
-/// `durations[chunk][stage]`.
+/// Compute the device-0 schedule of `spec` for `durations[chunk][stage]`,
+/// with chunk rows `0..n`.
 ///
 /// ```
 /// use bk_simcore::pipeline::{self, GraphSpec, ResourceId, ResourceKind};
@@ -466,73 +450,119 @@ impl ScheduleView for Schedule {
 ///     ("comp", ResourceId::new(ResourceKind::Gpu, 0)),
 /// ]);
 /// let per_chunk = vec![SimTime::from_micros(10.0), SimTime::from_micros(10.0)];
-/// let s = pipeline::schedule(&spec, &vec![per_chunk; 4]);
+/// let s = pipeline::schedule(spec, &vec![per_chunk; 4]);
 /// // Fill (10us) + 4 overlapped chunks (40us):
 /// assert!((s.makespan().micros() - 50.0).abs() < 1e-9);
 /// ```
 ///
-/// Panics if `spec` is not a chain on capacity-1 resources, or if any chunk
-/// row has a different number of stages than the spec.
-pub fn schedule(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule {
-    let ns = spec.num_stages();
-    for (i, st) in spec.stages.iter().enumerate() {
-        assert!(
-            st.deps.iter().copied().eq(i.checked_sub(1)),
-            "stage {i} ({}) is not a chain link",
-            st.name
-        );
-        assert_eq!(
-            spec.capacity(st.resource),
-            1,
-            "stage {i} ({}) has a multi-unit resource",
-            st.name
-        );
+/// Panics if any chunk row has a different number of stages than the spec.
+pub fn schedule(spec: impl Into<Arc<GraphSpec>>, durations: &[Vec<SimTime>]) -> Schedule {
+    solve(spec.into(), 0, (0..durations.len()).collect(), durations)
+}
+
+/// Deal `chunks` wave-local chunk rows round-robin across the `targets`
+/// devices: chunk `c` goes to `targets[c % n]`. With homogeneous devices
+/// and roughly uniform chunk costs this keeps per-device chunk sequences
+/// maximally regular (good for the reuse pipeline). Returns each target
+/// with its owned rows in ascending order.
+pub fn deal(targets: Vec<usize>, chunks: usize) -> Vec<(usize, Vec<usize>)> {
+    assert!(!targets.is_empty(), "need at least one schedule target");
+    let n = targets.len();
+    let mut shares: Vec<(usize, Vec<usize>)> =
+        targets.into_iter().map(|d| (d, Vec::new())).collect();
+    for c in 0..chunks {
+        shares[c % n].1.push(c);
     }
-    for (i, row) in durations.iter().enumerate() {
+    shares
+}
+
+/// Schedule each device's share of a wave: device `d` runs the rows `ids`
+/// of `durations`, in order, on `specs[d]` (the graph moved to device `d`;
+/// every shard on a device shares it). Reuse depth therefore applies
+/// within a device's local chunk sequence (per-device buffer pools).
+pub fn schedule_shards(
+    specs: &[Arc<GraphSpec>],
+    shares: Vec<(usize, Vec<usize>)>,
+    durations: &[Vec<SimTime>],
+) -> Vec<Schedule> {
+    shares
+        .into_iter()
+        .map(|(device, ids)| solve(Arc::clone(&specs[device]), device, ids, durations))
+        .collect()
+}
+
+/// Forward list scheduling of the rows `chunk_ids` of `durations`, in
+/// (row, stage) order:
+///
+/// * dataflow-ready = max over the stage's dependency finishes (a chain's
+///   single dependency reduces to "previous stage of the same chunk");
+/// * resource-ready = the earliest-free of the resource's `capacity`
+///   identical units (an untouched unit is free at t=0, and
+///   `max(x, 0) = x` exactly in f64); zero-duration stages neither wait
+///   for nor occupy their resource (an absent write-back must not delay
+///   the DMA engine);
+/// * reuse-ready = max over the stage's reuse edges of the consumer's
+///   finish `depth` rows back.
+///
+/// The start is the exact f64 `max` of the three, so it equals the finish
+/// of the slot recorded as [`SlotMeta::pred`].
+fn solve(
+    spec: Arc<GraphSpec>,
+    device: usize,
+    chunk_ids: Vec<usize>,
+    durations: &[Vec<SimTime>],
+) -> Schedule {
+    let ns = spec.num_stages();
+    // Per resource: each unit's free time and the slot that occupied it.
+    type Unit = (SimTime, Option<(usize, usize)>);
+    let mut resource_free: HashMap<ResourceId, Vec<Unit>> = HashMap::new();
+    let mut slots: Vec<Vec<Slot>> = Vec::with_capacity(chunk_ids.len());
+    let mut meta: Vec<Vec<SlotMeta>> = Vec::with_capacity(chunk_ids.len());
+
+    for (chunk, &id) in chunk_ids.iter().enumerate() {
+        let row = &durations[id];
         assert_eq!(
             row.len(),
             ns,
-            "chunk {i} has wrong number of stage durations"
+            "chunk {id} has wrong number of stage durations"
         );
-    }
-
-    let mut resource_free: HashMap<ResourceId, SimTime> = HashMap::new();
-    let mut slots: Vec<Vec<Slot>> = Vec::with_capacity(durations.len());
-    let mut meta: Vec<Vec<SlotMeta>> = Vec::with_capacity(durations.len());
-
-    for (chunk, row) in durations.iter().enumerate() {
         let mut chunk_slots: Vec<Slot> = Vec::with_capacity(ns);
         let mut chunk_meta: Vec<SlotMeta> = Vec::with_capacity(ns);
         for (stage, &dur) in row.iter().enumerate() {
+            let st = &spec.stages[stage];
             let mut start = SimTime::ZERO;
-            // 1. dataflow within the chunk
-            let dataflow = if stage > 0 {
-                chunk_slots[stage - 1].finish
-            } else {
-                SimTime::ZERO
-            };
+            // 1. dataflow: all dependency stages of this chunk must finish.
+            let dataflow = st
+                .deps
+                .iter()
+                .map(|&d| chunk_slots[d].finish)
+                .fold(SimTime::ZERO, SimTime::max);
             start = start.max(dataflow);
-            // 2. resource availability (in-order issue). Zero-duration
-            // stages are no-ops: they neither wait for nor occupy their
-            // resource (an absent write-back must not delay the DMA engine).
-            let res = spec.stages[stage].resource;
+            // 2. resource availability: earliest-free unit, in-order issue.
             let mut res_ready = SimTime::ZERO;
+            let mut occupant = None;
+            let mut unit = 0usize;
             if !dur.is_zero() {
-                if let Some(&free) = resource_free.get(&res) {
-                    res_ready = free;
-                    start = start.max(free);
+                let free = resource_free
+                    .entry(st.resource)
+                    .or_insert_with(|| vec![(SimTime::ZERO, None); spec.capacity(st.resource)]);
+                for (i, &(t, _)) in free.iter().enumerate() {
+                    if t < free[unit].0 {
+                        unit = i;
+                    }
                 }
+                (res_ready, occupant) = free[unit];
+                start = start.max(res_ready);
             }
-            // 3. buffer-reuse edges
+            // 3. buffer-reuse edges; later edges win ties.
             let mut reuse_ready = SimTime::ZERO;
-            let mut reuse_consumer = 0usize;
+            let mut reuse_pred = (0usize, 0usize);
             for e in &spec.reuse {
                 if e.producer == stage && chunk >= e.depth {
-                    let prev: &Vec<Slot> = &slots[chunk - e.depth];
-                    let ready = prev[e.consumer].finish;
+                    let ready = slots[chunk - e.depth][e.consumer].finish;
                     if ready >= reuse_ready {
                         reuse_ready = ready;
-                        reuse_consumer = e.consumer;
+                        reuse_pred = (chunk - e.depth, e.consumer);
                     }
                     start = start.max(ready);
                 }
@@ -543,30 +573,33 @@ pub fn schedule(spec: &GraphSpec, durations: &[Vec<SimTime>]) -> Schedule {
             // runtime pays synchronization costs for, so it is the more
             // actionable label.
             let stalled = start.saturating_sub(dataflow);
-            let kind = if stalled.is_zero() {
-                None
+            let (kind, pred) = if stalled.is_zero() {
+                let dep = st.deps.iter().find(|&&d| chunk_slots[d].finish == start);
+                (None, dep.filter(|_| !start.is_zero()).map(|&d| (chunk, d)))
             } else if reuse_ready >= res_ready {
-                Some(StallKind::Reuse {
-                    consumer: reuse_consumer,
-                })
+                let consumer = reuse_pred.1;
+                (Some(StallKind::Reuse { consumer }), Some(reuse_pred))
             } else {
-                Some(StallKind::Resource(res))
+                (Some(StallKind::Resource(st.resource)), occupant)
             };
             let finish = start + dur;
             if !dur.is_zero() {
-                resource_free.insert(res, finish);
+                resource_free
+                    .get_mut(&st.resource)
+                    .expect("initialized above")[unit] = (finish, Some((chunk, stage)));
             }
             chunk_slots.push(Slot { start, finish });
             chunk_meta.push(SlotMeta {
                 kind,
                 stall: stalled,
+                pred,
             });
         }
         slots.push(chunk_slots);
         meta.push(chunk_meta);
     }
 
-    Schedule::solved(spec, slots, meta)
+    Schedule::solved(spec, device, chunk_ids, slots, meta)
 }
 
 #[cfg(test)]
@@ -588,7 +621,7 @@ mod tests {
 
     #[test]
     fn single_chunk_is_sum_of_stages() {
-        let s = schedule(&two_stage_spec(), &[vec![t(1.0), t(2.0)]]);
+        let s = schedule(two_stage_spec(), &[vec![t(1.0), t(2.0)]]);
         assert_eq!(s.makespan().secs(), 3.0);
         assert_eq!(s.slot(0, 1).start.secs(), 1.0);
     }
@@ -597,7 +630,7 @@ mod tests {
     fn perfect_overlap_two_stages() {
         // 4 chunks, xfer=1, comp=1 → makespan = 1 (fill) + 4*1 = 5
         let d = vec![vec![t(1.0), t(1.0)]; 4];
-        let s = schedule(&two_stage_spec(), &d);
+        let s = schedule(two_stage_spec(), &d);
         assert!((s.makespan().secs() - 5.0).abs() < 1e-12);
     }
 
@@ -605,7 +638,7 @@ mod tests {
     fn bottleneck_stage_dominates() {
         // comp=2 dominates: makespan = xfer_0 + 4*comp = 1 + 8 = 9
         let d = vec![vec![t(1.0), t(2.0)]; 4];
-        let s = schedule(&two_stage_spec(), &d);
+        let s = schedule(two_stage_spec(), &d);
         assert!((s.makespan().secs() - 9.0).abs() < 1e-12);
         assert_eq!(s.stage_busy(1).secs(), 8.0);
     }
@@ -615,7 +648,7 @@ mod tests {
         let d = vec![vec![t(1.0), t(2.0)]; 4];
         // Every stage on one shared resource: no overlap at all.
         let serial = |name| (name, r(Serial));
-        let s = schedule(&GraphSpec::chain(vec![serial("xfer"), serial("comp")]), &d);
+        let s = schedule(GraphSpec::chain(vec![serial("xfer"), serial("comp")]), &d);
         assert!((s.makespan().secs() - 12.0).abs() < 1e-12);
     }
 
@@ -626,7 +659,7 @@ mod tests {
         // for stage 1 of chunk i-1, so chunk starts are 1s apart.
         let spec = two_stage_spec().with_reuse(0, 1, 1);
         let d = vec![vec![t(0.0), t(1.0)]; 3];
-        let s = schedule(&spec, &d);
+        let s = schedule(spec, &d);
         assert!((s.slot(2, 0).start.secs() - 2.0).abs() < 1e-12);
         assert!((s.makespan().secs() - 3.0).abs() < 1e-12);
     }
@@ -634,8 +667,8 @@ mod tests {
     #[test]
     fn deeper_reuse_allows_more_inflight() {
         let d = vec![vec![t(0.1), t(1.0)]; 6];
-        let shallow = schedule(&two_stage_spec().clone().with_reuse(0, 1, 1), &d);
-        let deep = schedule(&two_stage_spec().with_reuse(0, 1, 3), &d);
+        let shallow = schedule(two_stage_spec().with_reuse(0, 1, 1), &d);
+        let deep = schedule(two_stage_spec().with_reuse(0, 1, 3), &d);
         assert!(deep.makespan() <= shallow.makespan());
     }
 
@@ -644,7 +677,7 @@ mod tests {
         // Both stages on the same resource → no overlap even across chunks.
         let spec = GraphSpec::chain(vec![("a", r(Serial)), ("b", r(Serial))]);
         let d = vec![vec![t(1.0), t(1.0)]; 3];
-        let s = schedule(&spec, &d);
+        let s = schedule(spec, &d);
         assert!((s.makespan().secs() - 6.0).abs() < 1e-12);
     }
 
@@ -661,7 +694,7 @@ mod tests {
         .with_reuse(0, 3, 3);
         let n = 50;
         let d = vec![vec![t(0.2), t(0.5), t(0.4), t(1.0)]; n];
-        let s = schedule(&spec, &d);
+        let s = schedule(spec, &d);
         // Steady state: one chunk per 1.0s (compute-bound); fill = 0.2+0.5+0.4.
         let expect = 0.2 + 0.5 + 0.4 + n as f64 * 1.0;
         assert!(
@@ -680,7 +713,7 @@ mod tests {
 
     #[test]
     fn empty_schedule_is_idle() {
-        let s = schedule(&two_stage_spec(), &[]);
+        let s = schedule(two_stage_spec(), &[]);
         assert_eq!(s.makespan(), SimTime::ZERO);
         for st in 0..s.num_stages() {
             assert_eq!(s.stage_busy(st), SimTime::ZERO);
@@ -708,20 +741,20 @@ mod tests {
                 deps: vec![],
             },
         ]);
-        let _ = schedule(&spec, &[vec![t(1.0), t(1.0)]]);
+        let _ = oracle::schedule(&spec, &[vec![t(1.0), t(1.0)]]);
     }
 
     #[test]
     #[should_panic(expected = "multi-unit resource")]
     fn multi_unit_resource_rejected() {
         let spec = two_stage_spec().with_capacity(r(Gpu), 2);
-        let _ = schedule(&spec, &[vec![t(1.0), t(1.0)]]);
+        let _ = oracle::schedule(&spec, &[vec![t(1.0), t(1.0)]]);
     }
 
     #[test]
     #[should_panic(expected = "wrong number of stage durations")]
     fn mismatched_durations_rejected() {
-        let _ = schedule(&two_stage_spec(), &[vec![t(1.0)]]);
+        let _ = schedule(two_stage_spec(), &[vec![t(1.0)]]);
     }
 
     #[test]
@@ -735,7 +768,7 @@ mod tests {
             ("wb", r(DmaH2D)),
         ]);
         let d = vec![vec![t(1.0), t(5.0), t(0.0)]; 3];
-        let s = schedule(&spec, &d);
+        let s = schedule(spec, &d);
         // xfer fully overlaps compute: makespan = 1 + 3*5.
         assert!(
             (s.makespan().secs() - 16.0).abs() < 1e-9,
@@ -750,7 +783,7 @@ mod tests {
         // chunk 0 via dataflow (no stall), but "a" of chunk 1 waits for the
         // shared resource to drain "b" of chunk 0.
         let spec = GraphSpec::chain(vec![("a", r(Serial)), ("b", r(Serial))]);
-        let s = schedule(&spec, &vec![vec![t(1.0), t(1.0)]; 2]);
+        let s = schedule(spec, &vec![vec![t(1.0), t(1.0)]; 2]);
         assert_eq!(s.slot_meta(0, 0).kind, None);
         assert_eq!(
             s.slot_meta(0, 1).kind,
@@ -767,7 +800,7 @@ mod tests {
         // Stage 0 is instantaneous and unconstrained except for the depth-1
         // reuse edge on stage 1: every chunk past the first stalls on reuse.
         let spec = two_stage_spec().with_reuse(0, 1, 1);
-        let s = schedule(&spec, &vec![vec![t(0.1), t(1.0)]; 3]);
+        let s = schedule(spec, &vec![vec![t(0.1), t(1.0)]; 3]);
         assert_eq!(s.slot_meta(0, 0).kind, None);
         let m = s.slot_meta(1, 0);
         assert_eq!(m.kind, Some(StallKind::Reuse { consumer: 1 }));
@@ -781,7 +814,7 @@ mod tests {
         // Every positive inter-stage gap must carry a cause, and the gap
         // must equal start − previous-stage finish exactly.
         let spec = two_stage_spec().with_reuse(0, 1, 2);
-        let s = schedule(&spec, &vec![vec![t(0.3), t(1.0)]; 8]);
+        let s = schedule(spec, &vec![vec![t(0.3), t(1.0)]; 8]);
         for c in 0..s.num_chunks() {
             for st in 0..s.num_stages() {
                 let m = s.slot_meta(c, st);
@@ -831,12 +864,21 @@ mod proptests {
     }
 
     proptest! {
+        /// Equivalence with the chain-only reference on random chains with
+        /// random reuse depth: slots, stall attribution and recorded
+        /// predecessors are equal.
+        #[test]
+        fn chain_matches_oracle(d in arb_durations(30, 4), depth in 1usize..5) {
+            let spec = bigkernel_spec(depth);
+            prop_assert_eq!(schedule(spec.clone(), &d), oracle::schedule(&spec, &d));
+        }
+
         /// Makespan is bounded below by every stage's busy time and by any
         /// single chunk's critical path, and above by full serialization.
         #[test]
         fn makespan_bounds(d in arb_durations(40, 4), depth in 1usize..5) {
             let spec = bigkernel_spec(depth);
-            let s = schedule(&spec, &d);
+            let s = schedule(spec, &d);
             for st in 0..4 {
                 prop_assert!(s.makespan() + SimTime::from_nanos(1.0) >= s.stage_busy(st));
             }
@@ -852,7 +894,7 @@ mod proptests {
         #[test]
         fn slots_are_causal(d in arb_durations(30, 4), depth in 1usize..4) {
             let spec = bigkernel_spec(depth);
-            let s = schedule(&spec, &d);
+            let s = schedule(spec, &d);
             for c in 0..s.num_chunks() {
                 for st in 0..4 {
                     let slot = s.slot(c, st);
@@ -869,7 +911,7 @@ mod proptests {
         fn deeper_buffers_never_hurt(d in arb_durations(30, 4)) {
             let mut prev = None;
             for depth in 1..=4 {
-                let s = schedule(&bigkernel_spec(depth), &d);
+                let s = schedule(bigkernel_spec(depth), &d);
                 if let Some(p) = prev {
                     prop_assert!(s.makespan() <= p, "depth {depth} regressed");
                 }
@@ -885,7 +927,7 @@ mod proptests {
                 ("b", r(Gpu)),
                 ("c", r(DmaH2D)),
             ]);
-            let s = schedule(&spec, &d);
+            let s = schedule(spec, &d);
             // Collect non-empty busy intervals on "shared" and check pairwise
             // disjointness.
             let mut intervals: Vec<(SimTime, SimTime)> = Vec::new();
